@@ -16,8 +16,11 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn data(file: &str) -> String {
-    format!("{}/../../tests/data/{file}", env!("CARGO_MANIFEST_DIR"))
+/// The corpus directory. The binary runs from there and names its
+/// netlist by bare file name, so the `"file"` value in every report is
+/// independent of where the repository is checked out.
+fn data_dir() -> PathBuf {
+    PathBuf::from(format!("{}/../../tests/data", env!("CARGO_MANIFEST_DIR")))
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -30,6 +33,7 @@ fn golden_path(name: &str) -> PathBuf {
 fn run_stdout(args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_glitch-cli"))
         .args(args)
+        .current_dir(data_dir())
         .output()
         .expect("the binary must spawn");
     assert!(
@@ -64,7 +68,7 @@ fn assert_matches_golden(name: &str, actual: &str) {
 fn sweep_json_matches_golden() {
     let out = run_stdout(&[
         "sweep",
-        &data("rca4.blif"),
+        "rca4.blif",
         "--cycles",
         "120",
         "--seeds",
@@ -82,7 +86,7 @@ fn sweep_json_matches_golden() {
 fn sweep_flip_inputs_json_matches_golden() {
     let out = run_stdout(&[
         "sweep",
-        &data("rca4.blif"),
+        "rca4.blif",
         "--cycles",
         "120",
         "--flip-inputs",
@@ -100,7 +104,7 @@ fn sweep_flip_inputs_json_matches_golden() {
 fn analyze_window_json_matches_golden() {
     let out = run_stdout(&[
         "analyze",
-        &data("counter4.blif"),
+        "counter4.blif",
         "--cycles",
         "120",
         "--window",
@@ -114,7 +118,7 @@ fn analyze_window_json_matches_golden() {
 fn analyze_multi_seed_window_json_matches_golden() {
     let out = run_stdout(&[
         "analyze",
-        &data("counter4.blif"),
+        "counter4.blif",
         "--cycles",
         "100",
         "--seeds",
@@ -135,7 +139,7 @@ fn check_json_matches_golden() {
     // schema — verdicts, per-checker metrics and located violations.
     let out = run_stdout(&[
         "check",
-        &data("counter4.blif"),
+        "counter4.blif",
         "--x-init",
         "--hazards",
         "--budget",
@@ -159,7 +163,7 @@ fn check_flip_json_matches_golden() {
     // replay accounting.
     let out = run_stdout(&[
         "check",
-        &data("xinit_ok.blif"),
+        "xinit_ok.blif",
         "--x-init",
         "--hazards",
         "--cycles",
@@ -175,7 +179,7 @@ fn check_flip_json_matches_golden() {
 fn analyze_flip_json_matches_golden() {
     let out = run_stdout(&[
         "analyze",
-        &data("rca4.blif"),
+        "rca4.blif",
         "--cycles",
         "120",
         "--flip",
@@ -192,7 +196,7 @@ fn reduce_json_matches_golden() {
     // is compared against the pinned golden bytes.
     let args = [
         "reduce",
-        &data("rca4.blif"),
+        "rca4.blif",
         "--cycles",
         "96",
         "--seeds",
