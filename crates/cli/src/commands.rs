@@ -1,26 +1,32 @@
 //! The subcommands: parse, stats, analyze, simulate, power, sweep, check,
 //! retime, reduce.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
-use glitch_core::netlist::{DotOptions, Netlist};
+use glitch_core::netlist::{ConeIndex, DotOptions, Netlist};
 use glitch_core::retime::{pipeline_netlist, PipelineOptions};
 use glitch_core::sim::{
-    kernel_prepass, run_kernel_jobs, MergeableProbe, MetricsProbe, Probe, RandomStimulus,
-    SessionReport, SimJob, SimSession, UnitDelay, VcdProbe, WaveCsvProbe, WindowedActivityProbe,
+    Probe, RandomStimulus, SessionReport, SimBaseline, SimSession, UnitDelay, VcdProbe,
+    WaveCsvProbe, WindowedActivityProbe,
 };
-use glitch_core::sim::{SimBaseline, SimOptions};
-use glitch_core::verify::{CheckSuite, Verdict, VerifyReport};
+use glitch_core::verify::{Verdict, VerifyReport};
 use glitch_core::{
-    Analysis, AnalysisConfig, DeltaStimulus, EngineKind, GlitchAnalyzer, IncrementalStats,
-    KernelProgram, KernelTelemetry, PowerExplorer, TextTable,
+    Analysis, AnalysisConfig, EngineKind, GlitchAnalyzer, IncrementalStats, KernelProgram,
+    PowerExplorer, TextTable,
 };
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
+use glitch_serve::cache::BaselineEntry;
+use glitch_serve::exec::{
+    exec, record_baseline, replay_baseline, Hooks, JobOutput, ProgressLines, Resources,
+};
 use glitch_serve::json::{json_array, JsonObject};
-use glitch_serve::params::{self, input_buses, stimulus_seeds, ParamError};
+use glitch_serve::params::{self, input_buses, ParamError};
 use glitch_serve::report;
+use glitch_serve::{JobKind, JobRequest};
 
 use crate::args::{Args, Spec};
 use crate::telemetry::Telemetry;
@@ -43,7 +49,8 @@ commands:
               --cycles <n>         random vectors to simulate [1000]
               --seed <n>           stimulus seed [3665697173]
               --delay <model>      unit | zero | adder | library [unit]
-              --engine <name>      queue | kernel | hybrid [queue].
+              --engine <name>      queue | kernel | hybrid [queue, also in
+                                   the serve daemon].
                                    `queue` is the event-driven reference;
                                    `hybrid` adds a compiled bit-parallel
                                    kernel prepass that proves cycles quiet
@@ -160,10 +167,11 @@ commands:
               --seeds/--jobs       score with n independent seeds fanned
                                    across worker threads; reports are
                                    bit-identical at any --jobs count
-              --engine <name>      queue | hybrid [queue]: hybrid screens
+              --engine <name>      queue | hybrid [queue]: the scoring
+                                   engine (hybrid reports are bit-identical
+                                   to queue); kernel alone cannot score
+                                   glitches. Candidates are always screened
                                    batch-wide through the compiled kernel
-                                   (reports bit-identical to queue);
-                                   kernel alone cannot score glitches
               --emit-blif <file>   write the reduced circuit as BLIF
               --progress           print one JSON progress line per
                                    descent iteration (accepted or final
@@ -173,8 +181,9 @@ commands:
   serve     run the batch-analysis daemon: a JSON-lines protocol on a
             loopback TCP socket, with parsed netlists, cone indexes and
             recorded baselines kept warm in a content-addressed cache.
-            Responses are byte-identical to the matching one-shot --json
-            output. Takes no netlist argument
+            Jobs run through the same executor as the one-shot commands,
+            so responses are byte-identical to the matching --json output.
+            Request lines are capped at 64 KiB. Takes no netlist argument
               --port <p>           listen port on 127.0.0.1 [ephemeral;
                                    printed on the `listening` line]
               --jobs <n>           worker threads [hardware threads]
@@ -342,29 +351,97 @@ fn analysis_config(args: &Args, library: &GateLibrary) -> Result<AnalysisConfig,
     )?)
 }
 
-/// The single-lane [`SimJob`] mirroring [`GlitchAnalyzer::session`]'s
-/// stimulus, for feeding the compiled kernel on single-seed runs.
-fn kernel_job<'a>(netlist: &'a Netlist, config: &AnalysisConfig) -> SimJob<'a> {
-    SimJob::new(netlist, input_buses(netlist), config.cycles, config.seed)
-        .with_delay(config.delay.clone())
-        .with_power(config.technology, config.frequency)
-        .with_options(config.options)
+/// The shared executor's job request, from whichever of its flags this
+/// command accepts (the rest stay `None`, i.e. at the shared defaults).
+fn job_request(args: &Args, path: &str) -> Result<JobRequest, CliError> {
+    let text = |name: &str| args.option(name).map(str::to_string);
+    Ok(JobRequest {
+        file: path.to_string(),
+        cycles: parsed_presence(args, "cycles")?,
+        seed: parsed_presence(args, "seed")?,
+        seeds: parsed_presence(args, "seeds")?,
+        jobs: parsed_presence(args, "jobs")?,
+        delay: text("delay"),
+        delays: text("delays"),
+        engine: text("engine"),
+        tech: text("tech"),
+        frequency_mhz: parsed_presence(args, "frequency-mhz")?,
+        flips: text("flip"),
+        x_init: args.flag("x-init"),
+        hazards: args.flag("hazards"),
+        budget: text("budget"),
+        stable: text("stable"),
+        moves: text("moves"),
+        target: parsed_presence(args, "target")?,
+        max_iters: parsed_presence(args, "max-iters")?,
+        progress: args.flag("progress"),
+        fingerprint: None,
+    })
 }
 
-/// Compiles the kernel program under its own telemetry span whenever the
-/// configured engine needs one.
-fn compile_program(
-    netlist: &Netlist,
-    config: &AnalysisConfig,
-    telemetry: &Telemetry,
-) -> Result<Option<KernelProgram>, CliError> {
-    if config.engine == EngineKind::Queue {
-        return Ok(None);
+/// The one-shot [`Resources`]: each built on demand for this one job.
+/// With `--baseline FILE` the flip baseline is loaded from FILE when it
+/// exists (skipping the recording pass) and recorded into it when not;
+/// `note` says which happened.
+struct Fresh<'a> {
+    netlist: &'a Netlist,
+    baseline_file: Option<&'a str>,
+    note: RefCell<Option<String>>,
+}
+
+impl<'a> Fresh<'a> {
+    fn new(netlist: &'a Netlist) -> Fresh<'a> {
+        Fresh {
+            netlist,
+            baseline_file: None,
+            note: RefCell::new(None),
+        }
     }
-    let _span = telemetry.span("kernel-compile");
-    KernelProgram::compile(netlist)
-        .map(Some)
-        .map_err(|e| run_err(format!("kernel compile failed: {e}")))
+}
+
+impl Resources for Fresh<'_> {
+    fn program(&self) -> Result<Arc<KernelProgram>, String> {
+        KernelProgram::compile(self.netlist)
+            .map(Arc::new)
+            .map_err(|e| format!("kernel compile failed: {e}"))
+    }
+
+    fn cone_index(&self) -> Result<Arc<ConeIndex>, String> {
+        ConeIndex::build(self.netlist)
+            .map(Arc::new)
+            .map_err(|e| e.to_string())
+    }
+
+    fn baseline(&self, analyzer: &GlitchAnalyzer) -> Result<Arc<BaselineEntry>, String> {
+        let netlist = self.netlist;
+        let (before, baseline) = match self.baseline_file {
+            Some(file) if Path::new(file).exists() => {
+                let baseline = SimBaseline::load(file).map_err(|e| format!("{file}: {e}"))?;
+                if let Some(reason) =
+                    params::baseline_mismatch(&baseline, netlist, analyzer.config())
+                {
+                    return Err(format!("{file}: {reason}"));
+                }
+                let before = replay_baseline(analyzer, netlist, &baseline)
+                    .map_err(|e| format!("{file}: {e}"))?;
+                *self.note.borrow_mut() = Some(format!(
+                    "loaded baseline from {file} (re-recording skipped)"
+                ));
+                (before, baseline)
+            }
+            Some(file) => {
+                let (before, baseline) = record_baseline(analyzer, netlist)?;
+                baseline.save(file).map_err(|e| format!("{file}: {e}"))?;
+                *self.note.borrow_mut() = Some(format!("wrote baseline to {file}"));
+                (before, baseline)
+            }
+            None => record_baseline(analyzer, netlist)?,
+        };
+        Ok(Arc::new(BaselineEntry {
+            baseline: Arc::new(baseline),
+            before: Arc::new(before),
+        }))
+    }
 }
 
 /// The incremental fast paths replay recorded queue cycles, so they only
@@ -382,14 +459,6 @@ fn analyze_netlist(netlist: &Netlist, config: &AnalysisConfig) -> Result<Analysi
     GlitchAnalyzer::new(config.clone())
         .analyze(netlist, &input_buses(netlist), &[])
         .map_err(|e| run_err(format!("simulation failed: {e}")))
-}
-
-/// The shared [`params::seeds_and_jobs`] resolution (seeds default to 1;
-/// jobs default to `min(seeds * models, hardware threads)`).
-fn seeds_and_jobs(args: &Args, models: usize) -> Result<(usize, usize), CliError> {
-    let seeds = parsed_presence::<usize>(args, "seeds")?;
-    let jobs = parsed_presence::<usize>(args, "jobs")?;
-    Ok(params::seeds_and_jobs(seeds, jobs, models)?)
 }
 
 /// Parses option `name` as `T` while preserving whether it was given at
@@ -525,18 +594,11 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
         load(&args)?
     };
     telemetry.cone_index_phase(&netlist);
-    let library = library_for(&args)?;
-    // Resolve every option before printing anything, so a bad value fails
-    // cleanly instead of after half a report.
-    let config = analysis_config(&args, &library)?;
-    let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
+    // Resolve every CLI-side option before simulating, so a bad value
+    // fails cleanly instead of after half a report.
+    let request = job_request(&args, &path)?;
     let window = window_option(&args)?;
-    if let Some(spec) = args.option("flip") {
-        if seeds > 1 {
-            return Err(CliError::Usage(
-                "--flip applies to single-seed runs; drop --seeds or --flip".into(),
-            ));
-        }
+    let kind = if request.flips.is_some() {
         for flag in ["vcd", "wave-csv", "window", "window-csv"] {
             if args.option(flag).is_some() {
                 return Err(CliError::Usage(format!(
@@ -544,167 +606,92 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
                 )));
             }
         }
-        reject_engine_for(&config, "flip")?;
-        return cmd_analyze_flip(&netlist, &path, &args, &config, spec, &mut telemetry);
-    }
-    if args.option("baseline").is_some() {
-        return Err(CliError::Usage(
-            "--baseline persists the --flip fast path's baseline; add --flip <list>".into(),
-        ));
-    }
-    if seeds > 1 {
-        return cmd_analyze_aggregate(
-            &netlist,
-            &path,
-            &args,
-            &config,
-            seeds,
-            jobs,
-            window,
-            &mut telemetry,
-        );
-    }
+        JobKind::Flip
+    } else {
+        if args.option("baseline").is_some() {
+            return Err(CliError::Usage(
+                "--baseline persists the --flip fast path's baseline; add --flip <list>".into(),
+            ));
+        }
+        if request.seeds.is_some_and(|seeds| seeds > 1) {
+            for flag in ["vcd", "wave-csv"] {
+                if args.option(flag).is_some() {
+                    return Err(CliError::Usage(format!(
+                        "--{flag} applies to single-seed runs; drop --seeds or --{flag}"
+                    )));
+                }
+            }
+        }
+        JobKind::Analyze
+    };
     let json = args.flag("json");
 
-    if !json {
-        println!("== {path}: `{}` ==", netlist.name());
-        print!("{}", netlist.stats());
-    }
-
-    // One session, one simulation pass: the analyzer's activity and power
+    // One simulation pass per seed: the analyzer's activity and power
     // probes plus one extra probe per requested artefact.
-    let program = compile_program(&netlist, &config, &telemetry)?;
-    let mut report = if config.engine == EngineKind::Kernel {
-        let program = program.as_ref().expect("compiled for the kernel engine");
-        let want_vcd = args.option("vcd").is_some();
-        let want_wave = args.option("wave-csv").is_some();
-        let with_metrics = telemetry.enabled();
-        let factory = move |_lane: usize| -> Vec<Box<dyn Probe>> {
-            let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-            if want_vcd {
-                probes.push(Box::new(VcdProbe::default()));
-            }
-            if want_wave {
-                probes.push(Box::new(WaveCsvProbe::new()));
-            }
-            if let Some(k) = window {
-                probes.push(Box::new(WindowedActivityProbe::new(k)));
-            }
-            if with_metrics {
-                probes.push(Box::new(MetricsProbe::new()));
-            }
-            probes
-        };
-        let job = kernel_job(&netlist, &config);
-        let reports = {
-            let _span = telemetry.span("simulate");
-            run_kernel_jobs(&netlist, program, std::slice::from_ref(&job), &factory)
-                .map_err(|e| run_err(format!("simulation failed: {e}")))?
-        };
-        reports
-            .into_iter()
-            .next()
-            .expect("one job in, one report out")
-    } else {
-        let analyzer = GlitchAnalyzer::new(config.clone());
-        let mut session = analyzer.session(&netlist, &input_buses(&netlist), &[]);
-        if args.option("vcd").is_some() {
-            session = session.probe(VcdProbe::default());
+    let want_vcd = args.option("vcd").is_some();
+    let want_wave = args.option("wave-csv").is_some();
+    let probes = move |_seed: usize| -> Vec<Box<dyn Probe>> {
+        let mut probes: Vec<Box<dyn Probe>> = Vec::new();
+        if want_vcd {
+            probes.push(Box::new(VcdProbe::default()));
         }
-        if args.option("wave-csv").is_some() {
-            session = session.probe(WaveCsvProbe::new());
+        if want_wave {
+            probes.push(Box::new(WaveCsvProbe::new()));
         }
         if let Some(k) = window {
-            session = session.probe(WindowedActivityProbe::new(k));
+            probes.push(Box::new(WindowedActivityProbe::new(k)));
         }
-        if telemetry.enabled() {
-            session = session.probe(MetricsProbe::new());
-        }
-        if let Some(program) = &program {
-            // Hybrid: one functional kernel pass marks the provably quiet
-            // cycles; the queue replays those and settles only the rest.
-            let job = kernel_job(&netlist, &config);
-            let prepass = {
-                let _span = telemetry.span("kernel-prepass");
-                kernel_prepass(&netlist, program, std::slice::from_ref(&job))
-                    .map_err(|e| run_err(format!("kernel prepass failed: {e}")))?
-            };
-            if telemetry.enabled() {
-                let kernel = KernelTelemetry::from_prepass(&netlist, program, &prepass)
-                    .map_err(|e| run_err(format!("kernel prepass failed: {e}")))?;
-                telemetry.record_kernel(&kernel);
-            }
-            session = session.quiet_cycles(prepass.quiet_cycles(0));
-        }
-        let _span = telemetry.span("simulate");
-        session
-            .run()
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
+        probes
     };
-    telemetry.absorb_session(&mut report);
-
-    let vcd_text = report.take_probe::<VcdProbe>().map(VcdProbe::into_vcd);
-    let wave_csv = report
-        .take_probe::<WaveCsvProbe>()
-        .map(WaveCsvProbe::into_csv);
-    let windowed = report.take_probe::<WindowedActivityProbe>();
-    let passes = report.passes();
-    let events = report.total_events();
-    let max_settle = report.max_settle_time();
-    let cell_evals = report.total_cell_evals();
-    let analysis = GlitchAnalyzer::analysis(&netlist, report);
-    let totals = analysis.activity.totals();
-    if config.engine == EngineKind::Kernel {
-        if let Some(program) = &program {
-            telemetry.record_kernel(&KernelTelemetry {
-                engine: EngineKind::Kernel,
-                lanes: 1,
-                total_cycles: config.cycles,
-                quiet_cycles: 0,
-                total_pairs: 0,
-                quiet_pairs: 0,
-                functional_transitions: totals.transitions,
-                functional_cell_evals: program.op_count() as u64 * config.cycles,
-                program_ops: program.op_count(),
-                program_bytes: program.byte_size(),
-            });
-        }
-    }
+    let (mut vcd_text, mut wave_csv) = (None, None);
+    let mut take_artefacts = |report: &mut SessionReport| {
+        vcd_text = report.take_probe::<VcdProbe>().map(VcdProbe::into_vcd);
+        wave_csv = report
+            .take_probe::<WaveCsvProbe>()
+            .map(WaveCsvProbe::into_csv);
+    };
+    let resources = Fresh {
+        baseline_file: args.option("baseline"),
+        ..Fresh::new(&netlist)
+    };
+    let output = exec(
+        kind,
+        &request,
+        &netlist,
+        &resources,
+        &mut telemetry.sink(),
+        Hooks {
+            probes: Some(&probes),
+            finished: Some(&mut take_artefacts),
+            ..Hooks::default()
+        },
+    )?;
 
     if json {
-        println!(
-            "{}",
-            report::analyze_json(
-                &path,
-                &netlist,
-                &analysis,
-                passes,
-                events,
-                max_settle,
-                cell_evals,
-                windowed.as_ref(),
-            )
-        );
+        println!("{}", output.json(&path, &netlist));
     } else {
+        println!("== {path}: `{}` ==", netlist.name());
+        print!("{}", netlist.stats());
         println!();
-        println!(
-            "one simulation pass: {} cycles, {events} events, worst settle time {max_settle}",
-            analysis.cycles
-        );
-        println!();
-        print!("{}", analysis.activity);
-        println!(
-            "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
-             combinational activity by a factor of {:.2}",
-            totals.useless_to_useful(),
-            analysis.balance_reduction_factor()
-        );
-        println!();
-        print!("{}", analysis.power);
+        if let Some(note) = resources.note.borrow().as_ref() {
+            println!("{note}");
+        }
+        print_analyze_text(&output);
     }
-
+    let (activity, windowed) = match &output {
+        JobOutput::Analyze {
+            analysis, windowed, ..
+        } => (&analysis.activity, windowed.as_ref()),
+        JobOutput::Aggregate {
+            aggregate,
+            windowed,
+            ..
+        } => (&aggregate.activity, windowed.as_ref()),
+        JobOutput::Flip { after, .. } => (&after.analysis.activity, None),
+        _ => unreachable!("analyze jobs produce analyze output"),
+    };
     if let Some(csv_path) = args.option("csv") {
-        write_file(csv_path, &analysis.activity.to_csv())?;
+        write_file(csv_path, &activity.to_csv())?;
     }
     if let Some(vcd_path) = args.option("vcd") {
         write_file(vcd_path, &vcd_text.expect("VcdProbe attached above"))?;
@@ -712,9 +699,126 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
     if let Some(wave_path) = args.option("wave-csv") {
         write_file(wave_path, &wave_csv.expect("WaveCsvProbe attached above"))?;
     }
-    write_window_csv(&args, windowed.as_ref(), json)?;
+    write_window_csv(&args, windowed, json)?;
     maybe_dot(&netlist, &args)?;
     telemetry.finish()
+}
+
+/// The text report of an `analyze` job, after the netlist header (and the
+/// `--baseline` note).
+fn print_analyze_text(output: &JobOutput) {
+    match output {
+        JobOutput::Analyze {
+            analysis,
+            events,
+            max_settle,
+            ..
+        } => {
+            println!(
+                "one simulation pass: {} cycles, {events} events, worst settle time {max_settle}",
+                analysis.cycles
+            );
+            println!();
+            print!("{}", analysis.activity);
+            println!(
+                "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
+                 combinational activity by a factor of {:.2}",
+                analysis.activity.totals().useless_to_useful(),
+                analysis.balance_reduction_factor()
+            );
+            println!();
+            print!("{}", analysis.power);
+        }
+        JobOutput::Aggregate {
+            seeds,
+            jobs,
+            cycles,
+            aggregate,
+            ..
+        } => {
+            let totals = aggregate.activity.totals();
+            println!(
+                "parallel sweep: {seeds} seeds x {cycles} cycles on {jobs} jobs \
+                 ({} cycles total, {} events, worst settle time {})",
+                aggregate.total_cycles(),
+                aggregate.aggregate.total_events(),
+                aggregate.aggregate.max_settle_time()
+            );
+            println!();
+            println!("per-seed spread ({seeds} seeds):");
+            println!("  glitches        {}", aggregate.glitch_spread());
+            println!("  useless         {}", aggregate.useless_spread());
+            println!("  L/F             {}", aggregate.lf_ratio_spread());
+            let power_mw = aggregate.power_spread();
+            println!(
+                "  total power (mW) {:.3} ± {:.3} (min {:.3}, max {:.3})",
+                power_mw.mean * 1e3,
+                power_mw.stddev * 1e3,
+                power_mw.min * 1e3,
+                power_mw.max * 1e3
+            );
+            println!();
+            println!("aggregate over the combined activity of all seeds:");
+            print!("{}", aggregate.activity);
+            println!(
+                "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
+                 combinational activity by a factor of {:.2}",
+                totals.useless_to_useful(),
+                totals.balance_reduction_factor()
+            );
+            println!();
+            print!("{}", aggregate.power);
+        }
+        JobOutput::Flip {
+            applied,
+            baseline,
+            after,
+        } => {
+            let before = &baseline.before;
+            let baseline = &baseline.baseline;
+            println!(
+                "baseline: {} cycles recorded ({} cell evaluations)",
+                baseline.cycle_count(),
+                baseline.total_cell_evals()
+            );
+            for (name, cycle, value) in applied {
+                println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
+            }
+            println!("{}", incremental_line(&after.incremental));
+            println!();
+            let mut table = TextTable::new(vec![
+                "run",
+                "useful",
+                "useless",
+                "glitches",
+                "L/F",
+                "total (mW)",
+            ]);
+            for (label, totals, power) in [
+                ("baseline", before.activity.totals(), &before.power),
+                (
+                    "flipped",
+                    after.analysis.activity.totals(),
+                    &after.analysis.power,
+                ),
+            ] {
+                table.add_row(vec![
+                    label.to_string(),
+                    totals.useful.to_string(),
+                    totals.useless.to_string(),
+                    totals.glitches().to_string(),
+                    format!("{:.3}", totals.useless_to_useful()),
+                    format!("{:.3}", power.breakdown.total() * 1e3),
+                ]);
+            }
+            print!("{table}");
+            println!(
+                "(flipped-run figures are bit-identical to a full re-simulation \
+                 of the changed stimulus)"
+            );
+        }
+        _ => unreachable!("analyze jobs produce analyze output"),
+    }
 }
 
 /// Writes `--window-csv` (or prints a one-line window summary in text
@@ -761,324 +865,6 @@ fn incremental_line(stats: &IncrementalStats) -> String {
         stats.replayed_cycles,
         stats.total_cycles()
     )
-}
-
-/// Produces the `--flip` baseline: recorded fresh, or — with
-/// `--baseline FILE` — loaded from disk when the file exists (skipping
-/// the recording pass; the "before" figures are then recovered by an
-/// empty-delta replay, which costs no cell evaluations) and recorded and
-/// saved when it does not. Loaded baselines are validated against the
-/// netlist (including its structural fingerprint), the cycle count, the
-/// delay model, the simulator options and — by regenerating the
-/// configured stimulus and comparing it cycle for cycle — the stimulus
-/// itself, so a `--seed` mismatch is caught too.
-fn obtain_baseline(
-    netlist: &Netlist,
-    baseline_path: Option<&str>,
-    analyzer: &GlitchAnalyzer,
-    config: &AnalysisConfig,
-) -> Result<(Analysis, SimBaseline, Option<String>), CliError> {
-    if let Some(file) = baseline_path {
-        if Path::new(file).exists() {
-            let baseline = SimBaseline::load(file).map_err(|e| run_err(format!("{file}: {e}")))?;
-            if !baseline.matches_netlist(netlist) {
-                return Err(run_err(format!(
-                    "{file}: baseline was recorded on `{}`, which does not match \
-                     `{}` structurally (the circuit may have been edited since); \
-                     delete the file to re-record",
-                    baseline.netlist_name(),
-                    netlist.name()
-                )));
-            }
-            if baseline.cycle_count() != config.cycles {
-                return Err(run_err(format!(
-                    "{file}: baseline records {} cycles but --cycles is {}",
-                    baseline.cycle_count(),
-                    config.cycles
-                )));
-            }
-            if baseline.delay() != &config.delay {
-                return Err(run_err(format!(
-                    "{file}: baseline was recorded under a different delay model; \
-                     re-record or match --delay"
-                )));
-            }
-            if baseline.options() != config.options {
-                return Err(run_err(format!(
-                    "{file}: baseline was recorded under different simulator options; \
-                     re-record or match them"
-                )));
-            }
-            // The file does not store the stimulus seed; regenerate the
-            // configured stimulus and compare it cycle for cycle against
-            // the recorded assignments, so a `--seed` mismatch fails
-            // loudly instead of silently replaying another run's inputs.
-            let mut regenerated =
-                RandomStimulus::new(input_buses(netlist), config.cycles, config.seed);
-            for cycle in 0..baseline.cycle_count() {
-                if regenerated.next().as_ref() != Some(baseline.assignment(cycle)) {
-                    return Err(run_err(format!(
-                        "{file}: baseline was recorded under a different stimulus \
-                         (cycle {cycle} differs — --seed mismatch?); re-record or \
-                         match --seed"
-                    )));
-                }
-            }
-            // Recover the "before" figures by replaying the baseline
-            // through fresh probes — O(transitions), zero cell evaluations.
-            let before = analyzer
-                .analyze_delta(netlist, &baseline, &DeltaStimulus::new())
-                .map_err(|e| run_err(format!("{file}: baseline replay failed: {e}")))?;
-            return Ok((
-                before.analysis,
-                baseline,
-                Some(format!(
-                    "loaded baseline from {file} (re-recording skipped)"
-                )),
-            ));
-        }
-        let (before, baseline) = analyzer
-            .analyze_baseline(netlist, &input_buses(netlist), &[])
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?;
-        baseline
-            .save(file)
-            .map_err(|e| run_err(format!("{file}: {e}")))?;
-        return Ok((before, baseline, Some(format!("wrote baseline to {file}"))));
-    }
-    let (before, baseline) = analyzer
-        .analyze_baseline(netlist, &input_buses(netlist), &[])
-        .map_err(|e| run_err(format!("simulation failed: {e}")))?;
-    Ok((before, baseline, None))
-}
-
-/// The `analyze --flip` fast path: record the configured run as a
-/// baseline, then incrementally re-simulate it with the listed input bits
-/// changed — bit-identical to a full rerun, at the cost of the dirty
-/// region only.
-fn cmd_analyze_flip(
-    netlist: &Netlist,
-    path: &str,
-    args: &Args,
-    config: &AnalysisConfig,
-    spec: &str,
-    telemetry: &mut Telemetry,
-) -> Result<(), CliError> {
-    let flips = params::parse_flips(spec, netlist)?;
-    // The run length is known before simulating anything; an out-of-range
-    // flip must not cost a full baseline pass first.
-    params::check_flip_cycles(&flips, config.cycles)?;
-    let json = args.flag("json");
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    let (before, baseline, baseline_note) = {
-        let _span = telemetry.span("simulate");
-        obtain_baseline(netlist, args.option("baseline"), &analyzer, config)?
-    };
-
-    let (delta, applied) = params::flips_to_delta(&flips, &baseline)?;
-
-    let after = {
-        let _span = telemetry.span("incremental");
-        analyzer
-            .analyze_delta(netlist, &baseline, &delta)
-            .map_err(|e| run_err(format!("incremental simulation failed: {e}")))?
-    };
-    let stats = after.incremental;
-    telemetry.record_incremental(&stats);
-    let before_totals = before.activity.totals();
-    let after_totals = after.analysis.activity.totals();
-
-    if json {
-        println!(
-            "{}",
-            report::analyze_flip_json(
-                path,
-                netlist,
-                baseline.cycle_count(),
-                &applied,
-                &stats,
-                &before,
-                &after.analysis,
-            )
-        );
-    } else {
-        println!("== {path}: `{}` ==", netlist.name());
-        print!("{}", netlist.stats());
-        println!();
-        if let Some(note) = &baseline_note {
-            println!("{note}");
-        }
-        println!(
-            "baseline: {} cycles recorded ({} cell evaluations)",
-            baseline.cycle_count(),
-            baseline.total_cell_evals()
-        );
-        for (name, cycle, value) in &applied {
-            println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
-        }
-        println!("{}", incremental_line(&stats));
-        println!();
-        let mut table = TextTable::new(vec![
-            "run",
-            "useful",
-            "useless",
-            "glitches",
-            "L/F",
-            "total (mW)",
-        ]);
-        for (label, totals, power) in [
-            ("baseline", &before_totals, &before.power),
-            ("flipped", &after_totals, &after.analysis.power),
-        ] {
-            table.add_row(vec![
-                label.to_string(),
-                totals.useful.to_string(),
-                totals.useless.to_string(),
-                totals.glitches().to_string(),
-                format!("{:.3}", totals.useless_to_useful()),
-                format!("{:.3}", power.breakdown.total() * 1e3),
-            ]);
-        }
-        print!("{table}");
-        println!(
-            "(flipped-run figures are bit-identical to a full re-simulation \
-             of the changed stimulus)"
-        );
-    }
-    if let Some(csv_path) = args.option("csv") {
-        write_file(csv_path, &after.analysis.activity.to_csv())?;
-    }
-    maybe_dot(netlist, args)?;
-    telemetry.finish()
-}
-
-/// The multi-seed `analyze` path: one session per seed fanned across the
-/// worker pool, reduced into an aggregate with per-seed spread.
-#[allow(clippy::too_many_arguments)]
-fn cmd_analyze_aggregate(
-    netlist: &Netlist,
-    path: &str,
-    args: &Args,
-    config: &AnalysisConfig,
-    seeds: usize,
-    jobs: usize,
-    window: Option<u64>,
-    telemetry: &mut Telemetry,
-) -> Result<(), CliError> {
-    for flag in ["vcd", "wave-csv"] {
-        if args.option(flag).is_some() {
-            return Err(CliError::Usage(format!(
-                "--{flag} applies to single-seed runs; drop --seeds or --{flag}"
-            )));
-        }
-    }
-    let json = args.flag("json");
-    let seed_list = stimulus_seeds(config.seed, seeds);
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    let with_metrics = telemetry.enabled();
-    let factory = move |_shard: usize| -> Vec<Box<dyn Probe>> {
-        let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-        if let Some(k) = window {
-            probes.push(Box::new(WindowedActivityProbe::new(k)));
-        }
-        if with_metrics {
-            probes.push(Box::new(MetricsProbe::new()));
-        }
-        probes
-    };
-    let program = compile_program(netlist, config, telemetry)?;
-    let batch_start = telemetry.now_micros();
-    let (aggregate, mut reports) = {
-        let _span = telemetry.span("simulate");
-        analyzer
-            .analyze_seeds_compiled(
-                netlist,
-                &input_buses(netlist),
-                &[],
-                &seed_list,
-                jobs,
-                &factory,
-                program.as_ref(),
-            )
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
-    };
-    telemetry.record_shard_spans(batch_start, aggregate.aggregate.shards());
-    if let Some(kernel) = &aggregate.kernel {
-        telemetry.record_kernel(kernel);
-    }
-    // Fold the per-seed window heatmaps (aligned: every seed starts at
-    // cycle 0) into one aggregate heatmap, and the per-seed metrics
-    // registries in seed order (the `--jobs`-invariance discipline).
-    let merge_start = telemetry.now_micros();
-    let mut windowed: Option<WindowedActivityProbe> = None;
-    for report in &mut reports {
-        if let Some(probe) = report.take_probe::<WindowedActivityProbe>() {
-            match windowed.as_mut() {
-                None => windowed = Some(probe),
-                Some(merged) => merged.merge(probe),
-            }
-        }
-        telemetry.absorb_session(report);
-    }
-    telemetry.record_span_since("merge", merge_start);
-
-    let totals = aggregate.activity.totals();
-    if json {
-        println!(
-            "{}",
-            report::analyze_aggregate_json(
-                path,
-                netlist,
-                seeds,
-                jobs,
-                config.cycles,
-                &aggregate,
-                windowed.as_ref(),
-            )
-        );
-    } else {
-        println!("== {path}: `{}` ==", netlist.name());
-        print!("{}", netlist.stats());
-        println!();
-        println!(
-            "parallel sweep: {seeds} seeds x {} cycles on {jobs} jobs \
-             ({} cycles total, {} events, worst settle time {})",
-            config.cycles,
-            aggregate.total_cycles(),
-            aggregate.aggregate.total_events(),
-            aggregate.aggregate.max_settle_time()
-        );
-        println!();
-        println!("per-seed spread ({seeds} seeds):");
-        println!("  glitches        {}", aggregate.glitch_spread());
-        println!("  useless         {}", aggregate.useless_spread());
-        println!("  L/F             {}", aggregate.lf_ratio_spread());
-        let power_mw = aggregate.power_spread();
-        println!(
-            "  total power (mW) {:.3} ± {:.3} (min {:.3}, max {:.3})",
-            power_mw.mean * 1e3,
-            power_mw.stddev * 1e3,
-            power_mw.min * 1e3,
-            power_mw.max * 1e3
-        );
-        println!();
-        println!("aggregate over the combined activity of all seeds:");
-        print!("{}", aggregate.activity);
-        println!(
-            "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
-             combinational activity by a factor of {:.2}",
-            totals.useless_to_useful(),
-            totals.balance_reduction_factor()
-        );
-        println!();
-        print!("{}", aggregate.power);
-    }
-
-    if let Some(csv_path) = args.option("csv") {
-        write_file(csv_path, &aggregate.activity.to_csv())?;
-    }
-    write_window_csv(args, windowed.as_ref(), json)?;
-    maybe_dot(netlist, args)?;
-    telemetry.finish()
 }
 
 const SIMULATE_SPEC: Spec = Spec {
@@ -1152,75 +938,42 @@ const POWER_SPEC: Spec = Spec {
 fn cmd_power(raw: &[String]) -> Result<(), CliError> {
     let args = Args::parse(raw, &POWER_SPEC).map_err(CliError::Usage)?;
     let mut telemetry = Telemetry::from_args(&args);
-    let (netlist, _) = {
+    let (netlist, path) = {
         let _span = telemetry.span("parse");
         load(&args)?
     };
     telemetry.cone_index_phase(&netlist);
-    let library = library_for(&args)?;
-    let config = analysis_config(&args, &library)?;
-    let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
-    if seeds > 1 {
-        let seed_list = stimulus_seeds(config.seed, seeds);
-        let with_metrics = telemetry.enabled();
-        let factory = move |_shard: usize| -> Vec<Box<dyn Probe>> {
-            if with_metrics {
-                vec![Box::new(MetricsProbe::new())]
-            } else {
-                Vec::new()
-            }
-        };
-        let batch_start = telemetry.now_micros();
-        let (aggregate, mut reports) = {
-            let _span = telemetry.span("simulate");
-            GlitchAnalyzer::new(config.clone())
-                .analyze_seeds_with(
-                    &netlist,
-                    &input_buses(&netlist),
-                    &[],
-                    &seed_list,
-                    jobs,
-                    &factory,
-                )
-                .map_err(|e| run_err(format!("simulation failed: {e}")))?
-        };
-        telemetry.record_shard_spans(batch_start, aggregate.aggregate.shards());
-        let merge_start = telemetry.now_micros();
-        for report in &mut reports {
-            telemetry.absorb_session(report);
+    let request = job_request(&args, &path)?;
+    let output = exec(
+        JobKind::Analyze,
+        &request,
+        &netlist,
+        &Fresh::new(&netlist),
+        &mut telemetry.sink(),
+        Hooks::default(),
+    )?;
+    match output {
+        JobOutput::Aggregate {
+            seeds,
+            jobs,
+            cycles,
+            aggregate,
+            ..
+        } => {
+            println!("aggregate of {seeds} seeds x {cycles} cycles on {jobs} jobs:");
+            print!("{}", aggregate.power);
+            let spread = aggregate.power_spread();
+            println!(
+                "  per-seed total power {:.3} ± {:.3} mW (min {:.3}, max {:.3})",
+                spread.mean * 1e3,
+                spread.stddev * 1e3,
+                spread.min * 1e3,
+                spread.max * 1e3
+            );
         }
-        telemetry.record_span_since("merge", merge_start);
-        println!(
-            "aggregate of {seeds} seeds x {} cycles on {jobs} jobs:",
-            config.cycles
-        );
-        print!("{}", aggregate.power);
-        let spread = aggregate.power_spread();
-        println!(
-            "  per-seed total power {:.3} ± {:.3} mW (min {:.3}, max {:.3})",
-            spread.mean * 1e3,
-            spread.stddev * 1e3,
-            spread.min * 1e3,
-            spread.max * 1e3
-        );
-        return telemetry.finish();
+        JobOutput::Analyze { analysis, .. } => print!("{}", analysis.power),
+        _ => unreachable!("analyze jobs produce analyze output"),
     }
-    let analysis = if telemetry.enabled() {
-        let analyzer = GlitchAnalyzer::new(config.clone());
-        let mut report = {
-            let _span = telemetry.span("simulate");
-            analyzer
-                .session(&netlist, &input_buses(&netlist), &[])
-                .probe(MetricsProbe::new())
-                .run()
-                .map_err(|e| run_err(format!("simulation failed: {e}")))?
-        };
-        telemetry.absorb_session(&mut report);
-        GlitchAnalyzer::analysis(&netlist, report)
-    } else {
-        analyze_netlist(&netlist, &config)?
-    };
-    print!("{}", analysis.power);
     telemetry.finish()
 }
 
@@ -1251,9 +1004,8 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
         load(&args)?
     };
     telemetry.cone_index_phase(&netlist);
-    let library = library_for(&args)?;
-    let config = analysis_config(&args, &library)?;
     if let Some(list) = args.option("flip-inputs") {
+        let config = analysis_config(&args, &library_for(&args)?)?;
         reject_engine_for(&config, "flip-inputs")?;
         return cmd_sweep_flips(&netlist, &path, &args, &config, list, &mut telemetry);
     }
@@ -1262,85 +1014,59 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
             "--flip-cycle requires --flip-inputs <list|all>".into(),
         ));
     }
-    if args.option("delay").is_some() {
-        return Err(CliError::Usage(
-            "the delay-model sweep takes --delays <list>, not --delay \
-             (--delay selects the model of a --flip-inputs sweep)"
-                .into(),
-        ));
+    let request = job_request(&args, &path)?;
+    let output = exec(
+        JobKind::Sweep,
+        &request,
+        &netlist,
+        &Fresh::new(&netlist),
+        &mut telemetry.sink(),
+        Hooks::default(),
+    )?;
+    if args.flag("json") {
+        println!("{}", output.json(&path, &netlist));
+        return telemetry.finish();
     }
-    let models = params::delay_sweep_models(args.option("delays"), &library)?;
-    let (seeds, jobs) = seeds_and_jobs(&args, models.len())?;
-    let seed_list = stimulus_seeds(config.seed, seeds);
-    let json = args.flag("json");
-
-    let program = compile_program(&netlist, &config, &telemetry)?;
-    let batch_start = telemetry.now_micros();
-    let points = {
-        let _span = telemetry.span("simulate");
-        GlitchAnalyzer::new(config.clone())
-            .sweep_delays_compiled(
-                &netlist,
-                &input_buses(&netlist),
-                &[],
-                &models,
-                &seed_list,
-                jobs,
-                program.as_ref(),
-            )
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
+    let JobOutput::Sweep {
+        seeds,
+        jobs,
+        cycles,
+        points,
+    } = &output
+    else {
+        unreachable!("sweep jobs produce sweep output")
     };
-    let merge_start = telemetry.now_micros();
-    // The prepass runs once for the whole sweep, so its classification is
-    // recorded once (every point carries the same copy).
-    if let Some(kernel) = points.first().and_then(|p| p.analysis.kernel.as_ref()) {
-        telemetry.record_kernel(kernel);
-    }
-    for point in &points {
-        telemetry.record_aggregate(&point.analysis.aggregate);
-        telemetry.record_shard_spans(batch_start, point.analysis.aggregate.shards());
-    }
-    telemetry.record_span_since("merge", merge_start);
-
-    if json {
-        println!(
-            "{}",
-            report::sweep_json(&path, &netlist, seeds, jobs, config.cycles, &points)
-        );
-    } else {
-        println!(
-            "delay-model sweep of `{}`: {} models x {seeds} seeds x {} cycles on {jobs} jobs",
-            netlist.name(),
-            models.len(),
-            config.cycles
-        );
-        let mut table = TextTable::new(vec![
-            "delay",
-            "glitches (mean +/- sd)",
-            "L/F",
-            "logic (mW)",
-            "total (mW)",
-            "power sd (mW)",
+    println!(
+        "delay-model sweep of `{}`: {} models x {seeds} seeds x {cycles} cycles on {jobs} jobs",
+        netlist.name(),
+        points.len(),
+    );
+    let mut table = TextTable::new(vec![
+        "delay",
+        "glitches (mean +/- sd)",
+        "L/F",
+        "logic (mW)",
+        "total (mW)",
+        "power sd (mW)",
+    ]);
+    for point in points {
+        let totals = point.analysis.activity.totals();
+        let glitches = point.analysis.glitch_spread();
+        let power = point.analysis.power_spread();
+        table.add_row(vec![
+            point.label.clone(),
+            format!("{:.1} +/- {:.1}", glitches.mean, glitches.stddev),
+            format!("{:.3}", totals.useless_to_useful()),
+            format!("{:.3}", point.analysis.power.breakdown.logic * 1e3),
+            format!("{:.3}", point.analysis.power.breakdown.total() * 1e3),
+            format!("{:.3}", power.stddev * 1e3),
         ]);
-        for point in &points {
-            let totals = point.analysis.activity.totals();
-            let glitches = point.analysis.glitch_spread();
-            let power = point.analysis.power_spread();
-            table.add_row(vec![
-                point.label.clone(),
-                format!("{:.1} +/- {:.1}", glitches.mean, glitches.stddev),
-                format!("{:.3}", totals.useless_to_useful()),
-                format!("{:.3}", point.analysis.power.breakdown.logic * 1e3),
-                format!("{:.3}", point.analysis.power.breakdown.total() * 1e3),
-                format!("{:.3}", power.stddev * 1e3),
-            ]);
-        }
-        print!("{table}");
-        println!(
-            "(glitch counts are per-seed complete glitches; every model saw the \
-             same {seeds} stimulus seed(s), so differences are purely model-induced)"
-        );
     }
+    print!("{table}");
+    println!(
+        "(glitch counts are per-seed complete glitches; every model saw the \
+         same {seeds} stimulus seed(s), so differences are purely model-induced)"
+    );
     telemetry.finish()
 }
 
@@ -1415,8 +1141,9 @@ fn cmd_sweep_flips(
             .explore_input_sensitivity(netlist, &input_buses(netlist), &[], cycle, &inputs, jobs)
             .map_err(|e| run_err(format!("simulation failed: {e}")))?
     };
+    let mut sink = telemetry.sink();
     for point in &points {
-        telemetry.record_incremental(&point.incremental);
+        sink.incremental(&point.incremental);
     }
     let base_totals = baseline.activity.totals();
     // Per-flip means: every point re-runs the same baseline, so the
@@ -1553,28 +1280,6 @@ const CHECK_SPEC: Spec = Spec {
     optional: &["metrics"],
 };
 
-/// Builds the checker suite from the `check` arguments (reading the
-/// `--budgets` file first, since [`params::build_check_suite`] takes its
-/// contents).
-fn build_check_suite(args: &Args, netlist: &Netlist) -> Result<CheckSuite, CliError> {
-    let budgets_text = match args.option("budgets") {
-        Some(file) => Some((
-            file,
-            fs::read_to_string(file).map_err(|e| run_err(format!("{file}: {e}")))?,
-        )),
-        None => None,
-    };
-    Ok(params::build_check_suite(
-        netlist,
-        args.option("budget"),
-        budgets_text
-            .as_ref()
-            .map(|(file, text)| (*file, text.as_str())),
-        args.flag("hazards"),
-        args.option("stable"),
-    )?)
-}
-
 /// One verdict line: `PASS` / `FAIL (n violations in m checkers)`.
 fn verdict_line(report: &VerifyReport) -> String {
     match report.verdict() {
@@ -1639,166 +1344,86 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
         load(&args)?
     };
     telemetry.cone_index_phase(&netlist);
-    let library = library_for(&args)?;
-    let mut config = analysis_config(&args, &library)?;
-    if args.flag("x-init") {
-        config.options = SimOptions::x_init();
-    }
-    let mut suite = build_check_suite(&args, &netlist)?;
-    if telemetry.enabled() {
-        suite = suite.with_timing();
-    }
-    if let Some(spec) = args.option("flip") {
-        if args.option("seeds").is_some() {
-            return Err(CliError::Usage(
-                "--flip applies to single-seed runs; drop --seeds or --flip".into(),
-            ));
-        }
-        reject_engine_for(&config, "flip")?;
-        return cmd_check_flip(
-            &netlist,
-            &path,
-            &args,
-            &config,
-            &suite,
-            spec,
-            &mut telemetry,
-        );
-    }
-    let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
-    let json = args.flag("json");
-    let seed_list = stimulus_seeds(config.seed, seeds);
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    let program = compile_program(&netlist, &config, &telemetry)?;
-    let batch_start = telemetry.now_micros();
-    let checked = {
-        let _span = telemetry.span("simulate");
-        analyzer
-            .check_seeds_compiled(
-                &netlist,
-                &input_buses(&netlist),
-                &[],
-                &suite,
-                &seed_list,
-                jobs,
-                program.as_ref(),
-            )
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
+    let request = job_request(&args, &path)?;
+    let budgets = match args.option("budgets") {
+        Some(file) => Some((
+            file,
+            fs::read_to_string(file).map_err(|e| run_err(format!("{file}: {e}")))?,
+        )),
+        None => None,
     };
-    telemetry.record_shard_spans(batch_start, checked.analysis.aggregate.shards());
-    if let Some(kernel) = &checked.analysis.kernel {
-        telemetry.record_kernel(kernel);
-    }
-    let merge_start = telemetry.now_micros();
-    telemetry.record_aggregate(&checked.analysis.aggregate);
-    telemetry.record_check(&checked.report, &checked.checker_micros);
-    telemetry.record_span_since("merge", merge_start);
-    let report = &checked.report;
-
-    if json {
-        println!(
-            "{}",
-            report::check_json(
-                &path,
-                &netlist,
-                config.cycles,
-                seeds,
-                jobs,
-                args.flag("x-init"),
-                &checked,
-            )
-        );
+    let output = exec(
+        JobKind::Check,
+        &request,
+        &netlist,
+        &Fresh::new(&netlist),
+        &mut telemetry.sink(),
+        Hooks {
+            budgets_file: budgets.as_ref().map(|(file, text)| (*file, text.as_str())),
+            ..Hooks::default()
+        },
+    )?;
+    if args.flag("json") {
+        println!("{}", output.json(&path, &netlist));
     } else {
         println!("== {path}: `{}` ==", netlist.name());
-        println!(
-            "verification: {seeds} seeds x {} cycles on {jobs} jobs; x-init {}; \
-             {} checkers ({} cycles total, worst settle time {})",
-            config.cycles,
-            if args.flag("x-init") { "on" } else { "off" },
-            suite.checker_count(),
-            checked.analysis.total_cycles(),
-            checked.analysis.aggregate.max_settle_time()
-        );
-        println!();
-        print_verify_text(report, &netlist);
-        println!("verdict: {}", verdict_line(report));
     }
+    let x_init = if request.x_init { "on" } else { "off" };
+    let report = match &output {
+        JobOutput::Check {
+            seeds,
+            jobs,
+            cycles,
+            checkers,
+            checked,
+            ..
+        } => {
+            if !args.flag("json") {
+                println!(
+                    "verification: {seeds} seeds x {cycles} cycles on {jobs} jobs; x-init \
+                     {x_init}; {checkers} checkers ({} cycles total, worst settle time {})",
+                    checked.analysis.total_cycles(),
+                    checked.analysis.aggregate.max_settle_time()
+                );
+                println!();
+                print_verify_text(&checked.report, &netlist);
+                println!("verdict: {}", verdict_line(&checked.report));
+            }
+            &checked.report
+        }
+        JobOutput::CheckFlip {
+            cycles,
+            checkers,
+            applied,
+            base_report,
+            flipped,
+            ..
+        } => {
+            if !args.flag("json") {
+                println!(
+                    "verification (incremental): {cycles} cycles; x-init {x_init}; \
+                     {checkers} checkers"
+                );
+                for (name, cycle, value) in applied {
+                    println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
+                }
+                println!("{}", incremental_line(&flipped.incremental));
+                println!();
+                println!("baseline verdict: {}", verdict_line(base_report));
+                println!("flipped verdict:  {}", verdict_line(&flipped.report));
+                println!();
+                print_verify_text(&flipped.report, &netlist);
+                println!(
+                    "(flipped verdicts are bit-identical to a full re-simulation of \
+                     the changed stimulus)"
+                );
+            }
+            &flipped.report
+        }
+        _ => unreachable!("check jobs produce check output"),
+    };
     telemetry.finish()?;
     strict_exit(&args, report)
-}
-
-/// The `check --flip` fast path: check the recorded baseline, then
-/// incrementally re-check it with the listed input bits changed. Both
-/// verdicts are reported; the flipped one is bit-identical to a full
-/// re-simulation of the changed stimulus.
-#[allow(clippy::too_many_arguments)]
-fn cmd_check_flip(
-    netlist: &Netlist,
-    path: &str,
-    args: &Args,
-    config: &AnalysisConfig,
-    suite: &CheckSuite,
-    spec: &str,
-    telemetry: &mut Telemetry,
-) -> Result<(), CliError> {
-    let flips = params::parse_flips(spec, netlist)?;
-    params::check_flip_cycles(&flips, config.cycles)?;
-    let json = args.flag("json");
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    let (base_report, _, baseline) = {
-        let _span = telemetry.span("simulate");
-        analyzer
-            .check_baseline(netlist, &input_buses(netlist), &[], suite)
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
-    };
-
-    let (delta, applied) = params::flips_to_delta(&flips, &baseline)?;
-    let flipped = {
-        let _span = telemetry.span("incremental");
-        analyzer
-            .check_delta(netlist, &baseline, &delta, suite)
-            .map_err(|e| run_err(format!("incremental simulation failed: {e}")))?
-    };
-    telemetry.record_incremental(&flipped.incremental);
-    telemetry.record_check(&flipped.report, &[]);
-
-    if json {
-        println!(
-            "{}",
-            report::check_flip_json(
-                path,
-                netlist,
-                baseline.cycle_count(),
-                args.flag("x-init"),
-                &applied,
-                &base_report,
-                &flipped,
-            )
-        );
-    } else {
-        println!("== {path}: `{}` ==", netlist.name());
-        println!(
-            "verification (incremental): {} cycles; x-init {}; {} checkers",
-            baseline.cycle_count(),
-            if args.flag("x-init") { "on" } else { "off" },
-            suite.checker_count()
-        );
-        for (name, cycle, value) in &applied {
-            println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
-        }
-        println!("{}", incremental_line(&flipped.incremental));
-        println!();
-        println!("baseline verdict: {}", verdict_line(&base_report));
-        println!("flipped verdict:  {}", verdict_line(&flipped.report));
-        println!();
-        print_verify_text(&flipped.report, netlist);
-        println!(
-            "(flipped verdicts are bit-identical to a full re-simulation of \
-             the changed stimulus)"
-        );
-    }
-    telemetry.finish()?;
-    strict_exit(args, &flipped.report)
 }
 
 /// Applies `--strict`: a failing verdict becomes a command error.
@@ -1912,67 +1537,35 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
         load(&args)?
     };
     telemetry.cone_index_phase(&netlist);
-    let library = library_for(&args)?;
-    let config = analysis_config(&args, &library)?;
-    if config.engine == EngineKind::Kernel {
-        return Err(CliError::Usage(
-            "the kernel engine has no glitch model to score moves with; \
-             use --engine queue or hybrid"
-                .into(),
-        ));
-    }
-    let (seeds, jobs) = seeds_and_jobs(&args, 1)?;
-    let moves = glitch_reduce::parse_moves(args.option("moves").unwrap_or_default())
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-    let target: Option<f64> = parsed_presence(&args, "target")?;
-    let defaults = glitch_reduce::ReduceOptions::default();
-    let max_iters: usize = args
-        .parsed_option("max-iters", defaults.max_iters)
-        .map_err(CliError::Usage)?;
-    let options = glitch_reduce::ReduceOptions {
-        moves,
-        target_percent: target,
-        max_iters,
-        ..defaults
+    let request = job_request(&args, &path)?;
+    // The same rows the daemon streams for `"progress": true`, minus the
+    // request id — printed as they happen, before the report.
+    let print = |line: String| {
+        println!("{line}");
+        use std::io::Write as _;
+        std::io::stdout().flush().ok();
     };
-    let seed_list = params::stimulus_seeds(config.seed, seeds);
-    let cycles = config.cycles;
-    let session = glitch_core::ReduceSession::new(config, seed_list, jobs);
-    let start = telemetry.now_micros();
-    let reducer = glitch_reduce::Reducer::new(session, options);
-    let report = if args.flag("progress") {
-        // The same rows the daemon streams for `"progress": true`, minus
-        // the request id — printed as they happen, before the report.
-        struct PrintProgress<'a>(&'a str);
-        impl glitch_reduce::ProgressSink for PrintProgress<'_> {
-            fn iteration(&mut self, event: &glitch_reduce::ProgressEvent<'_>) {
-                println!("{}", report::reduce_progress_json(self.0, event, None));
-                use std::io::Write as _;
-                std::io::stdout().flush().ok();
-            }
-        }
-        reducer.run_with_progress(
-            &netlist,
-            &input_buses(&netlist),
-            &[],
-            &mut PrintProgress(&path),
-        )
-    } else {
-        reducer.run(&netlist, &input_buses(&netlist), &[])
-    }
-    .map_err(|e| run_err(format!("{path}: reduction failed: {e}")))?;
-    telemetry.record_span_since("reduce", start);
-    telemetry.add_counter("reduce.iterations", report.iterations as u64);
-    telemetry.add_counter("reduce.proposed", report.proposed as u64);
-    telemetry.add_counter("reduce.screened", report.screened as u64);
-    telemetry.add_counter("reduce.confirmed", report.confirmed as u64);
-    telemetry.add_counter("reduce.accepted", report.moves.len() as u64);
+    let output = exec(
+        JobKind::Reduce,
+        &request,
+        &netlist,
+        &Fresh::new(&netlist),
+        &mut telemetry.sink(),
+        Hooks {
+            progress: request.progress.then_some(ProgressLines {
+                file: &path,
+                id: None,
+                emit: &print,
+            }),
+            ..Hooks::default()
+        },
+    )?;
+    let JobOutput::Reduce { report, .. } = &output else {
+        unreachable!("reduce jobs produce reduce output")
+    };
 
     if args.flag("json") {
-        println!(
-            "{}",
-            report::reduce_json(&path, &report, seeds, jobs, cycles)
-        );
+        println!("{}", output.json(&path, &netlist));
     } else {
         println!(
             "== {path}: `{}` — {} iteration(s), {} proposed / {} screened / {} confirmed ==",

@@ -1,6 +1,8 @@
 //! CLI-side observability: the shared `--metrics[=FILE]`, `--metrics-json`
-//! and `--trace-out FILE` wiring of `analyze`, `power`, `sweep` and
-//! `check`.
+//! and `--trace-out FILE` wiring of `analyze`, `power`, `sweep`, `check`
+//! and `reduce`. The job's own counters and phase spans are recorded by
+//! the shared executor through [`Telemetry::sink`]; this module adds the
+//! CLI-only `parse` and `cone-index` phases and writes the outputs.
 //!
 //! The split mirrors `glitch-obs`'s contract. Deterministic quantities
 //! (cycle, event, evaluation and queue counts) go into one
@@ -13,10 +15,9 @@ use std::fs;
 use std::path::Path;
 
 use glitch_core::netlist::{ConeIndex, Netlist};
-use glitch_core::sim::{MetricsProbe, SessionReport};
-use glitch_core::{AggregateReport, IncrementalStats, KernelTelemetry, ShardSummary};
 use glitch_obs::export::{chrome_trace, metrics_json, metrics_text};
 use glitch_obs::{MetricsRegistry, Span, SpanLog};
+use glitch_serve::exec::Sink;
 
 use crate::args::Args;
 use crate::commands::CliError;
@@ -70,96 +71,20 @@ impl Telemetry {
         self.dest.is_some() || self.trace_path.is_some()
     }
 
-    /// Microseconds since this command's telemetry clock started.
-    pub fn now_micros(&self) -> u64 {
-        self.spans.clock().now_micros()
-    }
-
     /// Opens a RAII timing span named `name` (recorded on drop). Returns
     /// `None` when telemetry is off so disabled runs never touch the clock.
     pub fn span(&self, name: &str) -> Option<Span<'_>> {
         self.enabled().then(|| self.spans.span(name))
     }
 
-    /// Closes a span opened by hand: records `name` from `start_micros`
-    /// to now. Used where the RAII [`Telemetry::span`] guard would hold an
-    /// immutable borrow across registry mutations.
-    pub fn record_span_since(&self, name: &str, start_micros: u64) {
-        if !self.enabled() {
-            return;
+    /// The executor's telemetry sink: this command's registry and span
+    /// log, or [`Sink::off`] (the bare path) when telemetry is off.
+    pub fn sink(&mut self) -> Sink<'_> {
+        if self.enabled() {
+            Sink::new(&mut self.registry, Some(&self.spans))
+        } else {
+            Sink::off()
         }
-        let dur = self.now_micros().saturating_sub(start_micros);
-        self.spans.record(name.to_string(), 0, start_micros, dur);
-    }
-
-    /// Takes the [`MetricsProbe`] out of a finished session report (if
-    /// any), attributes the session's event-queue traffic to it, and folds
-    /// its registry into the command-wide one. Call once per report *in
-    /// job order* — that ordering is what keeps the merged registry
-    /// bit-identical at any `--jobs` count.
-    pub fn absorb_session(&mut self, report: &mut SessionReport) {
-        if let Some(mut probe) = report.take_probe::<MetricsProbe>() {
-            probe.record_queue_stats(report.queue_stats());
-            self.registry.merge(probe.into_registry());
-        }
-    }
-
-    /// Records the deterministic side of a reduced multi-shard aggregate:
-    /// cycle/event/evaluation totals and merged queue traffic. Used by the
-    /// paths that cannot attach per-session probes (`check`, `sweep`).
-    pub fn record_aggregate(&mut self, aggregate: &AggregateReport) {
-        if !self.enabled() {
-            return;
-        }
-        self.add_counter("sim.cycles", aggregate.total_cycles());
-        self.add_counter("sim.events", aggregate.total_events());
-        self.add_counter("sim.cell_evals", aggregate.total_cell_evals());
-        self.observe_gauge("sim.max_settle_time", aggregate.max_settle_time());
-        let queue = aggregate.queue_stats();
-        self.add_counter("queue.pushes", queue.pushes);
-        self.add_counter("queue.pops", queue.pops);
-        self.observe_gauge("queue.peak_depth", queue.peak_depth);
-    }
-
-    /// Records the `kernel.*` counters of a compiled-kernel or hybrid run:
-    /// lane/cycle/pair classification and functional work. Deterministic
-    /// (plane diffs and word-wide popcounts), so it lives in the registry.
-    pub fn record_kernel(&mut self, kernel: &KernelTelemetry) {
-        if !self.enabled() {
-            return;
-        }
-        self.add_counter("kernel.lanes", kernel.lanes as u64);
-        self.add_counter("kernel.cycles_total", kernel.total_cycles);
-        self.add_counter("kernel.cycles_quiet", kernel.quiet_cycles);
-        self.add_counter("kernel.pairs_total", kernel.total_pairs);
-        self.add_counter("kernel.pairs_quiet", kernel.quiet_pairs);
-        self.add_counter(
-            "kernel.functional_transitions",
-            kernel.functional_transitions,
-        );
-        self.add_counter("kernel.functional_cell_evals", kernel.functional_cell_evals);
-        self.observe_gauge("kernel.program_ops", kernel.program_ops as u64);
-        self.observe_gauge("kernel.program_bytes", kernel.program_bytes as u64);
-    }
-
-    /// Records the work accounting of one incremental (dirty-region)
-    /// re-simulation: replay/re-settle split, dirty-cone peak, flipflop
-    /// divergence fallbacks.
-    pub fn record_incremental(&mut self, stats: &IncrementalStats) {
-        if !self.enabled() {
-            return;
-        }
-        self.add_counter("incremental.replayed_cycles", stats.replayed_cycles);
-        self.add_counter("incremental.simulated_cycles", stats.simulated_cycles);
-        self.add_counter("incremental.cells_evaluated", stats.cells_evaluated);
-        self.add_counter(
-            "incremental.dff_divergence_reseeds",
-            stats.dff_divergence_reseeds,
-        );
-        self.observe_gauge(
-            "incremental.peak_dirty_cone_nets",
-            stats.peak_dirty_cone_nets,
-        );
     }
 
     /// Builds the netlist's fanout/level cone index under a `cone-index`
@@ -180,71 +105,12 @@ impl Telemetry {
         }
     }
 
-    /// Synthesizes one trace span per shard from the wall-clock fields of
-    /// a reduced batch: each shard's bar starts at `batch_start_micros`
-    /// plus its queue wait and spans its session wall time, on its own
-    /// trace track.
-    pub fn record_shard_spans(&self, batch_start_micros: u64, shards: &[ShardSummary]) {
-        if !self.enabled() {
-            return;
-        }
-        for (index, shard) in shards.iter().enumerate() {
-            let name = if shard.label.is_empty() {
-                format!("shard seed={}", shard.seed)
-            } else {
-                format!("shard {} seed={}", shard.label, shard.seed)
-            };
-            self.spans.record(
-                name,
-                index as u64 + 1,
-                batch_start_micros + shard.queue_wait_micros,
-                shard.wall_micros,
-            );
-        }
-    }
-
-    /// Records per-checker wall time (from
-    /// [`glitch_core::CheckAnalysis::checker_micros`]) as trace spans and
-    /// `check.*` violation counters from the verdict report.
-    pub fn record_check(
-        &mut self,
-        report: &glitch_core::verify::VerifyReport,
-        checker_micros: &[(String, u64)],
-    ) {
-        if !self.enabled() {
-            return;
-        }
-        self.add_counter("check.violations_total", report.total_violations());
-        self.add_counter("check.violations_retained", report.retained_violations());
-        self.add_counter("check.violations_dropped", report.dropped_violations());
-        for outcome in report.outcomes() {
-            self.add_counter(
-                &format!("check.{}.violations", outcome.checker),
-                outcome.total_violations,
-            );
-        }
-        let mut cursor = self.now_micros();
-        for (name, micros) in checker_micros {
-            self.spans
-                .record(format!("checker:{name}"), 0, cursor, *micros);
-            cursor += micros;
-        }
-    }
-
-    /// Adds `n` to the counter `name` (created on first use).
-    pub fn add_counter(&mut self, name: &str, n: u64) {
-        if !self.enabled() {
-            return;
-        }
+    fn add_counter(&mut self, name: &str, n: u64) {
         let handle = self.registry.counter(name);
         self.registry.add(handle, n);
     }
 
-    /// Raises the gauge `name` to at least `value`.
-    pub fn observe_gauge(&mut self, name: &str, value: u64) {
-        if !self.enabled() {
-            return;
-        }
+    fn observe_gauge(&mut self, name: &str, value: u64) {
         let handle = self.registry.gauge(name);
         self.registry.observe_max(handle, value);
     }

@@ -4,12 +4,14 @@
 //! must hit the baseline cache, stale fingerprints must be rejected,
 //! `shutdown` must drain and exit 0, `status` must report live telemetry
 //! (with deterministic counts at any worker count), the access log must
-//! carry every request exactly once with monotonic ids, and a streaming
+//! carry every request exactly once with monotonic ids, a streaming
 //! `reduce` must emit progress lines before a final line byte-identical
-//! to the non-streaming run.
+//! to the non-streaming run, and an oversized request line must be
+//! refused without taking the daemon down.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Output, Stdio};
 
 use glitch_serve::jsonin::{parse_json, JsonValue};
@@ -122,7 +124,8 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
     let mult = data("mult4.blif");
 
     // (request line, equivalent one-shot invocation) pairs across every
-    // job op, including a multi-seed analyze and a checker suite.
+    // job op, including a multi-seed analyze, a checker suite and the
+    // engines a request must name explicitly.
     let cases: Vec<(String, Vec<&str>)> = vec![
         (
             format!(r#"{{"op":"analyze","file":"{counter}","cycles":120}}"#),
@@ -135,8 +138,35 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
             ],
         ),
         (
+            format!(r#"{{"op":"analyze","file":"{counter}","cycles":120,"engine":"hybrid"}}"#),
+            vec![
+                "analyze", &counter, "--cycles", "120", "--engine", "hybrid", "--json",
+            ],
+        ),
+        (
+            format!(r#"{{"op":"analyze","file":"{mult}","cycles":60,"engine":"kernel"}}"#),
+            vec![
+                "analyze", &mult, "--cycles", "60", "--engine", "kernel", "--json",
+            ],
+        ),
+        (
             format!(r#"{{"op":"check","file":"{mult}","cycles":80,"hazards":true}}"#),
             vec!["check", &mult, "--cycles", "80", "--hazards", "--json"],
+        ),
+        (
+            format!(
+                r#"{{"op":"check","file":"{mult}","cycles":80,"hazards":true,"engine":"hybrid"}}"#
+            ),
+            vec![
+                "check",
+                &mult,
+                "--cycles",
+                "80",
+                "--hazards",
+                "--engine",
+                "hybrid",
+                "--json",
+            ],
         ),
         (
             format!(r#"{{"op":"flip","file":"{counter}","cycles":100,"flips":"3:en"}}"#),
@@ -153,6 +183,22 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
                 "50",
                 "--delays",
                 "unit,zero",
+                "--json",
+            ],
+        ),
+        (
+            format!(
+                r#"{{"op":"sweep","file":"{counter}","cycles":50,"delays":"unit,zero","engine":"hybrid"}}"#
+            ),
+            vec![
+                "sweep",
+                &counter,
+                "--cycles",
+                "50",
+                "--delays",
+                "unit,zero",
+                "--engine",
+                "hybrid",
                 "--json",
             ],
         ),
@@ -185,6 +231,35 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
             "daemon response for {request} diverges from the one-shot run"
         );
     }
+    daemon.shutdown();
+}
+
+#[test]
+fn oversized_request_lines_are_refused_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = TcpStream::connect(("127.0.0.1", daemon.port)).expect("the daemon accepts");
+    // One byte past the cap and no newline: the daemon must not wait for
+    // the rest of the line.
+    stream
+        .write_all(&vec![b'a'; glitch_serve::server::MAX_REQUEST_BYTES + 1])
+        .expect("the oversized line is sent");
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("the daemon replies");
+    assert!(
+        reply.starts_with(r#"{"error":"request line exceeds"#),
+        "expected an oversized-line error, got {reply}"
+    );
+    reply.clear();
+    assert_eq!(
+        reader
+            .read_line(&mut reply)
+            .expect("the daemon closes cleanly"),
+        0,
+        "the connection must be closed after the error, got {reply}"
+    );
+    // A fresh connection is served as usual.
+    assert_eq!(daemon.client(&[r#"{"op":"ping"}"#]), [r#"{"ok":true}"#]);
     daemon.shutdown();
 }
 

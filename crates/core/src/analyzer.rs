@@ -8,10 +8,9 @@ use glitch_activity::{ActivityReport, ActivityTrace};
 use glitch_netlist::{Bus, ConeIndex, NetId, Netlist};
 use glitch_power::{PowerReport, Technology};
 use glitch_sim::{
-    kernel_prepass, run_kernel_jobs, ActivityProbe, AggregateReport, DelayKind, DelayModel,
-    DeltaStimulus, IncrementalSession, IncrementalStats, KernelPrepass, KernelProgram,
-    ParallelRunner, PowerProbe, Probe, RandomStimulus, SessionReport, SimBaseline, SimError,
-    SimJob, SimSession, Spread,
+    kernel_prepass, run_kernel_jobs, ActivityProbe, AggregateReport, DelayKind, DeltaStimulus,
+    IncrementalSession, IncrementalStats, KernelPrepass, KernelProgram, ParallelRunner, PowerProbe,
+    Probe, RandomStimulus, SessionReport, SimBaseline, SimError, SimJob, SimSession, Spread,
 };
 
 /// Which execution backend the multi-seed analysis entry points drive.
@@ -167,7 +166,7 @@ pub struct AnalysisConfig {
     /// Delay model used for the simulation.
     pub delay: DelayKind,
     /// Execution backend for the multi-seed entry points
-    /// ([`GlitchAnalyzer::analyze_seeds`], [`GlitchAnalyzer::sweep_delays`]
+    /// ([`GlitchAnalyzer::analyze_seeds`], [`GlitchAnalyzer::sweep_delays_compiled`]
     /// and the check flow riding them). Single-session entry points
     /// ([`GlitchAnalyzer::analyze`], the incremental layer) always use the
     /// queue engine.
@@ -435,27 +434,6 @@ impl GlitchAnalyzer {
         Ok(Self::analysis(netlist, report))
     }
 
-    /// Same as [`GlitchAnalyzer::analyze`] but with an explicit delay model,
-    /// overriding the configured one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] if the netlist is structurally invalid or the
-    /// simulation fails to settle.
-    pub fn analyze_with<'a, D: DelayModel + 'a>(
-        &self,
-        netlist: &'a Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        delay: D,
-    ) -> Result<Analysis, SimError> {
-        let report = self
-            .session(netlist, random_buses, held)
-            .delay_model(delay)
-            .run()?;
-        Ok(Self::analysis(netlist, report))
-    }
-
     /// Like [`GlitchAnalyzer::analyze`], but additionally records a
     /// replayable [`SimBaseline`] of the run — the anchor for
     /// [`GlitchAnalyzer::analyze_delta`] / [`GlitchAnalyzer::analyze_deltas`]
@@ -556,8 +534,11 @@ impl GlitchAnalyzer {
             .collect()
     }
 
-    /// One shard job per seed, configured like [`GlitchAnalyzer::session`].
-    fn job_for<'a>(
+    /// The shard job for one seed, configured like
+    /// [`GlitchAnalyzer::session`]: the input for the parallel runner and
+    /// the compiled kernel.
+    #[must_use]
+    pub fn job<'a>(
         &self,
         netlist: &'a Netlist,
         random_buses: &[Bus],
@@ -581,56 +562,17 @@ impl GlitchAnalyzer {
     /// order): any worker count produces the same aggregate bit for bit as
     /// `jobs = 1`.
     ///
-    /// # Errors
+    /// `extra_probes(seed_index)` builds further probes for each seed's
+    /// session. The returned [`SessionReport`]s (one per seed, in seed
+    /// order) have had the standard activity/power/stats probes consumed
+    /// but still carry the extra probes, ready for the caller to take and
+    /// fold (e.g. with [`glitch_sim::MergeableProbe`]).
     ///
-    /// Returns the first failing seed's [`SimError`] (in seed order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn analyze_seeds(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Result<AggregateAnalysis, SimError> {
-        self.analyze_seeds_with(netlist, random_buses, held, seeds, jobs, &|_| Vec::new())
-            .map(|(analysis, _)| analysis)
-    }
-
-    /// Like [`GlitchAnalyzer::analyze_seeds`], additionally attaching the
-    /// probes built by `extra_probes(seed_index)` to each seed's session.
-    /// The returned [`SessionReport`]s (one per seed, in seed order) have
-    /// had the standard activity/power/stats probes consumed but still
-    /// carry the extra probes, ready for the caller to take and fold (e.g.
-    /// with [`glitch_sim::MergeableProbe`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing seed's [`SimError`] (in seed order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn analyze_seeds_with(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        seeds: &[u64],
-        jobs: usize,
-        extra_probes: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
-    ) -> Result<(AggregateAnalysis, Vec<SessionReport>), SimError> {
-        self.analyze_seeds_compiled(netlist, random_buses, held, seeds, jobs, extra_probes, None)
-    }
-
-    /// [`GlitchAnalyzer::analyze_seeds_with`] with an optional precompiled
-    /// [`KernelProgram`] to reuse. Long-lived callers (the serving layer's
-    /// content-addressed program cache) amortise the one-time compile this
-    /// way; a program is deterministic for a netlist, so the figures are
-    /// identical either way. Ignored under [`EngineKind::Queue`].
+    /// `program` is an optional precompiled [`KernelProgram`] to reuse.
+    /// Long-lived callers (the serving layer's content-addressed program
+    /// cache) amortise the one-time compile this way; a program is
+    /// deterministic for a netlist, so the figures are identical either
+    /// way. Ignored under [`EngineKind::Queue`].
     ///
     /// # Errors
     ///
@@ -642,7 +584,7 @@ impl GlitchAnalyzer {
     /// Panics if `seeds` is empty, or if a supplied `program` was compiled
     /// from a different netlist.
     #[allow(clippy::too_many_arguments)]
-    pub fn analyze_seeds_compiled(
+    pub fn analyze_seeds(
         &self,
         netlist: &Netlist,
         random_buses: &[Bus],
@@ -655,7 +597,7 @@ impl GlitchAnalyzer {
         assert!(!seeds.is_empty(), "at least one seed is required");
         let mut job_list: Vec<SimJob<'_>> = seeds
             .iter()
-            .map(|&seed| self.job_for(netlist, random_buses, held, seed))
+            .map(|&seed| self.job(netlist, random_buses, held, seed))
             .collect();
         let mut telemetry = None;
         match self.config.engine {
@@ -723,43 +665,13 @@ impl GlitchAnalyzer {
     /// model fidelity): every model sees the same seeds, so differences are
     /// purely model-induced.
     ///
-    /// # Errors
-    ///
-    /// Returns the first failing combination's [`SimError`] in batch order
-    /// (delay-major, then seed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels_and_delays` or `seeds` is empty.
-    pub fn sweep_delays(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        labels_and_delays: &[(String, DelayKind)],
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Result<Vec<DelaySweepPoint>, SimError> {
-        self.sweep_delays_compiled(
-            netlist,
-            random_buses,
-            held,
-            labels_and_delays,
-            seeds,
-            jobs,
-            None,
-        )
-    }
-
-    /// [`GlitchAnalyzer::sweep_delays`] with an optional precompiled
-    /// [`KernelProgram`] to reuse (see
-    /// [`GlitchAnalyzer::analyze_seeds_compiled`]).
-    ///
-    /// Under a non-queue engine the kernel prepass runs **once** per seed
-    /// batch — quiet cycles are a functional property of the stimulus, so
-    /// the same masks prune every delay model's chunk. A sweep exists to
-    /// compare delay models, which the delay-less kernel cannot evaluate,
-    /// so [`EngineKind::Kernel`] degrades to the hybrid here.
+    /// `program` is an optional precompiled [`KernelProgram`] to reuse (see
+    /// [`GlitchAnalyzer::analyze_seeds`]). Under a non-queue engine the
+    /// kernel prepass runs **once** per seed batch — quiet cycles are a
+    /// functional property of the stimulus, so the same masks prune every
+    /// delay model's chunk. A sweep exists to compare delay models, which
+    /// the delay-less kernel cannot evaluate, so [`EngineKind::Kernel`]
+    /// degrades to the hybrid here.
     ///
     /// # Errors
     ///
@@ -791,7 +703,7 @@ impl GlitchAnalyzer {
             .iter()
             .flat_map(|(label, delay)| {
                 seeds.iter().map(move |&seed| {
-                    self.job_for(netlist, random_buses, held, seed)
+                    self.job(netlist, random_buses, held, seed)
                         .with_delay(delay.clone())
                         .with_label(label.clone())
                 })
@@ -809,7 +721,7 @@ impl GlitchAnalyzer {
             };
             let base: Vec<SimJob<'_>> = seeds
                 .iter()
-                .map(|&seed| self.job_for(netlist, random_buses, held, seed))
+                .map(|&seed| self.job(netlist, random_buses, held, seed))
                 .collect();
             let prepass = kernel_prepass(netlist, program, &base)?;
             telemetry = Some(KernelTelemetry::from_prepass(netlist, program, &prepass)?);
@@ -945,11 +857,29 @@ mod tests {
         let held = [(adder.cin, false)];
         let seeds = [11u64, 22, 33, 44];
         let parallel = analyzer
-            .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 4)
-            .unwrap();
+            .analyze_seeds(
+                &adder.netlist,
+                &buses,
+                &held,
+                &seeds,
+                4,
+                &|_| Vec::new(),
+                None,
+            )
+            .unwrap()
+            .0;
         let serial = analyzer
-            .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 1)
-            .unwrap();
+            .analyze_seeds(
+                &adder.netlist,
+                &buses,
+                &held,
+                &seeds,
+                1,
+                &|_| Vec::new(),
+                None,
+            )
+            .unwrap()
+            .0;
         assert_eq!(parallel.aggregate, serial.aggregate);
         assert_eq!(parallel.trace(), serial.trace());
         assert_eq!(parallel.power, serial.power);
@@ -989,7 +919,7 @@ mod tests {
             ("zero".to_string(), DelayKind::Zero),
         ];
         let points = analyzer
-            .sweep_delays(&adder.netlist, &buses, &held, &models, &[5, 6, 7], 3)
+            .sweep_delays_compiled(&adder.netlist, &buses, &held, &models, &[5, 6, 7], 3, None)
             .unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].label, "unit");
@@ -1120,15 +1050,33 @@ mod tests {
             cycles: 60,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 2)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            2,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         let hybrid = GlitchAnalyzer::new(AnalysisConfig {
             cycles: 60,
             engine: EngineKind::Hybrid,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 2)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            2,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         assert_eq!(hybrid.aggregate, queue.aggregate);
         assert_eq!(hybrid.trace(), queue.trace());
         assert_eq!(hybrid.power, queue.power);
@@ -1155,15 +1103,17 @@ mod tests {
             cycles: 20,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1, &|_| Vec::new(), None)
+        .unwrap()
+        .0;
         let hybrid = GlitchAnalyzer::new(AnalysisConfig {
             cycles: 20,
             engine: EngineKind::Hybrid,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(&adder.netlist, &[], &held, &seeds, 1, &|_| Vec::new(), None)
+        .unwrap()
+        .0;
         assert_eq!(hybrid.aggregate, queue.aggregate);
         let telemetry = hybrid.kernel.unwrap();
         // A combinational circuit under constant inputs is quiet in every
@@ -1183,8 +1133,17 @@ mod tests {
             delay: DelayKind::Zero,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            1,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         // The kernel ignores the configured delay model: semantics are
         // functional, i.e. zero-delay.
         let kernel = GlitchAnalyzer::new(AnalysisConfig {
@@ -1193,8 +1152,17 @@ mod tests {
             engine: EngineKind::Kernel,
             ..Default::default()
         })
-        .analyze_seeds(&adder.netlist, &buses, &held, &seeds, 1)
-        .unwrap();
+        .analyze_seeds(
+            &adder.netlist,
+            &buses,
+            &held,
+            &seeds,
+            1,
+            &|_| Vec::new(),
+            None,
+        )
+        .unwrap()
+        .0;
         assert_eq!(kernel.trace(), zero_queue.trace());
         assert_eq!(kernel.power, zero_queue.power);
         assert_eq!(
@@ -1220,7 +1188,7 @@ mod tests {
             cycles: 40,
             ..Default::default()
         })
-        .sweep_delays(&adder.netlist, &buses, &held, &models, &seeds, 3)
+        .sweep_delays_compiled(&adder.netlist, &buses, &held, &models, &seeds, 3, None)
         .unwrap();
         // `kernel` degrades to the hybrid for sweeps: the comparison under
         // test is between delay models, which need the queue.
@@ -1230,7 +1198,7 @@ mod tests {
                 engine,
                 ..Default::default()
             })
-            .sweep_delays(&adder.netlist, &buses, &held, &models, &seeds, 3)
+            .sweep_delays_compiled(&adder.netlist, &buses, &held, &models, &seeds, 3, None)
             .unwrap();
             assert_eq!(swept.len(), queue.len());
             for (h, q) in swept.iter().zip(&queue) {
@@ -1253,9 +1221,12 @@ mod tests {
         });
         let buses = [adder.a.clone(), adder.b.clone()];
         let held = [(adder.cin, false)];
-        let zero = analyzer
-            .analyze_with(&adder.netlist, &buses, &held, glitch_sim::ZeroDelay)
+        let report = analyzer
+            .session(&adder.netlist, &buses, &held)
+            .delay_model(glitch_sim::ZeroDelay)
+            .run()
             .unwrap();
+        let zero = GlitchAnalyzer::analysis(&adder.netlist, report);
         assert_eq!(zero.activity.totals().useless, 0);
     }
 }

@@ -77,7 +77,7 @@ impl GlitchAnalyzer {
 
     /// [`GlitchAnalyzer::check_seeds`] with an optional precompiled
     /// [`glitch_sim::KernelProgram`] to reuse (see
-    /// [`GlitchAnalyzer::analyze_seeds_compiled`]); the checkers ride
+    /// [`GlitchAnalyzer::analyze_seeds`]); the checkers ride
     /// whichever engine [`crate::AnalysisConfig::engine`] selects, and the
     /// hybrid verdict is bit-identical to the queue one.
     ///
@@ -101,15 +101,8 @@ impl GlitchAnalyzer {
         program: Option<&glitch_sim::KernelProgram>,
     ) -> Result<CheckAnalysis, SimError> {
         let factory = |_seed: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(suite.build())] };
-        let (analysis, mut reports) = self.analyze_seeds_compiled(
-            netlist,
-            random_buses,
-            held,
-            seeds,
-            jobs,
-            &factory,
-            program,
-        )?;
+        let (analysis, mut reports) =
+            self.analyze_seeds(netlist, random_buses, held, seeds, jobs, &factory, program)?;
         let mut merged = CheckerProbe::default();
         for report in &mut reports {
             let probe = report

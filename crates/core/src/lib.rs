@@ -72,12 +72,8 @@ pub use glitch_sim::{EvalMode, KernelProgram, KernelState};
 /// replaying unchanged cycles and re-evaluating only dirty fanout cones.
 pub use glitch_sim::{DeltaStimulus, IncrementalSession, IncrementalStats, SimBaseline};
 
-/// The delay-model selector, re-exported from `glitch-sim` (which absorbed
-/// the old `glitch_core::DelayConfig`).
+/// The delay-model selector, re-exported from `glitch-sim`.
 pub use glitch_sim::DelayKind;
-
-/// Backwards-compatible alias for [`DelayKind`]; prefer the new name.
-pub use glitch_sim::DelayKind as DelayConfig;
 
 /// Re-export of the netlist substrate.
 pub use glitch_netlist as netlist;

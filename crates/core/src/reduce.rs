@@ -145,13 +145,14 @@ impl ReduceSession {
     ) -> Result<ReduceScore, SimError> {
         let factory =
             |_seed_index: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(HazardProbe::new())] };
-        let (analysis, mut reports) = self.analyzer.analyze_seeds_with(
+        let (analysis, mut reports) = self.analyzer.analyze_seeds(
             netlist,
             random_buses,
             held,
             &self.seeds,
             self.jobs,
             &factory,
+            None,
         )?;
         // Fold the per-seed hazard probes in seed order — the same
         // deterministic reduction the suite path performs.

@@ -146,11 +146,29 @@ fn hybrid_analyze_is_bit_identical_to_queue() {
     let seeds = [3u64, 5, 8, 13];
     for jobs in [1usize, 3] {
         let queue = analyzer(EngineKind::Queue, 80, SimOptions::default())
-            .analyze_seeds(&mult.netlist, &buses, &[], &seeds, jobs)
-            .expect("queue analysis runs");
+            .analyze_seeds(
+                &mult.netlist,
+                &buses,
+                &[],
+                &seeds,
+                jobs,
+                &|_| Vec::new(),
+                None,
+            )
+            .expect("queue analysis runs")
+            .0;
         let hybrid = analyzer(EngineKind::Hybrid, 80, SimOptions::default())
-            .analyze_seeds(&mult.netlist, &buses, &[], &seeds, jobs)
-            .expect("hybrid analysis runs");
+            .analyze_seeds(
+                &mult.netlist,
+                &buses,
+                &[],
+                &seeds,
+                jobs,
+                &|_| Vec::new(),
+                None,
+            )
+            .expect("hybrid analysis runs")
+            .0;
         assert_eq!(hybrid.aggregate, queue.aggregate, "jobs={jobs}");
         assert_eq!(hybrid.power, queue.power, "jobs={jobs}");
         assert_eq!(hybrid.seeds, queue.seeds, "jobs={jobs}");
@@ -180,11 +198,13 @@ fn hybrid_analyze_matches_queue_on_random_sequential_circuits() {
     let seeds = [21u64, 34, 55];
     for options in [SimOptions::default(), SimOptions::x_init()] {
         let queue = analyzer(EngineKind::Queue, 60, options)
-            .analyze_seeds(&netlist, &buses, &[], &seeds, 2)
-            .expect("queue analysis runs");
+            .analyze_seeds(&netlist, &buses, &[], &seeds, 2, &|_| Vec::new(), None)
+            .expect("queue analysis runs")
+            .0;
         let hybrid = analyzer(EngineKind::Hybrid, 60, options)
-            .analyze_seeds(&netlist, &buses, &[], &seeds, 2)
-            .expect("hybrid analysis runs");
+            .analyze_seeds(&netlist, &buses, &[], &seeds, 2, &|_| Vec::new(), None)
+            .expect("hybrid analysis runs")
+            .0;
         assert_eq!(hybrid.aggregate, queue.aggregate, "{options:?}");
         assert_eq!(hybrid.power, queue.power, "{options:?}");
         assert_eq!(

@@ -18,8 +18,9 @@
 //!    [`MoveKind::Retime`] (all from [`glitch_retime::rewrite`], each a
 //!    total-mapping `Netlist → Netlist` rebuild).
 //! 3. **Screen** — [`screen_candidate`] co-simulates candidate against
-//!    current functionally, batch-wide through the compiled kernel (or
-//!    per-lane through the event queue — both decide identically).
+//!    current functionally, batch-wide through the compiled kernel
+//!    whatever the scoring engine (the per-lane event-queue screen decides
+//!    identically and is kept as the pinned reference).
 //! 4. **Confirm** — survivors get a full analysis pass; the best strictly
 //!    improving candidate is accepted and its mapping composed.
 //! 5. **Verify** — the final netlist is checked against the *original*

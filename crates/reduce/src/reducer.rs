@@ -16,7 +16,7 @@
 //! netlist against the **original** through the composed move mapping,
 //! under the configured delay model, both binary and `x_init`.
 
-use glitch_core::{EngineKind, ReduceScore, ReduceSession};
+use glitch_core::{ReduceScore, ReduceSession};
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_retime::{NetMap, PipelineOptions};
 use glitch_verify::{EquivalenceChecker, EquivalenceReport};
@@ -156,17 +156,6 @@ impl Reducer {
         Reducer { session, options }
     }
 
-    /// The screen backend the configured engine implies: pure-queue runs
-    /// screen through the event queue, kernel-assisted runs batch-screen
-    /// through the compiled kernel. Both decide identically (pinned).
-    #[must_use]
-    pub fn screen_backend(&self) -> ScreenBackend {
-        match self.session.config().engine {
-            EngineKind::Queue => ScreenBackend::Queue,
-            EngineKind::Kernel | EngineKind::Hybrid => ScreenBackend::Kernel,
-        }
-    }
-
     /// Reduces `netlist`: descends on glitch power with the enabled moves
     /// and returns the full report. `random_buses`/`held` describe the
     /// stimulus in **original** netlist coordinates; the reducer remaps
@@ -202,7 +191,6 @@ impl Reducer {
         progress: &mut dyn ProgressSink,
     ) -> Result<ReduceReport, ReduceError> {
         let baseline = self.session.score(netlist, random_buses, held)?;
-        let backend = self.screen_backend();
         let screen_seed = self.session.config().seed;
 
         let mut current = netlist.clone();
@@ -251,7 +239,7 @@ impl Reducer {
                 let outcome = screen_candidate(
                     &current,
                     &candidate.rewrite,
-                    backend,
+                    ScreenBackend::Kernel,
                     self.options.screen_cycles,
                     self.options.screen_lanes,
                     screen_seed ^ iterations as u64,

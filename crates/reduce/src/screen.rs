@@ -11,9 +11,9 @@
 //!
 //! * [`ScreenBackend::Kernel`] — both netlists compiled to bit-parallel
 //!   [`KernelProgram`]s, all lanes evaluated per machine word. This is
-//!   the batch path the hybrid/kernel engines use.
+//!   the batch path the reducer always takes, whatever its scoring engine.
 //! * [`ScreenBackend::Queue`] — one event-driven [`ClockedSimulator`]
-//!   per lane per side. The reference path.
+//!   per lane per side. The reference path the pin test compares against.
 //!
 //! Settled end-of-cycle values are delay-independent, and the kernel is
 //! pinned bit-for-bit against the event-driven simulator (the kernel

@@ -121,8 +121,8 @@ fn reports_are_identical_at_any_worker_count() {
 
 #[test]
 fn hybrid_engine_reduces_identically_to_queue() {
-    // The hybrid engine screens through the kernel and scores through the
-    // pruned queue — every figure must still match the pure-queue run.
+    // The hybrid engine scores through the pruned queue — every figure
+    // must still match the pure-queue run.
     let queue = reduce("mult4.blif", EngineKind::Queue, 2, ReduceOptions::default());
     let hybrid = reduce(
         "mult4.blif",

@@ -588,7 +588,7 @@ impl CircuitCache {
         let spill = self.spill_path(circuit.fingerprint, key);
         if let Some(path) = &spill {
             if let Ok(baseline) = SimBaseline::load(path) {
-                if baseline.matches_netlist(&circuit.netlist) && validate(&baseline) {
+                if validate(&baseline) {
                     if let Ok(before) = replay_before(&circuit.netlist, &baseline) {
                         return Ok((
                             Arc::new(BaselineEntry {

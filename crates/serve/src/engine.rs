@@ -3,27 +3,19 @@
 //!
 //! One [`Engine`] is shared by every worker thread of the daemon. It owns
 //! the [`CircuitCache`], the merged [`MetricsRegistry`] behind the
-//! `metrics` op, and the span records behind `--trace-out`. Job execution
-//! mirrors the CLI's command paths *call for call* — the same `params`
-//! resolution, the same analysis entry points, the same `report`
-//! envelopes — which is what makes a daemon response byte-identical to
-//! the equivalent one-shot `glitch-cli ... --json` run.
+//! `metrics` op, and the span records behind `--trace-out`. A job is a
+//! cache lookup and fingerprint check followed by [`exec`], the same call
+//! the one-shot CLI makes, with the cache as its [`Resources`]. A daemon
+//! response is therefore byte-identical to the equivalent
+//! `glitch-cli ... --json` run by construction.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use glitch_core::netlist::Netlist;
-use glitch_core::sim::{
-    kernel_prepass, run_kernel_jobs, MetricsProbe, Probe, RandomStimulus, SimJob, SimOptions,
-};
-use glitch_core::verify::VerifyReport;
-use glitch_core::{
-    AggregateReport, AnalysisConfig, DeltaStimulus, EngineKind, GlitchAnalyzer, IncrementalStats,
-    KernelProgram, KernelTelemetry, SimBaseline,
-};
-use glitch_io::GateLibrary;
+use glitch_core::netlist::ConeIndex;
+use glitch_core::{GlitchAnalyzer, KernelProgram};
 use glitch_obs::export::{
     chrome_trace_with_tracks, metrics_json, metrics_prometheus, metrics_text,
 };
@@ -32,31 +24,16 @@ use glitch_obs::{
     WINDOW_5M_MICROS,
 };
 
-use crate::cache::{CachedCircuit, CircuitCache};
+use crate::cache::{BaselineEntry, CachedCircuit, CircuitCache};
+use crate::exec::{exec, record_baseline, replay_baseline, Hooks, ProgressLines, Resources, Sink};
 use crate::json::JsonObject;
 use crate::params;
 use crate::protocol::{error_response, ok_response, JobKind, JobRequest, MetricsFormat};
-use crate::report;
 
 /// Upper bound on retained per-request spans, mirroring
 /// [`glitch_obs::span::DEFAULT_SPAN_CAPACITY`]: a long-lived daemon must
 /// not grow its trace without bound.
 const SPAN_CAPACITY: usize = 4096;
-
-/// The single-lane [`SimJob`] mirroring [`GlitchAnalyzer::session`]'s
-/// stimulus, for feeding the compiled kernel on single-seed runs (the
-/// CLI's `kernel_job` twin).
-fn kernel_job<'a>(netlist: &'a Netlist, config: &AnalysisConfig) -> SimJob<'a> {
-    SimJob::new(
-        netlist,
-        params::input_buses(netlist),
-        config.cycles,
-        config.seed,
-    )
-    .with_delay(config.delay.clone())
-    .with_power(config.technology, config.frequency)
-    .with_options(config.options)
-}
 
 /// What the server threads know about one request: its monotonic id
 /// (assigned at the connection, before admission control) and how long it
@@ -246,99 +223,6 @@ impl Engine {
             .render();
         if log.append(&line).is_err() {
             self.add("serve.access_log_errors", 1);
-        }
-    }
-
-    /// Mirrors the CLI telemetry's aggregate recording (`sim.*`,
-    /// `queue.*`).
-    fn record_aggregate(&self, aggregate: &AggregateReport) {
-        self.add("sim.cycles", aggregate.total_cycles());
-        self.add("sim.events", aggregate.total_events());
-        self.add("sim.cell_evals", aggregate.total_cell_evals());
-        self.gauge_max("sim.max_settle_time", aggregate.max_settle_time());
-        let queue = aggregate.queue_stats();
-        self.add("queue.pushes", queue.pushes);
-        self.add("queue.pops", queue.pops);
-        self.gauge_max("queue.peak_depth", queue.peak_depth);
-    }
-
-    /// Mirrors the CLI telemetry's kernel recording (`kernel.*`): the
-    /// prepass's lane/cycle/pair classification and functional work.
-    fn record_kernel(&self, kernel: &KernelTelemetry) {
-        self.add("kernel.lanes", kernel.lanes as u64);
-        self.add("kernel.cycles_total", kernel.total_cycles);
-        self.add("kernel.cycles_quiet", kernel.quiet_cycles);
-        self.add("kernel.pairs_total", kernel.total_pairs);
-        self.add("kernel.pairs_quiet", kernel.quiet_pairs);
-        self.add(
-            "kernel.functional_transitions",
-            kernel.functional_transitions,
-        );
-        self.add("kernel.functional_cell_evals", kernel.functional_cell_evals);
-        self.gauge_max("kernel.program_ops", kernel.program_ops as u64);
-        self.gauge_max("kernel.program_bytes", kernel.program_bytes as u64);
-    }
-
-    /// The cached compiled kernel program for non-queue engines (`None`
-    /// for the queue engine), with its hit/miss/eviction counters.
-    fn compiled_program(
-        &self,
-        circuit: &Arc<CachedCircuit>,
-        config: &AnalysisConfig,
-    ) -> Result<Option<Arc<KernelProgram>>, String> {
-        if config.engine == EngineKind::Queue {
-            return Ok(None);
-        }
-        let lookup = self.cache.program_for(circuit)?;
-        self.add(
-            if lookup.hit {
-                "cache.program_hits"
-            } else {
-                "cache.program_misses"
-            },
-            1,
-        );
-        if lookup.evicted > 0 {
-            self.add("cache.evictions", lookup.evicted);
-        }
-        Ok(Some(lookup.program))
-    }
-
-    /// Mirrors the CLI telemetry's incremental recording
-    /// (`incremental.*`).
-    fn record_incremental(&self, stats: &IncrementalStats) {
-        self.add("incremental.replayed_cycles", stats.replayed_cycles);
-        self.add("incremental.simulated_cycles", stats.simulated_cycles);
-        self.add("incremental.cells_evaluated", stats.cells_evaluated);
-        self.add(
-            "incremental.dff_divergence_reseeds",
-            stats.dff_divergence_reseeds,
-        );
-        self.gauge_max(
-            "incremental.peak_dirty_cone_nets",
-            stats.peak_dirty_cone_nets,
-        );
-    }
-
-    /// Mirrors the CLI telemetry's verdict recording (`check.*`).
-    fn record_check(&self, report: &VerifyReport) {
-        self.add("check.violations_total", report.total_violations());
-        self.add("check.violations_retained", report.retained_violations());
-        self.add("check.violations_dropped", report.dropped_violations());
-        for outcome in report.outcomes() {
-            self.add(
-                &format!("check.{}.violations", outcome.checker),
-                outcome.total_violations,
-            );
-        }
-    }
-
-    /// Folds a finished session's metrics probe into the daemon registry,
-    /// exactly as the CLI's `--metrics` wiring does per session.
-    fn absorb_session(&self, report: &mut glitch_core::sim::SessionReport) {
-        if let Some(mut probe) = report.take_probe::<MetricsProbe>() {
-            probe.record_queue_stats(report.queue_stats());
-            self.merge(probe.into_registry());
         }
     }
 
@@ -684,191 +568,83 @@ impl Engine {
                 ));
             }
         }
-        let library = params::library_for_tech(job.tech.as_deref()).map_err(|e| e.to_string())?;
-        match kind {
-            JobKind::Analyze => self.run_analyze(job, &circuit, &library),
-            JobKind::Flip => self.run_flip(job, &circuit, &library),
-            JobKind::Check => self.run_check(job, &circuit, &library),
-            JobKind::Sweep => self.run_sweep(job, &circuit, &library),
-            JobKind::Reduce => self.run_reduce(job, &circuit, &library, id, interim),
-        }
-    }
-
-    /// `analyze` — the CLI's single- and multi-seed `--json` paths.
-    ///
-    /// The daemon defaults to the *hybrid* engine: a kernel prepass over
-    /// the cached compiled program classifies the quiet work before the
-    /// queue runs, and the response stays byte-identical to a one-shot
-    /// `glitch-cli analyze --json` queue run. An explicit `engine` field
-    /// overrides the default.
-    fn run_analyze(
-        &self,
-        job: &JobRequest,
-        circuit: &Arc<CachedCircuit>,
-        library: &GateLibrary,
-    ) -> Result<String, String> {
-        let mut config = params::analysis_config(
-            library,
-            job.cycles,
-            job.seed,
-            job.frequency_mhz,
-            job.delay.as_deref(),
-            job.engine.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        if job.engine.is_none() {
-            config.engine = EngineKind::Hybrid;
-        }
-        let (seeds, jobs) =
-            params::seeds_and_jobs(job.seeds, job.jobs, 1).map_err(|e| e.to_string())?;
         let netlist = circuit.netlist();
-        let buses = params::input_buses(netlist);
-        let program = self.compiled_program(circuit, &config)?;
-        let analyzer = GlitchAnalyzer::new(config.clone());
-        if seeds > 1 {
-            let seed_list = params::stimulus_seeds(config.seed, seeds);
-            let factory =
-                |_shard: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(MetricsProbe::new())] };
-            let (aggregate, mut reports) = analyzer
-                .analyze_seeds_compiled(
-                    netlist,
-                    &buses,
-                    &[],
-                    &seed_list,
-                    jobs,
-                    &factory,
-                    program.as_deref(),
-                )
-                .map_err(|e| format!("simulation failed: {e}"))?;
-            if let Some(kernel) = &aggregate.kernel {
-                self.record_kernel(kernel);
-            }
-            for report in &mut reports {
-                self.absorb_session(report);
-            }
-            return Ok(report::analyze_aggregate_json(
-                &job.file,
-                netlist,
-                seeds,
-                jobs,
-                config.cycles,
-                &aggregate,
-                None,
-            ));
-        }
-        let mut report = if config.engine == EngineKind::Kernel {
-            let program = program.as_deref().expect("compiled for the kernel engine");
-            let factory =
-                |_lane: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(MetricsProbe::new())] };
-            let sim_job = kernel_job(netlist, &config);
-            let reports =
-                run_kernel_jobs(netlist, program, std::slice::from_ref(&sim_job), &factory)
-                    .map_err(|e| format!("simulation failed: {e}"))?;
-            reports
-                .into_iter()
-                .next()
-                .expect("one job in, one report out")
-        } else {
-            let mut session = analyzer
-                .session(netlist, &buses, &[])
-                .probe(MetricsProbe::new());
-            if let Some(program) = program.as_deref() {
-                let sim_job = kernel_job(netlist, &config);
-                let prepass = kernel_prepass(netlist, program, std::slice::from_ref(&sim_job))
-                    .map_err(|e| format!("kernel prepass failed: {e}"))?;
-                let kernel = KernelTelemetry::from_prepass(netlist, program, &prepass)
-                    .map_err(|e| format!("kernel prepass failed: {e}"))?;
-                self.record_kernel(&kernel);
-                session = session.quiet_cycles(prepass.quiet_cycles(0));
-            }
-            session
-                .run()
-                .map_err(|e| format!("simulation failed: {e}"))?
+        let resources = Cached {
+            engine: self,
+            circuit: &circuit,
         };
-        self.absorb_session(&mut report);
-        let passes = report.passes();
-        let events = report.total_events();
-        let max_settle = report.max_settle_time();
-        let cell_evals = report.total_cell_evals();
-        let analysis = GlitchAnalyzer::analysis(netlist, report);
-        Ok(report::analyze_json(
-            &job.file, netlist, &analysis, passes, events, max_settle, cell_evals, None,
-        ))
+        let hooks = Hooks {
+            progress: interim.filter(|_| job.progress).map(|emit| ProgressLines {
+                file: &job.file,
+                id: Some(id),
+                emit,
+            }),
+            ..Hooks::default()
+        };
+        let mut registry = MetricsRegistry::new();
+        let output = exec(
+            kind,
+            job,
+            netlist,
+            &resources,
+            &mut Sink::new(&mut registry, None),
+            hooks,
+        );
+        self.merge(registry);
+        Ok(output.map_err(|e| e.to_string())?.json(&job.file, netlist))
+    }
+}
+
+/// The warm cache as the executor's [`Resources`]: every lookup bumps the
+/// matching `cache.*` counters.
+struct Cached<'a> {
+    engine: &'a Engine,
+    circuit: &'a Arc<CachedCircuit>,
+}
+
+impl Resources for Cached<'_> {
+    fn program(&self) -> Result<Arc<KernelProgram>, String> {
+        let lookup = self.engine.cache.program_for(self.circuit)?;
+        self.engine.add(
+            if lookup.hit {
+                "cache.program_hits"
+            } else {
+                "cache.program_misses"
+            },
+            1,
+        );
+        if lookup.evicted > 0 {
+            self.engine.add("cache.evictions", lookup.evicted);
+        }
+        Ok(lookup.program)
     }
 
-    /// `flip` — the CLI's `analyze --flip --json` path, served from the
-    /// baseline cache: the recording pass runs once per (circuit,
-    /// parameters), later requests replay through the shared cone index.
-    fn run_flip(
-        &self,
-        job: &JobRequest,
-        circuit: &Arc<CachedCircuit>,
-        library: &GateLibrary,
-    ) -> Result<String, String> {
-        let config = params::analysis_config(
-            library,
-            job.cycles,
-            job.seed,
-            job.frequency_mhz,
-            job.delay.as_deref(),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        let (seeds, _jobs) =
-            params::seeds_and_jobs(job.seeds, job.jobs, 1).map_err(|e| e.to_string())?;
-        if seeds > 1 {
-            return Err("--flip applies to single-seed runs; drop --seeds or --flip".into());
-        }
-        let netlist = circuit.netlist();
-        let spec = job.flips.as_deref().unwrap_or_default();
-        let flips = params::parse_flips(spec, netlist).map_err(|e| e.to_string())?;
-        params::check_flip_cycles(&flips, config.cycles).map_err(|e| e.to_string())?;
-        let buses = params::input_buses(netlist);
-        let analyzer = GlitchAnalyzer::new(config.clone());
-        // The baseline cache key: everything the cached "before" analysis
-        // depends on. The netlist fingerprint is the cache's own outer key.
+    fn cone_index(&self) -> Result<Arc<ConeIndex>, String> {
+        self.circuit.cone_index()
+    }
+
+    fn baseline(&self, analyzer: &GlitchAnalyzer) -> Result<Arc<BaselineEntry>, String> {
+        let config = analyzer.config();
+        let netlist = self.circuit.netlist();
+        // Everything the cached "before" analysis depends on. The netlist
+        // fingerprint is the cache's own outer key.
         let key = format!(
-            "{}:{}:{}:{}:{:?}:{:?}",
+            "{}:{}:{:?}:{}:{:?}:{:?}",
             config.cycles,
             config.seed,
-            job.tech.as_deref().unwrap_or("0.8um"),
+            config.technology,
             config.frequency.to_bits(),
             config.delay,
             config.options
         );
-        // A spill file stores the baseline but not its seed; validate by
-        // regenerating the configured stimulus, as the CLI's `--baseline`
-        // loader does.
-        let validate = |baseline: &SimBaseline| {
-            if baseline.cycle_count() != config.cycles
-                || baseline.delay() != &config.delay
-                || baseline.options() != config.options
-            {
-                return false;
-            }
-            let mut regenerated =
-                RandomStimulus::new(params::input_buses(netlist), config.cycles, config.seed);
-            (0..baseline.cycle_count())
-                .all(|cycle| regenerated.next().as_ref() == Some(baseline.assignment(cycle)))
-        };
-        let lookup = self.cache.baseline_for(
-            circuit,
+        let lookup = self.engine.cache.baseline_for(
+            self.circuit,
             &key,
-            validate,
-            || {
-                analyzer
-                    .analyze_baseline(netlist, &buses, &[])
-                    .map(|(analysis, baseline)| (baseline, analysis))
-                    .map_err(|e| format!("simulation failed: {e}"))
-            },
-            |nl, baseline| {
-                analyzer
-                    .analyze_delta(nl, baseline, &DeltaStimulus::new())
-                    .map(|delta| delta.analysis)
-                    .map_err(|e| format!("baseline replay failed: {e}"))
-            },
+            |baseline| params::baseline_mismatch(baseline, netlist, config).is_none(),
+            || record_baseline(analyzer, netlist).map(|(analysis, baseline)| (baseline, analysis)),
+            |nl, baseline| replay_baseline(analyzer, nl, baseline),
         )?;
-        self.add(
+        self.engine.add(
             if lookup.hit {
                 "cache.baseline_hits"
             } else {
@@ -877,272 +653,15 @@ impl Engine {
             1,
         );
         if lookup.coalesced {
-            self.add("cache.coalesced_waits", 1);
+            self.engine.add("cache.coalesced_waits", 1);
         }
         if lookup.spill_load {
-            self.add("cache.spill_loads", 1);
+            self.engine.add("cache.spill_loads", 1);
         }
         if lookup.evicted > 0 {
-            self.add("cache.evictions", lookup.evicted);
+            self.engine.add("cache.evictions", lookup.evicted);
         }
-        let entry = lookup.entry;
-        let (delta, applied) =
-            params::flips_to_delta(&flips, &entry.baseline).map_err(|e| e.to_string())?;
-        let index = circuit.cone_index()?;
-        let after = analyzer
-            .analyze_delta_with_index(netlist, &entry.baseline, &delta, Some(&index))
-            .map_err(|e| format!("incremental simulation failed: {e}"))?;
-        self.record_incremental(&after.incremental);
-        Ok(report::analyze_flip_json(
-            &job.file,
-            netlist,
-            entry.baseline.cycle_count(),
-            &applied,
-            &after.incremental,
-            &entry.before,
-            &after.analysis,
-        ))
-    }
-
-    /// `check` — the CLI's `check --json` paths (multi-seed suite run, or
-    /// the incremental baseline/flipped pair when `flips` is present).
-    fn run_check(
-        &self,
-        job: &JobRequest,
-        circuit: &Arc<CachedCircuit>,
-        library: &GateLibrary,
-    ) -> Result<String, String> {
-        let mut config = params::analysis_config(
-            library,
-            job.cycles,
-            job.seed,
-            job.frequency_mhz,
-            job.delay.as_deref(),
-            job.engine.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        if job.x_init {
-            config.options = SimOptions::x_init();
-        }
-        let netlist = circuit.netlist();
-        let suite = params::build_check_suite(
-            netlist,
-            job.budget.as_deref(),
-            None,
-            job.hazards,
-            job.stable.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        let buses = params::input_buses(netlist);
-        if let Some(spec) = job.flips.as_deref() {
-            if job.seeds.is_some() {
-                return Err("--flip applies to single-seed runs; drop --seeds or --flip".into());
-            }
-            if config.engine != EngineKind::Queue {
-                return Err(
-                    "`flips` rides the incremental queue replay; drop `engine` or `flips`".into(),
-                );
-            }
-            let flips = params::parse_flips(spec, netlist).map_err(|e| e.to_string())?;
-            params::check_flip_cycles(&flips, config.cycles).map_err(|e| e.to_string())?;
-            let analyzer = GlitchAnalyzer::new(config.clone());
-            let (base_report, _, baseline) = analyzer
-                .check_baseline(netlist, &buses, &[], &suite)
-                .map_err(|e| format!("simulation failed: {e}"))?;
-            let (delta, applied) =
-                params::flips_to_delta(&flips, &baseline).map_err(|e| e.to_string())?;
-            let flipped = analyzer
-                .check_delta(netlist, &baseline, &delta, &suite)
-                .map_err(|e| format!("incremental simulation failed: {e}"))?;
-            self.record_incremental(&flipped.incremental);
-            self.record_check(&flipped.report);
-            return Ok(report::check_flip_json(
-                &job.file,
-                netlist,
-                baseline.cycle_count(),
-                job.x_init,
-                &applied,
-                &base_report,
-                &flipped,
-            ));
-        }
-        if job.engine.is_none() {
-            config.engine = EngineKind::Hybrid;
-        }
-        let (seeds, jobs) =
-            params::seeds_and_jobs(job.seeds, job.jobs, 1).map_err(|e| e.to_string())?;
-        let seed_list = params::stimulus_seeds(config.seed, seeds);
-        let program = self.compiled_program(circuit, &config)?;
-        let checked = GlitchAnalyzer::new(config.clone())
-            .check_seeds_compiled(
-                netlist,
-                &buses,
-                &[],
-                &suite,
-                &seed_list,
-                jobs,
-                program.as_deref(),
-            )
-            .map_err(|e| format!("simulation failed: {e}"))?;
-        if let Some(kernel) = &checked.analysis.kernel {
-            self.record_kernel(kernel);
-        }
-        self.record_aggregate(&checked.analysis.aggregate);
-        self.record_check(&checked.report);
-        Ok(report::check_json(
-            &job.file,
-            netlist,
-            config.cycles,
-            seeds,
-            jobs,
-            job.x_init,
-            &checked,
-        ))
-    }
-
-    /// `sweep` — the CLI's delay-model `sweep --json` path.
-    fn run_sweep(
-        &self,
-        job: &JobRequest,
-        circuit: &Arc<CachedCircuit>,
-        library: &GateLibrary,
-    ) -> Result<String, String> {
-        let mut config = params::analysis_config(
-            library,
-            job.cycles,
-            job.seed,
-            job.frequency_mhz,
-            None,
-            job.engine.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        if job.engine.is_none() {
-            config.engine = EngineKind::Hybrid;
-        }
-        let models = params::delay_sweep_models(job.delays.as_deref(), library)
-            .map_err(|e| e.to_string())?;
-        let (seeds, jobs) =
-            params::seeds_and_jobs(job.seeds, job.jobs, models.len()).map_err(|e| e.to_string())?;
-        let seed_list = params::stimulus_seeds(config.seed, seeds);
-        let netlist = circuit.netlist();
-        let buses = params::input_buses(netlist);
-        let program = self.compiled_program(circuit, &config)?;
-        let points = GlitchAnalyzer::new(config.clone())
-            .sweep_delays_compiled(
-                netlist,
-                &buses,
-                &[],
-                &models,
-                &seed_list,
-                jobs,
-                program.as_deref(),
-            )
-            .map_err(|e| format!("simulation failed: {e}"))?;
-        // One prepass serves the whole sweep; record its classification
-        // once (every point carries the same copy).
-        if let Some(kernel) = points.first().and_then(|p| p.analysis.kernel.as_ref()) {
-            self.record_kernel(kernel);
-        }
-        for point in &points {
-            self.record_aggregate(&point.analysis.aggregate);
-        }
-        Ok(report::sweep_json(
-            &job.file,
-            netlist,
-            seeds,
-            jobs,
-            config.cycles,
-            &points,
-        ))
-    }
-
-    /// `reduce` — the CLI's `reduce --json` path: the greedy glitch-power
-    /// descent with the final equivalence verification, served from the
-    /// same content-addressed netlist cache as every other op. The daemon
-    /// defaults to the hybrid engine (kernel batch screening, queue
-    /// scoring), whose reports are bit-identical to pure-queue runs.
-    ///
-    /// With `"progress": true` and a streaming-capable connection, each
-    /// descent iteration emits one interim line through `interim` before
-    /// the final report. The sink is observe-only, so the final line is
-    /// byte-identical to a non-progress run of the same request.
-    fn run_reduce(
-        &self,
-        job: &JobRequest,
-        circuit: &Arc<CachedCircuit>,
-        library: &GateLibrary,
-        id: u64,
-        interim: Option<&(dyn Fn(String) + Sync)>,
-    ) -> Result<String, String> {
-        let mut config = params::analysis_config(
-            library,
-            job.cycles,
-            job.seed,
-            job.frequency_mhz,
-            job.delay.as_deref(),
-            job.engine.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        if job.engine.is_none() {
-            config.engine = EngineKind::Hybrid;
-        }
-        if config.engine == EngineKind::Kernel {
-            return Err(
-                "the kernel engine has no glitch model to score moves with; \
-                 use engine `queue` or `hybrid`"
-                    .into(),
-            );
-        }
-        let (seeds, jobs) =
-            params::seeds_and_jobs(job.seeds, job.jobs, 1).map_err(|e| e.to_string())?;
-        let seed_list = params::stimulus_seeds(config.seed, seeds);
-        let moves = glitch_reduce::parse_moves(job.moves.as_deref().unwrap_or_default())
-            .map_err(|e| e.to_string())?;
-        let options = glitch_reduce::ReduceOptions {
-            moves,
-            target_percent: job.target,
-            max_iters: job
-                .max_iters
-                .unwrap_or(glitch_reduce::ReduceOptions::default().max_iters),
-            ..glitch_reduce::ReduceOptions::default()
-        };
-        let netlist = circuit.netlist();
-        let buses = params::input_buses(netlist);
-        let cycles = config.cycles;
-        let session = glitch_core::ReduceSession::new(config, seed_list, jobs);
-        let reducer = glitch_reduce::Reducer::new(session, options);
-        let report = match interim.filter(|_| job.progress) {
-            Some(emit) => {
-                struct StreamingSink<'a> {
-                    file: &'a str,
-                    id: u64,
-                    emit: &'a (dyn Fn(String) + Sync),
-                }
-                impl glitch_reduce::ProgressSink for StreamingSink<'_> {
-                    fn iteration(&mut self, event: &glitch_reduce::ProgressEvent<'_>) {
-                        (self.emit)(report::reduce_progress_json(
-                            self.file,
-                            event,
-                            Some(self.id),
-                        ));
-                    }
-                }
-                let mut sink = StreamingSink {
-                    file: &job.file,
-                    id,
-                    emit,
-                };
-                reducer.run_with_progress(netlist, &buses, &[], &mut sink)
-            }
-            None => reducer.run(netlist, &buses, &[]),
-        }
-        .map_err(|e| format!("reduction failed: {e}"))?;
-        self.add("reduce.iterations", report.iterations as u64);
-        self.add("reduce.proposed", report.proposed as u64);
-        self.add("reduce.screened", report.screened as u64);
-        self.add("reduce.confirmed", report.confirmed as u64);
-        self.add("reduce.accepted", report.moves.len() as u64);
-        Ok(report::reduce_json(&job.file, &report, seeds, jobs, cycles))
+        Ok(lookup.entry)
     }
 }
 

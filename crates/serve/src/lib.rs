@@ -12,8 +12,11 @@
 //!   [`glitch_core::netlist::Netlist::fingerprint`], baselines by their
 //!   full parameter set, with single-flight coalescing, LRU byte-budget
 //!   eviction and atomic disk spill.
-//! - [`engine`]: job execution mirroring the CLI's command paths call for
-//!   call, so responses are byte-identical to one-shot `--json` output.
+//! - [`exec`]: the one job executor the daemon and the one-shot CLI
+//!   share, so responses are byte-identical to one-shot `--json` output
+//!   by construction.
+//! - [`engine`]: the daemon's side of a job — cache lookup, fingerprint
+//!   check, counters, spans and the access log around [`exec::exec`].
 //! - [`server`] / [`client`]: the worker-pool daemon and its blocking
 //!   line-protocol client.
 //!
@@ -26,6 +29,7 @@
 pub mod cache;
 pub mod client;
 pub mod engine;
+pub mod exec;
 pub mod json;
 pub mod jsonin;
 pub mod params;

@@ -210,6 +210,56 @@ pub fn seeds_and_jobs(
     Ok((seeds, jobs))
 }
 
+/// Why a recorded `baseline` cannot stand in for a fresh recording of
+/// `netlist` under `config`, or `None` when it can. Checks the structural
+/// fingerprint, the cycle count, the delay model, the simulator options
+/// and — by regenerating the configured stimulus and comparing it cycle
+/// for cycle, since a baseline file does not store its seed — the
+/// stimulus itself, so a seed mismatch is caught too.
+#[must_use]
+pub fn baseline_mismatch(
+    baseline: &SimBaseline,
+    netlist: &Netlist,
+    config: &AnalysisConfig,
+) -> Option<String> {
+    if !baseline.matches_netlist(netlist) {
+        return Some(format!(
+            "baseline was recorded on `{}`, which does not match `{}` structurally \
+             (the circuit may have been edited since); delete the file to re-record",
+            baseline.netlist_name(),
+            netlist.name()
+        ));
+    }
+    if baseline.cycle_count() != config.cycles {
+        return Some(format!(
+            "baseline records {} cycles but --cycles is {}",
+            baseline.cycle_count(),
+            config.cycles
+        ));
+    }
+    if baseline.delay() != &config.delay {
+        return Some(
+            "baseline was recorded under a different delay model; re-record or match --delay"
+                .into(),
+        );
+    }
+    if baseline.options() != config.options {
+        return Some(
+            "baseline was recorded under different simulator options; re-record or match them"
+                .into(),
+        );
+    }
+    let mut regenerated = RandomStimulus::new(input_buses(netlist), config.cycles, config.seed);
+    (0..baseline.cycle_count())
+        .find(|&cycle| regenerated.next().as_ref() != Some(baseline.assignment(cycle)))
+        .map(|cycle| {
+            format!(
+                "baseline was recorded under a different stimulus (cycle {cycle} differs — \
+                 --seed mismatch?); re-record or match --seed"
+            )
+        })
+}
+
 /// One parsed flip entry: `cycle:net` (invert the baseline value) or
 /// `cycle:net=0|1` (force a value).
 pub struct FlipSpec {

@@ -65,8 +65,8 @@ pub struct JobRequest {
     pub delay: Option<String>,
     /// `--delays` (sweep only).
     pub delays: Option<String>,
-    /// `--engine` (`queue`, `kernel` or `hybrid`; the daemon defaults to
-    /// `hybrid`, which is bit-identical to `queue`).
+    /// `--engine` (`queue`, `kernel` or `hybrid`; defaults to `queue`, as
+    /// on the CLI).
     pub engine: Option<String>,
     /// `--tech`.
     pub tech: Option<String>,

@@ -15,7 +15,7 @@
 //! trace and removes the baseline spill directory.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -24,6 +24,12 @@ use std::time::Duration;
 
 use crate::engine::{Engine, RequestContext};
 use crate::protocol::{error_response, JobKind, JobRequest, Request};
+
+/// The longest request line the daemon reads, in bytes (newline
+/// included). A client that sends more without a newline gets one error
+/// line and is disconnected, so no client can grow a connection's buffer
+/// without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// How the daemon binds, sizes its pool and budgets its cache.
 #[derive(Debug, Clone)]
@@ -265,12 +271,8 @@ pub fn run_server(config: &ServeConfig) -> Result<(), String> {
                         // The client may already be gone; keep reducing.
                         let _ = reply.send(Reply::Interim(line));
                     };
-                    let interim: Option<&(dyn Fn(String) + Sync)> = if job.request.progress {
-                        Some(&emit)
-                    } else {
-                        None
-                    };
-                    let line = engine.run_job(job.kind, &job.request, track as u64, ctx, interim);
+                    let line =
+                        engine.run_job(job.kind, &job.request, track as u64, ctx, Some(&emit));
                     // The client may already be gone; the job still ran.
                     let _ = job.reply.send(Reply::Final(line));
                 }
@@ -304,6 +306,15 @@ pub fn run_server(config: &ServeConfig) -> Result<(), String> {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Reap finished connections so a long-lived daemon does not keep
+        // one handle per client it ever served.
+        let (finished, live): (Vec<_>, Vec<_>) = std::mem::take(&mut connections)
+            .into_iter()
+            .partition(|handle: &std::thread::JoinHandle<()>| handle.is_finished());
+        for handle in finished {
+            let _ = handle.join();
+        }
+        connections = live;
         let engine = Arc::clone(&engine);
         let queue = Arc::clone(&queue);
         let shutdown = Arc::clone(&shutdown);
@@ -355,10 +366,12 @@ fn serve_connection(
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        // `read_line` appends, so a partial line survives timeout retries.
-        match reader.read_line(&mut line) {
+        // `read_until` appends, so a partial line survives timeout
+        // retries; `take` stops it one byte past the cap.
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return,
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -369,7 +382,17 @@ fn serve_connection(
             }
             Err(_) => return,
         }
-        let request = line.trim().to_string();
+        if line.len() > MAX_REQUEST_BYTES {
+            engine.record_invalid(engine.next_request_id());
+            write_line(
+                &mut writer,
+                &error_response(&format!(
+                    "request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"
+                )),
+            );
+            return;
+        }
+        let request = String::from_utf8_lossy(&line).trim().to_string();
         line.clear();
         if request.is_empty() {
             continue;
