@@ -328,26 +328,17 @@ fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The shared [`params::analysis_config`] resolution, with the numeric
-/// flags pre-parsed through the CLI's own error messages.
+/// The shared [`params::analysis_config`] resolution for the commands
+/// that run outside the executor (`retime`, `sweep --flip-inputs`).
 fn analysis_config(args: &Args, library: &GateLibrary) -> Result<AnalysisConfig, CliError> {
-    let defaults = AnalysisConfig::default();
-    let cycles: u64 = args
-        .parsed_option("cycles", defaults.cycles)
-        .map_err(CliError::Usage)?;
-    let seed: u64 = args
-        .parsed_option("seed", defaults.seed)
-        .map_err(CliError::Usage)?;
-    let frequency_mhz: f64 = args
-        .parsed_option("frequency-mhz", defaults.frequency / 1e6)
-        .map_err(CliError::Usage)?;
+    let request = job_request(args, "")?;
     Ok(params::analysis_config(
         library,
-        Some(cycles),
-        Some(seed),
-        Some(frequency_mhz),
-        args.option("delay"),
-        args.option("engine"),
+        request.cycles,
+        request.seed,
+        request.frequency_mhz,
+        request.delay.as_deref(),
+        request.engine.as_deref(),
     )?)
 }
 
@@ -442,17 +433,6 @@ impl Resources for Fresh<'_> {
             before: Arc::new(before),
         }))
     }
-}
-
-/// The incremental fast paths replay recorded queue cycles, so they only
-/// compose with the queue engine.
-fn reject_engine_for(config: &AnalysisConfig, flag: &str) -> Result<(), CliError> {
-    if config.engine != EngineKind::Queue {
-        return Err(CliError::Usage(format!(
-            "--{flag} rides the incremental queue replay; drop --engine or --{flag}"
-        )));
-    }
-    Ok(())
 }
 
 fn analyze_netlist(netlist: &Netlist, config: &AnalysisConfig) -> Result<Analysis, CliError> {
@@ -1006,7 +986,14 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
     telemetry.cone_index_phase(&netlist);
     if let Some(list) = args.option("flip-inputs") {
         let config = analysis_config(&args, &library_for(&args)?)?;
-        reject_engine_for(&config, "flip-inputs")?;
+        // The input-flip sweep replays recorded queue cycles.
+        if config.engine != EngineKind::Queue {
+            return Err(CliError::Usage(
+                "--flip-inputs rides the incremental queue replay; drop --engine or \
+                 --flip-inputs"
+                    .into(),
+            ));
+        }
         return cmd_sweep_flips(&netlist, &path, &args, &config, list, &mut telemetry);
     }
     if args.option("flip-cycle").is_some() {
