@@ -153,9 +153,10 @@ struct DffInfo {
 
 /// Event-driven simulator for a single-clock synchronous netlist.
 ///
-/// This is the low-level driver: it owns a type-erased [`DelayModel`],
-/// dispatches every observable event to the attached [`Probe`]s, and knows
-/// nothing about activity traces, waveforms or power — those are probes.
+/// This is the low-level driver: it resolves a [`DelayModel`] into a
+/// per-cell delay table once, at construction, dispatches every observable
+/// event to the attached [`Probe`]s, and knows nothing about activity
+/// traces, waveforms or power — those are probes.
 /// Most callers should use [`crate::SimSession`] instead and only drop down
 /// to `ClockedSimulator` for cycle-by-cycle control.
 ///
@@ -163,17 +164,30 @@ struct DffInfo {
 /// example.
 pub struct ClockedSimulator<'a> {
     netlist: &'a Netlist,
-    delay: Box<dyn DelayModel + 'a>,
     options: SimOptions,
+    /// Propagation delay of each combinational cell's output pins, indexed
+    /// by cell: the delay model's answers, resolved once.
+    delays: Vec<[u64; 2]>,
     values: Vec<Value>,
     pending: Vec<Value>,
+    /// Net values when the current cycle began; a failed `step` restores
+    /// them.
+    cycle_start: Vec<Value>,
     dffs: Vec<DffInfo>,
     dff_state: Vec<Value>,
     constants: Vec<(NetId, Value)>,
     cycles: u64,
     queue: EventQueue,
     probes: Vec<Box<dyn Probe>>,
+    // Settle-loop scratch, reused across cycles so settling allocates
+    // nothing once warmed up.
+    events: Vec<(NetId, Value)>,
+    changed_nets: Vec<NetId>,
+    step_changed: Vec<(NetId, Value)>,
     scratch_cells: Vec<CellId>,
+    /// Generation marks de-duplicating nets per time point and cells per
+    /// delta iteration; `mark_generation` only grows, so no reset is needed.
+    net_mark: Vec<u64>,
     cell_mark: Vec<u64>,
     mark_generation: u64,
 }
@@ -225,19 +239,38 @@ impl<'a> ClockedSimulator<'a> {
                 _ => None,
             })
             .collect();
+        let delays: Vec<[u64; 2]> = netlist
+            .cells()
+            .map(|(_, cell)| {
+                let mut pins = [0; 2];
+                if !cell.is_sequential() {
+                    let kind = cell.kind();
+                    for (pin, slot) in pins.iter_mut().enumerate().take(kind.output_count()) {
+                        *slot = delay.delay(kind, pin);
+                    }
+                }
+                pins
+            })
+            .collect();
+        let horizon = delays.iter().flatten().copied().max().unwrap_or(0);
         Ok(ClockedSimulator {
             netlist,
-            delay: Box::new(delay),
             options,
+            delays,
             values: vec![Value::X; n],
             pending: vec![Value::X; n],
+            cycle_start: vec![Value::X; n],
             dffs,
             dff_state,
             constants,
             cycles: 0,
-            queue: EventQueue::new(),
+            queue: EventQueue::new(horizon, options.settle_budget),
             probes: Vec::new(),
+            events: Vec::new(),
+            changed_nets: Vec::new(),
+            step_changed: Vec::new(),
             scratch_cells: Vec::new(),
+            net_mark: vec![0; n],
             cell_mark: vec![0; netlist.cell_count()],
             mark_generation: 0,
         })
@@ -336,24 +369,35 @@ impl<'a> ClockedSimulator<'a> {
         self.queue.stats()
     }
 
-    fn schedule(&mut self, time: u64, net: NetId, value: Value) {
-        if self.pending[net.index()] != value {
-            self.pending[net.index()] = value;
-            self.queue.push(time, net, value);
-        }
-    }
-
     /// Simulates one clock cycle: applies the input assignment and the
     /// flipflop outputs at time 0, lets the combinational logic settle and
     /// reports every net transition to the attached probes.
+    ///
+    /// A failed step leaves the simulator as it found it: the assignment
+    /// is validated before anything is scheduled, and a cycle that does not
+    /// settle (or fails to evaluate a cell) is rolled back to the net
+    /// values it started from, so repeating it fails again. The probes have
+    /// seen its `on_cycle_start` and any transitions before the failure,
+    /// but no `on_cycle_end`.
     ///
     /// # Errors
     ///
     /// * [`SimError::NotAnInput`] if the assignment drives a non-input net.
     /// * [`SimError::DidNotSettle`] if the logic does not settle within the
     ///   configured budget.
+    /// * [`SimError::CellEval`] if a cell cannot be evaluated.
     pub fn step(&mut self, inputs: InputAssignment) -> Result<CycleStats, SimError> {
+        let netlist = self.netlist;
+        if let Some(&(net, _)) = inputs
+            .assignments()
+            .iter()
+            .find(|&&(net, _)| !netlist.net(net).is_primary_input())
+        {
+            return Err(SimError::NotAnInput(net));
+        }
+
         self.queue.clear();
+        self.cycle_start.copy_from_slice(&self.values);
         for probe in &mut self.probes {
             probe.on_cycle_start(self.cycles);
         }
@@ -361,76 +405,86 @@ impl<'a> ClockedSimulator<'a> {
         // Constant drivers assert their value at the start of every cycle;
         // after the first cycle this is a no-op because the scheduled value
         // never changes.
-        let constants = std::mem::take(&mut self.constants);
-        for &(net, value) in &constants {
-            self.schedule(0, net, value);
+        for &(net, value) in &self.constants {
+            schedule(&mut self.pending, &mut self.queue, 0, net, value);
         }
-        self.constants = constants;
-
         for &(net, value) in inputs.assignments() {
-            if !self.netlist.net(net).is_primary_input() {
-                return Err(SimError::NotAnInput(net));
-            }
-            self.schedule(0, net, Value::from(value));
+            schedule(
+                &mut self.pending,
+                &mut self.queue,
+                0,
+                net,
+                Value::from(value),
+            );
         }
-        let dff_updates: Vec<(NetId, Value)> = self
-            .dffs
-            .iter()
-            .zip(&self.dff_state)
-            .map(|(ff, &v)| (ff.q, v))
-            .collect();
-        for (q, v) in dff_updates {
-            self.schedule(0, q, v);
+        for (ff, &value) in self.dffs.iter().zip(&self.dff_state) {
+            schedule(&mut self.pending, &mut self.queue, 0, ff.q, value);
         }
 
-        let mut settle_time = 0u64;
-        let mut events_processed = 0u64;
-        let mut transitions = 0u64;
-        let mut cell_evals = 0u64;
-        let mut changed_nets: Vec<NetId> = Vec::new();
-        // Nets that changed during the current time step, with the value
-        // they held when the step began: a net transitions at most once per
-        // simulated time point, no matter how many zero-delay delta
-        // iterations it takes to settle that point.
-        let mut step_changed: Vec<(NetId, Value)> = Vec::new();
-
-        while let Some(time) = self.queue.earliest_time() {
-            if time > self.options.settle_budget {
+        let stats = match self.settle() {
+            Ok(stats) => stats,
+            Err(error) => {
+                // Every cycle starts with `pending == values` (see
+                // `replay_cycle`), so the snapshot restores both.
                 self.queue.clear();
-                return Err(SimError::DidNotSettle {
-                    cycle: self.cycles,
-                    budget: self.options.settle_budget,
-                });
+                self.values.copy_from_slice(&self.cycle_start);
+                self.pending.copy_from_slice(&self.cycle_start);
+                return Err(error);
             }
-            settle_time = time;
-            step_changed.clear();
+        };
+
+        // Sample flipflop inputs at the end of the cycle; they appear on the
+        // Q outputs at the start of the next cycle.
+        self.sample_dffs();
+        for probe in &mut self.probes {
+            probe.on_cycle_end(self.cycles, &stats);
+        }
+        self.cycles += 1;
+        Ok(stats)
+    }
+
+    /// Delivers the queued events in time order until the logic settles,
+    /// reporting each time point's transitions to the probes.
+    fn settle(&mut self) -> Result<CycleStats, SimError> {
+        let netlist = self.netlist;
+        let mut stats = CycleStats::default();
+        while let Some(time) = self.queue.earliest_time() {
+            stats.settle_time = time;
+            // Nets that changed during this time point, with the value they
+            // held when it began (marked with `step_mark`): a net
+            // transitions at most once per simulated time point, no matter
+            // how many zero-delay delta iterations it takes to settle it.
+            self.mark_generation += 1;
+            let step_mark = self.mark_generation;
+            self.step_changed.clear();
 
             // Delta loop: zero-delay cells keep scheduling at the same time
             // point until the values stabilise.
-            while let Some(events) = self.queue.pop_at(time) {
-                changed_nets.clear();
-                for (net, value) in events {
-                    events_processed += 1;
+            while self.queue.pop_at(time, &mut self.events) {
+                self.changed_nets.clear();
+                for &(net, value) in &self.events {
+                    stats.events += 1;
                     let idx = net.index();
                     let old = self.values[idx];
                     if old == value {
                         continue;
                     }
-                    if !step_changed.iter().any(|(n, _)| *n == net) {
-                        step_changed.push((net, old));
+                    if self.net_mark[idx] != step_mark {
+                        self.net_mark[idx] = step_mark;
+                        self.step_changed.push((net, old));
                     }
                     self.values[idx] = value;
-                    changed_nets.push(net);
+                    self.changed_nets.push(net);
                 }
 
                 // Collect combinational cells affected by the changed nets,
                 // de-duplicated via a generation-marking trick.
                 self.mark_generation += 1;
                 self.scratch_cells.clear();
-                for &net in &changed_nets {
-                    for load in self.netlist.net(net).loads() {
+                for &net in &self.changed_nets {
+                    for load in netlist.net(net).loads() {
                         let cell = load.cell;
-                        if self.netlist.cell(cell).is_sequential() {
+                        if netlist.cell(cell).is_sequential() {
                             continue;
                         }
                         if self.cell_mark[cell.index()] != self.mark_generation {
@@ -441,30 +495,23 @@ impl<'a> ClockedSimulator<'a> {
                 }
 
                 let affected = std::mem::take(&mut self.scratch_cells);
-                let mut eval_failure = None;
-                for &cell_id in &affected {
-                    cell_evals += 1;
-                    if let Err(error) = self.evaluate_and_schedule(cell_id, time) {
-                        eval_failure = Some(error);
-                        break;
-                    }
-                }
+                let evaluated = affected.iter().try_for_each(|&cell_id| {
+                    stats.cell_evals += 1;
+                    self.evaluate_and_schedule(cell_id, time)
+                });
                 self.scratch_cells = affected;
-                if let Some(error) = eval_failure {
-                    self.queue.clear();
-                    return Err(error);
-                }
+                evaluated?;
             }
 
             // Report one transition per net that ended the time step with a
             // different value than it started with.
-            for &(net, old) in &step_changed {
+            for &(net, old) in &self.step_changed {
                 let new = self.values[net.index()];
                 if old == new {
                     continue;
                 }
                 let kind = if old.transitions_to(new) {
-                    transitions += 1;
+                    stats.transitions += 1;
                     if old.is_rising_to(new) {
                         TransitionKind::Rise
                     } else {
@@ -486,26 +533,21 @@ impl<'a> ClockedSimulator<'a> {
             }
         }
 
-        // Sample flipflop inputs at the end of the cycle; they appear on the
-        // Q outputs at the start of the next cycle.
-        let sampled: Vec<Value> = self
-            .dffs
-            .iter()
-            .map(|ff| self.values[ff.d.index()])
-            .collect();
-        self.dff_state = sampled;
-
-        let stats = CycleStats {
-            transitions,
-            settle_time,
-            events: events_processed,
-            cell_evals,
-        };
-        for probe in &mut self.probes {
-            probe.on_cycle_end(self.cycles, &stats);
+        // Every in-budget event has been delivered; an event past the
+        // budget means the logic is still moving.
+        if self.queue.exceeded_budget() {
+            return Err(SimError::DidNotSettle {
+                cycle: self.cycles,
+                budget: self.options.settle_budget,
+            });
         }
-        self.cycles += 1;
         Ok(stats)
+    }
+
+    fn sample_dffs(&mut self) {
+        for (state, ff) in self.dff_state.iter_mut().zip(&self.dffs) {
+            *state = self.values[ff.d.index()];
+        }
     }
 
     /// Replays one recorded clock cycle without touching the event queue:
@@ -547,12 +589,7 @@ impl<'a> ClockedSimulator<'a> {
                 probe.on_transition(&event);
             }
         }
-        let sampled: Vec<Value> = self
-            .dffs
-            .iter()
-            .map(|ff| self.values[ff.d.index()])
-            .collect();
-        self.dff_state = sampled;
+        self.sample_dffs();
         for probe in &mut self.probes {
             probe.on_cycle_end(self.cycles, stats);
         }
@@ -571,6 +608,7 @@ impl<'a> ClockedSimulator<'a> {
         }
         let cell = self.netlist.cell(cell_id);
         let kind = cell.kind();
+        let delays = self.delays[cell_id.index()];
 
         // Gather input values; any X makes the (non-constant) outputs X.
         let mut any_x = false;
@@ -591,11 +629,9 @@ impl<'a> ClockedSimulator<'a> {
             }
         }
 
-        let outputs: Vec<NetId> = cell.outputs().to_vec();
         if any_x && !matches!(kind, CellKind::Const(_)) {
-            for (pin, out) in outputs.into_iter().enumerate() {
-                let d = self.delay.delay(kind, pin);
-                self.schedule(time + d, out, Value::X);
+            for (&out, d) in cell.outputs().iter().zip(delays) {
+                schedule(&mut self.pending, &mut self.queue, time + d, out, Value::X);
             }
             return Ok(());
         }
@@ -606,9 +642,14 @@ impl<'a> ClockedSimulator<'a> {
                 cell: cell.name().to_string(),
                 error,
             })?;
-        for (pin, out) in outputs.into_iter().enumerate() {
-            let d = self.delay.delay(kind, pin);
-            self.schedule(time + d, out, Value::from(out_bits[pin]));
+        for ((&out, d), bit) in cell.outputs().iter().zip(delays).zip(out_bits) {
+            schedule(
+                &mut self.pending,
+                &mut self.queue,
+                time + d,
+                out,
+                Value::from(bit),
+            );
         }
         Ok(())
     }
@@ -637,10 +678,15 @@ impl<'a> ClockedSimulator<'a> {
                 cell: cell.name().to_string(),
                 error,
             })?;
-        let outputs: Vec<NetId> = cell.outputs().to_vec();
-        for (pin, out) in outputs.into_iter().enumerate() {
-            let d = self.delay.delay(kind, pin);
-            self.schedule(time + d, out, Value::from(out_tris[pin]));
+        let delays = self.delays[cell_id.index()];
+        for ((&out, d), tri) in cell.outputs().iter().zip(delays).zip(out_tris) {
+            schedule(
+                &mut self.pending,
+                &mut self.queue,
+                time + d,
+                out,
+                Value::from(tri),
+            );
         }
         Ok(())
     }
@@ -660,6 +706,15 @@ impl<'a> ClockedSimulator<'a> {
             stats.push(self.step(assignment)?);
         }
         Ok(stats)
+    }
+}
+
+/// Queues `value` on `net` at `time` unless it is already the net's last
+/// scheduled value.
+fn schedule(pending: &mut [Value], queue: &mut EventQueue, time: u64, net: NetId, value: Value) {
+    if pending[net.index()] != value {
+        pending[net.index()] = value;
+        queue.push(time, net, value);
     }
 }
 
@@ -875,6 +930,95 @@ mod tests {
         let mut sim = ClockedSimulator::new(&nl, UnitDelay).unwrap();
         let err = sim.step(InputAssignment::new().with(y, true)).unwrap_err();
         assert!(matches!(err, SimError::NotAnInput(_)));
+    }
+
+    #[test]
+    fn a_rejected_assignment_leaves_the_simulator_untouched() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let y = nl.inv(a, "y");
+        nl.mark_output(y);
+        let mut sim = ClockedSimulator::new(&nl, UnitDelay).unwrap();
+        sim.step(InputAssignment::new().with(a, false)).unwrap();
+        let err = sim
+            .step(InputAssignment::new().with(a, true).with(y, true))
+            .unwrap_err();
+        assert_eq!(err, SimError::NotAnInput(y));
+        assert_eq!(sim.cycle_count(), 1);
+        assert_eq!(sim.net_bool(a), Some(false));
+        // The valid half of the rejected assignment was not half-applied:
+        // driving it now still changes the input.
+        let stats = sim.step(InputAssignment::new().with(a, true)).unwrap();
+        assert_eq!(stats.transitions, 2);
+        assert_eq!(sim.net_bool(a), Some(true));
+        assert_eq!(sim.net_bool(y), Some(false));
+    }
+
+    /// Six inverters need six delay units against a budget of three.
+    fn slow_chain() -> (Netlist, NetId, NetId) {
+        let mut nl = Netlist::new("slow");
+        let a = nl.add_input("a");
+        let mut cur = a;
+        for i in 0..6 {
+            cur = nl.inv(cur, &format!("i{i}"));
+        }
+        nl.mark_output(cur);
+        (nl, a, cur)
+    }
+
+    fn budget_3() -> SimOptions {
+        SimOptions {
+            settle_budget: 3,
+            ..SimOptions::default()
+        }
+    }
+
+    #[test]
+    fn a_cycle_that_does_not_settle_is_rolled_back() {
+        let (nl, a, y) = slow_chain();
+        let mut sim = ClockedSimulator::with_options(&nl, UnitDelay, budget_3()).unwrap();
+        let drive = || InputAssignment::new().with(a, true);
+        let expected = SimError::DidNotSettle {
+            cycle: 0,
+            budget: 3,
+        };
+        assert_eq!(sim.step(drive()).unwrap_err(), expected);
+        assert_eq!(sim.net_value(a), Value::X, "the failed cycle is undone");
+        // The same input fails again instead of "settling" with nothing to
+        // do on top of the abandoned cycle's half-propagated state.
+        assert_eq!(sim.step(drive()).unwrap_err(), expected);
+        assert_eq!(sim.net_value(y), Value::X);
+        assert_eq!(sim.cycle_count(), 0);
+        // A cycle that changes nothing settles, from the pre-failure state.
+        let idle = sim.step(InputAssignment::new()).unwrap();
+        assert_eq!(idle.events, 0);
+        assert_eq!(sim.net_value(a), Value::X);
+        // With room to settle, the same input goes through.
+        let mut roomy = ClockedSimulator::new(&nl, UnitDelay).unwrap();
+        assert_eq!(roomy.step(drive()).unwrap().settle_time, 6);
+        assert_eq!(roomy.net_bool(y), Some(true));
+    }
+
+    #[test]
+    fn did_not_settle_follows_every_in_budget_transition() {
+        /// Records the time of every transition it sees.
+        #[derive(Default)]
+        struct Times(Vec<u64>);
+        impl Probe for Times {
+            fn on_transition(&mut self, t: &Transition) {
+                self.0.push(t.time);
+            }
+        }
+        let (nl, a, _) = slow_chain();
+        let mut sim = ClockedSimulator::with_options(&nl, UnitDelay, budget_3()).unwrap();
+        sim.attach_probe(Box::<Times>::default());
+        let err = sim.step(InputAssignment::new().with(a, true)).unwrap_err();
+        assert!(matches!(err, SimError::DidNotSettle { .. }));
+        // a at 0 and the first three inverters at 1..=3 were delivered
+        // before the event at t = 4 ended the cycle.
+        assert_eq!(sim.probe_ref::<Times>().unwrap().0, vec![0, 1, 2, 3]);
+        assert_eq!(sim.queue_stats().pops, 4);
+        assert_eq!(sim.queue_stats().pushes, 5);
     }
 
     #[test]

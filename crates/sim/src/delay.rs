@@ -11,8 +11,10 @@ use glitch_netlist::CellKind;
 
 /// Maps a cell kind and output pin to a propagation delay.
 ///
-/// Implementations must be pure functions of their arguments: the simulator
-/// may query them repeatedly and in any order.
+/// Implementations must be pure functions of their arguments. A
+/// [`crate::ClockedSimulator`] queries each `(kind, output)` of its
+/// netlist's combinational cells once, at construction, and settles every
+/// cycle from the resolved per-cell table.
 pub trait DelayModel {
     /// Propagation delay, in delay units, from any input of a cell of `kind`
     /// to its output pin `output`.
@@ -170,8 +172,8 @@ impl<D: DelayModel + ?Sized> DelayModel for &D {
     }
 }
 
-// Allow passing boxed (type-erased) delay models; the simulator itself
-// stores its model as `Box<dyn DelayModel>`.
+// Allow passing boxed (type-erased) delay models, as built by
+// `DelayKind::into_model`.
 impl<D: DelayModel + ?Sized> DelayModel for Box<D> {
     fn delay(&self, kind: CellKind, output: usize) -> u64 {
         (**self).delay(kind, output)
