@@ -18,6 +18,21 @@ impl NodeActivity {
         Self::default()
     }
 
+    /// Records `cycles` clock cycles at once from their totals: `transitions`
+    /// over all of them, `useful` of which passed the parity rule — what
+    /// `cycles` calls of [`NodeActivity::record_cycle`] would accumulate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `useful` exceeds `transitions`.
+    pub fn record_totals(&mut self, cycles: u64, transitions: u64, useful: u64) {
+        assert!(useful <= transitions, "more useful than total transitions");
+        self.transitions += transitions;
+        self.useful += useful;
+        self.useless += transitions - useful;
+        self.cycles += cycles;
+    }
+
     /// Records one clock cycle in which the node made `count` transitions.
     pub fn record_cycle(&mut self, count: u64) {
         let split = split_by_parity(count);

@@ -58,6 +58,25 @@ impl ActivityTrace {
         self.cycles += 1;
     }
 
+    /// Records `cycles` clock cycles at once from per-node totals — the
+    /// bulk form of [`ActivityTrace::record_cycle`] for producers that
+    /// classify each cycle themselves (see [`NodeActivity::record_totals`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice's length differs from the node count.
+    pub fn record_totals(&mut self, cycles: u64, transitions: &[u64], useful: &[u64]) {
+        assert!(
+            transitions.len() == self.nodes.len() && useful.len() == self.nodes.len(),
+            "totals do not cover the trace's {} nodes",
+            self.nodes.len()
+        );
+        for ((node, &t), &u) in self.nodes.iter_mut().zip(transitions).zip(useful) {
+            node.record_totals(cycles, t, u);
+        }
+        self.cycles += cycles;
+    }
+
     /// Per-node statistics.
     #[must_use]
     pub fn node(&self, index: usize) -> &NodeActivity {

@@ -52,13 +52,21 @@ commands:
               --engine <name>      queue | kernel | hybrid [queue, also in
                                    the serve daemon].
                                    `queue` is the event-driven reference;
-                                   `hybrid` adds a compiled bit-parallel
-                                   kernel prepass that proves cycles quiet
-                                   so only active cycles pay for the timed
-                                   settle (reports bit-identical to queue);
+                                   its batch jobs (--seeds without
+                                   --metrics or per-transition artefacts,
+                                   and every sweep) settle on the timed
+                                   bit-parallel kernel, with identical
+                                   reports, when every non-constant delay
+                                   is >= 1 (or all are 0) and the settle
+                                   budget covers the static horizon;
+                                   `hybrid` settles every job event by
+                                   event after a compiled kernel prepass
+                                   that proves cycles quiet (reports
+                                   bit-identical to queue);
                                    `kernel` runs the compiled kernel alone
                                    (functional zero-delay semantics, no
-                                   glitch modelling, no event queue)
+                                   glitch modelling, no event queue; it
+                                   refuses a --delay other than zero)
               --frequency-mhz <f>  clock for the power estimate [5]
               --tech <name>        0.8um | 65nm [0.8um]
               --csv <file>         write per-node activity as CSV
@@ -141,7 +149,10 @@ commands:
               --strict             exit with an error when the verdict
                                    is FAIL
               --engine <name>      as in analyze; hybrid verdicts are
-                                   bit-identical to queue verdicts
+                                   bit-identical to queue verdicts;
+                                   kernel refuses --budget and --hazards
+                                   (they would pass vacuously at zero
+                                   delay)
               --cycles/--seed/--delay/--tech/--json as above
   retime    cutset pipelining of a combinational circuit, with a
             before/after activity and power comparison

@@ -1057,3 +1057,134 @@ fn analyze_flip_baseline_file_skips_the_recording_pass() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every bundled netlist through the real front end: the default `queue`
+/// engine settles batch jobs on the timed kernel, `--engine hybrid` on the
+/// event queue, and both must print the same bytes at any worker count.
+#[test]
+fn batch_reports_match_the_event_path_on_every_bundled_netlist() {
+    let mut netlists: Vec<PathBuf> = std::fs::read_dir(data(""))
+        .expect("the corpus directory lists")
+        .map(|entry| entry.expect("a corpus entry").path())
+        .filter(|path| {
+            matches!(
+                path.extension().and_then(|e| e.to_str()),
+                Some("blif" | "v")
+            )
+        })
+        .collect();
+    netlists.sort();
+    assert!(netlists.len() >= 8, "{netlists:?}");
+    for path in &netlists {
+        let file = path.to_str().expect("UTF-8 corpus paths");
+        let commands: [&[&str]; 2] = [
+            &["sweep", file, "--delays", "unit,zero,adder,library"],
+            &["analyze", file, "--seeds", "3"],
+        ];
+        for command in commands {
+            for jobs in ["1", "2"] {
+                let mut args = command.to_vec();
+                args.extend(["--cycles", "130", "--json", "--jobs", jobs]);
+                let routed = run(&args);
+                assert!(routed.status.success(), "{args:?}: {}", stderr(&routed));
+                args.extend(["--engine", "hybrid"]);
+                let event = run(&args);
+                assert!(event.status.success(), "{args:?}: {}", stderr(&event));
+                assert_eq!(stdout(&routed), stdout(&event), "{args:?}");
+            }
+        }
+    }
+}
+
+/// The kernel engine has no delays: an explicit timed delay model, or a
+/// settle-budget or hazard check, would report zero-delay figures as if
+/// they were timed (a `check` would pass vacuously), so both are refused.
+#[test]
+fn the_kernel_engine_refuses_timed_delays_and_timing_checks() {
+    let mult = data("mult4.blif");
+    let refused: [(&[&str], &str); 4] = [
+        (
+            &[
+                "check",
+                &mult,
+                "--budget",
+                "outputs=4",
+                "--delay",
+                "adder",
+                "--engine",
+                "kernel",
+            ],
+            "zero delay only",
+        ),
+        (
+            &[
+                "check",
+                &mult,
+                "--budget",
+                "outputs=4",
+                "--engine",
+                "kernel",
+            ],
+            "pass vacuously",
+        ),
+        (
+            &["check", &mult, "--hazards", "--engine", "kernel"],
+            "pass vacuously",
+        ),
+        (
+            &[
+                "analyze",
+                &data("rca4.blif"),
+                "--engine",
+                "kernel",
+                "--delay",
+                "adder",
+            ],
+            "zero delay only",
+        ),
+    ];
+    for (args, message) in refused {
+        let output = run(args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&output).contains(message),
+            "{args:?}: {}",
+            stderr(&output)
+        );
+        assert!(stdout(&output).is_empty(), "{args:?}");
+    }
+    // The queue engine finds the violations the kernel would have hidden.
+    let timed = run(&[
+        "check",
+        &mult,
+        "--budget",
+        "outputs=4",
+        "--delay",
+        "adder",
+        "--cycles",
+        "100",
+    ]);
+    assert!(
+        stdout(&timed).contains("verdict: FAIL"),
+        "{}",
+        stdout(&timed)
+    );
+    // Zero delay, or no delay at all, stays the kernel's to run.
+    for args in [
+        &["analyze", &mult, "--engine", "kernel", "--cycles", "50"][..],
+        &[
+            "analyze", &mult, "--engine", "kernel", "--delay", "zero", "--cycles", "50",
+        ],
+        &[
+            "check",
+            &data("counter4.blif"),
+            "--engine",
+            "kernel",
+            "--cycles",
+            "50",
+        ],
+    ] {
+        let output = run(args);
+        assert!(output.status.success(), "{args:?}: {}", stderr(&output));
+    }
+}

@@ -202,6 +202,25 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
                 "--json",
             ],
         ),
+        // Default-engine batches: settled on the timed kernel.
+        (
+            format!(r#"{{"op":"sweep","file":"{mult}","cycles":70}}"#),
+            vec!["sweep", &mult, "--cycles", "70", "--json"],
+        ),
+        (
+            format!(r#"{{"op":"sweep","file":"{counter}","cycles":70}}"#),
+            vec!["sweep", &counter, "--cycles", "70", "--json"],
+        ),
+        (
+            format!(r#"{{"op":"analyze","file":"{mult}","cycles":70,"seeds":3}}"#),
+            vec!["analyze", &mult, "--cycles", "70", "--seeds", "3", "--json"],
+        ),
+        (
+            format!(r#"{{"op":"analyze","file":"{counter}","cycles":70,"seeds":3}}"#),
+            vec![
+                "analyze", &counter, "--cycles", "70", "--seeds", "3", "--json",
+            ],
+        ),
         (
             format!(
                 r#"{{"op":"reduce","file":"{mult}","cycles":96,"seeds":2,"jobs":1,"max_iters":2}}"#
@@ -289,6 +308,44 @@ fn repeated_flips_are_served_from_the_baseline_cache() {
     assert!(
         metrics.contains(r#""cache.netlist_misses":1"#),
         "expected one parsed netlist shared by all flips in {metrics}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn the_kernel_engine_refuses_timed_delays_and_timing_checks() {
+    let daemon = Daemon::spawn(&[]);
+    let mult = data("mult4.blif");
+    let requests = [
+        format!(
+            r#"{{"op":"analyze","file":"{mult}","cycles":40,"engine":"kernel","delay":"adder"}}"#
+        ),
+        format!(
+            r#"{{"op":"check","file":"{mult}","cycles":40,"engine":"kernel","budget":"outputs=4"}}"#
+        ),
+        format!(r#"{{"op":"check","file":"{mult}","cycles":40,"engine":"kernel","hazards":true}}"#),
+        format!(
+            r#"{{"op":"analyze","file":"{mult}","cycles":40,"engine":"kernel","delay":"zero"}}"#
+        ),
+    ];
+    let lines: Vec<&str> = requests.iter().map(String::as_str).collect();
+    let responses = daemon.client(&lines);
+    assert!(
+        responses[0].starts_with(r#"{"error":"#) && responses[0].contains("zero delay only"),
+        "{}",
+        responses[0]
+    );
+    for response in &responses[1..3] {
+        assert!(
+            response.starts_with(r#"{"error":"#) && response.contains("pass vacuously"),
+            "{response}"
+        );
+    }
+    assert_eq!(
+        responses[3],
+        one_shot_json(&[
+            "analyze", &mult, "--cycles", "40", "--engine", "kernel", "--delay", "zero", "--json"
+        ])
     );
     daemon.shutdown();
 }

@@ -159,3 +159,66 @@ fn telemetry_off_keeps_the_bare_output_clean() {
     assert!(!text.contains("counters"));
     assert!(!text.contains("spans (wall clock"));
 }
+
+/// The value of counter `name` in a `--metrics-json` line.
+fn counter<'a>(line: &'a str, name: &str) -> &'a str {
+    let key = format!("\"{name}\":");
+    let start = line
+        .find(&key)
+        .map(|at| at + key.len())
+        .unwrap_or_else(|| panic!("no {name}: {line}"));
+    let len = line[start..].find([',', '}']).expect("a terminated value");
+    &line[start..start + len]
+}
+
+#[test]
+fn sweep_metrics_count_the_timed_shards_and_keep_the_engine_counters() {
+    let trace_path = tmp("sweep.trace.json");
+    let timed = stdout_of(&[
+        "sweep",
+        &data("rca4.blif"),
+        "--cycles",
+        "100",
+        "--delays",
+        "unit,zero",
+        "--metrics-json",
+        "--trace-out",
+        trace_path.to_str().unwrap(),
+    ]);
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    std::fs::remove_file(&trace_path).ok();
+    assert!(
+        trace.contains("(timed)\""),
+        "timed shards are marked: {trace}"
+    );
+    let timed = timed.lines().last().expect("metrics line");
+    assert_eq!(counter(timed, "timed.shards"), "2");
+    assert_eq!(counter(timed, "timed.lanes"), "200");
+    assert_ne!(counter(timed, "timed.op_evals"), "0");
+    assert_ne!(counter(timed, "timed.horizon"), "0");
+    // The event path counts the same engine work and no timed shard.
+    let event = stdout_of(&[
+        "sweep",
+        &data("rca4.blif"),
+        "--cycles",
+        "100",
+        "--delays",
+        "unit,zero",
+        "--engine",
+        "hybrid",
+        "--metrics-json",
+    ]);
+    let event = event.lines().last().expect("metrics line");
+    assert!(!event.contains("timed."), "{event}");
+    for name in [
+        "sim.cycles",
+        "sim.events",
+        "sim.cell_evals",
+        "sim.max_settle_time",
+        "queue.pushes",
+        "queue.pops",
+        "queue.peak_depth",
+    ] {
+        assert_eq!(counter(timed, name), counter(event, name), "{name}");
+    }
+}

@@ -19,7 +19,11 @@ use glitch_sim::{
 /// differ in *how* net values are computed per cycle:
 ///
 /// * [`EngineKind::Queue`] — the event-driven simulator with the
-///   configured delay model. The reference engine: models glitches.
+///   configured delay model. The reference engine: models glitches. Its
+///   batch jobs that carry only the standard probes settle on the timed
+///   kernel ([`ParallelRunner::run_jobs`]) whenever their delays are all
+///   ≥ 1 (or all 0) on non-constant cells and their static horizon fits
+///   the settle budget — with reports equal to the event-driven ones.
 /// * [`EngineKind::Kernel`] — the compiled bit-parallel kernel only.
 ///   Functional (zero-delay) semantics: activity and power equal a
 ///   [`DelayKind::Zero`] queue run bit for bit, 64 seeds per machine word,
@@ -27,8 +31,9 @@ use glitch_sim::{
 /// * [`EngineKind::Hybrid`] — a kernel prepass classifies every
 ///   `(seed, cycle)` pair as provably quiet or possibly active; only the
 ///   active cycles pay for the event-driven settle, and quiet cycles
-///   replay as empty. Reports are bit-identical to [`EngineKind::Queue`]
-///   at any worker count.
+///   replay as empty. Every job settles event by event, so reports are
+///   bit-identical to [`EngineKind::Queue`] at any worker count by the
+///   timed kernel's contract, which makes this engine its cross-check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Event-driven simulation with the configured delay model.
@@ -79,9 +84,11 @@ impl FromStr for EngineKind {
 /// determinism-checked figures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelTelemetry {
-    /// The engine that produced this run. A delay sweep always settles
-    /// through the queue, so [`EngineKind::Kernel`] degrades to
-    /// [`EngineKind::Hybrid`] there.
+    /// The engine that produced this run. A delay sweep compares delay
+    /// models, which the functional kernel cannot evaluate, so
+    /// [`EngineKind::Kernel`] degrades to [`EngineKind::Hybrid`] there.
+    /// (Queue-engine sweeps settle on the timed kernel instead and carry
+    /// no telemetry here; see [`glitch_sim::ShardSummary::timed`].)
     pub engine: EngineKind,
     /// Lanes (seeds) the kernel batch packed.
     pub lanes: usize,
@@ -572,7 +579,10 @@ impl GlitchAnalyzer {
     /// Long-lived callers (the serving layer's content-addressed program
     /// cache) amortise the one-time compile this way; a program is
     /// deterministic for a netlist, so the figures are identical either
-    /// way. Ignored under [`EngineKind::Queue`].
+    /// way. Under [`EngineKind::Queue`], when no extra probe is attached,
+    /// the program drives the timed kernel that settles every qualifying
+    /// seed ([`ParallelRunner::run_jobs`]); it is compiled on demand when
+    /// absent.
     ///
     /// # Errors
     ///
@@ -599,9 +609,18 @@ impl GlitchAnalyzer {
             .iter()
             .map(|&seed| self.job(netlist, random_buses, held, seed))
             .collect();
-        let mut telemetry = None;
-        match self.config.engine {
-            EngineKind::Queue => {}
+        let telemetry = match self.config.engine {
+            // Jobs with only the standard probes settle on the timed kernel
+            // where their delays allow it; extra probes need the
+            // per-transition hooks of a session.
+            EngineKind::Queue => {
+                let reports = if (0..job_list.len()).all(|index| extra_probes(index).is_empty()) {
+                    run_routed(netlist, &job_list, jobs, program)?
+                } else {
+                    ParallelRunner::new(jobs).run_sessions_with(&job_list, extra_probes)?
+                };
+                return Ok(reduce_seeds(netlist, seeds, &job_list, reports));
+            }
             EngineKind::Kernel => {
                 let compiled;
                 let program = match program {
@@ -640,18 +659,17 @@ impl GlitchAnalyzer {
                     }
                 };
                 let prepass = kernel_prepass(netlist, program, &job_list)?;
-                telemetry = Some(KernelTelemetry::from_prepass(netlist, program, &prepass)?);
                 job_list = job_list
                     .into_iter()
                     .enumerate()
                     .map(|(lane, job)| job.with_quiet_cycles(prepass.quiet_cycles(lane)))
                     .collect();
+                KernelTelemetry::from_prepass(netlist, program, &prepass)?
             }
-        }
-        let mut reports = ParallelRunner::new(jobs).run_sessions_with(&job_list, extra_probes)?;
-        let aggregate = AggregateReport::reduce(netlist, &job_list, &mut reports);
-        let mut analysis = AggregateAnalysis::from_aggregate(netlist, seeds, aggregate);
-        analysis.kernel = telemetry;
+        };
+        let reports = ParallelRunner::new(jobs).run_sessions_with(&job_list, extra_probes)?;
+        let (mut analysis, reports) = reduce_seeds(netlist, seeds, &job_list, reports);
+        analysis.kernel = Some(telemetry);
         Ok((analysis, reports))
     }
 
@@ -666,7 +684,9 @@ impl GlitchAnalyzer {
     /// purely model-induced.
     ///
     /// `program` is an optional precompiled [`KernelProgram`] to reuse (see
-    /// [`GlitchAnalyzer::analyze_seeds`]). Under a non-queue engine the
+    /// [`GlitchAnalyzer::analyze_seeds`]). Under [`EngineKind::Queue`] every
+    /// combination whose delays qualify settles on the timed kernel, with
+    /// the event-driven session's figures. Under a non-queue engine the
     /// kernel prepass runs **once** per seed batch — quiet cycles are a
     /// functional property of the stimulus, so the same masks prune every
     /// delay model's chunk. A sweep exists to compare delay models, which
@@ -710,7 +730,9 @@ impl GlitchAnalyzer {
             })
             .collect();
         let mut telemetry = None;
-        if self.config.engine != EngineKind::Queue {
+        let reports = if self.config.engine == EngineKind::Queue {
+            run_routed(netlist, &job_list, jobs, program)?
+        } else {
             let compiled;
             let program = match program {
                 Some(program) => program,
@@ -732,8 +754,8 @@ impl GlitchAnalyzer {
                 .enumerate()
                 .map(|(i, job)| job.with_quiet_cycles(prepass.quiet_cycles(i % seeds.len())))
                 .collect();
-        }
-        let reports = ParallelRunner::new(jobs).run_sessions(&job_list)?;
+            ParallelRunner::new(jobs).run_sessions(&job_list)?
+        };
         // Chunk the flat batch back into one aggregate per delay model.
         let mut points = Vec::with_capacity(labels_and_delays.len());
         let mut reports = reports.into_iter();
@@ -750,6 +772,42 @@ impl GlitchAnalyzer {
         }
         Ok(points)
     }
+}
+
+/// Runs a queue-engine batch with the standard probes through
+/// [`ParallelRunner::run_jobs`], which settles every qualifying job on the
+/// timed kernel. A netlist that does not compile fails the validation
+/// its sessions would fail, with the same error.
+fn run_routed(
+    netlist: &Netlist,
+    jobs: &[SimJob<'_>],
+    workers: usize,
+    program: Option<&KernelProgram>,
+) -> Result<Vec<SessionReport>, SimError> {
+    let compiled;
+    let program = match program {
+        Some(program) => program,
+        None => {
+            compiled = KernelProgram::compile(netlist)?;
+            &compiled
+        }
+    };
+    ParallelRunner::new(workers).run_jobs(jobs, program)
+}
+
+/// Folds a seed batch's reports into the aggregate analysis, handing the
+/// reports (stripped of the standard probes) back.
+fn reduce_seeds(
+    netlist: &Netlist,
+    seeds: &[u64],
+    jobs: &[SimJob<'_>],
+    mut reports: Vec<SessionReport>,
+) -> (AggregateAnalysis, Vec<SessionReport>) {
+    let aggregate = AggregateReport::reduce(netlist, jobs, &mut reports);
+    (
+        AggregateAnalysis::from_aggregate(netlist, seeds, aggregate),
+        reports,
+    )
 }
 
 #[cfg(test)]

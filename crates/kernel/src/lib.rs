@@ -8,9 +8,13 @@
 //! levelized straight-line program — one [`CellKind`](glitch_netlist::CellKind) op per combinational
 //! cell, in topological order — that is then evaluated with word-wide
 //! bitwise operations over a [`KernelState`]: 64 independent stimulus
-//! *lanes* per `u64` word, any number of words. There is no event queue,
-//! no per-event allocation, and no notion of time: the kernel computes the
-//! zero-delay (functional) fixed point of every cycle.
+//! *lanes* per `u64` word, any number of words. There is no event queue
+//! and no per-event allocation. [`KernelProgram::eval`] computes the
+//! zero-delay (functional) fixed point of every cycle; [`TimedSchedule`]
+//! adds time: with one clock cycle per lane it steps each net across its
+//! static arrival window under integer transport delays, reproducing the
+//! event-driven simulator's transitions, settle times and queue traffic
+//! exactly. Both evaluate through the same per-kind plane formulas.
 //!
 //! ## Three-valued planes
 //!
@@ -38,13 +42,17 @@
 //! Models"), so a cheap functional pass is a sound pre-filter for the
 //! expensive timed settle: the hybrid engine in `glitch-core` runs this
 //! kernel over all seeds at once and only dispatches the cycles the kernel
-//! could not prove quiet to the event queue.
+//! could not prove quiet to the event queue. The timed schedule goes
+//! further and replaces the event queue for batch jobs whose delays it
+//! can step (`glitch_sim::ParallelRunner::run_jobs`).
 
 mod program;
 mod state;
+mod timed;
 
 pub use program::{DffSlot, EvalMode, KernelProgram};
 pub use state::KernelState;
+pub use timed::{CycleLanes, LaneStats, TimedSchedule, TimedTally};
 
 // Re-exported so kernel users can name the compile error without
 // depending on glitch-netlist directly.

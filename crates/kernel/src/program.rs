@@ -20,14 +20,21 @@ pub enum EvalMode {
 /// One compiled combinational cell: its kind, an operand range into the
 /// shared operand pool, and one or two output nets.
 #[derive(Debug, Clone, Copy)]
-struct Op {
-    kind: CellKind,
-    first: u32,
-    count: u16,
-    out0: u32,
+pub(crate) struct Op {
+    pub(crate) kind: CellKind,
+    pub(crate) first: u32,
+    pub(crate) count: u16,
+    pub(crate) out0: u32,
     /// Second output (carry of the compound adder cells), `u32::MAX`
     /// when the kind has a single output.
-    out1: u32,
+    pub(crate) out1: u32,
+}
+
+impl Op {
+    /// The op's output nets: one, or two for the compound adder kinds.
+    pub(crate) fn outputs(&self) -> impl Iterator<Item = u32> {
+        std::iter::once(self.out0).chain((self.out1 != u32::MAX).then_some(self.out1))
+    }
 }
 
 /// One compiled D-flipflop: where to read D, where to assert Q, and the
@@ -68,8 +75,8 @@ impl DffSlot {
 #[derive(Debug, Clone)]
 pub struct KernelProgram {
     net_count: usize,
-    ops: Vec<Op>,
-    operands: Vec<u32>,
+    pub(crate) ops: Vec<Op>,
+    pub(crate) operands: Vec<u32>,
     dffs: Vec<DffSlot>,
     inputs: Vec<NetId>,
 }
@@ -163,6 +170,11 @@ impl KernelProgram {
             + self.inputs.len() * std::mem::size_of::<NetId>()
     }
 
+    /// The operand nets of `op`, in pin order.
+    pub(crate) fn op_inputs(&self, op: &Op) -> &[u32] {
+        &self.operands[op.first as usize..op.first as usize + op.count as usize]
+    }
+
     /// A fresh state for `lanes` parallel stimulus lanes. Every net starts
     /// `X`; flipflop state starts from the per-cell [`DffInit`], with
     /// `DontCare` resolved to `dff_dontcare` (the simulator's
@@ -232,187 +244,166 @@ impl KernelProgram {
         let tail_mask = state.tail_mask;
         let val = &mut state.val;
         let msk = &mut state.msk;
-        // Valid-lane mask of word `w`: only the final word is partial.
-        let wmask = |w: usize| {
-            if w + 1 == words {
-                tail_mask
-            } else {
-                !0u64
-            }
-        };
-
         for op in &self.ops {
-            let ins = &self.operands[op.first as usize..op.first as usize + op.count as usize];
+            let ins = self.op_inputs(op);
             let out0 = op.out0 as usize * words;
-            match op.kind {
-                CellKind::Const(b) => {
-                    for w in 0..words {
-                        val[out0 + w] = if b { wmask(w) } else { 0 };
-                        msk[out0 + w] = 0;
-                    }
-                }
-                CellKind::Buf => {
-                    let a = ins[0] as usize * words;
-                    for w in 0..words {
-                        val[out0 + w] = val[a + w];
-                        msk[out0 + w] = msk[a + w];
-                    }
-                }
-                CellKind::Inv => {
-                    let a = ins[0] as usize * words;
-                    for w in 0..words {
-                        let wm = wmask(w);
-                        let m = msk[a + w];
-                        val[out0 + w] = !val[a + w] & !m & wm;
-                        msk[out0 + w] = m;
-                    }
-                }
-                CellKind::And | CellKind::Nand | CellKind::Or | CellKind::Nor => {
-                    let (and_like, invert) = match op.kind {
-                        CellKind::And => (true, false),
-                        CellKind::Nand => (true, true),
-                        CellKind::Or => (false, false),
-                        _ => (false, true),
-                    };
-                    for w in 0..words {
-                        let wm = wmask(w);
-                        let (mut one, mut zero, mut anyx) = (wm, 0u64, 0u64);
-                        if !and_like {
-                            (one, zero) = (0, wm);
-                        }
-                        for &i in ins {
-                            let at = i as usize * words + w;
-                            let (v, m) = (val[at], msk[at]);
-                            let z = !v & !m & wm;
-                            anyx |= m;
-                            if and_like {
-                                one &= v;
-                                zero |= z;
-                            } else {
-                                one |= v;
-                                zero &= z;
-                            }
-                        }
-                        let (one, zero) = if invert { (zero, one) } else { (one, zero) };
-                        let m = match mode {
-                            // A controlling input decides the output even
-                            // next to unknowns.
-                            EvalMode::TriTable => !(one | zero) & wm,
-                            EvalMode::Coarse => anyx,
-                        };
-                        val[out0 + w] = one & !m & wm;
-                        msk[out0 + w] = m;
-                    }
-                }
-                CellKind::Xor | CellKind::Xnor => {
-                    // XOR has no controlling value, so the exact Kleene
-                    // table and the coarse rule agree: any X → X.
-                    let invert = op.kind == CellKind::Xnor;
-                    for w in 0..words {
-                        let wm = wmask(w);
-                        let (mut x, mut m) = (0u64, 0u64);
-                        for &i in ins {
-                            let at = i as usize * words + w;
-                            x ^= val[at];
-                            m |= msk[at];
-                        }
-                        if invert {
-                            x = !x;
-                        }
-                        val[out0 + w] = x & !m & wm;
-                        msk[out0 + w] = m;
-                    }
-                }
-                CellKind::Mux2 => {
-                    let s = ins[0] as usize * words;
-                    let a = ins[1] as usize * words;
-                    let b = ins[2] as usize * words;
-                    for w in 0..words {
-                        let wm = wmask(w);
-                        let (vs, ms) = (val[s + w], msk[s + w]);
-                        let (va, ma) = (val[a + w], msk[a + w]);
-                        let (vb, mb) = (val[b + w], msk[b + w]);
-                        let routed_v = (vs & vb) | (!vs & va);
-                        let (v, m) = match mode {
-                            EvalMode::TriTable => {
-                                // Unknown select still yields the common
-                                // value when both data inputs agree.
-                                let agree = !ma & !mb & !(va ^ vb);
-                                let m = (!ms & ((vs & mb) | (!vs & ma))) | (ms & !agree);
-                                ((routed_v & !ms) | (ms & agree & va), m)
-                            }
-                            EvalMode::Coarse => (routed_v, ms | ma | mb),
-                        };
-                        val[out0 + w] = v & !m & wm;
-                        msk[out0 + w] = m & wm;
-                    }
-                }
-                CellKind::Maj3 => {
-                    let a = ins[0] as usize * words;
-                    let b = ins[1] as usize * words;
-                    let c = ins[2] as usize * words;
-                    for w in 0..words {
-                        let wm = wmask(w);
-                        let (va, ma) = (val[a + w], msk[a + w]);
-                        let (vb, mb) = (val[b + w], msk[b + w]);
-                        let (vc, mc) = (val[c + w], msk[c + w]);
-                        let maj_v = (va & vb) | (va & vc) | (vb & vc);
-                        let (v, m) = match mode {
-                            EvalMode::TriTable => {
-                                // Two agreeing known inputs decide the
-                                // majority regardless of the third.
-                                let (za, zb, zc) = (!va & !ma & wm, !vb & !mb & wm, !vc & !mc & wm);
-                                let one = maj_v;
-                                let zero = (za & zb) | (za & zc) | (zb & zc);
-                                (one, !(one | zero) & wm)
-                            }
-                            EvalMode::Coarse => (maj_v, ma | mb | mc),
-                        };
-                        val[out0 + w] = v & !m & wm;
-                        msk[out0 + w] = m;
-                    }
-                }
-                CellKind::HalfAdder | CellKind::FullAdder => {
+            for w in 0..words {
+                // Valid-lane mask of word `w`: only the final word is partial.
+                let wm = if w + 1 == words { tail_mask } else { !0 };
+                let [(v0, m0), (v1, m1)] = eval_word(op.kind, mode, wm, ins.len(), |k| {
+                    let at = ins[k] as usize * words + w;
+                    (val[at], msk[at])
+                });
+                val[out0 + w] = v0;
+                msk[out0 + w] = m0;
+                if op.out1 != u32::MAX {
                     let out1 = op.out1 as usize * words;
-                    let a = ins[0] as usize * words;
-                    let b = ins[1] as usize * words;
-                    let c = (op.kind == CellKind::FullAdder).then(|| ins[2] as usize * words);
-                    for w in 0..words {
-                        let wm = wmask(w);
-                        let (va, ma) = (val[a + w], msk[a + w]);
-                        let (vb, mb) = (val[b + w], msk[b + w]);
-                        let (vc, mc) = c.map_or((0, 0), |c| (val[c + w], msk[c + w]));
-                        let anyx = ma | mb | mc;
-                        // Sum is a pure XOR: exact and coarse agree.
-                        let sum_v = va ^ vb ^ vc;
-                        val[out0 + w] = sum_v & !anyx & wm;
-                        msk[out0 + w] = anyx;
-                        // Carry: AND for the half adder, majority for the
-                        // full adder — exactly the simulator's tri tables.
-                        let carry_one = if c.is_some() {
-                            (va & vb) | (va & vc) | (vb & vc)
-                        } else {
-                            va & vb
-                        };
-                        let (cv, cm) = match mode {
-                            EvalMode::TriTable => {
-                                let (za, zb) = (!va & !ma & wm, !vb & !mb & wm);
-                                let carry_zero = if c.is_some() {
-                                    let zc = !vc & !mc & wm;
-                                    (za & zb) | (za & zc) | (zb & zc)
-                                } else {
-                                    za | zb
-                                };
-                                (carry_one, !(carry_one | carry_zero) & wm)
-                            }
-                            EvalMode::Coarse => (carry_one, anyx),
-                        };
-                        val[out1 + w] = cv & !cm & wm;
-                        msk[out1 + w] = cm;
-                    }
+                    val[out1 + w] = v1;
+                    msk[out1 + w] = m1;
                 }
-                CellKind::Dff => unreachable!("flipflops are not part of the levelized order"),
             }
         }
+    }
+}
+
+/// The per-kind plane formulas — the one copy both the functional
+/// [`KernelProgram::eval`] and the timed step evaluate through.
+///
+/// Computes one cell over one 64-lane word: `input(k)` yields operand
+/// `k`'s `(value, mask)` planes, `wm` is the word's valid-lane mask, and
+/// the result is `[(value, mask); 2]` for output pins 0 and 1 (pin 1 is
+/// only meaningful for the two-output adder kinds). Outputs stay
+/// canonical and zero beyond `wm`.
+#[inline(always)]
+pub(crate) fn eval_word(
+    kind: CellKind,
+    mode: EvalMode,
+    wm: u64,
+    arity: usize,
+    input: impl Fn(usize) -> (u64, u64),
+) -> [(u64, u64); 2] {
+    let single = |v: u64, m: u64| [(v, m), (0, 0)];
+    match kind {
+        CellKind::Const(b) => single(if b { wm } else { 0 }, 0),
+        CellKind::Buf => {
+            let (v, m) = input(0);
+            single(v, m)
+        }
+        CellKind::Inv => {
+            let (v, m) = input(0);
+            single(!v & !m & wm, m)
+        }
+        CellKind::And | CellKind::Nand | CellKind::Or | CellKind::Nor => {
+            let (and_like, invert) = match kind {
+                CellKind::And => (true, false),
+                CellKind::Nand => (true, true),
+                CellKind::Or => (false, false),
+                _ => (false, true),
+            };
+            let (mut one, mut zero, mut anyx) = if and_like {
+                (wm, 0u64, 0u64)
+            } else {
+                (0, wm, 0)
+            };
+            for k in 0..arity {
+                let (v, m) = input(k);
+                let z = !v & !m & wm;
+                anyx |= m;
+                if and_like {
+                    one &= v;
+                    zero |= z;
+                } else {
+                    one |= v;
+                    zero &= z;
+                }
+            }
+            let (one, zero) = if invert { (zero, one) } else { (one, zero) };
+            let m = match mode {
+                // A controlling input decides the output even next to
+                // unknowns.
+                EvalMode::TriTable => !(one | zero) & wm,
+                EvalMode::Coarse => anyx,
+            };
+            single(one & !m & wm, m)
+        }
+        CellKind::Xor | CellKind::Xnor => {
+            // XOR has no controlling value, so the exact Kleene table and
+            // the coarse rule agree: any X → X.
+            let (mut x, mut m) = (0u64, 0u64);
+            for k in 0..arity {
+                let (v, mk) = input(k);
+                x ^= v;
+                m |= mk;
+            }
+            if kind == CellKind::Xnor {
+                x = !x;
+            }
+            single(x & !m & wm, m)
+        }
+        CellKind::Mux2 => {
+            let (vs, ms) = input(0);
+            let (va, ma) = input(1);
+            let (vb, mb) = input(2);
+            let routed_v = (vs & vb) | (!vs & va);
+            let (v, m) = match mode {
+                EvalMode::TriTable => {
+                    // Unknown select still yields the common value when
+                    // both data inputs agree.
+                    let agree = !ma & !mb & !(va ^ vb);
+                    let m = (!ms & ((vs & mb) | (!vs & ma))) | (ms & !agree);
+                    ((routed_v & !ms) | (ms & agree & va), m)
+                }
+                EvalMode::Coarse => (routed_v, ms | ma | mb),
+            };
+            single(v & !m & wm, m & wm)
+        }
+        CellKind::Maj3 => {
+            let (va, ma) = input(0);
+            let (vb, mb) = input(1);
+            let (vc, mc) = input(2);
+            let maj_v = (va & vb) | (va & vc) | (vb & vc);
+            let (v, m) = match mode {
+                EvalMode::TriTable => {
+                    // Two agreeing known inputs decide the majority
+                    // regardless of the third.
+                    let (za, zb, zc) = (!va & !ma & wm, !vb & !mb & wm, !vc & !mc & wm);
+                    let zero = (za & zb) | (za & zc) | (zb & zc);
+                    (maj_v, !(maj_v | zero) & wm)
+                }
+                EvalMode::Coarse => (maj_v, ma | mb | mc),
+            };
+            single(v & !m & wm, m)
+        }
+        CellKind::HalfAdder | CellKind::FullAdder => {
+            let full = kind == CellKind::FullAdder;
+            let (va, ma) = input(0);
+            let (vb, mb) = input(1);
+            let (vc, mc) = if full { input(2) } else { (0, 0) };
+            let anyx = ma | mb | mc;
+            // Sum is a pure XOR: exact and coarse agree.
+            let sum = ((va ^ vb ^ vc) & !anyx & wm, anyx);
+            // Carry: AND for the half adder, majority for the full adder —
+            // exactly the simulator's tri tables.
+            let carry_one = if full {
+                (va & vb) | (va & vc) | (vb & vc)
+            } else {
+                va & vb
+            };
+            let (cv, cm) = match mode {
+                EvalMode::TriTable => {
+                    let (za, zb) = (!va & !ma & wm, !vb & !mb & wm);
+                    let carry_zero = if full {
+                        let zc = !vc & !mc & wm;
+                        (za & zb) | (za & zc) | (zb & zc)
+                    } else {
+                        za | zb
+                    };
+                    (carry_one, !(carry_one | carry_zero) & wm)
+                }
+                EvalMode::Coarse => (carry_one, anyx),
+            };
+            [sum, (cv & !cm & wm, cm)]
+        }
+        CellKind::Dff => unreachable!("flipflops are not part of the levelized order"),
     }
 }

@@ -134,6 +134,25 @@ impl KernelState {
         }
     }
 
+    /// Copies every net's value in lane `from_lane` of `from` into lane
+    /// `lane` of `self` (flipflop state is left alone).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the states cover different netlists.
+    pub fn copy_lane(&mut self, lane: usize, from: &KernelState, from_lane: usize) {
+        let nets = self.val.len() / self.words;
+        assert_eq!(
+            nets,
+            from.val.len() / from.words,
+            "states of different netlists"
+        );
+        for index in 0..nets {
+            let net = NetId::from_index(index);
+            self.set(net, lane, from.get(net, from_lane));
+        }
+    }
+
     /// Lane mask of the lanes in word `w` where `net`'s planes differ
     /// between `self` and `other` (as `Tri` values — canonical encoding
     /// makes plane inequality exactly value inequality).

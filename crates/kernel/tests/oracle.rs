@@ -16,6 +16,9 @@
 //!   engine in everything it reports: `analyze --seeds` aggregates and
 //!   `check` verification reports compare with `==` at any jobs count.
 //!   The only permitted difference is the presence of kernel telemetry.
+//!   The hybrid settles every job event by event, while the queue
+//!   engine's `analyze --seeds` jobs settle on the timed kernel, so the
+//!   `analyze` cases also compare the event path against the timed one.
 
 #[path = "../../sim/tests/support/mod.rs"]
 #[allow(dead_code)]

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use glitch_core::netlist::{Bus, ConeIndex, Netlist};
 use glitch_core::sim::{
     kernel_prepass, run_kernel_jobs, MergeableProbe, MetricsProbe, Probe, SessionReport,
-    SimOptions, WindowedActivityProbe,
+    SimOptions, TimedWork, WindowedActivityProbe,
 };
 use glitch_core::verify::VerifyReport;
 use glitch_core::{
@@ -157,15 +157,19 @@ impl<'a> Sink<'a> {
 
     /// One trace bar per shard of a reduced batch, each on its own track:
     /// it starts at `batch_start` plus the shard's queue wait and spans
-    /// its session wall time.
+    /// its session wall time. Shards settled on the timed kernel are
+    /// marked `(timed)`.
     fn shards(&self, batch_start: u64, shards: &[ShardSummary]) {
         let Some(spans) = self.spans else { return };
         for (index, shard) in shards.iter().enumerate() {
-            let name = if shard.label.is_empty() {
+            let mut name = if shard.label.is_empty() {
                 format!("shard seed={}", shard.seed)
             } else {
                 format!("shard {} seed={}", shard.label, shard.seed)
             };
+            if shard.timed.is_some() {
+                name.push_str(" (timed)");
+            }
             spans.record(
                 name,
                 index as u64 + 1,
@@ -211,6 +215,23 @@ impl<'a> Sink<'a> {
         self.add("queue.pushes", queue.pushes);
         self.add("queue.pops", queue.pops);
         self.gauge_max("queue.peak_depth", queue.peak_depth);
+    }
+
+    /// `timed.*`: the shards of a batch that settled on the timed kernel,
+    /// their lanes (cycles), deepest horizon and word-wide op evaluations.
+    /// Nothing is recorded for a batch without timed shards.
+    fn timed(&mut self, shards: &[ShardSummary]) {
+        let work: Vec<TimedWork> = shards.iter().filter_map(|shard| shard.timed).collect();
+        if work.is_empty() {
+            return;
+        }
+        self.add("timed.shards", work.len() as u64);
+        self.add("timed.lanes", work.iter().map(|w| w.lanes).sum());
+        self.gauge_max(
+            "timed.horizon",
+            work.iter().map(|w| w.horizon).max().unwrap_or(0),
+        );
+        self.add("timed.op_evals", work.iter().map(|w| w.op_evals).sum());
     }
 
     /// `kernel.*`: the lane/cycle/pair classification and functional work
@@ -496,6 +517,10 @@ fn usage(message: &str) -> ParamError {
     ParamError::Usage(message.to_string())
 }
 
+const KERNEL_DELAY: &str = "the kernel engine simulates zero delay only; \
+     drop --delay (or pass --delay zero), or use --engine queue";
+const KERNEL_TIMING_CHECK: &str = "--budget and --hazards check settle timing, which the \
+     zero-delay kernel engine cannot see (they would pass vacuously); use --engine queue or hybrid";
 const SINGLE_SEED_FLIP: &str = "--flip applies to single-seed runs; drop --seeds or --flip";
 const QUEUE_ONLY_FLIP: &str = "--flip rides the incremental queue replay; drop --engine or --flip";
 
@@ -531,6 +556,15 @@ pub fn exec(
         job.delay.as_deref(),
         job.engine.as_deref(),
     )?;
+    if config.engine == EngineKind::Kernel {
+        if job.delay.as_deref().is_some_and(|delay| delay != "zero") {
+            return Err(usage(KERNEL_DELAY));
+        }
+        let timing_check = job.budget.is_some() || hooks.budgets_file.is_some() || job.hazards;
+        if kind == JobKind::Check && timing_check {
+            return Err(usage(KERNEL_TIMING_CHECK));
+        }
+    }
     let buses = params::input_buses(netlist);
     match kind {
         JobKind::Analyze => analyze(job, netlist, &buses, config, resources, sink, hooks),
@@ -679,6 +713,7 @@ pub fn exec(
             }
             for point in &points {
                 sink.aggregate(&point.analysis.aggregate);
+                sink.timed(point.analysis.aggregate.shards());
                 sink.shards(batch_start, point.analysis.aggregate.shards());
             }
             sink.span_since("merge", merge_start);

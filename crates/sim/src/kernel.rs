@@ -138,15 +138,7 @@ impl KernelPrepass {
 /// Per-lane random stimuli mirroring [`SimJob`]'s own construction, so a
 /// lane draws exactly the vectors the job's queue session would draw.
 fn build_stimuli(jobs: &[SimJob<'_>]) -> Vec<RandomStimulus> {
-    jobs.iter()
-        .map(|job| {
-            let mut stimulus = RandomStimulus::new(job.random_buses.clone(), job.cycles, job.seed);
-            for &(net, value) in &job.held {
-                stimulus = stimulus.hold(net, value);
-            }
-            stimulus
-        })
-        .collect()
+    jobs.iter().map(SimJob::stimulus).collect()
 }
 
 /// Draws every lane's next input vector and applies it to the state.

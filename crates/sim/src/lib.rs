@@ -36,7 +36,11 @@
 //! across scoped worker threads and [`AggregateReport`] reduces the
 //! per-shard results deterministically ([`MergeableProbe`] folds the
 //! probes in job order), so a parallel run is bit-identical to the serial
-//! fold of its shards — only faster.
+//! fold of its shards — only faster. [`ParallelRunner::run_jobs`] settles
+//! each standard-probe job whose delays allow it on the compiled timed
+//! kernel ([`TimedSchedule`], one clock cycle per lane) instead of the
+//! event queue, with the same report; see [`SimJob::timed_schedule`] for
+//! the routing rule.
 //!
 //! For re-running *near-identical* stimuli (a few input bits changed) there
 //! is an incremental layer: [`SimSession::record_baseline`] captures a
@@ -88,6 +92,7 @@ mod parallel;
 mod probe;
 mod session;
 mod stimulus;
+mod timed;
 mod value;
 mod vcd;
 mod window;
@@ -109,9 +114,10 @@ pub use probe::{
 };
 pub use session::{SessionError, SessionReport, SimSession};
 pub use stimulus::{ExhaustiveStimulus, RandomStimulus, StimulusProgram};
+pub use timed::TimedWork;
 pub use value::Value;
 pub use vcd::VcdRecorder;
 // The compiled-kernel backend's own types, re-exported so downstream
 // crates can compile and cache programs without a direct dependency.
-pub use glitch_kernel::{EvalMode, KernelProgram, KernelState};
+pub use glitch_kernel::{EvalMode, KernelProgram, KernelState, TimedSchedule};
 pub use window::{ActivityWindow, WindowedActivityProbe};

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use glitch_activity::{ActivityReport, ActivityTotals, ActivityTrace};
+use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_power::{PowerReport, Technology};
 
@@ -48,6 +49,7 @@ use crate::error::SimError;
 use crate::probe::{ActivityProbe, MergeableProbe, PowerProbe, Probe, StatsProbe};
 use crate::session::{SessionReport, SimSession};
 use crate::stimulus::RandomStimulus;
+use crate::timed::TimedWork;
 
 /// A scoped-thread executor for embarrassingly parallel simulation work.
 ///
@@ -174,6 +176,37 @@ impl ParallelRunner {
         jobs: &[SimJob<'_>],
         extra_probes: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
     ) -> Result<Vec<SessionReport>, SimError> {
+        self.run_batch(jobs, &|index, job| job.run_with(extra_probes(index)))
+    }
+
+    /// Runs every job with the standard probe set, like
+    /// [`ParallelRunner::run_sessions`], settling each job on the timed
+    /// kernel when it qualifies ([`SimJob::timed_schedule`]) and through a
+    /// session otherwise. The reports are the sessions' reports in every
+    /// deterministic field; a timed one also carries its
+    /// [`SessionReport::timed_work`]. `program` must be compiled from the
+    /// jobs' netlist.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ParallelRunner::run_sessions`].
+    pub fn run_jobs(
+        &self,
+        jobs: &[SimJob<'_>],
+        program: &KernelProgram,
+    ) -> Result<Vec<SessionReport>, SimError> {
+        self.run_batch(jobs, &|_, job| match job.timed_schedule(program) {
+            Some(schedule) => crate::timed::run_timed(job, &schedule),
+            None => job.run_with(Vec::new()),
+        })
+    }
+
+    /// Runs `run(index, job)` for every job on the pool, timing each one.
+    fn run_batch(
+        &self,
+        jobs: &[SimJob<'_>],
+        run: &(dyn Fn(usize, &SimJob<'_>) -> Result<SessionReport, SimError> + Sync),
+    ) -> Result<Vec<SessionReport>, SimError> {
         // One failure aborts the whole batch, so once a job errors, workers
         // stop claiming new jobs instead of simulating shards whose results
         // would be dropped anyway.
@@ -188,7 +221,7 @@ impl ParallelRunner {
             // deterministic aggregates.
             let queue_wait = as_micros(batch_start.elapsed());
             let job_start = std::time::Instant::now();
-            let mut result = job.run_with(extra_probes(index));
+            let mut result = run(index, job);
             if let Ok(report) = result.as_mut() {
                 report.set_timing(as_micros(job_start.elapsed()), queue_wait);
             } else {
@@ -313,17 +346,22 @@ impl<'a> SimJob<'a> {
         self
     }
 
-    /// Runs this job as a one-pass session with the standard probe set plus
-    /// `extra` probes.
-    fn run_with(&self, extra: Vec<Box<dyn Probe>>) -> Result<SessionReport, SimError> {
+    /// The job's stimulus: its random buses plus the held inputs.
+    pub(crate) fn stimulus(&self) -> RandomStimulus {
         let mut stimulus = RandomStimulus::new(self.random_buses.clone(), self.cycles, self.seed);
         for &(net, value) in &self.held {
             stimulus = stimulus.hold(net, value);
         }
+        stimulus
+    }
+
+    /// Runs this job as a one-pass session with the standard probe set plus
+    /// `extra` probes.
+    fn run_with(&self, extra: Vec<Box<dyn Probe>>) -> Result<SessionReport, SimError> {
         let mut session = SimSession::new(self.netlist)
             .delay(self.delay.clone())
             .options(self.options)
-            .stimulus(stimulus)
+            .stimulus(self.stimulus())
             .probe(ActivityProbe::new())
             .probe(PowerProbe::new(self.technology, self.frequency))
             .probe(StatsProbe::new());
@@ -339,11 +377,11 @@ impl<'a> SimJob<'a> {
 
 /// Per-shard scalars extracted from one job's finished session.
 ///
-/// Equality compares only the *deterministic* fields — the wall-clock
-/// timing fields ([`ShardSummary::wall_micros`],
-/// [`ShardSummary::queue_wait_micros`]) vary run to run and are excluded,
-/// so the parallel-equals-serial determinism assertions upstream keep
-/// holding with timing instrumentation on.
+/// Equality compares only the *results* — the wall-clock timing fields
+/// ([`ShardSummary::wall_micros`], [`ShardSummary::queue_wait_micros`])
+/// vary run to run and [`ShardSummary::timed`] only says which settle
+/// path ran, so all three are excluded and the parallel-equals-serial and
+/// timed-equals-event assertions upstream hold with them set.
 #[derive(Debug, Clone)]
 pub struct ShardSummary {
     /// The job's label.
@@ -368,6 +406,10 @@ pub struct ShardSummary {
     /// Cumulative event-queue traffic (deterministic: pushes, pops, peak
     /// depth are functions of the stimulus, not of scheduling).
     pub queue: QueueStats,
+    /// The timed kernel's work when the shard settled there rather than
+    /// on the event queue. Describes how the shard ran, not what it found,
+    /// so equality ignores it.
+    pub timed: Option<TimedWork>,
     /// Wall-clock time this shard's session took, in microseconds.
     /// Non-deterministic; display and trace export only.
     pub wall_micros: u64,
@@ -493,6 +535,7 @@ impl AggregateReport {
                 max_settle_time: stats.max_settle_time(),
                 cell_evals: stats.cell_evals(),
                 queue: report.queue_stats(),
+                timed: report.timed_work(),
                 wall_micros: report.wall_micros(),
                 queue_wait_micros: report.queue_wait_micros(),
             });

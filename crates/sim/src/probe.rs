@@ -191,6 +191,22 @@ impl ActivityProbe {
         self.trace
     }
 
+    /// Folds `cycles` whole cycles in at once from per-net totals, as the
+    /// timed kernel produces them: the bulk equivalent of the per-cycle
+    /// hooks. Call between `on_run_start` and `on_run_end`.
+    pub(crate) fn record_totals(
+        &mut self,
+        cycles: u64,
+        transitions: &[u64],
+        useful: &[u64],
+        rises: &[u64],
+    ) {
+        self.trace.record_totals(cycles, transitions, useful);
+        for (total, &r) in self.rising.iter_mut().zip(rises) {
+            *total += r;
+        }
+    }
+
     /// Total power-consuming (0→1) transitions recorded on a net so far.
     #[must_use]
     pub fn rising_transitions(&self, net: NetId) -> u64 {
@@ -388,7 +404,27 @@ impl PowerProbe {
         )
     }
 
+    /// Folds `cycles` whole cycles in at once from per-net switching
+    /// totals (the timed kernel's bulk path). The report is the same;
+    /// [`PowerProbe::energy_joules`] sums in another order, so it may
+    /// differ from a per-transition run in its last bits.
+    pub(crate) fn record_totals(&mut self, cycles: u64, transitions: &[u64]) {
+        let half_v2 = 0.5 * self.tech.vdd * self.tech.vdd;
+        for (index, (total, &count)) in self.counts.iter_mut().zip(transitions).enumerate() {
+            *total += count;
+            if self.eligible[index] && count > 0 {
+                self.energy_joules += count as f64 * self.caps[index] * half_v2;
+            }
+        }
+        self.cycles += cycles;
+    }
+
     /// Switched energy in the combinational logic so far, in joules.
+    ///
+    /// A run settled on the timed kernel sums this per net rather than
+    /// per transition, so it may differ from an event-driven run of the
+    /// same job in its last bits; the power report, computed from the
+    /// integer counts, does not.
     #[must_use]
     pub fn energy_joules(&self) -> f64 {
         self.energy_joules

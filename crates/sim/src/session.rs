@@ -16,6 +16,7 @@ use crate::delay::{DelayKind, DelayModel};
 use crate::engine::QueueStats;
 use crate::error::SimError;
 use crate::probe::Probe;
+use crate::timed::TimedWork;
 use crate::value::Value;
 
 /// Builder for a single simulation pass with pluggable observers.
@@ -170,6 +171,7 @@ impl<'a> SimSession<'a> {
                         final_values: vec![Value::X; self.netlist.net_count()],
                         probes: self.probes,
                         queue: QueueStats::default(),
+                        timed: None,
                         wall_micros: 0,
                         queue_wait_micros: 0,
                     }),
@@ -217,6 +219,7 @@ impl<'a> SimSession<'a> {
             final_values,
             probes,
             queue,
+            timed: None,
             wall_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             queue_wait_micros: 0,
         };
@@ -319,6 +322,7 @@ pub struct SessionReport {
     final_values: Vec<Value>,
     probes: Vec<Box<dyn Probe>>,
     queue: QueueStats,
+    timed: Option<TimedWork>,
     wall_micros: u64,
     queue_wait_micros: u64,
 }
@@ -339,6 +343,7 @@ impl SessionReport {
             final_values,
             probes,
             queue: QueueStats::default(),
+            timed: None,
             wall_micros: 0,
             queue_wait_micros: 0,
         }
@@ -349,6 +354,11 @@ impl SessionReport {
     /// [`SessionReport::from_parts`].
     pub(crate) fn set_queue_stats(&mut self, queue: QueueStats) {
         self.queue = queue;
+    }
+
+    /// Marks the report as settled on the timed kernel, with its work.
+    pub(crate) fn set_timed_work(&mut self, work: TimedWork) {
+        self.timed = Some(work);
     }
 
     /// Records the run's observed timing (for the parallel runner, which
@@ -411,6 +421,15 @@ impl SessionReport {
     #[must_use]
     pub fn queue_stats(&self) -> QueueStats {
         self.queue
+    }
+
+    /// The timed kernel's work when the run settled there instead of on
+    /// the event queue ([`crate::ParallelRunner::run_jobs`]); `None` for
+    /// an event-driven run. Deterministic, but it describes how the run
+    /// executed, not what it found.
+    #[must_use]
+    pub fn timed_work(&self) -> Option<TimedWork> {
+        self.timed
     }
 
     /// Wall-clock duration of the simulation pass, in microseconds.
