@@ -1,5 +1,5 @@
 //! The compiled bit-parallel kernel against the event-driven queue on
-//! the workload the hybrid engine targets: functional (end-of-cycle)
+//! the workload the `kernel` engine targets: functional (end-of-cycle)
 //! evaluation of a 64-seed batch on the paper's 8-bit array multiplier.
 //!
 //! The kernel packs all 64 seeds into the lanes of one `u64` word per

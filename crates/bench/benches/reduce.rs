@@ -42,9 +42,9 @@ fn bench_reduce(c: &mut Criterion) {
         })
     });
 
-    // Hybrid screening through the compiled kernel must stay well ahead
+    // Batch screening through the compiled kernel must stay well ahead
     // of per-lane queue screening — the batch screen is the reason the
-    // hybrid engine exists in the loop.
+    // kernel exists in the loop.
     let hot = rca
         .netlist
         .nets()

@@ -3,7 +3,7 @@
 //! build if bit-parallel functional evaluation of a 64-seed batch on the
 //! 8-bit array multiplier is less than 10x faster than running the same
 //! batch through the event-driven queue — the margin that makes the
-//! hybrid engine's prepass-then-prune strategy worthwhile.
+//! `kernel` engine and the reducer's batch screen worthwhile.
 //!
 //! Ignored by default so plain `cargo test` stays timing-free; run with
 //!

@@ -21,7 +21,7 @@ use glitch_core::{
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
 use glitch_serve::cache::BaselineEntry;
 use glitch_serve::exec::{
-    exec, record_baseline, replay_baseline, Hooks, JobOutput, ProgressLines, Resources,
+    exec, record_baseline, replay_baseline, Hooks, JobOutput, ProgressLines, Resources, KERNEL_FLIP,
 };
 use glitch_serve::json::{json_array, JsonObject};
 use glitch_serve::params::{self, input_buses, ParamError};
@@ -49,24 +49,24 @@ commands:
               --cycles <n>         random vectors to simulate [1000]
               --seed <n>           stimulus seed [3665697173]
               --delay <model>      unit | zero | adder | library [unit]
-              --engine <name>      queue | kernel | hybrid [queue, also in
+              --engine <name>      queue | kernel | hybrid [hybrid, also in
                                    the serve daemon].
-                                   `queue` is the event-driven reference;
-                                   its batch jobs (--seeds without
-                                   --metrics or per-transition artefacts,
-                                   and every sweep) settle on the timed
-                                   bit-parallel kernel, with identical
-                                   reports, when every non-constant delay
-                                   is >= 1 (or all are 0) and the settle
-                                   budget covers the static horizon;
-                                   `hybrid` settles every job event by
-                                   event after a compiled kernel prepass
-                                   that proves cycles quiet (reports
-                                   bit-identical to queue);
+                                   `hybrid` settles batch jobs (--seeds
+                                   without --metrics or per-transition
+                                   artefacts, and every sweep) on the
+                                   timed bit-parallel kernel when every
+                                   non-constant delay is >= 1 (or all are
+                                   0) and the settle budget covers the
+                                   static horizon, and every other job
+                                   event by event (reports bit-identical
+                                   to queue);
+                                   `queue` is the event-driven reference:
+                                   every job settles event by event;
                                    `kernel` runs the compiled kernel alone
                                    (functional zero-delay semantics, no
                                    glitch modelling, no event queue; it
-                                   refuses a --delay other than zero)
+                                   refuses --flip and a --delay other
+                                   than zero)
               --frequency-mhz <f>  clock for the power estimate [5]
               --tech <name>        0.8um | 65nm [0.8um]
               --csv <file>         write per-node activity as CSV
@@ -120,8 +120,9 @@ commands:
               --flip-cycle <k>     cycle to flip each input in [0]
               --delay/--cycles/--seed/--jobs/--json as above
               --engine <name>      as in analyze; a sweep compares delay
-                                   models, so `kernel` degrades to `hybrid`
-                                   (one prepass prunes every model's chunk)
+                                   models, so `kernel` degrades to
+                                   `hybrid`; --flip-inputs refuses
+                                   `kernel` (the replay is event-driven)
   check     three-valued (0/1/X) verification: simulate the configured
             stimulus with assertion checkers attached and report a
             pass/fail verdict with located violations. The X-propagation
@@ -148,11 +149,11 @@ commands:
                                    bit-identical to a full re-run)
               --strict             exit with an error when the verdict
                                    is FAIL
-              --engine <name>      as in analyze; hybrid verdicts are
-                                   bit-identical to queue verdicts;
-                                   kernel refuses --budget and --hazards
-                                   (they would pass vacuously at zero
-                                   delay)
+              --engine <name>      as in analyze; the checkers see every
+                                   transition, so queue and hybrid both
+                                   settle event by event; kernel refuses
+                                   --budget, --hazards (they would pass
+                                   vacuously at zero delay) and --flip
               --cycles/--seed/--delay/--tech/--json as above
   retime    cutset pipelining of a combinational circuit, with a
             before/after activity and power comparison
@@ -178,9 +179,10 @@ commands:
               --seeds/--jobs       score with n independent seeds fanned
                                    across worker threads; reports are
                                    bit-identical at any --jobs count
-              --engine <name>      queue | hybrid [queue]: the scoring
-                                   engine (hybrid reports are bit-identical
-                                   to queue); kernel alone cannot score
+              --engine <name>      queue | hybrid [hybrid]: the scoring
+                                   engine; scoring tracks hazards per
+                                   transition, so both settle event by
+                                   event; kernel alone cannot score
                                    glitches. Candidates are always screened
                                    batch-wide through the compiled kernel
               --emit-blif <file>   write the reduced circuit as BLIF
@@ -997,13 +999,9 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
     telemetry.cone_index_phase(&netlist);
     if let Some(list) = args.option("flip-inputs") {
         let config = analysis_config(&args, &library_for(&args)?)?;
-        // The input-flip sweep replays recorded queue cycles.
-        if config.engine != EngineKind::Queue {
-            return Err(CliError::Usage(
-                "--flip-inputs rides the incremental queue replay; drop --engine or \
-                 --flip-inputs"
-                    .into(),
-            ));
+        // The input-flip sweep replays recorded event-driven cycles.
+        if config.engine == EngineKind::Kernel {
+            return Err(CliError::Usage(KERNEL_FLIP.into()));
         }
         return cmd_sweep_flips(&netlist, &path, &args, &config, list, &mut telemetry);
     }

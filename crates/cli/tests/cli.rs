@@ -1058,8 +1058,8 @@ fn analyze_flip_baseline_file_skips_the_recording_pass() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every bundled netlist through the real front end: the default `queue`
-/// engine settles batch jobs on the timed kernel, `--engine hybrid` on the
+/// Every bundled netlist through the real front end: the default `hybrid`
+/// engine settles batch jobs on the timed kernel, `--engine queue` on the
 /// event queue, and both must print the same bytes at any worker count.
 #[test]
 fn batch_reports_match_the_event_path_on_every_bundled_netlist() {
@@ -1087,12 +1087,48 @@ fn batch_reports_match_the_event_path_on_every_bundled_netlist() {
                 args.extend(["--cycles", "130", "--json", "--jobs", jobs]);
                 let routed = run(&args);
                 assert!(routed.status.success(), "{args:?}: {}", stderr(&routed));
-                args.extend(["--engine", "hybrid"]);
+                args.extend(["--engine", "queue"]);
                 let event = run(&args);
                 assert!(event.status.success(), "{args:?}: {}", stderr(&event));
                 assert_eq!(stdout(&routed), stdout(&event), "{args:?}");
             }
         }
+    }
+}
+
+/// Input flips ride the incremental replay, which is event-driven under
+/// every engine but `kernel`: the default engine runs `analyze --flip`,
+/// `check --flip` and `sweep --flip-inputs`, and `--engine kernel` refuses
+/// each of them as a usage error.
+#[test]
+fn flips_run_under_the_default_engine_and_are_refused_under_kernel() {
+    let rca = data("rca4.blif");
+    let commands: [&[&str]; 3] = [
+        &["analyze", &rca, "--cycles", "60", "--flip", "10:cin"],
+        &["check", &rca, "--cycles", "60", "--flip", "10:cin"],
+        &["sweep", &rca, "--cycles", "60", "--flip-inputs", "cin"],
+    ];
+    for command in commands {
+        let default = run(command);
+        assert!(
+            default.status.success(),
+            "{command:?}: {}",
+            stderr(&default)
+        );
+        let mut args = command.to_vec();
+        args.extend(["--engine", "kernel"]);
+        let refused = run(&args);
+        assert_eq!(refused.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&refused).contains("drop --engine kernel"),
+            "{args:?}: {}",
+            stderr(&refused)
+        );
+        assert!(
+            stdout(&refused).is_empty(),
+            "{args:?}: {}",
+            stdout(&refused)
+        );
     }
 }
 

@@ -138,9 +138,9 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
             ],
         ),
         (
-            format!(r#"{{"op":"analyze","file":"{counter}","cycles":120,"engine":"hybrid"}}"#),
+            format!(r#"{{"op":"analyze","file":"{counter}","cycles":120,"engine":"queue"}}"#),
             vec![
-                "analyze", &counter, "--cycles", "120", "--engine", "hybrid", "--json",
+                "analyze", &counter, "--cycles", "120", "--engine", "queue", "--json",
             ],
         ),
         (
@@ -155,7 +155,7 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
         ),
         (
             format!(
-                r#"{{"op":"check","file":"{mult}","cycles":80,"hazards":true,"engine":"hybrid"}}"#
+                r#"{{"op":"check","file":"{mult}","cycles":80,"hazards":true,"engine":"queue"}}"#
             ),
             vec![
                 "check",
@@ -164,7 +164,7 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
                 "80",
                 "--hazards",
                 "--engine",
-                "hybrid",
+                "queue",
                 "--json",
             ],
         ),
@@ -188,7 +188,7 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
         ),
         (
             format!(
-                r#"{{"op":"sweep","file":"{counter}","cycles":50,"delays":"unit,zero","engine":"hybrid"}}"#
+                r#"{{"op":"sweep","file":"{counter}","cycles":50,"delays":"unit,zero","engine":"queue"}}"#
             ),
             vec![
                 "sweep",
@@ -198,7 +198,7 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
                 "--delays",
                 "unit,zero",
                 "--engine",
-                "hybrid",
+                "queue",
                 "--json",
             ],
         ),

@@ -193,6 +193,7 @@ fn sweep_metrics_count_the_timed_shards_and_keep_the_engine_counters() {
     );
     let timed = timed.lines().last().expect("metrics line");
     assert_eq!(counter(timed, "timed.shards"), "2");
+    assert_eq!(counter(timed, "timed.fallbacks"), "0");
     assert_eq!(counter(timed, "timed.lanes"), "200");
     assert_ne!(counter(timed, "timed.op_evals"), "0");
     assert_ne!(counter(timed, "timed.horizon"), "0");
@@ -205,7 +206,7 @@ fn sweep_metrics_count_the_timed_shards_and_keep_the_engine_counters() {
         "--delays",
         "unit,zero",
         "--engine",
-        "hybrid",
+        "queue",
         "--metrics-json",
     ]);
     let event = event.lines().last().expect("metrics line");
@@ -221,4 +222,22 @@ fn sweep_metrics_count_the_timed_shards_and_keep_the_engine_counters() {
     ] {
         assert_eq!(counter(timed, name), counter(event, name), "{name}");
     }
+}
+
+#[test]
+fn hybrid_batches_count_the_shards_that_fall_back_to_the_event_path() {
+    // The metrics probe needs every transition, so both seeds of a
+    // `--metrics-json` run settle event by event.
+    let line = stdout_of(&[
+        "analyze",
+        &data("rca4.blif"),
+        "--cycles",
+        "60",
+        "--seeds",
+        "2",
+        "--metrics-json",
+    ]);
+    let line = line.lines().last().expect("metrics line");
+    assert_eq!(counter(line, "timed.fallbacks"), "2");
+    assert_eq!(counter(line, "timed.shards"), "0");
 }

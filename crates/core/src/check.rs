@@ -54,11 +54,16 @@ impl GlitchAnalyzer {
     /// threads — and folds the per-seed checkers in seed order. The
     /// configured [`crate::AnalysisConfig::options`] select the reset /
     /// X-evaluation policy ([`glitch_sim::SimOptions::x_init`] for
-    /// uninitialised-state checking).
+    /// uninitialised-state checking). The checkers need each transition,
+    /// so every seed settles event by event except under
+    /// [`crate::EngineKind::Kernel`], which compiles the netlist and runs
+    /// the functional kernel; the hybrid verdict is bit-identical to the
+    /// queue one.
     ///
     /// # Errors
     ///
-    /// Returns the first failing seed's [`SimError`] (in seed order).
+    /// Returns the first failing seed's [`SimError`] (in seed order), or
+    /// [`SimError::InvalidNetlist`] if kernel compilation fails.
     ///
     /// # Panics
     ///
@@ -72,37 +77,9 @@ impl GlitchAnalyzer {
         seeds: &[u64],
         jobs: usize,
     ) -> Result<CheckAnalysis, SimError> {
-        self.check_seeds_compiled(netlist, random_buses, held, suite, seeds, jobs, None)
-    }
-
-    /// [`GlitchAnalyzer::check_seeds`] with an optional precompiled
-    /// [`glitch_sim::KernelProgram`] to reuse (see
-    /// [`GlitchAnalyzer::analyze_seeds`]); the checkers ride
-    /// whichever engine [`crate::AnalysisConfig::engine`] selects, and the
-    /// hybrid verdict is bit-identical to the queue one.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing seed's [`SimError`] (in seed order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty, or if a supplied `program` was compiled
-    /// from a different netlist.
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_seeds_compiled(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        suite: &CheckSuite,
-        seeds: &[u64],
-        jobs: usize,
-        program: Option<&glitch_sim::KernelProgram>,
-    ) -> Result<CheckAnalysis, SimError> {
         let factory = |_seed: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(suite.build())] };
         let (analysis, mut reports) =
-            self.analyze_seeds(netlist, random_buses, held, seeds, jobs, &factory, program)?;
+            self.analyze_seeds(netlist, random_buses, held, seeds, jobs, &factory, None)?;
         let mut merged = CheckerProbe::default();
         for report in &mut reports {
             let probe = report

@@ -9,8 +9,9 @@
 //! `glitch-reduce` optimizer and the CLI/daemon front-ends:
 //!
 //! * the standard [`GlitchAnalyzer`] multi-seed pass (activity + power,
-//!   deterministic at any worker count, kernel-accelerated under the
-//!   hybrid engine) for the *figures*;
+//!   deterministic at any worker count) for the *figures*. The hazard
+//!   probe needs every transition, so each seed settles event by event
+//!   under both the `queue` and the `hybrid` engine;
 //! * a [`HazardProbe`] riding the same pass for the *locations* — per-net
 //!   static/dynamic hazard counts, folded across seeds in seed order;
 //! * a glitch-power distillation: the combinational power attributable to

@@ -37,14 +37,14 @@
 //!
 //! ## Why a second backend
 //!
-//! A functionally quiet net cannot glitch under *any* delay assignment
-//! (Függer et al., "Faithful Glitch Propagation in Binary Circuit
-//! Models"), so a cheap functional pass is a sound pre-filter for the
-//! expensive timed settle: the hybrid engine in `glitch-core` runs this
-//! kernel over all seeds at once and only dispatches the cycles the kernel
-//! could not prove quiet to the event queue. The timed schedule goes
-//! further and replaces the event queue for batch jobs whose delays it
-//! can step (`glitch_sim::ParallelRunner::run_jobs`).
+//! The event queue pays per event; a compiled, levelized program pays per
+//! op and word, 64 lanes at a time. Two engines in `glitch-core` use it:
+//! `kernel` evaluates seeds lane-parallel at functional (zero-delay)
+//! semantics, and `hybrid` steps the timed schedule ([`TimedSchedule`],
+//! one clock cycle per lane) to settle batch jobs whose delays it can
+//! step with the event queue's exact figures
+//! (`glitch_sim::ParallelRunner::run_jobs`). `glitch-reduce` screens
+//! candidate moves on it too.
 
 mod program;
 mod state;

@@ -11,14 +11,13 @@
 //!   ([`SimOptions::default`]) and for uninitialised-flipflop three-valued
 //!   runs ([`SimOptions::x_init`]). Lane counts cross the 64-bit word
 //!   boundary (1, 2, 64, 100) so tail-masking is exercised.
-//! * **Report identity.** The hybrid engine (kernel prepass pruning the
-//!   event-driven settle) must be *bit-identical* to the plain queue
-//!   engine in everything it reports: `analyze --seeds` aggregates and
-//!   `check` verification reports compare with `==` at any jobs count.
-//!   The only permitted difference is the presence of kernel telemetry.
-//!   The hybrid settles every job event by event, while the queue
-//!   engine's `analyze --seeds` jobs settle on the timed kernel, so the
-//!   `analyze` cases also compare the event path against the timed one.
+//! * **Report identity.** The hybrid engine must be *bit-identical* to
+//!   the queue engine, the event-driven reference, in everything it
+//!   reports: `analyze --seeds` aggregates and `check` verification
+//!   reports compare with `==` at any jobs count. The hybrid settles
+//!   `analyze --seeds` jobs on the timed kernel, so the `analyze` cases
+//!   compare the timed path against the event one; checks settle event
+//!   by event under both.
 
 #[path = "../../sim/tests/support/mod.rs"]
 #[allow(dead_code)]
@@ -182,8 +181,7 @@ fn hybrid_analyze_is_bit_identical_to_queue() {
             format!("{:?}", queue.activity),
             "jobs={jobs}"
         );
-        // The telemetry block is the one sanctioned difference.
-        assert!(hybrid.kernel.is_some(), "hybrid reports its prepass");
+        assert!(hybrid.kernel.is_none(), "hybrid has no kernel telemetry");
         assert!(queue.kernel.is_none(), "queue has no kernel telemetry");
     }
 }
@@ -191,8 +189,8 @@ fn hybrid_analyze_is_bit_identical_to_queue() {
 #[test]
 fn hybrid_analyze_matches_queue_on_random_sequential_circuits() {
     // A fixed handful of generator words: sequential (DFF-bearing) random
-    // circuits under the x-init preset, the adversarial case for the
-    // prepass's quiet-cycle proofs.
+    // circuits under the x-init preset, the adversarial case for the timed
+    // kernel's flipflop start states.
     let gate_words: Vec<u64> = (0..24)
         .map(|i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 11))
         .collect();

@@ -3,7 +3,7 @@
 //! event-queue screen — same decision, same first-divergence message,
 //! same cycle count — on the corpus circuits and on random netlists.
 //!
-//! This is what lets the hybrid engine batch-screen through the kernel
+//! This is what lets the reducer batch-screen through the kernel
 //! without changing any reduction result: kernel settled values equal
 //! queue settled values (the kernel oracle), and both backends share the
 //! stimulus generator and comparison order.

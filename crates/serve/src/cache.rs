@@ -9,8 +9,8 @@
 //!    incremental job against it.
 //! 3. **Compiled kernel programs** — the levelized straight-line programs
 //!    behind the `kernel`/`hybrid` engines, compiled once per circuit and
-//!    shared by every prepass against it. Delay-independent, so one
-//!    program serves every parameter combination.
+//!    shared by every kernel or timed batch against it. Delay-independent,
+//!    so one program serves every parameter combination.
 //! 4. **Sim baselines** — the recorded replay logs that make `flip`
 //!    requests incremental, keyed by the analysis parameters that shape
 //!    them, with their "before" figures recovered on load by a zero-eval

@@ -15,7 +15,7 @@
 //!   fresh on demand by the CLI.
 //! - [`Sink`]: where the deterministic counters (and the CLI's wall-clock
 //!   phase spans) go. [`Sink::off`] is the bare path: no metrics probe,
-//!   no kernel classification, no registry work.
+//!   no registry work.
 //! - [`Hooks`]: the CLI-only extras (artefact probes, a budgets file) and
 //!   the reduce progress observer.
 
@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use glitch_core::netlist::{Bus, ConeIndex, Netlist};
 use glitch_core::sim::{
-    kernel_prepass, run_kernel_jobs, MergeableProbe, MetricsProbe, Probe, SessionReport,
-    SimOptions, TimedWork, WindowedActivityProbe,
+    run_kernel_jobs, MergeableProbe, MetricsProbe, Probe, SessionReport, SimOptions, TimedWork,
+    WindowedActivityProbe,
 };
 use glitch_core::verify::VerifyReport;
 use glitch_core::{
@@ -217,15 +217,13 @@ impl<'a> Sink<'a> {
         self.gauge_max("queue.peak_depth", queue.peak_depth);
     }
 
-    /// `timed.*`: the shards of a batch that settled on the timed kernel,
-    /// their lanes (cycles), deepest horizon and word-wide op evaluations.
-    /// Nothing is recorded for a batch without timed shards.
+    /// `timed.*` of a hybrid batch: the shards that settled on the timed
+    /// kernel, their lanes (cycles), deepest horizon and word-wide op
+    /// evaluations, and the shards that fell back to the event path.
     fn timed(&mut self, shards: &[ShardSummary]) {
         let work: Vec<TimedWork> = shards.iter().filter_map(|shard| shard.timed).collect();
-        if work.is_empty() {
-            return;
-        }
         self.add("timed.shards", work.len() as u64);
+        self.add("timed.fallbacks", (shards.len() - work.len()) as u64);
         self.add("timed.lanes", work.iter().map(|w| w.lanes).sum());
         self.gauge_max(
             "timed.horizon",
@@ -234,14 +232,11 @@ impl<'a> Sink<'a> {
         self.add("timed.op_evals", work.iter().map(|w| w.op_evals).sum());
     }
 
-    /// `kernel.*`: the lane/cycle/pair classification and functional work
-    /// of a compiled-kernel or hybrid run.
+    /// `kernel.*`: the lanes, cycles and functional work of a
+    /// compiled-kernel run.
     fn kernel(&mut self, kernel: &KernelTelemetry) {
         self.add("kernel.lanes", kernel.lanes as u64);
         self.add("kernel.cycles_total", kernel.total_cycles);
-        self.add("kernel.cycles_quiet", kernel.quiet_cycles);
-        self.add("kernel.pairs_total", kernel.total_pairs);
-        self.add("kernel.pairs_quiet", kernel.quiet_pairs);
         self.add(
             "kernel.functional_transitions",
             kernel.functional_transitions,
@@ -522,11 +517,14 @@ const KERNEL_DELAY: &str = "the kernel engine simulates zero delay only; \
 const KERNEL_TIMING_CHECK: &str = "--budget and --hazards check settle timing, which the \
      zero-delay kernel engine cannot see (they would pass vacuously); use --engine queue or hybrid";
 const SINGLE_SEED_FLIP: &str = "--flip applies to single-seed runs; drop --seeds or --flip";
-const QUEUE_ONLY_FLIP: &str = "--flip rides the incremental queue replay; drop --engine or --flip";
+/// The refusal of an input flip (`--flip`, `--flip-inputs`) under
+/// `--engine kernel`: the incremental replay is always event-driven.
+pub const KERNEL_FLIP: &str = "input flips ride the incremental event-driven replay, which \
+     the kernel engine cannot run; drop --engine kernel";
 
 /// Runs one job against `netlist`. Parameters resolve exactly as the
 /// CLI's flags do (same defaults, same messages); the engine defaults to
-/// `queue`.
+/// `hybrid`.
 ///
 /// # Errors
 ///
@@ -573,8 +571,8 @@ pub fn exec(
             if seeds > 1 {
                 return Err(usage(SINGLE_SEED_FLIP));
             }
-            if config.engine != EngineKind::Queue {
-                return Err(usage(QUEUE_ONLY_FLIP));
+            if config.engine == EngineKind::Kernel {
+                return Err(usage(KERNEL_FLIP));
             }
             let flips = params::parse_flips(job.flips.as_deref().unwrap_or_default(), netlist)?;
             // The run length is known before simulating anything; an
@@ -621,8 +619,8 @@ pub fn exec(
                 if job.seeds.is_some() {
                     return Err(usage(SINGLE_SEED_FLIP));
                 }
-                if config.engine != EngineKind::Queue {
-                    return Err(usage(QUEUE_ONLY_FLIP));
+                if config.engine == EngineKind::Kernel {
+                    return Err(usage(KERNEL_FLIP));
                 }
                 let flips = params::parse_flips(spec, netlist)?;
                 params::check_flip_cycles(&flips, config.cycles)?;
@@ -652,25 +650,19 @@ pub fn exec(
             }
             let (seeds, jobs) = params::seeds_and_jobs(job.seeds, job.jobs, 1)?;
             let seed_list = params::stimulus_seeds(config.seed, seeds);
-            let program = compiled(config.engine, resources, sink)?;
             let batch_start = sink.now();
             let checked = {
                 let _span = sink.span("simulate");
                 analyzer
-                    .check_seeds_compiled(
-                        netlist,
-                        &buses,
-                        &[],
-                        &suite,
-                        &seed_list,
-                        jobs,
-                        program.as_deref(),
-                    )
+                    .check_seeds(netlist, &buses, &[], &suite, &seed_list, jobs)
                     .map_err(|e| run(format!("simulation failed: {e}")))?
             };
             sink.shards(batch_start, checked.analysis.aggregate.shards());
             if let Some(kernel) = &checked.analysis.kernel {
                 sink.kernel(kernel);
+            }
+            if config.engine == EngineKind::Hybrid {
+                sink.timed(checked.analysis.aggregate.shards());
             }
             let merge_start = sink.now();
             sink.aggregate(&checked.analysis.aggregate);
@@ -706,14 +698,12 @@ pub fn exec(
                     .map_err(|e| run(format!("simulation failed: {e}")))?
             };
             let merge_start = sink.now();
-            // One prepass serves the whole sweep, so its classification is
-            // recorded once (every point carries the same copy).
-            if let Some(kernel) = points.first().and_then(|p| p.analysis.kernel.as_ref()) {
-                sink.kernel(kernel);
-            }
             for point in &points {
                 sink.aggregate(&point.analysis.aggregate);
-                sink.timed(point.analysis.aggregate.shards());
+                // `kernel` sweeps run as hybrid ones.
+                if config.engine != EngineKind::Queue {
+                    sink.timed(point.analysis.aggregate.shards());
+                }
                 sink.shards(batch_start, point.analysis.aggregate.shards());
             }
             sink.span_since("merge", merge_start);
@@ -781,8 +771,8 @@ fn compiled(
     resources.program().map(Some).map_err(run)
 }
 
-/// `analyze`: one session (queue, hybrid-pruned queue or compiled kernel)
-/// for a single seed, or the multi-seed aggregate.
+/// `analyze`: one session (event-driven or compiled kernel) for a single
+/// seed, or the multi-seed aggregate.
 fn analyze(
     job: &JobRequest,
     netlist: &Netlist,
@@ -802,7 +792,12 @@ fn analyze(
         }
         probes
     };
-    let program = compiled(config.engine, resources, sink)?;
+    // A single seed settles in one session unless the kernel runs it.
+    let program = if seeds > 1 || config.engine == EngineKind::Kernel {
+        compiled(config.engine, resources, sink)?
+    } else {
+        None
+    };
     let analyzer = GlitchAnalyzer::new(config.clone());
     if seeds > 1 {
         let seed_list = params::stimulus_seeds(config.seed, seeds);
@@ -824,6 +819,9 @@ fn analyze(
         sink.shards(batch_start, aggregate.aggregate.shards());
         if let Some(kernel) = &aggregate.kernel {
             sink.kernel(kernel);
+        }
+        if config.engine == EngineKind::Hybrid {
+            sink.timed(aggregate.aggregate.shards());
         }
         // Fold the per-seed window heatmaps (aligned: every seed starts at
         // cycle 0) and the per-seed metrics registries in seed order — the
@@ -848,9 +846,9 @@ fn analyze(
             windowed,
         });
     }
-    let sim_job = analyzer.job(netlist, buses, &[], config.seed);
     let mut report = match program.as_deref() {
-        Some(program) if config.engine == EngineKind::Kernel => {
+        Some(program) => {
+            let sim_job = analyzer.job(netlist, buses, &[], config.seed);
             let _span = sink.span("simulate");
             run_kernel_jobs(netlist, program, std::slice::from_ref(&sim_job), &factory)
                 .map_err(|e| run(format!("simulation failed: {e}")))?
@@ -858,26 +856,10 @@ fn analyze(
                 .next()
                 .expect("one job in, one report out")
         }
-        _ => {
+        None => {
             let mut session = analyzer.session(netlist, buses, &[]);
             for probe in factory(0) {
                 session = session.boxed_probe(probe);
-            }
-            if let Some(program) = program.as_deref() {
-                // Hybrid: one functional kernel pass marks the provably
-                // quiet cycles; the queue replays those and settles only
-                // the rest.
-                let prepass = {
-                    let _span = sink.span("kernel-prepass");
-                    kernel_prepass(netlist, program, std::slice::from_ref(&sim_job))
-                        .map_err(|e| run(format!("kernel prepass failed: {e}")))?
-                };
-                if sink.enabled() {
-                    let kernel = KernelTelemetry::from_prepass(netlist, program, &prepass)
-                        .map_err(|e| run(format!("kernel prepass failed: {e}")))?;
-                    sink.kernel(&kernel);
-                }
-                session = session.quiet_cycles(prepass.quiet_cycles(0));
             }
             let _span = sink.span("simulate");
             session
@@ -895,22 +877,13 @@ fn analyze(
     let max_settle = report.max_settle_time();
     let cell_evals = report.total_cell_evals();
     let analysis = GlitchAnalyzer::analysis(netlist, report);
-    if let Some(program) = program
-        .as_deref()
-        .filter(|_| config.engine == EngineKind::Kernel)
-    {
-        sink.kernel(&KernelTelemetry {
-            engine: EngineKind::Kernel,
-            lanes: 1,
-            total_cycles: config.cycles,
-            quiet_cycles: 0,
-            total_pairs: 0,
-            quiet_pairs: 0,
-            functional_transitions: analysis.activity.totals().transitions,
-            functional_cell_evals: program.op_count() as u64 * config.cycles,
-            program_ops: program.op_count(),
-            program_bytes: program.byte_size(),
-        });
+    if let Some(program) = program.as_deref() {
+        sink.kernel(&KernelTelemetry::new(
+            program,
+            1,
+            config.cycles,
+            analysis.activity.totals().transitions,
+        ));
     }
     Ok(JobOutput::Analyze {
         analysis,

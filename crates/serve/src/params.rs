@@ -111,7 +111,7 @@ pub fn delay_sweep_models(
         .collect()
 }
 
-/// Resolves an engine name (`queue` default, `kernel`, `hybrid`) to an
+/// Resolves an engine name (`queue`, `kernel`, `hybrid` default) to an
 /// [`EngineKind`].
 ///
 /// # Errors
@@ -119,7 +119,7 @@ pub fn delay_sweep_models(
 /// Returns [`ParamError::Usage`] for unknown engine names.
 pub fn engine_kind(name: Option<&str>) -> Result<EngineKind, ParamError> {
     match name {
-        None => Ok(EngineKind::Queue),
+        None => Ok(EngineKind::default()),
         Some(text) => text
             .parse()
             .map_err(|e: String| usage(format!("--engine: {e}"))),
@@ -479,7 +479,7 @@ mod tests {
         assert_eq!(config.seed, defaults.seed);
         assert_eq!(config.frequency, defaults.frequency);
         assert_eq!(config.delay, DelayKind::Unit);
-        assert_eq!(config.engine, EngineKind::Queue);
+        assert_eq!(config.engine, EngineKind::Hybrid);
         assert_eq!(seeds_and_jobs(None, None, 1).unwrap(), (1, 1));
         assert!(library_for_tech(Some("90nm")).is_err());
         assert!(delay_kind(Some("psychic"), &library).is_err());
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn engine_names_resolve() {
-        assert_eq!(engine_kind(None).unwrap(), EngineKind::Queue);
+        assert_eq!(engine_kind(None).unwrap(), EngineKind::Hybrid);
         assert_eq!(engine_kind(Some("queue")).unwrap(), EngineKind::Queue);
         assert_eq!(engine_kind(Some("kernel")).unwrap(), EngineKind::Kernel);
         assert_eq!(engine_kind(Some("hybrid")).unwrap(), EngineKind::Hybrid);

@@ -65,8 +65,8 @@ pub struct JobRequest {
     pub delay: Option<String>,
     /// `--delays` (sweep only).
     pub delays: Option<String>,
-    /// `--engine` (`queue`, `kernel` or `hybrid`; defaults to `queue`, as
-    /// on the CLI).
+    /// `--engine` (`queue`, `kernel` or `hybrid`; defaults to `hybrid`,
+    /// as on the CLI).
     pub engine: Option<String>,
     /// `--tech`.
     pub tech: Option<String>,

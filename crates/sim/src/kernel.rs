@@ -1,18 +1,14 @@
 //! Lane-packed execution of parallel job batches on the compiled
-//! bit-parallel kernel (`glitch_kernel`), plus the session-level glue that
-//! lets the event-driven engine skip cycles the kernel proved quiet.
+//! bit-parallel kernel (`glitch_kernel`).
 //!
 //! Two entry points:
 //!
 //! * [`kernel_prepass`] — runs a whole `&[SimJob]` batch through the
-//!   kernel at once (job `i` occupies lane `i`), recording which cycles of
-//!   which lanes are *functionally quiet* — no primary input or flipflop
-//!   output changes at the cycle boundary, so the event-driven engine
-//!   would schedule zero events — and which nets changed at all per lane.
-//!   The hybrid engine feeds the quiet flags back into the same jobs via
-//!   [`SimJob::with_quiet_cycles`], so the expensive timed settle only
-//!   runs on the cycles that can produce events, with bit-identical
-//!   results.
+//!   kernel at once (job `i` occupies lane `i`) and counts the batch's
+//!   zero-delay switching transitions and its *functionally quiet*
+//!   `(job, cycle)` pairs, on which no primary input or flipflop output
+//!   changes at the cycle boundary. No engine consumes it; it measures
+//!   how much a quiet-cycle filter could prune on a given stimulus.
 //! * [`run_kernel_jobs`] — the pure-kernel engine: one [`SessionReport`]
 //!   per job with the standard probe set attached, and no event queue
 //!   anywhere. Semantics are functional (zero delay): activity, power and
@@ -20,21 +16,6 @@
 //!   run bit for bit, while `events` counts changed nets and `cell_evals`
 //!   counts straight-line kernel ops per cycle (there is no queue traffic
 //!   to count, and the job's delay model is ignored).
-//!
-//! ## Why a quiet cycle may be skipped
-//!
-//! The event-driven [`crate::ClockedSimulator`] schedules work at a cycle
-//! boundary only for nets whose scheduled value differs from their
-//! currently pending value: constants (settled after cycle 0), primary
-//! inputs, and flipflop Q outputs. If every one of those *source nets*
-//! keeps its end-of-previous-cycle value, the queue stays empty and the
-//! cycle's statistics are exactly [`CycleStats::default()`] with zero
-//! queue traffic — which is precisely what replaying an empty cycle
-//! produces. The kernel evaluates the same source nets functionally, so
-//! the comparison is sound for any delay model; cycle 0 is never quiet
-//! (constant drivers and `X`-initialisation fire there).
-
-use std::sync::Arc;
 
 use glitch_kernel::{EvalMode, KernelProgram, KernelState};
 use glitch_netlist::{NetId, Netlist, Tri};
@@ -58,44 +39,20 @@ pub fn kernel_eval_mode(x_eval: XEval) -> EvalMode {
     }
 }
 
-/// The result of a lane-packed functional prepass over a job batch: which
-/// cycles of which jobs are provably quiet, which nets changed at all,
-/// and the batch's functional activity totals.
+/// The result of a lane-packed functional prepass over a job batch: how
+/// many `(job, cycle)` pairs are functionally quiet, and the batch's
+/// functional activity totals.
 #[derive(Debug, Clone)]
 pub struct KernelPrepass {
-    lanes: usize,
-    words: usize,
-    cycles: u64,
-    quiet: Vec<Arc<Vec<bool>>>,
+    total_cycles: u64,
     quiet_count: u64,
-    /// Lane masks of nets that changed in at least one cycle, word-major
-    /// per net (same layout as [`KernelState`] planes).
-    changed: Vec<u64>,
     transitions: u64,
-    cell_evals: u64,
 }
 
 impl KernelPrepass {
-    /// Number of lanes (jobs) the prepass covered.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Cycles simulated per lane.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// The per-cycle quiet flags of one lane, shareable with
-    /// [`SimJob::with_quiet_cycles`] without copying.
-    #[must_use]
-    pub fn quiet_cycles(&self, lane: usize) -> Arc<Vec<bool>> {
-        Arc::clone(&self.quiet[lane])
-    }
-
-    /// Total quiet `(lane, cycle)` pairs across the batch.
+    /// Total quiet `(lane, cycle)` pairs across the batch: no source net
+    /// changed at the cycle boundary. Cycle 0 is never quiet (constant
+    /// drivers and `X`-initialisation fire there).
     #[must_use]
     pub fn quiet_cycle_count(&self) -> u64 {
         self.quiet_count
@@ -104,19 +61,7 @@ impl KernelPrepass {
     /// Total `(lane, cycle)` pairs across the batch.
     #[must_use]
     pub fn total_cycles(&self) -> u64 {
-        self.lanes as u64 * self.cycles
-    }
-
-    /// Did `net` change value in any cycle of `lane` after the
-    /// initialisation transient (cycle 0, in which every net leaves its
-    /// reset state)? `false` means the net was provably inert for the rest
-    /// of that job: under *any* delay assignment the event-driven engine
-    /// cannot produce a post-reset transition on it.
-    #[must_use]
-    pub fn net_changed(&self, net: NetId, lane: usize) -> bool {
-        debug_assert!(lane < self.lanes);
-        let word = self.changed[net.index() * self.words + lane / 64];
-        word >> (lane % 64) & 1 == 1
+        self.total_cycles
     }
 
     /// Total functional (zero-delay) switching transitions across all
@@ -124,14 +69,6 @@ impl KernelPrepass {
     #[must_use]
     pub fn functional_transitions(&self) -> u64 {
         self.transitions
-    }
-
-    /// Total kernel op evaluations performed (`op_count × lanes ×
-    /// cycles`) — the work metric to compare against the queue engine's
-    /// `cell_evals`.
-    #[must_use]
-    pub fn functional_cell_evals(&self) -> u64 {
-        self.cell_evals
     }
 }
 
@@ -186,8 +123,8 @@ fn assert_uniform(jobs: &[SimJob<'_>]) {
 }
 
 /// Runs a uniform job batch through the compiled kernel, lane-packed, and
-/// classifies every `(job, cycle)` pair as provably quiet or possibly
-/// active. See the module documentation for the soundness argument.
+/// counts its quiet `(job, cycle)` pairs and functional work (see
+/// [`KernelPrepass`]).
 ///
 /// # Errors
 ///
@@ -211,60 +148,40 @@ pub fn kernel_prepass(
     let mut prev = state.clone();
     let words = state.words();
     let mut stimuli = build_stimuli(jobs);
-    let n = netlist.net_count();
     let source: Vec<NetId> = program.source_nets().collect();
-    let mut changed = vec![0u64; n * words];
-    let mut quiet: Vec<Vec<bool>> = vec![Vec::with_capacity(cycles as usize); lanes];
-    let mut quiet_mask = vec![0u64; words];
     let mut quiet_count = 0u64;
     let mut transitions = 0u64;
     for cycle in 0..cycles {
         program.begin_cycle(&mut state);
         apply_stimuli(netlist, &mut stimuli, &mut state)?;
-        if cycle == 0 {
-            // Constant drivers and X-initialisation fire in cycle 0; it is
-            // never quiet.
-            quiet_mask.fill(0);
-        } else {
-            for (w, mask) in quiet_mask.iter_mut().enumerate() {
-                *mask = state.word_mask(w);
-            }
-            for &net in &source {
-                for (w, mask) in quiet_mask.iter_mut().enumerate() {
-                    *mask &= !state.diff_word(&prev, net, w);
+        // Constant drivers and X-initialisation fire in cycle 0; it is
+        // never quiet.
+        if cycle > 0 {
+            for w in 0..words {
+                let mut mask = state.word_mask(w);
+                for &net in &source {
+                    mask &= !state.diff_word(&prev, net, w);
                 }
+                quiet_count += u64::from(mask.count_ones());
             }
         }
         program.eval(&mut state, mode);
         let (pv, pm) = (prev.val_planes(), prev.msk_planes());
         let (cv, cm) = (state.val_planes(), state.msk_planes());
-        for i in 0..n * words {
-            // The `changed` masks classify post-reset inertness, so the
-            // cycle-0 transient (every net leaves its reset state) is
-            // excluded; the transition popcount covers every cycle.
-            if cycle > 0 {
-                changed[i] |= (pv[i] ^ cv[i]) | (pm[i] ^ cm[i]);
-            }
-            // Known in both cycles and toggled: a real switching transition.
-            transitions += u64::from(((pv[i] ^ cv[i]) & !pm[i] & !cm[i]).count_ones());
-        }
-        for (lane, flags) in quiet.iter_mut().enumerate() {
-            let is_quiet = quiet_mask[lane / 64] >> (lane % 64) & 1 == 1;
-            flags.push(is_quiet);
-            quiet_count += u64::from(is_quiet);
-        }
+        // Known in both cycles and toggled: a real switching transition.
+        transitions += pv
+            .iter()
+            .zip(cv)
+            .zip(pm.iter().zip(cm))
+            .map(|((p, c), (pk, ck))| u64::from(((p ^ c) & !pk & !ck).count_ones()))
+            .sum::<u64>();
         program.latch(&mut state);
         prev.clone_from(&state);
     }
     Ok(KernelPrepass {
-        lanes,
-        words,
-        cycles,
-        quiet: quiet.into_iter().map(Arc::new).collect(),
+        total_cycles: lanes as u64 * cycles,
         quiet_count,
-        changed,
         transitions,
-        cell_evals: program.op_count() as u64 * lanes as u64 * cycles,
     })
 }
 
@@ -430,40 +347,11 @@ mod tests {
             (a.bit(3), false),
         ]);
         let prepass = kernel_prepass(&nl, &program, std::slice::from_ref(&job)).unwrap();
-        assert_eq!(prepass.lanes(), 1);
-        assert_eq!(prepass.cycles(), 10);
-        let quiet = prepass.quiet_cycles(0);
-        assert!(!quiet[0], "cycle 0 is never quiet");
-        assert!(!quiet[1], "flipflops still settle in cycle 1");
-        assert!(quiet[3..].iter().all(|&q| q), "steady state is quiet");
-        assert!(prepass.quiet_cycle_count() >= 7);
+        // Cycle 0 is never quiet and the flipflops still settle in cycle
+        // 1; from cycle 3 on the steady state is quiet.
+        assert!((7..=8).contains(&prepass.quiet_cycle_count()));
         assert_eq!(prepass.total_cycles(), 10);
-        assert!(prepass.functional_cell_evals() > 0);
-    }
-
-    #[test]
-    fn quiet_skip_is_bit_identical_to_the_full_queue_run() {
-        let (nl, a) = pipeline_netlist();
-        let program = KernelProgram::compile(&nl).unwrap();
-        let jobs: Vec<SimJob<'_>> = (0..5)
-            .map(|seed| SimJob::new(&nl, vec![a.clone()], 40, seed))
-            .collect();
-        let prepass = kernel_prepass(&nl, &program, &jobs).unwrap();
-        let pruned: Vec<SimJob<'_>> = jobs
-            .iter()
-            .enumerate()
-            .map(|(lane, job)| job.clone().with_quiet_cycles(prepass.quiet_cycles(lane)))
-            .collect();
-        let runner = ParallelRunner::new(1);
-        let mut full = runner.run_sessions(&jobs).unwrap();
-        let mut skipped = runner.run_sessions(&pruned).unwrap();
-        for (f, s) in full.iter().zip(&skipped) {
-            assert_eq!(f.cycle_stats(), s.cycle_stats());
-            assert_eq!(f.queue_stats(), s.queue_stats());
-        }
-        let agg_full = AggregateReport::reduce(&nl, &jobs, &mut full);
-        let agg_skip = AggregateReport::reduce(&nl, &pruned, &mut skipped);
-        assert_eq!(agg_full, agg_skip);
+        assert!(prepass.functional_transitions() > 0);
     }
 
     #[test]

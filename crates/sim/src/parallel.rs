@@ -276,10 +276,6 @@ pub struct SimJob<'a> {
     pub frequency: f64,
     /// Simulator options (settle budget, flipflop reset default).
     pub options: SimOptions,
-    /// Per-cycle quiet flags from a kernel prepass
-    /// ([`crate::kernel_prepass`]); flagged cycles are replayed as empty
-    /// instead of settling the event queue. `None` runs every cycle.
-    pub quiet_cycles: Option<std::sync::Arc<Vec<bool>>>,
 }
 
 impl<'a> SimJob<'a> {
@@ -298,7 +294,6 @@ impl<'a> SimJob<'a> {
             technology: Technology::cmos_0p8um_5v(),
             frequency: 5e6,
             options: SimOptions::default(),
-            quiet_cycles: None,
         }
     }
 
@@ -338,14 +333,6 @@ impl<'a> SimJob<'a> {
         self
     }
 
-    /// Attaches kernel-prepass quiet flags: flagged cycles replay as
-    /// empty, skipping the event-driven settle entirely (builder style).
-    #[must_use]
-    pub fn with_quiet_cycles(mut self, quiet: std::sync::Arc<Vec<bool>>) -> Self {
-        self.quiet_cycles = Some(quiet);
-        self
-    }
-
     /// The job's stimulus: its random buses plus the held inputs.
     pub(crate) fn stimulus(&self) -> RandomStimulus {
         let mut stimulus = RandomStimulus::new(self.random_buses.clone(), self.cycles, self.seed);
@@ -365,9 +352,6 @@ impl<'a> SimJob<'a> {
             .probe(ActivityProbe::new())
             .probe(PowerProbe::new(self.technology, self.frequency))
             .probe(StatsProbe::new());
-        if let Some(quiet) = &self.quiet_cycles {
-            session = session.quiet_cycles(std::sync::Arc::clone(quiet));
-        }
         for probe in extra {
             session = session.boxed_probe(probe);
         }

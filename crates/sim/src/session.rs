@@ -59,7 +59,6 @@ pub struct SimSession<'a> {
     options: SimOptions,
     probes: Vec<Box<dyn Probe>>,
     stimulus: Option<Box<dyn Iterator<Item = InputAssignment> + 'a>>,
-    quiet_cycles: Option<std::sync::Arc<Vec<bool>>>,
 }
 
 impl<'a> SimSession<'a> {
@@ -74,7 +73,6 @@ impl<'a> SimSession<'a> {
             options: SimOptions::default(),
             probes: Vec::new(),
             stimulus: None,
-            quiet_cycles: None,
         }
     }
 
@@ -113,21 +111,6 @@ impl<'a> SimSession<'a> {
         I::IntoIter: 'a,
     {
         self.stimulus = Some(Box::new(stimulus.into_iter()));
-        self
-    }
-
-    /// Marks cycles proven *functionally quiet* by a kernel prepass
-    /// ([`crate::kernel_prepass`]): cycle `c` with `quiet[c] == true` is
-    /// replayed as an empty cycle — the stimulus vector is still drawn
-    /// (the PRNG stream stays aligned with a full run), but the event
-    /// queue never runs and the probes observe zero transitions with
-    /// [`CycleStats::default`]. Soundness is the caller's responsibility:
-    /// a flag may only be set when no constant, primary input or flipflop
-    /// output changes at that cycle boundary, which is exactly what the
-    /// prepass proves. Cycles beyond the flag vector run normally.
-    #[must_use]
-    pub fn quiet_cycles(mut self, quiet: std::sync::Arc<Vec<bool>>) -> Self {
-        self.quiet_cycles = Some(quiet);
         self
     }
 
@@ -185,20 +168,7 @@ impl<'a> SimSession<'a> {
         let mut cycle_stats = Vec::new();
         let mut failure = None;
         if let Some(stimulus) = self.stimulus {
-            let quiet = self.quiet_cycles;
-            for (cycle, assignment) in stimulus.enumerate() {
-                let skip = quiet
-                    .as_ref()
-                    .is_some_and(|q| q.get(cycle).copied().unwrap_or(false));
-                if skip {
-                    // The vector was drawn (keeping the stimulus PRNG in
-                    // step with a full run) but provably changes nothing:
-                    // replay the cycle empty instead of settling it.
-                    drop(assignment);
-                    sim.replay_cycle(&[], &CycleStats::default());
-                    cycle_stats.push(CycleStats::default());
-                    continue;
-                }
+            for assignment in stimulus {
                 match sim.step(assignment) {
                     Ok(stats) => cycle_stats.push(stats),
                     Err(error) => {

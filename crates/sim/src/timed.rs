@@ -45,13 +45,12 @@ pub struct TimedWork {
 impl SimJob<'_> {
     /// The timed schedule this job settles on, or `None` when it must run
     /// on the event queue: its resolved delays mix zero and non-zero
-    /// values on non-constant cells (or exceed the kernel's bounds), its
-    /// static horizon exceeds the settle budget, or it replays
-    /// kernel-prepass quiet cycles. `program` must be compiled from the
-    /// job's netlist.
+    /// values on non-constant cells (or exceed the kernel's bounds), or its
+    /// static horizon exceeds the settle budget. `program` must be
+    /// compiled from the job's netlist.
     #[must_use]
     pub fn timed_schedule<'p>(&self, program: &'p KernelProgram) -> Option<TimedSchedule<'p>> {
-        if self.quiet_cycles.is_some() || program.net_count() != self.netlist.net_count() {
+        if program.net_count() != self.netlist.net_count() {
             return None;
         }
         let model = self.delay.clone().into_model();
