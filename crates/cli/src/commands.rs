@@ -51,8 +51,9 @@ commands:
               --delay <model>      unit | zero | adder | library [unit]
               --engine <name>      queue | kernel | hybrid [hybrid, also in
                                    the serve daemon].
-                                   `hybrid` settles batch jobs (--seeds
-                                   without --metrics or per-transition
+                                   `hybrid` settles standard-probe jobs
+                                   (analyze/power at any --seeds without
+                                   --metrics, --window or per-transition
                                    artefacts, and every sweep) on the
                                    timed bit-parallel kernel when every
                                    non-constant delay is >= 1 (or all are
@@ -98,8 +99,8 @@ commands:
                                    count, delay model, simulator options
                                    and the regenerated seeded stimulus
             (every artefact is recorded by a probe on the same single
-            simulation session — no re-simulation per output; with
-            --seeds > 1, one session per seed fanned across --jobs
+            simulation pass — no re-simulation per output; each seed is
+            one job of the same engine dispatch, fanned across --jobs
             workers and reduced deterministically)
   simulate  run the event-driven simulator and report settling behaviour
               --cycles/--seed/--vcd as above
@@ -673,9 +674,6 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
     }
     let (activity, windowed) = match &output {
         JobOutput::Analyze {
-            analysis, windowed, ..
-        } => (&analysis.activity, windowed.as_ref()),
-        JobOutput::Aggregate {
             aggregate,
             windowed,
             ..
@@ -702,27 +700,6 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
 fn print_analyze_text(output: &JobOutput) {
     match output {
         JobOutput::Analyze {
-            analysis,
-            events,
-            max_settle,
-            ..
-        } => {
-            println!(
-                "one simulation pass: {} cycles, {events} events, worst settle time {max_settle}",
-                analysis.cycles
-            );
-            println!();
-            print!("{}", analysis.activity);
-            println!(
-                "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
-                 combinational activity by a factor of {:.2}",
-                analysis.activity.totals().useless_to_useful(),
-                analysis.balance_reduction_factor()
-            );
-            println!();
-            print!("{}", analysis.power);
-        }
-        JobOutput::Aggregate {
             seeds,
             jobs,
             cycles,
@@ -730,28 +707,36 @@ fn print_analyze_text(output: &JobOutput) {
             ..
         } => {
             let totals = aggregate.activity.totals();
-            println!(
-                "parallel sweep: {seeds} seeds x {cycles} cycles on {jobs} jobs \
-                 ({} cycles total, {} events, worst settle time {})",
-                aggregate.total_cycles(),
-                aggregate.aggregate.total_events(),
-                aggregate.aggregate.max_settle_time()
-            );
-            println!();
-            println!("per-seed spread ({seeds} seeds):");
-            println!("  glitches        {}", aggregate.glitch_spread());
-            println!("  useless         {}", aggregate.useless_spread());
-            println!("  L/F             {}", aggregate.lf_ratio_spread());
-            let power_mw = aggregate.power_spread();
-            println!(
-                "  total power (mW) {:.3} ± {:.3} (min {:.3}, max {:.3})",
-                power_mw.mean * 1e3,
-                power_mw.stddev * 1e3,
-                power_mw.min * 1e3,
-                power_mw.max * 1e3
-            );
-            println!();
-            println!("aggregate over the combined activity of all seeds:");
+            let total_cycles = aggregate.total_cycles();
+            let events = aggregate.aggregate.total_events();
+            let max_settle = aggregate.aggregate.max_settle_time();
+            if *seeds == 1 {
+                println!(
+                    "one simulation pass: {total_cycles} cycles, {events} events, \
+                     worst settle time {max_settle}"
+                );
+                println!();
+            } else {
+                println!(
+                    "parallel sweep: {seeds} seeds x {cycles} cycles on {jobs} jobs \
+                     ({total_cycles} cycles total, {events} events, worst settle time {max_settle})"
+                );
+                println!();
+                println!("per-seed spread ({seeds} seeds):");
+                println!("  glitches        {}", aggregate.glitch_spread());
+                println!("  useless         {}", aggregate.useless_spread());
+                println!("  L/F             {}", aggregate.lf_ratio_spread());
+                let power_mw = aggregate.power_spread();
+                println!(
+                    "  total power (mW) {:.3} ± {:.3} (min {:.3}, max {:.3})",
+                    power_mw.mean * 1e3,
+                    power_mw.stddev * 1e3,
+                    power_mw.min * 1e3,
+                    power_mw.max * 1e3
+                );
+                println!();
+                println!("aggregate over the combined activity of all seeds:");
+            }
             print!("{}", aggregate.activity);
             println!(
                 "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
@@ -945,27 +930,29 @@ fn cmd_power(raw: &[String]) -> Result<(), CliError> {
         &mut telemetry.sink(),
         Hooks::default(),
     )?;
-    match output {
-        JobOutput::Aggregate {
-            seeds,
-            jobs,
-            cycles,
-            aggregate,
-            ..
-        } => {
-            println!("aggregate of {seeds} seeds x {cycles} cycles on {jobs} jobs:");
-            print!("{}", aggregate.power);
-            let spread = aggregate.power_spread();
-            println!(
-                "  per-seed total power {:.3} ± {:.3} mW (min {:.3}, max {:.3})",
-                spread.mean * 1e3,
-                spread.stddev * 1e3,
-                spread.min * 1e3,
-                spread.max * 1e3
-            );
-        }
-        JobOutput::Analyze { analysis, .. } => print!("{}", analysis.power),
-        _ => unreachable!("analyze jobs produce analyze output"),
+    let JobOutput::Analyze {
+        seeds,
+        jobs,
+        cycles,
+        aggregate,
+        ..
+    } = output
+    else {
+        unreachable!("analyze jobs produce analyze output")
+    };
+    if seeds == 1 {
+        print!("{}", aggregate.power);
+    } else {
+        println!("aggregate of {seeds} seeds x {cycles} cycles on {jobs} jobs:");
+        print!("{}", aggregate.power);
+        let spread = aggregate.power_spread();
+        println!(
+            "  per-seed total power {:.3} ± {:.3} mW (min {:.3}, max {:.3})",
+            spread.mean * 1e3,
+            spread.stddev * 1e3,
+            spread.min * 1e3,
+            spread.max * 1e3
+        );
     }
     telemetry.finish()
 }

@@ -66,7 +66,8 @@ impl Telemetry {
     }
 
     /// `true` when any telemetry output was requested; gates every piece
-    /// of instrumentation (extra probes, cone index, timing spans).
+    /// of instrumentation (cone index, timing spans, and the metrics probe
+    /// when a dump was requested).
     pub fn enabled(&self) -> bool {
         self.dest.is_some() || self.trace_path.is_some()
     }
@@ -77,14 +78,16 @@ impl Telemetry {
         self.enabled().then(|| self.spans.span(name))
     }
 
-    /// The executor's telemetry sink: this command's registry and span
-    /// log, or [`Sink::off`] (the bare path) when telemetry is off.
+    /// The executor's telemetry sink: this command's span log, plus its
+    /// registry when a metrics dump was asked for (a trace alone needs no
+    /// counters, so it traces the path an untraced run takes), or
+    /// [`Sink::off`] (the bare path) when telemetry is off.
     pub fn sink(&mut self) -> Sink<'_> {
-        if self.enabled() {
-            Sink::new(&mut self.registry, Some(&self.spans))
-        } else {
-            Sink::off()
+        if !self.enabled() {
+            return Sink::off();
         }
+        let registry = self.dest.is_some().then_some(&mut self.registry);
+        Sink::new(registry, Some(&self.spans))
     }
 
     /// Builds the netlist's fanout/level cone index under a `cone-index`

@@ -1059,10 +1059,11 @@ fn analyze_flip_baseline_file_skips_the_recording_pass() {
 }
 
 /// Every bundled netlist through the real front end: the default `hybrid`
-/// engine settles batch jobs on the timed kernel, `--engine queue` on the
-/// event queue, and both must print the same bytes at any worker count.
+/// engine settles standard-probe jobs on the timed kernel, `--engine queue`
+/// on the event queue, and both must print the same bytes at any worker
+/// count and for a single seed.
 #[test]
-fn batch_reports_match_the_event_path_on_every_bundled_netlist() {
+fn reports_match_the_event_path_on_every_bundled_netlist() {
     let mut netlists: Vec<PathBuf> = std::fs::read_dir(data(""))
         .expect("the corpus directory lists")
         .map(|entry| entry.expect("a corpus entry").path())
@@ -1077,14 +1078,23 @@ fn batch_reports_match_the_event_path_on_every_bundled_netlist() {
     assert!(netlists.len() >= 8, "{netlists:?}");
     for path in &netlists {
         let file = path.to_str().expect("UTF-8 corpus paths");
-        let commands: [&[&str]; 2] = [
-            &["sweep", file, "--delays", "unit,zero,adder,library"],
-            &["analyze", file, "--seeds", "3"],
+        let batch: &[Option<&str>] = &[Some("1"), Some("2")];
+        let commands: [(&[&str], &[Option<&str>]); 3] = [
+            (
+                &["sweep", file, "--delays", "unit,zero,adder,library"],
+                batch,
+            ),
+            (&["analyze", file, "--seeds", "3"], batch),
+            // A single seed rejects --jobs.
+            (&["analyze", file], &[None]),
         ];
-        for command in commands {
-            for jobs in ["1", "2"] {
+        for (command, job_counts) in commands {
+            for jobs in job_counts {
                 let mut args = command.to_vec();
-                args.extend(["--cycles", "130", "--json", "--jobs", jobs]);
+                args.extend(["--cycles", "130", "--json"]);
+                if let Some(jobs) = jobs {
+                    args.extend(["--jobs", jobs]);
+                }
                 let routed = run(&args);
                 assert!(routed.status.success(), "{args:?}: {}", stderr(&routed));
                 args.extend(["--engine", "queue"]);

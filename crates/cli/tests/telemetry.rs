@@ -241,3 +241,47 @@ fn hybrid_batches_count_the_shards_that_fall_back_to_the_event_path() {
     assert_eq!(counter(line, "timed.fallbacks"), "2");
     assert_eq!(counter(line, "timed.shards"), "0");
 }
+
+/// The names of the shard bars that `args` plus `--trace-out` records.
+fn shard_bars(name: &str, args: &[&str]) -> Vec<String> {
+    let trace_path = tmp(name);
+    let mut args = args.to_vec();
+    args.extend(["--trace-out", trace_path.to_str().unwrap()]);
+    stdout_of(&args);
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    std::fs::remove_file(&trace_path).ok();
+    trace
+        .split("\"name\":\"")
+        .skip(1)
+        .filter(|rest| rest.starts_with("shard "))
+        .map(|rest| rest[..rest.find('"').expect("a closed name")].to_string())
+        .collect()
+}
+
+#[test]
+fn single_seed_analyze_rides_the_engine_dispatch() {
+    let rca = data("rca4.blif");
+    let base = ["analyze", rca.as_str(), "--cycles", "60"];
+    let routed = shard_bars("single.trace.json", &base);
+    assert_eq!(routed.len(), 1, "{routed:?}");
+    assert!(routed[0].ends_with(" (timed)"), "{routed:?}");
+    // The queue reference, and a windowed probe that needs every
+    // transition, settle event by event.
+    for (name, extra) in [
+        ("single.queue.trace.json", ["--engine", "queue"]),
+        ("single.window.trace.json", ["--window", "8"]),
+    ] {
+        let mut args = base.to_vec();
+        args.extend(extra);
+        let event = shard_bars(name, &args);
+        assert_eq!(event.len(), 1, "{args:?}: {event:?}");
+        assert!(!event[0].contains("(timed)"), "{args:?}: {event:?}");
+    }
+    // So does the metrics probe, and the hybrid counters say so.
+    let mut args = base.to_vec();
+    args.push("--metrics-json");
+    let line = stdout_of(&args);
+    let line = line.lines().last().expect("metrics line");
+    assert_eq!(counter(line, "timed.fallbacks"), "1");
+    assert_eq!(counter(line, "timed.shards"), "0");
+}

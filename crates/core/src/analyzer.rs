@@ -14,7 +14,7 @@ use glitch_sim::{
     SessionReport, SimBaseline, SimError, SimJob, SimSession, Spread,
 };
 
-/// Which execution backend the multi-seed analysis entry points drive.
+/// Which execution backend the analysis entry points drive.
 ///
 /// All three produce their figures through the same probe pipeline; they
 /// differ in *how* net values are computed per cycle:
@@ -27,7 +27,7 @@ use glitch_sim::{
 ///   [`DelayKind::Zero`] queue run bit for bit, 64 seeds per machine word,
 ///   no event queue. No glitch modelling, so a delay sweep runs as
 ///   [`EngineKind::Hybrid`].
-/// * [`EngineKind::Hybrid`] — the default. Batch jobs that carry only the
+/// * [`EngineKind::Hybrid`] — the default. Jobs that carry only the
 ///   standard probes settle on the timed kernel
 ///   ([`ParallelRunner::run_jobs`]) whenever their delays are all ≥ 1 (or
 ///   all 0) on non-constant cells and their static horizon fits the
@@ -132,11 +132,11 @@ pub struct AnalysisConfig {
     pub technology: Technology,
     /// Delay model used for the simulation.
     pub delay: DelayKind,
-    /// Execution backend for the multi-seed entry points
-    /// ([`GlitchAnalyzer::analyze_seeds`], [`GlitchAnalyzer::sweep_delays_compiled`]
-    /// and the check flow riding them). Single-session entry points
-    /// ([`GlitchAnalyzer::analyze`], the incremental layer) always settle
-    /// event by event.
+    /// Execution backend of [`GlitchAnalyzer::analyze`],
+    /// [`GlitchAnalyzer::analyze_seeds`],
+    /// [`GlitchAnalyzer::sweep_delays_compiled`] and the check flow riding
+    /// them. The baseline recordings and the incremental layer need the
+    /// transition stream, so they always settle event by event.
     pub engine: EngineKind,
     /// Simulator options (settle budget, flipflop reset policy, X
     /// evaluation mode). The defaults are the analysis defaults; the
@@ -286,11 +286,13 @@ pub struct DelaySweepPoint {
 /// Simulates a netlist with seeded random stimuli and produces the paper's
 /// transition-activity and power figures — in **one simulation pass**.
 ///
-/// The analyzer is a thin configuration layer over [`SimSession`]: it
-/// attaches an [`ActivityProbe`] and a [`PowerProbe`] to a single session
-/// and distils their outputs into an [`Analysis`]. Callers that need more
-/// observables (a waveform, a transition CSV) add probes to the same
-/// session via [`GlitchAnalyzer::session`] and still pay for one pass.
+/// The analyzer is a thin configuration layer over the simulator: every
+/// analysis, one seed or many, settles through the configured engine in
+/// [`GlitchAnalyzer::analyze_seeds`], and the activity and power probes'
+/// outputs are distilled into an [`Analysis`]. Callers that need more
+/// observables (a waveform, a transition CSV) add probes to the
+/// event-driven session of [`GlitchAnalyzer::session`] and still pay for
+/// one pass.
 ///
 /// ```
 /// use glitch_core::{AnalysisConfig, GlitchAnalyzer};
@@ -386,6 +388,10 @@ impl GlitchAnalyzer {
     /// driving `random_buses` with uniform random values each cycle and
     /// holding the `held` single-bit inputs constant.
     ///
+    /// This is [`GlitchAnalyzer::analyze_seeds`] over the configured seed
+    /// on one worker, with no extra probe and the program compiled on
+    /// demand, so the configured engine settles it.
+    ///
     /// # Errors
     ///
     /// Returns a [`SimError`] if the netlist is structurally invalid or the
@@ -396,8 +402,21 @@ impl GlitchAnalyzer {
         random_buses: &[Bus],
         held: &[(NetId, bool)],
     ) -> Result<Analysis, SimError> {
-        let report = self.session(netlist, random_buses, held).run()?;
-        Ok(Self::analysis(netlist, report))
+        let (seed, _) = self.analyze_seeds(
+            netlist,
+            random_buses,
+            held,
+            &[self.config.seed],
+            1,
+            &|_| Vec::new(),
+            None,
+        )?;
+        Ok(Analysis {
+            trace: seed.trace().clone(),
+            cycles: seed.total_cycles(),
+            activity: seed.activity,
+            power: seed.power,
+        })
     }
 
     /// Like [`GlitchAnalyzer::analyze`], but additionally records a
@@ -526,7 +545,8 @@ impl GlitchAnalyzer {
     ///
     /// The reduction is deterministic (seeded shards, folded in seed
     /// order): any worker count produces the same aggregate bit for bit as
-    /// `jobs = 1`.
+    /// `jobs = 1`. [`GlitchAnalyzer::analyze`] is the one-seed form, so the
+    /// engine dispatch below is the only one an analysis goes through.
     ///
     /// `extra_probes(seed_index)` builds further probes for each seed's
     /// session. The returned [`SessionReport`]s (one per seed, in seed
@@ -1044,6 +1064,22 @@ mod tests {
         assert_eq!(hybrid.power, queue.power);
         assert!(queue.kernel.is_none());
         assert!(hybrid.kernel.is_none());
+        // The single-seed entry point rides the same dispatch.
+        let analyze = |engine| {
+            GlitchAnalyzer::new(AnalysisConfig {
+                cycles: 60,
+                seed: seeds[0],
+                engine,
+                ..Default::default()
+            })
+            .analyze(&adder.netlist, &buses, &held)
+            .unwrap()
+        };
+        let (queue, hybrid) = (analyze(EngineKind::Queue), analyze(EngineKind::Hybrid));
+        assert_eq!(hybrid.activity.to_csv(), queue.activity.to_csv());
+        assert_eq!(hybrid.power, queue.power);
+        assert_eq!(hybrid.trace, queue.trace);
+        assert_eq!(hybrid.cycles, queue.cycles);
     }
 
     #[test]

@@ -587,7 +587,7 @@ impl Engine {
             job,
             netlist,
             &resources,
-            &mut Sink::new(&mut registry, None),
+            &mut Sink::new(Some(&mut registry), None),
             hooks,
         );
         self.merge(registry);

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use glitch_core::netlist::{Bus, ConeIndex, Netlist};
 use glitch_core::sim::{
-    run_kernel_jobs, MergeableProbe, MetricsProbe, Probe, SessionReport, SimOptions, TimedWork,
+    MergeableProbe, MetricsProbe, Probe, SessionReport, SimOptions, TimedWork,
     WindowedActivityProbe,
 };
 use glitch_core::verify::VerifyReport;
@@ -106,9 +106,10 @@ pub fn replay_baseline(
 
 /// Where one job's telemetry goes: deterministic counters into a
 /// [`MetricsRegistry`] (folded in job order, so the result is identical at
-/// any worker count) and, optionally, wall-clock phase spans into a
-/// [`SpanLog`]. A sink that is [`Sink::off`] records nothing and makes the
-/// executor skip every piece of telemetry-only work.
+/// any worker count) and wall-clock phase spans into a [`SpanLog`], each
+/// optional. A sink without a registry attaches no metrics probe, so the
+/// job settles on the path it takes untraced; [`Sink::off`] records
+/// nothing and makes the executor skip every piece of telemetry-only work.
 pub struct Sink<'a> {
     registry: Option<&'a mut MetricsRegistry>,
     spans: Option<&'a SpanLog>,
@@ -124,17 +125,14 @@ impl<'a> Sink<'a> {
         }
     }
 
-    /// Records counters into `registry` and, when given, phase spans into
-    /// `spans`.
+    /// Records counters into `registry` and phase spans into `spans`, each
+    /// when given.
     #[must_use]
-    pub fn new(registry: &'a mut MetricsRegistry, spans: Option<&'a SpanLog>) -> Sink<'a> {
-        Sink {
-            registry: Some(registry),
-            spans,
-        }
+    pub fn new(registry: Option<&'a mut MetricsRegistry>, spans: Option<&'a SpanLog>) -> Sink<'a> {
+        Sink { registry, spans }
     }
 
-    /// `true` unless this is [`Sink::off`].
+    /// `true` when the sink records counters.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.registry.is_some()
@@ -264,9 +262,6 @@ impl<'a> Sink<'a> {
     /// `check.*` violation counters, plus one `checker:NAME` span per
     /// checker from its accumulated wall time.
     fn check(&mut self, report: &VerifyReport, checker_micros: &[(String, u64)]) {
-        if !self.enabled() {
-            return;
-        }
         self.add("check.violations_total", report.total_violations());
         self.add("check.violations_retained", report.retained_violations());
         self.add("check.violations_dropped", report.dropped_violations());
@@ -293,8 +288,8 @@ pub struct Hooks<'a> {
     /// [`WindowedActivityProbe`] among them lands in the report's
     /// `windows`.
     pub probes: Option<&'a ProbeFactory>,
-    /// Sees the finished single-seed `analyze` session before it is
-    /// distilled, to take its extra probes.
+    /// Sees each finished `analyze` session, in seed order, after the
+    /// aggregate is reduced, to take its extra probes.
     pub finished: Option<&'a mut dyn FnMut(&mut SessionReport)>,
     /// Renders each `reduce` iteration as a progress line.
     pub progress: Option<ProgressLines<'a>>,
@@ -323,23 +318,9 @@ impl ProgressSink for ProgressLines<'_> {
 /// The result of one job, ready for [`JobOutput::json`] or a front end's
 /// own text rendering.
 pub enum JobOutput {
-    /// Single-seed `analyze`.
+    /// `analyze` at any seed count; one seed renders as a single run,
+    /// more as the aggregate with its spread.
     Analyze {
-        /// Activity, power and trace of the run.
-        analysis: Analysis,
-        /// Simulation passes.
-        passes: u64,
-        /// Events processed.
-        events: u64,
-        /// Worst settle time.
-        max_settle: u64,
-        /// Cell evaluations.
-        cell_evals: u64,
-        /// The windowed heatmap, when a windowed probe was attached.
-        windowed: Option<WindowedActivityProbe>,
-    },
-    /// Multi-seed `analyze`.
-    Aggregate {
         /// Seeds simulated.
         seeds: usize,
         /// Worker threads.
@@ -420,23 +401,12 @@ impl JobOutput {
     pub fn json(&self, file: &str, netlist: &Netlist) -> String {
         match self {
             JobOutput::Analyze {
-                analysis,
-                passes,
-                events,
-                max_settle,
-                cell_evals,
+                seeds: 1,
+                aggregate,
                 windowed,
-            } => report::analyze_json(
-                file,
-                netlist,
-                analysis,
-                *passes,
-                *events,
-                *max_settle,
-                *cell_evals,
-                windowed.as_ref(),
-            ),
-            JobOutput::Aggregate {
+                ..
+            } => report::analyze_json(file, netlist, aggregate, windowed.as_ref()),
+            JobOutput::Analyze {
                 seeds,
                 jobs,
                 cycles,
@@ -771,8 +741,8 @@ fn compiled(
     resources.program().map(Some).map_err(run)
 }
 
-/// `analyze`: one session (event-driven or compiled kernel) for a single
-/// seed, or the multi-seed aggregate.
+/// `analyze`: every seed through [`GlitchAnalyzer::analyze_seeds`], whose
+/// engine dispatch settles it; the seed count only picks the report form.
 fn analyze(
     job: &JobRequest,
     netlist: &Netlist,
@@ -792,105 +762,54 @@ fn analyze(
         }
         probes
     };
-    // A single seed settles in one session unless the kernel runs it.
-    let program = if seeds > 1 || config.engine == EngineKind::Kernel {
-        compiled(config.engine, resources, sink)?
-    } else {
-        None
+    let program = compiled(config.engine, resources, sink)?;
+    let seed_list = params::stimulus_seeds(config.seed, seeds);
+    let batch_start = sink.now();
+    let (aggregate, mut reports) = {
+        let _span = sink.span("simulate");
+        GlitchAnalyzer::new(config.clone())
+            .analyze_seeds(
+                netlist,
+                buses,
+                &[],
+                &seed_list,
+                jobs,
+                &factory,
+                program.as_deref(),
+            )
+            .map_err(|e| run(format!("simulation failed: {e}")))?
     };
-    let analyzer = GlitchAnalyzer::new(config.clone());
-    if seeds > 1 {
-        let seed_list = params::stimulus_seeds(config.seed, seeds);
-        let batch_start = sink.now();
-        let (aggregate, mut reports) = {
-            let _span = sink.span("simulate");
-            analyzer
-                .analyze_seeds(
-                    netlist,
-                    buses,
-                    &[],
-                    &seed_list,
-                    jobs,
-                    &factory,
-                    program.as_deref(),
-                )
-                .map_err(|e| run(format!("simulation failed: {e}")))?
-        };
-        sink.shards(batch_start, aggregate.aggregate.shards());
-        if let Some(kernel) = &aggregate.kernel {
-            sink.kernel(kernel);
-        }
-        if config.engine == EngineKind::Hybrid {
-            sink.timed(aggregate.aggregate.shards());
-        }
-        // Fold the per-seed window heatmaps (aligned: every seed starts at
-        // cycle 0) and the per-seed metrics registries in seed order — the
-        // `--jobs`-invariance discipline.
-        let merge_start = sink.now();
-        let mut windowed: Option<WindowedActivityProbe> = None;
-        for report in &mut reports {
-            if let Some(probe) = report.take_probe::<WindowedActivityProbe>() {
-                match windowed.as_mut() {
-                    None => windowed = Some(probe),
-                    Some(merged) => merged.merge(probe),
-                }
+    sink.shards(batch_start, aggregate.aggregate.shards());
+    if let Some(kernel) = &aggregate.kernel {
+        sink.kernel(kernel);
+    }
+    if config.engine == EngineKind::Hybrid {
+        sink.timed(aggregate.aggregate.shards());
+    }
+    // Fold the per-seed window heatmaps (aligned: every seed starts at
+    // cycle 0) and the per-seed metrics registries in seed order — the
+    // `--jobs`-invariance discipline.
+    let merge_start = sink.now();
+    let mut windowed: Option<WindowedActivityProbe> = None;
+    let mut finished = hooks.finished;
+    for report in &mut reports {
+        if let Some(probe) = report.take_probe::<WindowedActivityProbe>() {
+            match windowed.as_mut() {
+                None => windowed = Some(probe),
+                Some(merged) => merged.merge(probe),
             }
-            sink.absorb(report);
         }
-        sink.span_since("merge", merge_start);
-        return Ok(JobOutput::Aggregate {
-            seeds,
-            jobs,
-            cycles: config.cycles,
-            aggregate,
-            windowed,
-        });
-    }
-    let mut report = match program.as_deref() {
-        Some(program) => {
-            let sim_job = analyzer.job(netlist, buses, &[], config.seed);
-            let _span = sink.span("simulate");
-            run_kernel_jobs(netlist, program, std::slice::from_ref(&sim_job), &factory)
-                .map_err(|e| run(format!("simulation failed: {e}")))?
-                .into_iter()
-                .next()
-                .expect("one job in, one report out")
+        sink.absorb(report);
+        if let Some(finished) = finished.as_mut() {
+            finished(report);
         }
-        None => {
-            let mut session = analyzer.session(netlist, buses, &[]);
-            for probe in factory(0) {
-                session = session.boxed_probe(probe);
-            }
-            let _span = sink.span("simulate");
-            session
-                .run()
-                .map_err(|e| run(format!("simulation failed: {e}")))?
-        }
-    };
-    sink.absorb(&mut report);
-    let windowed = report.take_probe::<WindowedActivityProbe>();
-    if let Some(finished) = hooks.finished {
-        finished(&mut report);
     }
-    let passes = report.passes();
-    let events = report.total_events();
-    let max_settle = report.max_settle_time();
-    let cell_evals = report.total_cell_evals();
-    let analysis = GlitchAnalyzer::analysis(netlist, report);
-    if let Some(program) = program.as_deref() {
-        sink.kernel(&KernelTelemetry::new(
-            program,
-            1,
-            config.cycles,
-            analysis.activity.totals().transitions,
-        ));
-    }
+    sink.span_since("merge", merge_start);
     Ok(JobOutput::Analyze {
-        analysis,
-        passes,
-        events,
-        max_settle,
-        cell_evals,
+        seeds,
+        jobs,
+        cycles: config.cycles,
+        aggregate,
         windowed,
     })
 }

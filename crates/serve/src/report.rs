@@ -149,27 +149,23 @@ pub fn verify_report_json(report: &VerifyReport, netlist: &Netlist) -> JsonObjec
 
 // ------------------------------------------------------------- envelopes
 
-/// The single-seed `analyze` report line.
-#[allow(clippy::too_many_arguments)]
+/// The single-seed `analyze` report line, from the one-seed aggregate. A
+/// run is one simulation pass, so `passes` is always 1.
 pub fn analyze_json(
     file: &str,
     netlist: &Netlist,
-    analysis: &Analysis,
-    passes: u64,
-    events: u64,
-    max_settle: u64,
-    cell_evals: u64,
+    analysis: &AggregateAnalysis,
     windowed: Option<&WindowedActivityProbe>,
 ) -> String {
     let totals = analysis.activity.totals();
     let out = JsonObject::new()
         .str("file", file)
         .str("netlist", netlist.name())
-        .u64("cycles", analysis.cycles)
-        .u64("passes", passes)
-        .u64("events", events)
-        .u64("max_settle_time", max_settle)
-        .u64("cell_evals", cell_evals)
+        .u64("cycles", analysis.total_cycles())
+        .u64("passes", 1)
+        .u64("events", analysis.aggregate.total_events())
+        .u64("max_settle_time", analysis.aggregate.max_settle_time())
+        .u64("cell_evals", analysis.aggregate.total_cell_evals())
         .raw("activity", &activity_totals_json(&totals).render())
         .raw("power", &power_report_json(&analysis.power).render());
     let out = match windowed {

@@ -31,8 +31,10 @@
 //! observables are one [`Probe`] implementation away — see the trait's
 //! documentation for a complete example.
 //!
-//! For multi-seed / multi-delay-model sweeps there is a sharded parallel
-//! layer: [`ParallelRunner`] fans `(netlist, seed, delay)` [`SimJob`]s
+//! Analysis runs — one seed or many, one delay model or a sweep of them —
+//! go through a sharded parallel layer (`glitch-core`'s analyzer drives a
+//! single-seed analysis as a one-job batch): [`ParallelRunner`] fans
+//! `(netlist, seed, delay)` [`SimJob`]s
 //! across scoped worker threads and [`AggregateReport`] reduces the
 //! per-shard results deterministically ([`MergeableProbe`] folds the
 //! probes in job order), so a parallel run is bit-identical to the serial
