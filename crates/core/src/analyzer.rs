@@ -98,27 +98,6 @@ pub struct KernelTelemetry {
     pub program_bytes: usize,
 }
 
-impl KernelTelemetry {
-    /// The telemetry of `lanes` seeds of `cycles` cycles each on
-    /// `program`, which switched `functional_transitions` times.
-    #[must_use]
-    pub fn new(
-        program: &KernelProgram,
-        lanes: usize,
-        cycles: u64,
-        functional_transitions: u64,
-    ) -> KernelTelemetry {
-        KernelTelemetry {
-            lanes,
-            total_cycles: lanes as u64 * cycles,
-            functional_transitions,
-            functional_cell_evals: program.op_count() as u64 * lanes as u64 * cycles,
-            program_ops: program.op_count(),
-            program_bytes: program.byte_size(),
-        }
-    }
-}
-
 /// Configuration of a [`GlitchAnalyzer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisConfig {
@@ -600,12 +579,15 @@ impl GlitchAnalyzer {
                 let mut reports = run_kernel_jobs(netlist, &program, &job_list, extra_probes)?;
                 let aggregate = AggregateReport::reduce(netlist, &job_list, &mut reports);
                 let mut analysis = AggregateAnalysis::from_aggregate(netlist, seeds, aggregate);
-                analysis.kernel = Some(KernelTelemetry::new(
-                    &program,
-                    job_list.len(),
-                    self.config.cycles,
-                    analysis.activity.totals().transitions,
-                ));
+                let total_cycles = job_list.len() as u64 * self.config.cycles;
+                analysis.kernel = Some(KernelTelemetry {
+                    lanes: job_list.len(),
+                    total_cycles,
+                    functional_transitions: analysis.activity.totals().transitions,
+                    functional_cell_evals: program.op_count() as u64 * total_cycles,
+                    program_ops: program.op_count(),
+                    program_bytes: program.byte_size(),
+                });
                 return Ok((analysis, reports));
             }
             EngineKind::Hybrid if standard_probes() => {
