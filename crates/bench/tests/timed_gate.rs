@@ -3,12 +3,15 @@
 //! 32-bit array multiplier's batch jobs on the timed kernel takes more
 //! than a quarter of the event-driven session's time.
 //!
-//! `ParallelRunner::run_jobs` settles a standard-probe job on the timed
-//! kernel, word-wide across 64 cycles per lane word; the same job through
-//! `ParallelRunner::run_sessions` settles event by event. Both produce the
-//! same report (pinned by `crates/kernel/tests/timed_oracle.rs`), so the
-//! ratio is pure execution cost. The unit and realistic-adder models are
-//! the two timed schedules of the default sweep.
+//! `ParallelRunner::run_jobs` settles a job on the timed kernel,
+//! word-wide across 64 cycles per lane word, when its extra probes can be
+//! filled in bulk; the same job through `ParallelRunner::run_sessions_with`
+//! settles event by event. Both produce the same report (pinned by
+//! `crates/kernel/tests/timed_oracle.rs`), so the ratio is pure execution
+//! cost. Two jobs are gated: the standard probe set alone, and with the
+//! X-propagation + hazard checker suite of `check --hazards` attached. The
+//! unit and realistic-adder models are the two timed schedules of the
+//! default sweep.
 //!
 //! Ignored by default so plain `cargo test` stays timing-free; run with
 //!
@@ -19,12 +22,16 @@
 use std::time::{Duration, Instant};
 
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
-use glitch_core::sim::{DelayKind, ParallelRunner, SimJob};
+use glitch_core::sim::{DelayKind, ParallelRunner, Probe, SimJob};
+use glitch_core::verify::CheckSuite;
 use glitch_core::KernelProgram;
 
 const CYCLES: u64 = 200;
 const SEED: u64 = 0xDA7E_1995;
 const MAX_RATIO: f64 = 0.25;
+
+/// A per-job probe factory, as `run_jobs` takes it.
+type Probes<'a> = &'a (dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync);
 
 /// Median wall time of `runs` executions of `f`.
 fn median_time(runs: usize, mut f: impl FnMut() -> u64) -> Duration {
@@ -39,9 +46,8 @@ fn median_time(runs: usize, mut f: impl FnMut() -> u64) -> Duration {
     times[times.len() / 2]
 }
 
-#[test]
-#[ignore = "timing gate; run explicitly in CI with --release"]
-fn timed_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
+/// Gates the jobs with `extra` probes under both timed delay models.
+fn gate(case: &str, extra: Probes<'_>) {
     let mult = ArrayMultiplier::new(32, AdderStyle::CompoundCell);
     let buses = vec![mult.x.clone(), mult.y.clone()];
     let program = KernelProgram::compile(&mult.netlist).expect("the multiplier compiles");
@@ -54,7 +60,7 @@ fn timed_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
             "{delay:?} qualifies"
         );
         let timed = median_time(3, || {
-            let reports = runner.run_jobs(&jobs, &program).expect("settles");
+            let reports = runner.run_jobs(&jobs, &program, extra).expect("settles");
             assert!(
                 reports[0].timed_work().is_some(),
                 "settled on the timed kernel"
@@ -62,17 +68,32 @@ fn timed_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
             reports[0].total_events()
         });
         let event = median_time(3, || {
-            runner.run_sessions(&jobs).expect("settles")[0].total_events()
+            runner.run_sessions_with(&jobs, extra).expect("settles")[0].total_events()
         });
         let ratio = timed.as_secs_f64() / event.as_secs_f64().max(1e-9);
         println!(
-            "timed gate ({delay:?}): timed {timed:?}, event {event:?}, timed/event {ratio:.3} \
-             (maximum {MAX_RATIO})"
+            "timed gate ({case}, {delay:?}): timed {timed:?}, event {event:?}, \
+             timed/event {ratio:.3} (maximum {MAX_RATIO})"
         );
         assert!(
             ratio <= MAX_RATIO,
-            "timed settle regressed for {delay:?}: {ratio:.3}x the event-driven session > \
-             {MAX_RATIO}x (timed {timed:?} vs event {event:?})"
+            "timed settle regressed ({case}, {delay:?}): {ratio:.3}x the event-driven session \
+             > {MAX_RATIO}x (timed {timed:?} vs event {event:?})"
         );
     }
+}
+
+#[test]
+#[ignore = "timing gate; run explicitly in CI with --release"]
+fn timed_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
+    gate("standard probes", &|_| Vec::new());
+}
+
+#[test]
+#[ignore = "timing gate; run explicitly in CI with --release"]
+fn timed_checker_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
+    let suite = CheckSuite::new().with_x_propagation().with_hazards();
+    gate("x-propagation + hazards", &|_| -> Vec<Box<dyn Probe>> {
+        vec![Box::new(suite.build())]
+    });
 }

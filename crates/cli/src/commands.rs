@@ -51,11 +51,13 @@ commands:
               --delay <model>      unit | zero | adder | library [unit]
               --engine <name>      queue | kernel | hybrid [hybrid, also in
                                    the serve daemon].
-                                   `hybrid` settles standard-probe jobs
-                                   (analyze/power at any --seeds without
-                                   --metrics, --window or per-transition
-                                   artefacts, and every sweep) on the
-                                   timed bit-parallel kernel when every
+                                   `hybrid` settles each job whose probes
+                                   it can fill in bulk (analyze/power at
+                                   any --seeds without --metrics, --window
+                                   or per-transition artefacts, every
+                                   sweep, reduce scoring, and check
+                                   without --budget/--stable/--flip) on
+                                   the timed bit-parallel kernel when every
                                    non-constant delay is >= 1 (or all are
                                    0) and the settle budget covers the
                                    static horizon, and every other job
@@ -150,11 +152,13 @@ commands:
                                    bit-identical to a full re-run)
               --strict             exit with an error when the verdict
                                    is FAIL
-              --engine <name>      as in analyze; the checkers see every
-                                   transition, so queue and hybrid both
-                                   settle event by event; kernel refuses
-                                   --budget, --hazards (they would pass
-                                   vacuously at zero delay) and --flip
+              --engine <name>      as in analyze: hybrid settles the
+                                   X-propagation and hazard checkers on
+                                   the timed kernel, budgets and
+                                   stability assertions event by event;
+                                   kernel refuses --budget, --hazards
+                                   (they would pass vacuously at zero
+                                   delay) and --flip
               --cycles/--seed/--delay/--tech/--json as above
   retime    cutset pipelining of a combinational circuit, with a
             before/after activity and power comparison
@@ -181,10 +185,10 @@ commands:
                                    across worker threads; reports are
                                    bit-identical at any --jobs count
               --engine <name>      queue | hybrid [hybrid]: the scoring
-                                   engine; scoring tracks hazards per
-                                   transition, so both settle event by
-                                   event; kernel alone cannot score
-                                   glitches. Candidates are always screened
+                                   engine, as in analyze (hybrid scores
+                                   hazards on the timed kernel); kernel
+                                   alone cannot score glitches.
+                                   Candidates are always screened
                                    batch-wide through the compiled kernel
               --emit-blif <file>   write the reduced circuit as BLIF
               --progress           print one JSON progress line per

@@ -1059,9 +1059,10 @@ fn analyze_flip_baseline_file_skips_the_recording_pass() {
 }
 
 /// Every bundled netlist through the real front end: the default `hybrid`
-/// engine settles standard-probe jobs on the timed kernel, `--engine queue`
-/// on the event queue, and both must print the same bytes at any worker
-/// count and for a single seed.
+/// engine settles sweeps, analyses, reduce scoring and X-propagation +
+/// hazard checks on the timed kernel, `--engine queue` on the event
+/// queue, and both must print the same bytes at any worker count and for
+/// a single seed.
 #[test]
 fn reports_match_the_event_path_on_every_bundled_netlist() {
     let mut netlists: Vec<PathBuf> = std::fs::read_dir(data(""))
@@ -1079,7 +1080,7 @@ fn reports_match_the_event_path_on_every_bundled_netlist() {
     for path in &netlists {
         let file = path.to_str().expect("UTF-8 corpus paths");
         let batch: &[Option<&str>] = &[Some("1"), Some("2")];
-        let commands: [(&[&str], &[Option<&str>]); 3] = [
+        let commands: [(&[&str], &[Option<&str>]); 7] = [
             (
                 &["sweep", file, "--delays", "unit,zero,adder,library"],
                 batch,
@@ -1087,6 +1088,13 @@ fn reports_match_the_event_path_on_every_bundled_netlist() {
             (&["analyze", file, "--seeds", "3"], batch),
             // A single seed rejects --jobs.
             (&["analyze", file], &[None]),
+            (&["reduce", file], &[None]),
+            (&["reduce", file, "--seeds", "2"], batch),
+            (&["check", file, "--hazards"], &[None]),
+            (
+                &["check", file, "--x-init", "--hazards", "--seeds", "3"],
+                batch,
+            ),
         ];
         for (command, job_counts) in commands {
             for jobs in job_counts {

@@ -285,3 +285,20 @@ fn single_seed_analyze_rides_the_engine_dispatch() {
     assert_eq!(counter(line, "timed.fallbacks"), "1");
     assert_eq!(counter(line, "timed.shards"), "0");
 }
+
+#[test]
+fn hazard_checks_settle_timed_unless_a_budget_needs_every_transition() {
+    let rca = data("rca4.blif");
+    let base = ["check", rca.as_str(), "--hazards", "--metrics-json"];
+    let line = stdout_of(&base);
+    let line = line.lines().last().expect("metrics line");
+    assert_eq!(counter(line, "timed.shards"), "1");
+    assert_eq!(counter(line, "timed.fallbacks"), "0");
+    // The settle-budget checker reads each transition's settle time.
+    let mut args = base.to_vec();
+    args.extend(["--budget", "outputs=4"]);
+    let line = stdout_of(&args);
+    let line = line.lines().last().expect("metrics line");
+    assert_eq!(counter(line, "timed.shards"), "0");
+    assert_eq!(counter(line, "timed.fallbacks"), "1");
+}

@@ -27,8 +27,9 @@ use glitch_sim::{
 ///   [`DelayKind::Zero`] queue run bit for bit, 64 seeds per machine word,
 ///   no event queue. No glitch modelling, so a delay sweep runs as
 ///   [`EngineKind::Hybrid`].
-/// * [`EngineKind::Hybrid`] — the default. Jobs that carry only the
-///   standard probes settle on the timed kernel
+/// * [`EngineKind::Hybrid`] — the default. Jobs whose extra probes all
+///   [`Probe::settles_timed`] (none, the hazard probe, X-propagation and
+///   hazard checkers) settle on the timed kernel
 ///   ([`ParallelRunner::run_jobs`]) whenever their delays are all ≥ 1 (or
 ///   all 0) on non-constant cells and their static horizon fits the
 ///   settle budget ([`SimJob::timed_schedule`]); every other job settles
@@ -537,12 +538,12 @@ impl GlitchAnalyzer {
     /// Long-lived callers (the serving layer's content-addressed program
     /// cache) amortise the one-time compile this way; a program is
     /// deterministic for a netlist, so the figures are identical either
-    /// way. Under [`EngineKind::Hybrid`], when no extra probe is attached,
-    /// the program drives the timed kernel that settles every qualifying
-    /// seed ([`ParallelRunner::run_jobs`]); under [`EngineKind::Kernel`] it
-    /// runs every seed. It is compiled on demand when absent. Under
-    /// [`EngineKind::Queue`], or when an extra probe is attached under
-    /// [`EngineKind::Hybrid`], every seed settles event by event.
+    /// way. Under [`EngineKind::Hybrid`] the program drives the timed
+    /// kernel that settles every seed whose delays qualify and whose extra
+    /// probes all [`Probe::settles_timed`] ([`ParallelRunner::run_jobs`]);
+    /// the other seeds settle event by event. Under [`EngineKind::Kernel`]
+    /// the program runs every seed. It is compiled on demand when absent.
+    /// Under [`EngineKind::Queue`] every seed settles event by event.
     ///
     /// # Errors
     ///
@@ -569,10 +570,6 @@ impl GlitchAnalyzer {
             .iter()
             .map(|&seed| self.job(netlist, random_buses, held, seed))
             .collect();
-        // Jobs with only the standard probes settle on the timed kernel
-        // where their delays allow it; extra probes need the
-        // per-transition hooks of a session.
-        let standard_probes = || (0..job_list.len()).all(|index| extra_probes(index).is_empty());
         let reports = match self.config.engine {
             EngineKind::Kernel => {
                 let program = program_or_compile(netlist, program)?;
@@ -590,10 +587,8 @@ impl GlitchAnalyzer {
                 });
                 return Ok((analysis, reports));
             }
-            EngineKind::Hybrid if standard_probes() => {
-                run_routed(netlist, &job_list, jobs, program)?
-            }
-            EngineKind::Hybrid | EngineKind::Queue => {
+            EngineKind::Hybrid => run_routed(netlist, &job_list, jobs, program, extra_probes)?,
+            EngineKind::Queue => {
                 ParallelRunner::new(jobs).run_sessions_with(&job_list, extra_probes)?
             }
         };
@@ -657,7 +652,7 @@ impl GlitchAnalyzer {
         let reports = if self.config.engine == EngineKind::Queue {
             ParallelRunner::new(jobs).run_sessions(&job_list)?
         } else {
-            run_routed(netlist, &job_list, jobs, program)?
+            run_routed(netlist, &job_list, jobs, program, &|_| Vec::new())?
         };
         // Chunk the flat batch back into one aggregate per delay model.
         let mut points = Vec::with_capacity(labels_and_delays.len());
@@ -675,18 +670,19 @@ impl GlitchAnalyzer {
     }
 }
 
-/// Runs a hybrid-engine batch with the standard probes through
-/// [`ParallelRunner::run_jobs`], which settles every qualifying job on the
-/// timed kernel. A netlist that does not compile fails the validation
-/// its sessions would fail, with the same error.
+/// Runs a hybrid-engine batch through [`ParallelRunner::run_jobs`], which
+/// settles every qualifying job on the timed kernel. A netlist that does
+/// not compile fails the validation its sessions would fail, with the
+/// same error.
 fn run_routed(
     netlist: &Netlist,
     jobs: &[SimJob<'_>],
     workers: usize,
     program: Option<&KernelProgram>,
+    extra_probes: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
 ) -> Result<Vec<SessionReport>, SimError> {
     let program = program_or_compile(netlist, program)?;
-    ParallelRunner::new(workers).run_jobs(jobs, &program)
+    ParallelRunner::new(workers).run_jobs(jobs, &program, extra_probes)
 }
 
 /// The supplied program, or one compiled from `netlist` when none is.

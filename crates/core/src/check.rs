@@ -54,11 +54,13 @@ impl GlitchAnalyzer {
     /// threads — and folds the per-seed checkers in seed order. The
     /// configured [`crate::AnalysisConfig::options`] select the reset /
     /// X-evaluation policy ([`glitch_sim::SimOptions::x_init`] for
-    /// uninitialised-state checking). The checkers need each transition,
-    /// so every seed settles event by event except under
-    /// [`crate::EngineKind::Kernel`], which compiles the netlist and runs
-    /// the functional kernel; the hybrid verdict is bit-identical to the
-    /// queue one.
+    /// uninitialised-state checking). The engine dispatch is
+    /// [`GlitchAnalyzer::analyze_seeds`]': under [`crate::EngineKind::Hybrid`]
+    /// a suite of X-propagation and hazard checkers settles each
+    /// qualifying seed on the timed kernel, while settle budgets and
+    /// stability assertions need each transition and settle event by
+    /// event; [`crate::EngineKind::Kernel`] runs the functional kernel.
+    /// The hybrid verdict is bit-identical to the queue one.
     ///
     /// # Errors
     ///
@@ -166,7 +168,7 @@ fn take_report(report: &mut SessionReport, netlist: &Netlist) -> VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::AnalysisConfig;
+    use crate::analyzer::{AnalysisConfig, EngineKind};
     use glitch_netlist::Bus;
     use glitch_sim::{InputAssignment, SimOptions, SimSession};
     use glitch_verify::BudgetSpec;
@@ -227,6 +229,43 @@ mod tests {
         assert_eq!(serial.analysis.total_cycles(), 4 * 60);
         let xprop = serial.report.outcome("x-propagation").unwrap();
         assert_eq!(xprop.metric("cycles"), Some(4 * 60));
+    }
+
+    #[test]
+    fn hybrid_x_and_hazard_checks_settle_timed_and_match_the_queue() {
+        let adder = glitch_arith::RippleCarryAdder::new(4, glitch_arith::AdderStyle::CompoundCell);
+        let pipelined = glitch_retime::pipeline_netlist(&adder.netlist, 2, Default::default())
+            .unwrap()
+            .netlist;
+        let pipelined_buses = vec![Bus::new(pipelined.inputs().to_vec())];
+        let suite = CheckSuite::new().with_x_propagation().with_hazards();
+        let seeds = [7u64, 8, 9];
+        for (nl, buses) in [fixture(), (pipelined, pipelined_buses)] {
+            let check = |engine| {
+                GlitchAnalyzer::new(AnalysisConfig {
+                    cycles: 70,
+                    engine,
+                    options: SimOptions::x_init(),
+                    ..Default::default()
+                })
+                .check_seeds(&nl, &buses, &[], &suite, &seeds, 2)
+                .unwrap()
+            };
+            let queue = check(EngineKind::Queue);
+            let hybrid = check(EngineKind::Hybrid);
+            assert_eq!(hybrid.report, queue.report, "{}", nl.name());
+            assert_eq!(hybrid.analysis.aggregate, queue.analysis.aggregate);
+            let shards = |checked: &CheckAnalysis| {
+                let shards = checked.analysis.aggregate.shards();
+                shards.iter().filter(|shard| shard.timed.is_some()).count()
+            };
+            assert_eq!(
+                shards(&hybrid),
+                seeds.len(),
+                "every hybrid seed settles timed"
+            );
+            assert_eq!(shards(&queue), 0, "queue seeds never do");
+        }
     }
 
     #[test]

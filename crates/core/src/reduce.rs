@@ -9,9 +9,10 @@
 //! `glitch-reduce` optimizer and the CLI/daemon front-ends:
 //!
 //! * the standard [`GlitchAnalyzer`] multi-seed pass (activity + power,
-//!   deterministic at any worker count) for the *figures*. The hazard
-//!   probe needs every transition, so each seed settles event by event
-//!   under both the `queue` and the `hybrid` engine;
+//!   deterministic at any worker count) for the *figures*. Under the
+//!   `hybrid` engine each seed whose delays qualify settles on the timed
+//!   kernel, hazards included; under `queue` each settles event by event,
+//!   with the same score;
 //! * a [`HazardProbe`] riding the same pass for the *locations* — per-net
 //!   static/dynamic hazard counts, folded across seeds in seed order;
 //! * a glitch-power distillation: the combinational power attributable to
@@ -30,8 +31,9 @@ use crate::analyzer::{AggregateAnalysis, AnalysisConfig, GlitchAnalyzer};
 /// derived objective and per-net hazard locations.
 #[derive(Debug, Clone)]
 pub struct ReduceScore {
-    /// The full multi-seed aggregate (activity, power, spreads, kernel
-    /// telemetry when the engine used the compiled kernel).
+    /// The full multi-seed aggregate (activity, power, spreads). Kernel
+    /// telemetry appears only under [`crate::EngineKind::Kernel`], which
+    /// has no glitch model to score with and which `reduce` refuses.
     pub analysis: AggregateAnalysis,
     /// Hazards per net across all seeds, index-aligned with the netlist's
     /// nets — the candidate-ranking signal.
@@ -234,22 +236,46 @@ mod tests {
     #[test]
     fn scores_are_worker_count_and_engine_invariant() {
         let adder = RippleCarryAdder::new(4, AdderStyle::CompoundCell);
-        let buses = [adder.a.clone(), adder.b.clone()];
-        let held = [(adder.cin, false)];
-        let serial = session(EngineKind::Queue, 1)
-            .score(&adder.netlist, &buses, &held)
-            .unwrap();
-        let parallel = session(EngineKind::Queue, 4)
-            .score(&adder.netlist, &buses, &held)
-            .unwrap();
-        let hybrid = session(EngineKind::Hybrid, 2)
-            .score(&adder.netlist, &buses, &held)
-            .unwrap();
-        for other in [&parallel, &hybrid] {
-            assert_eq!(serial.hazards, other.hazards);
-            assert_eq!(serial.glitch_power.to_bits(), other.glitch_power.to_bits());
-            assert_eq!(serial.total_power.to_bits(), other.total_power.to_bits());
-            assert_eq!(serial.hot_nets(), other.hot_nets());
+        // The sequential shape the reducer scores after a retime move.
+        let pipelined = glitch_retime::pipeline_netlist(&adder.netlist, 2, Default::default())
+            .unwrap()
+            .netlist;
+        assert!(pipelined.dff_count() > 0);
+        let cases = [
+            (
+                &adder.netlist,
+                vec![adder.a.clone(), adder.b.clone()],
+                vec![(adder.cin, false)],
+            ),
+            (
+                &pipelined,
+                vec![Bus::new(pipelined.inputs().to_vec())],
+                vec![],
+            ),
+        ];
+        for (netlist, buses, held) in &cases {
+            let serial = session(EngineKind::Queue, 1)
+                .score(netlist, buses, held)
+                .unwrap();
+            let parallel = session(EngineKind::Queue, 4)
+                .score(netlist, buses, held)
+                .unwrap();
+            let hybrid = session(EngineKind::Hybrid, 2)
+                .score(netlist, buses, held)
+                .unwrap();
+            assert!(serial.total_hazards() > 0, "{}", netlist.name());
+            for other in [&parallel, &hybrid] {
+                assert_eq!(serial.hazards, other.hazards);
+                assert_eq!(serial.glitch_power.to_bits(), other.glitch_power.to_bits());
+                assert_eq!(serial.total_power.to_bits(), other.total_power.to_bits());
+                assert_eq!(serial.hot_nets(), other.hot_nets());
+            }
+            let timed = |score: &ReduceScore| {
+                let shards = score.analysis.aggregate.shards();
+                shards.iter().filter(|shard| shard.timed.is_some()).count()
+            };
+            assert_eq!(timed(&hybrid), 3, "every hybrid seed settles timed");
+            assert_eq!(timed(&serial) + timed(&parallel), 0, "no queue seed does");
         }
     }
 

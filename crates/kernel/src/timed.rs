@@ -28,6 +28,15 @@
 //! the unit-delay time points; their transitions are the start-versus-
 //! settled changes of each net, and their settle time is 0.
 //!
+//! When the tally asks for them ([`TimedTally::with_hazards`]), the step
+//! also classifies every lane's hazards as the hazard checker reads them
+//! off the event stream: per net it keeps the lanes with at least one, two
+//! and three switching transitions and the value before the first, and at
+//! block end compares them with the settled value. A static hazard is two
+//! or more transitions back to a known start value, a dynamic one three or
+//! more ending elsewhere (an `X` end included). Transition parity alone
+//! cannot tell these apart once a net goes `X` late in a cycle.
+//!
 //! The kernel replicates the pure-delay model exactly and claims nothing
 //! beyond it: Függer et al. show the model is not faithful to real glitch
 //! propagation.
@@ -99,6 +108,18 @@ pub struct TimedTally {
     pub rises: Vec<u64>,
     /// Word-wide op evaluations performed (op × time point × word).
     pub op_evals: u64,
+    /// Hazards per net: static and dynamic, one per net and cycle. Empty,
+    /// and the four totals below zero, unless the tally was made
+    /// [`TimedTally::with_hazards`].
+    pub hazards: Vec<u64>,
+    /// Static-0 hazards (`0 → 1 → 0`) over all nets.
+    pub static0: u64,
+    /// Static-1 hazards (`1 → 0 → 1`) over all nets.
+    pub static1: u64,
+    /// Dynamic hazards (three or more transitions to another level).
+    pub dynamic: u64,
+    /// Cycles with at least one hazard on some net.
+    pub hazard_cycles: u64,
 }
 
 impl TimedTally {
@@ -109,8 +130,16 @@ impl TimedTally {
             transitions: vec![0; net_count],
             useful: vec![0; net_count],
             rises: vec![0; net_count],
-            op_evals: 0,
+            ..TimedTally::default()
         }
+    }
+
+    /// Asks the blocks folded into this tally to classify hazards as well
+    /// (builder style). The classification keeps four more planes per net.
+    #[must_use]
+    pub fn with_hazards(mut self) -> Self {
+        self.hazards = vec![0; self.transitions.len()];
+        self
     }
 }
 
@@ -223,20 +252,22 @@ impl<'p> TimedSchedule<'p> {
     }
 
     /// Lanes per block that keep one block's working set near 1 MiB: a
-    /// multiple of 64, from 64 to 256.
+    /// multiple of 64, from 64 to 256. `hazards` says whether the blocks
+    /// classify hazards ([`TimedTally::with_hazards`]).
     #[must_use]
-    pub fn block_lanes(&self) -> usize {
+    pub fn block_lanes(&self, hazards: bool) -> usize {
         let time_points = self.last as usize + 1;
-        // Per net: the value and mask ring slots, the settled planes and
-        // the change and parity scratch; per lane: the push and pop counts
-        // of every time point.
-        let per_word = self.program.net_count() * (self.slots * 16 + 32) + 64 * time_points * 8;
+        // Per net: the value and mask ring slots, the settled planes, the
+        // change and parity scratch and the hazard planes; per lane: the
+        // push and pop counts of every time point.
+        let per_net = self.slots * 16 + 32 + if hazards { 32 } else { 0 };
+        let per_word = self.program.net_count() * per_net + 64 * time_points * 8;
         64 * (BLOCK_BYTES / per_word.max(1)).clamp(1, MAX_BLOCK_WORDS)
     }
 
     /// Steps one block of lanes through the schedule: appends one
     /// [`LaneStats`] per lane to `out` and folds the per-net transition
-    /// counts into `tally`.
+    /// counts, and the hazards when `tally` asks for them, into `tally`.
     ///
     /// # Panics
     ///
@@ -244,6 +275,23 @@ impl<'p> TimedSchedule<'p> {
     /// `before` has more than one lane, or the block has more than 256
     /// lanes.
     pub fn run_block(
+        &self,
+        lanes: &CycleLanes<'_>,
+        mode: EvalMode,
+        tally: &mut TimedTally,
+        out: &mut Vec<LaneStats>,
+    ) {
+        // Zero-delay lanes switch at most once per net: no hazards. A
+        // block that keeps no hazard planes compiles without their upkeep.
+        if tally.hazards.is_empty() || self.zero_delay {
+            self.settle_block::<false>(lanes, mode, tally, out);
+        } else {
+            self.settle_block::<true>(lanes, mode, tally, out);
+        }
+    }
+
+    /// [`TimedSchedule::run_block`], with or without the hazard planes.
+    fn settle_block<const HAZARDS: bool>(
         &self,
         lanes: &CycleLanes<'_>,
         mode: EvalMode,
@@ -276,11 +324,12 @@ impl<'p> TimedSchedule<'p> {
 
         let mut ring_v = vec![0u64; n * slots * words];
         let mut ring_m = vec![0u64; n * slots * words];
-        let mut step = Step {
+        let mut step = Step::<HAZARDS> {
             lanes: lane_count,
             words,
             functional: self.zero_delay,
             parity: vec![0; n * words],
+            reached: vec![[0; 4]; if HAZARDS { n * words } else { 0 }],
             switched_now: LaneCounter::default(),
             transitions: vec![0; lane_count],
             evaluated_now: LaneCounter::default(),
@@ -454,6 +503,9 @@ impl<'p> TimedSchedule<'p> {
                     .sum::<u64>();
             }
         }
+        if HAZARDS {
+            step.classify_hazards(settled);
+        }
         for lane in 0..lane_count {
             let mut stats = LaneStats {
                 transitions: u64::from(step.transitions[lane]),
@@ -479,8 +531,9 @@ impl<'p> TimedSchedule<'p> {
     }
 }
 
-/// The mutable accounting of one block.
-struct Step<'a> {
+/// The mutable accounting of one block; `HAZARDS` says whether it keeps
+/// the hazard planes.
+struct Step<'a, const HAZARDS: bool> {
     lanes: usize,
     words: usize,
     /// Transitions are start-versus-settled (zero delay) rather than per
@@ -488,6 +541,10 @@ struct Step<'a> {
     functional: bool,
     /// Per net and word: the parity of each lane's switching count.
     parity: Vec<u64>,
+    /// Per net and word, when `HAZARDS` (empty otherwise):
+    /// the lanes with at least one, two and three switching transitions,
+    /// and each lane's value before its first one.
+    reached: Vec<[u64; 4]>,
     /// Switching transitions per lane: this time point's, and the
     /// block's totals.
     switched_now: LaneCounter,
@@ -505,7 +562,7 @@ struct Step<'a> {
     tally: &'a mut TimedTally,
 }
 
-impl Step<'_> {
+impl<const HAZARDS: bool> Step<'_, HAZARDS> {
     /// Records `net` going from `old` to `new` at the current time point
     /// in word `w` (an event pushed `d` time points earlier) and returns
     /// the lanes that changed.
@@ -561,6 +618,36 @@ impl Step<'_> {
         } else {
             self.parity[net * self.words + w] ^= switched;
         }
+        if HAZARDS {
+            let [once, twice, thrice, start] = &mut self.reached[net * self.words + w];
+            *start |= old.0 & switched & !*once;
+            *thrice |= *twice & switched;
+            *twice |= *once & switched;
+            *once |= switched;
+        }
+    }
+
+    /// Classifies every lane's hazards against the block's settled values
+    /// and folds them into the tally.
+    fn classify_hazards(&mut self, settled: &KernelState) {
+        let words = self.words;
+        let mut any = [0u64; MAX_BLOCK_WORDS];
+        for (net, planes) in self.reached.chunks(words).enumerate() {
+            for (w, &[_, twice, thrice, start]) in planes.iter().enumerate() {
+                let at = net * words + w;
+                // An `X` end differs from every (known) start.
+                let differs = (settled.val[at] ^ start) | settled.msk[at];
+                let fixed = twice & !differs;
+                let dynamic = thrice & differs;
+                let tally = &mut *self.tally;
+                tally.static1 += u64::from((fixed & start).count_ones());
+                tally.static0 += u64::from((fixed & !start).count_ones());
+                tally.dynamic += u64::from(dynamic.count_ones());
+                tally.hazards[net] += u64::from((fixed | dynamic).count_ones());
+                any[w] |= fixed | dynamic;
+            }
+        }
+        self.tally.hazard_cycles += any.iter().map(|a| u64::from(a.count_ones())).sum::<u64>();
     }
 }
 

@@ -9,8 +9,12 @@
 //! and the queue statistics. Cases cover random sequential circuits and
 //! the 8-bit compound-cell multiplier under unit, zero, realistic-adder,
 //! library and two custom delay models, binary and X-init options, cycle
-//! counts around the 64-lane word boundary, and held inputs. The routing
-//! cases pin the jobs that must stay on the event path.
+//! counts around the 64-lane word boundary, and held inputs. Every case
+//! also attaches a `HazardProbe` and an X-propagation + hazard checker
+//! suite to both paths, which the routed run fills in bulk, and compares
+//! their findings; hand cases pin a net that goes `X` late in a hazardous
+//! cycle and a net stuck at `X`. The routing cases pin the jobs that must
+//! stay on the event path.
 
 #[path = "../../sim/tests/support/mod.rs"]
 #[allow(dead_code)]
@@ -21,8 +25,11 @@ use glitch_io::GateLibrary;
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, CellKind, NetId, Netlist};
 use glitch_sim::{
-    ActivityProbe, CellDelay, DelayKind, ParallelRunner, PowerProbe, SessionReport, SimError,
-    SimJob, SimOptions, StatsProbe,
+    ActivityProbe, CellDelay, CycleStats, DelayKind, ParallelRunner, PowerProbe, Probe,
+    SessionReport, SimError, SimJob, SimOptions, StatsProbe, TimedRun, Transition,
+};
+use glitch_verify::{
+    BudgetSpec, CheckSuite, Checker, CheckerProbe, HazardProbe, VerifyReport, XPropagationChecker,
 };
 use proptest::prelude::*;
 use support::RandomNetlist;
@@ -86,8 +93,104 @@ fn assert_same_report(netlist: &Netlist, event: &SessionReport, timed: &SessionR
     );
 }
 
+/// One [`XPropagationChecker`] as a probe, to read its per-net findings,
+/// which a [`CheckerProbe`] keeps to itself.
+#[derive(Default)]
+struct XProbe(XPropagationChecker);
+
+impl Probe for XProbe {
+    fn on_run_start(&mut self, netlist: &Netlist) {
+        self.0.on_run_start(netlist);
+    }
+
+    fn on_cycle_start(&mut self, cycle: u64) {
+        self.0.on_cycle_start(cycle);
+    }
+
+    fn on_transition(&mut self, transition: &Transition) {
+        self.0.on_transition(transition);
+    }
+
+    fn on_cycle_end(&mut self, cycle: u64, stats: &CycleStats) {
+        self.0.on_cycle_end(cycle, stats);
+    }
+
+    fn on_run_end(&mut self, netlist: &Netlist) {
+        self.0.on_run_end(netlist);
+    }
+
+    fn settles_timed(&self) -> bool {
+        self.0.settles_timed()
+    }
+
+    fn record_timed(&mut self, run: &TimedRun<'_>) {
+        self.0.record_timed(run);
+    }
+}
+
+/// The hazard and X-propagation probes every oracle case attaches.
+fn checker_probes(_job: usize) -> Vec<Box<dyn Probe>> {
+    vec![
+        Box::new(HazardProbe::new()),
+        Box::new(
+            CheckSuite::new()
+                .with_x_propagation()
+                .with_hazards()
+                .build(),
+        ),
+        Box::new(XProbe::default()),
+    ]
+}
+
+/// The suite report of a run with [`checker_probes`] attached.
+fn verify_report(netlist: &Netlist, report: &SessionReport) -> VerifyReport {
+    report
+        .probe::<CheckerProbe>()
+        .expect("checker probes attached")
+        .report(netlist)
+}
+
+/// Asserts the [`checker_probes`] of two runs found the same.
+fn assert_same_checks(netlist: &Netlist, event: &SessionReport, timed: &SessionReport, case: &str) {
+    let (eh, th) = (
+        event
+            .probe::<HazardProbe>()
+            .expect("hazard probe")
+            .checker(),
+        timed
+            .probe::<HazardProbe>()
+            .expect("hazard probe")
+            .checker(),
+    );
+    assert_eq!(eh.totals(), th.totals(), "hazard totals: {case}");
+    let (ex, tx) = (
+        &event.probe::<XProbe>().expect("x probe").0,
+        &timed.probe::<XProbe>().expect("x probe").0,
+    );
+    for index in 0..netlist.net_count() {
+        let net = NetId::from_index(index);
+        assert_eq!(
+            eh.hazards_on(net),
+            th.hazards_on(net),
+            "hazards on net {index}: {case}"
+        );
+        assert_eq!(
+            ex.first_x_cycle(net),
+            tx.first_x_cycle(net),
+            "first X of net {index}: {case}"
+        );
+    }
+    assert_eq!(ex.clear_cycle(), tx.clear_cycle(), "clear cycle: {case}");
+    assert_eq!(
+        verify_report(netlist, event),
+        verify_report(netlist, timed),
+        "verify report: {case}"
+    );
+}
+
 /// Runs `job` both ways and compares; `timed` says whether the routed run
-/// must have settled on the timed kernel.
+/// must have settled on the timed kernel. The routed run goes once with
+/// the [`checker_probes`] and once without, the event run with them.
 fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str) {
     let runner = ParallelRunner::new(1);
     let jobs = std::slice::from_ref(job);
@@ -96,20 +199,32 @@ fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str)
         timed,
         "routing: {case}"
     );
-    let routed = runner.run_jobs(jobs, program);
-    let event = runner.run_sessions(jobs);
-    match (event, routed) {
-        (Ok(mut event), Ok(mut routed)) => {
-            let (event, routed) = (event.remove(0), routed.remove(0));
+    let routed = runner.run_jobs(jobs, program, &checker_probes);
+    let bare = runner.run_jobs(jobs, program, &|_| Vec::new());
+    let event = runner.run_sessions_with(jobs, &checker_probes);
+    match (event, routed, bare) {
+        (Ok(mut event), Ok(mut routed), Ok(mut bare)) => {
+            let (event, routed, bare) = (event.remove(0), routed.remove(0), bare.remove(0));
             assert_eq!(routed.timed_work().is_some(), timed, "settle path: {case}");
+            assert_eq!(
+                bare.timed_work().is_some(),
+                timed,
+                "bare settle path: {case}"
+            );
             assert!(event.timed_work().is_none());
             assert_same_report(job.netlist, &event, &routed, case);
+            assert_same_report(job.netlist, &event, &bare, case);
+            assert_same_checks(job.netlist, &event, &routed, case);
         }
-        (Err(event), Err(routed)) => assert_eq!(event, routed, "error: {case}"),
-        (event, routed) => panic!(
-            "outcomes differ ({case}): event {:?}, routed {:?}",
+        (Err(event), Err(routed), Err(bare)) => {
+            assert_eq!(event, routed, "error: {case}");
+            assert_eq!(event, bare, "bare error: {case}");
+        }
+        (event, routed, bare) => panic!(
+            "outcomes differ ({case}): event {:?}, routed {:?}, bare {:?}",
             event.map(|_| ()),
-            routed.map(|_| ())
+            routed.map(|_| ()),
+            bare.map(|_| ())
         ),
     }
 }
@@ -220,7 +335,7 @@ fn a_budget_below_the_horizon_takes_the_event_path() {
         ..SimOptions::default()
     });
     assert!(matches!(
-        ParallelRunner::new(1).run_jobs(&[tight], &program),
+        ParallelRunner::new(1).run_jobs(&[tight], &program, &|_| Vec::new()),
         Err(SimError::DidNotSettle { .. })
     ));
 }
@@ -237,4 +352,112 @@ fn a_non_input_drive_fails_like_the_event_path() {
         1,
     );
     check_job(&job, &program, true, "non-input drive");
+}
+
+/// `y = AND(XNOR(a, buf²(a)), OR(q, NOT³ a))`, `q` a flipflop that holds
+/// itself and so stays `X` under x-init. In a cycle where `a` rises, `y`
+/// goes `1 → 0 → 1` and then `X`, once the slow inverter chain stops
+/// masking `q`: two switching transitions back to the start level, but an
+/// `X` end, which is no hazard. Its dual `z = OR(XOR(a, buf²(a)),
+/// AND(q, NOT³ a))` goes `0 → 1 → 0 → X` where `a` falls. Returns the
+/// netlist, `a`, `q`, `y` and `z`.
+fn late_x_circuit() -> (Netlist, NetId, NetId, NetId, NetId) {
+    let mut nl = Netlist::new("late x");
+    let a = nl.add_input("a");
+    let b1 = nl.buf(a, "b1");
+    let b2 = nl.buf(b1, "b2");
+    let same = nl.xnor2(a, b2, "same");
+    let q = nl.add_net("q");
+    nl.add_cell(CellKind::Dff, "ff", vec![q], vec![q])
+        .expect("a flipflop may hold itself");
+    let n1 = nl.inv(a, "n1");
+    let n2 = nl.inv(n1, "n2");
+    let n3 = nl.inv(n2, "n3");
+    let gate = nl.or2(q, n3, "gate");
+    let y = nl.and2(same, gate, "y");
+    let differ = nl.xor2(a, b2, "differ");
+    let pass = nl.and2(q, n3, "pass");
+    let z = nl.or2(differ, pass, "z");
+    nl.mark_output(y);
+    nl.mark_output(z);
+    (nl, a, q, y, z)
+}
+
+#[test]
+fn a_net_going_x_after_a_round_trip_counts_no_hazard() {
+    let (nl, a, _, y, z) = late_x_circuit();
+    let program = KernelProgram::compile(&nl).expect("acyclic");
+    let job = SimJob::new(&nl, vec![Bus::new(vec![a])], 200, 7).with_options(SimOptions::x_init());
+    check_job(&job, &program, true, "late X");
+    let routed = ParallelRunner::new(1)
+        .run_jobs(&[job], &program, &checker_probes)
+        .expect("settles")
+        .remove(0);
+    let activity = routed.probe::<ActivityProbe>().expect("standard probes");
+    let hazards = routed.probe::<HazardProbe>().expect("attached").checker();
+    for net in [y, z] {
+        let round_trips = activity.trace().node(net.index()).useless();
+        assert!(round_trips > 0, "net {net:?} makes round trips");
+        assert_eq!(hazards.hazards_on(net), 0, "net {net:?}");
+    }
+}
+
+#[test]
+fn a_net_stuck_at_x_never_clears_on_either_path() {
+    let (nl, a, q, _, _) = late_x_circuit();
+    let program = KernelProgram::compile(&nl).expect("acyclic");
+    for cycles in [1, 70] {
+        let job =
+            SimJob::new(&nl, vec![Bus::new(vec![a])], cycles, 3).with_options(SimOptions::x_init());
+        check_job(&job, &program, true, &format!("stuck X, {cycles} cycles"));
+        let routed = ParallelRunner::new(1)
+            .run_jobs(&[job], &program, &checker_probes)
+            .expect("settles")
+            .remove(0);
+        let report = verify_report(&nl, &routed);
+        let xprop = report.outcome("x-propagation").expect("suite checker");
+        assert!(xprop.metric("stuck_x_nets").expect("metric") > 0);
+        assert_eq!(xprop.metric("x_cleared"), Some(0));
+        assert_eq!(
+            routed
+                .probe::<XProbe>()
+                .expect("attached")
+                .0
+                .first_x_cycle(q),
+            Some(0)
+        );
+    }
+}
+
+#[test]
+fn a_settle_budget_suite_takes_the_event_path() {
+    let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell);
+    let program = KernelProgram::compile(&mult.netlist).expect("acyclic");
+    let budgets = BudgetSpec::parse_list("outputs=4")
+        .and_then(|spec| spec.resolve(&mult.netlist))
+        .expect("valid budgets");
+    let suite = CheckSuite::new()
+        .with_x_propagation()
+        .with_hazards()
+        .with_budgets(budgets);
+    let factory = |_: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(suite.build())] };
+    let job = SimJob::new(&mult.netlist, vec![mult.x.clone(), mult.y.clone()], 65, 3);
+    assert!(job.timed_schedule(&program).is_some(), "delays qualify");
+    let runner = ParallelRunner::new(1);
+    let routed = runner
+        .run_jobs(std::slice::from_ref(&job), &program, &factory)
+        .expect("settles")
+        .remove(0);
+    let event = runner
+        .run_sessions_with(std::slice::from_ref(&job), &factory)
+        .expect("settles")
+        .remove(0);
+    assert!(
+        routed.timed_work().is_none(),
+        "budgets need every transition"
+    );
+    assert_eq!(
+        verify_report(&mult.netlist, &routed),
+        verify_report(&mult.netlist, &event)
+    );
 }

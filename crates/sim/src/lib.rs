@@ -39,10 +39,11 @@
 //! per-shard results deterministically ([`MergeableProbe`] folds the
 //! probes in job order), so a parallel run is bit-identical to the serial
 //! fold of its shards — only faster. [`ParallelRunner::run_jobs`] settles
-//! each standard-probe job whose delays allow it on the compiled timed
-//! kernel ([`TimedSchedule`], one clock cycle per lane) instead of the
-//! event queue, with the same report; see [`SimJob::timed_schedule`] for
-//! the routing rule.
+//! each job whose delays allow it, and whose probes can be filled in bulk
+//! ([`Probe::settles_timed`]), on the compiled timed kernel
+//! ([`TimedSchedule`], one clock cycle per lane) instead of the event
+//! queue, with the same report; see [`SimJob::timed_schedule`] for the
+//! routing rule.
 //!
 //! For re-running *near-identical* stimuli (a few input bits changed) there
 //! is an incremental layer: [`SimSession::record_baseline`] captures a
@@ -116,10 +117,10 @@ pub use probe::{
 };
 pub use session::{SessionError, SessionReport, SimSession};
 pub use stimulus::{ExhaustiveStimulus, RandomStimulus, StimulusProgram};
-pub use timed::TimedWork;
+pub use timed::{TimedRun, TimedWork, XEnds};
 pub use value::Value;
 pub use vcd::VcdRecorder;
 // The compiled-kernel backend's own types, re-exported so downstream
 // crates can compile and cache programs without a direct dependency.
-pub use glitch_kernel::{EvalMode, KernelProgram, KernelState, TimedSchedule};
+pub use glitch_kernel::{EvalMode, KernelProgram, KernelState, TimedSchedule, TimedTally};
 pub use window::{ActivityWindow, WindowedActivityProbe};

@@ -179,10 +179,12 @@ impl ParallelRunner {
         self.run_batch(jobs, &|index, job| job.run_with(extra_probes(index)))
     }
 
-    /// Runs every job with the standard probe set, like
-    /// [`ParallelRunner::run_sessions`], settling each job on the timed
-    /// kernel when it qualifies ([`SimJob::timed_schedule`]) and through a
-    /// session otherwise. The reports are the sessions' reports in every
+    /// Runs every job with the standard probe set plus the probes built
+    /// by `extra_probes(job_index)`, like
+    /// [`ParallelRunner::run_sessions_with`], settling each job on the
+    /// timed kernel when it qualifies ([`SimJob::timed_schedule`]) and
+    /// every extra probe [`Probe::settles_timed`], and through a session
+    /// otherwise. The reports are the sessions' reports in every
     /// deterministic field; a timed one also carries its
     /// [`SessionReport::timed_work`]. `program` must be compiled from the
     /// jobs' netlist.
@@ -194,10 +196,16 @@ impl ParallelRunner {
         &self,
         jobs: &[SimJob<'_>],
         program: &KernelProgram,
+        extra_probes: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
     ) -> Result<Vec<SessionReport>, SimError> {
-        self.run_batch(jobs, &|_, job| match job.timed_schedule(program) {
-            Some(schedule) => crate::timed::run_timed(job, &schedule),
-            None => job.run_with(Vec::new()),
+        self.run_batch(jobs, &|index, job| {
+            let extra = extra_probes(index);
+            match job.timed_schedule(program) {
+                Some(schedule) if extra.iter().all(|probe| probe.settles_timed()) => {
+                    crate::timed::run_timed(job, &schedule, extra)
+                }
+                _ => job.run_with(extra),
+            }
         })
     }
 

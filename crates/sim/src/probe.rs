@@ -26,6 +26,7 @@ use glitch_netlist::{NetId, Netlist};
 use glitch_power::{estimate_power_from_counts, CapacitanceModel, PowerReport, Technology};
 
 use crate::clocked::CycleStats;
+use crate::timed::TimedRun;
 use crate::value::Value;
 use crate::vcd::VcdRecorder;
 
@@ -75,6 +76,15 @@ pub struct Transition {
 /// probes are detached (a [`crate::SimSession`] does this automatically).
 /// All hooks have empty default bodies, so a probe only implements what it
 /// observes.
+///
+/// A batch job may settle on the timed kernel instead
+/// ([`crate::ParallelRunner::run_jobs`]), which has no per-transition
+/// stream to dispatch. It does so only when every extra probe
+/// [`settles_timed`](Probe::settles_timed); such a probe then sees
+/// `on_run_start`, one [`record_timed`](Probe::record_timed) with the
+/// whole run's bulk results, and `on_run_end`, and must end up as it would
+/// after the per-cycle hooks. Every other probe keeps its job on the event
+/// queue.
 ///
 /// The `Any` supertrait lets a [`crate::SessionReport`] hand typed probes
 /// back to the caller; see [`crate::SessionReport::probe`]. The `Send`
@@ -130,6 +140,18 @@ pub trait Probe: Any + Send {
 
     /// Called once after the last cycle; render final artefacts here.
     fn on_run_end(&mut self, _netlist: &Netlist) {}
+
+    /// Whether [`Probe::record_timed`] fills this probe exactly as the
+    /// per-cycle hooks would, so its job may settle on the timed kernel.
+    /// `false` by default.
+    fn settles_timed(&self) -> bool {
+        false
+    }
+
+    /// Called in place of every `on_cycle_start`, `on_transition` and
+    /// `on_cycle_end` when the run settled on the timed kernel; only for
+    /// a probe that [`settles_timed`](Probe::settles_timed).
+    fn record_timed(&mut self, _run: &TimedRun<'_>) {}
 }
 
 /// A probe whose accumulated state can be folded with another instance's —

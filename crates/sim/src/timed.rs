@@ -1,24 +1,27 @@
 //! Batch jobs settled on the timed kernel (`glitch_kernel`'s
 //! [`TimedSchedule`]) instead of the event queue.
 //!
-//! A [`SimJob`] with the standard probe set asks for exactly what the
-//! timed kernel can reproduce: per-net transition counts with their
-//! parity split, per-cycle statistics, queue traffic and final values. For
-//! a job whose delays resolve to a timed schedule (every non-constant
-//! output delay ≥ 1, or all of them 0) and whose static horizon fits the
-//! settle budget, [`run_timed`] produces the same [`SessionReport`] the
-//! event-driven session would, field for field:
+//! The timed kernel reproduces per-net transition counts with their
+//! parity split and hazard classification, per-cycle statistics, queue
+//! traffic, the nets left `X` at every cycle end and the final values. A
+//! [`SimJob`] whose extra probes can all be filled from those
+//! ([`Probe::settles_timed`]; the standard probe set always can), whose
+//! delays resolve to a timed schedule (every non-constant output delay
+//! ≥ 1, or all of them 0) and whose static horizon fits the settle budget
+//! gets from [`run_timed`] the same [`SessionReport`] the event-driven
+//! session would, field for field:
 //!
 //! - every cycle is one lane, 64 to a word, in blocks of up to 256;
 //! - a lane starts from the previous cycle's functional settled state,
 //!   which one pass of the functional kernel provides (sequentially for
 //!   the flipflop states, lane-parallel for everything else);
-//! - the probes are filled in bulk, with no per-transition hook dispatch.
+//! - the probes are filled in bulk, with no per-transition hook dispatch:
+//!   the extra ones through [`Probe::record_timed`] with a [`TimedRun`].
 //!
 //! The only figure that may differ is [`crate::PowerProbe::energy_joules`],
 //! whose float sum runs in another order; no report prints it.
 
-use glitch_kernel::{CycleLanes, KernelProgram, TimedSchedule, TimedTally};
+use glitch_kernel::{CycleLanes, KernelProgram, KernelState, TimedSchedule, TimedTally};
 use glitch_netlist::{NetId, Tri};
 
 use crate::clocked::CycleStats;
@@ -42,6 +45,35 @@ pub struct TimedWork {
     pub op_evals: u64,
 }
 
+/// What a job settled on the timed kernel found, in bulk: what
+/// [`Probe::record_timed`] fills a probe from in place of the per-cycle
+/// hooks.
+#[derive(Debug, Clone, Copy)]
+pub struct TimedRun<'a> {
+    /// Cycles settled.
+    pub cycles: u64,
+    /// Per-net transition and hazard totals
+    /// ([`TimedTally::with_hazards`]).
+    pub tally: &'a TimedTally,
+    /// Per net, the cycle ends at which it was `X`.
+    pub x_ends: &'a [XEnds],
+    /// The first cycle at whose end no net was `X`, if any.
+    pub clear_cycle: Option<u64>,
+    /// Every net's value at the end of the run.
+    pub final_values: &'a [Value],
+}
+
+/// The cycle ends at which one net was `X`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct XEnds {
+    /// How many cycle ends the net was `X` at (0: never).
+    pub count: u64,
+    /// The first such cycle; meaningful when `count > 0`.
+    pub first: u64,
+    /// The last such cycle; meaningful when `count > 0`.
+    pub last: u64,
+}
+
 impl SimJob<'_> {
     /// The timed schedule this job settles on, or `None` when it must run
     /// on the event queue: its resolved delays mix zero and non-zero
@@ -60,7 +92,10 @@ impl SimJob<'_> {
 }
 
 /// Runs `job` on the timed kernel with the standard probe set
-/// ([`ActivityProbe`], [`PowerProbe`], [`StatsProbe`]).
+/// ([`ActivityProbe`], [`PowerProbe`], [`StatsProbe`]) plus
+/// `extra_probes`, each of which must settle timed ([`Probe::settles_timed`]).
+/// The hazard planes and `X` cycle ends are kept only when there are extra
+/// probes to fill.
 ///
 /// # Errors
 ///
@@ -69,7 +104,9 @@ impl SimJob<'_> {
 pub(crate) fn run_timed(
     job: &SimJob<'_>,
     schedule: &TimedSchedule<'_>,
+    extra_probes: Vec<Box<dyn Probe>>,
 ) -> Result<SessionReport, SimError> {
+    debug_assert!(extra_probes.iter().all(|probe| probe.settles_timed()));
     let netlist = job.netlist;
     let program = schedule.program();
     let n = netlist.net_count();
@@ -90,10 +127,17 @@ pub(crate) fn run_timed(
     // outputs; combinational circuits need none.
     let mut sequential = (!program.dffs().is_empty()).then(|| program.new_state(1, dff_init));
     let mut before = program.new_state(1, Tri::X);
+    let bulk = !extra_probes.is_empty();
     let mut tally = TimedTally::new(n);
+    let mut x_ends = Vec::new();
+    if bulk {
+        tally = tally.with_hazards();
+        x_ends = vec![XEnds::default(); n];
+    }
+    let mut clear_cycle = None;
     let mut lanes = Vec::new();
     let mut stimulus = job.stimulus();
-    let block = schedule.block_lanes();
+    let block = schedule.block_lanes(bulk);
     loop {
         let assignments: Vec<_> = (0..block).map_while(|_| stimulus.next_vector()).collect();
         if assignments.is_empty() {
@@ -152,7 +196,11 @@ pub(crate) fn run_timed(
             driven: &driven,
             extra_events: &extra,
         };
+        let first_cycle = lanes.len() as u64;
         schedule.run_block(&cycle_lanes, mode, &mut tally, &mut lanes);
+        if bulk {
+            fold_x_ends(&settled, first_cycle, &mut x_ends, &mut clear_cycle);
+        }
         before.copy_lane(0, &settled, assignments.len() - 1);
     }
 
@@ -183,14 +231,26 @@ pub(crate) fn run_timed(
     for (cycle, cycle_stat) in cycle_stats.iter().enumerate() {
         stats.on_cycle_end(cycle as u64, cycle_stat);
     }
+    let final_values: Vec<Value> = (0..n)
+        .map(|index| Value::from(before.get(NetId::from_index(index), 0)))
+        .collect();
+    let run = TimedRun {
+        cycles,
+        tally: &tally,
+        x_ends: &x_ends,
+        clear_cycle,
+        final_values: &final_values,
+    };
     let mut probes: Vec<Box<dyn Probe>> =
         vec![Box::new(activity), Box::new(power), Box::new(stats)];
+    for mut probe in extra_probes {
+        probe.on_run_start(netlist);
+        probe.record_timed(&run);
+        probes.push(probe);
+    }
     for probe in &mut probes {
         probe.on_run_end(netlist);
     }
-    let final_values = (0..n)
-        .map(|index| Value::from(before.get(NetId::from_index(index), 0)))
-        .collect();
     let mut report = SessionReport::from_parts(cycles, cycle_stats, final_values, probes);
     report.set_queue_stats(queue);
     report.set_timed_work(TimedWork {
@@ -199,4 +259,37 @@ pub(crate) fn run_timed(
         op_evals: tally.op_evals,
     });
     Ok(report)
+}
+
+/// Folds one block's settled `X` planes, whose lane 0 is cycle
+/// `first_cycle`, into the per-net `X` cycle ends and the first cycle
+/// that ended with no net `X`.
+fn fold_x_ends(
+    settled: &KernelState,
+    first_cycle: u64,
+    x_ends: &mut [XEnds],
+    clear_cycle: &mut Option<u64>,
+) {
+    let words = settled.words();
+    let mut any = vec![0u64; words];
+    for (ends, planes) in x_ends.iter_mut().zip(settled.msk_planes().chunks(words)) {
+        for (w, &x) in planes.iter().enumerate() {
+            if x == 0 {
+                continue;
+            }
+            any[w] |= x;
+            let base = first_cycle + 64 * w as u64;
+            if ends.count == 0 {
+                ends.first = base + u64::from(x.trailing_zeros());
+            }
+            ends.last = base + 63 - u64::from(x.leading_zeros());
+            ends.count += u64::from(x.count_ones());
+        }
+    }
+    if clear_cycle.is_none() {
+        *clear_cycle = any.iter().enumerate().find_map(|(w, &x)| {
+            let clear = !x & settled.word_mask(w);
+            (clear != 0).then(|| first_cycle + 64 * w as u64 + u64::from(clear.trailing_zeros()))
+        });
+    }
 }

@@ -14,7 +14,7 @@
 use std::any::Any;
 
 use glitch_netlist::{NetId, Netlist};
-use glitch_sim::{CycleStats, MergeableProbe, Probe, Transition};
+use glitch_sim::{CycleStats, MergeableProbe, Probe, TimedRun, Transition};
 
 /// Upper bound on the located [`Violation`] records a checker *retains*
 /// (the `total_violations` count keeps counting past it). A pathological
@@ -145,7 +145,10 @@ impl CheckOutcome {
 /// checker implements what it watches plus [`Checker::outcome`] (distil
 /// the accumulated evidence) and [`Checker::merge_boxed`] (fold another
 /// shard's instance of the *same* checker into this one — the reduction
-/// side of parallel checking, invoked in shard order).
+/// side of parallel checking, invoked in shard order). A checker that can
+/// read its evidence off a timed-kernel run's bulk results implements
+/// [`Checker::settles_timed`] and [`Checker::record_timed`] as
+/// [`Probe`] does, which lets its job skip the event queue.
 pub trait Checker: Any + Send {
     /// Short stable name (`x-propagation`, `settle-budget`, `hazard`,
     /// `stability`) — used in reports, JSON output and merge assertions.
@@ -165,6 +168,16 @@ pub trait Checker: Any + Send {
 
     /// Called once after the last cycle.
     fn on_run_end(&mut self, _netlist: &Netlist) {}
+
+    /// Whether [`Checker::record_timed`] gathers the same evidence as the
+    /// per-cycle hooks; see [`Probe::settles_timed`]. `false` by default.
+    fn settles_timed(&self) -> bool {
+        false
+    }
+
+    /// Called in place of the per-cycle hooks when the run settled on the
+    /// timed kernel; see [`Probe::record_timed`].
+    fn record_timed(&mut self, _run: &TimedRun<'_>) {}
 
     /// Distils the accumulated evidence into a [`CheckOutcome`].
     fn outcome(&self, netlist: &Netlist) -> CheckOutcome;
@@ -305,6 +318,15 @@ impl Probe for CheckerProbe {
 
     fn on_run_end(&mut self, netlist: &Netlist) {
         self.fan_out(|checker| checker.on_run_end(netlist));
+    }
+
+    /// Only when every checker does.
+    fn settles_timed(&self) -> bool {
+        self.checkers.iter().all(|checker| checker.settles_timed())
+    }
+
+    fn record_timed(&mut self, run: &TimedRun<'_>) {
+        self.fan_out(|checker| checker.record_timed(run));
     }
 }
 

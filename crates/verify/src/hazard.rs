@@ -20,7 +20,7 @@
 //! a known starting level.
 
 use glitch_netlist::{NetId, Netlist};
-use glitch_sim::{CycleStats, MergeableProbe, Probe, Transition, Value};
+use glitch_sim::{CycleStats, MergeableProbe, Probe, TimedRun, Transition, Value};
 
 use crate::checker::{downcast_checker, CheckOutcome, Checker, Verdict};
 
@@ -143,6 +143,22 @@ impl Checker for HazardChecker {
         self.cycles += 1;
     }
 
+    fn settles_timed(&self) -> bool {
+        true
+    }
+
+    fn record_timed(&mut self, run: &TimedRun<'_>) {
+        let tally = run.tally;
+        self.static0 += tally.static0;
+        self.static1 += tally.static1;
+        self.dynamic += tally.dynamic;
+        self.hazard_cycles += tally.hazard_cycles;
+        self.cycles += run.cycles;
+        for (mine, &theirs) in self.per_net.iter_mut().zip(&tally.hazards) {
+            *mine += theirs;
+        }
+    }
+
     fn outcome(&self, netlist: &Netlist) -> CheckOutcome {
         let total = self.static0 + self.static1 + self.dynamic;
         let worst = self
@@ -259,6 +275,14 @@ impl Probe for HazardProbe {
 
     fn on_run_end(&mut self, netlist: &Netlist) {
         self.checker.on_run_end(netlist);
+    }
+
+    fn settles_timed(&self) -> bool {
+        self.checker.settles_timed()
+    }
+
+    fn record_timed(&mut self, run: &TimedRun<'_>) {
+        self.checker.record_timed(run);
     }
 }
 

@@ -12,7 +12,7 @@
 //! state.
 
 use glitch_netlist::{NetId, Netlist};
-use glitch_sim::{CycleStats, Transition, Value};
+use glitch_sim::{CycleStats, TimedRun, Transition, Value};
 
 use crate::checker::{downcast_checker, push_capped, CheckOutcome, Checker, Verdict, Violation};
 
@@ -124,6 +124,24 @@ impl Checker for XPropagationChecker {
             self.clear_cycle = Some(cycle);
         }
         self.cycles += 1;
+    }
+
+    fn settles_timed(&self) -> bool {
+        true
+    }
+
+    fn record_timed(&mut self, run: &TimedRun<'_>) {
+        for (idx, ends) in run.x_ends.iter().enumerate() {
+            if ends.count > 0 {
+                self.first_x[idx] = ends.first;
+                self.last_x[idx] = ends.last;
+                self.x_cycle_ends[idx] = ends.count;
+            }
+        }
+        self.values.copy_from_slice(run.final_values);
+        self.x_now = self.values.iter().filter(|&&v| v == Value::X).count();
+        self.clear_cycle = run.clear_cycle;
+        self.cycles = run.cycles;
     }
 
     fn on_run_end(&mut self, _netlist: &Netlist) {
