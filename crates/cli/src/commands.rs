@@ -15,16 +15,16 @@ use glitch_core::sim::{
 };
 use glitch_core::verify::{Verdict, VerifyReport};
 use glitch_core::{
-    Analysis, AnalysisConfig, EngineKind, GlitchAnalyzer, IncrementalStats, KernelProgram,
-    PowerExplorer, TextTable,
+    Analysis, AnalysisConfig, DeltaAnalysis, GlitchAnalyzer, IncrementalStats, KernelProgram,
+    TextTable,
 };
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
 use glitch_serve::cache::BaselineEntry;
 use glitch_serve::exec::{
-    exec, record_baseline, replay_baseline, Hooks, JobOutput, ProgressLines, Resources, KERNEL_FLIP,
+    exec, record_baseline, replay_baseline, Hooks, JobOutput, ProgressLines, Resources,
 };
-use glitch_serve::json::{json_array, JsonObject};
-use glitch_serve::params::{self, input_buses, ParamError};
+use glitch_serve::json::JsonObject;
+use glitch_serve::params::{self, input_buses, AppliedFlip, ParamError};
 use glitch_serve::report;
 use glitch_serve::{JobKind, JobRequest};
 
@@ -126,6 +126,9 @@ commands:
                                    models, so `kernel` degrades to
                                    `hybrid`; --flip-inputs refuses
                                    `kernel` (the replay is event-driven)
+            the daemon's `sweep` op takes the same fields (`delays`,
+            `flip_inputs`, `flip_cycle`, ...) and answers with the same
+            --json line
   check     three-valued (0/1/X) verification: simulate the configured
             stimulus with assertion checkers attached and report a
             pass/fail verdict with located violations. The X-propagation
@@ -149,7 +152,8 @@ commands:
                                    are bit-identical at any --jobs count
               --flip <list>        re-check with flipped input bits via
                                    the incremental fast path (verdicts
-                                   bit-identical to a full re-run)
+                                   bit-identical to a full re-run);
+                                   single-seed, as analyze --flip
               --strict             exit with an error when the verdict
                                    is FAIL
               --engine <name>      as in analyze: hybrid settles the
@@ -346,8 +350,8 @@ fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The shared [`params::analysis_config`] resolution for the commands
-/// that run outside the executor (`retime`, `sweep --flip-inputs`).
+/// The shared [`params::analysis_config`] resolution for `retime`, the
+/// one analysis command that runs outside the executor.
 fn analysis_config(args: &Args, library: &GateLibrary) -> Result<AnalysisConfig, CliError> {
     let request = job_request(args, "")?;
     Ok(params::analysis_config(
@@ -376,6 +380,8 @@ fn job_request(args: &Args, path: &str) -> Result<JobRequest, CliError> {
         tech: text("tech"),
         frequency_mhz: parsed_presence(args, "frequency-mhz")?,
         flips: text("flip"),
+        flip_inputs: text("flip-inputs"),
+        flip_cycle: parsed_presence(args, "flip-cycle")?,
         x_init: args.flag("x-init"),
         hazards: args.flag("hazards"),
         budget: text("budget"),
@@ -988,19 +994,6 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
         load(&args)?
     };
     telemetry.cone_index_phase(&netlist);
-    if let Some(list) = args.option("flip-inputs") {
-        let config = analysis_config(&args, &library_for(&args)?)?;
-        // The input-flip sweep replays recorded event-driven cycles.
-        if config.engine == EngineKind::Kernel {
-            return Err(CliError::Usage(KERNEL_FLIP.into()));
-        }
-        return cmd_sweep_flips(&netlist, &path, &args, &config, list, &mut telemetry);
-    }
-    if args.option("flip-cycle").is_some() {
-        return Err(CliError::Usage(
-            "--flip-cycle requires --flip-inputs <list|all>".into(),
-        ));
-    }
     let request = job_request(&args, &path)?;
     let output = exec(
         JobKind::Sweep,
@@ -1012,6 +1005,17 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
     )?;
     if args.flag("json") {
         println!("{}", output.json(&path, &netlist));
+        return telemetry.finish();
+    }
+    if let JobOutput::SweepFlips {
+        cycle,
+        jobs,
+        applied,
+        baseline,
+        points,
+    } = &output
+    {
+        print_flip_sweep(&netlist, *cycle, *jobs, applied, baseline, points);
         return telemetry.finish();
     }
     let JobOutput::Sweep {
@@ -1057,194 +1061,54 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
     telemetry.finish()
 }
 
-/// The `sweep --flip-inputs` fast path: input-flip sensitivity, one
-/// incremental re-simulation per flipped input, all sharing one recorded
-/// baseline and one fanout-cone index across `--jobs` workers.
-fn cmd_sweep_flips(
+/// The text form of `sweep --flip-inputs`: one row per flipped input
+/// against the shared baseline.
+fn print_flip_sweep(
     netlist: &Netlist,
-    path: &str,
-    args: &Args,
-    config: &AnalysisConfig,
-    list: &str,
-    telemetry: &mut Telemetry,
-) -> Result<(), CliError> {
-    if args.option("seeds").is_some() || args.option("delays").is_some() {
-        return Err(CliError::Usage(
-            "--flip-inputs sweeps one stimulus; it does not combine with \
-             --seeds or --delays"
-                .into(),
-        ));
-    }
-    let cycle: u64 = args
-        .parsed_option("flip-cycle", 0)
-        .map_err(CliError::Usage)?;
-    if cycle >= config.cycles {
-        return Err(CliError::Usage(format!(
-            "--flip-cycle {cycle} is beyond the {}-cycle run",
-            config.cycles
-        )));
-    }
-    let inputs: Vec<glitch_core::netlist::NetId> = if list.trim() == "all" {
-        netlist.inputs().to_vec()
-    } else {
-        list.split(',')
-            .map(|name| {
-                let name = name.trim();
-                let net = netlist
-                    .find_net(name)
-                    .ok_or_else(|| run_err(format!("--flip-inputs: no net named `{name}`")))?;
-                if !netlist.net(net).is_primary_input() {
-                    return Err(CliError::Usage(format!(
-                        "--flip-inputs: net `{name}` is not a primary input"
-                    )));
-                }
-                Ok(net)
-            })
-            .collect::<Result<_, _>>()?
-    };
-    if inputs.is_empty() {
-        return Err(CliError::Usage("--flip-inputs: no inputs to flip".into()));
-    }
-    if args.option("jobs").is_some() && inputs.len() == 1 {
-        return Err(CliError::Usage(
-            "--jobs has nothing to parallelise here; flip more than one input".into(),
-        ));
-    }
-    let hardware = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let jobs: usize = args
-        .parsed_option("jobs", inputs.len().min(hardware).max(1))
-        .map_err(CliError::Usage)?;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".into()));
-    }
-    let json = args.flag("json");
-
-    let explorer = PowerExplorer::new(GlitchAnalyzer::new(config.clone()));
-    let (baseline, points) = {
-        let _span = telemetry.span("simulate");
-        explorer
-            .explore_input_sensitivity(netlist, &input_buses(netlist), &[], cycle, &inputs, jobs)
-            .map_err(|e| run_err(format!("simulation failed: {e}")))?
-    };
-    let mut sink = telemetry.sink();
-    for point in &points {
-        sink.incremental(&point.incremental);
-    }
-    let base_totals = baseline.activity.totals();
-    // Per-flip means: every point re-runs the same baseline, so the
-    // denominators must stay at one baseline's cost, not `points` times it.
-    // The dirty-cone peak is a high-water mark, so it maxes instead.
-    let flips = points.len() as u64;
-    let mean_stats = IncrementalStats {
-        replayed_cycles: points
-            .iter()
-            .map(|p| p.incremental.replayed_cycles)
-            .sum::<u64>()
-            / flips,
-        simulated_cycles: points
-            .iter()
-            .map(|p| p.incremental.simulated_cycles)
-            .sum::<u64>()
-            / flips,
-        cells_evaluated: points
-            .iter()
-            .map(|p| p.incremental.cells_evaluated)
-            .sum::<u64>()
-            / flips,
-        baseline_cell_evals: points[0].incremental.baseline_cell_evals,
-        peak_dirty_cone_nets: points
-            .iter()
-            .map(|p| p.incremental.peak_dirty_cone_nets)
-            .max()
-            .unwrap_or(0),
-        dff_divergence_reseeds: points
-            .iter()
-            .map(|p| p.incremental.dff_divergence_reseeds)
-            .sum::<u64>()
-            / flips,
-    };
-
-    if json {
-        let rows = json_array(points.iter().map(|p| {
-            JsonObject::new()
-                .str("input", &p.name)
-                .u64("flipped_to", u64::from(p.flipped_to))
-                .u64("useful", p.activity.useful)
-                .u64("useless", p.activity.useless)
-                .u64("glitches", p.activity.glitches())
-                .f64("power_total_w", p.power.total())
-                .raw(
-                    "incremental",
-                    &report::incremental_json(&p.incremental).render(),
-                )
-                .render()
-        }));
-        let out = JsonObject::new()
-            .str("file", path)
-            .str("netlist", netlist.name())
-            .u64("flip_cycle", cycle)
-            .usize("jobs", jobs)
-            .u64("cycles", config.cycles)
-            .raw(
-                "baseline",
-                &JsonObject::new()
-                    .raw(
-                        "activity",
-                        &report::activity_totals_json(&base_totals).render(),
-                    )
-                    .raw(
-                        "power",
-                        &report::power_report_json(&baseline.power).render(),
-                    )
-                    .render(),
-            )
-            .raw(
-                "incremental_per_flip_mean",
-                &report::incremental_json(&mean_stats).render(),
-            )
-            .raw("points", &rows)
-            .render();
-        println!("{out}");
-    } else {
-        println!(
-            "input-flip sensitivity sweep of `{}`: {} inputs flipped in cycle \
-             {cycle} on {jobs} jobs, one shared baseline of {} cycles",
-            netlist.name(),
-            points.len(),
-            config.cycles
-        );
-        println!("per-flip mean {}", incremental_line(&mean_stats));
-        println!();
-        let mut table = TextTable::new(vec![
-            "input",
-            "flip",
-            "useless",
-            "d useless",
-            "total (mW)",
-            "re-eval %",
+    cycle: u64,
+    jobs: usize,
+    applied: &[AppliedFlip],
+    baseline: &BaselineEntry,
+    points: &[DeltaAnalysis],
+) {
+    let base_useless = baseline.before.activity.totals().useless;
+    println!(
+        "input-flip sensitivity sweep of `{}`: {} inputs flipped in cycle \
+         {cycle} on {jobs} jobs, one shared baseline of {} cycles",
+        netlist.name(),
+        points.len(),
+        baseline.baseline.cycle_count()
+    );
+    println!(
+        "per-flip mean {}",
+        incremental_line(&report::per_flip_mean(points))
+    );
+    println!();
+    let mut table = TextTable::new(vec![
+        "input",
+        "flip",
+        "useless",
+        "d useless",
+        "total (mW)",
+        "re-eval %",
+    ]);
+    for ((name, _, value), point) in applied.iter().zip(points) {
+        let useless = point.analysis.activity.totals().useless;
+        table.add_row(vec![
+            name.clone(),
+            format!("->{}", u8::from(*value)),
+            useless.to_string(),
+            format!("{:+}", useless as i64 - base_useless as i64),
+            format!("{:.3}", point.analysis.power.breakdown.total() * 1e3),
+            format!("{:.1}", point.incremental.evaluated_fraction() * 100.0),
         ]);
-        for p in &points {
-            let d_useless = p.activity.useless as i64 - base_totals.useless as i64;
-            table.add_row(vec![
-                p.name.clone(),
-                format!("->{}", u8::from(p.flipped_to)),
-                p.activity.useless.to_string(),
-                format!("{d_useless:+}"),
-                format!("{:.3}", p.power.total() * 1e3),
-                format!("{:.1}", p.incremental.evaluated_fraction() * 100.0),
-            ]);
-        }
-        print!("{table}");
-        println!(
-            "(each row is bit-identical to a full re-simulation with that \
-             bit flipped; `d useless` is the glitch-transition change vs \
-             the baseline's {})",
-            base_totals.useless
-        );
     }
-    telemetry.finish()
+    print!("{table}");
+    println!(
+        "(each row is bit-identical to a full re-simulation with that \
+         bit flipped; `d useless` is the glitch-transition change vs \
+         the baseline's {base_useless})"
+    );
 }
 
 const CHECK_SPEC: Spec = Spec {

@@ -6,6 +6,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use glitch_serve::jsonin::{parse_json, JsonValue};
+
 fn data(file: &str) -> String {
     format!("{}/../../tests/data/{file}", env!("CARGO_MANIFEST_DIR"))
 }
@@ -612,6 +614,92 @@ fn sweep_flip_inputs_reports_sensitivity_per_input() {
     assert!(stderr(&with_delays).contains("does not combine"));
 }
 
+/// The field at `path` of a parsed JSON report.
+fn field<'a>(root: &'a JsonValue, path: &[&str]) -> &'a JsonValue {
+    path.iter().fold(root, |value, key| match value {
+        JsonValue::Object(map) => map
+            .get(*key)
+            .unwrap_or_else(|| panic!("missing field `{key}` in {value:?}")),
+        other => panic!("expected an object at `{key}`, got {other:?}"),
+    })
+}
+
+#[test]
+fn sweep_flip_rows_equal_analyze_flip_after_figures_at_any_jobs_count() {
+    let mult = data("mult4.blif");
+    let inputs = ["x[0]", "x[1]", "x[2]", "x[3]"];
+    let sweep = |jobs: &str| {
+        let output = run(&[
+            "sweep",
+            &mult,
+            "--cycles",
+            "120",
+            "--flip-inputs",
+            &inputs.join(","),
+            "--flip-cycle",
+            "60",
+            "--jobs",
+            jobs,
+            "--json",
+        ]);
+        assert!(output.status.success(), "{}", stderr(&output));
+        parse_json(&stdout(&output)).expect("sweep --json parses")
+    };
+    let serial = sweep("1");
+    let parallel = sweep("3");
+    // The worker count changes nothing but the `jobs` field.
+    for key in ["baseline", "incremental_per_flip_mean", "points"] {
+        assert_eq!(field(&serial, &[key]), field(&parallel, &[key]), "{key}");
+    }
+    assert!(field(&serial, &["baseline", "activity", "useful"]).as_u64() > Some(0));
+    let JsonValue::Array(rows) = field(&parallel, &["points"]) else {
+        panic!("points must be an array")
+    };
+    assert_eq!(rows.len(), inputs.len());
+    for (row, input) in rows.iter().zip(inputs) {
+        assert_eq!(field(row, &["input"]).as_str(), Some(input));
+        // A single-bit single-cycle flip re-simulates a sliver of the run
+        // and replays the rest.
+        assert!(field(row, &["incremental", "replayed_cycles"]).as_u64() >= Some(110));
+        let fraction = field(row, &["incremental", "evaluated_fraction"]).as_f64();
+        assert!(fraction.is_some_and(|f| f < 0.25), "{row:?}");
+        assert!(field(row, &["power_total_w"])
+            .as_f64()
+            .is_some_and(|w| w > 0.0));
+        assert!(field(row, &["useful"]).as_u64() > Some(0));
+
+        // Each row is the after-figures of `analyze --flip` of that input.
+        let output = run(&[
+            "analyze",
+            &mult,
+            "--cycles",
+            "120",
+            "--flip",
+            &format!("60:{input}"),
+            "--json",
+        ]);
+        assert!(output.status.success(), "{}", stderr(&output));
+        let flip = parse_json(&stdout(&output)).expect("analyze --flip --json parses");
+        let JsonValue::Array(applied) = field(&flip, &["flips"]) else {
+            panic!("flips must be an array")
+        };
+        assert_eq!(field(&applied[0], &["value"]), field(row, &["flipped_to"]));
+        assert_eq!(field(&flip, &["incremental"]), field(row, &["incremental"]));
+        assert_eq!(field(&flip, &["baseline"]), field(&parallel, &["baseline"]));
+        for key in ["useful", "useless", "glitches"] {
+            assert_eq!(
+                field(&flip, &["delta", "activity", key]),
+                field(row, &[key]),
+                "{input} {key}"
+            );
+        }
+        assert_eq!(
+            field(&flip, &["delta", "power", "total_w"]),
+            field(row, &["power_total_w"])
+        );
+    }
+}
+
 #[test]
 fn per_seed_artefact_flags_reject_multi_seed_runs() {
     let output = run(&[
@@ -885,6 +973,39 @@ fn check_flip_reports_both_verdicts_and_replays_no_op_flips() {
         "{}",
         stderr(&dup)
     );
+}
+
+#[test]
+fn check_flip_follows_the_analyze_flip_seed_and_job_rules() {
+    let rca = data("rca4.blif");
+    for command in ["analyze", "check"] {
+        let flip = |extra: &[&str]| {
+            let mut args = vec![command, &rca, "--cycles", "60", "--flip", "10:a1", "--json"];
+            args.extend_from_slice(extra);
+            run(&args)
+        };
+        let plain = flip(&[]);
+        assert!(plain.status.success(), "{command}: {}", stderr(&plain));
+        // One seed is the flip's own run.
+        let one_seed = flip(&["--seeds", "1"]);
+        assert!(
+            one_seed.status.success(),
+            "{command}: {}",
+            stderr(&one_seed)
+        );
+        assert_eq!(stdout(&one_seed), stdout(&plain), "{command}");
+        // A single-seed replay has nothing to parallelise.
+        let jobs = flip(&["--jobs", "4"]);
+        assert_eq!(jobs.status.code(), Some(2), "{command}");
+        assert!(
+            stderr(&jobs).contains("--jobs has nothing to parallelise here"),
+            "{command}: {}",
+            stderr(&jobs)
+        );
+        let seeds = flip(&["--seeds", "2"]);
+        assert_eq!(seeds.status.code(), Some(2), "{command}");
+        assert!(stderr(&seeds).contains("--flip applies to single-seed runs"));
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `glitch-cli serve` daemon and its `client`
 //! companion over the JSON-lines protocol: job responses must be
 //! byte-identical to the matching one-shot `--json` runs, repeated flips
-//! must hit the baseline cache, stale fingerprints must be rejected,
+//! and check flips must hit the baseline cache, stale fingerprints must be rejected,
 //! `shutdown` must drain and exit 0, `status` must report live telemetry
 //! (with deterministic counts at any worker count), the access log must
 //! carry every request exactly once with monotonic ids, a streaming
@@ -122,6 +122,8 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
     let daemon = Daemon::spawn(&[]);
     let counter = data("counter4.blif");
     let mult = data("mult4.blif");
+    let rca = data("rca4.blif");
+    let xinit = data("xinit_ok.blif");
 
     // (request line, equivalent one-shot invocation) pairs across every
     // job op, including a multi-seed analyze, a checker suite and the
@@ -200,6 +202,28 @@ fn daemon_responses_are_byte_identical_to_one_shot_json() {
                 "--engine",
                 "queue",
                 "--json",
+            ],
+        ),
+        // Input flips: the flip sweep and an X-initialised check re-run
+        // against the cached baseline.
+        (
+            format!(r#"{{"op":"sweep","file":"{rca}","flip_inputs":"all","flip_cycle":40}}"#),
+            vec![
+                "sweep",
+                &rca,
+                "--flip-inputs",
+                "all",
+                "--flip-cycle",
+                "40",
+                "--json",
+            ],
+        ),
+        (
+            format!(
+                r#"{{"op":"check","file":"{xinit}","cycles":40,"x_init":true,"flips":"10:en"}}"#
+            ),
+            vec![
+                "check", &xinit, "--cycles", "40", "--x-init", "--flip", "10:en", "--json",
             ],
         ),
         // Default-engine batches: settled on the timed kernel.
@@ -308,6 +332,30 @@ fn repeated_flips_are_served_from_the_baseline_cache() {
     assert!(
         metrics.contains(r#""cache.netlist_misses":1"#),
         "expected one parsed netlist shared by all flips in {metrics}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn repeated_check_flips_are_served_from_the_baseline_cache() {
+    let daemon = Daemon::spawn(&[]);
+    let xinit = data("xinit_ok.blif");
+    let check =
+        format!(r#"{{"op":"check","file":"{xinit}","cycles":40,"x_init":true,"flips":"10:en"}}"#);
+    let responses = daemon.client(&[&check, &check, r#"{"op":"metrics"}"#]);
+    assert!(responses[0].contains(r#""flipped":{"verdict":"pass""#));
+    assert_eq!(
+        responses[0], responses[1],
+        "the same check flip must render identically on a cache hit"
+    );
+    let metrics = &responses[2];
+    assert!(
+        metrics.contains(r#""cache.baseline_misses":1"#),
+        "expected one baseline recording in {metrics}"
+    );
+    assert!(
+        metrics.contains(r#""cache.baseline_hits":1"#),
+        "expected the repeat to hit the baseline cache in {metrics}"
     );
     daemon.shutdown();
 }

@@ -240,7 +240,7 @@ impl AggregateAnalysis {
 }
 
 /// Result of one incremental delta re-analysis
-/// ([`GlitchAnalyzer::analyze_delta`]): the same figures a full
+/// ([`GlitchAnalyzer::analyze_delta_with_index`]): the same figures a full
 /// [`Analysis`] carries — bit-identical to a full re-simulation of the
 /// merged stimulus — plus the incremental work accounting.
 #[derive(Debug, Clone)]
@@ -401,8 +401,8 @@ impl GlitchAnalyzer {
 
     /// Like [`GlitchAnalyzer::analyze`], but additionally records a
     /// replayable [`SimBaseline`] of the run — the anchor for
-    /// [`GlitchAnalyzer::analyze_delta`] / [`GlitchAnalyzer::analyze_deltas`]
-    /// re-analyses of *nearby* stimuli (a few changed input bits).
+    /// [`GlitchAnalyzer::analyze_delta_with_index`] re-analyses of *nearby*
+    /// stimuli (a few changed input bits).
     ///
     /// # Errors
     ///
@@ -426,29 +426,16 @@ impl GlitchAnalyzer {
     /// (pinned by the differential oracle in `glitch-sim`); the delay
     /// model and simulator options come from the baseline.
     ///
+    /// `index` is an optional pre-built [`ConeIndex`]: long-lived callers
+    /// (the serving layer's warm cache, a flip sweep's workers) amortise
+    /// the index build over many deltas this way. `None` builds one for
+    /// this call; the index is deterministic for a netlist, so the figures
+    /// are identical either way.
+    ///
     /// # Errors
     ///
     /// Returns a [`SimError`] for deltas beyond the baseline, overrides of
     /// non-input nets, or any simulation failure in a dirty cycle.
-    pub fn analyze_delta(
-        &self,
-        netlist: &Netlist,
-        baseline: &SimBaseline,
-        delta: &DeltaStimulus,
-    ) -> Result<DeltaAnalysis, SimError> {
-        self.analyze_delta_with_index(netlist, baseline, delta, None)
-    }
-
-    /// [`GlitchAnalyzer::analyze_delta`] with an optional pre-built
-    /// [`ConeIndex`] to reuse across calls. Long-lived callers (the
-    /// serving layer's warm cache, [`GlitchAnalyzer::analyze_deltas`])
-    /// amortise the index build over many deltas this way; the index is
-    /// deterministic for a netlist, so the figures are identical either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// As for [`GlitchAnalyzer::analyze_delta`].
     pub fn analyze_delta_with_index(
         &self,
         netlist: &Netlist,
@@ -472,31 +459,6 @@ impl GlitchAnalyzer {
             analysis: Self::analysis(netlist, report.into_session()),
             incremental,
         })
-    }
-
-    /// Re-analyses many *nearby* deltas against one shared baseline,
-    /// fanned across `jobs` worker threads. The fanout/level cone index is
-    /// built once and shared by every job, and results come back in delta
-    /// order — bit-identical at any worker count, in the
-    /// [`GlitchAnalyzer::analyze_seeds`] tradition.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing delta's [`SimError`] in delta order.
-    pub fn analyze_deltas(
-        &self,
-        netlist: &Netlist,
-        baseline: &SimBaseline,
-        deltas: &[DeltaStimulus],
-        jobs: usize,
-    ) -> Result<Vec<DeltaAnalysis>, SimError> {
-        let index = ConeIndex::build(netlist).map_err(SimError::from)?;
-        ParallelRunner::new(jobs)
-            .map(deltas.iter().collect(), |_, delta: &DeltaStimulus| {
-                self.analyze_delta_with_index(netlist, baseline, delta, Some(&index))
-            })
-            .into_iter()
-            .collect()
     }
 
     /// The shard job for one seed, configured like
@@ -910,7 +872,7 @@ mod tests {
         assert!(baseline.total_cell_evals() > 0);
 
         let replay = analyzer
-            .analyze_delta(&adder.netlist, &baseline, &DeltaStimulus::new())
+            .analyze_delta_with_index(&adder.netlist, &baseline, &DeltaStimulus::new(), None)
             .unwrap();
         assert_eq!(replay.incremental.replayed_cycles, 120);
         assert_eq!(replay.incremental.cells_evaluated, 0);
@@ -919,7 +881,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_analysis_matches_a_full_rerun_and_parallel_deltas_are_deterministic() {
+    fn delta_analysis_matches_a_full_rerun() {
         let adder = RippleCarryAdder::new(8, AdderStyle::CompoundCell);
         let analyzer = GlitchAnalyzer::new(AnalysisConfig {
             cycles: 100,
@@ -952,41 +914,21 @@ mod tests {
         let full = GlitchAnalyzer::analysis(&adder.netlist, full_report);
 
         let incremental = analyzer
-            .analyze_delta(&adder.netlist, &baseline, &delta)
+            .analyze_delta_with_index(&adder.netlist, &baseline, &delta, None)
             .unwrap();
         assert_eq!(incremental.analysis.trace, full.trace);
         assert_eq!(incremental.analysis.power, full.power);
         assert!(incremental.incremental.replayed_cycles >= 90);
         assert!(incremental.incremental.evaluated_fraction() < 0.5);
 
-        // Fanning nearby deltas across workers is deterministic and equals
-        // the one-by-one runs.
-        let deltas: Vec<DeltaStimulus> = (0..4)
-            .map(|bit| {
-                let net = adder.a.bit(bit);
-                let to = baseline.input_value(20, net) != glitch_sim::Value::One;
-                DeltaStimulus::new().set(20, net, to)
-            })
-            .collect();
-        let parallel = analyzer
-            .analyze_deltas(&adder.netlist, &baseline, &deltas, 4)
+        // A shared pre-built cone index gives the same figures.
+        let index = ConeIndex::build(&adder.netlist).unwrap();
+        let indexed = analyzer
+            .analyze_delta_with_index(&adder.netlist, &baseline, &delta, Some(&index))
             .unwrap();
-        let serial = analyzer
-            .analyze_deltas(&adder.netlist, &baseline, &deltas, 1)
-            .unwrap();
-        assert_eq!(parallel.len(), 4);
-        for (p, s) in parallel.iter().zip(&serial) {
-            assert_eq!(p.analysis.trace, s.analysis.trace);
-            assert_eq!(p.analysis.power, s.analysis.power);
-            assert_eq!(p.incremental, s.incremental);
-        }
-        for (p, delta) in parallel.iter().zip(&deltas) {
-            let single = analyzer
-                .analyze_delta(&adder.netlist, &baseline, delta)
-                .unwrap();
-            assert_eq!(p.analysis.trace, single.analysis.trace);
-            assert_eq!(p.incremental, single.incremental);
-        }
+        assert_eq!(indexed.analysis.trace, incremental.analysis.trace);
+        assert_eq!(indexed.analysis.power, incremental.analysis.power);
+        assert_eq!(indexed.incremental, incremental.incremental);
     }
 
     #[test]

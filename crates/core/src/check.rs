@@ -1,6 +1,6 @@
 //! Verification entry points on [`GlitchAnalyzer`]: run a
 //! [`glitch_verify::CheckSuite`] against the configured stimulus —
-//! multi-seed parallel, baseline-recording, or incremental.
+//! multi-seed parallel, or incremental against a recorded baseline.
 //!
 //! Checking composes with the existing execution layers rather than
 //! duplicating them: [`GlitchAnalyzer::check_seeds`] rides the sharded
@@ -11,7 +11,7 @@
 //! clean ones, so the verdict is bit-identical to a full re-simulation of
 //! the merged stimulus).
 
-use glitch_netlist::{Bus, NetId, Netlist};
+use glitch_netlist::{Bus, ConeIndex, NetId, Netlist};
 use glitch_sim::{
     DeltaStimulus, IncrementalSession, IncrementalStats, Probe, SessionReport, SimBaseline,
     SimError,
@@ -96,34 +96,16 @@ impl GlitchAnalyzer {
         })
     }
 
-    /// Runs the checker suite on the configured single-seed stimulus while
-    /// recording a replayable [`SimBaseline`] — the anchor for
-    /// [`GlitchAnalyzer::check_delta`] re-checks of nearby stimuli.
-    ///
-    /// # Errors
-    ///
-    /// As for [`GlitchAnalyzer::analyze`]; a failed run yields no baseline.
-    pub fn check_baseline(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        suite: &CheckSuite,
-    ) -> Result<(VerifyReport, Analysis, SimBaseline), SimError> {
-        let (mut report, baseline) = self
-            .session(netlist, random_buses, held)
-            .probe(suite.build())
-            .record_baseline()?;
-        let verify = take_report(&mut report, netlist);
-        Ok((verify, Self::analysis(netlist, report), baseline))
-    }
-
     /// Re-checks a recorded baseline under a [`DeltaStimulus`]
     /// incrementally: the checkers replay the recorded stream verbatim on
     /// clean cycles and re-run on dirty ones, so the returned report is
     /// bit-identical to a full re-simulation of the merged stimulus
     /// (pinned by `glitch-verify`'s incremental oracle test). The delay
-    /// model and simulator options come from the baseline.
+    /// model and simulator options come from the baseline, which
+    /// [`GlitchAnalyzer::analyze_baseline`] records; an empty delta replays
+    /// it with zero cell evaluations and yields the baseline's own verdict.
+    /// `index` is the netlist's fanout/level cone index, shared across
+    /// calls.
     ///
     /// # Errors
     ///
@@ -135,8 +117,10 @@ impl GlitchAnalyzer {
         baseline: &SimBaseline,
         delta: &DeltaStimulus,
         suite: &CheckSuite,
+        index: &ConeIndex,
     ) -> Result<DeltaCheck, SimError> {
         let report = IncrementalSession::new(netlist, baseline)
+            .cone_index(index)
             .probe(suite.build())
             .probe(glitch_sim::ActivityProbe::new())
             .probe(glitch_sim::PowerProbe::new(
@@ -273,13 +257,14 @@ mod tests {
         let (nl, buses) = fixture();
         let analyzer = x_analyzer(40);
         let suite = full_suite(&nl);
-        let (_, _, baseline) = analyzer.check_baseline(&nl, &buses, &[], &suite).unwrap();
+        let (_, baseline) = analyzer.analyze_baseline(&nl, &buses, &[]).unwrap();
+        let index = ConeIndex::build(&nl).unwrap();
         let en = nl.find_net("en").unwrap();
         let flip_to = baseline.input_value(15, en) != glitch_sim::Value::One;
         let delta = DeltaStimulus::new().set(15, en, flip_to);
 
         let incremental = analyzer
-            .check_delta(&nl, &baseline, &delta, &suite)
+            .check_delta(&nl, &baseline, &delta, &suite, &index)
             .unwrap();
         assert!(incremental.incremental.replayed_cycles >= 30);
 
@@ -304,16 +289,23 @@ mod tests {
         let (nl, buses) = fixture();
         let analyzer = x_analyzer(30);
         let suite = full_suite(&nl);
-        let (from_baseline, analysis, baseline) =
-            analyzer.check_baseline(&nl, &buses, &[], &suite).unwrap();
+        let (analysis, baseline) = analyzer.analyze_baseline(&nl, &buses, &[]).unwrap();
         assert_eq!(baseline.cycle_count(), 30);
         assert_eq!(analysis.cycles, 30);
+        // The verdict of a plain checked run of the same stimulus.
+        let mut plain = analyzer
+            .session(&nl, &buses, &[])
+            .probe(suite.build())
+            .run()
+            .unwrap();
+        let from_run = take_report(&mut plain, &nl);
         // An empty delta replays everything and reproduces the report.
+        let index = ConeIndex::build(&nl).unwrap();
         let replay = analyzer
-            .check_delta(&nl, &baseline, &DeltaStimulus::new(), &suite)
+            .check_delta(&nl, &baseline, &DeltaStimulus::new(), &suite, &index)
             .unwrap();
         assert_eq!(replay.incremental.cells_evaluated, 0);
-        assert_eq!(replay.report, from_baseline);
+        assert_eq!(replay.report, from_run);
         assert_eq!(replay.analysis.trace, analysis.trace);
     }
 }

@@ -6,7 +6,7 @@ use glitch_activity::ActivityTotals;
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_power::PowerBreakdown;
 use glitch_retime::{pipeline_netlist, PipelineOptions, RetimeError};
-use glitch_sim::{DeltaStimulus, IncrementalStats, ParallelRunner, SimError, Value};
+use glitch_sim::SimError;
 
 use crate::analyzer::{Analysis, GlitchAnalyzer};
 use crate::table::TextTable;
@@ -193,8 +193,7 @@ impl PowerExplorer {
     }
 
     /// Pipelines `combinational` with each of the requested `ranks` and
-    /// remaps the stimulus nets (by name) into every variant — the serial,
-    /// cheap part shared by the serial and parallel sweeps.
+    /// remaps the stimulus nets (by name) into every variant.
     ///
     /// # Errors
     ///
@@ -263,124 +262,12 @@ impl PowerExplorer {
         random_buses: &[Bus],
         held: &[(NetId, bool)],
     ) -> Result<ExplorationResult, ExploreError> {
-        self.explore_parallel(combinational, ranks, random_buses, held, 1)
-    }
-
-    /// Like [`PowerExplorer::explore`], but simulates the pipelined
-    /// variants concurrently on `jobs` worker threads — the multi-circuit
-    /// side of the sharded executor: every variant is an independent
-    /// netlist fanned across a [`ParallelRunner`].
-    ///
-    /// Results are identical to the serial sweep (each variant is a
-    /// deterministic seeded run and the points come back in rank order);
-    /// only the wall-clock time changes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing variant's [`ExploreError`] in rank order.
-    pub fn explore_parallel(
-        &self,
-        combinational: &Netlist,
-        ranks: &[usize],
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        jobs: usize,
-    ) -> Result<ExplorationResult, ExploreError> {
-        let variants = self.prepare_variants(combinational, ranks, random_buses, held)?;
-        let points = ParallelRunner::new(jobs)
-            .map(variants, |_, variant| self.evaluate_variant(&variant))
-            .into_iter()
+        let points = self
+            .prepare_variants(combinational, ranks, random_buses, held)?
+            .iter()
+            .map(|variant| self.evaluate_variant(variant))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ExplorationResult { points })
-    }
-}
-
-/// One row of an input-sensitivity exploration
-/// ([`PowerExplorer::explore_input_sensitivity`]): the activity and power
-/// the circuit exhibits when one primary input bit is flipped in one
-/// cycle of an otherwise identical stimulus.
-#[derive(Debug, Clone)]
-pub struct SensitivityPoint {
-    /// The flipped primary input.
-    pub net: NetId,
-    /// Its name, for reporting.
-    pub name: String,
-    /// The cycle the flip happened in.
-    pub cycle: u64,
-    /// The value the bit was flipped to.
-    pub flipped_to: bool,
-    /// Combinational activity totals of the flipped run.
-    pub activity: ActivityTotals,
-    /// Power decomposition of the flipped run.
-    pub power: PowerBreakdown,
-    /// Incremental work accounting: how little of the baseline had to be
-    /// re-evaluated to answer this row.
-    pub incremental: IncrementalStats,
-}
-
-impl PowerExplorer {
-    /// Flips each listed primary input bit at `cycle` — one *nearby job*
-    /// per input — and reports every flip's activity and power. All jobs
-    /// reuse **one** recorded baseline and one fanout/level cone index:
-    /// each row re-evaluates only the flipped bit's dirty region instead
-    /// of paying a full simulation, yet its figures are bit-identical to
-    /// a from-scratch run of the flipped stimulus. Jobs fan across `jobs`
-    /// worker threads; rows come back in input order regardless of the
-    /// worker count.
-    ///
-    /// Inputs the baseline stimulus never drove (`X` at `cycle`) are
-    /// flipped to `true`.
-    ///
-    /// Returns the baseline analysis alongside the per-input rows so
-    /// callers can report differences against it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExploreError`] if the baseline or any flipped run
-    /// fails to simulate.
-    pub fn explore_input_sensitivity(
-        &self,
-        netlist: &Netlist,
-        random_buses: &[Bus],
-        held: &[(NetId, bool)],
-        cycle: u64,
-        inputs: &[NetId],
-        jobs: usize,
-    ) -> Result<(Analysis, Vec<SensitivityPoint>), ExploreError> {
-        let (baseline_analysis, baseline) =
-            self.analyzer
-                .analyze_baseline(netlist, random_buses, held)?;
-        let flips: Vec<(NetId, bool)> = inputs
-            .iter()
-            .map(|&net| {
-                let flipped_to = match baseline.input_value(cycle, net) {
-                    Value::One => false,
-                    Value::Zero | Value::X => true,
-                };
-                (net, flipped_to)
-            })
-            .collect();
-        let deltas: Vec<DeltaStimulus> = flips
-            .iter()
-            .map(|&(net, to)| DeltaStimulus::new().set(cycle, net, to))
-            .collect();
-        let analyses = self
-            .analyzer
-            .analyze_deltas(netlist, &baseline, &deltas, jobs)?;
-        let points = flips
-            .into_iter()
-            .zip(analyses)
-            .map(|((net, flipped_to), delta)| SensitivityPoint {
-                net,
-                name: netlist.net(net).name().to_string(),
-                cycle,
-                flipped_to,
-                activity: delta.analysis.activity.totals(),
-                power: delta.analysis.power.breakdown,
-                incremental: delta.incremental,
-            })
-            .collect();
-        Ok((baseline_analysis, points))
     }
 }
 
@@ -447,33 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_equals_the_serial_sweep() {
-        let mult = ArrayMultiplier::new(5, AdderStyle::CompoundCell);
-        let analyzer = GlitchAnalyzer::new(AnalysisConfig {
-            cycles: 80,
-            ..Default::default()
-        });
-        let explorer = PowerExplorer::new(analyzer);
-        let ranks = [0, 2, 4, 6];
-        let buses = [mult.x.clone(), mult.y.clone()];
-        let serial = explorer
-            .explore(&mult.netlist, &ranks, &buses, &[])
-            .unwrap();
-        let parallel = explorer
-            .explore_parallel(&mult.netlist, &ranks, &buses, &[], 4)
-            .unwrap();
-        assert_eq!(serial.points().len(), parallel.points().len());
-        for (s, p) in serial.points().iter().zip(parallel.points()) {
-            assert_eq!(s.ranks, p.ranks);
-            assert_eq!(s.flipflops, p.flipflops);
-            assert_eq!(s.activity, p.activity);
-            assert_eq!(s.power, p.power);
-            assert_eq!(s.clock_capacitance, p.clock_capacitance);
-        }
-        assert_eq!(serial.optimum(), parallel.optimum());
-    }
-
-    #[test]
     fn missing_stimulus_net_is_a_recoverable_error() {
         // A stimulus net whose name has no counterpart in the target
         // netlist used to panic inside the sweep; now it surfaces as
@@ -500,59 +360,6 @@ mod tests {
             remap_bus(&from, &bus, &target).unwrap().bits(),
             there.bits()
         );
-    }
-
-    #[test]
-    fn input_sensitivity_reuses_one_baseline_and_matches_full_reruns() {
-        let mult = ArrayMultiplier::new(5, AdderStyle::CompoundCell);
-        let analyzer = GlitchAnalyzer::new(AnalysisConfig {
-            cycles: 120,
-            ..Default::default()
-        });
-        let explorer = PowerExplorer::new(analyzer.clone());
-        let inputs: Vec<NetId> = mult.x.bits().to_vec();
-        let buses = [mult.x.clone(), mult.y.clone()];
-        let (baseline_analysis, points) = explorer
-            .explore_input_sensitivity(&mult.netlist, &buses, &[], 60, &inputs, 4)
-            .unwrap();
-        assert_eq!(points.len(), 5);
-        for point in &points {
-            // A single-bit single-cycle flip re-simulates a sliver of the
-            // run and replays the rest.
-            assert!(point.incremental.replayed_cycles >= 110, "{point:?}");
-            assert!(point.incremental.evaluated_fraction() < 0.25, "{point:?}");
-            assert!(point.power.total() > 0.0);
-            assert!(point.activity.useful > 0);
-            assert_eq!(point.cycle, 60);
-            assert!(point.name.starts_with("x["));
-        }
-        assert!(baseline_analysis.activity.totals().useful > 0);
-
-        // Each row is bit-identical to the incremental delta re-analysis
-        // it stands for (whose own full-rerun identity the analyzer and
-        // the glitch-sim differential oracle pin).
-        let (_, baseline) = analyzer
-            .analyze_baseline(&mult.netlist, &buses, &[])
-            .unwrap();
-        let reference = analyzer
-            .analyze_delta(
-                &mult.netlist,
-                &baseline,
-                &DeltaStimulus::new().set(60, points[0].net, points[0].flipped_to),
-            )
-            .unwrap();
-        assert_eq!(points[0].activity, reference.analysis.activity.totals());
-        assert_eq!(points[0].power, reference.analysis.power.breakdown);
-        assert_eq!(points[0].incremental, reference.incremental);
-        // Parallel fan-out is deterministic.
-        let (_, serial) = explorer
-            .explore_input_sensitivity(&mult.netlist, &buses, &[], 60, &inputs, 1)
-            .unwrap();
-        for (p, s) in points.iter().zip(&serial) {
-            assert_eq!(p.activity, s.activity);
-            assert_eq!(p.power, s.power);
-            assert_eq!(p.incremental, s.incremental);
-        }
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub use analyzer::{
     GlitchAnalyzer, KernelTelemetry,
 };
 pub use check::{CheckAnalysis, DeltaCheck};
-pub use explore::{
-    ExplorationPoint, ExplorationResult, ExploreError, PowerExplorer, SensitivityPoint,
-};
+pub use explore::{ExplorationPoint, ExplorationResult, ExploreError, PowerExplorer};
 pub use reduce::{ReduceScore, ReduceSession};
 pub use table::TextTable;
 

@@ -92,9 +92,9 @@ impl CachedCircuit {
 pub struct BaselineEntry {
     /// The recorded replay log.
     pub baseline: Arc<SimBaseline>,
-    /// The analysis of the unperturbed run — every `flip` response's
-    /// `baseline` section, identical whether freshly recorded or recovered
-    /// from a spill file by empty-delta replay.
+    /// The analysis of the unperturbed run — the `baseline` section of
+    /// every `flip` and flip-sweep response, identical whether freshly
+    /// recorded or recovered from a spill file by empty-delta replay.
     pub before: Arc<Analysis>,
 }
 
@@ -811,7 +811,7 @@ mod tests {
         };
         let analyzer = GlitchAnalyzer::new(config);
         let delta = analyzer
-            .analyze_delta(netlist, baseline, &DeltaStimulus::new())
+            .analyze_delta_with_index(netlist, baseline, &DeltaStimulus::new(), None)
             .map_err(|e| e.to_string())?;
         Ok(delta.analysis)
     }

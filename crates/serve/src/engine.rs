@@ -464,6 +464,11 @@ impl Engine {
             (job.budget.is_some(), "budget"),
             (job.stable.is_some(), "stable"),
         ];
+        let sweep_only = [
+            (job.delays.is_some(), "delays (sweep only)"),
+            (job.flip_inputs.is_some(), "flip_inputs (sweep only)"),
+            (job.flip_cycle.is_some(), "flip_cycle (sweep only)"),
+        ];
         let reduce_only = [
             (job.moves.is_some(), "moves"),
             (job.target.is_some(), "target"),
@@ -478,30 +483,24 @@ impl Engine {
                 if job.flips.is_some() {
                     bad.push("flips (use op `flip`)");
                 }
-                if job.delays.is_some() {
-                    bad.push("delays (sweep only)");
-                }
+                bad.extend(sweep_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
                 bad.extend(check_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
             }
             JobKind::Flip => {
-                if job.delays.is_some() {
-                    bad.push("delays (sweep only)");
-                }
+                bad.extend(sweep_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
                 if job.engine.is_some() {
                     bad.push("engine (flip rides the incremental queue replay)");
                 }
                 bad.extend(check_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
             }
             JobKind::Check => {
-                if job.delays.is_some() {
-                    bad.push("delays (sweep only)");
-                }
+                bad.extend(sweep_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
             }
             JobKind::Sweep => {
                 if job.flips.is_some() {
                     bad.push("flips (use op `flip`)");
                 }
-                if job.delay.is_some() {
+                if job.delay.is_some() && job.flip_inputs.is_none() {
                     bad.push("delay (the delay-model sweep takes `delays`)");
                 }
                 bad.extend(check_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
@@ -510,9 +509,7 @@ impl Engine {
                 if job.flips.is_some() {
                     bad.push("flips (use op `flip`)");
                 }
-                if job.delays.is_some() {
-                    bad.push("delays (sweep only)");
-                }
+                bad.extend(sweep_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
                 bad.extend(check_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
             }
         }
@@ -728,6 +725,17 @@ mod tests {
         let third = run(&engine, JobKind::Flip, &request, 1);
         assert_eq!(second, third);
         assert_eq!(engine.counter_value("cache.baseline_hits"), 2);
+        // The flip sweep and a check flip replay the same baseline.
+        let sweep = JobRequest {
+            flip_inputs: Some("all".to_string()),
+            ..job(&file)
+        };
+        let swept = run(&engine, JobKind::Sweep, &sweep, 1);
+        assert!(swept.contains("\"points\":[{\"input\":\"a\""), "{swept}");
+        let checked = run(&engine, JobKind::Check, &request, 1);
+        assert!(checked.contains("\"flipped\""), "unexpected: {checked}");
+        assert_eq!(engine.counter_value("cache.baseline_misses"), 1);
+        assert_eq!(engine.counter_value("cache.baseline_hits"), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -747,7 +755,14 @@ mod tests {
         request.flips = Some("0:a".to_string());
         let reply = run(&engine, JobKind::Analyze, &request, 1);
         assert!(reply.contains("does not take"), "unexpected: {reply}");
-        assert_eq!(engine.counter_value("serve.errors"), 3);
+        let mut request = job(&file);
+        request.flip_inputs = Some("all".to_string());
+        let reply = run(&engine, JobKind::Check, &request, 1);
+        assert!(
+            reply.contains("does not take: flip_inputs (sweep only)"),
+            "unexpected: {reply}"
+        );
+        assert_eq!(engine.counter_value("serve.errors"), 4);
         assert_eq!(engine.counter_value("serve.errors.analyze"), 3);
         std::fs::remove_dir_all(&dir).ok();
     }

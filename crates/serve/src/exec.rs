@@ -1,8 +1,8 @@
 //! The one job executor behind both front ends.
 //!
-//! [`exec`] runs one analysis job — `analyze`, `flip`, `check`, `sweep`
-//! or `reduce` — from a [`JobRequest`] and a parsed netlist to a
-//! [`JobOutput`]. The daemon calls it after its cache lookup and
+//! [`exec`] runs one analysis job — `analyze`, `flip`, `check`, the
+//! delay-model or input-flip `sweep`, or `reduce` — from a [`JobRequest`]
+//! and a parsed netlist to a [`JobOutput`]. The daemon calls it after its cache lookup and
 //! fingerprint check; the one-shot CLI calls it after mapping its flags
 //! onto the same [`JobRequest`]. [`JobOutput::json`] renders the report
 //! line for both, so a daemon response equals the matching one-shot
@@ -12,7 +12,9 @@
 //!
 //! - [`Resources`]: where the compiled kernel program, the cone index and
 //!   the flip baseline come from — the daemon's warm cache, or built
-//!   fresh on demand by the CLI.
+//!   fresh on demand by the CLI. Every input flip (`flip`, `check` with
+//!   flips, the input-flip sweep) replays that one baseline over that one
+//!   cone index.
 //! - [`Sink`]: where the deterministic counters (and the CLI's wall-clock
 //!   phase spans) go. [`Sink::off`] is the bare path: no metrics probe,
 //!   no registry work.
@@ -30,13 +32,13 @@ use glitch_core::verify::VerifyReport;
 use glitch_core::{
     AggregateAnalysis, AggregateReport, Analysis, AnalysisConfig, CheckAnalysis, DelaySweepPoint,
     DeltaAnalysis, DeltaCheck, DeltaStimulus, EngineKind, GlitchAnalyzer, IncrementalStats,
-    KernelProgram, KernelTelemetry, ShardSummary, SimBaseline,
+    KernelProgram, KernelTelemetry, ParallelRunner, ShardSummary, SimBaseline,
 };
 use glitch_obs::{MetricsRegistry, Span, SpanLog};
 use glitch_reduce::{ProgressEvent, ProgressSink, ReduceOptions, ReduceReport, Reducer};
 
 use crate::cache::BaselineEntry;
-use crate::params::{self, AppliedFlip, ParamError};
+use crate::params::{self, AppliedFlip, FlipSpec, ParamError};
 use crate::protocol::{JobKind, JobRequest};
 use crate::report;
 
@@ -99,7 +101,7 @@ pub fn replay_baseline(
     baseline: &SimBaseline,
 ) -> Result<Analysis, String> {
     analyzer
-        .analyze_delta(netlist, baseline, &DeltaStimulus::new())
+        .analyze_delta_with_index(netlist, baseline, &DeltaStimulus::new(), None)
         .map(|delta| delta.analysis)
         .map_err(|e| format!("baseline replay failed: {e}"))
 }
@@ -245,7 +247,7 @@ impl<'a> Sink<'a> {
     }
 
     /// `incremental.*`: the work accounting of one dirty-region replay.
-    pub fn incremental(&mut self, stats: &IncrementalStats) {
+    fn incremental(&mut self, stats: &IncrementalStats) {
         self.add("incremental.replayed_cycles", stats.replayed_cycles);
         self.add("incremental.simulated_cycles", stats.simulated_cycles);
         self.add("incremental.cells_evaluated", stats.cells_evaluated);
@@ -371,6 +373,20 @@ pub enum JobOutput {
         /// The incremental re-check.
         flipped: DeltaCheck,
     },
+    /// `sweep` with `flip_inputs`: one incremental re-analysis per
+    /// flipped input against one shared baseline.
+    SweepFlips {
+        /// The cycle every input is flipped in.
+        cycle: u64,
+        /// Worker threads.
+        jobs: usize,
+        /// The flips, one per input, as applied to the baseline.
+        applied: Vec<AppliedFlip>,
+        /// The baseline and its before-figures.
+        baseline: Arc<BaselineEntry>,
+        /// The after-figures of each flip, in input order.
+        points: Vec<DeltaAnalysis>,
+    },
     /// Delay-model `sweep`.
     Sweep {
         /// Seeds per delay model.
@@ -464,6 +480,13 @@ impl JobOutput {
                 cycles,
                 points,
             } => report::sweep_json(file, netlist, *seeds, *jobs, *cycles, points),
+            JobOutput::SweepFlips {
+                cycle,
+                jobs,
+                applied,
+                baseline,
+                points,
+            } => report::sweep_flips_json(file, netlist, *cycle, *jobs, applied, baseline, points),
             JobOutput::Reduce {
                 seeds,
                 jobs,
@@ -489,7 +512,7 @@ const KERNEL_TIMING_CHECK: &str = "--budget and --hazards check settle timing, w
 const SINGLE_SEED_FLIP: &str = "--flip applies to single-seed runs; drop --seeds or --flip";
 /// The refusal of an input flip (`--flip`, `--flip-inputs`) under
 /// `--engine kernel`: the incremental replay is always event-driven.
-pub const KERNEL_FLIP: &str = "input flips ride the incremental event-driven replay, which \
+const KERNEL_FLIP: &str = "input flips ride the incremental event-driven replay, which \
      the kernel engine cannot run; drop --engine kernel";
 
 /// Runs one job against `netlist`. Parameters resolve exactly as the
@@ -510,11 +533,20 @@ pub fn exec(
     hooks: Hooks<'_>,
 ) -> Result<JobOutput, ParamError> {
     let library = params::library_for_tech(job.tech.as_deref())?;
-    if kind == JobKind::Sweep && job.delay.is_some() {
-        return Err(usage(
-            "the delay-model sweep takes --delays <list>, not --delay \
-             (--delay selects the model of a --flip-inputs sweep)",
-        ));
+    let flip_inputs = job
+        .flip_inputs
+        .as_deref()
+        .filter(|_| kind == JobKind::Sweep);
+    if kind == JobKind::Sweep && flip_inputs.is_none() {
+        if job.flip_cycle.is_some() {
+            return Err(usage("--flip-cycle requires --flip-inputs <list|all>"));
+        }
+        if job.delay.is_some() {
+            return Err(usage(
+                "the delay-model sweep takes --delays <list>, not --delay \
+                 (--delay selects the model of a --flip-inputs sweep)",
+            ));
+        }
     }
     let mut config = params::analysis_config(
         &library,
@@ -524,6 +556,9 @@ pub fn exec(
         job.delay.as_deref(),
         job.engine.as_deref(),
     )?;
+    if let Some(list) = flip_inputs {
+        return sweep_flips(job, list, netlist, config, resources, sink);
+    }
     if config.engine == EngineKind::Kernel {
         if job.delay.as_deref().is_some_and(|delay| delay != "zero") {
             return Err(usage(KERNEL_DELAY));
@@ -537,24 +572,10 @@ pub fn exec(
     match kind {
         JobKind::Analyze => analyze(job, netlist, &buses, config, resources, sink, hooks),
         JobKind::Flip => {
-            let (seeds, _) = params::seeds_and_jobs(job.seeds, job.jobs, 1)?;
-            if seeds > 1 {
-                return Err(usage(SINGLE_SEED_FLIP));
-            }
-            if config.engine == EngineKind::Kernel {
-                return Err(usage(KERNEL_FLIP));
-            }
-            let flips = params::parse_flips(job.flips.as_deref().unwrap_or_default(), netlist)?;
-            // The run length is known before simulating anything; an
-            // out-of-range flip must not cost a baseline pass first.
-            params::check_flip_cycles(&flips, config.cycles)?;
+            let flips = flip_specs(job, netlist, &config)?;
             let analyzer = GlitchAnalyzer::new(config);
-            let baseline = {
-                let _span = sink.span("simulate");
-                resources.baseline(&analyzer).map_err(run)?
-            };
+            let (baseline, index) = baseline_and_index(&analyzer, resources, sink)?;
             let (delta, applied) = params::flips_to_delta(&flips, &baseline.baseline)?;
-            let index = resources.cone_index().map_err(run)?;
             let after = {
                 let _span = sink.span("incremental");
                 analyzer
@@ -585,32 +606,29 @@ pub fn exec(
             }
             let checkers = suite.checker_count();
             let analyzer = GlitchAnalyzer::new(config.clone());
-            if let Some(spec) = job.flips.as_deref() {
-                if job.seeds.is_some() {
-                    return Err(usage(SINGLE_SEED_FLIP));
-                }
-                if config.engine == EngineKind::Kernel {
-                    return Err(usage(KERNEL_FLIP));
-                }
-                let flips = params::parse_flips(spec, netlist)?;
-                params::check_flip_cycles(&flips, config.cycles)?;
-                let (base_report, _, baseline) = {
-                    let _span = sink.span("simulate");
+            if job.flips.is_some() {
+                let flips = flip_specs(job, netlist, &config)?;
+                let (baseline, index) = baseline_and_index(&analyzer, resources, sink)?;
+                let (delta, applied) = params::flips_to_delta(&flips, &baseline.baseline)?;
+                let check = |delta: &DeltaStimulus| {
                     analyzer
-                        .check_baseline(netlist, &buses, &[], &suite)
-                        .map_err(|e| run(format!("simulation failed: {e}")))?
+                        .check_delta(netlist, &baseline.baseline, delta, &suite, &index)
+                        .map_err(|e| run(format!("incremental simulation failed: {e}")))
                 };
-                let (delta, applied) = params::flips_to_delta(&flips, &baseline)?;
+                // The baseline verdict: an empty-delta replay, zero cell
+                // evaluations.
+                let base_report = {
+                    let _span = sink.span("simulate");
+                    check(&DeltaStimulus::new())?.report
+                };
                 let flipped = {
                     let _span = sink.span("incremental");
-                    analyzer
-                        .check_delta(netlist, &baseline, &delta, &suite)
-                        .map_err(|e| run(format!("incremental simulation failed: {e}")))?
+                    check(&delta)?
                 };
                 sink.incremental(&flipped.incremental);
                 sink.check(&flipped.report, &[]);
                 return Ok(JobOutput::CheckFlip {
-                    cycles: baseline.cycle_count(),
+                    cycles: baseline.baseline.cycle_count(),
                     x_init: job.x_init,
                     checkers,
                     applied,
@@ -725,6 +743,95 @@ pub fn exec(
             })
         }
     }
+}
+
+/// The `flips` of a `flip` or `check` job, checked against the configured
+/// run before anything is simulated: the single-seed rule, the kernel
+/// refusal, the parsed entries and their cycle range.
+fn flip_specs(
+    job: &JobRequest,
+    netlist: &Netlist,
+    config: &AnalysisConfig,
+) -> Result<Vec<FlipSpec>, ParamError> {
+    let (seeds, _) = params::seeds_and_jobs(job.seeds, job.jobs, 1)?;
+    if seeds > 1 {
+        return Err(usage(SINGLE_SEED_FLIP));
+    }
+    if config.engine == EngineKind::Kernel {
+        return Err(usage(KERNEL_FLIP));
+    }
+    let flips = params::parse_flips(job.flips.as_deref().unwrap_or_default(), netlist)?;
+    // An out-of-range flip must not cost a baseline pass first.
+    params::check_flip_cycles(&flips, config.cycles)?;
+    Ok(flips)
+}
+
+/// The one route of every input flip: the baseline of `analyzer`'s
+/// configured run (under the `simulate` span) and the cone index its
+/// replays share, both from `resources`.
+fn baseline_and_index(
+    analyzer: &GlitchAnalyzer,
+    resources: &dyn Resources,
+    sink: &Sink<'_>,
+) -> Result<(Arc<BaselineEntry>, Arc<ConeIndex>), ParamError> {
+    let baseline = {
+        let _span = sink.span("simulate");
+        resources.baseline(analyzer).map_err(run)?
+    };
+    Ok((baseline, resources.cone_index().map_err(run)?))
+}
+
+/// `sweep` with `flip_inputs`: one inverting flip per listed input in
+/// `flip_cycle`, each replayed incrementally against one shared baseline
+/// and cone index and fanned across `jobs` workers; rows come back in
+/// input order at any worker count.
+fn sweep_flips(
+    job: &JobRequest,
+    list: &str,
+    netlist: &Netlist,
+    config: AnalysisConfig,
+    resources: &dyn Resources,
+    sink: &mut Sink<'_>,
+) -> Result<JobOutput, ParamError> {
+    if config.engine == EngineKind::Kernel {
+        return Err(usage(KERNEL_FLIP));
+    }
+    if job.seeds.is_some() || job.delays.is_some() {
+        return Err(usage(
+            "--flip-inputs sweeps one stimulus; it does not combine with --seeds or --delays",
+        ));
+    }
+    let cycle = job.flip_cycle.unwrap_or(0);
+    let (flips, jobs) = params::flip_inputs(list, cycle, config.cycles, job.jobs, netlist)?;
+    let analyzer = GlitchAnalyzer::new(config);
+    let (baseline, index) = baseline_and_index(&analyzer, resources, sink)?;
+    let mut deltas = Vec::with_capacity(flips.len());
+    let mut applied = Vec::with_capacity(flips.len());
+    for flip in &flips {
+        let (delta, one) = params::flips_to_delta(std::slice::from_ref(flip), &baseline.baseline)?;
+        deltas.push(delta);
+        applied.extend(one);
+    }
+    let points = {
+        let _span = sink.span("incremental");
+        ParallelRunner::new(jobs)
+            .map(deltas, |_, delta| {
+                analyzer.analyze_delta_with_index(netlist, &baseline.baseline, &delta, Some(&index))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| run(format!("incremental simulation failed: {e}")))?
+    };
+    for point in &points {
+        sink.incremental(&point.incremental);
+    }
+    Ok(JobOutput::SweepFlips {
+        cycle,
+        jobs,
+        applied,
+        baseline,
+        points,
+    })
 }
 
 /// The compiled kernel program a non-queue `engine` needs, fetched under

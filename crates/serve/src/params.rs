@@ -199,15 +199,19 @@ pub fn seeds_and_jobs(
              (or, for sweep, more than one delay model)",
         ));
     }
+    Ok((seeds, resolve_jobs(jobs, seeds * models.max(1))?))
+}
+
+/// A `jobs` request, defaulting to `min(items, hardware threads)`.
+fn resolve_jobs(jobs: Option<usize>, items: usize) -> Result<usize, ParamError> {
     let hardware = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let default_jobs = (seeds * models.max(1)).min(hardware).max(1);
-    let jobs = jobs.unwrap_or(default_jobs);
+    let jobs = jobs.unwrap_or(items.min(hardware).max(1));
     if jobs == 0 {
         return Err(usage("--jobs must be at least 1"));
     }
-    Ok((seeds, jobs))
+    Ok(jobs)
 }
 
 /// Why a recorded `baseline` cannot stand in for a fresh recording of
@@ -334,6 +338,69 @@ pub fn check_flip_cycles(flips: &[FlipSpec], cycles: u64) -> Result<(), ParamErr
         }
     }
     Ok(())
+}
+
+/// Resolves a flip-sweep input list (`sweep --flip-inputs`): one
+/// inverting [`FlipSpec`] in `cycle` per listed primary input, or per
+/// primary input for `all`, plus the worker count, which defaults to
+/// `min(inputs, hardware threads)`. Mirrors the CLI's validation, message
+/// for message.
+///
+/// # Errors
+///
+/// Returns [`ParamError::Usage`] for a cycle beyond the `cycles`-cycle
+/// run, a net that is not a primary input, an empty input set, and a
+/// `jobs` value that is zero or has one input to parallelise;
+/// [`ParamError::Run`] for unknown nets.
+pub fn flip_inputs(
+    list: &str,
+    cycle: u64,
+    cycles: u64,
+    jobs: Option<usize>,
+    netlist: &Netlist,
+) -> Result<(Vec<FlipSpec>, usize), ParamError> {
+    if cycle >= cycles {
+        return Err(usage(format!(
+            "--flip-cycle {cycle} is beyond the {cycles}-cycle run"
+        )));
+    }
+    let nets: Vec<NetId> = if list.trim() == "all" {
+        netlist.inputs().to_vec()
+    } else {
+        list.split(',')
+            .map(|name| {
+                let name = name.trim();
+                let net = netlist
+                    .find_net(name)
+                    .ok_or_else(|| run(format!("--flip-inputs: no net named `{name}`")))?;
+                if !netlist.net(net).is_primary_input() {
+                    return Err(usage(format!(
+                        "--flip-inputs: net `{name}` is not a primary input"
+                    )));
+                }
+                Ok(net)
+            })
+            .collect::<Result<_, _>>()?
+    };
+    if nets.is_empty() {
+        return Err(usage("--flip-inputs: no inputs to flip"));
+    }
+    if jobs.is_some() && nets.len() == 1 {
+        return Err(usage(
+            "--jobs has nothing to parallelise here; flip more than one input",
+        ));
+    }
+    let jobs = resolve_jobs(jobs, nets.len())?;
+    let flips = nets
+        .into_iter()
+        .map(|net| FlipSpec {
+            cycle,
+            net,
+            name: netlist.net(net).name().to_string(),
+            value: None,
+        })
+        .collect();
+    Ok((flips, jobs))
 }
 
 /// One applied flip: `(net name, cycle, driven value)`.

@@ -5,6 +5,10 @@
 //! (`analyze`, `check`, `flip`, `sweep`, `reduce`) carry the same knobs as the CLI
 //! flags they mirror, with identical defaults, so a job response is
 //! byte-identical to the matching one-shot `glitch-cli ... --json` run.
+//! A `sweep` with `flip_inputs` (and optionally `flip_cycle`) is the
+//! input-flip sweep of `sweep --flip-inputs`; without them it sweeps
+//! delay models. A `check` with `flips` re-checks incrementally against
+//! the same cached baseline a `flip` uses.
 //! Control ops are `metrics` (the merged registry, as JSON, text or
 //! Prometheus exposition), `status` (live serving telemetry), `ping` and
 //! `shutdown`. Unknown ops and unknown fields are rejected — a typo must
@@ -28,7 +32,8 @@ pub enum JobKind {
     Check,
     /// Incremental what-if via the baseline cache (`analyze --flip --json`).
     Flip,
-    /// Delay-model sweep (`sweep --json`).
+    /// Delay-model sweep (`sweep --json`), or with `flip_inputs` the
+    /// input-flip sweep (`sweep --flip-inputs --json`).
     Sweep,
     /// Glitch-power reduction loop (`reduce --json`).
     Reduce,
@@ -74,6 +79,11 @@ pub struct JobRequest {
     pub frequency_mhz: Option<f64>,
     /// `--flip` list (required for `flip`, optional for `check`).
     pub flips: Option<String>,
+    /// `--flip-inputs` list or `all` (sweep only): sweep one input flip
+    /// per listed primary input instead of delay models.
+    pub flip_inputs: Option<String>,
+    /// `--flip-cycle` (sweep with `flip_inputs` only; defaults to 0).
+    pub flip_cycle: Option<u64>,
     /// `--x-init` (check only).
     pub x_init: bool,
     /// `--hazards` (check only).
@@ -182,6 +192,8 @@ const JOB_FIELDS: &[&str] = &[
     "tech",
     "frequency_mhz",
     "flips",
+    "flip_inputs",
+    "flip_cycle",
     "x_init",
     "hazards",
     "budget",
@@ -272,6 +284,8 @@ impl Request {
             tech: field_str(&map, "tech")?,
             frequency_mhz: field_f64(&map, "frequency_mhz")?,
             flips: field_str(&map, "flips")?,
+            flip_inputs: field_str(&map, "flip_inputs")?,
+            flip_cycle: field_u64(&map, "flip_cycle")?,
             x_init: field_bool(&map, "x_init")?,
             hazards: field_bool(&map, "hazards")?,
             budget: field_str(&map, "budget")?,
@@ -327,6 +341,16 @@ mod tests {
         assert_eq!(job.cycles, Some(50));
         assert_eq!(job.seeds, Some(3));
         assert!(job.x_init);
+
+        let req =
+            Request::parse(r#"{"op":"sweep","file":"a.blif","flip_inputs":"all","flip_cycle":4}"#)
+                .unwrap();
+        let Request::Job(kind, job) = req else {
+            panic!("expected a job")
+        };
+        assert_eq!(kind, JobKind::Sweep);
+        assert_eq!(job.flip_inputs.as_deref(), Some("all"));
+        assert_eq!(job.flip_cycle, Some(4));
 
         let req = Request::parse(r#"{"op":"analyze","file":"a.blif","engine":"queue"}"#).unwrap();
         let Request::Job(_, job) = req else {

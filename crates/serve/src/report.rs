@@ -13,11 +13,12 @@ use glitch_core::power::PowerReport;
 use glitch_core::sim::WindowedActivityProbe;
 use glitch_core::verify::{EquivalenceReport, VerifyReport, Violation};
 use glitch_core::{
-    AggregateAnalysis, Analysis, CheckAnalysis, DelaySweepPoint, DeltaCheck, IncrementalStats,
-    Spread,
+    AggregateAnalysis, Analysis, CheckAnalysis, DelaySweepPoint, DeltaAnalysis, DeltaCheck,
+    IncrementalStats, Spread,
 };
 use glitch_reduce::ReduceReport;
 
+use crate::cache::BaselineEntry;
 use crate::json::{json_array, JsonObject};
 use crate::params::AppliedFlip;
 
@@ -229,28 +230,25 @@ pub fn analyze_flip_json(
     before: &Analysis,
     after: &Analysis,
 ) -> String {
-    let before_totals = before.activity.totals();
-    let after_totals = after.activity.totals();
     JsonObject::new()
         .str("file", file)
         .str("netlist", netlist.name())
         .u64("cycles", cycles)
         .raw("flips", &flips_json(applied))
         .raw("incremental", &incremental_json(stats).render())
+        .raw("baseline", &analysis_json(before))
+        .raw("delta", &analysis_json(after))
+        .render()
+}
+
+/// An analysis as its `activity` totals and `power` report.
+fn analysis_json(analysis: &Analysis) -> String {
+    JsonObject::new()
         .raw(
-            "baseline",
-            &JsonObject::new()
-                .raw("activity", &activity_totals_json(&before_totals).render())
-                .raw("power", &power_report_json(&before.power).render())
-                .render(),
+            "activity",
+            &activity_totals_json(&analysis.activity.totals()).render(),
         )
-        .raw(
-            "delta",
-            &JsonObject::new()
-                .raw("activity", &activity_totals_json(&after_totals).render())
-                .raw("power", &power_report_json(&after.power).render())
-                .render(),
-        )
+        .raw("power", &power_report_json(&analysis.power).render())
         .render()
 }
 
@@ -289,6 +287,75 @@ pub fn sweep_json(
         .usize("jobs", jobs)
         .u64("cycles_per_seed", cycles_per_seed)
         .raw("points", &json_array(rendered))
+        .render()
+}
+
+/// The per-flip mean of a flip sweep's incremental accounting. Every flip
+/// replays the same baseline, so the baseline's cost stays one baseline's,
+/// not one per flip; the dirty-cone peak is a high-water mark, so it takes
+/// the maximum.
+///
+/// # Panics
+///
+/// Panics if `points` is empty.
+#[must_use]
+pub fn per_flip_mean(points: &[DeltaAnalysis]) -> IncrementalStats {
+    let flips = points.len() as u64;
+    let mean = |field: fn(&IncrementalStats) -> u64| {
+        points.iter().map(|p| field(&p.incremental)).sum::<u64>() / flips
+    };
+    IncrementalStats {
+        replayed_cycles: mean(|s| s.replayed_cycles),
+        simulated_cycles: mean(|s| s.simulated_cycles),
+        cells_evaluated: mean(|s| s.cells_evaluated),
+        baseline_cell_evals: points[0].incremental.baseline_cell_evals,
+        peak_dirty_cone_nets: points
+            .iter()
+            .map(|p| p.incremental.peak_dirty_cone_nets)
+            .max()
+            .unwrap_or(0),
+        dff_divergence_reseeds: mean(|s| s.dff_divergence_reseeds),
+    }
+}
+
+/// The `sweep --flip-inputs` report line: the shared baseline, the
+/// per-flip mean accounting and one row per flipped input.
+pub fn sweep_flips_json(
+    file: &str,
+    netlist: &Netlist,
+    cycle: u64,
+    jobs: usize,
+    applied: &[AppliedFlip],
+    baseline: &BaselineEntry,
+    points: &[DeltaAnalysis],
+) -> String {
+    let rows = json_array(applied.iter().zip(points).map(|((name, _, value), point)| {
+        let totals = point.analysis.activity.totals();
+        JsonObject::new()
+            .str("input", name)
+            .u64("flipped_to", u64::from(*value))
+            .u64("useful", totals.useful)
+            .u64("useless", totals.useless)
+            .u64("glitches", totals.glitches())
+            .f64("power_total_w", point.analysis.power.breakdown.total())
+            .raw(
+                "incremental",
+                &incremental_json(&point.incremental).render(),
+            )
+            .render()
+    }));
+    JsonObject::new()
+        .str("file", file)
+        .str("netlist", netlist.name())
+        .u64("flip_cycle", cycle)
+        .usize("jobs", jobs)
+        .u64("cycles", baseline.baseline.cycle_count())
+        .raw("baseline", &analysis_json(&baseline.before))
+        .raw(
+            "incremental_per_flip_mean",
+            &incremental_json(&per_flip_mean(points)).render(),
+        )
+        .raw("points", &rows)
         .render()
 }
 
