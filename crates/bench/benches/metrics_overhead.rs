@@ -1,20 +1,19 @@
 //! Overhead of the observability layer on the simulation hot loop.
 //!
-//! Three rungs on the same multiplier workload:
+//! Two rungs on the same multiplier workload:
 //!
-//! - `bare`: no probe at all — the untouched engine path, and what the
-//!   CLI runs when no telemetry flag is given.
-//! - `disabled_registry`: a [`MetricsProbe`] over a *disabled* registry —
-//!   the hook plumbing fires every cycle but each record call is a flag
-//!   check. This is the no-op mode whose cost the `metrics_gate` test
-//!   pins below 5%.
-//! - `enabled_registry`: full metrics collection (counters, gauges and
-//!   per-cycle histograms).
+//! - `bare`: the run alone — the untouched engine path, and what the CLI
+//!   runs when no telemetry flag is given.
+//! - `enabled_registry`: the run plus
+//!   [`glitch_core::sim::SessionReport::record_metrics`] into an enabled
+//!   registry (counters, gauges and per-cycle histograms) — what
+//!   `--metrics` adds, and the cost the `metrics_gate` test pins below
+//!   5%.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::netlist::{Bus, Netlist};
-use glitch_core::sim::{MetricsProbe, RandomStimulus, SimSession};
+use glitch_core::sim::{RandomStimulus, SessionReport, SimSession};
 use glitch_obs::MetricsRegistry;
 
 const CYCLES: u64 = 50;
@@ -24,21 +23,17 @@ fn stimulus(buses: &[Bus]) -> RandomStimulus {
     RandomStimulus::new(buses.to_vec(), CYCLES, SEED)
 }
 
-fn bare(netlist: &Netlist, buses: &[Bus]) -> u64 {
+fn run(netlist: &Netlist, buses: &[Bus]) -> SessionReport {
     SimSession::new(netlist)
         .stimulus(stimulus(buses))
         .run()
         .expect("settles")
-        .total_transitions()
 }
 
-fn with_probe(netlist: &Netlist, buses: &[Bus], probe: MetricsProbe) -> u64 {
-    SimSession::new(netlist)
-        .stimulus(stimulus(buses))
-        .probe(probe)
-        .run()
-        .expect("settles")
-        .total_transitions()
+fn with_metrics(netlist: &Netlist, buses: &[Bus]) -> MetricsRegistry {
+    let mut registry = MetricsRegistry::new();
+    run(netlist, buses).record_metrics(&mut registry);
+    registry
 }
 
 fn bench_metrics_overhead(c: &mut Criterion) {
@@ -47,18 +42,11 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("metrics_overhead");
     group.throughput(Throughput::Elements(CYCLES));
-    group.bench_function("bare", |b| b.iter(|| bare(&mult.netlist, &buses)));
-    group.bench_function("disabled_registry", |b| {
-        b.iter(|| {
-            with_probe(
-                &mult.netlist,
-                &buses,
-                MetricsProbe::with_registry(MetricsRegistry::disabled()),
-            )
-        })
+    group.bench_function("bare", |b| {
+        b.iter(|| run(&mult.netlist, &buses).total_transitions())
     });
     group.bench_function("enabled_registry", |b| {
-        b.iter(|| with_probe(&mult.netlist, &buses, MetricsProbe::new()))
+        b.iter(|| with_metrics(&mult.netlist, &buses))
     });
     group.finish();
 }

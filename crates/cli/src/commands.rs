@@ -53,8 +53,8 @@ commands:
                                    the serve daemon].
                                    `hybrid` settles each job whose probes
                                    it can fill in bulk (analyze/power at
-                                   any --seeds without --metrics, --window
-                                   or per-transition artefacts, every
+                                   any --seeds without --window or
+                                   per-transition artefacts, every
                                    sweep, reduce scoring, and check
                                    without --budget/--stable/--flip) on
                                    the timed bit-parallel kernel when every

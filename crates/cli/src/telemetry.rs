@@ -66,8 +66,8 @@ impl Telemetry {
     }
 
     /// `true` when any telemetry output was requested; gates every piece
-    /// of instrumentation (cone index, timing spans, and the metrics probe
-    /// when a dump was requested).
+    /// of instrumentation (cone index, timing spans, and the counters when
+    /// a dump was requested).
     pub fn enabled(&self) -> bool {
         self.dest.is_some() || self.trace_path.is_some()
     }
@@ -80,8 +80,7 @@ impl Telemetry {
 
     /// The executor's telemetry sink: this command's span log, plus its
     /// registry when a metrics dump was asked for (a trace alone needs no
-    /// counters, so it traces the path an untraced run takes), or
-    /// [`Sink::off`] (the bare path) when telemetry is off.
+    /// counters), or [`Sink::off`] (the bare path) when telemetry is off.
     pub fn sink(&mut self) -> Sink<'_> {
         if !self.enabled() {
             return Sink::off();

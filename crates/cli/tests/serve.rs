@@ -337,6 +337,26 @@ fn repeated_flips_are_served_from_the_baseline_cache() {
 }
 
 #[test]
+fn daemon_analyze_settles_on_the_timed_kernel() {
+    // The daemon always records metrics; they are read off the finished
+    // reports, so an `analyze` request settles where an untraced run does.
+    let daemon = Daemon::spawn(&[]);
+    let rca = data("rca4.blif");
+    let analyze = format!(r#"{{"op":"analyze","file":"{rca}","cycles":60}}"#);
+    let responses = daemon.client(&[&analyze, r#"{"op":"metrics"}"#]);
+    let metrics = parse_json(&responses[1]).expect("metrics is JSON");
+    let shards = walk(&metrics, &["counters", "timed.shards"]).as_u64();
+    assert!(shards.is_some_and(|n| n >= 1), "{}", responses[1]);
+    assert_eq!(
+        walk(&metrics, &["counters", "timed.fallbacks"]).as_u64(),
+        Some(0),
+        "{}",
+        responses[1]
+    );
+    daemon.shutdown();
+}
+
+#[test]
 fn repeated_check_flips_are_served_from_the_baseline_cache() {
     let daemon = Daemon::spawn(&[]);
     let xinit = data("xinit_ok.blif");

@@ -171,6 +171,21 @@ fn counter<'a>(line: &'a str, name: &str) -> &'a str {
     &line[start..start + len]
 }
 
+/// `text` with every `timed.*` metric removed — the only entries in which
+/// a hybrid run's metrics may differ from the queue reference's.
+fn without_timed(text: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("\"timed.") {
+        out.push_str(&rest[..at]);
+        let entry = &rest[at..];
+        let end = entry.find([',', '}']).expect("a terminated value");
+        rest = entry[end..].strip_prefix(',').unwrap_or(&entry[end..]);
+    }
+    out.push_str(rest);
+    out.replace(",}", "}")
+}
+
 #[test]
 fn sweep_metrics_count_the_timed_shards_and_keep_the_engine_counters() {
     let trace_path = tmp("sweep.trace.json");
@@ -211,23 +226,60 @@ fn sweep_metrics_count_the_timed_shards_and_keep_the_engine_counters() {
     ]);
     let event = event.lines().last().expect("metrics line");
     assert!(!event.contains("timed."), "{event}");
-    for name in [
-        "sim.cycles",
-        "sim.events",
-        "sim.cell_evals",
-        "sim.max_settle_time",
-        "queue.pushes",
-        "queue.pops",
-        "queue.peak_depth",
-    ] {
-        assert_eq!(counter(timed, name), counter(event, name), "{name}");
+    assert_eq!(without_timed(timed), event);
+    // Metered analyses keep the engine counters too, at any seed and
+    // worker count: the metrics are read off the finished reports, so
+    // each seed settles timed.
+    let rca = data("rca4.blif");
+    for command in ["analyze", "power"] {
+        for seeds in ["1", "3"] {
+            for jobs in [None, Some("1"), Some("2")] {
+                let mut args = vec![
+                    command,
+                    rca.as_str(),
+                    "--cycles",
+                    "60",
+                    "--seeds",
+                    seeds,
+                    "--metrics-json",
+                ];
+                args.extend(jobs.map(|jobs| ["--jobs", jobs]).into_iter().flatten());
+                let case = args.join(" ");
+                let timed = run(&args);
+                // `power` takes no `--engine`; its reference is the queue
+                // `analyze` of the same seeds, which runs the same jobs.
+                args[0] = "analyze";
+                args.extend(["--engine", "queue"]);
+                let event = run(&args);
+                // A single seed refuses any `--jobs` — identically.
+                let accepted = jobs.is_none() || seeds != "1";
+                assert_eq!(timed.status.success(), accepted, "{case}");
+                assert_eq!(timed.status.code(), event.status.code(), "{case}");
+                assert_eq!(timed.stderr, event.stderr, "{case}");
+                if !accepted {
+                    continue;
+                }
+                let timed = String::from_utf8(timed.stdout).expect("output is UTF-8");
+                let event = String::from_utf8(event.stdout).expect("output is UTF-8");
+                let line = timed.lines().last().expect("metrics line");
+                assert_eq!(counter(line, "timed.shards"), seeds, "{case}");
+                assert_eq!(counter(line, "timed.fallbacks"), "0", "{case}");
+                assert!(!event.contains("timed."), "{case}: {event}");
+                if command == "analyze" {
+                    assert_eq!(without_timed(&timed), event, "{case}");
+                } else {
+                    let reference = event.lines().last().expect("metrics line");
+                    assert_eq!(without_timed(line), reference, "{case}");
+                }
+            }
+        }
     }
 }
 
 #[test]
 fn hybrid_batches_count_the_shards_that_fall_back_to_the_event_path() {
-    // The metrics probe needs every transition, so both seeds of a
-    // `--metrics-json` run settle event by event.
+    // The windowed activity probe needs every transition, so both seeds
+    // of a `--window` run settle event by event.
     let line = stdout_of(&[
         "analyze",
         &data("rca4.blif"),
@@ -235,6 +287,8 @@ fn hybrid_batches_count_the_shards_that_fall_back_to_the_event_path() {
         "60",
         "--seeds",
         "2",
+        "--window",
+        "8",
         "--metrics-json",
     ]);
     let line = line.lines().last().expect("metrics line");
@@ -277,13 +331,14 @@ fn single_seed_analyze_rides_the_engine_dispatch() {
         assert_eq!(event.len(), 1, "{args:?}: {event:?}");
         assert!(!event[0].contains("(timed)"), "{args:?}: {event:?}");
     }
-    // So does the metrics probe, and the hybrid counters say so.
+    // Metrics are read off the finished report, so a metered run settles
+    // where the bare run does, and the hybrid counters say so.
     let mut args = base.to_vec();
     args.push("--metrics-json");
     let line = stdout_of(&args);
     let line = line.lines().last().expect("metrics line");
-    assert_eq!(counter(line, "timed.fallbacks"), "1");
-    assert_eq!(counter(line, "timed.shards"), "0");
+    assert_eq!(counter(line, "timed.shards"), "1");
+    assert_eq!(counter(line, "timed.fallbacks"), "0");
 }
 
 #[test]

@@ -28,8 +28,8 @@ use glitch_sim::{
 ///   no event queue. No glitch modelling, so a delay sweep runs as
 ///   [`EngineKind::Hybrid`].
 /// * [`EngineKind::Hybrid`] — the default. Jobs whose extra probes all
-///   [`Probe::settles_timed`] (none, the hazard probe, X-propagation and
-///   hazard checkers) settle on the timed kernel
+///   [`Probe::settles_timed`] (none, or X-propagation and hazard
+///   checkers) settle on the timed kernel
 ///   ([`ParallelRunner::run_jobs`]) whenever their delays are all ≥ 1 (or
 ///   all 0) on non-constant cells and their static horizon fits the
 ///   settle budget ([`SimJob::timed_schedule`]); every other job settles

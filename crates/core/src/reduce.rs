@@ -13,7 +13,7 @@
 //!   `hybrid` engine each seed whose delays qualify settles on the timed
 //!   kernel, hazards included; under `queue` each settles event by event,
 //!   with the same score;
-//! * a [`HazardProbe`] riding the same pass for the *locations* — per-net
+//! * a [`HazardChecker`] riding the same pass for the *locations* — per-net
 //!   static/dynamic hazard counts, folded across seeds in seed order;
 //! * a glitch-power distillation: the combinational power attributable to
 //!   **useless** transitions alone, priced through the same capacitance
@@ -22,8 +22,8 @@
 
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_power::estimate_power_from_counts;
-use glitch_sim::{Probe, SimError};
-use glitch_verify::HazardProbe;
+use glitch_sim::{MergeableProbe, Probe, SimError};
+use glitch_verify::HazardChecker;
 
 use crate::analyzer::{AggregateAnalysis, AnalysisConfig, GlitchAnalyzer};
 
@@ -130,7 +130,7 @@ impl ReduceSession {
         &self.seeds
     }
 
-    /// Prices one netlist: a multi-seed analysis pass with a hazard probe
+    /// Prices one netlist: a multi-seed analysis pass with a hazard checker
     /// riding along, distilled into a [`ReduceScore`].
     ///
     /// Scores of different netlists are comparable when produced by the
@@ -147,7 +147,7 @@ impl ReduceSession {
         held: &[(NetId, bool)],
     ) -> Result<ReduceScore, SimError> {
         let factory =
-            |_seed_index: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(HazardProbe::new())] };
+            |_seed_index: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(HazardChecker::new())] };
         let (analysis, mut reports) = self.analyzer.analyze_seeds(
             netlist,
             random_buses,
@@ -157,14 +157,14 @@ impl ReduceSession {
             &factory,
             None,
         )?;
-        // Fold the per-seed hazard probes in seed order — the same
+        // Fold the per-seed hazard checkers in seed order — the same
         // deterministic reduction the suite path performs.
-        let mut merged = HazardProbe::new();
+        let mut merged = HazardChecker::new();
         for report in &mut reports {
-            let probe = report
-                .take_probe::<HazardProbe>()
-                .expect("the factory attached a hazard probe to every seed");
-            glitch_sim::MergeableProbe::merge(&mut merged, probe);
+            let checker = report
+                .take_probe::<HazardChecker>()
+                .expect("the factory attached a hazard checker to every seed");
+            merged.merge(checker);
         }
         let hazards = merged.per_net().to_vec();
         let trace = analysis.trace();

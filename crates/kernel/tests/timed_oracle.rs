@@ -10,8 +10,8 @@
 //! the 8-bit compound-cell multiplier under unit, zero, realistic-adder,
 //! library and two custom delay models, binary and X-init options, cycle
 //! counts around the 64-lane word boundary, and held inputs. Every case
-//! also attaches a `HazardProbe` and an X-propagation + hazard checker
-//! suite to both paths, which the routed run fills in bulk, and compares
+//! also attaches a `HazardChecker`, an `XPropagationChecker` and an
+//! X-propagation + hazard checker suite to both paths, which the routed run fills in bulk, and compares
 //! their findings; hand cases pin a net that goes `X` late in a hazardous
 //! cycle and a net stuck at `X`. The routing cases pin the jobs that must
 //! stay on the event path.
@@ -25,11 +25,11 @@ use glitch_io::GateLibrary;
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, CellKind, NetId, Netlist};
 use glitch_sim::{
-    ActivityProbe, CellDelay, CycleStats, DelayKind, ParallelRunner, PowerProbe, Probe,
-    SessionReport, SimError, SimJob, SimOptions, StatsProbe, TimedRun, Transition,
+    ActivityProbe, CellDelay, DelayKind, ParallelRunner, PowerProbe, Probe, SessionReport,
+    SimError, SimJob, SimOptions, StatsProbe,
 };
 use glitch_verify::{
-    BudgetSpec, CheckSuite, Checker, CheckerProbe, HazardProbe, VerifyReport, XPropagationChecker,
+    BudgetSpec, CheckSuite, CheckerProbe, HazardChecker, VerifyReport, XPropagationChecker,
 };
 use proptest::prelude::*;
 use support::RandomNetlist;
@@ -93,52 +93,18 @@ fn assert_same_report(netlist: &Netlist, event: &SessionReport, timed: &SessionR
     );
 }
 
-/// One [`XPropagationChecker`] as a probe, to read its per-net findings,
-/// which a [`CheckerProbe`] keeps to itself.
-#[derive(Default)]
-struct XProbe(XPropagationChecker);
-
-impl Probe for XProbe {
-    fn on_run_start(&mut self, netlist: &Netlist) {
-        self.0.on_run_start(netlist);
-    }
-
-    fn on_cycle_start(&mut self, cycle: u64) {
-        self.0.on_cycle_start(cycle);
-    }
-
-    fn on_transition(&mut self, transition: &Transition) {
-        self.0.on_transition(transition);
-    }
-
-    fn on_cycle_end(&mut self, cycle: u64, stats: &CycleStats) {
-        self.0.on_cycle_end(cycle, stats);
-    }
-
-    fn on_run_end(&mut self, netlist: &Netlist) {
-        self.0.on_run_end(netlist);
-    }
-
-    fn settles_timed(&self) -> bool {
-        self.0.settles_timed()
-    }
-
-    fn record_timed(&mut self, run: &TimedRun<'_>) {
-        self.0.record_timed(run);
-    }
-}
-
-/// The hazard and X-propagation probes every oracle case attaches.
+/// The hazard and X-propagation checkers every oracle case attaches: two
+/// on their own, to read their per-net findings, and a suite.
 fn checker_probes(_job: usize) -> Vec<Box<dyn Probe>> {
     vec![
-        Box::new(HazardProbe::new()),
+        Box::new(HazardChecker::new()),
         Box::new(
             CheckSuite::new()
                 .with_x_propagation()
                 .with_hazards()
                 .build(),
         ),
-        Box::new(XProbe::default()),
+        Box::new(XPropagationChecker::new()),
     ]
 }
 
@@ -153,19 +119,13 @@ fn verify_report(netlist: &Netlist, report: &SessionReport) -> VerifyReport {
 /// Asserts the [`checker_probes`] of two runs found the same.
 fn assert_same_checks(netlist: &Netlist, event: &SessionReport, timed: &SessionReport, case: &str) {
     let (eh, th) = (
-        event
-            .probe::<HazardProbe>()
-            .expect("hazard probe")
-            .checker(),
-        timed
-            .probe::<HazardProbe>()
-            .expect("hazard probe")
-            .checker(),
+        event.probe::<HazardChecker>().expect("hazard checker"),
+        timed.probe::<HazardChecker>().expect("hazard checker"),
     );
     assert_eq!(eh.totals(), th.totals(), "hazard totals: {case}");
     let (ex, tx) = (
-        &event.probe::<XProbe>().expect("x probe").0,
-        &timed.probe::<XProbe>().expect("x probe").0,
+        event.probe::<XPropagationChecker>().expect("x checker"),
+        timed.probe::<XPropagationChecker>().expect("x checker"),
     );
     for index in 0..netlist.net_count() {
         let net = NetId::from_index(index);
@@ -394,7 +354,7 @@ fn a_net_going_x_after_a_round_trip_counts_no_hazard() {
         .expect("settles")
         .remove(0);
     let activity = routed.probe::<ActivityProbe>().expect("standard probes");
-    let hazards = routed.probe::<HazardProbe>().expect("attached").checker();
+    let hazards = routed.probe::<HazardChecker>().expect("attached");
     for net in [y, z] {
         let round_trips = activity.trace().node(net.index()).useless();
         assert!(round_trips > 0, "net {net:?} makes round trips");
@@ -420,9 +380,8 @@ fn a_net_stuck_at_x_never_clears_on_either_path() {
         assert_eq!(xprop.metric("x_cleared"), Some(0));
         assert_eq!(
             routed
-                .probe::<XProbe>()
+                .probe::<XPropagationChecker>()
                 .expect("attached")
-                .0
                 .first_x_cycle(q),
             Some(0)
         );

@@ -7,8 +7,7 @@
 //!   histograms behind copyable handles. One registry per worker thread;
 //!   [`MetricsRegistry::merge`] folds them in job order with the exact
 //!   discipline of `glitch-sim`'s `MergeableProbe`, so merged metrics are
-//!   bit-identical at any `--jobs` count. A disabled registry turns every
-//!   record operation into one predictable branch.
+//!   bit-identical at any `--jobs` count.
 //! * [`Clock`] / [`SpanLog`] / [`Span`] — RAII timing spans over a shared
 //!   monotonic origin, ring-buffered with a drop counter.
 //! * [`export`] — a human-readable summary, stable sorted-by-name metrics
@@ -36,7 +35,7 @@ pub use metrics::{
     bucket_index, bucket_upper_bound, CounterHandle, GaugeHandle, Histogram, HistogramHandle,
     MetricsRegistry, HISTOGRAM_BUCKETS,
 };
-pub use span::{Clock, Span, SpanLog, SpanRecord, DEFAULT_SPAN_CAPACITY};
+pub use span::{Clock, Span, SpanLog, SpanRecord};
 pub use windowed::{
     WindowedHistogram, DEFAULT_SLOT_COUNT, DEFAULT_SLOT_MICROS, WINDOW_1M_MICROS, WINDOW_5M_MICROS,
 };

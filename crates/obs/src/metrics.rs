@@ -9,11 +9,6 @@
 //! gauges combine by maximum and histograms add bucket-wise, which makes
 //! the merge associative and commutative with the empty registry as
 //! identity (tested, including by proptest).
-//!
-//! A registry built with [`MetricsRegistry::disabled`] keeps every handle
-//! valid but turns each record operation into a single branch on a `false`
-//! flag, so instrumented code needs no `cfg` gating to be cheap when
-//! metrics are off.
 
 /// Handle to a registered counter; cheap to copy, valid only for the
 /// registry (or a same-schema sibling) that issued it.
@@ -172,33 +167,16 @@ impl Histogram {
 /// The per-thread metrics collector; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    disabled: bool,
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, u64)>,
     histograms: Vec<(String, Histogram)>,
 }
 
 impl MetricsRegistry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A registry whose record operations are single-branch no-ops.
-    /// Handles stay valid, so instrumented code is identical either way.
-    #[must_use]
-    pub fn disabled() -> Self {
-        MetricsRegistry {
-            disabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// `true` when record operations are no-ops.
-    #[must_use]
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
     }
 
     /// Registers (or re-finds) a counter by name.
@@ -231,9 +209,6 @@ impl MetricsRegistry {
 
     /// Adds `n` to a counter.
     pub fn add(&mut self, handle: CounterHandle, n: u64) {
-        if self.disabled {
-            return;
-        }
         self.counters[handle.0].1 += n;
     }
 
@@ -244,18 +219,12 @@ impl MetricsRegistry {
 
     /// Records a gauge observation (kept as the running maximum).
     pub fn observe_max(&mut self, handle: GaugeHandle, value: u64) {
-        if self.disabled {
-            return;
-        }
         let slot = &mut self.gauges[handle.0].1;
         *slot = (*slot).max(value);
     }
 
     /// Records one histogram sample.
     pub fn record(&mut self, handle: HistogramHandle, value: u64) {
-        if self.disabled {
-            return;
-        }
         self.histograms[handle.0].1.record(value);
     }
 
@@ -433,20 +402,6 @@ mod tests {
         for value in [0u64, 1, 2, 3, 4, 1000, u64::MAX] {
             assert!(value <= bucket_upper_bound(bucket_index(value)));
         }
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let mut m = MetricsRegistry::disabled();
-        let c = m.counter("c");
-        let g = m.gauge("g");
-        let h = m.histogram("h");
-        m.add(c, 5);
-        m.observe_max(g, 5);
-        m.record(h, 5);
-        assert_eq!(m.counter_value("c"), Some(0));
-        assert_eq!(m.gauge_value("g"), Some(0));
-        assert_eq!(m.histogram_value("h").unwrap().count(), 0);
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub struct SpanRecord {
     pub args: Vec<(String, u64)>,
 }
 
-/// The default ring-buffer capacity of a [`SpanLog`].
-pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
+/// The ring-buffer capacity of a [`SpanLog::new`] log.
+const DEFAULT_CAPACITY: usize = 4096;
 
 /// A bounded log of finished spans; see the module docs.
 #[derive(Debug)]
@@ -75,10 +75,10 @@ struct Inner {
 }
 
 impl SpanLog {
-    /// An empty log over `clock` with the default capacity.
+    /// An empty log over `clock` retaining at most 4096 spans.
     #[must_use]
     pub fn new(clock: Clock) -> Self {
-        Self::with_capacity(clock, DEFAULT_SPAN_CAPACITY)
+        Self::with_capacity(clock, DEFAULT_CAPACITY)
     }
 
     /// An empty log retaining at most `capacity` spans (oldest evicted

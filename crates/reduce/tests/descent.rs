@@ -121,8 +121,8 @@ fn reports_are_identical_at_any_worker_count() {
 
 #[test]
 fn hybrid_engine_reduces_identically_to_queue() {
-    // Hybrid scoring falls back to the event path (the hazard probe needs
-    // every transition) — every figure must match the queue run.
+    // Hybrid scoring settles on the timed kernel, hazard checker included
+    // — every figure must match the queue run.
     let queue = reduce("mult4.blif", EngineKind::Queue, 2, ReduceOptions::default());
     let hybrid = reduce(
         "mult4.blif",

@@ -9,7 +9,6 @@
 //! response is therefore byte-identical to the equivalent
 //! `glitch-cli ... --json` run by construction.
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,11 +28,6 @@ use crate::exec::{exec, record_baseline, replay_baseline, Hooks, ProgressLines, 
 use crate::json::JsonObject;
 use crate::params;
 use crate::protocol::{error_response, ok_response, JobKind, JobRequest, MetricsFormat};
-
-/// Upper bound on retained per-request spans, mirroring
-/// [`glitch_obs::span::DEFAULT_SPAN_CAPACITY`]: a long-lived daemon must
-/// not grow its trace without bound.
-const SPAN_CAPACITY: usize = 4096;
 
 /// What the server threads know about one request: its monotonic id
 /// (assigned at the connection, before admission control) and how long it
@@ -58,9 +52,6 @@ impl RequestContext {
     }
 }
 
-/// One span entry: name, track, start, duration, request id.
-type SpanEntry = (String, u64, u64, u64, u64);
-
 /// The per-op windowed latency pair behind the `status` op.
 struct OpWindows {
     queue_wait: WindowedHistogram,
@@ -82,7 +73,10 @@ pub struct Engine {
     cache: CircuitCache,
     metrics: Mutex<MetricsRegistry>,
     clock: Clock,
-    spans: Mutex<VecDeque<SpanEntry>>,
+    /// Per-request spans behind `--trace-out`, capped at the default
+    /// [`SpanLog`] capacity (4096, oldest evicted first): a long-lived
+    /// daemon must not grow its trace without bound.
+    spans: Mutex<SpanLog>,
     next_id: AtomicU64,
     busy_workers: AtomicUsize,
     windows: Mutex<Vec<(String, OpWindows)>>,
@@ -94,11 +88,12 @@ impl Engine {
     /// baseline spill directory.
     #[must_use]
     pub fn new(cache_bytes: usize, spill_dir: Option<PathBuf>) -> Engine {
+        let clock = Clock::new();
         Engine {
             cache: CircuitCache::new(cache_bytes, spill_dir),
             metrics: Mutex::new(MetricsRegistry::new()),
-            clock: Clock::new(),
-            spans: Mutex::new(VecDeque::new()),
+            clock,
+            spans: Mutex::new(SpanLog::new(clock)),
             next_id: AtomicU64::new(0),
             busy_workers: AtomicUsize::new(0),
             windows: Mutex::new(Vec::new()),
@@ -157,11 +152,13 @@ impl Engine {
     }
 
     fn record_span(&self, name: String, track: u64, start: u64, dur: u64, request_id: u64) {
-        let mut spans = self.spans.lock().expect("span lock");
-        if spans.len() == SPAN_CAPACITY {
-            spans.pop_front();
-        }
-        spans.push_back((name, track, start, dur, request_id));
+        self.spans.lock().expect("span lock").record_with_args(
+            name,
+            track,
+            start,
+            dur,
+            vec![("request_id".to_string(), request_id)],
+        );
     }
 
     /// Records one admitted request's latency pair: the shared-registry
@@ -441,17 +438,7 @@ impl Engine {
     /// `args` (the same id the access log carries).
     #[must_use]
     pub fn chrome_trace(&self, tracks: &[(u64, &str)]) -> String {
-        let log = SpanLog::with_capacity(self.clock, SPAN_CAPACITY);
-        for (name, tid, start, dur, request_id) in self.spans.lock().expect("span lock").iter() {
-            log.record_with_args(
-                name.clone(),
-                *tid,
-                *start,
-                *dur,
-                vec![("request_id".to_string(), *request_id)],
-            );
-        }
-        chrome_trace_with_tracks(&log, tracks)
+        chrome_trace_with_tracks(&self.spans.lock().expect("span lock"), tracks)
     }
 
     /// Fields a job op must not carry — the strict-protocol counterpart
@@ -499,9 +486,6 @@ impl Engine {
             JobKind::Sweep => {
                 if job.flips.is_some() {
                     bad.push("flips (use op `flip`)");
-                }
-                if job.delay.is_some() && job.flip_inputs.is_none() {
-                    bad.push("delay (the delay-model sweep takes `delays`)");
                 }
                 bad.extend(check_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
             }
@@ -762,8 +746,18 @@ mod tests {
             reply.contains("does not take: flip_inputs (sweep only)"),
             "unexpected: {reply}"
         );
-        assert_eq!(engine.counter_value("serve.errors"), 4);
+        // The delay-model sweep refuses `delay` in the executor, with the
+        // CLI's message.
+        let mut request = job(&file);
+        request.delay = Some("unit".to_string());
+        let reply = run(&engine, JobKind::Sweep, &request, 1);
+        assert!(
+            reply.contains("the delay-model sweep takes --delays <list>, not --delay"),
+            "unexpected: {reply}"
+        );
+        assert_eq!(engine.counter_value("serve.errors"), 5);
         assert_eq!(engine.counter_value("serve.errors.analyze"), 3);
+        assert_eq!(engine.counter_value("serve.errors.sweep"), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,8 +16,7 @@
 //!   flips, the input-flip sweep) replays that one baseline over that one
 //!   cone index.
 //! - [`Sink`]: where the deterministic counters (and the CLI's wall-clock
-//!   phase spans) go. [`Sink::off`] is the bare path: no metrics probe,
-//!   no registry work.
+//!   phase spans) go. [`Sink::off`] is the bare path: no registry work.
 //! - [`Hooks`]: the CLI-only extras (artefact probes, a budgets file) and
 //!   the reduce progress observer.
 
@@ -25,8 +24,7 @@ use std::sync::Arc;
 
 use glitch_core::netlist::{Bus, ConeIndex, Netlist};
 use glitch_core::sim::{
-    MergeableProbe, MetricsProbe, Probe, SessionReport, SimOptions, TimedWork,
-    WindowedActivityProbe,
+    MergeableProbe, Probe, SessionReport, SimOptions, TimedWork, WindowedActivityProbe,
 };
 use glitch_core::verify::VerifyReport;
 use glitch_core::{
@@ -109,9 +107,9 @@ pub fn replay_baseline(
 /// Where one job's telemetry goes: deterministic counters into a
 /// [`MetricsRegistry`] (folded in job order, so the result is identical at
 /// any worker count) and wall-clock phase spans into a [`SpanLog`], each
-/// optional. A sink without a registry attaches no metrics probe, so the
-/// job settles on the path it takes untraced; [`Sink::off`] records
-/// nothing and makes the executor skip every piece of telemetry-only work.
+/// optional. Counters are read off finished reports, so a job settles on
+/// the same path with or without a sink; [`Sink::off`] records nothing and
+/// makes the executor skip every piece of telemetry-only work.
 pub struct Sink<'a> {
     registry: Option<&'a mut MetricsRegistry>,
     spans: Option<&'a SpanLog>,
@@ -132,12 +130,6 @@ impl<'a> Sink<'a> {
     #[must_use]
     pub fn new(registry: Option<&'a mut MetricsRegistry>, spans: Option<&'a SpanLog>) -> Sink<'a> {
         Sink { registry, spans }
-    }
-
-    /// `true` when the sink records counters.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.registry.is_some()
     }
 
     fn now(&self) -> u64 {
@@ -193,19 +185,15 @@ impl<'a> Sink<'a> {
         }
     }
 
-    /// Folds a finished session's [`MetricsProbe`] (if any) into the
-    /// registry, with the session's event-queue traffic attributed to it.
-    fn absorb(&mut self, report: &mut SessionReport) {
-        if let Some(mut probe) = report.take_probe::<MetricsProbe>() {
-            probe.record_queue_stats(report.queue_stats());
-            if let Some(registry) = self.registry.as_deref_mut() {
-                registry.merge(probe.into_registry());
-            }
+    /// `sim.*`, `cycle.*` and `queue.*` of one finished session.
+    fn session(&mut self, report: &SessionReport) {
+        if let Some(registry) = self.registry.as_deref_mut() {
+            report.record_metrics(registry);
         }
     }
 
-    /// `sim.*` and `queue.*` of a reduced batch, for the paths that cannot
-    /// attach per-session probes (`check`, `sweep`).
+    /// `sim.*` and `queue.*` of a reduced batch, for the paths that get no
+    /// per-session reports back (`check`, `sweep`).
     fn aggregate(&mut self, aggregate: &AggregateReport) {
         self.add("sim.cycles", aggregate.total_cycles());
         self.add("sim.events", aggregate.total_events());
@@ -860,15 +848,8 @@ fn analyze(
     hooks: Hooks<'_>,
 ) -> Result<JobOutput, ParamError> {
     let (seeds, jobs) = params::seeds_and_jobs(job.seeds, job.jobs, 1)?;
-    let with_metrics = sink.enabled();
-    let extra = hooks.probes;
-    let factory = move |index: usize| -> Vec<Box<dyn Probe>> {
-        let mut probes = extra.map_or_else(Vec::new, |extra| extra(index));
-        if with_metrics {
-            probes.push(Box::new(MetricsProbe::new()));
-        }
-        probes
-    };
+    let no_probes = |_: usize| -> Vec<Box<dyn Probe>> { Vec::new() };
+    let factory: &ProbeFactory = hooks.probes.unwrap_or(&no_probes);
     let program = compiled(config.engine, resources, sink)?;
     let seed_list = params::stimulus_seeds(config.seed, seeds);
     let batch_start = sink.now();
@@ -881,7 +862,7 @@ fn analyze(
                 &[],
                 &seed_list,
                 jobs,
-                &factory,
+                factory,
                 program.as_deref(),
             )
             .map_err(|e| run(format!("simulation failed: {e}")))?
@@ -894,7 +875,7 @@ fn analyze(
         sink.timed(aggregate.aggregate.shards());
     }
     // Fold the per-seed window heatmaps (aligned: every seed starts at
-    // cycle 0) and the per-seed metrics registries in seed order — the
+    // cycle 0) and the per-seed metrics in seed order — the
     // `--jobs`-invariance discipline.
     let merge_start = sink.now();
     let mut windowed: Option<WindowedActivityProbe> = None;
@@ -906,7 +887,7 @@ fn analyze(
                 Some(merged) => merged.merge(probe),
             }
         }
-        sink.absorb(report);
+        sink.session(report);
         if let Some(finished) = finished.as_mut() {
             finished(report);
         }

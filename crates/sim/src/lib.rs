@@ -109,7 +109,6 @@ pub use incremental::{
     DeltaStimulus, IncrementalReport, IncrementalSession, IncrementalStats, SimBaseline,
 };
 pub use kernel::{kernel_eval_mode, kernel_prepass, run_kernel_jobs, KernelPrepass};
-pub use metrics::MetricsProbe;
 pub use parallel::{AggregateReport, ParallelRunner, ShardSummary, SimJob, Spread};
 pub use probe::{
     ActivityProbe, MergeableProbe, PowerProbe, Probe, StatsProbe, Transition, TransitionKind,

@@ -1,59 +1,36 @@
-//! The [`MetricsProbe`]: the bridge between the simulator's probe hook
-//! stream and a [`glitch_obs::MetricsRegistry`].
+//! [`SessionReport::record_metrics`]: a finished run's deterministic
+//! engine statistics, folded into a [`glitch_obs::MetricsRegistry`].
 //!
-//! Attached like any other probe, it accumulates the *deterministic*
-//! engine metrics — cycle, transition, event and cell-evaluation totals
-//! plus per-cycle distributions — into a per-shard registry. Shard
-//! registries merge in job order ([`crate::MergeableProbe`] discipline),
-//! so the merged metrics are bit-identical at any `--jobs` count.
-//! Wall-clock time never enters the registry; it belongs to span logs.
+//! Every report already holds what the `--metrics` glossary counts — its
+//! per-cycle [`crate::CycleStats`] and its event-queue traffic — whichever
+//! path settled it, so recording reads the report instead of riding the
+//! run. Reports fold in job order into one registry (counters add, gauges
+//! max, histograms add bucket-wise), so the result is bit-identical at any
+//! `--jobs` count. Wall-clock time never enters the registry; it belongs
+//! to span logs.
 
-use glitch_obs::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
+use glitch_obs::MetricsRegistry;
 
-use crate::clocked::CycleStats;
-use crate::engine::QueueStats;
-use crate::probe::{MergeableProbe, Probe};
+use crate::session::SessionReport;
 
-/// Streams deterministic simulator statistics into a metrics registry;
-/// see the module docs. Metric names (the `--metrics` glossary):
-///
-/// | name | kind | meaning |
-/// |------|------|---------|
-/// | `sim.cycles` | counter | completed clock cycles |
-/// | `sim.transitions` | counter | net transitions over all cycles |
-/// | `sim.events` | counter | delta-loop events processed |
-/// | `sim.cell_evals` | counter | combinational cell evaluations |
-/// | `sim.max_settle_time` | gauge | worst intra-cycle settle time |
-/// | `cycle.settle_time` | histogram | per-cycle settle times |
-/// | `cycle.events` | histogram | per-cycle event counts |
-/// | `cycle.cell_evals` | histogram | per-cycle cell evaluations |
-/// | `queue.pushes` | counter | events scheduled (via [`MetricsProbe::record_queue_stats`]) |
-/// | `queue.pops` | counter | events delivered |
-/// | `queue.peak_depth` | gauge | deepest pending-event backlog |
-#[derive(Debug, Clone)]
-pub struct MetricsProbe {
-    registry: MetricsRegistry,
-    cycles: CounterHandle,
-    transitions: CounterHandle,
-    events: CounterHandle,
-    cell_evals: CounterHandle,
-    max_settle: GaugeHandle,
-    settle_hist: HistogramHandle,
-    events_hist: HistogramHandle,
-    evals_hist: HistogramHandle,
-}
-
-impl MetricsProbe {
-    /// A probe recording into a fresh enabled registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_registry(MetricsRegistry::new())
-    }
-
-    /// A probe recording into a supplied registry (e.g. a disabled one for
-    /// overhead measurements).
-    #[must_use]
-    pub fn with_registry(mut registry: MetricsRegistry) -> Self {
+impl SessionReport {
+    /// Adds this run's engine statistics to `registry`. Metric names (the
+    /// `--metrics` glossary):
+    ///
+    /// | name | kind | meaning |
+    /// |------|------|---------|
+    /// | `sim.cycles` | counter | completed clock cycles |
+    /// | `sim.transitions` | counter | net transitions over all cycles |
+    /// | `sim.events` | counter | delta-loop events processed |
+    /// | `sim.cell_evals` | counter | combinational cell evaluations |
+    /// | `sim.max_settle_time` | gauge | worst intra-cycle settle time |
+    /// | `cycle.settle_time` | histogram | per-cycle settle times |
+    /// | `cycle.events` | histogram | per-cycle event counts |
+    /// | `cycle.cell_evals` | histogram | per-cycle cell evaluations |
+    /// | `queue.pushes` | counter | events scheduled |
+    /// | `queue.pops` | counter | events delivered |
+    /// | `queue.peak_depth` | gauge | deepest pending-event backlog |
+    pub fn record_metrics(&self, registry: &mut MetricsRegistry) {
         let cycles = registry.counter("sim.cycles");
         let transitions = registry.counter("sim.transitions");
         let events = registry.counter("sim.events");
@@ -62,77 +39,23 @@ impl MetricsProbe {
         let settle_hist = registry.histogram("cycle.settle_time");
         let events_hist = registry.histogram("cycle.events");
         let evals_hist = registry.histogram("cycle.cell_evals");
-        MetricsProbe {
-            registry,
-            cycles,
-            transitions,
-            events,
-            cell_evals,
-            max_settle,
-            settle_hist,
-            events_hist,
-            evals_hist,
+        for stats in self.cycle_stats() {
+            registry.inc(cycles);
+            registry.add(transitions, stats.transitions);
+            registry.add(events, stats.events);
+            registry.add(cell_evals, stats.cell_evals);
+            registry.observe_max(max_settle, stats.settle_time);
+            registry.record(settle_hist, stats.settle_time);
+            registry.record(events_hist, stats.events);
+            registry.record(evals_hist, stats.cell_evals);
         }
-    }
-
-    /// Folds a run's cumulative event-queue statistics into the registry —
-    /// queue traffic is owned by the simulator, not visible through probe
-    /// hooks, so the driver injects it from
-    /// [`crate::SessionReport::queue_stats`] after the run.
-    pub fn record_queue_stats(&mut self, stats: QueueStats) {
-        let pushes = self.registry.counter("queue.pushes");
-        let pops = self.registry.counter("queue.pops");
-        let peak = self.registry.gauge("queue.peak_depth");
-        self.registry.add(pushes, stats.pushes);
-        self.registry.add(pops, stats.pops);
-        self.registry.observe_max(peak, stats.peak_depth);
-    }
-
-    /// The accumulated registry.
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Mutable access to the registry, for drivers folding in metrics of
-    /// their own (incremental statistics, checker counts, cone sizes).
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
-    /// Consumes the probe, returning the registry.
-    #[must_use]
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
-}
-
-impl Default for MetricsProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Probe for MetricsProbe {
-    fn on_cycle_end(&mut self, _cycle: u64, stats: &CycleStats) {
-        self.registry.inc(self.cycles);
-        self.registry.add(self.transitions, stats.transitions);
-        self.registry.add(self.events, stats.events);
-        self.registry.add(self.cell_evals, stats.cell_evals);
-        self.registry
-            .observe_max(self.max_settle, stats.settle_time);
-        self.registry.record(self.settle_hist, stats.settle_time);
-        self.registry.record(self.events_hist, stats.events);
-        self.registry.record(self.evals_hist, stats.cell_evals);
-    }
-}
-
-impl MergeableProbe for MetricsProbe {
-    /// Folds another shard's registry into this one (name union; counters
-    /// add, gauges max, histograms add bucket-wise). Exact at any fold
-    /// shape — the registry merge is associative and commutative.
-    fn merge(&mut self, other: MetricsProbe) {
-        self.registry.merge(other.registry);
+        let queue = self.queue_stats();
+        let pushes = registry.counter("queue.pushes");
+        let pops = registry.counter("queue.pops");
+        let peak = registry.gauge("queue.peak_depth");
+        registry.add(pushes, queue.pushes);
+        registry.add(pops, queue.pops);
+        registry.observe_max(peak, queue.peak_depth);
     }
 }
 
@@ -143,26 +66,26 @@ mod tests {
     use crate::session::SimSession;
     use glitch_netlist::Netlist;
 
-    fn toggling_run(cycles: u64) -> MetricsProbe {
+    fn toggling_report(cycles: u64) -> SessionReport {
         let mut nl = Netlist::new("m");
         let a = nl.add_input("a");
         let y = nl.inv(a, "y");
         nl.mark_output(y);
-        let mut report = SimSession::new(&nl)
-            .probe(MetricsProbe::new())
+        SimSession::new(&nl)
             .stimulus((0..cycles).map(move |i| InputAssignment::new().with(a, i % 2 == 0)))
             .run()
-            .unwrap();
-        let queue = report.queue_stats();
-        let mut probe = report.take_probe::<MetricsProbe>().unwrap();
-        probe.record_queue_stats(queue);
-        probe
+            .unwrap()
+    }
+
+    fn toggling_run(cycles: u64) -> MetricsRegistry {
+        let mut registry = MetricsRegistry::new();
+        toggling_report(cycles).record_metrics(&mut registry);
+        registry
     }
 
     #[test]
-    fn probe_accumulates_engine_metrics() {
-        let probe = toggling_run(6);
-        let m = probe.registry();
+    fn report_records_engine_metrics() {
+        let m = toggling_run(6);
         assert_eq!(m.counter_value("sim.cycles"), Some(6));
         assert!(m.counter_value("sim.transitions").unwrap() > 0);
         assert!(m.counter_value("sim.events").unwrap() > 0);
@@ -189,6 +112,13 @@ mod tests {
         right_tail.merge(c);
         let mut right = a;
         right.merge(right_tail);
-        assert_eq!(left.registry(), right.registry());
+        assert_eq!(left, right);
+        // Recording the reports one after another into one registry — the
+        // executor's seed-order fold — is the same fold.
+        let mut sequential = MetricsRegistry::new();
+        for cycles in [3, 4, 5] {
+            toggling_report(cycles).record_metrics(&mut sequential);
+        }
+        assert_eq!(sequential, left);
     }
 }

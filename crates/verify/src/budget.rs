@@ -29,7 +29,7 @@
 use std::fmt;
 
 use glitch_netlist::{NetId, Netlist};
-use glitch_sim::{CycleStats, Transition};
+use glitch_sim::{CycleStats, MergeableProbe, Probe, Transition};
 
 use crate::checker::{
     downcast_checker, merge_capped, push_capped, CheckOutcome, Checker, Verdict, Violation,
@@ -324,11 +324,7 @@ impl SettleBudgetChecker {
     }
 }
 
-impl Checker for SettleBudgetChecker {
-    fn name(&self) -> &'static str {
-        "settle-budget"
-    }
-
+impl Probe for SettleBudgetChecker {
     fn on_run_start(&mut self, netlist: &Netlist) {
         assert_eq!(
             self.budgets.net_count(),
@@ -384,6 +380,36 @@ impl Checker for SettleBudgetChecker {
         }
         self.touched.clear();
         self.cycles += 1;
+    }
+}
+
+impl MergeableProbe for SettleBudgetChecker {
+    fn merge(&mut self, other: SettleBudgetChecker) {
+        if other.nets_over.is_empty() {
+            return;
+        }
+        if self.nets_over.is_empty() {
+            *self = other;
+            return;
+        }
+        assert_eq!(
+            self.budgets, other.budgets,
+            "cannot merge settle-budget checkers with different budgets"
+        );
+        merge_capped(&mut self.violations, other.violations);
+        self.total += other.total;
+        self.cycles += other.cycles;
+        self.worst_excess = self.worst_excess.max(other.worst_excess);
+        self.max_settle_seen = self.max_settle_seen.max(other.max_settle_seen);
+        for (mine, theirs) in self.nets_over.iter_mut().zip(&other.nets_over) {
+            *mine |= theirs;
+        }
+    }
+}
+
+impl Checker for SettleBudgetChecker {
+    fn name(&self) -> &'static str {
+        "settle-budget"
     }
 
     fn outcome(&self, netlist: &Netlist) -> CheckOutcome {
@@ -444,25 +470,6 @@ impl Checker for SettleBudgetChecker {
     }
 
     fn merge_boxed(&mut self, other: Box<dyn Checker>) {
-        let other: SettleBudgetChecker = downcast_checker(other);
-        if other.nets_over.is_empty() {
-            return;
-        }
-        if self.nets_over.is_empty() {
-            *self = other;
-            return;
-        }
-        assert_eq!(
-            self.budgets, other.budgets,
-            "cannot merge settle-budget checkers with different budgets"
-        );
-        merge_capped(&mut self.violations, other.violations);
-        self.total += other.total;
-        self.cycles += other.cycles;
-        self.worst_excess = self.worst_excess.max(other.worst_excess);
-        self.max_settle_seen = self.max_settle_seen.max(other.max_settle_seen);
-        for (mine, theirs) in self.nets_over.iter_mut().zip(&other.nets_over) {
-            *mine |= theirs;
-        }
+        self.merge(downcast_checker(other));
     }
 }

@@ -2,12 +2,12 @@
 //! [`CheckerProbe`] adapter that attaches a set of checkers to any
 //! simulation session.
 //!
-//! A checker mirrors [`glitch_sim::Probe`] hook for hook — it observes a
-//! run's transition stream and cycle statistics — but where a probe
-//! accumulates an *artefact* (a trace, a waveform, an energy figure), a
-//! checker accumulates *evidence for a verdict*: located [`Violation`]
-//! records plus summary metrics. Checkers are mergeable across shards like
-//! [`glitch_sim::MergeableProbe`]s, and the fold is performed in shard
+//! A checker is a [`glitch_sim::Probe`] — it observes a run's transition
+//! stream and cycle statistics — but where other probes accumulate an
+//! *artefact* (a trace, a waveform, an energy figure), a checker
+//! accumulates *evidence for a verdict*: located [`Violation`] records
+//! plus summary metrics. Every checker is a
+//! [`glitch_sim::MergeableProbe`], and the fold is performed in shard
 //! order, so a multi-seed parallel check is bit-identical to the serial
 //! fold of its shards at any worker count.
 
@@ -139,45 +139,21 @@ impl CheckOutcome {
     }
 }
 
-/// An object-safe assertion checker over a simulation run.
+/// An object-safe assertion checker over a simulation run: a [`Probe`]
+/// that also names itself, distils its evidence into a [`CheckOutcome`]
+/// and folds another shard's instance behind a `Box<dyn Checker>`.
 ///
-/// The observation hooks mirror [`Probe`] and have empty defaults; a
-/// checker implements what it watches plus [`Checker::outcome`] (distil
-/// the accumulated evidence) and [`Checker::merge_boxed`] (fold another
-/// shard's instance of the *same* checker into this one — the reduction
-/// side of parallel checking, invoked in shard order). A checker that can
-/// read its evidence off a timed-kernel run's bulk results implements
-/// [`Checker::settles_timed`] and [`Checker::record_timed`] as
-/// [`Probe`] does, which lets its job skip the event queue.
-pub trait Checker: Any + Send {
+/// A checker watches the run through its [`Probe`] hooks (and, when it
+/// [`settles_timed`](Probe::settles_timed), reads a timed-kernel run's
+/// bulk results in [`Probe::record_timed`]), so it can ride a session on
+/// its own or inside a [`CheckerProbe`]. Its shard fold is its
+/// [`MergeableProbe::merge`]; [`Checker::merge_boxed`] downcasts and calls
+/// it, which is what lets a suite fold checkers it only knows as trait
+/// objects.
+pub trait Checker: Probe {
     /// Short stable name (`x-propagation`, `settle-budget`, `hazard`,
     /// `stability`) — used in reports, JSON output and merge assertions.
     fn name(&self) -> &'static str;
-
-    /// Called once, before any cycle, with the netlist under simulation.
-    fn on_run_start(&mut self, _netlist: &Netlist) {}
-
-    /// Called at the beginning of clock cycle `cycle`.
-    fn on_cycle_start(&mut self, _cycle: u64) {}
-
-    /// Called once per net-value change, in settle-time order.
-    fn on_transition(&mut self, _transition: &Transition) {}
-
-    /// Called after the cycle's logic has settled.
-    fn on_cycle_end(&mut self, _cycle: u64, _stats: &CycleStats) {}
-
-    /// Called once after the last cycle.
-    fn on_run_end(&mut self, _netlist: &Netlist) {}
-
-    /// Whether [`Checker::record_timed`] gathers the same evidence as the
-    /// per-cycle hooks; see [`Probe::settles_timed`]. `false` by default.
-    fn settles_timed(&self) -> bool {
-        false
-    }
-
-    /// Called in place of the per-cycle hooks when the run settled on the
-    /// timed kernel; see [`Probe::record_timed`].
-    fn record_timed(&mut self, _run: &TimedRun<'_>) {}
 
     /// Distils the accumulated evidence into a [`CheckOutcome`].
     fn outcome(&self, netlist: &Netlist) -> CheckOutcome;

@@ -61,6 +61,13 @@ impl HazardChecker {
         (self.static0, self.static1, self.dynamic)
     }
 
+    /// Per-net hazard counts, index-aligned with the netlist's nets — the
+    /// locations the reduction loop ranks candidate nets by.
+    #[must_use]
+    pub fn per_net(&self) -> &[u64] {
+        &self.per_net
+    }
+
     /// Hazards recorded on one net.
     #[must_use]
     pub fn hazards_on(&self, net: NetId) -> u64 {
@@ -68,11 +75,7 @@ impl HazardChecker {
     }
 }
 
-impl Checker for HazardChecker {
-    fn name(&self) -> &'static str {
-        "hazard"
-    }
-
+impl Probe for HazardChecker {
     fn on_run_start(&mut self, netlist: &Netlist) {
         let n = netlist.net_count();
         self.values = vec![Value::X; n];
@@ -158,6 +161,37 @@ impl Checker for HazardChecker {
             *mine += theirs;
         }
     }
+}
+
+impl MergeableProbe for HazardChecker {
+    fn merge(&mut self, other: HazardChecker) {
+        if other.values.is_empty() {
+            return;
+        }
+        if self.values.is_empty() {
+            *self = other;
+            return;
+        }
+        assert_eq!(
+            self.values.len(),
+            other.values.len(),
+            "cannot merge hazard checkers of different netlists"
+        );
+        self.static0 += other.static0;
+        self.static1 += other.static1;
+        self.dynamic += other.dynamic;
+        self.hazard_cycles += other.hazard_cycles;
+        self.cycles += other.cycles;
+        for (mine, theirs) in self.per_net.iter_mut().zip(&other.per_net) {
+            *mine += theirs;
+        }
+    }
+}
+
+impl Checker for HazardChecker {
+    fn name(&self) -> &'static str {
+        "hazard"
+    }
 
     fn outcome(&self, netlist: &Netlist) -> CheckOutcome {
         let total = self.static0 + self.static1 + self.dynamic;
@@ -199,95 +233,6 @@ impl Checker for HazardChecker {
     }
 
     fn merge_boxed(&mut self, other: Box<dyn Checker>) {
-        let other: HazardChecker = downcast_checker(other);
-        if other.values.is_empty() {
-            return;
-        }
-        if self.values.is_empty() {
-            *self = other;
-            return;
-        }
-        assert_eq!(
-            self.values.len(),
-            other.values.len(),
-            "cannot merge hazard checkers of different netlists"
-        );
-        self.static0 += other.static0;
-        self.static1 += other.static1;
-        self.dynamic += other.dynamic;
-        self.hazard_cycles += other.hazard_cycles;
-        self.cycles += other.cycles;
-        for (mine, theirs) in self.per_net.iter_mut().zip(&other.per_net) {
-            *mine += theirs;
-        }
-    }
-}
-
-/// A standalone [`Probe`] adapter for one [`HazardChecker`].
-///
-/// [`crate::CheckerProbe`] runs whole suites but does not hand back its
-/// inner checkers — the right shape for pass/fail reporting, and the wrong
-/// one for consumers that want the per-net hazard *counts* as data (the
-/// reduction loop ranks candidate nets by them). `HazardProbe` attaches a
-/// single hazard checker to any session, merges across shards in shard
-/// order exactly like the suite path, and exposes the checker directly.
-#[derive(Debug, Clone, Default)]
-pub struct HazardProbe {
-    checker: HazardChecker,
-}
-
-impl HazardProbe {
-    /// Creates a probe around a fresh [`HazardChecker`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The wrapped checker, for reading totals and per-net counts.
-    #[must_use]
-    pub fn checker(&self) -> &HazardChecker {
-        &self.checker
-    }
-
-    /// Per-net hazard counts, index-aligned with the netlist's nets.
-    #[must_use]
-    pub fn per_net(&self) -> &[u64] {
-        &self.checker.per_net
-    }
-}
-
-impl Probe for HazardProbe {
-    fn on_run_start(&mut self, netlist: &Netlist) {
-        self.checker.on_run_start(netlist);
-    }
-
-    fn on_cycle_start(&mut self, cycle: u64) {
-        self.checker.on_cycle_start(cycle);
-    }
-
-    fn on_transition(&mut self, transition: &Transition) {
-        self.checker.on_transition(transition);
-    }
-
-    fn on_cycle_end(&mut self, cycle: u64, stats: &CycleStats) {
-        self.checker.on_cycle_end(cycle, stats);
-    }
-
-    fn on_run_end(&mut self, netlist: &Netlist) {
-        self.checker.on_run_end(netlist);
-    }
-
-    fn settles_timed(&self) -> bool {
-        self.checker.settles_timed()
-    }
-
-    fn record_timed(&mut self, run: &TimedRun<'_>) {
-        self.checker.record_timed(run);
-    }
-}
-
-impl MergeableProbe for HazardProbe {
-    fn merge(&mut self, other: HazardProbe) {
-        self.checker.merge_boxed(Box::new(other.checker));
+        self.merge(downcast_checker(other));
     }
 }

@@ -19,9 +19,10 @@
 //!   reset value power on `X`, and cells evaluate through the monotone
 //!   pessimistic tables of [`glitch_netlist::CellKind::try_evaluate_tri_into`],
 //!   so uninitialised-state reachability is *simulated*;
-//! * **checkers** — the object-safe [`Checker`] trait (mirroring
-//!   [`glitch_sim::Probe`], mergeable across shards like
-//!   [`glitch_sim::MergeableProbe`]) with built-ins:
+//! * **checkers** — the object-safe [`Checker`] trait (a
+//!   [`glitch_sim::Probe`] with a name and an outcome; every built-in is
+//!   also a [`glitch_sim::MergeableProbe`], so it attaches to a session
+//!   on its own or inside a suite) with built-ins:
 //!   [`XPropagationChecker`] (which nets/outputs ever see `X`, first-X
 //!   cycle, X-clearing depth), [`SettleBudgetChecker`] (per-net and
 //!   per-cohort last-transition-time budgets with located
@@ -86,7 +87,7 @@ pub use equivalence::{
     delay_label, EquivalenceCheck, EquivalenceChecker, EquivalenceError, EquivalenceMismatch,
     EquivalenceOutcome, EquivalenceReport,
 };
-pub use hazard::{HazardChecker, HazardProbe};
+pub use hazard::HazardChecker;
 pub use report::VerifyReport;
 pub use stability::{CycleFilter, StabilityChecker};
 pub use suite::CheckSuite;

@@ -7,7 +7,7 @@
 //! once settled). Violations are located per transition.
 
 use glitch_netlist::{NetId, Netlist};
-use glitch_sim::Transition;
+use glitch_sim::{MergeableProbe, Probe, Transition};
 
 use crate::checker::{
     downcast_checker, merge_capped, push_capped, CheckOutcome, Checker, Verdict, Violation,
@@ -83,11 +83,7 @@ impl StabilityChecker {
     }
 }
 
-impl Checker for StabilityChecker {
-    fn name(&self) -> &'static str {
-        "stability"
-    }
-
+impl Probe for StabilityChecker {
     fn on_cycle_start(&mut self, cycle: u64) {
         self.current_watched = self.filter.matches(cycle);
         if self.current_watched {
@@ -111,6 +107,24 @@ impl Checker for StabilityChecker {
                 },
             );
         }
+    }
+}
+
+impl MergeableProbe for StabilityChecker {
+    fn merge(&mut self, other: StabilityChecker) {
+        assert!(
+            self.net == other.net && self.filter == other.filter,
+            "cannot merge stability checkers watching different assertions"
+        );
+        merge_capped(&mut self.violations, other.violations);
+        self.total += other.total;
+        self.watched_cycles += other.watched_cycles;
+    }
+}
+
+impl Checker for StabilityChecker {
+    fn name(&self) -> &'static str {
+        "stability"
     }
 
     fn outcome(&self, netlist: &Netlist) -> CheckOutcome {
@@ -147,13 +161,6 @@ impl Checker for StabilityChecker {
     }
 
     fn merge_boxed(&mut self, other: Box<dyn Checker>) {
-        let other: StabilityChecker = downcast_checker(other);
-        assert!(
-            self.net == other.net && self.filter == other.filter,
-            "cannot merge stability checkers watching different assertions"
-        );
-        merge_capped(&mut self.violations, other.violations);
-        self.total += other.total;
-        self.watched_cycles += other.watched_cycles;
+        self.merge(downcast_checker(other));
     }
 }

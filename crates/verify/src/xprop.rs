@@ -12,7 +12,7 @@
 //! state.
 
 use glitch_netlist::{NetId, Netlist};
-use glitch_sim::{CycleStats, TimedRun, Transition, Value};
+use glitch_sim::{CycleStats, MergeableProbe, Probe, TimedRun, Transition, Value};
 
 use crate::checker::{downcast_checker, push_capped, CheckOutcome, Checker, Verdict, Violation};
 
@@ -75,11 +75,7 @@ impl XPropagationChecker {
     }
 }
 
-impl Checker for XPropagationChecker {
-    fn name(&self) -> &'static str {
-        "x-propagation"
-    }
-
+impl Probe for XPropagationChecker {
     fn on_run_start(&mut self, netlist: &Netlist) {
         let n = netlist.net_count();
         self.values = vec![Value::X; n];
@@ -148,6 +144,48 @@ impl Checker for XPropagationChecker {
         for (idx, value) in self.values.iter().enumerate() {
             self.stuck[idx] = self.cycles > 0 && *value == Value::X;
         }
+    }
+}
+
+impl MergeableProbe for XPropagationChecker {
+    fn merge(&mut self, other: XPropagationChecker) {
+        if other.values.is_empty() {
+            return;
+        }
+        if self.values.is_empty() {
+            *self = other;
+            return;
+        }
+        assert_eq!(
+            self.values.len(),
+            other.values.len(),
+            "cannot merge X-propagation checkers of different netlists"
+        );
+        self.cycles += other.cycles;
+        for i in 0..self.values.len() {
+            self.first_x[i] = self.first_x[i].min(other.first_x[i]);
+            self.last_x[i] = if self.last_x[i] == NEVER {
+                other.last_x[i]
+            } else if other.last_x[i] == NEVER {
+                self.last_x[i]
+            } else {
+                self.last_x[i].max(other.last_x[i])
+            };
+            self.x_cycle_ends[i] += other.x_cycle_ends[i];
+            self.stuck[i] |= other.stuck[i];
+        }
+        // Worst clearing depth across shards; unknown if any shard never
+        // cleared.
+        self.clear_cycle = match (self.clear_cycle, other.clear_cycle) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            _ => None,
+        };
+    }
+}
+
+impl Checker for XPropagationChecker {
+    fn name(&self) -> &'static str {
+        "x-propagation"
     }
 
     fn outcome(&self, netlist: &Netlist) -> CheckOutcome {
@@ -234,37 +272,6 @@ impl Checker for XPropagationChecker {
     }
 
     fn merge_boxed(&mut self, other: Box<dyn Checker>) {
-        let other: XPropagationChecker = downcast_checker(other);
-        if other.values.is_empty() {
-            return;
-        }
-        if self.values.is_empty() {
-            *self = other;
-            return;
-        }
-        assert_eq!(
-            self.values.len(),
-            other.values.len(),
-            "cannot merge X-propagation checkers of different netlists"
-        );
-        self.cycles += other.cycles;
-        for i in 0..self.values.len() {
-            self.first_x[i] = self.first_x[i].min(other.first_x[i]);
-            self.last_x[i] = if self.last_x[i] == NEVER {
-                other.last_x[i]
-            } else if other.last_x[i] == NEVER {
-                self.last_x[i]
-            } else {
-                self.last_x[i].max(other.last_x[i])
-            };
-            self.x_cycle_ends[i] += other.x_cycle_ends[i];
-            self.stuck[i] |= other.stuck[i];
-        }
-        // Worst clearing depth across shards; unknown if any shard never
-        // cleared.
-        self.clear_cycle = match (self.clear_cycle, other.clear_cycle) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
+        self.merge(downcast_checker(other));
     }
 }
