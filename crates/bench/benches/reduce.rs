@@ -1,12 +1,18 @@
 //! Criterion benchmarks of the reduction loop: the full greedy descent
-//! (measure → propose → screen → confirm → verify) and the candidate
-//! screen on its own, through both backends.
+//! (measure → propose → screen → confirm → verify), the candidate screen
+//! on its own through both backends, and the final equivalence check
+//! against the event-driven co-simulation it replaced.
+
+#[path = "../../verify/tests/support/mod.rs"]
+mod event_equivalence;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder};
-use glitch_core::retime::{insert_buffer, PipelineOptions};
+use glitch_core::retime::{insert_buffer, pipeline_netlist, PipelineOptions};
 use glitch_core::{AnalysisConfig, EngineKind, ReduceSession};
 use glitch_reduce::{screen_candidate, ReduceOptions, Reducer, ScreenBackend};
+use glitch_sim::{DelayKind, SimOptions};
+use glitch_verify::EquivalenceChecker;
 
 fn bench_reduce(c: &mut Criterion) {
     let rca = RippleCarryAdder::new(6, AdderStyle::Gates);
@@ -64,6 +70,51 @@ fn bench_reduce(c: &mut Criterion) {
             })
         });
     }
+
+    // The final equivalence check: a multiplier against its pipelined
+    // form, settled on the kernel, must beat the event co-simulation.
+    let mult8 = ArrayMultiplier::new(8, AdderStyle::CompoundCell).netlist;
+    let piped = pipeline_netlist(&mult8, 4, PipelineOptions::default()).expect("pipelines");
+    let map = &piped.mapping;
+    let checker = EquivalenceChecker::new(
+        &mult8,
+        &piped.netlist,
+        mult8
+            .inputs()
+            .iter()
+            .map(|&n| (n, map.new_net(n)))
+            .collect(),
+        mult8
+            .outputs()
+            .iter()
+            .map(|&n| (n, map.output_net(n)))
+            .collect(),
+        map.latency(),
+    )
+    .expect("total mapping");
+    group.bench_function("equivalence_kernel", |b| {
+        b.iter(|| {
+            checker
+                .check(&DelayKind::Unit, 256, 7, SimOptions::default())
+                .expect("check runs")
+                .passed()
+        })
+    });
+    group.bench_function("equivalence_queue", |b| {
+        b.iter(|| {
+            event_equivalence::event_check(
+                &mult8,
+                &piped.netlist,
+                &checker,
+                &DelayKind::Unit,
+                256,
+                7,
+                SimOptions::default(),
+            )
+            .expect("co-simulation runs")
+            .passed()
+        })
+    });
 
     // One confirm-grade scoring pass (the descent's inner-loop cost).
     group.bench_function("score_pass", |b| {

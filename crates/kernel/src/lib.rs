@@ -44,7 +44,8 @@
 //! one clock cycle per lane) to settle batch jobs whose delays it can
 //! step with the event queue's exact figures
 //! (`glitch_sim::ParallelRunner::run_jobs`). `glitch-reduce` screens
-//! candidate moves on it too.
+//! candidate moves on it too, and `glitch-verify`'s equivalence checker
+//! settles both netlists on it.
 
 mod program;
 mod state;

@@ -210,8 +210,13 @@ impl KernelProgram {
         for (i, dff) in self.dffs.iter().enumerate() {
             let q = dff.q.index() * words;
             let s = i * words;
-            state.val[q..q + words].copy_from_slice(&state.dff_val[s..s + words]);
-            state.msk[q..q + words].copy_from_slice(&state.dff_msk[s..s + words]);
+            // Word by word, here and in `latch`: a one-lane settle steps
+            // every flipflop every cycle, and a `copy_from_slice` of a
+            // word or two costs a `memcpy` call each time.
+            for w in 0..words {
+                state.val[q + w] = state.dff_val[s + w];
+                state.msk[q + w] = state.dff_msk[s + w];
+            }
         }
     }
 
@@ -222,8 +227,10 @@ impl KernelProgram {
         for (i, dff) in self.dffs.iter().enumerate() {
             let d = dff.d.index() * words;
             let s = i * words;
-            state.dff_val[s..s + words].copy_from_slice(&state.val[d..d + words]);
-            state.dff_msk[s..s + words].copy_from_slice(&state.msk[d..d + words]);
+            for w in 0..words {
+                state.dff_val[s + w] = state.val[d + w];
+                state.dff_msk[s + w] = state.msk[d + w];
+            }
         }
     }
 

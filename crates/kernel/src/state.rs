@@ -134,6 +134,22 @@ impl KernelState {
         }
     }
 
+    /// Drives `net` to known booleans in all 64 lanes of plane word `w` at
+    /// once: bit `l` of `bits` is lane `64 * w + l`. Bits beyond
+    /// [`lanes`](Self::lanes) are dropped.
+    pub fn set_word(&mut self, net: NetId, w: usize, bits: u64) {
+        let at = self.plane_base(net) + w;
+        self.val[at] = bits & self.word_mask(w);
+        self.msk[at] = 0;
+    }
+
+    /// `net`'s `(value, mask)` planes in word `w`.
+    #[must_use]
+    pub fn word(&self, net: NetId, w: usize) -> (u64, u64) {
+        let at = self.plane_base(net) + w;
+        (self.val[at], self.msk[at])
+    }
+
     /// Copies every net's value in lane `from_lane` of `from` into lane
     /// `lane` of `self` (flipflop state is left alone).
     ///

@@ -21,13 +21,14 @@
 //!    current functionally, batch-wide through the compiled kernel
 //!    whatever the scoring engine (the per-lane event-queue screen decides
 //!    identically and is kept as the pinned reference).
-//! 4. **Confirm** — survivors get a full analysis pass; the best strictly
+//! 4. **Confirm** — survivors get a full scoring pass; the best strictly
 //!    improving candidate is accepted and its mapping composed.
 //! 5. **Verify** — the final netlist is checked against the *original*
 //!    with [`glitch_verify::EquivalenceChecker`]: cycle-accurate output
-//!    equality through the composed mapping, under the configured delay
-//!    model, binary and `x_init`. Only then is the headline claimed:
-//!    *glitch power −N% at equal function*.
+//!    equality through the composed mapping, binary and `x_init`, settled
+//!    on the compiled kernel (settled values are the same under every
+//!    delay model, the configured one included). Only then is the
+//!    headline claimed: *glitch power −N% at equal function*.
 //!
 //! ## Example
 //!

@@ -1,17 +1,19 @@
 //! Cheap functional screening of candidate moves.
 //!
 //! Before a candidate earns the expensive glitch-power confirm (a full
-//! multi-seed event-driven analysis pass), it must survive a *functional*
-//! co-simulation against the current netlist: same stimulus in, identical
-//! settled output values out, through the rewrite's mapping and latency.
-//! A rewrite with a structural bug dies here for the price of a few dozen
-//! functional cycles instead of a full analysis.
+//! scoring pass over every seed, with hazard classification), it must
+//! survive a *functional* co-simulation against the current netlist: same
+//! stimulus in, identical settled output values out, through the
+//! rewrite's mapping and latency. A rewrite with a structural bug dies
+//! here for the price of a few dozen functional cycles instead of a full
+//! analysis.
 //!
 //! Two backends compute the same decision:
 //!
 //! * [`ScreenBackend::Kernel`] — both netlists compiled to bit-parallel
-//!   [`KernelProgram`]s, all lanes evaluated per machine word. This is
-//!   the batch path the reducer always takes, whatever its scoring engine.
+//!   [`KernelProgram`]s, stimulus driven and outputs compared a 64-lane
+//!   word at a time. This is the batch path the reducer always takes,
+//!   whatever its scoring engine.
 //! * [`ScreenBackend::Queue`] — one event-driven [`ClockedSimulator`]
 //!   per lane per side. The reference path the pin test compares against.
 //!
@@ -25,7 +27,7 @@ use std::collections::VecDeque;
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{NetId, Netlist, Tri};
 use glitch_retime::Rewrite;
-use glitch_sim::{kernel_eval_mode, ClockedSimulator, InputAssignment, UnitDelay, XEval};
+use glitch_sim::{kernel_eval_mode, ClockedSimulator, InputAssignment, UnitDelay, Value, XEval};
 
 use crate::error::ReduceError;
 
@@ -93,50 +95,69 @@ pub fn screen_candidate(
     }
 }
 
-/// The comparison spine shared by both backends: feeds per-cycle values of
-/// the current netlist's outputs into a latency ring and diffs the
-/// candidate's values against the ring head. Returns the first mismatch.
+/// One cycle of output values: `(value, mask)` plane words, output-major,
+/// `words` per output — lane `l` is bit `l % 64` of word `l / 64`.
+type OutputWords = Vec<(u64, u64)>;
+
+/// The comparison spine shared by both backends: feeds per-cycle output
+/// words of the current netlist into a latency ring and diffs the
+/// candidate's words against the ring head. Returns the first mismatch,
+/// output-major, then lowest lane.
 struct LatencyDiff {
     latency: u64,
-    /// Ring of output value rows, one row per pending cycle.
-    ring: VecDeque<Vec<Tri>>,
-    compared_cycle: u64,
+    words: usize,
+    ring: VecDeque<OutputWords>,
 }
 
 impl LatencyDiff {
-    fn new(latency: usize) -> Self {
+    fn new(latency: usize, lanes: usize) -> Self {
         LatencyDiff {
             latency: latency as u64,
+            words: lanes.div_ceil(64),
             ring: VecDeque::with_capacity(latency + 1),
-            compared_cycle: 0,
         }
     }
 
-    /// Pushes one cycle of reference rows and compares when the ring has
-    /// aged past the latency. Rows are `outputs × lanes`, flattened.
+    /// Pushes one cycle of reference words and compares once the ring has
+    /// aged past the latency.
     fn step(
         &mut self,
         cycle: u64,
-        reference: Vec<Tri>,
-        transformed: &[Tri],
-        describe: impl Fn(usize) -> String,
+        reference: OutputWords,
+        transformed: &[(u64, u64)],
+        describe: impl Fn(usize, usize) -> String,
     ) -> Option<String> {
         self.ring.push_back(reference);
         if cycle < self.latency {
             return None;
         }
         let expected = self.ring.pop_front().expect("ring holds latency+1 rows");
-        let source_cycle = self.compared_cycle;
-        self.compared_cycle += 1;
-        for (flat, (&want, &got)) in expected.iter().zip(transformed).enumerate() {
-            if want != got {
-                return Some(format!(
-                    "{} diverged at cycle {source_cycle}: {want:?} vs {got:?}",
-                    describe(flat)
-                ));
-            }
-        }
-        None
+        let (flat, diff) = expected
+            .iter()
+            .zip(transformed)
+            .map(|(&(va, ma), &(vb, mb))| (va ^ vb) | (ma ^ mb))
+            .enumerate()
+            .find(|&(_, diff)| diff != 0)?;
+        let bit = diff.trailing_zeros() as usize;
+        let lane = (flat % self.words) * 64 + bit;
+        Some(format!(
+            "{} diverged at cycle {}: {:?} vs {:?}",
+            describe(flat / self.words, lane),
+            cycle - self.latency,
+            lane_value(expected[flat], bit),
+            lane_value(transformed[flat], bit),
+        ))
+    }
+}
+
+/// The three-valued value of bit `bit` of a `(value, mask)` word.
+fn lane_value((val, msk): (u64, u64), bit: usize) -> Tri {
+    if msk >> bit & 1 == 1 {
+        Tri::X
+    } else if val >> bit & 1 == 1 {
+        Tri::One
+    } else {
+        Tri::Zero
     }
 }
 
@@ -152,36 +173,43 @@ fn kernel_screen(
     let mode = kernel_eval_mode(XEval::default());
     let mut state_a = prog_a.new_state(lanes, Tri::Zero);
     let mut state_b = prog_b.new_state(lanes, Tri::Zero);
-    let inputs = current.inputs().to_vec();
-    let outputs = current.outputs().to_vec();
-    let mut diff = LatencyDiff::new(candidate.map.latency());
+    let words = state_a.words();
+    let inputs: Vec<(NetId, NetId)> = current
+        .inputs()
+        .iter()
+        .map(|&net| (net, candidate.map.new_net(net)))
+        .collect();
+    let outputs: Vec<(NetId, NetId)> = current
+        .outputs()
+        .iter()
+        .map(|&net| (net, candidate.map.output_net(net)))
+        .collect();
+    let mut diff = LatencyDiff::new(candidate.map.latency(), lanes);
     for cycle in 0..cycles {
         prog_a.begin_cycle(&mut state_a);
         prog_b.begin_cycle(&mut state_b);
-        for (index, &input) in inputs.iter().enumerate() {
+        for (index, &(a, b)) in inputs.iter().enumerate() {
+            // Every word of the lane range repeats the same 64 stimulus bits.
             let word = stimulus_word(seed, cycle, index);
-            let mapped = candidate.map.new_net(input);
-            for lane in 0..lanes {
-                let bit = (word >> (lane % 64)) & 1 == 1;
-                state_a.set_bool(input, lane, bit);
-                state_b.set_bool(mapped, lane, bit);
+            for w in 0..words {
+                state_a.set_word(a, w, word);
+                state_b.set_word(b, w, word);
             }
         }
         prog_a.eval(&mut state_a, mode);
         prog_b.eval(&mut state_b, mode);
-        let reference: Vec<Tri> = outputs
+        let reference = outputs
             .iter()
-            .flat_map(|&out| (0..lanes).map(move |lane| (out, lane)))
-            .map(|(out, lane)| state_a.get(out, lane))
+            .flat_map(|&(a, _)| (0..words).map(move |w| (a, w)))
+            .map(|(a, w)| state_a.word(a, w))
             .collect();
-        let transformed: Vec<Tri> = outputs
+        let transformed: OutputWords = outputs
             .iter()
-            .map(|&out| candidate.map.output_net(out))
-            .flat_map(|out| (0..lanes).map(move |lane| (out, lane)))
-            .map(|(out, lane)| state_b.get(out, lane))
+            .flat_map(|&(_, b)| (0..words).map(move |w| (b, w)))
+            .map(|(b, w)| state_b.word(b, w))
             .collect();
-        let mismatch = diff.step(cycle, reference, &transformed, |flat| {
-            locate(current, &outputs, lanes, flat)
+        let mismatch = diff.step(cycle, reference, &transformed, |output, lane| {
+            locate(current, outputs[output].0, lane)
         });
         if let Some(mismatch) = mismatch {
             return Ok(ScreenOutcome {
@@ -217,7 +245,7 @@ fn queue_screen(
         .collect::<Result<_, _>>()?;
     let inputs = current.inputs().to_vec();
     let outputs = current.outputs().to_vec();
-    let mut diff = LatencyDiff::new(candidate.map.latency());
+    let mut diff = LatencyDiff::new(candidate.map.latency(), lanes);
     for cycle in 0..cycles {
         let words: Vec<u64> = (0..inputs.len())
             .map(|index| stimulus_word(seed, cycle, index))
@@ -233,19 +261,17 @@ fn queue_screen(
             sims_a[lane].step(a)?;
             sims_b[lane].step(b)?;
         }
-        let reference: Vec<Tri> = outputs
+        let reference = outputs
             .iter()
-            .flat_map(|&out| (0..lanes).map(move |lane| (out, lane)))
-            .map(|(out, lane)| Tri::from(sims_a[lane].net_value(out)))
+            .flat_map(|&out| pack_lanes(lanes, |lane| sims_a[lane].net_value(out)))
             .collect();
-        let transformed: Vec<Tri> = outputs
+        let transformed: OutputWords = outputs
             .iter()
             .map(|&out| candidate.map.output_net(out))
-            .flat_map(|out| (0..lanes).map(move |lane| (out, lane)))
-            .map(|(out, lane)| Tri::from(sims_b[lane].net_value(out)))
+            .flat_map(|out| pack_lanes(lanes, |lane| sims_b[lane].net_value(out)))
             .collect();
-        let mismatch = diff.step(cycle, reference, &transformed, |flat| {
-            locate(current, &outputs, lanes, flat)
+        let mismatch = diff.step(cycle, reference, &transformed, |output, lane| {
+            locate(current, outputs[output], lane)
         });
         if let Some(mismatch) = mismatch {
             return Ok(ScreenOutcome {
@@ -264,9 +290,22 @@ fn queue_screen(
     })
 }
 
-/// Maps a flattened `outputs × lanes` index back to `output `name` lane N`.
-fn locate(current: &Netlist, outputs: &[NetId], lanes: usize, flat: usize) -> String {
-    let output = outputs[flat / lanes];
-    let lane = flat % lanes;
+/// Packs one output's per-lane values into `(value, mask)` words.
+fn pack_lanes(lanes: usize, value: impl Fn(usize) -> Value) -> OutputWords {
+    let mut words = vec![(0u64, 0u64); lanes.div_ceil(64)];
+    for lane in 0..lanes {
+        let bit = 1u64 << (lane % 64);
+        let (val, msk) = &mut words[lane / 64];
+        match value(lane) {
+            Value::Zero => {}
+            Value::One => *val |= bit,
+            Value::X => *msk |= bit,
+        }
+    }
+    words
+}
+
+/// `output `name` lane N`.
+fn locate(current: &Netlist, output: NetId, lane: usize) -> String {
     format!("output `{}` lane {lane}", current.net(output).name())
 }

@@ -14,7 +14,7 @@ mod support;
 
 use glitch_arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder};
 use glitch_netlist::{CellId, NetId, Netlist};
-use glitch_reduce::{screen_candidate, ScreenBackend};
+use glitch_reduce::{screen_candidate, ScreenBackend, ScreenOutcome};
 use glitch_retime::{
     duplicate_driver, insert_buffer, pipeline_rewrite, NetMap, PipelineOptions, Rewrite,
 };
@@ -61,9 +61,18 @@ fn candidates(netlist: &Netlist) -> Vec<Rewrite> {
 }
 
 fn assert_backends_agree(netlist: &Netlist, rewrite: &Rewrite, expect_accept: bool) {
-    let kernel = screen_candidate(netlist, rewrite, ScreenBackend::Kernel, CYCLES, LANES, SEED)
+    assert_backends_agree_at(netlist, rewrite, LANES, expect_accept);
+}
+
+fn assert_backends_agree_at(
+    netlist: &Netlist,
+    rewrite: &Rewrite,
+    lanes: usize,
+    expect_accept: bool,
+) -> ScreenOutcome {
+    let kernel = screen_candidate(netlist, rewrite, ScreenBackend::Kernel, CYCLES, lanes, SEED)
         .expect("kernel screen runs");
-    let queue = screen_candidate(netlist, rewrite, ScreenBackend::Queue, CYCLES, LANES, SEED)
+    let queue = screen_candidate(netlist, rewrite, ScreenBackend::Queue, CYCLES, lanes, SEED)
         .expect("queue screen runs");
     assert_eq!(
         kernel,
@@ -80,6 +89,7 @@ fn assert_backends_agree(netlist: &Netlist, rewrite: &Rewrite, expect_accept: bo
         netlist.name(),
         kernel.mismatch
     );
+    kernel
 }
 
 #[test]
@@ -169,4 +179,54 @@ fn backends_reject_a_broken_rewrite_identically() {
         "divergence must be located: {mismatch}"
     );
     assert!(kernel.cycles < CYCLES, "rejections exit early");
+}
+
+/// A lane count that is not a multiple of 64 leaves a partial tail word;
+/// the backends still agree on every corpus move.
+#[test]
+fn backends_agree_on_a_partial_tail_word() {
+    let netlist = ArrayMultiplier::new(3, AdderStyle::Gates).netlist;
+    let mut screened = 0usize;
+    for rewrite in candidates(&netlist) {
+        let outcome = assert_backends_agree_at(&netlist, &rewrite, 100, true);
+        assert_eq!(outcome.lanes, 100);
+        screened += 1;
+    }
+    assert!(screened >= 4, "the multiplier offers moves, got {screened}");
+}
+
+/// A broken rewrite whose first output is right and whose second is not,
+/// screened over 100 lanes: both backends locate the same output, lane
+/// and cycle, and print the same message.
+#[test]
+fn backends_locate_a_broken_second_output_identically() {
+    let build = |broken: bool| {
+        let mut nl = Netlist::new("two_outputs");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let y0 = nl.and2(a, b, "y0");
+        let y1 = if broken {
+            nl.or2(b, c, "y1")
+        } else {
+            nl.xor2(b, c, "y1")
+        };
+        nl.mark_output(y0);
+        nl.mark_output(y1);
+        nl
+    };
+    let original = build(false);
+    let rewrite = Rewrite {
+        map: NetMap::identity(&original),
+        netlist: build(true),
+        description: "or2 masquerading as xor2".to_string(),
+    };
+    let outcome = assert_backends_agree_at(&original, &rewrite, 100, false);
+    let mismatch = outcome.mismatch.expect("rejections carry a location");
+    assert!(
+        mismatch.starts_with("output `y1` lane "),
+        "the first output is right, so the second is named: {mismatch}"
+    );
+    // XOR and OR differ only on `b = c = 1`.
+    assert!(mismatch.ends_with(": Zero vs One"), "{mismatch}");
 }

@@ -107,10 +107,10 @@ fn copy_cells(
 /// # Errors
 ///
 /// * [`RetimeError::MoveNotApplicable`] if `net` has no cell loads to
-///   rewire (buffering would be dead logic).
+///   rewire (buffering would be dead logic). This is decided first, so an
+///   inapplicable site costs no validation pass.
 /// * [`RetimeError::InvalidNetlist`] if `netlist` fails validation.
 pub fn insert_buffer(netlist: &Netlist, net: NetId) -> Result<Rewrite, RetimeError> {
-    netlist.validate()?;
     let loads = netlist.net(net).loads();
     if loads.is_empty() {
         return Err(RetimeError::MoveNotApplicable {
@@ -120,6 +120,7 @@ pub fn insert_buffer(netlist: &Netlist, net: NetId) -> Result<Rewrite, RetimeErr
             ),
         });
     }
+    netlist.validate()?;
     let mut out = Netlist::new(netlist.name());
     let forward = copy_nets(netlist, &mut out);
     let name = fresh_name(&out, netlist.net(net).name(), "_dly");
@@ -152,9 +153,10 @@ pub fn insert_buffer(netlist: &Netlist, net: NetId) -> Result<Rewrite, RetimeErr
 ///
 /// * [`RetimeError::MoveNotApplicable`] if the cell is sequential, has
 ///   more than one output, or its output has fewer than two cell loads.
+///   This is decided first, so an inapplicable site costs no validation
+///   pass.
 /// * [`RetimeError::InvalidNetlist`] if `netlist` fails validation.
 pub fn duplicate_driver(netlist: &Netlist, cell: CellId) -> Result<Rewrite, RetimeError> {
-    netlist.validate()?;
     let source = netlist.cell(cell);
     if source.is_sequential() || source.outputs().len() != 1 {
         return Err(RetimeError::MoveNotApplicable {
@@ -175,6 +177,7 @@ pub fn duplicate_driver(netlist: &Netlist, cell: CellId) -> Result<Rewrite, Reti
             ),
         });
     }
+    netlist.validate()?;
     let mut out = Netlist::new(netlist.name());
     let forward = copy_nets(netlist, &mut out);
     let name = fresh_name(&out, netlist.net(target).name(), "_dup");
@@ -334,6 +337,58 @@ mod tests {
             duplicate_driver(&nl, dff_cell),
             Err(RetimeError::MoveNotApplicable { .. })
         ));
+    }
+
+    #[test]
+    fn duplication_decides_applicability_before_validating() {
+        // A floating net with a load makes the netlist invalid, so any
+        // verdict other than `InvalidNetlist` was reached without
+        // validating.
+        let mut nl = Netlist::new("dup");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let floating = nl.add_net("floating");
+        let lonely = nl.inv(a, "lonely");
+        let (s, co) = (nl.add_net("s"), nl.add_net("co"));
+        let fa = nl
+            .add_cell(CellKind::FullAdder, "fa", vec![a, b, c], vec![s, co])
+            .unwrap();
+        let shared = nl.and2(a, b, "shared");
+        let x = nl.xor2(shared, s, "x");
+        let y = nl.or2(shared, co, "y");
+        let z = nl.and2(lonely, floating, "z");
+        for out in [x, y, z] {
+            nl.mark_output(out);
+        }
+        assert!(nl.validate().is_err());
+        let lonely_cell = nl.net(lonely).driver().unwrap().cell;
+        let shared_cell = nl.net(shared).driver().unwrap().cell;
+        for cell in [lonely_cell, fa] {
+            assert!(matches!(
+                duplicate_driver(&nl, cell),
+                Err(RetimeError::MoveNotApplicable { .. })
+            ));
+        }
+        assert!(matches!(
+            duplicate_driver(&nl, shared_cell),
+            Err(RetimeError::InvalidNetlist(_))
+        ));
+
+        // Once valid, the two-load gate is duplicated and the rest stay
+        // inapplicable.
+        nl.add_cell(CellKind::Const(true), "tie", vec![], vec![floating])
+            .unwrap();
+        let rewrite = duplicate_driver(&nl, shared_cell).unwrap();
+        rewrite.netlist.validate().unwrap();
+        assert_eq!(rewrite.netlist.cell_count(), nl.cell_count() + 1);
+        exhaustive_equal(&nl, &rewrite, nl.inputs().len());
+        for cell in [lonely_cell, fa] {
+            assert!(matches!(
+                duplicate_driver(&nl, cell),
+                Err(RetimeError::MoveNotApplicable { .. })
+            ));
+        }
     }
 
     #[test]

@@ -28,12 +28,14 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::SystemTime;
 
 use glitch_core::netlist::{ConeIndex, Netlist};
 use glitch_core::{Analysis, KernelProgram, SimBaseline};
 use glitch_io::{parse_netlist, Format, GateLibrary};
+
+use crate::lock;
 
 /// A parsed circuit shared across requests: the netlist plus its lazily
 /// built cone index.
@@ -147,15 +149,15 @@ impl<T: Clone> Flight<T> {
     }
 
     fn wait(&self) -> Result<T, String> {
-        let mut slot = self.slot.lock().expect("flight lock");
+        let mut slot = lock(&self.slot);
         while slot.is_none() {
-            slot = self.done.wait(slot).expect("flight lock");
+            slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
         }
         slot.as_ref().expect("filled").clone()
     }
 
     fn fill(&self, result: Result<T, String>) {
-        *self.slot.lock().expect("flight lock") = Some(result);
+        *lock(&self.slot) = Some(result);
         self.done.notify_all();
     }
 }
@@ -283,19 +285,19 @@ impl CircuitCache {
     /// Current approximate resident bytes.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.state.lock().expect("cache lock").bytes
+        lock(&self.state).bytes
     }
 
     /// Number of cached circuits.
     #[must_use]
     pub fn circuit_count(&self) -> usize {
-        self.state.lock().expect("cache lock").circuits.len()
+        lock(&self.state).circuits.len()
     }
 
     /// Number of cached baselines across all circuits.
     #[must_use]
     pub fn baseline_count(&self) -> usize {
-        let state = self.state.lock().expect("cache lock");
+        let state = lock(&self.state);
         state.circuits.values().map(|s| s.baselines.len()).sum()
     }
 
@@ -314,7 +316,7 @@ impl CircuitCache {
         let mtime = meta.modified().ok();
         let len = meta.len();
         {
-            let mut state = self.state.lock().expect("cache lock");
+            let mut state = lock(&self.state);
             if let Some(stamp) = state.files.get(path) {
                 if stamp.mtime == mtime && stamp.len == len {
                     let fingerprint = stamp.fingerprint;
@@ -334,7 +336,7 @@ impl CircuitCache {
         }
         // Miss (or stale stamp): single-flight the parse.
         let (flight, leader) = {
-            let mut parses = self.parses.lock().expect("parse flights");
+            let mut parses = lock(&self.parses);
             match parses.get(path) {
                 Some(flight) => (Arc::clone(flight), false),
                 None => {
@@ -353,7 +355,7 @@ impl CircuitCache {
         }
         let result = self.parse_and_insert(path, format, mtime, len);
         flight.fill(result.clone());
-        self.parses.lock().expect("parse flights").remove(path);
+        lock(&self.parses).remove(path);
         result.map(|circuit| CircuitLookup {
             circuit,
             hit: false,
@@ -372,7 +374,7 @@ impl CircuitCache {
         let netlist = parse_netlist(&text, format, &GateLibrary::standard())
             .map_err(|e| format!("{path}: {e}"))?;
         let fingerprint = netlist.fingerprint();
-        let mut state = self.state.lock().expect("cache lock");
+        let mut state = lock(&self.state);
         let tick = state.touch();
         // Content-addressed: a second path (or a touched file with the
         // same bytes) lands on the already-cached circuit.
@@ -420,7 +422,7 @@ impl CircuitCache {
     pub fn program_for(&self, circuit: &Arc<CachedCircuit>) -> Result<ProgramLookup, String> {
         let fingerprint = circuit.fingerprint;
         {
-            let mut state = self.state.lock().expect("cache lock");
+            let mut state = lock(&self.state);
             let tick = state.touch();
             if let Some(slot) = state.circuits.get_mut(&fingerprint) {
                 slot.last_used = tick;
@@ -441,7 +443,7 @@ impl CircuitCache {
             .map(Arc::new)
             .map_err(|e| e.to_string())?;
         let bytes = program.byte_size();
-        let mut state = self.state.lock().expect("cache lock");
+        let mut state = lock(&self.state);
         let tick = state.touch();
         let Some(slot) = state.circuits.get_mut(&fingerprint) else {
             // Circuit evicted while compiling: hand the program back
@@ -498,7 +500,7 @@ impl CircuitCache {
     ) -> Result<BaselineLookup, String> {
         let fingerprint = circuit.fingerprint;
         {
-            let mut state = self.state.lock().expect("cache lock");
+            let mut state = lock(&self.state);
             let tick = state.touch();
             if let Some(slot) = state.circuits.get_mut(&fingerprint) {
                 slot.last_used = tick;
@@ -516,7 +518,7 @@ impl CircuitCache {
         }
         let flight_key = (fingerprint, key.to_string());
         let (flight, leader) = {
-            let mut records = self.records.lock().expect("record flights");
+            let mut records = lock(&self.records);
             match records.get(&flight_key) {
                 Some(flight) => (Arc::clone(flight), false),
                 None => {
@@ -539,7 +541,7 @@ impl CircuitCache {
         // Insert into the cache BEFORE releasing the flight, so a request
         // landing just after coalescing ends finds a warm cache.
         let outcome = produced.and_then(|(entry, spill_load)| {
-            let mut state = self.state.lock().expect("cache lock");
+            let mut state = lock(&self.state);
             let tick = state.touch();
             let slot = state
                 .circuits
@@ -563,10 +565,7 @@ impl CircuitCache {
             Ok((entry, spill_load, evicted))
         });
         flight.fill(outcome.clone().map(|(entry, _, _)| entry));
-        self.records
-            .lock()
-            .expect("record flights")
-            .remove(&flight_key);
+        lock(&self.records).remove(&flight_key);
         let (entry, spill_load, evicted) = outcome?;
         Ok(BaselineLookup {
             entry,

@@ -26,6 +26,7 @@ use glitch_obs::{
 use crate::cache::{BaselineEntry, CachedCircuit, CircuitCache};
 use crate::exec::{exec, record_baseline, replay_baseline, Hooks, ProgressLines, Resources, Sink};
 use crate::json::JsonObject;
+use crate::lock;
 use crate::params;
 use crate::protocol::{error_response, ok_response, JobKind, JobRequest, MetricsFormat};
 
@@ -128,31 +129,27 @@ impl Engine {
     /// Reads a counter from the merged registry (0 when never touched).
     #[must_use]
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .counter_value(name)
-            .unwrap_or(0)
+        lock(&self.metrics).counter_value(name).unwrap_or(0)
     }
 
     fn add(&self, name: &str, n: u64) {
-        let mut metrics = self.metrics.lock().expect("metrics lock");
+        let mut metrics = lock(&self.metrics);
         let handle = metrics.counter(name);
         metrics.add(handle, n);
     }
 
     fn gauge_max(&self, name: &str, value: u64) {
-        let mut metrics = self.metrics.lock().expect("metrics lock");
+        let mut metrics = lock(&self.metrics);
         let handle = metrics.gauge(name);
         metrics.observe_max(handle, value);
     }
 
     fn merge(&self, registry: MetricsRegistry) {
-        self.metrics.lock().expect("metrics lock").merge(registry);
+        lock(&self.metrics).merge(registry);
     }
 
     fn record_span(&self, name: String, track: u64, start: u64, dur: u64, request_id: u64) {
-        self.spans.lock().expect("span lock").record_with_args(
+        lock(&self.spans).record_with_args(
             name,
             track,
             start,
@@ -166,13 +163,13 @@ impl Engine {
     /// per-op histograms behind `status`. Shed requests never reach this.
     fn record_latency(&self, op: &str, queue_wait_us: u64, handle_us: u64, now_micros: u64) {
         {
-            let mut metrics = self.metrics.lock().expect("metrics lock");
+            let mut metrics = lock(&self.metrics);
             let queue = metrics.histogram(&format!("serve.queue_wait_us.{op}"));
             metrics.record(queue, queue_wait_us);
             let handle = metrics.histogram(&format!("serve.handle_us.{op}"));
             metrics.record(handle, handle_us);
         }
-        let mut windows = self.windows.lock().expect("window lock");
+        let mut windows = lock(&self.windows);
         let entry = match windows.iter_mut().find(|(name, _)| name == op) {
             Some((_, entry)) => entry,
             None => {
@@ -312,7 +309,7 @@ impl Engine {
     /// exposition wrapped in a JSON envelope.
     pub fn metrics_response(&self, format: MetricsFormat, id: u64) -> String {
         self.control_response("metrics", id, |engine| {
-            let registry = engine.metrics.lock().expect("metrics lock").clone();
+            let registry = lock(&engine.metrics).clone();
             match format {
                 MetricsFormat::Json => metrics_json(&registry),
                 MetricsFormat::Text => JsonObject::new()
@@ -357,7 +354,7 @@ impl Engine {
                 .raw("total", &percentiles(windows.total()).render())
         }
         let now = self.clock.now_micros();
-        let registry = self.metrics.lock().expect("metrics lock").clone();
+        let registry = lock(&self.metrics).clone();
         let counts_of = |prefix: &str| {
             let mut out = JsonObject::new();
             for (name, value) in registry.counters() {
@@ -385,7 +382,7 @@ impl Engine {
             .u64("baselines", self.cache.baseline_count() as u64);
         let mut latency = JsonObject::new();
         {
-            let mut windows = self.windows.lock().expect("window lock");
+            let mut windows = lock(&self.windows);
             windows.sort_by(|a, b| a.0.cmp(&b.0));
             for (op, entry) in windows.iter() {
                 latency = latency.raw(
@@ -438,7 +435,7 @@ impl Engine {
     /// `args` (the same id the access log carries).
     #[must_use]
     pub fn chrome_trace(&self, tracks: &[(u64, &str)]) -> String {
-        chrome_trace_with_tracks(&self.spans.lock().expect("span lock"), tracks)
+        chrome_trace_with_tracks(&lock(&self.spans), tracks)
     }
 
     /// Fields a job op must not carry — the strict-protocol counterpart
@@ -825,6 +822,31 @@ mod tests {
             "got: {status}"
         );
         assert!(status.contains("\"handle_us\":{\"1m\":{"), "got: {status}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn status_answers_after_a_panic_poisons_the_metrics_lock() {
+        let (dir, file) = temp_netlist("poison");
+        let engine = Engine::new(0, None);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = engine.metrics.lock().unwrap();
+                panic!("a job panics while holding the metrics lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(engine.metrics.is_poisoned());
+        let status = engine.status_response(engine.next_request_id(), 0, 1);
+        assert!(
+            status.starts_with("{\"counts\":{\"requests\":{"),
+            "got: {status}"
+        );
+        assert!(status.contains("\"status\":1"), "got: {status}");
+        // Jobs keep running and counting behind the recovered lock.
+        let response = run(&engine, JobKind::Analyze, &job(&file), 1);
+        assert!(response.contains("\"activity\""), "got: {response}");
+        assert_eq!(engine.counter_value("cache.netlist_misses"), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -37,7 +37,19 @@ pub mod protocol;
 pub mod report;
 pub mod server;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use client::Client;
 pub use engine::{Engine, RequestContext};
 pub use protocol::{JobKind, JobRequest, MetricsFormat, Request};
 pub use server::{run_server, ServeConfig};
+
+/// Locks `mutex`, recovering the guard when a panicking holder poisoned
+/// it. The critical sections here only update counters, span and latency
+/// records, the job queue and the cache maps; parsing, compiling and job
+/// execution run outside every lock. A poisoned guard therefore still
+/// holds usable data, and recovering it keeps one panicking job from
+/// failing every later request.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -19,10 +19,11 @@ use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::engine::{Engine, RequestContext};
+use crate::lock;
 use crate::protocol::{error_response, JobKind, JobRequest, Request};
 
 /// The longest request line the daemon reads, in bytes (newline
@@ -123,7 +124,7 @@ impl Queue {
         enqueued_micros: u64,
         max_queue: usize,
     ) -> (Admission, usize) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = lock(&self.state);
         if state.shutdown {
             return (Admission::Shed("daemon is shutting down"), state.jobs.len());
         }
@@ -148,13 +149,13 @@ impl Queue {
 
     /// The current number of queued (not yet dequeued) jobs.
     fn depth(&self) -> usize {
-        self.state.lock().expect("queue lock").jobs.len()
+        lock(&self.state).jobs.len()
     }
 
     /// Blocks for the next job; `None` once shutdown is requested and the
     /// queue has fully drained.
     fn next_job(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = lock(&self.state);
         loop {
             if let Some(job) = state.jobs.pop_front() {
                 return Some(job);
@@ -162,12 +163,15 @@ impl Queue {
             if state.shutdown {
                 return None;
             }
-            state = self.available.wait(state).expect("queue lock");
+            state = self
+                .available
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn request_shutdown(&self) {
-        self.state.lock().expect("queue lock").shutdown = true;
+        lock(&self.state).shutdown = true;
         self.available.notify_all();
     }
 }

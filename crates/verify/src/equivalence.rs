@@ -9,17 +9,25 @@
 //! under any delay model, and including three-valued `x_init` runs where
 //! uninitialised flipflops power on `X`.
 //!
-//! The check is differential, not symbolic: both netlists run through the
-//! event-driven [`ClockedSimulator`] on seeded random stimulus, so a
-//! passing verdict is a statement about the compared cycles (like the
-//! repo's other oracles), and any mismatch comes back located — output,
-//! cycle, both values — ready for shrinking.
+//! The check is differential, not symbolic: both netlists are settled
+//! cycle by cycle on their compiled [`KernelProgram`]s (one lane each) on
+//! seeded random stimulus, so a passing verdict is a statement about the
+//! compared cycles (like the repo's other oracles), and any mismatch comes
+//! back located — output, cycle, both values — ready for shrinking.
+//!
+//! Settled end-of-cycle values do not depend on the delays under the
+//! simulator's pure-delay models (glitches are transient), so the
+//! functional settle the timed kernel starts every lane from is exactly
+//! what the event-driven [`glitch_sim::ClockedSimulator`] holds at each
+//! cycle end, whatever the delay model. The oracle test
+//! `crates/verify/tests/equivalence_oracle.rs` pins every outcome field
+//! against that event-driven co-simulation.
 
 use std::collections::VecDeque;
 
-use glitch_netlist::{Bus, NetId, Netlist};
+use glitch_netlist::{Bus, NetId, Netlist, Tri};
 use glitch_sim::{
-    ClockedSimulator, DelayKind, InputAssignment, RandomStimulus, SimError, SimOptions, Value,
+    kernel_eval_mode, DelayKind, KernelProgram, RandomStimulus, SimError, SimOptions, Value,
 };
 
 /// Maximum input-bus width the stimulus generator is fed — mirrors the
@@ -255,12 +263,15 @@ impl<'a> EquivalenceChecker<'a> {
     }
 
     /// Runs one co-simulation: `cycles` of seeded random stimulus under
-    /// `delay` and `options`, comparing every mapped output every compared
-    /// cycle. Stops at the first mismatch.
+    /// `options`, comparing every mapped output every compared cycle.
+    /// Stops at the first mismatch. `delay` names the model the verdict
+    /// covers; settled values are the same under every model (see the
+    /// module docs), so it does not change the outcome.
     ///
     /// # Errors
     ///
-    /// Propagates simulator construction/settle failures from either side.
+    /// Returns [`SimError::InvalidNetlist`] when either side fails
+    /// structural validation.
     pub fn check(
         &self,
         delay: &DelayKind,
@@ -268,41 +279,69 @@ impl<'a> EquivalenceChecker<'a> {
         seed: u64,
         options: SimOptions,
     ) -> Result<EquivalenceOutcome, SimError> {
+        let _ = delay;
+        Ok(self.settle(&self.compile()?, cycles, seed, options))
+    }
+
+    /// Both sides' compiled programs, original first.
+    fn compile(&self) -> Result<[KernelProgram; 2], SimError> {
+        Ok([
+            KernelProgram::compile(self.original)?,
+            KernelProgram::compile(self.transformed)?,
+        ])
+    }
+
+    /// The co-simulation behind [`EquivalenceChecker::check`], on
+    /// precompiled programs.
+    fn settle(
+        &self,
+        [program_a, program_b]: &[KernelProgram; 2],
+        cycles: u64,
+        seed: u64,
+        options: SimOptions,
+    ) -> EquivalenceOutcome {
+        let mode = kernel_eval_mode(options.x_eval);
+        let dff_init = Tri::from(options.dff_init);
+        let mut original = program_a.new_state(1, dff_init);
+        let mut transformed = program_b.new_state(1, dff_init);
+        // Dense original-net → counterpart table; the first pair for a net
+        // wins, as a lookup through the pair list would.
+        let mut counterpart = vec![None; self.original.net_count()];
+        for &(old, new) in self.inputs.iter().rev() {
+            if let Some(slot) = counterpart.get_mut(old.index()) {
+                *slot = Some(new);
+            }
+        }
         let mut stimulus = RandomStimulus::new(self.stimulus_buses(), cycles, seed);
-        let mut original =
-            ClockedSimulator::with_options(self.original, delay.clone().into_model(), options)?;
-        let mut transformed =
-            ClockedSimulator::with_options(self.transformed, delay.clone().into_model(), options)?;
         let mut history: VecDeque<Vec<Value>> = VecDeque::with_capacity(self.latency + 1);
         let mut compared = 0u64;
         for cycle in 0..cycles {
             let assignment = stimulus
                 .next()
                 .expect("the stimulus covers the requested cycles");
-            let mut mapped = InputAssignment::new();
+            program_a.begin_cycle(&mut original);
+            program_b.begin_cycle(&mut transformed);
             for &(net, value) in assignment.assignments() {
-                let &(_, counterpart) = self
-                    .inputs
-                    .iter()
-                    .find(|&&(old, _)| old == net)
-                    .expect("constructor checked every input is mapped");
-                mapped = mapped.with(counterpart, value);
+                let mapped =
+                    counterpart[net.index()].expect("constructor checked every input is mapped");
+                original.set_bool(net, 0, value);
+                transformed.set_bool(mapped, 0, value);
             }
-            original.step(assignment)?;
-            transformed.step(mapped)?;
+            program_a.eval(&mut original, mode);
+            program_b.eval(&mut transformed, mode);
             history.push_back(
                 self.outputs
                     .iter()
-                    .map(|&(old, _)| original.net_value(old))
+                    .map(|&(old, _)| Value::from(original.get(old, 0)))
                     .collect(),
             );
             if cycle >= self.latency as u64 {
                 let expected = history.pop_front().expect("ring holds latency+1 entries");
                 for (index, &(old, new)) in self.outputs.iter().enumerate() {
-                    let got = transformed.net_value(new);
+                    let got = Value::from(transformed.get(new, 0));
                     compared += 1;
                     if got != expected[index] {
-                        return Ok(EquivalenceOutcome {
+                        return EquivalenceOutcome {
                             cycles: cycle + 1,
                             compared,
                             mismatch: Some(EquivalenceMismatch {
@@ -311,43 +350,55 @@ impl<'a> EquivalenceChecker<'a> {
                                 original: expected[index],
                                 transformed: got,
                             }),
-                        });
+                        };
                     }
                 }
             }
+            program_a.latch(&mut original);
+            program_b.latch(&mut transformed);
         }
-        Ok(EquivalenceOutcome {
+        EquivalenceOutcome {
             cycles,
             compared,
             mismatch: None,
-        })
+        }
     }
 
     /// The full matrix: every delay model × {binary, `x_init`}, in a
     /// deterministic order. This is the configuration the reduction loop
-    /// pins its headline claim with.
+    /// pins its headline claim with. Settled values are the same under
+    /// every delay model, so each init mode is settled once and its
+    /// outcome stands for every listed model.
     ///
     /// # Errors
     ///
-    /// Propagates the first simulation failure.
+    /// Returns [`SimError::InvalidNetlist`] when either side fails
+    /// structural validation (only checked when `delays` is non-empty).
     pub fn verify(
         &self,
         delays: &[DelayKind],
         cycles: u64,
         seed: u64,
     ) -> Result<EquivalenceReport, SimError> {
-        let mut checks = Vec::with_capacity(delays.len() * 2);
-        for delay in delays {
-            for (x_init, options) in [(false, SimOptions::default()), (true, SimOptions::x_init())]
-            {
-                let outcome = self.check(delay, cycles, seed, options)?;
-                checks.push(EquivalenceCheck {
-                    delay: delay_label(delay).to_string(),
-                    x_init,
-                    outcome,
-                });
-            }
+        if delays.is_empty() {
+            return Ok(EquivalenceReport { checks: Vec::new() });
         }
+        let programs = self.compile()?;
+        let outcomes = [SimOptions::default(), SimOptions::x_init()]
+            .map(|options| self.settle(&programs, cycles, seed, options));
+        let checks = delays
+            .iter()
+            .flat_map(|delay| {
+                [false, true]
+                    .into_iter()
+                    .zip(&outcomes)
+                    .map(|(x_init, outcome)| EquivalenceCheck {
+                        delay: delay_label(delay).to_string(),
+                        x_init,
+                        outcome: outcome.clone(),
+                    })
+            })
+            .collect();
         Ok(EquivalenceReport { checks })
     }
 }
