@@ -8,10 +8,12 @@
 //! filled in bulk; the same job through `ParallelRunner::run_sessions_with`
 //! settles event by event. Both produce the same report (pinned by
 //! `crates/kernel/tests/timed_oracle.rs`), so the ratio is pure execution
-//! cost. Two jobs are gated: the standard probe set alone, and with the
-//! X-propagation + hazard checker suite of `check --hazards` attached. The
-//! unit and realistic-adder models are the two timed schedules of the
-//! default sweep.
+//! cost. Three jobs are gated: the standard probe set alone, the same
+//! with the X-propagation + hazard checker suite of `check --hazards`
+//! attached, and the standard probe set on the multiplier pipelined to 4
+//! register ranks, whose flipflop state each block settles by fixpoint
+//! (`KernelProgram::settle_cycles`). The unit and realistic-adder models
+//! are the two timed schedules of the default sweep.
 //!
 //! Ignored by default so plain `cargo test` stays timing-free; run with
 //!
@@ -22,6 +24,8 @@
 use std::time::{Duration, Instant};
 
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
+use glitch_core::netlist::{Bus, Netlist};
+use glitch_core::retime::{pipeline_netlist, PipelineOptions};
 use glitch_core::sim::{DelayKind, ParallelRunner, Probe, SimJob};
 use glitch_core::verify::CheckSuite;
 use glitch_core::KernelProgram;
@@ -46,15 +50,19 @@ fn median_time(runs: usize, mut f: impl FnMut() -> u64) -> Duration {
     times[times.len() / 2]
 }
 
-/// Gates the jobs with `extra` probes under both timed delay models.
-fn gate(case: &str, extra: Probes<'_>) {
+/// The 32-bit multiplier and its operand buses.
+fn multiplier() -> (Netlist, Vec<Bus>) {
     let mult = ArrayMultiplier::new(32, AdderStyle::CompoundCell);
-    let buses = vec![mult.x.clone(), mult.y.clone()];
-    let program = KernelProgram::compile(&mult.netlist).expect("the multiplier compiles");
+    (mult.netlist, vec![mult.x, mult.y])
+}
+
+/// Gates the jobs on `netlist` with `extra` probes under both timed delay
+/// models.
+fn gate(case: &str, netlist: &Netlist, buses: &[Bus], extra: Probes<'_>) {
+    let program = KernelProgram::compile(netlist).expect("the netlist compiles");
     let runner = ParallelRunner::new(1);
     for delay in [DelayKind::Unit, DelayKind::RealisticAdderCells] {
-        let jobs =
-            [SimJob::new(&mult.netlist, buses.clone(), CYCLES, SEED).with_delay(delay.clone())];
+        let jobs = [SimJob::new(netlist, buses.to_vec(), CYCLES, SEED).with_delay(delay.clone())];
         assert!(
             jobs[0].timed_schedule(&program).is_some(),
             "{delay:?} qualifies"
@@ -86,14 +94,33 @@ fn gate(case: &str, extra: Probes<'_>) {
 #[test]
 #[ignore = "timing gate; run explicitly in CI with --release"]
 fn timed_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
-    gate("standard probes", &|_| Vec::new());
+    let (netlist, buses) = multiplier();
+    gate("standard probes", &netlist, &buses, &|_| Vec::new());
 }
 
 #[test]
 #[ignore = "timing gate; run explicitly in CI with --release"]
 fn timed_checker_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
+    let (netlist, buses) = multiplier();
     let suite = CheckSuite::new().with_x_propagation().with_hazards();
-    gate("x-propagation + hazards", &|_| -> Vec<Box<dyn Probe>> {
+    gate("x-propagation + hazards", &netlist, &buses, &|_| -> Vec<
+        Box<dyn Probe>,
+    > {
         vec![Box::new(suite.build())]
+    });
+}
+
+#[test]
+#[ignore = "timing gate; run explicitly in CI with --release"]
+fn timed_pipelined_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
+    let (netlist, buses) = multiplier();
+    let piped = pipeline_netlist(&netlist, 4, PipelineOptions::default())
+        .expect("the multiplier pipelines");
+    let buses: Vec<Bus> = buses
+        .iter()
+        .map(|bus| Bus::new(bus.iter().map(|&net| piped.mapping.new_net(net)).collect()))
+        .collect();
+    gate("pipelined to 4 ranks", &piped.netlist, &buses, &|_| {
+        Vec::new()
     });
 }

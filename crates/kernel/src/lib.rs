@@ -10,11 +10,16 @@
 //! bitwise operations over a [`KernelState`]: 64 independent stimulus
 //! *lanes* per `u64` word, any number of words. There is no event queue
 //! and no per-event allocation. [`KernelProgram::eval`] computes the
-//! zero-delay (functional) fixed point of every cycle; [`TimedSchedule`]
-//! adds time: with one clock cycle per lane it steps each net across its
-//! static arrival window under integer transport delays, reproducing the
+//! zero-delay (functional) fixed point of every cycle;
+//! [`KernelProgram::settle_cycles`] does so for a block of consecutive
+//! cycles of one stimulus stream, one per lane, solving each lane's
+//! flipflop outputs (the previous lane's D) by fixpoint iteration — one
+//! evaluation per register rank through a pipeline, not one per cycle;
+//! [`TimedSchedule`] adds time: with one clock cycle per lane it steps
+//! each net across its static arrival window under integer transport
+//! delays, from the block's functional settle, reproducing the
 //! event-driven simulator's transitions, settle times and queue traffic
-//! exactly. Both evaluate through the same per-kind plane formulas.
+//! exactly. All evaluate through the same per-kind plane formulas.
 //!
 //! ## Three-valued planes
 //!
@@ -45,13 +50,13 @@
 //! step with the event queue's exact figures
 //! (`glitch_sim::ParallelRunner::run_jobs`). `glitch-reduce` screens
 //! candidate moves on it too, and `glitch-verify`'s equivalence checker
-//! settles both netlists on it.
+//! settles both netlists on it, cycles as lanes.
 
 mod program;
 mod state;
 mod timed;
 
-pub use program::{DffSlot, EvalMode, KernelProgram};
+pub use program::{DffSlot, EvalMode, KernelProgram, SettledCycles};
 pub use state::KernelState;
 pub use timed::{CycleLanes, LaneStats, TimedSchedule, TimedTally};
 

@@ -1,5 +1,7 @@
 //! Netlist → straight-line program compilation and word-wise evaluation.
 
+use std::ops::Range;
+
 use glitch_netlist::{CellKind, DffInit, NetId, Netlist, NetlistError, Tri};
 
 use crate::state::KernelState;
@@ -60,17 +62,59 @@ impl DffSlot {
     }
 }
 
+/// What [`KernelProgram::settle_cycles`] leaves besides the settled
+/// planes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SettledCycles {
+    /// The flipflop state after the block's last lane, in
+    /// [`KernelProgram::dffs`] order: the `start` of the next block.
+    pub next_state: Vec<Tri>,
+    /// One-word evaluations the fixpoint took (a plain
+    /// [`KernelProgram::eval`] counts one per plane word).
+    pub word_evals: usize,
+}
+
+/// `(value, mask)` bits of a three-valued value.
+fn tri_bits(value: Tri) -> (u64, u64) {
+    match value {
+        Tri::Zero => (0, 0),
+        Tri::One => (1, 0),
+        Tri::X => (0, 1),
+    }
+}
+
+/// The three-valued value of canonical `(value, mask)` bits.
+fn bits_tri((v, m): (u64, u64)) -> Tri {
+    if m != 0 {
+        Tri::X
+    } else if v != 0 {
+        Tri::One
+    } else {
+        Tri::Zero
+    }
+}
+
 /// A netlist compiled once into a levelized straight-line program.
 ///
 /// The program is immutable and shared: any number of [`KernelState`]s
 /// (with any lane counts) can be evaluated against one program, from any
-/// thread. One cycle of the synchronous network is:
+/// thread. With independent lanes (one stimulus stream each), one cycle
+/// of the synchronous network is:
 ///
 /// ```text
 /// program.begin_cycle(&mut state);      // assert Q from flipflop state
 /// state.set_bool(input, lane, value);   // drive this cycle's stimulus
 /// program.eval(&mut state, mode);       // settle combinationally
 /// program.latch(&mut state);            // capture D into flipflop state
+/// ```
+///
+/// With consecutive cycles of one stream as the lanes, a whole block of
+/// cycles settles at once, chained block to block by its flipflop state:
+///
+/// ```text
+/// let mut carry = program.power_on_state(dff_dontcare);
+/// state.set_bool(input, cycle, value);  // drive every cycle of the block
+/// carry = program.settle_cycles(&mut state, &carry, mode).next_state;
 /// ```
 #[derive(Debug, Clone)]
 pub struct KernelProgram {
@@ -183,24 +227,30 @@ impl KernelProgram {
     pub fn new_state(&self, lanes: usize, dff_dontcare: Tri) -> KernelState {
         let mut state = KernelState::new(self.net_count, self.dffs.len(), lanes);
         let words = state.words;
-        for (i, dff) in self.dffs.iter().enumerate() {
-            let value = match dff.init {
-                DffInit::Zero => Tri::Zero,
-                DffInit::One => Tri::One,
-                DffInit::DontCare => dff_dontcare,
-            };
-            let (v, m) = match value {
-                Tri::Zero => (false, false),
-                Tri::One => (true, false),
-                Tri::X => (false, true),
-            };
+        for (i, value) in self.power_on_state(dff_dontcare).into_iter().enumerate() {
+            let (v, m) = tri_bits(value);
             for w in 0..words {
                 let wm = state.word_mask(w);
-                state.dff_val[i * words + w] = if v { wm } else { 0 };
-                state.dff_msk[i * words + w] = if m { wm } else { 0 };
+                state.dff_val[i * words + w] = wm * v;
+                state.dff_msk[i * words + w] = wm * m;
             }
         }
         state
+    }
+
+    /// The flipflop state before cycle 0, one value per flipflop in
+    /// [`dffs`](Self::dffs) order: the per-cell [`DffInit`], with
+    /// `DontCare` resolved to `dff_dontcare`.
+    #[must_use]
+    pub fn power_on_state(&self, dff_dontcare: Tri) -> Vec<Tri> {
+        self.dffs
+            .iter()
+            .map(|dff| match dff.init {
+                DffInit::Zero => Tri::Zero,
+                DffInit::One => Tri::One,
+                DffInit::DontCare => dff_dontcare,
+            })
+            .collect()
     }
 
     /// Asserts every flipflop's Q net from its captured state — the first
@@ -210,9 +260,10 @@ impl KernelProgram {
         for (i, dff) in self.dffs.iter().enumerate() {
             let q = dff.q.index() * words;
             let s = i * words;
-            // Word by word, here and in `latch`: a one-lane settle steps
-            // every flipflop every cycle, and a `copy_from_slice` of a
-            // word or two costs a `memcpy` call each time.
+            // Word by word, here and in `latch`: a settle that steps cycle
+            // by cycle copies every flipflop every cycle, and a
+            // `copy_from_slice` of a word or two costs a `memcpy` call
+            // each time.
             for w in 0..words {
                 state.val[q + w] = state.dff_val[s + w];
                 state.msk[q + w] = state.dff_msk[s + w];
@@ -242,11 +293,104 @@ impl KernelProgram {
     ///
     /// Panics when `state` was built for a different netlist size.
     pub fn eval(&self, state: &mut KernelState, mode: EvalMode) {
+        self.check_state(state);
+        self.eval_words(state, mode, 0..state.words);
+    }
+
+    /// Settles a block of consecutive clock cycles at once: lane `l` of
+    /// `state` is cycle `l`, its inputs already driven, and `start` is the
+    /// flipflop state entering lane 0 (one value per flipflop, in
+    /// [`dffs`](Self::dffs) order). Every other lane's Q is the previous
+    /// lane's D, found by fixpoint iteration of `Q(l) = D(l − 1)`, one
+    /// 64-lane word at a time: each round evaluates the word and shifts
+    /// every D plane one lane up into its Q plane, the word's lane 0
+    /// taking the previous word's last D; the word is settled once a
+    /// round changes no Q word. Given lane 0 the recurrence has exactly
+    /// one solution, so the planes equal a cycle-by-cycle
+    /// [`begin_cycle`](Self::begin_cycle) / [`eval`](Self::eval) /
+    /// [`latch`](Self::latch) stepping bit for bit.
+    ///
+    /// Each round fixes at least one more lane, and a flipflop `k`
+    /// registers deep behind the inputs is exact after `k` rounds: a
+    /// pipeline of `k` ranks settles in `k + 1` evaluations per word, a
+    /// feedback circuit (a counter) in at most 65 per 64-lane word. A word
+    /// starts from its lane 0 state in every lane, so a register that
+    /// holds its value settles in one. A netlist without flipflops is one
+    /// [`eval`](Self::eval). The flipflop planes of `state` are not used.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `state` was built for a different netlist size or
+    /// `start` does not hold one value per flipflop.
+    pub fn settle_cycles(
+        &self,
+        state: &mut KernelState,
+        start: &[Tri],
+        mode: EvalMode,
+    ) -> SettledCycles {
+        self.check_state(state);
+        assert_eq!(start.len(), self.dffs.len(), "one start value per flipflop");
+        let words = state.words;
+        if self.dffs.is_empty() {
+            self.eval_words(state, mode, 0..words);
+            return SettledCycles {
+                next_state: Vec::new(),
+                word_evals: words,
+            };
+        }
+        // The state entering the current word's lane 0, as `(value, mask)`
+        // bits.
+        let mut carry: Vec<(u64, u64)> = start.iter().map(|&t| tri_bits(t)).collect();
+        let mut shifted = vec![(0u64, 0u64); self.dffs.len()];
+        let mut word_evals = 0;
+        for w in 0..words {
+            let wm = state.word_mask(w);
+            for (dff, &(v, m)) in self.dffs.iter().zip(&carry) {
+                let q = dff.q.index() * words + w;
+                state.val[q] = wm * v;
+                state.msk[q] = wm * m;
+            }
+            loop {
+                self.eval_words(state, mode, w..w + 1);
+                word_evals += 1;
+                for (next, (dff, &(v, m))) in shifted.iter_mut().zip(self.dffs.iter().zip(&carry)) {
+                    let d = dff.d.index() * words + w;
+                    *next = ((state.val[d] << 1 | v) & wm, (state.msk[d] << 1 | m) & wm);
+                }
+                let mut changed = false;
+                for (dff, &(v, m)) in self.dffs.iter().zip(&shifted) {
+                    let q = dff.q.index() * words + w;
+                    changed |= state.val[q] != v || state.msk[q] != m;
+                    state.val[q] = v;
+                    state.msk[q] = m;
+                }
+                if !changed {
+                    break;
+                }
+            }
+            // The word's last valid lane latches the next word's lane 0.
+            let last = 63 - wm.leading_zeros() as usize;
+            for (bits, dff) in carry.iter_mut().zip(&self.dffs) {
+                let d = dff.d.index() * words + w;
+                *bits = (state.val[d] >> last & 1, state.msk[d] >> last & 1);
+            }
+        }
+        SettledCycles {
+            next_state: carry.into_iter().map(bits_tri).collect(),
+            word_evals,
+        }
+    }
+
+    fn check_state(&self, state: &KernelState) {
         assert_eq!(
             state.val.len(),
             self.net_count * state.words,
             "state does not match the compiled netlist"
         );
+    }
+
+    /// [`eval`](Self::eval) restricted to plane words `range`.
+    fn eval_words(&self, state: &mut KernelState, mode: EvalMode, range: Range<usize>) {
         let words = state.words;
         let tail_mask = state.tail_mask;
         let val = &mut state.val;
@@ -254,7 +398,7 @@ impl KernelProgram {
         for op in &self.ops {
             let ins = self.op_inputs(op);
             let out0 = op.out0 as usize * words;
-            for w in 0..words {
+            for w in range.clone() {
                 // Valid-lane mask of word `w`: only the final word is partial.
                 let wm = if w + 1 == words { tail_mask } else { !0 };
                 let [(v0, m0), (v1, m1)] = eval_word(op.kind, mode, wm, ins.len(), |k| {

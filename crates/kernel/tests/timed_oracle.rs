@@ -9,7 +9,9 @@
 //! and the queue statistics. Cases cover random sequential circuits and
 //! the 8-bit compound-cell multiplier under unit, zero, realistic-adder,
 //! library and two custom delay models, binary and X-init options, cycle
-//! counts around the 64-lane word boundary, and held inputs. Every case
+//! counts around the 64-lane word boundary, and held inputs; the corpus
+//! counter and the multiplier pipelined to 4 ranks run 300 and 600
+//! cycles, so their flipflop state carries across blocks of lanes. Every case
 //! also attaches a `HazardChecker`, an `XPropagationChecker` and an
 //! X-propagation + hazard checker suite to both paths, which the routed run fills in bulk, and compares
 //! their findings; hand cases pin a net that goes `X` late in a hazardous
@@ -21,7 +23,8 @@
 mod support;
 
 use glitch_arith::{AdderStyle, ArrayMultiplier};
-use glitch_io::GateLibrary;
+use glitch_core::retime::{pipeline_netlist, PipelineOptions};
+use glitch_io::{parse_netlist, Format, GateLibrary};
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, CellKind, NetId, Netlist};
 use glitch_sim::{
@@ -191,10 +194,21 @@ fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str)
 
 /// Every delay model × option set × cycle count on one circuit.
 fn check_all(netlist: &Netlist, buses: &[Bus], held: &[(NetId, bool)], seed: u64) {
+    check_cycles(netlist, buses, held, seed, &CYCLE_COUNTS);
+}
+
+/// Every delay model × option set on one circuit, for each of `cycle_counts`.
+fn check_cycles(
+    netlist: &Netlist,
+    buses: &[Bus],
+    held: &[(NetId, bool)],
+    seed: u64,
+    cycle_counts: &[u64],
+) {
     let program = KernelProgram::compile(netlist).expect("acyclic");
     for delay in delay_models() {
         for options in [SimOptions::default(), SimOptions::x_init()] {
-            for cycles in CYCLE_COUNTS {
+            for &cycles in cycle_counts {
                 let job = SimJob::new(netlist, buses.to_vec(), cycles, seed)
                     .with_delay(delay.clone())
                     .with_held(held.to_vec())
@@ -234,6 +248,39 @@ fn timed_jobs_match_the_event_path_on_the_8_bit_multiplier() {
         &[mult.x.clone(), mult.y.clone()],
         &[],
         0xDA7E_1995,
+    );
+}
+
+/// Runs longer than one block of lanes: the flipflop state settled in one
+/// block must carry into the next.
+const CROSS_BLOCK_CYCLES: [u64; 2] = [300, 600];
+
+#[test]
+fn timed_jobs_match_the_event_path_on_the_counter_across_blocks() {
+    let path = format!(
+        "{}/../../tests/data/counter4.blif",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(&path).expect("corpus file readable");
+    let counter = parse_netlist(&text, Format::Blif, &GateLibrary::standard()).expect("parses");
+    let buses = [Bus::new(counter.inputs().to_vec())];
+    check_cycles(&counter, &buses, &[], 0xC0DE, &CROSS_BLOCK_CYCLES);
+}
+
+#[test]
+fn timed_jobs_match_the_event_path_on_the_pipelined_multiplier_across_blocks() {
+    let mult = ArrayMultiplier::new(8, AdderStyle::CompoundCell);
+    let piped = pipeline_netlist(&mult.netlist, 4, PipelineOptions::default()).expect("pipelines");
+    let buses: Vec<Bus> = [&mult.x, &mult.y]
+        .into_iter()
+        .map(|bus| Bus::new(bus.iter().map(|&net| piped.mapping.new_net(net)).collect()))
+        .collect();
+    check_cycles(
+        &piped.netlist,
+        &buses,
+        &[],
+        0xDA7E_1995,
+        &CROSS_BLOCK_CYCLES,
     );
 }
 

@@ -17,10 +17,11 @@
 //!    hazard-hot sites: [`MoveKind::Buffer`], [`MoveKind::Duplicate`],
 //!    [`MoveKind::Retime`] (all from [`glitch_retime::rewrite`], each a
 //!    total-mapping `Netlist → Netlist` rebuild).
-//! 3. **Screen** — [`screen_candidate`] co-simulates candidate against
-//!    current functionally, batch-wide through the compiled kernel
-//!    whatever the scoring engine (the per-lane event-queue screen decides
-//!    identically and is kept as the pinned reference).
+//! 3. **Screen** — a [`Screen`] settles the current netlist once per
+//!    iteration and co-simulates each candidate against it functionally,
+//!    batch-wide through the compiled kernel whatever the scoring engine
+//!    (the per-lane event-queue screen decides identically and is kept as
+//!    the pinned reference; [`screen_candidate`] screens one candidate).
 //! 4. **Confirm** — survivors get a full scoring pass; the best strictly
 //!    improving candidate is accepted and its mapping composed.
 //! 5. **Verify** — the final netlist is checked against the *original*
@@ -67,4 +68,4 @@ pub use error::ReduceError;
 pub use moves::{generate_candidates, parse_moves, Candidate, MoveKind};
 pub use progress::{NullProgress, ProgressEvent, ProgressSink};
 pub use reducer::{AcceptedMove, ReduceOptions, ReduceReport, Reducer};
-pub use screen::{screen_candidate, ScreenBackend, ScreenOutcome};
+pub use screen::{screen_candidate, Screen, ScreenBackend, ScreenOutcome};

@@ -24,7 +24,7 @@ use glitch_verify::{EquivalenceChecker, EquivalenceReport};
 use crate::error::ReduceError;
 use crate::moves::{generate_candidates, Candidate, MoveKind};
 use crate::progress::{NullProgress, ProgressEvent, ProgressSink};
-use crate::screen::{screen_candidate, ScreenBackend};
+use crate::screen::{Screen, ScreenBackend};
 
 /// Knobs of the reduction loop; see the field docs for defaults.
 #[derive(Debug, Clone)]
@@ -234,17 +234,16 @@ impl Reducer {
                 break;
             }
             // Functional screen: cheap batch rejection of broken rewrites.
+            let screen = Screen::new(
+                &current,
+                ScreenBackend::Kernel,
+                self.options.screen_cycles,
+                self.options.screen_lanes,
+                screen_seed ^ iterations as u64,
+            )?;
             let mut survivors: Vec<Candidate> = Vec::new();
             for candidate in candidates {
-                let outcome = screen_candidate(
-                    &current,
-                    &candidate.rewrite,
-                    ScreenBackend::Kernel,
-                    self.options.screen_cycles,
-                    self.options.screen_lanes,
-                    screen_seed ^ iterations as u64,
-                )?;
-                if outcome.accepted {
+                if screen.check(&candidate.rewrite)?.accepted {
                     survivors.push(candidate);
                 }
             }

@@ -17,12 +17,15 @@
 //! * [`ScreenBackend::Queue`] — one event-driven [`ClockedSimulator`]
 //!   per lane per side. The reference path the pin test compares against.
 //!
+//! The current netlist's side does not depend on the candidate: a
+//! [`Screen`] settles it once per descent iteration (one compile, the
+//! output words of every screen cycle) and checks each candidate against
+//! those words.
+//!
 //! Settled end-of-cycle values are delay-independent, and the kernel is
 //! pinned bit-for-bit against the event-driven simulator (the kernel
 //! oracle), so **both backends accept and reject exactly the same
 //! candidates** — `crates/reduce/tests/screen_pin.rs` pins this.
-
-use std::collections::VecDeque;
 
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{NetId, Netlist, Tri};
@@ -74,13 +77,13 @@ fn stimulus_word(seed: u64, cycle: u64, input_index: usize) -> u64 {
 /// stimulus across `lanes` independent lanes, comparing every original
 /// output (through the candidate's mapping, shifted by its latency)
 /// against the current netlist's settled value. Flipflops start at zero
-/// on both sides, matching [`glitch_sim::SimOptions::default`].
+/// on both sides, matching [`glitch_sim::SimOptions::default`]. This
+/// builds a [`Screen`] for the one candidate; to check several against
+/// the same netlist, build the [`Screen`] once.
 ///
 /// # Errors
 ///
-/// Returns [`ReduceError::InvalidNetlist`] if a netlist cannot be
-/// compiled ([`ScreenBackend::Kernel`]) and [`ReduceError::Sim`] if an
-/// event-driven settle fails ([`ScreenBackend::Queue`]).
+/// As [`Screen::new`] and [`Screen::check`].
 pub fn screen_candidate(
     current: &Netlist,
     candidate: &Rewrite,
@@ -89,49 +92,116 @@ pub fn screen_candidate(
     lanes: usize,
     seed: u64,
 ) -> Result<ScreenOutcome, ReduceError> {
-    match backend {
-        ScreenBackend::Kernel => kernel_screen(current, candidate, cycles, lanes, seed),
-        ScreenBackend::Queue => queue_screen(current, candidate, cycles, lanes, seed),
-    }
+    Screen::new(current, backend, cycles, lanes, seed)?.check(candidate)
 }
 
 /// One cycle of output values: `(value, mask)` plane words, output-major,
 /// `words` per output — lane `l` is bit `l % 64` of word `l / 64`.
 type OutputWords = Vec<(u64, u64)>;
 
-/// The comparison spine shared by both backends: feeds per-cycle output
-/// words of the current netlist into a latency ring and diffs the
-/// candidate's words against the ring head. Returns the first mismatch,
-/// output-major, then lowest lane.
-struct LatencyDiff {
-    latency: u64,
-    words: usize,
-    ring: VecDeque<OutputWords>,
+/// The current netlist's side of the screen, settled once: its output
+/// words in every screen cycle, against which any number of candidates
+/// are checked. A candidate's cycle `c` compares with reference cycle
+/// `c - latency`; the first mismatch is reported output-major, then
+/// lowest lane.
+#[derive(Debug, Clone)]
+pub struct Screen<'a> {
+    current: &'a Netlist,
+    backend: ScreenBackend,
+    cycles: u64,
+    lanes: usize,
+    seed: u64,
+    /// Per cycle, the current netlist's output words.
+    reference: Vec<OutputWords>,
 }
 
-impl LatencyDiff {
-    fn new(latency: usize, lanes: usize) -> Self {
-        LatencyDiff {
-            latency: latency as u64,
-            words: lanes.div_ceil(64),
-            ring: VecDeque::with_capacity(latency + 1),
-        }
+impl<'a> Screen<'a> {
+    /// Settles `current` for `cycles` of the screen's stimulus (seeded
+    /// with `seed`) across `lanes` lanes on `backend`, keeping its output
+    /// words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReduceError::InvalidNetlist`] if `current` cannot be
+    /// compiled ([`ScreenBackend::Kernel`]) and [`ReduceError::Sim`] if an
+    /// event-driven settle fails ([`ScreenBackend::Queue`]).
+    pub fn new(
+        current: &'a Netlist,
+        backend: ScreenBackend,
+        cycles: u64,
+        lanes: usize,
+        seed: u64,
+    ) -> Result<Self, ReduceError> {
+        let mut screen = Screen {
+            current,
+            backend,
+            cycles,
+            lanes,
+            seed,
+            reference: Vec::new(),
+        };
+        let mut reference = Vec::with_capacity(cycles as usize);
+        screen.settle(current, current.inputs(), current.outputs(), |_, words| {
+            reference.push(words);
+            true
+        })?;
+        screen.reference = reference;
+        Ok(screen)
     }
 
-    /// Pushes one cycle of reference words and compares once the ring has
-    /// aged past the latency.
-    fn step(
-        &mut self,
+    /// Screens `candidate`: the same stimulus through its input mapping,
+    /// its outputs (through the output mapping) compared with the
+    /// reference `latency` cycles back. Stops at the first mismatch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReduceError::InvalidNetlist`] if the candidate cannot be
+    /// compiled ([`ScreenBackend::Kernel`]) and [`ReduceError::Sim`] if an
+    /// event-driven settle fails ([`ScreenBackend::Queue`]).
+    pub fn check(&self, candidate: &Rewrite) -> Result<ScreenOutcome, ReduceError> {
+        let inputs: Vec<NetId> = self
+            .current
+            .inputs()
+            .iter()
+            .map(|&net| candidate.map.new_net(net))
+            .collect();
+        let outputs: Vec<NetId> = self
+            .current
+            .outputs()
+            .iter()
+            .map(|&net| candidate.map.output_net(net))
+            .collect();
+        let latency = candidate.map.latency() as u64;
+        let mut mismatch = None;
+        let compare = |cycle: u64, words: OutputWords| {
+            let Some(expected) = cycle
+                .checked_sub(latency)
+                .map(|reference| &self.reference[reference as usize])
+            else {
+                return true;
+            };
+            mismatch = self.locate(cycle, latency, expected, &words);
+            mismatch.is_none()
+        };
+        let settled = self.settle(&candidate.netlist, &inputs, &outputs, compare)?;
+        Ok(ScreenOutcome {
+            accepted: mismatch.is_none(),
+            cycles: settled,
+            lanes: self.lanes,
+            mismatch,
+        })
+    }
+
+    /// The first difference between the reference words `expected` and a
+    /// candidate's words in `cycle`, located and described.
+    fn locate(
+        &self,
         cycle: u64,
-        reference: OutputWords,
+        latency: u64,
+        expected: &[(u64, u64)],
         transformed: &[(u64, u64)],
-        describe: impl Fn(usize, usize) -> String,
     ) -> Option<String> {
-        self.ring.push_back(reference);
-        if cycle < self.latency {
-            return None;
-        }
-        let expected = self.ring.pop_front().expect("ring holds latency+1 rows");
+        let words = self.lanes.div_ceil(64);
         let (flat, diff) = expected
             .iter()
             .zip(transformed)
@@ -139,14 +209,101 @@ impl LatencyDiff {
             .enumerate()
             .find(|&(_, diff)| diff != 0)?;
         let bit = diff.trailing_zeros() as usize;
-        let lane = (flat % self.words) * 64 + bit;
+        let lane = (flat % words) * 64 + bit;
+        let output = self.current.outputs()[flat / words];
         Some(format!(
-            "{} diverged at cycle {}: {:?} vs {:?}",
-            describe(flat / self.words, lane),
-            cycle - self.latency,
+            "output `{}` lane {lane} diverged at cycle {}: {:?} vs {:?}",
+            self.current.net(output).name(),
+            cycle - latency,
             lane_value(expected[flat], bit),
             lane_value(transformed[flat], bit),
         ))
+    }
+
+    /// Settles `netlist` on the screen's backend for up to its cycles
+    /// across its lanes, flipflops from zero, driving `inputs` (one per
+    /// screen input, in order) and handing each cycle's `outputs` words to
+    /// `visit`, which returns whether to go on. Returns the cycles
+    /// settled.
+    fn settle(
+        &self,
+        netlist: &Netlist,
+        inputs: &[NetId],
+        outputs: &[NetId],
+        visit: impl FnMut(u64, OutputWords) -> bool,
+    ) -> Result<u64, ReduceError> {
+        match self.backend {
+            ScreenBackend::Kernel => {
+                let program = KernelProgram::compile(netlist)?;
+                Ok(self.kernel_settle(&program, inputs, outputs, visit))
+            }
+            ScreenBackend::Queue => self.queue_settle(netlist, inputs, outputs, visit),
+        }
+    }
+
+    fn kernel_settle(
+        &self,
+        program: &KernelProgram,
+        inputs: &[NetId],
+        outputs: &[NetId],
+        mut visit: impl FnMut(u64, OutputWords) -> bool,
+    ) -> u64 {
+        let mode = kernel_eval_mode(XEval::default());
+        let mut state = program.new_state(self.lanes, Tri::Zero);
+        let words = state.words();
+        for cycle in 0..self.cycles {
+            program.begin_cycle(&mut state);
+            for (index, &net) in inputs.iter().enumerate() {
+                // Every word of the lane range repeats the same 64 stimulus bits.
+                let word = stimulus_word(self.seed, cycle, index);
+                for w in 0..words {
+                    state.set_word(net, w, word);
+                }
+            }
+            program.eval(&mut state, mode);
+            let settled = outputs
+                .iter()
+                .flat_map(|&net| (0..words).map(move |w| (net, w)))
+                .map(|(net, w)| state.word(net, w))
+                .collect();
+            if !visit(cycle, settled) {
+                return cycle + 1;
+            }
+            program.latch(&mut state);
+        }
+        self.cycles
+    }
+
+    fn queue_settle(
+        &self,
+        netlist: &Netlist,
+        inputs: &[NetId],
+        outputs: &[NetId],
+        mut visit: impl FnMut(u64, OutputWords) -> bool,
+    ) -> Result<u64, ReduceError> {
+        let mut sims: Vec<ClockedSimulator<'_>> = (0..self.lanes)
+            .map(|_| ClockedSimulator::new(netlist, UnitDelay))
+            .collect::<Result<_, _>>()?;
+        for cycle in 0..self.cycles {
+            let words: Vec<u64> = (0..inputs.len())
+                .map(|index| stimulus_word(self.seed, cycle, index))
+                .collect();
+            for (lane, sim) in sims.iter_mut().enumerate() {
+                let mut assignment = InputAssignment::new();
+                for (&net, word) in inputs.iter().zip(&words) {
+                    assignment = assignment.with(net, (word >> (lane % 64)) & 1 == 1);
+                }
+                sim.step(assignment)?;
+            }
+            let settled = outputs
+                .iter()
+                .flat_map(|&out| pack_lanes(self.lanes, |lane| sims[lane].net_value(out)))
+                .collect();
+            if !visit(cycle, settled) {
+                return Ok(cycle + 1);
+            }
+        }
+        Ok(self.cycles)
     }
 }
 
@@ -159,135 +316,6 @@ fn lane_value((val, msk): (u64, u64), bit: usize) -> Tri {
     } else {
         Tri::Zero
     }
-}
-
-fn kernel_screen(
-    current: &Netlist,
-    candidate: &Rewrite,
-    cycles: u64,
-    lanes: usize,
-    seed: u64,
-) -> Result<ScreenOutcome, ReduceError> {
-    let prog_a = KernelProgram::compile(current)?;
-    let prog_b = KernelProgram::compile(&candidate.netlist)?;
-    let mode = kernel_eval_mode(XEval::default());
-    let mut state_a = prog_a.new_state(lanes, Tri::Zero);
-    let mut state_b = prog_b.new_state(lanes, Tri::Zero);
-    let words = state_a.words();
-    let inputs: Vec<(NetId, NetId)> = current
-        .inputs()
-        .iter()
-        .map(|&net| (net, candidate.map.new_net(net)))
-        .collect();
-    let outputs: Vec<(NetId, NetId)> = current
-        .outputs()
-        .iter()
-        .map(|&net| (net, candidate.map.output_net(net)))
-        .collect();
-    let mut diff = LatencyDiff::new(candidate.map.latency(), lanes);
-    for cycle in 0..cycles {
-        prog_a.begin_cycle(&mut state_a);
-        prog_b.begin_cycle(&mut state_b);
-        for (index, &(a, b)) in inputs.iter().enumerate() {
-            // Every word of the lane range repeats the same 64 stimulus bits.
-            let word = stimulus_word(seed, cycle, index);
-            for w in 0..words {
-                state_a.set_word(a, w, word);
-                state_b.set_word(b, w, word);
-            }
-        }
-        prog_a.eval(&mut state_a, mode);
-        prog_b.eval(&mut state_b, mode);
-        let reference = outputs
-            .iter()
-            .flat_map(|&(a, _)| (0..words).map(move |w| (a, w)))
-            .map(|(a, w)| state_a.word(a, w))
-            .collect();
-        let transformed: OutputWords = outputs
-            .iter()
-            .flat_map(|&(_, b)| (0..words).map(move |w| (b, w)))
-            .map(|(b, w)| state_b.word(b, w))
-            .collect();
-        let mismatch = diff.step(cycle, reference, &transformed, |output, lane| {
-            locate(current, outputs[output].0, lane)
-        });
-        if let Some(mismatch) = mismatch {
-            return Ok(ScreenOutcome {
-                accepted: false,
-                cycles: cycle + 1,
-                lanes,
-                mismatch: Some(mismatch),
-            });
-        }
-        prog_a.latch(&mut state_a);
-        prog_b.latch(&mut state_b);
-    }
-    Ok(ScreenOutcome {
-        accepted: true,
-        cycles,
-        lanes,
-        mismatch: None,
-    })
-}
-
-fn queue_screen(
-    current: &Netlist,
-    candidate: &Rewrite,
-    cycles: u64,
-    lanes: usize,
-    seed: u64,
-) -> Result<ScreenOutcome, ReduceError> {
-    let mut sims_a: Vec<ClockedSimulator<'_>> = (0..lanes)
-        .map(|_| ClockedSimulator::new(current, UnitDelay))
-        .collect::<Result<_, _>>()?;
-    let mut sims_b: Vec<ClockedSimulator<'_>> = (0..lanes)
-        .map(|_| ClockedSimulator::new(&candidate.netlist, UnitDelay))
-        .collect::<Result<_, _>>()?;
-    let inputs = current.inputs().to_vec();
-    let outputs = current.outputs().to_vec();
-    let mut diff = LatencyDiff::new(candidate.map.latency(), lanes);
-    for cycle in 0..cycles {
-        let words: Vec<u64> = (0..inputs.len())
-            .map(|index| stimulus_word(seed, cycle, index))
-            .collect();
-        for lane in 0..lanes {
-            let mut a = InputAssignment::new();
-            let mut b = InputAssignment::new();
-            for (index, &input) in inputs.iter().enumerate() {
-                let bit = (words[index] >> (lane % 64)) & 1 == 1;
-                a = a.with(input, bit);
-                b = b.with(candidate.map.new_net(input), bit);
-            }
-            sims_a[lane].step(a)?;
-            sims_b[lane].step(b)?;
-        }
-        let reference = outputs
-            .iter()
-            .flat_map(|&out| pack_lanes(lanes, |lane| sims_a[lane].net_value(out)))
-            .collect();
-        let transformed: OutputWords = outputs
-            .iter()
-            .map(|&out| candidate.map.output_net(out))
-            .flat_map(|out| pack_lanes(lanes, |lane| sims_b[lane].net_value(out)))
-            .collect();
-        let mismatch = diff.step(cycle, reference, &transformed, |output, lane| {
-            locate(current, outputs[output], lane)
-        });
-        if let Some(mismatch) = mismatch {
-            return Ok(ScreenOutcome {
-                accepted: false,
-                cycles: cycle + 1,
-                lanes,
-                mismatch: Some(mismatch),
-            });
-        }
-    }
-    Ok(ScreenOutcome {
-        accepted: true,
-        cycles,
-        lanes,
-        mismatch: None,
-    })
 }
 
 /// Packs one output's per-lane values into `(value, mask)` words.
@@ -303,9 +331,4 @@ fn pack_lanes(lanes: usize, value: impl Fn(usize) -> Value) -> OutputWords {
         }
     }
     words
-}
-
-/// `output `name` lane N`.
-fn locate(current: &Netlist, output: NetId, lane: usize) -> String {
-    format!("output `{}` lane {lane}", current.net(output).name())
 }

@@ -12,9 +12,11 @@
 #[allow(dead_code)]
 mod support;
 
+use std::collections::HashMap;
+
 use glitch_arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder};
 use glitch_netlist::{CellId, NetId, Netlist};
-use glitch_reduce::{screen_candidate, ScreenBackend, ScreenOutcome};
+use glitch_reduce::{screen_candidate, Screen, ScreenBackend, ScreenOutcome};
 use glitch_retime::{
     duplicate_driver, insert_buffer, pipeline_rewrite, NetMap, PipelineOptions, Rewrite,
 };
@@ -229,4 +231,33 @@ fn backends_locate_a_broken_second_output_identically() {
     );
     // XOR and OR differ only on `b = c = 1`.
     assert!(mismatch.ends_with(": Zero vs One"), "{mismatch}");
+}
+
+/// One [`Screen`] per backend, built once from the current netlist,
+/// checks a whole candidate set — good moves and a broken one — with the
+/// outcome a fresh `screen_candidate` returns for each candidate.
+#[test]
+fn one_screen_checks_several_candidates_like_fresh_screens() {
+    let netlist = ArrayMultiplier::new(3, AdderStyle::Gates).netlist;
+    let mut rewrites = candidates(&netlist);
+    // The unchanged multiplier under a misdeclared latency of one cycle.
+    let identity = (0..netlist.net_count()).map(NetId::from_index).collect();
+    rewrites.push(Rewrite {
+        map: NetMap::new(identity, HashMap::new(), 1),
+        netlist: netlist.clone(),
+        description: "a latency the rewrite does not add".to_string(),
+    });
+    assert!(rewrites.len() >= 5, "a real candidate set");
+    for backend in [ScreenBackend::Kernel, ScreenBackend::Queue] {
+        let screen = Screen::new(&netlist, backend, CYCLES, 100, SEED).expect("screen builds");
+        let mut rejected = 0;
+        for rewrite in &rewrites {
+            let shared = screen.check(rewrite).expect("screen runs");
+            let fresh = screen_candidate(&netlist, rewrite, backend, CYCLES, 100, SEED)
+                .expect("screen runs");
+            assert_eq!(shared, fresh, "`{}` on {backend:?}", rewrite.description);
+            rejected += usize::from(!shared.accepted);
+        }
+        assert_eq!(rejected, 1, "only the broken candidate is rejected");
+    }
 }

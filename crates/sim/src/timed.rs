@@ -13,8 +13,10 @@
 //!
 //! - every cycle is one lane, 64 to a word, in blocks of up to 256;
 //! - a lane starts from the previous cycle's functional settled state,
-//!   which one pass of the functional kernel provides (sequentially for
-//!   the flipflop states, lane-parallel for everything else);
+//!   which [`KernelProgram::settle_cycles`] provides for the whole block
+//!   at once: one evaluation without flipflops, one per register rank
+//!   (plus one) through a pipeline, the flipflop state carried from block
+//!   to block;
 //! - the probes are filled in bulk, with no per-transition hook dispatch:
 //!   the extra ones through [`Probe::record_timed`] with a [`TimedRun`].
 //!
@@ -123,9 +125,8 @@ pub(crate) fn run_timed(
     let mut start = vec![Tri::X; inputs.len()];
     let mut pushes = vec![0u32; inputs.len()];
     let mut touched = Vec::new();
-    // The sequential functional pass that yields each cycle's flipflop
-    // outputs; combinational circuits need none.
-    let mut sequential = (!program.dffs().is_empty()).then(|| program.new_state(1, dff_init));
+    // The flipflop state entering each block's first cycle.
+    let mut carry = program.power_on_state(dff_init);
     let mut before = program.new_state(1, Tri::X);
     let bulk = !extra_probes.is_empty();
     let mut tally = TimedTally::new(n);
@@ -177,19 +178,8 @@ pub(crate) fn run_timed(
             for (&net, &bit) in inputs.iter().zip(&value) {
                 settled.set(net, lane, bit);
             }
-            if let Some(state) = sequential.as_mut() {
-                program.begin_cycle(state);
-                for dff in program.dffs() {
-                    settled.set(dff.q(), lane, state.get(dff.q(), 0));
-                }
-                for (&net, &bit) in inputs.iter().zip(&value) {
-                    state.set(net, 0, bit);
-                }
-                program.eval(state, mode);
-                program.latch(state);
-            }
         }
-        program.eval(&mut settled, mode);
+        carry = program.settle_cycles(&mut settled, &carry, mode).next_state;
         let cycle_lanes = CycleLanes {
             before: &before,
             settled: &settled,

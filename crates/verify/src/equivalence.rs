@@ -9,11 +9,15 @@
 //! under any delay model, and including three-valued `x_init` runs where
 //! uninitialised flipflops power on `X`.
 //!
-//! The check is differential, not symbolic: both netlists are settled
-//! cycle by cycle on their compiled [`KernelProgram`]s (one lane each) on
-//! seeded random stimulus, so a passing verdict is a statement about the
-//! compared cycles (like the repo's other oracles), and any mismatch comes
-//! back located — output, cycle, both values — ready for shrinking.
+//! The check is differential, not symbolic: both netlists are settled on
+//! their compiled [`KernelProgram`]s on seeded random stimulus, so a
+//! passing verdict is a statement about the compared cycles (like the
+//! repo's other oracles), and any mismatch comes back located — output,
+//! cycle, both values — ready for shrinking. Consecutive cycles are the
+//! lanes of [`KernelProgram::settle_cycles`] blocks of up to 256, the
+//! flipflop state carried from block to block; the transformed side runs
+//! `latency` cycles ahead, so the outputs compare a 64-cycle word at a
+//! time.
 //!
 //! Settled end-of-cycle values do not depend on the delays under the
 //! simulator's pure-delay models (glitches are transient), so the
@@ -23,17 +27,21 @@
 //! `crates/verify/tests/equivalence_oracle.rs` pins every outcome field
 //! against that event-driven co-simulation.
 
-use std::collections::VecDeque;
-
 use glitch_netlist::{Bus, NetId, Netlist, Tri};
 use glitch_sim::{
-    kernel_eval_mode, DelayKind, KernelProgram, RandomStimulus, SimError, SimOptions, Value,
+    kernel_eval_mode, DelayKind, EvalMode, KernelProgram, KernelState, RandomStimulus, SimError,
+    SimOptions, Value,
 };
 
 /// Maximum input-bus width the stimulus generator is fed — mirrors the
 /// CLI's bus chunking so equivalence runs see the same shape of stimulus
 /// as analysis runs.
 const STIMULUS_BUS_WIDTH: usize = 32;
+
+/// Cycles settled per kernel block: the lanes of one
+/// [`KernelProgram::settle_cycles`] call, which bounds each side's planes
+/// however many cycles run.
+const BLOCK_CYCLES: u64 = 256;
 
 /// Ways an equivalence-checker construction can be rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,7 +300,10 @@ impl<'a> EquivalenceChecker<'a> {
     }
 
     /// The co-simulation behind [`EquivalenceChecker::check`], on
-    /// precompiled programs.
+    /// precompiled programs: each side settles its cycles as the lanes of
+    /// [`KernelProgram::settle_cycles`] blocks, the transformed side
+    /// `latency` cycles ahead, so original lane `c` and transformed lane
+    /// `c + latency` sit at the same lane and compare word by word.
     fn settle(
         &self,
         [program_a, program_b]: &[KernelProgram; 2],
@@ -300,66 +311,73 @@ impl<'a> EquivalenceChecker<'a> {
         seed: u64,
         options: SimOptions,
     ) -> EquivalenceOutcome {
+        let latency = self.latency as u64;
+        let Some(window) = cycles.checked_sub(latency).filter(|&window| window > 0) else {
+            return EquivalenceOutcome {
+                cycles,
+                compared: 0,
+                mismatch: None,
+            };
+        };
         let mode = kernel_eval_mode(options.x_eval);
         let dff_init = Tri::from(options.dff_init);
-        let mut original = program_a.new_state(1, dff_init);
-        let mut transformed = program_b.new_state(1, dff_init);
         // Dense original-net → counterpart table; the first pair for a net
         // wins, as a lookup through the pair list would.
-        let mut counterpart = vec![None; self.original.net_count()];
+        let mut counterpart: Vec<Option<NetId>> = vec![None; self.original.net_count()];
         for &(old, new) in self.inputs.iter().rev() {
             if let Some(slot) = counterpart.get_mut(old.index()) {
                 *slot = Some(new);
             }
         }
-        let mut stimulus = RandomStimulus::new(self.stimulus_buses(), cycles, seed);
-        let mut history: VecDeque<Vec<Value>> = VecDeque::with_capacity(self.latency + 1);
-        let mut compared = 0u64;
-        for cycle in 0..cycles {
-            let assignment = stimulus
-                .next()
-                .expect("the stimulus covers the requested cycles");
-            program_a.begin_cycle(&mut original);
-            program_b.begin_cycle(&mut transformed);
-            for &(net, value) in assignment.assignments() {
-                let mapped =
-                    counterpart[net.index()].expect("constructor checked every input is mapped");
-                original.set_bool(net, 0, value);
-                transformed.set_bool(mapped, 0, value);
-            }
-            program_a.eval(&mut original, mode);
-            program_b.eval(&mut transformed, mode);
-            history.push_back(
-                self.outputs
+        let stimulus = || RandomStimulus::new(self.stimulus_buses(), cycles, seed);
+        let mut original = Side::new(program_a, stimulus(), dff_init);
+        let mut transformed = Side::new(program_b, stimulus(), dff_init);
+        let mut ahead = 0;
+        while ahead < latency {
+            let lanes = (latency - ahead).min(BLOCK_CYCLES);
+            transformed.settle(lanes, mode, |net| counterpart[net.index()]);
+            ahead += lanes;
+        }
+        let mut done = 0u64;
+        while done < window {
+            let lanes = (window - done).min(BLOCK_CYCLES);
+            let a = original.settle(lanes, mode, Some);
+            let b = transformed.settle(lanes, mode, |net| counterpart[net.index()]);
+            for w in 0..a.words() {
+                // The lowest diverging lane of the word, then the first
+                // output diverging there.
+                let first = self
+                    .outputs
                     .iter()
-                    .map(|&(old, _)| Value::from(original.get(old, 0)))
-                    .collect(),
-            );
-            if cycle >= self.latency as u64 {
-                let expected = history.pop_front().expect("ring holds latency+1 entries");
-                for (index, &(old, new)) in self.outputs.iter().enumerate() {
-                    let got = Value::from(transformed.get(new, 0));
-                    compared += 1;
-                    if got != expected[index] {
-                        return EquivalenceOutcome {
-                            cycles: cycle + 1,
-                            compared,
-                            mismatch: Some(EquivalenceMismatch {
-                                output: self.original.net(old).name().to_string(),
-                                cycle: cycle - self.latency as u64,
-                                original: expected[index],
-                                transformed: got,
-                            }),
-                        };
-                    }
+                    .enumerate()
+                    .filter_map(|(index, &(old, new))| {
+                        let (va, ma) = a.word(old, w);
+                        let (vb, mb) = b.word(new, w);
+                        let diff = (va ^ vb) | (ma ^ mb);
+                        (diff != 0).then(|| (diff.trailing_zeros(), index))
+                    })
+                    .min();
+                if let Some((bit, index)) = first {
+                    let lane = 64 * w + bit as usize;
+                    let (old, new) = self.outputs[index];
+                    let cycle = done + lane as u64;
+                    return EquivalenceOutcome {
+                        cycles: cycle + latency + 1,
+                        compared: cycle * self.outputs.len() as u64 + index as u64 + 1,
+                        mismatch: Some(EquivalenceMismatch {
+                            output: self.original.net(old).name().to_string(),
+                            cycle,
+                            original: Value::from(a.get(old, lane)),
+                            transformed: Value::from(b.get(new, lane)),
+                        }),
+                    };
                 }
             }
-            program_a.latch(&mut original);
-            program_b.latch(&mut transformed);
+            done += lanes;
         }
         EquivalenceOutcome {
             cycles,
-            compared,
+            compared: window * self.outputs.len() as u64,
             mismatch: None,
         }
     }
@@ -400,6 +418,52 @@ impl<'a> EquivalenceChecker<'a> {
             })
             .collect();
         Ok(EquivalenceReport { checks })
+    }
+}
+
+/// One side of the co-simulation: its program, its copy of the stimulus
+/// stream and the flipflop state entering its next cycle.
+struct Side<'p> {
+    program: &'p KernelProgram,
+    stimulus: RandomStimulus,
+    dff_init: Tri,
+    carry: Vec<Tri>,
+}
+
+impl<'p> Side<'p> {
+    fn new(program: &'p KernelProgram, stimulus: RandomStimulus, dff_init: Tri) -> Self {
+        Side {
+            program,
+            stimulus,
+            dff_init,
+            carry: program.power_on_state(dff_init),
+        }
+    }
+
+    /// Settles the next `lanes` cycles, one lane each, driving every
+    /// assigned input through `map`, and returns their planes.
+    fn settle(
+        &mut self,
+        lanes: u64,
+        mode: EvalMode,
+        map: impl Fn(NetId) -> Option<NetId>,
+    ) -> KernelState {
+        let mut state = self.program.new_state(lanes as usize, self.dff_init);
+        for lane in 0..lanes as usize {
+            let assignment = self
+                .stimulus
+                .next()
+                .expect("the stimulus covers the requested cycles");
+            for &(net, value) in assignment.assignments() {
+                let net = map(net).expect("constructor checked every input is mapped");
+                state.set_bool(net, lane, value);
+            }
+        }
+        self.carry = self
+            .program
+            .settle_cycles(&mut state, &self.carry, mode)
+            .next_state;
+        state
     }
 }
 

@@ -8,12 +8,15 @@
 //! values do not depend on the delays, so the two must agree on the whole
 //! [`EquivalenceOutcome`] — cycles run, values compared, and the located
 //! mismatch with both values — for every delay model, binary and `x_init`.
+//! The 300-cycle cases outrun one 256-cycle block of the kernel settle: a
+//! comparison window across the block boundary, a mismatch located past
+//! it, and latencies as long as the run.
 
 mod support;
 
 use glitch_arith::{AdderStyle, ArrayMultiplier};
 use glitch_io::{parse_netlist, Format, GateLibrary};
-use glitch_netlist::{DffInit, Netlist};
+use glitch_netlist::{CellKind, DffInit, Netlist};
 use glitch_retime::{pipeline_netlist, PipelineOptions};
 use glitch_sim::{DelayKind, SimOptions, Value};
 use glitch_verify::{EquivalenceChecker, EquivalenceOutcome};
@@ -44,10 +47,20 @@ fn assert_matches_oracle(
     transformed: &Netlist,
     checker: &EquivalenceChecker<'_>,
 ) -> Vec<EquivalenceOutcome> {
+    assert_matches_oracle_at(original, transformed, checker, CYCLES)
+}
+
+/// [`assert_matches_oracle`] over `cycles` cycles.
+fn assert_matches_oracle_at(
+    original: &Netlist,
+    transformed: &Netlist,
+    checker: &EquivalenceChecker<'_>,
+    cycles: u64,
+) -> Vec<EquivalenceOutcome> {
     let delays = delays();
     let mut outcomes = Vec::new();
     for seed in [1, 77, 12345] {
-        let report = checker.verify(&delays, CYCLES, seed).unwrap();
+        let report = checker.verify(&delays, cycles, seed).unwrap();
         assert_eq!(report.checks.len(), delays.len() * 2);
         for (check, (delay, options)) in report.checks.iter().zip(delays.iter().flat_map(|delay| {
             [
@@ -56,8 +69,8 @@ fn assert_matches_oracle(
             ]
         })) {
             let oracle =
-                event_check(original, transformed, checker, delay, CYCLES, seed, options).unwrap();
-            let fast = checker.check(delay, CYCLES, seed, options).unwrap();
+                event_check(original, transformed, checker, delay, cycles, seed, options).unwrap();
+            let fast = checker.check(delay, cycles, seed, options).unwrap();
             let context = format!(
                 "{} vs {}: delay {delay:?}, {options:?}, seed {seed}",
                 original.name(),
@@ -171,4 +184,105 @@ fn unknown_flipflop_state_is_located_identically() {
         .mismatch
         .as_ref()
         .is_some_and(|m| m.transformed == Value::X)));
+}
+
+/// Cycles of the cases that outrun one 256-lane block.
+const LONG_CYCLES: u64 = 300;
+
+/// `y = XOR(q8, a)` with `q` a free-running 9-bit counter whose flipflops
+/// power on at `start`, and `y` observed through `latency` registers.
+fn counter_xor(start: u64, latency: usize) -> Netlist {
+    let mut nl = Netlist::new("counter xor");
+    let a = nl.add_input("a");
+    let q: Vec<_> = (0..9).map(|i| nl.add_net(format!("q{i}"))).collect();
+    let mut carry = nl.constant(true, "one");
+    for (i, &qi) in q.iter().enumerate() {
+        let d = nl.xor2(qi, carry, &format!("d{i}"));
+        carry = nl.and2(qi, carry, &format!("c{i}"));
+        nl.add_cell(CellKind::Dff, format!("ff{i}"), vec![d], vec![qi])
+            .expect("a counter bit");
+    }
+    let cells: Vec<_> = nl.dff_cells().collect();
+    for (i, cell) in cells.into_iter().enumerate() {
+        let init = if start >> i & 1 == 1 {
+            DffInit::One
+        } else {
+            DffInit::Zero
+        };
+        nl.set_dff_init(cell, init);
+    }
+    let y = nl.xor2(q[8], a, "y");
+    let observed = nl.dff_chain(y, latency, "y_pipe");
+    nl.mark_output(observed);
+    nl
+}
+
+/// A checker of `counter_xor(0, 0)` against `transformed` at `latency`.
+fn counter_checker<'a>(
+    original: &'a Netlist,
+    transformed: &'a Netlist,
+    latency: usize,
+) -> EquivalenceChecker<'a> {
+    let inputs = vec![(original.inputs()[0], transformed.inputs()[0])];
+    let outputs = vec![(original.outputs()[0], transformed.outputs()[0])];
+    EquivalenceChecker::new(original, transformed, inputs, outputs, latency).unwrap()
+}
+
+/// The transformed side's counter runs one count ahead, so the sides
+/// first disagree at original cycle 255, the last lane of the first
+/// block, compared two cycles later against transformed cycle 257, in
+/// the second. The pipelined multiplier compares across the same
+/// boundary and passes.
+#[test]
+fn a_latency_window_across_lane_256_matches_the_event_co_simulation() {
+    let original = counter_xor(0, 0);
+    let ahead = counter_xor(1, 2);
+    let checker = counter_checker(&original, &ahead, 2);
+    for outcome in assert_matches_oracle_at(&original, &ahead, &checker, LONG_CYCLES) {
+        let mismatch = outcome.mismatch.expect("the counters disagree on bit 8");
+        assert_eq!((mismatch.cycle, outcome.cycles), (255, 258));
+        assert_eq!(outcome.compared, 256);
+    }
+    let in_step = counter_xor(0, 2);
+    let checker = counter_checker(&original, &in_step, 2);
+    let outcomes = assert_matches_oracle_at(&original, &in_step, &checker, LONG_CYCLES);
+    assert!(outcomes.iter().all(EquivalenceOutcome::passed));
+
+    let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell).netlist;
+    let piped = pipeline_netlist(&mult, 4, PipelineOptions::default()).unwrap();
+    let map = &piped.mapping;
+    let checker = EquivalenceChecker::new(
+        &mult,
+        &piped.netlist,
+        mult.inputs().iter().map(|&n| (n, map.new_net(n))).collect(),
+        mult.outputs()
+            .iter()
+            .map(|&n| (n, map.output_net(n)))
+            .collect(),
+        map.latency(),
+    )
+    .unwrap();
+    let outcomes = assert_matches_oracle_at(&mult, &piped.netlist, &checker, LONG_CYCLES);
+    assert!(outcomes.iter().all(EquivalenceOutcome::passed));
+}
+
+/// A latency at least as long as the run compares nothing; one just
+/// short of it compares the few cycles left after settling the
+/// transformed side through more than one block.
+#[test]
+fn a_latency_beyond_the_run_compares_nothing_like_the_event_co_simulation() {
+    let original = counter_xor(0, 0);
+    for latency in [280, 300, 301] {
+        let delayed = counter_xor(0, latency);
+        let checker = counter_checker(&original, &delayed, latency);
+        for outcome in assert_matches_oracle_at(&original, &delayed, &checker, LONG_CYCLES) {
+            assert!(outcome.passed(), "latency {latency}");
+            assert_eq!(outcome.cycles, LONG_CYCLES);
+            assert_eq!(
+                outcome.compared,
+                LONG_CYCLES.saturating_sub(latency as u64),
+                "latency {latency}"
+            );
+        }
+    }
 }
