@@ -1,17 +1,13 @@
 //! Daemon round-trip latency and throughput over the JSON-lines
 //! protocol, against a real `glitch-serve` instance on a loopback port.
 //!
-//! - `flip_cold` vs `flip_warm`: the same `flip` request with a fresh
-//!   baseline key each time (cold: parse hit, baseline recorded) against
-//!   a pinned key (warm: baseline served from the cache, only the dirty
-//!   cone re-simulates). Warm must come in below cold — that gap is the
-//!   cache's whole reason to exist.
+//! - `flip_repeat`: the same `flip` request again and again — a netlist
+//!   and program cache hit, then the configured and the flipped run.
 //! - `replay_N_clients`: N concurrent clients each replaying the same
 //!   short request trace (analyze, flip, check), measuring how the
 //!   worker pool absorbs parallel load.
 
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -60,27 +56,12 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let file = counter4();
     let mut group = c.benchmark_group("serve_throughput");
 
-    // Cold: a fresh stimulus seed per iteration gives every request its
-    // own baseline key, so each one pays the full recording pass.
-    let cold_seed = AtomicU64::new(1);
-    let mut cold_client = Client::connect(port).expect("connect");
-    group.bench_function("flip_cold", |b| {
-        b.iter(|| {
-            let seed = cold_seed.fetch_add(1, Ordering::Relaxed);
-            let request = format!(
-                r#"{{"op":"flip","file":"{file}","cycles":100,"seed":{seed},"flips":"1:en"}}"#
-            );
-            must_succeed(&cold_client.request(&request).expect("request"));
-        })
-    });
-
-    // Warm: one pinned key — after the priming request every iteration
-    // is a baseline hit plus the incremental dirty-cone replay.
-    let warm = format!(r#"{{"op":"flip","file":"{file}","cycles":100,"flips":"1:en"}}"#);
-    let mut warm_client = Client::connect(port).expect("connect");
-    must_succeed(&warm_client.request(&warm).expect("prime"));
-    group.bench_function("flip_warm", |b| {
-        b.iter(|| must_succeed(&warm_client.request(&warm).expect("request")))
+    // After the priming request every iteration hits the netlist cache.
+    let flip = format!(r#"{{"op":"flip","file":"{file}","cycles":100,"flips":"1:en"}}"#);
+    let mut flip_client = Client::connect(port).expect("connect");
+    must_succeed(&flip_client.request(&flip).expect("prime"));
+    group.bench_function("flip_repeat", |b| {
+        b.iter(|| must_succeed(&flip_client.request(&flip).expect("request")))
     });
 
     // Concurrent replay: every client runs the same mixed trace.

@@ -88,7 +88,7 @@ fn access_log_and_windowed_histograms_cost_less_than_five_percent() {
     let mut bare = Client::connect(bare_port).expect("connect");
     let mut logged = Client::connect(logged_port).expect("connect");
 
-    // Prime both caches so every timed request is a warm baseline hit.
+    // Prime both caches so every timed request is a warm netlist hit.
     time_warm_flips(&mut bare, &request);
     time_warm_flips(&mut logged, &request);
 

@@ -1,31 +1,25 @@
 //! The subcommands: parse, stats, analyze, simulate, power, sweep, check,
 //! retime, reduce.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
-use glitch_core::netlist::{ConeIndex, DotOptions, Netlist};
+use glitch_core::netlist::{DotOptions, Netlist};
 use glitch_core::retime::{pipeline_netlist, PipelineOptions};
 use glitch_core::sim::{
-    Probe, RandomStimulus, SessionReport, SimBaseline, SimSession, UnitDelay, VcdProbe,
-    WaveCsvProbe, WindowedActivityProbe,
+    Probe, RandomStimulus, SessionReport, SimSession, UnitDelay, VcdProbe, WaveCsvProbe,
+    WindowedActivityProbe,
 };
 use glitch_core::verify::{Verdict, VerifyReport};
 use glitch_core::{
-    Analysis, AnalysisConfig, DeltaAnalysis, GlitchAnalyzer, IncrementalStats, KernelProgram,
-    TextTable,
+    AggregateAnalysis, Analysis, AnalysisConfig, GlitchAnalyzer, KernelProgram, TextTable,
 };
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
-use glitch_serve::cache::BaselineEntry;
-use glitch_serve::exec::{
-    exec, record_baseline, replay_baseline, Hooks, JobOutput, ProgressLines, Resources,
-};
+use glitch_serve::exec::{exec, Hooks, JobOutput, ProgressLines, Resources};
 use glitch_serve::json::JsonObject;
 use glitch_serve::params::{self, input_buses, AppliedFlip, ParamError};
-use glitch_serve::report;
 use glitch_serve::{JobKind, JobRequest};
 
 use crate::args::{Args, Spec};
@@ -55,8 +49,9 @@ commands:
                                    it can fill in bulk (analyze/power at
                                    any --seeds without --window or
                                    per-transition artefacts, every
-                                   sweep, reduce scoring, and check
-                                   without --budget/--stable/--flip) on
+                                   sweep and input flip, reduce
+                                   scoring, and check without
+                                   --budget/--stable) on
                                    the timed bit-parallel kernel when every
                                    non-constant delay is >= 1 (or all are
                                    0) and the settle budget covers the
@@ -84,22 +79,12 @@ commands:
                                    report the aggregate with spread [1]
               --jobs <n>           worker threads for the multi-seed sweep
                                    [min(seeds, hardware threads)]
-              --flip <list>        incremental fast path: record the run as
-                                   a baseline, then re-simulate it with the
-                                   listed input bits changed (comma list of
+              --flip <list>        input flips: report the configured run
+                                   (the baseline) and one more full run
+                                   of the same stimulus with the listed
+                                   input bits changed (comma list of
                                    cycle:net or cycle:net=0|1; without =v
-                                   the baseline value is inverted). Only
-                                   dirty fanout cones re-evaluate; clean
-                                   cycles replay from the baseline, with
-                                   results bit-identical to a full rerun
-              --baseline <file>    with --flip: persist the recorded
-                                   baseline to <file> on first use and
-                                   load it (skipping the re-recording
-                                   pass) on later runs. The file is
-                                   validated against the netlist (incl.
-                                   a structural fingerprint), cycle
-                                   count, delay model, simulator options
-                                   and the regenerated seeded stimulus
+                                   the baseline value is inverted)
             (every artefact is recorded by a probe on the same single
             simulation pass — no re-simulation per output; each seed is
             one job of the same engine dispatch, fanned across --jobs
@@ -116,16 +101,15 @@ commands:
               --seeds <n>          seeds per delay model [1]
               --jobs <n>           worker threads [min(jobs needed, cores)]
               --cycles/--seed/--frequency-mhz/--tech/--json as above
-            or sweep input-flip sensitivity instead: one baseline, one
-            incremental re-simulation per flipped input (nearby jobs
-            share the recorded baseline and its fanout-cone index)
+            or sweep input-flip sensitivity instead: the configured run
+            (the baseline), then one full run per flipped input
               --flip-inputs <list> comma list of input net names, or `all`
               --flip-cycle <k>     cycle to flip each input in [0]
               --delay/--cycles/--seed/--jobs/--json as above
               --engine <name>      as in analyze; a sweep compares delay
                                    models, so `kernel` degrades to
                                    `hybrid`; --flip-inputs refuses
-                                   `kernel` (the replay is event-driven)
+                                   `kernel` (zero delay has no glitches)
             the daemon's `sweep` op takes the same fields (`delays`,
             `flip_inputs`, `flip_cycle`, ...) and answers with the same
             --json line
@@ -150,10 +134,10 @@ commands:
                                    net@from..to (inclusive cycle range)
               --seeds/--jobs       multi-seed parallel checking; verdicts
                                    are bit-identical at any --jobs count
-              --flip <list>        re-check with flipped input bits via
-                                   the incremental fast path (verdicts
-                                   bit-identical to a full re-run);
-                                   single-seed, as analyze --flip
+              --flip <list>        check the configured run and one more
+                                   run with flipped input bits, and
+                                   report both verdicts; single-seed, as
+                                   analyze --flip
               --strict             exit with an error when the verdict
                                    is FAIL
               --engine <name>      as in analyze: hybrid settles the
@@ -201,8 +185,8 @@ commands:
               --cycles/--seed/--delay/--tech/--frequency-mhz/--json
                                    as above
   serve     run the batch-analysis daemon: a JSON-lines protocol on a
-            loopback TCP socket, with parsed netlists, cone indexes and
-            recorded baselines kept warm in a content-addressed cache.
+            loopback TCP socket, with parsed netlists and compiled
+            kernel programs kept warm in a content-addressed cache.
             Jobs run through the same executor as the one-shot commands,
             so responses are byte-identical to the matching --json output.
             Request lines are capped at 64 KiB. Takes no netlist argument
@@ -247,8 +231,8 @@ telemetry options (analyze, power, sweep, check, reduce):
                        text (alone implies --metrics; printed last on
                        stdout, so scripts can parse the final line)
   --trace-out <FILE>   write a Chrome trace-event JSON of the command's
-                       timing spans (parse, cone-index, simulate, merge,
-                       per-shard bars); open in Perfetto or
+                       timing spans (parse, simulate, merge, per-shard
+                       bars); open in Perfetto or
                        chrome://tracing. Wall-clock — not deterministic";
 
 /// Errors surfaced to `main`.
@@ -395,67 +379,13 @@ fn job_request(args: &Args, path: &str) -> Result<JobRequest, CliError> {
 }
 
 /// The one-shot [`Resources`]: each built on demand for this one job.
-/// With `--baseline FILE` the flip baseline is loaded from FILE when it
-/// exists (skipping the recording pass) and recorded into it when not;
-/// `note` says which happened.
-struct Fresh<'a> {
-    netlist: &'a Netlist,
-    baseline_file: Option<&'a str>,
-    note: RefCell<Option<String>>,
-}
-
-impl<'a> Fresh<'a> {
-    fn new(netlist: &'a Netlist) -> Fresh<'a> {
-        Fresh {
-            netlist,
-            baseline_file: None,
-            note: RefCell::new(None),
-        }
-    }
-}
+struct Fresh<'a>(&'a Netlist);
 
 impl Resources for Fresh<'_> {
     fn program(&self) -> Result<Arc<KernelProgram>, String> {
-        KernelProgram::compile(self.netlist)
+        KernelProgram::compile(self.0)
             .map(Arc::new)
             .map_err(|e| format!("kernel compile failed: {e}"))
-    }
-
-    fn cone_index(&self) -> Result<Arc<ConeIndex>, String> {
-        ConeIndex::build(self.netlist)
-            .map(Arc::new)
-            .map_err(|e| e.to_string())
-    }
-
-    fn baseline(&self, analyzer: &GlitchAnalyzer) -> Result<Arc<BaselineEntry>, String> {
-        let netlist = self.netlist;
-        let (before, baseline) = match self.baseline_file {
-            Some(file) if Path::new(file).exists() => {
-                let baseline = SimBaseline::load(file).map_err(|e| format!("{file}: {e}"))?;
-                if let Some(reason) =
-                    params::baseline_mismatch(&baseline, netlist, analyzer.config())
-                {
-                    return Err(format!("{file}: {reason}"));
-                }
-                let before = replay_baseline(analyzer, netlist, &baseline)
-                    .map_err(|e| format!("{file}: {e}"))?;
-                *self.note.borrow_mut() = Some(format!(
-                    "loaded baseline from {file} (re-recording skipped)"
-                ));
-                (before, baseline)
-            }
-            Some(file) => {
-                let (before, baseline) = record_baseline(analyzer, netlist)?;
-                baseline.save(file).map_err(|e| format!("{file}: {e}"))?;
-                *self.note.borrow_mut() = Some(format!("wrote baseline to {file}"));
-                (before, baseline)
-            }
-            None => record_baseline(analyzer, netlist)?,
-        };
-        Ok(Arc::new(BaselineEntry {
-            baseline: Arc::new(baseline),
-            before: Arc::new(before),
-        }))
     }
 }
 
@@ -583,7 +513,6 @@ const ANALYZE_SPEC: Spec = Spec {
         "window-csv",
         "dot",
         "flip",
-        "baseline",
         "trace-out",
     ],
     flags: &["json", "metrics-json"],
@@ -597,7 +526,7 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
         let _span = telemetry.span("parse");
         load(&args)?
     };
-    telemetry.cone_index_phase(&netlist);
+    telemetry.netlist_gauges(&netlist);
     // Resolve every CLI-side option before simulating, so a bad value
     // fails cleanly instead of after half a report.
     let request = job_request(&args, &path)?;
@@ -612,11 +541,6 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
         }
         JobKind::Flip
     } else {
-        if args.option("baseline").is_some() {
-            return Err(CliError::Usage(
-                "--baseline persists the --flip fast path's baseline; add --flip <list>".into(),
-            ));
-        }
         if request.seeds.is_some_and(|seeds| seeds > 1) {
             for flag in ["vcd", "wave-csv"] {
                 if args.option(flag).is_some() {
@@ -654,15 +578,11 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
             .take_probe::<WaveCsvProbe>()
             .map(WaveCsvProbe::into_csv);
     };
-    let resources = Fresh {
-        baseline_file: args.option("baseline"),
-        ..Fresh::new(&netlist)
-    };
     let output = exec(
         kind,
         &request,
         &netlist,
-        &resources,
+        &Fresh(&netlist),
         &mut telemetry.sink(),
         Hooks {
             probes: Some(&probes),
@@ -677,9 +597,6 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
         println!("== {path}: `{}` ==", netlist.name());
         print!("{}", netlist.stats());
         println!();
-        if let Some(note) = resources.note.borrow().as_ref() {
-            println!("{note}");
-        }
         print_analyze_text(&output);
     }
     let (activity, windowed) = match &output {
@@ -688,7 +605,7 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
             windowed,
             ..
         } => (&aggregate.activity, windowed.as_ref()),
-        JobOutput::Flip { after, .. } => (&after.analysis.activity, None),
+        JobOutput::Flip { after, .. } => (&after.activity, None),
         _ => unreachable!("analyze jobs produce analyze output"),
     };
     if let Some(csv_path) = args.option("csv") {
@@ -705,8 +622,7 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
     telemetry.finish()
 }
 
-/// The text report of an `analyze` job, after the netlist header (and the
-/// `--baseline` note).
+/// The text report of an `analyze` job, after the netlist header.
 fn print_analyze_text(output: &JobOutput) {
     match output {
         JobOutput::Analyze {
@@ -759,20 +675,12 @@ fn print_analyze_text(output: &JobOutput) {
         }
         JobOutput::Flip {
             applied,
-            baseline,
+            before,
             after,
         } => {
-            let before = &baseline.before;
-            let baseline = &baseline.baseline;
-            println!(
-                "baseline: {} cycles recorded ({} cell evaluations)",
-                baseline.cycle_count(),
-                baseline.total_cell_evals()
-            );
             for (name, cycle, value) in applied {
                 println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
             }
-            println!("{}", incremental_line(&after.incremental));
             println!();
             let mut table = TextTable::new(vec![
                 "run",
@@ -784,11 +692,7 @@ fn print_analyze_text(output: &JobOutput) {
             ]);
             for (label, totals, power) in [
                 ("baseline", before.activity.totals(), &before.power),
-                (
-                    "flipped",
-                    after.analysis.activity.totals(),
-                    &after.analysis.power,
-                ),
+                ("flipped", after.activity.totals(), &after.power),
             ] {
                 table.add_row(vec![
                     label.to_string(),
@@ -800,10 +704,6 @@ fn print_analyze_text(output: &JobOutput) {
                 ]);
             }
             print!("{table}");
-            println!(
-                "(flipped-run figures are bit-identical to a full re-simulation \
-                 of the changed stimulus)"
-            );
         }
         _ => unreachable!("analyze jobs produce analyze output"),
     }
@@ -840,19 +740,6 @@ fn write_window_csv(
         write_file(path, &probe.to_csv())?;
     }
     Ok(())
-}
-
-/// The "re-evaluated N% of cells" line every incremental fast path prints.
-fn incremental_line(stats: &IncrementalStats) -> String {
-    format!(
-        "incremental re-simulation: re-evaluated {:.1}% of cells \
-         ({} of {} cell evaluations); replayed {} of {} cycles",
-        stats.evaluated_fraction() * 100.0,
-        stats.cells_evaluated,
-        stats.baseline_cell_evals,
-        stats.replayed_cycles,
-        stats.total_cycles()
-    )
 }
 
 const SIMULATE_SPEC: Spec = Spec {
@@ -930,13 +817,13 @@ fn cmd_power(raw: &[String]) -> Result<(), CliError> {
         let _span = telemetry.span("parse");
         load(&args)?
     };
-    telemetry.cone_index_phase(&netlist);
+    telemetry.netlist_gauges(&netlist);
     let request = job_request(&args, &path)?;
     let output = exec(
         JobKind::Analyze,
         &request,
         &netlist,
-        &Fresh::new(&netlist),
+        &Fresh(&netlist),
         &mut telemetry.sink(),
         Hooks::default(),
     )?;
@@ -993,13 +880,13 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
         let _span = telemetry.span("parse");
         load(&args)?
     };
-    telemetry.cone_index_phase(&netlist);
+    telemetry.netlist_gauges(&netlist);
     let request = job_request(&args, &path)?;
     let output = exec(
         JobKind::Sweep,
         &request,
         &netlist,
-        &Fresh::new(&netlist),
+        &Fresh(&netlist),
         &mut telemetry.sink(),
         Hooks::default(),
     )?;
@@ -1011,11 +898,11 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
         cycle,
         jobs,
         applied,
-        baseline,
+        before,
         points,
     } = &output
     {
-        print_flip_sweep(&netlist, *cycle, *jobs, applied, baseline, points);
+        print_flip_sweep(&netlist, *cycle, *jobs, applied, before, points);
         return telemetry.finish();
     }
     let JobOutput::Sweep {
@@ -1062,52 +949,39 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
 }
 
 /// The text form of `sweep --flip-inputs`: one row per flipped input
-/// against the shared baseline.
+/// against the configured run.
 fn print_flip_sweep(
     netlist: &Netlist,
     cycle: u64,
     jobs: usize,
     applied: &[AppliedFlip],
-    baseline: &BaselineEntry,
-    points: &[DeltaAnalysis],
+    before: &AggregateAnalysis,
+    points: &[AggregateAnalysis],
 ) {
-    let base_useless = baseline.before.activity.totals().useless;
+    let base_useless = before.activity.totals().useless;
     println!(
         "input-flip sensitivity sweep of `{}`: {} inputs flipped in cycle \
-         {cycle} on {jobs} jobs, one shared baseline of {} cycles",
+         {cycle} on {jobs} jobs, against a baseline of {} cycles",
         netlist.name(),
         points.len(),
-        baseline.baseline.cycle_count()
-    );
-    println!(
-        "per-flip mean {}",
-        incremental_line(&report::per_flip_mean(points))
+        before.total_cycles()
     );
     println!();
-    let mut table = TextTable::new(vec![
-        "input",
-        "flip",
-        "useless",
-        "d useless",
-        "total (mW)",
-        "re-eval %",
-    ]);
+    let mut table = TextTable::new(vec!["input", "flip", "useless", "d useless", "total (mW)"]);
     for ((name, _, value), point) in applied.iter().zip(points) {
-        let useless = point.analysis.activity.totals().useless;
+        let useless = point.activity.totals().useless;
         table.add_row(vec![
             name.clone(),
             format!("->{}", u8::from(*value)),
             useless.to_string(),
             format!("{:+}", useless as i64 - base_useless as i64),
-            format!("{:.3}", point.analysis.power.breakdown.total() * 1e3),
-            format!("{:.1}", point.incremental.evaluated_fraction() * 100.0),
+            format!("{:.3}", point.power.breakdown.total() * 1e3),
         ]);
     }
     print!("{table}");
     println!(
-        "(each row is bit-identical to a full re-simulation with that \
-         bit flipped; `d useless` is the glitch-transition change vs \
-         the baseline's {base_useless})"
+        "(each row is a full run with that bit flipped; `d useless` is the \
+         glitch-transition change vs the baseline's {base_useless})"
     );
 }
 
@@ -1194,7 +1068,7 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
         let _span = telemetry.span("parse");
         load(&args)?
     };
-    telemetry.cone_index_phase(&netlist);
+    telemetry.netlist_gauges(&netlist);
     let request = job_request(&args, &path)?;
     let budgets = match args.option("budgets") {
         Some(file) => Some((
@@ -1207,7 +1081,7 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
         JobKind::Check,
         &request,
         &netlist,
-        &Fresh::new(&netlist),
+        &Fresh(&netlist),
         &mut telemetry.sink(),
         Hooks {
             budgets_file: budgets.as_ref().map(|(file, text)| (*file, text.as_str())),
@@ -1252,22 +1126,17 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
         } => {
             if !args.flag("json") {
                 println!(
-                    "verification (incremental): {cycles} cycles; x-init {x_init}; \
+                    "verification (input flip): {cycles} cycles; x-init {x_init}; \
                      {checkers} checkers"
                 );
                 for (name, cycle, value) in applied {
                     println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
                 }
-                println!("{}", incremental_line(&flipped.incremental));
                 println!();
                 println!("baseline verdict: {}", verdict_line(base_report));
                 println!("flipped verdict:  {}", verdict_line(&flipped.report));
                 println!();
                 print_verify_text(&flipped.report, &netlist);
-                println!(
-                    "(flipped verdicts are bit-identical to a full re-simulation of \
-                     the changed stimulus)"
-                );
             }
             &flipped.report
         }
@@ -1387,7 +1256,7 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
         let _span = telemetry.span("parse");
         load(&args)?
     };
-    telemetry.cone_index_phase(&netlist);
+    telemetry.netlist_gauges(&netlist);
     let request = job_request(&args, &path)?;
     // The same rows the daemon streams for `"progress": true`, minus the
     // request id — printed as they happen, before the report.
@@ -1400,7 +1269,7 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
         JobKind::Reduce,
         &request,
         &netlist,
-        &Fresh::new(&netlist),
+        &Fresh(&netlist),
         &mut telemetry.sink(),
         Hooks {
             progress: request.progress.then_some(ProgressLines {
@@ -1671,12 +1540,11 @@ fn render_status_dashboard(line: &str, port: u16) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "workers {}/{} busy, queue depth {}; cache {} circuit(s), {} baseline(s), {} byte(s)",
+        "workers {}/{} busy, queue depth {}; cache {} circuit(s), {} byte(s)",
         field(status, "busy_workers").as_u64().unwrap_or(0),
         field(status, "workers").as_u64().unwrap_or(0),
         field(status, "queue_depth").as_u64().unwrap_or(0),
         field(cache, "circuits").as_u64().unwrap_or(0),
-        field(cache, "baselines").as_u64().unwrap_or(0),
         field(cache, "bytes").as_u64().unwrap_or(0),
     );
     let mut table = TextTable::new(vec![

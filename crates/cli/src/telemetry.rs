@@ -14,7 +14,7 @@
 use std::fs;
 use std::path::Path;
 
-use glitch_core::netlist::{ConeIndex, Netlist};
+use glitch_core::netlist::Netlist;
 use glitch_obs::export::{chrome_trace, metrics_json, metrics_text};
 use glitch_obs::{MetricsRegistry, Span, SpanLog};
 use glitch_serve::exec::Sink;
@@ -35,7 +35,7 @@ enum MetricsDest {
 ///
 /// When none of the telemetry options are given, every method is a cheap
 /// no-op and the instrumented commands run their untouched bare paths (no
-/// extra probes, no cone index build) — the property the `metrics_overhead`
+/// extra probes, no registry work) — the property the `metrics_overhead`
 /// bench gate pins.
 pub struct Telemetry {
     dest: Option<MetricsDest>,
@@ -66,8 +66,8 @@ impl Telemetry {
     }
 
     /// `true` when any telemetry output was requested; gates every piece
-    /// of instrumentation (cone index, timing spans, and the counters when
-    /// a dump was requested).
+    /// of instrumentation (timing spans, and the counters when a dump was
+    /// requested).
     pub fn enabled(&self) -> bool {
         self.dest.is_some() || self.trace_path.is_some()
     }
@@ -89,27 +89,13 @@ impl Telemetry {
         Sink::new(registry, Some(&self.spans))
     }
 
-    /// Builds the netlist's fanout/level cone index under a `cone-index`
-    /// span and records its size. Telemetry-only work: the bare command
-    /// paths never build an index, so this runs only when enabled.
-    pub fn cone_index_phase(&mut self, netlist: &Netlist) {
-        if !self.enabled() {
-            return;
+    /// Records the netlist's size as the `netlist.cells` and
+    /// `netlist.nets` gauges (when telemetry is enabled).
+    pub fn netlist_gauges(&mut self, netlist: &Netlist) {
+        if self.enabled() {
+            self.observe_gauge("netlist.cells", netlist.cell_count() as u64);
+            self.observe_gauge("netlist.nets", netlist.net_count() as u64);
         }
-        let built = {
-            let _span = self.spans.span("cone-index");
-            ConeIndex::build(netlist)
-        };
-        self.observe_gauge("netlist.cells", netlist.cell_count() as u64);
-        self.observe_gauge("netlist.nets", netlist.net_count() as u64);
-        if built.is_ok() {
-            self.add_counter("cone.index_builds", 1);
-        }
-    }
-
-    fn add_counter(&mut self, name: &str, n: u64) {
-        let handle = self.registry.counter(name);
-        self.registry.add(handle, n);
     }
 
     fn observe_gauge(&mut self, name: &str, value: u64) {

@@ -455,7 +455,7 @@ fn multi_seed_power_reports_the_spread() {
 }
 
 #[test]
-fn analyze_flip_runs_the_incremental_fast_path() {
+fn analyze_flip_reports_the_baseline_and_flipped_runs() {
     let output = run(&[
         "analyze",
         &data("rca4.blif"),
@@ -466,22 +466,9 @@ fn analyze_flip_runs_the_incremental_fast_path() {
     ]);
     assert!(output.status.success(), "{}", stderr(&output));
     let text = stdout(&output);
-    assert!(
-        text.contains("incremental re-simulation: re-evaluated"),
-        "{text}"
-    );
-    assert!(text.contains("% of cells"), "{text}");
-    assert!(text.contains("replayed"), "{text}");
+    assert!(text.contains("flip: `b2` -> 1 in cycle 120"), "{text}");
     assert!(text.contains("baseline"), "{text}");
     assert!(text.contains("flipped"), "{text}");
-    // A sparse flip must replay the overwhelming majority of the run.
-    let replayed: u64 = text
-        .split("replayed ")
-        .nth(1)
-        .and_then(|t| t.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
-        .expect("replayed count in output");
-    assert!(replayed >= 190, "expected >=190 replayed cycles: {text}");
 
     let json_run = run(&[
         "analyze",
@@ -498,12 +485,37 @@ fn analyze_flip_runs_the_incremental_fast_path() {
         json.contains("\"flips\":[{\"net\":\"cin\",\"cycle\":30"),
         "{json}"
     );
-    assert!(
-        json.contains("\"incremental\":{\"replayed_cycles\":"),
-        "{json}"
-    );
     assert!(json.contains("\"baseline\":{\"activity\""), "{json}");
     assert!(json.contains("\"delta\":{\"activity\""), "{json}");
+}
+
+#[test]
+fn analyze_flip_settles_both_runs_on_the_timed_kernel() {
+    let output = run(&[
+        "analyze",
+        &data("mult4.blif"),
+        "--cycles",
+        "100",
+        "--flip",
+        "10:x[1]",
+        "--metrics-json",
+    ]);
+    assert!(output.status.success(), "{}", stderr(&output));
+    let text = stdout(&output);
+    let metrics = parse_json(text.lines().last().expect("a metrics line")).expect("JSON");
+    // The configured run and the flipped run, both on the timed kernel.
+    assert_eq!(
+        field(&metrics, &["counters", "timed.shards"]).as_u64(),
+        Some(2)
+    );
+    assert_eq!(
+        field(&metrics, &["counters", "timed.fallbacks"]).as_u64(),
+        Some(0)
+    );
+    assert_eq!(
+        field(&metrics, &["counters", "timed.lanes"]).as_u64(),
+        Some(200)
+    );
 }
 
 #[test]
@@ -556,11 +568,7 @@ fn sweep_flip_inputs_reports_sensitivity_per_input() {
     assert!(output.status.success(), "{}", stderr(&output));
     let text = stdout(&output);
     assert!(text.contains("input-flip sensitivity sweep"), "{text}");
-    assert!(
-        text.contains("incremental re-simulation: re-evaluated"),
-        "{text}"
-    );
-    assert!(text.contains("one shared baseline"), "{text}");
+    assert!(text.contains("against a baseline of 150 cycles"), "{text}");
     // One row per primary input of rca4.
     for input in ["a0", "b3", "cin"] {
         assert!(text.contains(input), "missing row for {input}: {text}");
@@ -600,7 +608,6 @@ fn sweep_flip_inputs_reports_sensitivity_per_input() {
     );
     let json = stdout(&parallel);
     assert!(json.contains("\"points\":[{\"input\":\"a0\""), "{json}");
-    assert!(json.contains("\"evaluated_fraction\":"), "{json}");
 
     let with_delays = run(&[
         "sweep",
@@ -648,7 +655,7 @@ fn sweep_flip_rows_equal_analyze_flip_after_figures_at_any_jobs_count() {
     let serial = sweep("1");
     let parallel = sweep("3");
     // The worker count changes nothing but the `jobs` field.
-    for key in ["baseline", "incremental_per_flip_mean", "points"] {
+    for key in ["baseline", "points"] {
         assert_eq!(field(&serial, &[key]), field(&parallel, &[key]), "{key}");
     }
     assert!(field(&serial, &["baseline", "activity", "useful"]).as_u64() > Some(0));
@@ -658,11 +665,6 @@ fn sweep_flip_rows_equal_analyze_flip_after_figures_at_any_jobs_count() {
     assert_eq!(rows.len(), inputs.len());
     for (row, input) in rows.iter().zip(inputs) {
         assert_eq!(field(row, &["input"]).as_str(), Some(input));
-        // A single-bit single-cycle flip re-simulates a sliver of the run
-        // and replays the rest.
-        assert!(field(row, &["incremental", "replayed_cycles"]).as_u64() >= Some(110));
-        let fraction = field(row, &["incremental", "evaluated_fraction"]).as_f64();
-        assert!(fraction.is_some_and(|f| f < 0.25), "{row:?}");
         assert!(field(row, &["power_total_w"])
             .as_f64()
             .is_some_and(|w| w > 0.0));
@@ -684,7 +686,6 @@ fn sweep_flip_rows_equal_analyze_flip_after_figures_at_any_jobs_count() {
             panic!("flips must be an array")
         };
         assert_eq!(field(&applied[0], &["value"]), field(row, &["flipped_to"]));
-        assert_eq!(field(&flip, &["incremental"]), field(row, &["incremental"]));
         assert_eq!(field(&flip, &["baseline"]), field(&parallel, &["baseline"]));
         for key in ["useful", "useless", "glitches"] {
             assert_eq!(
@@ -918,9 +919,7 @@ fn check_stability_assertions_flag_watched_cycles() {
 
 #[test]
 fn check_flip_reports_both_verdicts_and_replays_no_op_flips() {
-    // Flip `en` to the value it already has in cycle 10 (the stimulus
-    // seed drives it deterministically): the merged stimulus is identical,
-    // every cycle replays, and the flipped verdict equals the baseline's.
+    // Both runs fail on the uninitialised flipflop, flipped or not.
     let json_run = run(&[
         "check",
         &data("xinit_bug.blif"),
@@ -938,10 +937,37 @@ fn check_flip_reports_both_verdicts_and_replays_no_op_flips() {
         "{json}"
     );
     assert!(json.contains("\"flipped\":{\"verdict\":\"fail\""), "{json}");
-    assert!(
-        json.contains("\"incremental\":{\"replayed_cycles\":"),
-        "{json}"
-    );
+
+    // Forcing `en` to the value it already has in cycle 10 leaves the
+    // stimulus unchanged, so the flipped verdict is the baseline's.
+    let verdicts = |flip: &str| {
+        let output = run(&[
+            "check",
+            &data("xinit_bug.blif"),
+            "--x-init",
+            "--hazards",
+            "--cycles",
+            "40",
+            "--flip",
+            flip,
+            "--json",
+        ]);
+        assert!(output.status.success(), "{}", stderr(&output));
+        let report = parse_json(&stdout(&output)).expect("check --json parses");
+        (
+            field(&report, &["baseline"]).clone(),
+            field(&report, &["flipped"]).clone(),
+            field(&report, &["flips"]).clone(),
+        )
+    };
+    let (_, _, JsonValue::Array(applied)) = verdicts("10:en") else {
+        panic!("flips must be an array")
+    };
+    let held = 1 - field(&applied[0], &["value"])
+        .as_u64()
+        .expect("a 0/1 value");
+    let (baseline, flipped, _) = verdicts(&format!("10:en={held}"));
+    assert_eq!(baseline, flipped);
 
     let text_run = run(&[
         "check",
@@ -956,7 +982,6 @@ fn check_flip_reports_both_verdicts_and_replays_no_op_flips() {
     let text = stdout(&text_run);
     assert!(text.contains("baseline verdict: PASS"), "{text}");
     assert!(text.contains("flipped verdict:  PASS"), "{text}");
-    assert!(text.contains("incremental re-simulation"), "{text}");
 
     // Duplicate cycle:net pairs in the flip list are rejected, located.
     let dup = run(&[
@@ -1038,153 +1063,6 @@ fn analyze_flip_rejects_duplicate_flips_with_location() {
 }
 
 #[test]
-fn analyze_flip_baseline_file_skips_the_recording_pass() {
-    let dir = std::env::temp_dir().join(format!("glitch_cli_baseline_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let file = dir.join("rca4.baseline");
-    let file = file.to_str().unwrap();
-
-    let first = run(&[
-        "analyze",
-        &data("rca4.blif"),
-        "--cycles",
-        "120",
-        "--flip",
-        "30:a1",
-        "--baseline",
-        file,
-    ]);
-    assert!(first.status.success(), "{}", stderr(&first));
-    assert!(
-        stdout(&first).contains("wrote baseline to"),
-        "{}",
-        stdout(&first)
-    );
-
-    let second = run(&[
-        "analyze",
-        &data("rca4.blif"),
-        "--cycles",
-        "120",
-        "--flip",
-        "30:a1",
-        "--baseline",
-        file,
-    ]);
-    assert!(second.status.success(), "{}", stderr(&second));
-    let second_text = stdout(&second);
-    assert!(
-        second_text.contains("loaded baseline from"),
-        "{second_text}"
-    );
-
-    // Apart from the wrote/loaded note the two runs are identical — the
-    // loaded baseline replays bit-identically.
-    let strip_note = |s: &str| {
-        s.lines()
-            .filter(|l| !l.contains("baseline to") && !l.contains("baseline from"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip_note(&stdout(&first)), strip_note(&second_text));
-
-    // Mismatched parameters are caught before any simulation.
-    let wrong_cycles = run(&[
-        "analyze",
-        &data("rca4.blif"),
-        "--cycles",
-        "80",
-        "--flip",
-        "30:a1",
-        "--baseline",
-        file,
-    ]);
-    assert!(!wrong_cycles.status.success());
-    assert!(
-        stderr(&wrong_cycles).contains("records 120 cycles but --cycles is 80"),
-        "{}",
-        stderr(&wrong_cycles)
-    );
-    let wrong_delay = run(&[
-        "analyze",
-        &data("rca4.blif"),
-        "--cycles",
-        "120",
-        "--delay",
-        "zero",
-        "--flip",
-        "30:a1",
-        "--baseline",
-        file,
-    ]);
-    assert!(!wrong_delay.status.success());
-    assert!(
-        stderr(&wrong_delay).contains("different delay model"),
-        "{}",
-        stderr(&wrong_delay)
-    );
-    // The seed is not stored in the file; the regenerated-stimulus
-    // comparison must still catch a mismatch.
-    let wrong_seed = run(&[
-        "analyze",
-        &data("rca4.blif"),
-        "--cycles",
-        "120",
-        "--seed",
-        "12345",
-        "--flip",
-        "30:a1",
-        "--baseline",
-        file,
-    ]);
-    assert!(!wrong_seed.status.success());
-    assert!(
-        stderr(&wrong_seed).contains("--seed mismatch"),
-        "{}",
-        stderr(&wrong_seed)
-    );
-    let wrong_netlist = run(&[
-        "analyze",
-        &data("counter4.blif"),
-        "--cycles",
-        "120",
-        "--flip",
-        "10:en",
-        "--baseline",
-        file,
-    ]);
-    assert!(!wrong_netlist.status.success());
-    assert!(
-        stderr(&wrong_netlist).contains("was recorded on `rca4`"),
-        "{}",
-        stderr(&wrong_netlist)
-    );
-
-    // --baseline without --flip is a usage error.
-    let no_flip = run(&[
-        "analyze",
-        &data("rca4.blif"),
-        "--cycles",
-        "120",
-        "--baseline",
-        file,
-    ]);
-    assert_eq!(no_flip.status.code(), Some(2));
-    assert!(
-        stderr(&no_flip).contains("add --flip"),
-        "{}",
-        stderr(&no_flip)
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Every bundled netlist through the real front end: the default `hybrid`
-/// engine settles sweeps, analyses, reduce scoring and X-propagation +
-/// hazard checks on the timed kernel, `--engine queue` on the event
-/// queue, and both must print the same bytes at any worker count and for
-/// a single seed.
-#[test]
 fn reports_match_the_event_path_on_every_bundled_netlist() {
     let mut netlists: Vec<PathBuf> = std::fs::read_dir(data(""))
         .expect("the corpus directory lists")
@@ -1235,10 +1113,9 @@ fn reports_match_the_event_path_on_every_bundled_netlist() {
     }
 }
 
-/// Input flips ride the incremental replay, which is event-driven under
-/// every engine but `kernel`: the default engine runs `analyze --flip`,
-/// `check --flip` and `sweep --flip-inputs`, and `--engine kernel` refuses
-/// each of them as a usage error.
+/// The default engine runs `analyze --flip`, `check --flip` and
+/// `sweep --flip-inputs`; `--engine kernel`, whose zero-delay runs have no
+/// glitches to compare, refuses each of them as a usage error.
 #[test]
 fn flips_run_under_the_default_engine_and_are_refused_under_kernel() {
     let rca = data("rca4.blif");

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `glitch-cli serve` daemon and its `client`
 //! companion over the JSON-lines protocol: job responses must be
-//! byte-identical to the matching one-shot `--json` runs, repeated flips
-//! and check flips must hit the baseline cache, stale fingerprints must be rejected,
+//! byte-identical to the matching one-shot `--json` runs (repeated flips
+//! and check flips too), stale fingerprints must be rejected,
 //! `shutdown` must drain and exit 0, `status` must report live telemetry
 //! (with deterministic counts at any worker count), the access log must
 //! carry every request exactly once with monotonic ids, a streaming
@@ -307,7 +307,7 @@ fn oversized_request_lines_are_refused_and_the_daemon_keeps_serving() {
 }
 
 #[test]
-fn repeated_flips_are_served_from_the_baseline_cache() {
+fn repeated_flips_equal_the_one_shot_json() {
     let daemon = Daemon::spawn(&[]);
     let counter = data("counter4.blif");
     let flip = format!(r#"{{"op":"flip","file":"{counter}","cycles":80,"flips":"2:en"}}"#);
@@ -316,19 +316,18 @@ fn repeated_flips_are_served_from_the_baseline_cache() {
     let responses = daemon.client(&[&flip, &other, &flip, r#"{"op":"metrics"}"#]);
     assert_eq!(
         responses[0], responses[2],
-        "the same flip must render identically on a cache hit"
+        "the same flip must render identically when repeated"
     );
     assert_ne!(responses[0], responses[1]);
+    assert_eq!(
+        responses[0],
+        one_shot_json(&["analyze", &counter, "--cycles", "80", "--flip", "2:en", "--json"])
+    );
+    assert_eq!(
+        responses[1],
+        one_shot_json(&["analyze", &counter, "--cycles", "80", "--flip", "5:en", "--json"])
+    );
     let metrics = &responses[3];
-    // One baseline recording (first flip), two hits sharing it.
-    assert!(
-        metrics.contains(r#""cache.baseline_misses":1"#),
-        "expected exactly one baseline recording in {metrics}"
-    );
-    assert!(
-        metrics.contains(r#""cache.baseline_hits":2"#),
-        "expected two baseline cache hits in {metrics}"
-    );
     assert!(
         metrics.contains(r#""cache.netlist_misses":1"#),
         "expected one parsed netlist shared by all flips in {metrics}"
@@ -357,25 +356,22 @@ fn daemon_analyze_settles_on_the_timed_kernel() {
 }
 
 #[test]
-fn repeated_check_flips_are_served_from_the_baseline_cache() {
+fn repeated_check_flips_equal_the_one_shot_json() {
     let daemon = Daemon::spawn(&[]);
     let xinit = data("xinit_ok.blif");
     let check =
         format!(r#"{{"op":"check","file":"{xinit}","cycles":40,"x_init":true,"flips":"10:en"}}"#);
-    let responses = daemon.client(&[&check, &check, r#"{"op":"metrics"}"#]);
+    let responses = daemon.client(&[&check, &check]);
     assert!(responses[0].contains(r#""flipped":{"verdict":"pass""#));
     assert_eq!(
         responses[0], responses[1],
-        "the same check flip must render identically on a cache hit"
+        "the same check flip must render identically when repeated"
     );
-    let metrics = &responses[2];
-    assert!(
-        metrics.contains(r#""cache.baseline_misses":1"#),
-        "expected one baseline recording in {metrics}"
-    );
-    assert!(
-        metrics.contains(r#""cache.baseline_hits":1"#),
-        "expected the repeat to hit the baseline cache in {metrics}"
+    assert_eq!(
+        responses[0],
+        one_shot_json(&[
+            "check", &xinit, "--cycles", "40", "--x-init", "--flip", "10:en", "--json"
+        ])
     );
     daemon.shutdown();
 }

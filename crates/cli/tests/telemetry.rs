@@ -105,7 +105,6 @@ fn trace_out_writes_chrome_trace_events_for_every_phase() {
         "\"ph\":\"X\"",
         "\"cat\":\"glitch\"",
         "\"name\":\"parse\"",
-        "\"name\":\"cone-index\"",
         "\"name\":\"simulate\"",
         "\"name\":\"shard ",
         "\"name\":\"merge\"",

@@ -9,9 +9,9 @@ use glitch_activity::{ActivityReport, ActivityTrace};
 use glitch_netlist::{Bus, ConeIndex, NetId, Netlist};
 use glitch_power::{PowerReport, Technology};
 use glitch_sim::{
-    run_kernel_jobs, ActivityProbe, AggregateReport, DelayKind, DeltaStimulus, IncrementalSession,
-    IncrementalStats, KernelProgram, ParallelRunner, PowerProbe, Probe, RandomStimulus,
-    SessionReport, SimBaseline, SimError, SimJob, SimSession, Spread,
+    run_kernel_jobs, ActivityProbe, AggregateReport, DelayKind, DeltaStimulus, IncrementalStats,
+    KernelProgram, ParallelRunner, PowerProbe, Probe, SessionReport, SimBaseline, SimError, SimJob,
+    SimSession, Spread,
 };
 
 /// Which execution backend the analysis entry points drive.
@@ -115,8 +115,7 @@ pub struct AnalysisConfig {
     /// Execution backend of [`GlitchAnalyzer::analyze`],
     /// [`GlitchAnalyzer::analyze_seeds`],
     /// [`GlitchAnalyzer::sweep_delays_compiled`] and the check flow riding
-    /// them. The baseline recordings and the incremental layer need the
-    /// transition stream, so they always settle event by event.
+    /// them.
     pub engine: EngineKind,
     /// Simulator options (settle budget, flipflop reset policy, X
     /// evaluation mode). The defaults are the analysis defaults; the
@@ -124,6 +123,11 @@ pub struct AnalysisConfig {
     /// [`glitch_sim::SimOptions::x_init`] to simulate uninitialised-state
     /// reachability.
     pub options: glitch_sim::SimOptions,
+    /// Input bits overridden on top of the random stimulus, applied to
+    /// every seed's job ([`SimJob::with_flips`]). Empty for the configured
+    /// run; an input-flip study runs the same configuration again with
+    /// its flips here, so the flipped run settles like any other.
+    pub flips: DeltaStimulus,
 }
 
 impl Default for AnalysisConfig {
@@ -136,6 +140,7 @@ impl Default for AnalysisConfig {
             delay: DelayKind::Unit,
             engine: EngineKind::default(),
             options: glitch_sim::SimOptions::default(),
+            flips: DeltaStimulus::new(),
         }
     }
 }
@@ -239,15 +244,13 @@ impl AggregateAnalysis {
     }
 }
 
-/// Result of one incremental delta re-analysis
-/// ([`GlitchAnalyzer::analyze_delta_with_index`]): the same figures a full
-/// [`Analysis`] carries — bit-identical to a full re-simulation of the
-/// merged stimulus — plus the incremental work accounting.
+/// Result of one flipped re-analysis
+/// ([`GlitchAnalyzer::analyze_delta_with_index`]).
 #[derive(Debug, Clone)]
 pub struct DeltaAnalysis {
-    /// Activity, power and trace of the delta run.
+    /// Activity, power and trace of the flipped run.
     pub analysis: Analysis,
-    /// How much of the baseline's work the delta run actually redid.
+    /// The flipped run's cycles, all simulated.
     pub incremental: IncrementalStats,
 }
 
@@ -322,15 +325,11 @@ impl GlitchAnalyzer {
         random_buses: &[Bus],
         held: &[(NetId, bool)],
     ) -> SimSession<'a> {
-        let mut stimulus =
-            RandomStimulus::new(random_buses.to_vec(), self.config.cycles, self.config.seed);
-        for &(net, value) in held {
-            stimulus = stimulus.hold(net, value);
-        }
+        let job = self.job(netlist, random_buses, held, self.config.seed);
         SimSession::new(netlist)
             .delay(self.config.delay.clone())
             .options(self.config.options)
-            .stimulus(stimulus)
+            .stimulus(job.stimulus())
             .probe(ActivityProbe::new())
             .probe(PowerProbe::new(
                 self.config.technology,
@@ -399,10 +398,9 @@ impl GlitchAnalyzer {
         })
     }
 
-    /// Like [`GlitchAnalyzer::analyze`], but additionally records a
-    /// replayable [`SimBaseline`] of the run — the anchor for
-    /// [`GlitchAnalyzer::analyze_delta_with_index`] re-analyses of *nearby*
-    /// stimuli (a few changed input bits).
+    /// [`GlitchAnalyzer::analyze`] plus the run's [`SimBaseline`]: its
+    /// stimulus, the anchor [`GlitchAnalyzer::analyze_delta_with_index`]
+    /// flips.
     ///
     /// # Errors
     ///
@@ -413,51 +411,43 @@ impl GlitchAnalyzer {
         random_buses: &[Bus],
         held: &[(NetId, bool)],
     ) -> Result<(Analysis, SimBaseline), SimError> {
-        let (report, baseline) = self
-            .session(netlist, random_buses, held)
-            .record_baseline()?;
-        Ok((Self::analysis(netlist, report), baseline))
+        let baseline = SimBaseline::of(&self.job(netlist, random_buses, held, self.config.seed));
+        Ok((self.analyze(netlist, random_buses, held)?, baseline))
     }
 
-    /// Re-analyses the baseline under a [`DeltaStimulus`] incrementally:
-    /// cycles untouched by the delta replay from the baseline, dirty
-    /// fanout cones re-simulate. The returned figures are bit-identical to
-    /// a full [`GlitchAnalyzer::analyze`]-style run of the merged stimulus
-    /// (pinned by the differential oracle in `glitch-sim`); the delay
-    /// model and simulator options come from the baseline.
+    /// Analyses the baseline's run again with `delta`'s input bits
+    /// overridden: the configuration with [`AnalysisConfig::flips`] set,
+    /// one more full run that settles like any other.
     ///
-    /// `index` is an optional pre-built [`ConeIndex`]: long-lived callers
-    /// (the serving layer's warm cache, a flip sweep's workers) amortise
-    /// the index build over many deltas this way. `None` builds one for
-    /// this call; the index is deterministic for a netlist, so the figures
-    /// are identical either way.
+    /// `index` is ignored. A flipped run simulates every cycle, so there
+    /// is no fanout cone to bound; the parameter stays for existing
+    /// callers.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] for deltas beyond the baseline, overrides of
-    /// non-input nets, or any simulation failure in a dirty cycle.
+    /// Returns [`SimError::DeltaOutOfRange`] for overrides beyond the run,
+    /// or any simulation failure (such as [`SimError::NotAnInput`] for an
+    /// override of a non-input net).
     pub fn analyze_delta_with_index(
         &self,
         netlist: &Netlist,
         baseline: &SimBaseline,
         delta: &DeltaStimulus,
-        index: Option<&ConeIndex>,
+        _index: Option<&ConeIndex>,
     ) -> Result<DeltaAnalysis, SimError> {
-        let mut session = IncrementalSession::new(netlist, baseline)
-            .probe(ActivityProbe::new())
-            .probe(PowerProbe::new(
-                self.config.technology,
-                self.config.frequency,
-            ))
-            .delta(delta.clone());
-        if let Some(index) = index {
-            session = session.cone_index(index);
-        }
-        let report = session.run().map_err(SimError::from)?;
-        let incremental = report.stats();
+        let flipped = GlitchAnalyzer::new(AnalysisConfig {
+            cycles: baseline.cycle_count(),
+            seed: baseline.seed(),
+            flips: delta.clone(),
+            ..self.config.clone()
+        });
+        let analysis = flipped.analyze(netlist, baseline.random_buses(), baseline.held())?;
         Ok(DeltaAnalysis {
-            analysis: Self::analysis(netlist, report.into_session()),
-            incremental,
+            incremental: IncrementalStats {
+                replayed_cycles: 0,
+                simulated_cycles: analysis.cycles,
+            },
+            analysis,
         })
     }
 
@@ -477,6 +467,7 @@ impl GlitchAnalyzer {
             .with_held(held.to_vec())
             .with_power(self.config.technology, self.config.frequency)
             .with_options(self.config.options)
+            .with_flips(self.config.flips.clone())
     }
 
     /// Simulates the netlist once per seed — fanned across `jobs` worker
@@ -509,8 +500,10 @@ impl GlitchAnalyzer {
     ///
     /// # Errors
     ///
-    /// Returns the first failing seed's [`SimError`] (in seed order), or
-    /// [`SimError::InvalidNetlist`] if kernel compilation fails.
+    /// Returns [`SimError::DeltaOutOfRange`] if [`AnalysisConfig::flips`]
+    /// targets a cycle beyond the run, the first failing seed's
+    /// [`SimError`] (in seed order), or [`SimError::InvalidNetlist`] if
+    /// kernel compilation fails.
     ///
     /// # Panics
     ///
@@ -869,13 +862,13 @@ mod tests {
             .analyze_baseline(&adder.netlist, &buses, &held)
             .unwrap();
         assert_eq!(baseline.cycle_count(), 120);
-        assert!(baseline.total_cell_evals() > 0);
+        assert_eq!(baseline.held(), held);
 
         let replay = analyzer
             .analyze_delta_with_index(&adder.netlist, &baseline, &DeltaStimulus::new(), None)
             .unwrap();
-        assert_eq!(replay.incremental.replayed_cycles, 120);
-        assert_eq!(replay.incremental.cells_evaluated, 0);
+        assert_eq!(replay.incremental.replayed_cycles, 0);
+        assert_eq!(replay.incremental.simulated_cycles, 120);
         assert_eq!(replay.analysis.trace, analysis.trace);
         assert_eq!(replay.analysis.power, analysis.power);
     }
@@ -898,8 +891,11 @@ mod tests {
         let delta = DeltaStimulus::new().set(40, flip_net, flip_to);
 
         // Full reference: simulate the merged stimulus from scratch.
-        let merged: Vec<glitch_sim::InputAssignment> = (0..baseline.cycle_count())
-            .map(|c| delta.apply_to(c, baseline.assignment(c)))
+        let merged: Vec<glitch_sim::InputAssignment> = analyzer
+            .job(&adder.netlist, &buses, &held, baseline.seed())
+            .stimulus()
+            .zip(0..)
+            .map(|(assignment, cycle)| delta.apply_to(cycle, &assignment))
             .collect();
         let full_report = SimSession::new(&adder.netlist)
             .delay(analyzer.config().delay.clone())
@@ -913,22 +909,32 @@ mod tests {
             .unwrap();
         let full = GlitchAnalyzer::analysis(&adder.netlist, full_report);
 
-        let incremental = analyzer
+        let flipped = analyzer
             .analyze_delta_with_index(&adder.netlist, &baseline, &delta, None)
             .unwrap();
-        assert_eq!(incremental.analysis.trace, full.trace);
-        assert_eq!(incremental.analysis.power, full.power);
-        assert!(incremental.incremental.replayed_cycles >= 90);
-        assert!(incremental.incremental.evaluated_fraction() < 0.5);
+        assert_eq!(flipped.analysis.trace, full.trace);
+        assert_eq!(flipped.analysis.power, full.power);
 
-        // A shared pre-built cone index gives the same figures.
+        // The cone index changes nothing.
         let index = ConeIndex::build(&adder.netlist).unwrap();
         let indexed = analyzer
             .analyze_delta_with_index(&adder.netlist, &baseline, &delta, Some(&index))
             .unwrap();
-        assert_eq!(indexed.analysis.trace, incremental.analysis.trace);
-        assert_eq!(indexed.analysis.power, incremental.analysis.power);
-        assert_eq!(indexed.incremental, incremental.incremental);
+        assert_eq!(indexed.analysis.trace, flipped.analysis.trace);
+        assert_eq!(indexed.analysis.power, flipped.analysis.power);
+        assert_eq!(indexed.incremental, flipped.incremental);
+
+        // A flip beyond the run is refused rather than silently dropped.
+        let late = DeltaStimulus::new().set(100, flip_net, true);
+        assert_eq!(
+            analyzer
+                .analyze_delta_with_index(&adder.netlist, &baseline, &late, None)
+                .unwrap_err(),
+            SimError::DeltaOutOfRange {
+                cycle: 100,
+                baseline_cycles: 100
+            }
+        );
     }
 
     #[test]

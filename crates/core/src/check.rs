@@ -1,24 +1,18 @@
-//! Verification entry points on [`GlitchAnalyzer`]: run a
-//! [`glitch_verify::CheckSuite`] against the configured stimulus —
-//! multi-seed parallel, or incremental against a recorded baseline.
+//! Verification entry point on [`GlitchAnalyzer`]: run a
+//! [`glitch_verify::CheckSuite`] against the configured stimulus.
 //!
 //! Checking composes with the existing execution layers rather than
 //! duplicating them: [`GlitchAnalyzer::check_seeds`] rides the sharded
 //! parallel runner (one fresh checker set per seed, folded in seed
-//! order, so the verdict is bit-identical at any `--jobs` count), and
-//! [`GlitchAnalyzer::check_delta`] rides the incremental layer (checkers
-//! re-run only on dirty cycles and replay the recorded stream verbatim on
-//! clean ones, so the verdict is bit-identical to a full re-simulation of
-//! the merged stimulus).
+//! order, so the verdict is bit-identical at any `--jobs` count). An
+//! input-flip re-check is the same call on a configuration with
+//! [`crate::AnalysisConfig::flips`] set.
 
-use glitch_netlist::{Bus, ConeIndex, NetId, Netlist};
-use glitch_sim::{
-    DeltaStimulus, IncrementalSession, IncrementalStats, Probe, SessionReport, SimBaseline,
-    SimError,
-};
+use glitch_netlist::{Bus, NetId, Netlist};
+use glitch_sim::{Probe, SimError};
 use glitch_verify::{CheckSuite, CheckerProbe, VerifyReport};
 
-use crate::analyzer::{AggregateAnalysis, Analysis, GlitchAnalyzer};
+use crate::analyzer::{AggregateAnalysis, GlitchAnalyzer};
 
 /// Result of a multi-seed [`GlitchAnalyzer::check_seeds`] run: the merged
 /// verification report plus the standard multi-seed analysis (the checkers
@@ -35,18 +29,6 @@ pub struct CheckAnalysis {
     /// built with [`CheckSuite::with_timing`]. Telemetry only — never part
     /// of the determinism-checked report.
     pub checker_micros: Vec<(String, u64)>,
-}
-
-/// Result of an incremental [`GlitchAnalyzer::check_delta`] run.
-#[derive(Debug, Clone)]
-pub struct DeltaCheck {
-    /// The verification report of the delta run — bit-identical to a full
-    /// re-simulation of the merged stimulus.
-    pub report: VerifyReport,
-    /// Activity/power of the delta run.
-    pub analysis: Analysis,
-    /// Incremental work accounting (replayed cycles, cells re-evaluated).
-    pub incremental: IncrementalStats,
 }
 
 impl GlitchAnalyzer {
@@ -95,58 +77,6 @@ impl GlitchAnalyzer {
             analysis,
         })
     }
-
-    /// Re-checks a recorded baseline under a [`DeltaStimulus`]
-    /// incrementally: the checkers replay the recorded stream verbatim on
-    /// clean cycles and re-run on dirty ones, so the returned report is
-    /// bit-identical to a full re-simulation of the merged stimulus
-    /// (pinned by `glitch-verify`'s incremental oracle test). The delay
-    /// model and simulator options come from the baseline, which
-    /// [`GlitchAnalyzer::analyze_baseline`] records; an empty delta replays
-    /// it with zero cell evaluations and yields the baseline's own verdict.
-    /// `index` is the netlist's fanout/level cone index, shared across
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] for deltas beyond the baseline, overrides of
-    /// non-input nets, or any simulation failure in a dirty cycle.
-    pub fn check_delta(
-        &self,
-        netlist: &Netlist,
-        baseline: &SimBaseline,
-        delta: &DeltaStimulus,
-        suite: &CheckSuite,
-        index: &ConeIndex,
-    ) -> Result<DeltaCheck, SimError> {
-        let report = IncrementalSession::new(netlist, baseline)
-            .cone_index(index)
-            .probe(suite.build())
-            .probe(glitch_sim::ActivityProbe::new())
-            .probe(glitch_sim::PowerProbe::new(
-                self.config().technology,
-                self.config().frequency,
-            ))
-            .delta(delta.clone())
-            .run()
-            .map_err(SimError::from)?;
-        let incremental = report.stats();
-        let mut session = report.into_session();
-        let verify = take_report(&mut session, netlist);
-        Ok(DeltaCheck {
-            report: verify,
-            analysis: Self::analysis(netlist, session),
-            incremental,
-        })
-    }
-}
-
-/// Extracts the checker probe's report from a finished session.
-fn take_report(report: &mut SessionReport, netlist: &Netlist) -> VerifyReport {
-    report
-        .take_probe::<CheckerProbe>()
-        .expect("check sessions carry a CheckerProbe")
-        .report(netlist)
 }
 
 #[cfg(test)]
@@ -154,7 +84,7 @@ mod tests {
     use super::*;
     use crate::analyzer::{AnalysisConfig, EngineKind};
     use glitch_netlist::Bus;
-    use glitch_sim::{InputAssignment, SimOptions, SimSession};
+    use glitch_sim::{DeltaStimulus, InputAssignment, SimOptions, SimSession};
     use glitch_verify::BudgetSpec;
 
     /// A counter-like circuit with one uninitialised flipflop.
@@ -253,25 +183,29 @@ mod tests {
     }
 
     #[test]
-    fn check_delta_equals_a_full_check_of_the_merged_stimulus() {
+    fn flipped_check_equals_a_full_check_of_the_merged_stimulus() {
         let (nl, buses) = fixture();
         let analyzer = x_analyzer(40);
         let suite = full_suite(&nl);
         let (_, baseline) = analyzer.analyze_baseline(&nl, &buses, &[]).unwrap();
-        let index = ConeIndex::build(&nl).unwrap();
         let en = nl.find_net("en").unwrap();
         let flip_to = baseline.input_value(15, en) != glitch_sim::Value::One;
         let delta = DeltaStimulus::new().set(15, en, flip_to);
 
-        let incremental = analyzer
-            .check_delta(&nl, &baseline, &delta, &suite, &index)
-            .unwrap();
-        assert!(incremental.incremental.replayed_cycles >= 30);
+        let flipped = GlitchAnalyzer::new(AnalysisConfig {
+            flips: delta.clone(),
+            ..analyzer.config().clone()
+        })
+        .check_seeds(&nl, &buses, &[], &suite, &[baseline.seed()], 1)
+        .unwrap();
 
         // Full reference: simulate the merged stimulus from scratch with a
         // fresh checker set.
-        let merged: Vec<InputAssignment> = (0..baseline.cycle_count())
-            .map(|c| delta.apply_to(c, baseline.assignment(c)))
+        let merged: Vec<InputAssignment> = analyzer
+            .job(&nl, &buses, &[], baseline.seed())
+            .stimulus()
+            .zip(0..)
+            .map(|(assignment, cycle)| delta.apply_to(cycle, &assignment))
             .collect();
         let full = SimSession::new(&nl)
             .delay(analyzer.config().delay.clone())
@@ -281,7 +215,7 @@ mod tests {
             .run()
             .unwrap();
         let full_report = full.probe::<CheckerProbe>().unwrap().report(&nl);
-        assert_eq!(incremental.report, full_report);
+        assert_eq!(flipped.report, full_report);
     }
 
     #[test]
@@ -293,19 +227,17 @@ mod tests {
         assert_eq!(baseline.cycle_count(), 30);
         assert_eq!(analysis.cycles, 30);
         // The verdict of a plain checked run of the same stimulus.
-        let mut plain = analyzer
+        let plain = analyzer
             .session(&nl, &buses, &[])
             .probe(suite.build())
             .run()
             .unwrap();
-        let from_run = take_report(&mut plain, &nl);
-        // An empty delta replays everything and reproduces the report.
-        let index = ConeIndex::build(&nl).unwrap();
-        let replay = analyzer
-            .check_delta(&nl, &baseline, &DeltaStimulus::new(), &suite, &index)
+        let from_run = plain.probe::<CheckerProbe>().unwrap().report(&nl);
+        // The configured check of the baseline's seed reproduces it.
+        let checked = analyzer
+            .check_seeds(&nl, &buses, &[], &suite, &[baseline.seed()], 1)
             .unwrap();
-        assert_eq!(replay.incremental.cells_evaluated, 0);
-        assert_eq!(replay.report, from_run);
-        assert_eq!(replay.analysis.trace, analysis.trace);
+        assert_eq!(checked.report, from_run);
+        assert_eq!(checked.analysis.trace(), &analysis.trace);
     }
 }

@@ -48,7 +48,7 @@ pub use analyzer::{
     AggregateAnalysis, Analysis, AnalysisConfig, DelaySweepPoint, DeltaAnalysis, EngineKind,
     GlitchAnalyzer, KernelTelemetry,
 };
-pub use check::{CheckAnalysis, DeltaCheck};
+pub use check::CheckAnalysis;
 pub use explore::{ExplorationPoint, ExplorationResult, ExploreError, PowerExplorer};
 pub use reduce::{ReduceScore, ReduceSession};
 pub use table::TextTable;
@@ -65,10 +65,10 @@ pub use glitch_sim::{AggregateReport, ParallelRunner, ShardSummary, SimJob, Spre
 /// [`AnalysisConfig::engine`].
 pub use glitch_sim::{EvalMode, KernelProgram, KernelState};
 
-/// The incremental re-simulation layer, re-exported from `glitch-sim`:
-/// record a replayable baseline once, then re-simulate nearby stimuli by
-/// replaying unchanged cycles and re-evaluating only dirty fanout cones.
-pub use glitch_sim::{DeltaStimulus, IncrementalSession, IncrementalStats, SimBaseline};
+/// Input flips, re-exported from `glitch-sim`: the configured run's
+/// stimulus and the bits a flipped run overrides
+/// ([`AnalysisConfig::flips`]).
+pub use glitch_sim::{DeltaStimulus, IncrementalStats, SimBaseline};
 
 /// The delay-model selector, re-exported from `glitch-sim`.
 pub use glitch_sim::DelayKind;

@@ -16,7 +16,11 @@
 //! X-propagation + hazard checker suite to both paths, which the routed run fills in bulk, and compares
 //! their findings; hand cases pin a net that goes `X` late in a hazardous
 //! cycle and a net stuck at `X`. The routing cases pin the jobs that must
-//! stay on the event path.
+//! stay on the event path. The flip cases run input-flipped jobs
+//! (`SimJob::with_flips`) on the corpus adder, multiplier and counter and
+//! compare both paths against a plain session over the
+//! `DeltaStimulus::apply_to`-merged assignments, including a counter
+//! `en` flip whose flipflop divergence lasts to the end of the run.
 
 #[path = "../../sim/tests/support/mod.rs"]
 #[allow(dead_code)]
@@ -28,8 +32,8 @@ use glitch_io::{parse_netlist, Format, GateLibrary};
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, CellKind, NetId, Netlist};
 use glitch_sim::{
-    ActivityProbe, CellDelay, DelayKind, ParallelRunner, PowerProbe, Probe, SessionReport,
-    SimError, SimJob, SimOptions, StatsProbe,
+    ActivityProbe, CellDelay, DelayKind, DeltaStimulus, ParallelRunner, PowerProbe, Probe,
+    SessionReport, SimBaseline, SimError, SimJob, SimOptions, SimSession, StatsProbe, Value,
 };
 use glitch_verify::{
     BudgetSpec, CheckSuite, CheckerProbe, HazardChecker, VerifyReport, XPropagationChecker,
@@ -255,14 +259,16 @@ fn timed_jobs_match_the_event_path_on_the_8_bit_multiplier() {
 /// block must carry into the next.
 const CROSS_BLOCK_CYCLES: [u64; 2] = [300, 600];
 
+/// A netlist of the bundled corpus.
+fn corpus(file: &str) -> Netlist {
+    let path = format!("{}/../../tests/data/{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("corpus file readable");
+    parse_netlist(&text, Format::Blif, &GateLibrary::standard()).expect("parses")
+}
+
 #[test]
 fn timed_jobs_match_the_event_path_on_the_counter_across_blocks() {
-    let path = format!(
-        "{}/../../tests/data/counter4.blif",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let text = std::fs::read_to_string(&path).expect("corpus file readable");
-    let counter = parse_netlist(&text, Format::Blif, &GateLibrary::standard()).expect("parses");
+    let counter = corpus("counter4.blif");
     let buses = [Bus::new(counter.inputs().to_vec())];
     check_cycles(&counter, &buses, &[], 0xC0DE, &CROSS_BLOCK_CYCLES);
 }
@@ -466,4 +472,126 @@ fn a_settle_budget_suite_takes_the_event_path() {
         verify_report(&mult.netlist, &routed),
         verify_report(&mult.netlist, &event)
     );
+}
+
+/// The cycle count of the flip cases: more than one block of lanes.
+const FLIP_CYCLES: u64 = 300;
+
+/// One flip case: its name, options, and the final net values of the
+/// flipped and the configured run.
+type FlipCase = (String, SimOptions, Vec<Value>, Vec<Value>);
+
+/// Runs `job` flipped by `delta` on both paths under every delay model and
+/// option set, and compares each with a plain session over the merged
+/// assignments. Returns each case's options with the final net values of
+/// the flipped and the configured run, for callers that check divergence.
+fn check_flips(job: &SimJob<'_>, delta: &DeltaStimulus) -> Vec<FlipCase> {
+    let netlist = job.netlist;
+    let program = KernelProgram::compile(netlist).expect("acyclic");
+    let runner = ParallelRunner::new(1);
+    let mut finals = Vec::new();
+    for delay in delay_models() {
+        for options in [SimOptions::default(), SimOptions::x_init()] {
+            let base = job.clone().with_delay(delay.clone()).with_options(options);
+            let flipped = base.clone().with_flips(delta.clone());
+            let case = format!("{} flip {delay:?} {options:?}", netlist.name());
+            // The routed (hybrid) and event (queue) runs agree...
+            check_job(&flipped, &program, true, &case);
+            // ...and equal a session driven by the merged assignments.
+            let merged: Vec<_> = base
+                .stimulus()
+                .zip(0..)
+                .map(|(assignment, cycle)| delta.apply_to(cycle, &assignment))
+                .collect();
+            assert_ne!(
+                merged,
+                base.stimulus().collect::<Vec<_>>(),
+                "the flip changes the stimulus: {case}"
+            );
+            let reference = SimSession::new(netlist)
+                .delay(delay.clone())
+                .options(options)
+                .stimulus(merged)
+                .probe(ActivityProbe::new())
+                .probe(PowerProbe::new(base.technology, base.frequency))
+                .probe(StatsProbe::new())
+                .run()
+                .expect("settles");
+            let run = |job: &SimJob<'_>| {
+                runner
+                    .run_jobs(std::slice::from_ref(job), &program, &|_| Vec::new())
+                    .expect("settles")
+                    .remove(0)
+            };
+            let routed = run(&flipped);
+            assert!(routed.timed_work().is_some(), "settles timed: {case}");
+            assert_same_report(netlist, &reference, &routed, &case);
+            let values = |report: &SessionReport| {
+                (0..netlist.net_count())
+                    .map(|i| report.net_value(NetId::from_index(i)))
+                    .collect()
+            };
+            finals.push((case, options, values(&routed), values(&run(&base))));
+        }
+    }
+    finals
+}
+
+#[test]
+fn flipped_jobs_match_the_merged_stimulus_on_the_adder() {
+    let rca = corpus("rca4.blif");
+    let a1 = rca.find_net("a1").expect("input a1");
+    let cin = rca.find_net("cin").expect("input cin");
+    let job = SimJob::new(
+        &rca,
+        vec![Bus::new(rca.inputs().to_vec())],
+        FLIP_CYCLES,
+        0xF11,
+    );
+    let delta = DeltaStimulus::new()
+        .set(40, a1, true)
+        .set(40, cin, false)
+        .set(299, a1, false);
+    check_flips(&job, &delta);
+}
+
+#[test]
+fn flipped_jobs_match_the_merged_stimulus_on_the_multiplier() {
+    let mult = corpus("mult4.blif");
+    let x1 = mult.find_net("x[1]").expect("input x[1]");
+    let y3 = mult.find_net("y[3]").expect("input y[3]");
+    let job = SimJob::new(
+        &mult,
+        vec![Bus::new(mult.inputs().to_vec())],
+        FLIP_CYCLES,
+        0xF12,
+    );
+    // Both values at the 64-lane block boundary, so one of them flips.
+    let delta = DeltaStimulus::new()
+        .set(63, x1, true)
+        .set(64, x1, false)
+        .set(150, y3, true);
+    check_flips(&job, &delta);
+}
+
+#[test]
+fn a_counter_enable_flip_diverges_to_the_end_of_the_run() {
+    let counter = corpus("counter4.blif");
+    let en = counter.find_net("en").expect("input en");
+    let job = SimJob::new(
+        &counter,
+        vec![Bus::new(counter.inputs().to_vec())],
+        FLIP_CYCLES,
+        0xC0DE,
+    );
+    let value = SimBaseline::of(&job).input_value(100, en) != Value::One;
+    let finals = check_flips(&job, &DeltaStimulus::new().set(100, en, value));
+    // One extra (or one missing) count never reconverges: with binary
+    // state the flipped counter ends on a different value under every
+    // delay model. Under x-init the state is X throughout.
+    for (case, options, flipped, configured) in finals {
+        if options == SimOptions::default() {
+            assert_ne!(flipped, configured, "{case}");
+        }
+    }
 }

@@ -1,5 +1,4 @@
-//! Static fanout cones: the dirty-region index behind incremental
-//! re-simulation.
+//! Static fanout cones.
 //!
 //! A *fanout cone* of a set of seed nets is everything those nets can
 //! influence within one clock cycle: the seeds themselves, every net
@@ -10,10 +9,9 @@
 //! [`ConeIndex`] is computed **once per netlist** — a CSR adjacency of
 //! net → combinational-successor nets plus the topological level of every
 //! combinational cell (from [`Netlist::levelize`]) — and then answers cone
-//! queries in time proportional to the cone, not the netlist. Incremental
-//! re-simulation uses it to bound which nets must be diffed against a
-//! baseline after a dirty cycle; retiming and reporting use the level
-//! annotation to present cones front-to-back.
+//! queries in time proportional to the cone, not the netlist, with the
+//! cells of a cone in level order (front to back). No simulation path uses
+//! it: an input flip is a full run of the flipped stimulus.
 
 use crate::cell::CellId;
 use crate::error::NetlistError;
@@ -48,8 +46,7 @@ pub struct ConeIndex {
 impl ConeIndex {
     /// Builds the index. The cost is one levelisation plus one pass over
     /// every pin — amortise it by building once and sharing across many
-    /// cone queries (and across parallel incremental jobs; the index is
-    /// immutable and `Sync`).
+    /// cone queries (the index is immutable and `Sync`).
     ///
     /// # Errors
     ///

@@ -104,11 +104,11 @@ impl Netlist {
     /// (kind, connectivity, flipflop init state), in id order.
     ///
     /// Two netlists with equal fingerprints are structurally identical for
-    /// simulation purposes; recorded baselines persisted to disk use this
-    /// to reject replay against an edited circuit that happens to keep the
-    /// same name and element counts. The hash is implemented explicitly
-    /// (not via `std::hash`) so the value is stable across Rust versions —
-    /// it is part of the baseline file format.
+    /// simulation purposes; the serving cache keys circuits by it, and a
+    /// request may pin it to reject an edited circuit that happens to keep
+    /// the same name and element counts. The hash is implemented
+    /// explicitly (not via `std::hash`) so the value is stable across Rust
+    /// versions — clients pin it across daemon restarts.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

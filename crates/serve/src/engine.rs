@@ -9,12 +9,11 @@
 //! response is therefore byte-identical to the equivalent
 //! `glitch-cli ... --json` run by construction.
 
-use std::path::PathBuf;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use glitch_core::netlist::ConeIndex;
-use glitch_core::{GlitchAnalyzer, KernelProgram};
+use glitch_core::KernelProgram;
 use glitch_obs::export::{
     chrome_trace_with_tracks, metrics_json, metrics_prometheus, metrics_text,
 };
@@ -23,11 +22,10 @@ use glitch_obs::{
     WINDOW_5M_MICROS,
 };
 
-use crate::cache::{BaselineEntry, CachedCircuit, CircuitCache};
-use crate::exec::{exec, record_baseline, replay_baseline, Hooks, ProgressLines, Resources, Sink};
+use crate::cache::{CachedCircuit, CircuitCache};
+use crate::exec::{exec, Hooks, ProgressLines, Resources, Sink};
 use crate::json::JsonObject;
 use crate::lock;
-use crate::params;
 use crate::protocol::{error_response, ok_response, JobKind, JobRequest, MetricsFormat};
 
 /// What the server threads know about one request: its monotonic id
@@ -85,13 +83,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with a cache byte budget (0 = unbounded) and an optional
-    /// baseline spill directory.
+    /// An engine with a cache byte budget (0 = unbounded).
     #[must_use]
-    pub fn new(cache_bytes: usize, spill_dir: Option<PathBuf>) -> Engine {
+    pub fn new(cache_bytes: usize) -> Engine {
         let clock = Clock::new();
         Engine {
-            cache: CircuitCache::new(cache_bytes, spill_dir),
+            cache: CircuitCache::new(cache_bytes),
             metrics: Mutex::new(MetricsRegistry::new()),
             clock,
             spans: Mutex::new(SpanLog::new(clock)),
@@ -233,6 +230,22 @@ impl Engine {
         ctx: RequestContext,
         interim: Option<&(dyn Fn(String) + Sync)>,
     ) -> String {
+        self.answer(kind, job, track, ctx, |trace| {
+            self.execute(kind, job, trace, ctx.id, interim)
+        })
+    }
+
+    /// The bookkeeping around one job's `execute`, which runs isolated: a
+    /// panic inside it is caught, counted as `serve.panics` and answered
+    /// with the protocol's error line, so the worker keeps serving.
+    fn answer(
+        &self,
+        kind: JobKind,
+        job: &JobRequest,
+        track: u64,
+        ctx: RequestContext,
+        execute: impl FnOnce(&mut JobTrace) -> Result<String, String>,
+    ) -> String {
         self.busy_workers.fetch_add(1, Ordering::SeqCst);
         self.add(&format!("serve.requests.{}", kind.op()), 1);
         let mut trace = JobTrace {
@@ -240,7 +253,16 @@ impl Engine {
             cache: "-",
         };
         let start = self.clock.now_micros();
-        let result = self.execute(kind, job, &mut trace, ctx.id, interim);
+        let result =
+            catch_unwind(AssertUnwindSafe(|| execute(&mut trace))).unwrap_or_else(|panic| {
+                self.add("serve.panics", 1);
+                let reason = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("unknown cause");
+                Err(format!("job panicked: {reason}"))
+            });
         let end = self.clock.now_micros();
         let dur = end.saturating_sub(start);
         self.record_span(
@@ -378,8 +400,7 @@ impl Engine {
             );
         let cache = JsonObject::new()
             .u64("bytes", self.cache.bytes() as u64)
-            .u64("circuits", self.cache.circuit_count() as u64)
-            .u64("baselines", self.cache.baseline_count() as u64);
+            .u64("circuits", self.cache.circuit_count() as u64);
         let mut latency = JsonObject::new();
         {
             let mut windows = lock(&self.windows);
@@ -473,7 +494,7 @@ impl Engine {
             JobKind::Flip => {
                 bad.extend(sweep_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
                 if job.engine.is_some() {
-                    bad.push("engine (flip rides the incremental queue replay)");
+                    bad.push("engine (flip runs the default engine)");
                 }
                 bad.extend(check_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
             }
@@ -596,51 +617,6 @@ impl Resources for Cached<'_> {
         }
         Ok(lookup.program)
     }
-
-    fn cone_index(&self) -> Result<Arc<ConeIndex>, String> {
-        self.circuit.cone_index()
-    }
-
-    fn baseline(&self, analyzer: &GlitchAnalyzer) -> Result<Arc<BaselineEntry>, String> {
-        let config = analyzer.config();
-        let netlist = self.circuit.netlist();
-        // Everything the cached "before" analysis depends on. The netlist
-        // fingerprint is the cache's own outer key.
-        let key = format!(
-            "{}:{}:{:?}:{}:{:?}:{:?}",
-            config.cycles,
-            config.seed,
-            config.technology,
-            config.frequency.to_bits(),
-            config.delay,
-            config.options
-        );
-        let lookup = self.engine.cache.baseline_for(
-            self.circuit,
-            &key,
-            |baseline| params::baseline_mismatch(baseline, netlist, config).is_none(),
-            || record_baseline(analyzer, netlist).map(|(analysis, baseline)| (baseline, analysis)),
-            |nl, baseline| replay_baseline(analyzer, nl, baseline),
-        )?;
-        self.engine.add(
-            if lookup.hit {
-                "cache.baseline_hits"
-            } else {
-                "cache.baseline_misses"
-            },
-            1,
-        );
-        if lookup.coalesced {
-            self.engine.add("cache.coalesced_waits", 1);
-        }
-        if lookup.spill_load {
-            self.engine.add("cache.spill_loads", 1);
-        }
-        if lookup.evicted > 0 {
-            self.engine.add("cache.evictions", lookup.evicted);
-        }
-        Ok(lookup.entry)
-    }
 }
 
 #[cfg(test)]
@@ -648,6 +624,7 @@ mod tests {
     use super::*;
     use glitch_core::netlist::Netlist;
     use glitch_io::emit_blif;
+    use std::path::PathBuf;
 
     fn temp_netlist(tag: &str) -> (PathBuf, String) {
         let mut n = Netlist::new("enginetest");
@@ -679,7 +656,7 @@ mod tests {
     #[test]
     fn analyze_responses_are_deterministic() {
         let (dir, file) = temp_netlist("det");
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         let first = run(&engine, JobKind::Analyze, &job(&file), 1);
         let second = run(&engine, JobKind::Analyze, &job(&file), 2);
         assert!(first.contains("\"activity\""), "unexpected: {first}");
@@ -690,40 +667,61 @@ mod tests {
     }
 
     #[test]
-    fn repeated_flips_hit_the_baseline_cache() {
+    fn repeated_flips_answer_byte_identical_lines() {
         let (dir, file) = temp_netlist("flip");
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         let mut request = job(&file);
         request.flips = Some("0:a".to_string());
         let first = run(&engine, JobKind::Flip, &request, 1);
-        assert!(first.contains("\"incremental\""), "unexpected: {first}");
+        assert!(first.contains("\"delta\""), "unexpected: {first}");
         request.flips = Some("1:b".to_string());
         let second = run(&engine, JobKind::Flip, &request, 1);
-        assert!(second.contains("\"incremental\""), "unexpected: {second}");
-        assert_eq!(engine.counter_value("cache.baseline_misses"), 1);
-        assert_eq!(engine.counter_value("cache.baseline_hits"), 1);
-        // Same flip again: identical bytes, another hit.
+        assert!(second.contains("\"delta\""), "unexpected: {second}");
+        // Same flip again: identical bytes.
         let third = run(&engine, JobKind::Flip, &request, 1);
         assert_eq!(second, third);
-        assert_eq!(engine.counter_value("cache.baseline_hits"), 2);
-        // The flip sweep and a check flip replay the same baseline.
+        // The flip sweep and a check flip run the same way.
         let sweep = JobRequest {
             flip_inputs: Some("all".to_string()),
             ..job(&file)
         };
         let swept = run(&engine, JobKind::Sweep, &sweep, 1);
         assert!(swept.contains("\"points\":[{\"input\":\"a\""), "{swept}");
+        assert_eq!(swept, run(&engine, JobKind::Sweep, &sweep, 1));
         let checked = run(&engine, JobKind::Check, &request, 1);
         assert!(checked.contains("\"flipped\""), "unexpected: {checked}");
-        assert_eq!(engine.counter_value("cache.baseline_misses"), 1);
-        assert_eq!(engine.counter_value("cache.baseline_hits"), 4);
+        assert_eq!(checked, run(&engine, JobKind::Check, &request, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_and_its_worker_keeps_serving() {
+        let (dir, file) = temp_netlist("panic");
+        let engine = Engine::new(0);
+        let request = job(&file);
+        let ctx = RequestContext::inline(engine.next_request_id());
+        let line = engine.answer(JobKind::Analyze, &request, 1, ctx, |_| {
+            panic!("an injected job panic")
+        });
+        assert_eq!(line, error_response("job panicked: an injected job panic"));
+        assert_eq!(engine.counter_value("serve.panics"), 1);
+        assert_eq!(engine.counter_value("serve.errors"), 1);
+        // The same worker thread answers its next job normally.
+        let reply = run(&engine, JobKind::Analyze, &request, 1);
+        assert!(reply.contains("\"activity\""), "got: {reply}");
+        let status = engine.status_response(engine.next_request_id(), 0, 1);
+        assert!(status.contains("\"busy_workers\":0"), "got: {status}");
+        assert!(
+            status.contains("\"requests\":{\"analyze\":2,"),
+            "got: {status}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stale_fingerprints_and_bad_params_are_rejected() {
         let (dir, file) = temp_netlist("stale");
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         let mut request = job(&file);
         request.fingerprint = Some(0xdead_beef);
         let reply = run(&engine, JobKind::Analyze, &request, 1);
@@ -761,7 +759,7 @@ mod tests {
     #[test]
     fn metrics_and_trace_render() {
         let (dir, file) = temp_netlist("metrics");
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         run(&engine, JobKind::Analyze, &job(&file), 3);
         let metrics = engine.metrics_response(MetricsFormat::Json, 90);
         assert!(metrics.starts_with("{\"counters\":{"), "got: {metrics}");
@@ -792,7 +790,7 @@ mod tests {
     #[test]
     fn status_reports_counts_latency_and_cache() {
         let (dir, file) = temp_netlist("status");
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         run(&engine, JobKind::Analyze, &job(&file), 1);
         let mut bad = job(&file);
         bad.tech = Some("bogus".to_string());
@@ -828,7 +826,7 @@ mod tests {
     #[test]
     fn status_answers_after_a_panic_poisons_the_metrics_lock() {
         let (dir, file) = temp_netlist("poison");
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
                 let _guard = engine.metrics.lock().unwrap();
@@ -852,7 +850,7 @@ mod tests {
 
     #[test]
     fn shed_requests_never_reach_the_latency_histograms() {
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         engine.record_shed(engine.next_request_id(), "analyze");
         engine.record_shed(engine.next_request_id(), "reduce");
         let metrics = engine.metrics_response(MetricsFormat::Json, 9);
@@ -880,7 +878,7 @@ mod tests {
     fn the_access_log_gets_one_line_per_request() {
         let (dir, file) = temp_netlist("accesslog");
         let log_path = dir.join("access.jsonl");
-        let mut engine = Engine::new(0, None);
+        let mut engine = Engine::new(0);
         engine
             .set_access_log(&log_path.to_string_lossy(), 1 << 20)
             .unwrap();
@@ -924,7 +922,7 @@ mod tests {
         std::fs::write(&path, emit_blif(&n)).unwrap();
         let file = path.to_string_lossy().into_owned();
 
-        let engine = Engine::new(0, None);
+        let engine = Engine::new(0);
         let mut request = job(&file);
         request.cycles = Some(40);
         request.max_iters = Some(1);

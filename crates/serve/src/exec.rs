@@ -10,32 +10,32 @@
 //!
 //! The two front ends differ only in what they hand in:
 //!
-//! - [`Resources`]: where the compiled kernel program, the cone index and
-//!   the flip baseline come from — the daemon's warm cache, or built
-//!   fresh on demand by the CLI. Every input flip (`flip`, `check` with
-//!   flips, the input-flip sweep) replays that one baseline over that one
-//!   cone index.
+//! - [`Resources`]: where the compiled kernel program comes from — the
+//!   daemon's warm cache, or compiled fresh on demand by the CLI.
 //! - [`Sink`]: where the deterministic counters (and the CLI's wall-clock
 //!   phase spans) go. [`Sink::off`] is the bare path: no registry work.
 //! - [`Hooks`]: the CLI-only extras (artefact probes, a budgets file) and
 //!   the reduce progress observer.
+//!
+//! An input flip (`flip`, `check` with flips, the input-flip sweep) is
+//! the configured run plus one more run of the same configuration with
+//! [`AnalysisConfig::flips`] set, each settled like any other run.
 
 use std::sync::Arc;
 
-use glitch_core::netlist::{Bus, ConeIndex, Netlist};
+use glitch_core::netlist::{Bus, Netlist};
 use glitch_core::sim::{
     MergeableProbe, Probe, SessionReport, SimOptions, TimedWork, WindowedActivityProbe,
 };
 use glitch_core::verify::VerifyReport;
 use glitch_core::{
-    AggregateAnalysis, AggregateReport, Analysis, AnalysisConfig, CheckAnalysis, DelaySweepPoint,
-    DeltaAnalysis, DeltaCheck, DeltaStimulus, EngineKind, GlitchAnalyzer, IncrementalStats,
-    KernelProgram, KernelTelemetry, ParallelRunner, ShardSummary, SimBaseline,
+    AggregateAnalysis, AggregateReport, AnalysisConfig, CheckAnalysis, DelaySweepPoint,
+    DeltaStimulus, EngineKind, GlitchAnalyzer, KernelProgram, KernelTelemetry, ParallelRunner,
+    ShardSummary, SimBaseline,
 };
 use glitch_obs::{MetricsRegistry, Span, SpanLog};
 use glitch_reduce::{ProgressEvent, ProgressSink, ReduceOptions, ReduceReport, Reducer};
 
-use crate::cache::BaselineEntry;
 use crate::params::{self, AppliedFlip, FlipSpec, ParamError};
 use crate::protocol::{JobKind, JobRequest};
 use crate::report;
@@ -53,55 +53,6 @@ pub trait Resources {
     ///
     /// Returns a one-line message when the netlist does not compile.
     fn program(&self) -> Result<Arc<KernelProgram>, String>;
-
-    /// The circuit's fanout/level cone index (incremental replays).
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line message for cyclic netlists.
-    fn cone_index(&self) -> Result<Arc<ConeIndex>, String>;
-
-    /// The recorded `flip` baseline of `analyzer`'s configured run, with
-    /// its before-figures. [`record_baseline`] records one and
-    /// [`replay_baseline`] recovers the figures of a stored one;
-    /// [`params::baseline_mismatch`] decides whether a stored one fits.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line message when recording, loading or validating
-    /// fails.
-    fn baseline(&self, analyzer: &GlitchAnalyzer) -> Result<Arc<BaselineEntry>, String>;
-}
-
-/// Records the configured run of `netlist` as a replayable baseline.
-///
-/// # Errors
-///
-/// Returns `simulation failed: …` when the run fails.
-pub fn record_baseline(
-    analyzer: &GlitchAnalyzer,
-    netlist: &Netlist,
-) -> Result<(Analysis, SimBaseline), String> {
-    analyzer
-        .analyze_baseline(netlist, &params::input_buses(netlist), &[])
-        .map_err(|e| format!("simulation failed: {e}"))
-}
-
-/// Recovers a stored baseline's before-figures by an empty-delta replay —
-/// O(transitions), zero cell evaluations, bit-identical to the recording.
-///
-/// # Errors
-///
-/// Returns `baseline replay failed: …` when the replay fails.
-pub fn replay_baseline(
-    analyzer: &GlitchAnalyzer,
-    netlist: &Netlist,
-    baseline: &SimBaseline,
-) -> Result<Analysis, String> {
-    analyzer
-        .analyze_delta_with_index(netlist, baseline, &DeltaStimulus::new(), None)
-        .map(|delta| delta.analysis)
-        .map_err(|e| format!("baseline replay failed: {e}"))
 }
 
 /// Where one job's telemetry goes: deterministic counters into a
@@ -220,6 +171,31 @@ impl<'a> Sink<'a> {
         self.add("timed.op_evals", work.iter().map(|w| w.op_evals).sum());
     }
 
+    /// The counters of a finished analysis: `timed.*` under the hybrid
+    /// engine, then each run's session counters.
+    fn runs(
+        &mut self,
+        engine: EngineKind,
+        analysis: &AggregateAnalysis,
+        reports: &[SessionReport],
+    ) {
+        if engine == EngineKind::Hybrid {
+            self.timed(analysis.aggregate.shards());
+        }
+        for report in reports {
+            self.session(report);
+        }
+    }
+
+    /// The counters of a finished batch that hands no session reports
+    /// back: `timed.*` under the hybrid engine, then `sim.*` and `queue.*`.
+    fn batch(&mut self, engine: EngineKind, aggregate: &AggregateReport) {
+        if engine == EngineKind::Hybrid {
+            self.timed(aggregate.shards());
+        }
+        self.aggregate(aggregate);
+    }
+
     /// `kernel.*`: the lanes, cycles and functional work of a
     /// compiled-kernel run.
     fn kernel(&mut self, kernel: &KernelTelemetry) {
@@ -232,21 +208,6 @@ impl<'a> Sink<'a> {
         self.add("kernel.functional_cell_evals", kernel.functional_cell_evals);
         self.gauge_max("kernel.program_ops", kernel.program_ops as u64);
         self.gauge_max("kernel.program_bytes", kernel.program_bytes as u64);
-    }
-
-    /// `incremental.*`: the work accounting of one dirty-region replay.
-    fn incremental(&mut self, stats: &IncrementalStats) {
-        self.add("incremental.replayed_cycles", stats.replayed_cycles);
-        self.add("incremental.simulated_cycles", stats.simulated_cycles);
-        self.add("incremental.cells_evaluated", stats.cells_evaluated);
-        self.add(
-            "incremental.dff_divergence_reseeds",
-            stats.dff_divergence_reseeds,
-        );
-        self.gauge_max(
-            "incremental.peak_dirty_cone_nets",
-            stats.peak_dirty_cone_nets,
-        );
     }
 
     /// `check.*` violation counters, plus one `checker:NAME` span per
@@ -324,12 +285,12 @@ pub enum JobOutput {
     },
     /// `flip` (`analyze --flip`).
     Flip {
-        /// The flips as applied to the baseline.
+        /// The flips as applied to the configured run.
         applied: Vec<AppliedFlip>,
-        /// The baseline and its before-figures.
-        baseline: Arc<BaselineEntry>,
-        /// The incremental after-figures.
-        after: DeltaAnalysis,
+        /// The configured run.
+        before: Box<AggregateAnalysis>,
+        /// The flipped run.
+        after: Box<AggregateAnalysis>,
     },
     /// Multi-seed `check`.
     Check {
@@ -348,32 +309,31 @@ pub enum JobOutput {
     },
     /// `check` with `flips`.
     CheckFlip {
-        /// Cycles in the baseline.
+        /// Cycles of the run.
         cycles: u64,
         /// Whether flipflops powered on X.
         x_init: bool,
         /// Checkers in the suite.
         checkers: usize,
-        /// The flips as applied to the baseline.
+        /// The flips as applied to the configured run.
         applied: Vec<AppliedFlip>,
-        /// The baseline verdict.
+        /// The configured run's verdict.
         base_report: VerifyReport,
-        /// The incremental re-check.
-        flipped: DeltaCheck,
+        /// The flipped run's check.
+        flipped: CheckAnalysis,
     },
-    /// `sweep` with `flip_inputs`: one incremental re-analysis per
-    /// flipped input against one shared baseline.
+    /// `sweep` with `flip_inputs`: one flipped run per input.
     SweepFlips {
         /// The cycle every input is flipped in.
         cycle: u64,
         /// Worker threads.
         jobs: usize,
-        /// The flips, one per input, as applied to the baseline.
+        /// The flips, one per input, as applied to the configured run.
         applied: Vec<AppliedFlip>,
-        /// The baseline and its before-figures.
-        baseline: Arc<BaselineEntry>,
-        /// The after-figures of each flip, in input order.
-        points: Vec<DeltaAnalysis>,
+        /// The configured run.
+        before: AggregateAnalysis,
+        /// The flipped runs, in input order.
+        points: Vec<AggregateAnalysis>,
     },
     /// Delay-model `sweep`.
     Sweep {
@@ -427,17 +387,9 @@ impl JobOutput {
             ),
             JobOutput::Flip {
                 applied,
-                baseline,
+                before,
                 after,
-            } => report::analyze_flip_json(
-                file,
-                netlist,
-                baseline.baseline.cycle_count(),
-                applied,
-                &after.incremental,
-                &baseline.before,
-                &after.analysis,
-            ),
+            } => report::analyze_flip_json(file, netlist, applied, before, after),
             JobOutput::Check {
                 seeds,
                 jobs,
@@ -472,9 +424,9 @@ impl JobOutput {
                 cycle,
                 jobs,
                 applied,
-                baseline,
+                before,
                 points,
-            } => report::sweep_flips_json(file, netlist, *cycle, *jobs, applied, baseline, points),
+            } => report::sweep_flips_json(file, netlist, *cycle, *jobs, applied, before, points),
             JobOutput::Reduce {
                 seeds,
                 jobs,
@@ -499,7 +451,7 @@ const KERNEL_TIMING_CHECK: &str = "--budget and --hazards check settle timing, w
      zero-delay kernel engine cannot see (they would pass vacuously); use --engine queue or hybrid";
 const SINGLE_SEED_FLIP: &str = "--flip applies to single-seed runs; drop --seeds or --flip";
 /// The refusal of an input flip (`--flip`, `--flip-inputs`) under
-/// `--engine kernel`: the incremental replay is always event-driven.
+/// `--engine kernel`, whose zero-delay figures have no glitches to compare.
 const KERNEL_FLIP: &str = "input flips ride the incremental event-driven replay, which \
      the kernel engine cannot run; drop --engine kernel";
 
@@ -511,7 +463,7 @@ const KERNEL_FLIP: &str = "input flips ride the incremental event-driven replay,
 ///
 /// [`ParamError::Usage`] for malformed or contradictory parameters,
 /// [`ParamError::Run`] for parameters that do not fit the circuit and for
-/// simulation, replay and reduction failures.
+/// simulation and reduction failures.
 pub fn exec(
     kind: JobKind,
     job: &JobRequest,
@@ -561,20 +513,21 @@ pub fn exec(
         JobKind::Analyze => analyze(job, netlist, &buses, config, resources, sink, hooks),
         JobKind::Flip => {
             let flips = flip_specs(job, netlist, &config)?;
-            let analyzer = GlitchAnalyzer::new(config);
-            let (baseline, index) = baseline_and_index(&analyzer, resources, sink)?;
-            let (delta, applied) = params::flips_to_delta(&flips, &baseline.baseline)?;
-            let after = {
-                let _span = sink.span("incremental");
-                analyzer
-                    .analyze_delta_with_index(netlist, &baseline.baseline, &delta, Some(&index))
-                    .map_err(|e| run(format!("incremental simulation failed: {e}")))?
-            };
-            sink.incremental(&after.incremental);
+            let (delta, applied) =
+                params::flips_to_delta(&flips, &baseline(netlist, &buses, &config))?;
+            let program = compiled(config.engine, resources, sink)?;
+            let before = run_once(netlist, &buses, &config, program.as_deref(), sink)?;
+            let after = run_once(
+                netlist,
+                &buses,
+                &flipped(&config, delta),
+                program.as_deref(),
+                sink,
+            )?;
             Ok(JobOutput::Flip {
                 applied,
-                baseline,
-                after,
+                before: Box::new(before),
+                after: Box::new(after),
             })
         }
         JobKind::Check => {
@@ -596,27 +549,23 @@ pub fn exec(
             let analyzer = GlitchAnalyzer::new(config.clone());
             if job.flips.is_some() {
                 let flips = flip_specs(job, netlist, &config)?;
-                let (baseline, index) = baseline_and_index(&analyzer, resources, sink)?;
-                let (delta, applied) = params::flips_to_delta(&flips, &baseline.baseline)?;
-                let check = |delta: &DeltaStimulus| {
-                    analyzer
-                        .check_delta(netlist, &baseline.baseline, delta, &suite, &index)
-                        .map_err(|e| run(format!("incremental simulation failed: {e}")))
+                let (delta, applied) =
+                    params::flips_to_delta(&flips, &baseline(netlist, &buses, &config))?;
+                let check = |config: &AnalysisConfig, sink: &mut Sink<'_>| {
+                    let checked = {
+                        let _span = sink.span("simulate");
+                        GlitchAnalyzer::new(config.clone())
+                            .check_seeds(netlist, &buses, &[], &suite, &[config.seed], 1)
+                            .map_err(|e| run(format!("simulation failed: {e}")))?
+                    };
+                    sink.batch(config.engine, &checked.analysis.aggregate);
+                    Ok::<_, ParamError>(checked)
                 };
-                // The baseline verdict: an empty-delta replay, zero cell
-                // evaluations.
-                let base_report = {
-                    let _span = sink.span("simulate");
-                    check(&DeltaStimulus::new())?.report
-                };
-                let flipped = {
-                    let _span = sink.span("incremental");
-                    check(&delta)?
-                };
-                sink.incremental(&flipped.incremental);
-                sink.check(&flipped.report, &[]);
+                let base_report = check(&config, sink)?.report;
+                let flipped = check(&flipped(&config, delta), sink)?;
+                sink.check(&flipped.report, &flipped.checker_micros);
                 return Ok(JobOutput::CheckFlip {
-                    cycles: baseline.baseline.cycle_count(),
+                    cycles: config.cycles,
                     x_init: job.x_init,
                     checkers,
                     applied,
@@ -637,11 +586,8 @@ pub fn exec(
             if let Some(kernel) = &checked.analysis.kernel {
                 sink.kernel(kernel);
             }
-            if config.engine == EngineKind::Hybrid {
-                sink.timed(checked.analysis.aggregate.shards());
-            }
             let merge_start = sink.now();
-            sink.aggregate(&checked.analysis.aggregate);
+            sink.batch(config.engine, &checked.analysis.aggregate);
             sink.check(&checked.report, &checked.checker_micros);
             sink.span_since("merge", merge_start);
             Ok(JobOutput::Check {
@@ -754,25 +700,60 @@ fn flip_specs(
     Ok(flips)
 }
 
-/// The one route of every input flip: the baseline of `analyzer`'s
-/// configured run (under the `simulate` span) and the cone index its
-/// replays share, both from `resources`.
-fn baseline_and_index(
-    analyzer: &GlitchAnalyzer,
-    resources: &dyn Resources,
-    sink: &Sink<'_>,
-) -> Result<(Arc<BaselineEntry>, Arc<ConeIndex>), ParamError> {
-    let baseline = {
-        let _span = sink.span("simulate");
-        resources.baseline(analyzer).map_err(run)?
-    };
-    Ok((baseline, resources.cone_index().map_err(run)?))
+/// The configured run's stimulus, which flips are resolved against.
+fn baseline(netlist: &Netlist, buses: &[Bus], config: &AnalysisConfig) -> SimBaseline {
+    SimBaseline::of(&GlitchAnalyzer::new(config.clone()).job(netlist, buses, &[], config.seed))
 }
 
-/// `sweep` with `flip_inputs`: one inverting flip per listed input in
-/// `flip_cycle`, each replayed incrementally against one shared baseline
-/// and cone index and fanned across `jobs` workers; rows come back in
-/// input order at any worker count.
+/// `config` with `delta`'s input bits overridden: the flipped run.
+fn flipped(config: &AnalysisConfig, delta: DeltaStimulus) -> AnalysisConfig {
+    AnalysisConfig {
+        flips: delta,
+        ..config.clone()
+    }
+}
+
+/// One single-seed run of `config` (configured or flipped) under the
+/// `simulate` span, with its counters in `sink`.
+fn run_once(
+    netlist: &Netlist,
+    buses: &[Bus],
+    config: &AnalysisConfig,
+    program: Option<&KernelProgram>,
+    sink: &mut Sink<'_>,
+) -> Result<AggregateAnalysis, ParamError> {
+    let (analysis, reports) = {
+        let _span = sink.span("simulate");
+        single_run(netlist, buses, config, program)
+            .map_err(|e| run(format!("simulation failed: {e}")))?
+    };
+    sink.runs(config.engine, &analysis, &reports);
+    Ok(analysis)
+}
+
+/// [`GlitchAnalyzer::analyze_seeds`] over `config`'s own seed on one
+/// worker, with no extra probe.
+fn single_run(
+    netlist: &Netlist,
+    buses: &[Bus],
+    config: &AnalysisConfig,
+    program: Option<&KernelProgram>,
+) -> Result<(AggregateAnalysis, Vec<SessionReport>), glitch_core::sim::SimError> {
+    GlitchAnalyzer::new(config.clone()).analyze_seeds(
+        netlist,
+        buses,
+        &[],
+        &[config.seed],
+        1,
+        &|_| Vec::new(),
+        program,
+    )
+}
+
+/// `sweep` with `flip_inputs`: the configured run, then one inverting
+/// flip per listed input in `flip_cycle`, each one more run of the same
+/// configuration, fanned across `jobs` workers; rows come back in input
+/// order at any worker count.
 fn sweep_flips(
     job: &JobRequest,
     list: &str,
@@ -791,33 +772,37 @@ fn sweep_flips(
     }
     let cycle = job.flip_cycle.unwrap_or(0);
     let (flips, jobs) = params::flip_inputs(list, cycle, config.cycles, job.jobs, netlist)?;
-    let analyzer = GlitchAnalyzer::new(config);
-    let (baseline, index) = baseline_and_index(&analyzer, resources, sink)?;
-    let mut deltas = Vec::with_capacity(flips.len());
+    let buses = params::input_buses(netlist);
+    let baseline = baseline(netlist, &buses, &config);
+    let mut configs = Vec::with_capacity(flips.len());
     let mut applied = Vec::with_capacity(flips.len());
     for flip in &flips {
-        let (delta, one) = params::flips_to_delta(std::slice::from_ref(flip), &baseline.baseline)?;
-        deltas.push(delta);
+        let (delta, one) = params::flips_to_delta(std::slice::from_ref(flip), &baseline)?;
+        configs.push(flipped(&config, delta));
         applied.extend(one);
     }
-    let points = {
-        let _span = sink.span("incremental");
+    let program = compiled(config.engine, resources, sink)?;
+    let before = run_once(netlist, &buses, &config, program.as_deref(), sink)?;
+    let runs = {
+        let _span = sink.span("simulate");
         ParallelRunner::new(jobs)
-            .map(deltas, |_, delta| {
-                analyzer.analyze_delta_with_index(netlist, &baseline.baseline, &delta, Some(&index))
+            .map(configs, |_, config| {
+                single_run(netlist, &buses, &config, program.as_deref())
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| run(format!("incremental simulation failed: {e}")))?
+            .map_err(|e| run(format!("simulation failed: {e}")))?
     };
-    for point in &points {
-        sink.incremental(&point.incremental);
+    let mut points = Vec::with_capacity(runs.len());
+    for (analysis, reports) in runs {
+        sink.runs(config.engine, &analysis, &reports);
+        points.push(analysis);
     }
     Ok(JobOutput::SweepFlips {
         cycle,
         jobs,
         applied,
-        baseline,
+        before,
         points,
     })
 }

@@ -1,22 +1,22 @@
 //! `glitch-serve`: the batch analysis daemon.
 //!
 //! Amortises the per-invocation costs of the one-shot CLI — netlist
-//! parsing, cone-index construction and baseline recording — across many
-//! requests, behind a dependency-free JSON-lines protocol on a loopback
-//! TCP socket:
+//! parsing and kernel compilation — across many requests, behind a
+//! dependency-free JSON-lines protocol on a loopback TCP socket:
 //!
 //! - [`protocol`]: request parsing (`analyze`, `check`, `flip`, `sweep`,
 //!   `reduce`, `metrics`, `status`, `ping`, `shutdown`) with strict
 //!   unknown-field rejection.
-//! - [`cache`]: the content-addressed warm cache — circuits keyed by
-//!   [`glitch_core::netlist::Netlist::fingerprint`], baselines by their
-//!   full parameter set, with single-flight coalescing, LRU byte-budget
-//!   eviction and atomic disk spill.
+//! - [`cache`]: the content-addressed warm cache — circuits and their
+//!   compiled kernel programs keyed by
+//!   [`glitch_core::netlist::Netlist::fingerprint`], with single-flight
+//!   coalescing and LRU byte-budget eviction.
 //! - [`exec`]: the one job executor the daemon and the one-shot CLI
 //!   share, so responses are byte-identical to one-shot `--json` output
 //!   by construction.
 //! - [`engine`]: the daemon's side of a job — cache lookup, fingerprint
-//!   check, counters, spans and the access log around [`exec::exec`].
+//!   check, counters, spans and the access log around [`exec::exec`],
+//!   with a panicking job answered as an error (`serve.panics`).
 //! - [`server`] / [`client`]: the worker-pool daemon and its blocking
 //!   line-protocol client.
 //!

@@ -149,7 +149,7 @@ pub fn analysis_config(
         technology: *library.technology(),
         delay: delay_kind(delay, library)?,
         engine: engine_kind(engine)?,
-        options: defaults.options,
+        ..defaults
     })
 }
 
@@ -212,56 +212,6 @@ fn resolve_jobs(jobs: Option<usize>, items: usize) -> Result<usize, ParamError> 
         return Err(usage("--jobs must be at least 1"));
     }
     Ok(jobs)
-}
-
-/// Why a recorded `baseline` cannot stand in for a fresh recording of
-/// `netlist` under `config`, or `None` when it can. Checks the structural
-/// fingerprint, the cycle count, the delay model, the simulator options
-/// and — by regenerating the configured stimulus and comparing it cycle
-/// for cycle, since a baseline file does not store its seed — the
-/// stimulus itself, so a seed mismatch is caught too.
-#[must_use]
-pub fn baseline_mismatch(
-    baseline: &SimBaseline,
-    netlist: &Netlist,
-    config: &AnalysisConfig,
-) -> Option<String> {
-    if !baseline.matches_netlist(netlist) {
-        return Some(format!(
-            "baseline was recorded on `{}`, which does not match `{}` structurally \
-             (the circuit may have been edited since); delete the file to re-record",
-            baseline.netlist_name(),
-            netlist.name()
-        ));
-    }
-    if baseline.cycle_count() != config.cycles {
-        return Some(format!(
-            "baseline records {} cycles but --cycles is {}",
-            baseline.cycle_count(),
-            config.cycles
-        ));
-    }
-    if baseline.delay() != &config.delay {
-        return Some(
-            "baseline was recorded under a different delay model; re-record or match --delay"
-                .into(),
-        );
-    }
-    if baseline.options() != config.options {
-        return Some(
-            "baseline was recorded under different simulator options; re-record or match them"
-                .into(),
-        );
-    }
-    let mut regenerated = RandomStimulus::new(input_buses(netlist), config.cycles, config.seed);
-    (0..baseline.cycle_count())
-        .find(|&cycle| regenerated.next().as_ref() != Some(baseline.assignment(cycle)))
-        .map(|cycle| {
-            format!(
-                "baseline was recorded under a different stimulus (cycle {cycle} differs — \
-                 --seed mismatch?); re-record or match --seed"
-            )
-        })
 }
 
 /// One parsed flip entry: `cycle:net` (invert the baseline value) or
@@ -406,7 +356,7 @@ pub fn flip_inputs(
 /// One applied flip: `(net name, cycle, driven value)`.
 pub type AppliedFlip = (String, u64, bool);
 
-/// Applies a parsed flip list against a recorded baseline: entries
+/// Applies a parsed flip list against the configured run: entries
 /// without an explicit value invert the baseline's, and duplicate
 /// `cycle:net` pairs are rejected with their location (the
 /// [`DeltaStimulus::try_set`] construction contract).

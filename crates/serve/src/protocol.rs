@@ -7,8 +7,8 @@
 //! byte-identical to the matching one-shot `glitch-cli ... --json` run.
 //! A `sweep` with `flip_inputs` (and optionally `flip_cycle`) is the
 //! input-flip sweep of `sweep --flip-inputs`; without them it sweeps
-//! delay models. A `check` with `flips` re-checks incrementally against
-//! the same cached baseline a `flip` uses.
+//! delay models. A `check` with `flips` checks the configured run and the
+//! flipped one, as a `flip` analyses them.
 //! Control ops are `metrics` (the merged registry, as JSON, text or
 //! Prometheus exposition), `status` (live serving telemetry), `ping` and
 //! `shutdown`. Unknown ops and unknown fields are rejected — a typo must
@@ -30,7 +30,8 @@ pub enum JobKind {
     Analyze,
     /// Three-valued verification (`check --json`).
     Check,
-    /// Incremental what-if via the baseline cache (`analyze --flip --json`).
+    /// Input-flip what-if: the configured run and the flipped one
+    /// (`analyze --flip --json`).
     Flip,
     /// Delay-model sweep (`sweep --json`), or with `flip_inputs` the
     /// input-flip sweep (`sweep --flip-inputs --json`).

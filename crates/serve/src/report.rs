@@ -12,13 +12,9 @@ use glitch_core::netlist::Netlist;
 use glitch_core::power::PowerReport;
 use glitch_core::sim::WindowedActivityProbe;
 use glitch_core::verify::{EquivalenceReport, VerifyReport, Violation};
-use glitch_core::{
-    AggregateAnalysis, Analysis, CheckAnalysis, DelaySweepPoint, DeltaAnalysis, DeltaCheck,
-    IncrementalStats, Spread,
-};
+use glitch_core::{AggregateAnalysis, CheckAnalysis, DelaySweepPoint, Spread};
 use glitch_reduce::ReduceReport;
 
-use crate::cache::BaselineEntry;
 use crate::json::{json_array, JsonObject};
 use crate::params::AppliedFlip;
 
@@ -87,18 +83,6 @@ pub fn per_seed_json(aggregate: &AggregateAnalysis) -> String {
             .f64("power_total_w", shard.power.breakdown.total())
             .render()
     }))
-}
-
-/// The `incremental` sub-object: dirty-region re-simulation accounting.
-pub fn incremental_json(stats: &IncrementalStats) -> JsonObject {
-    JsonObject::new()
-        .u64("replayed_cycles", stats.replayed_cycles)
-        .u64("simulated_cycles", stats.simulated_cycles)
-        .u64("cells_evaluated", stats.cells_evaluated)
-        .u64("baseline_cell_evals", stats.baseline_cell_evals)
-        .u64("peak_dirty_cone_nets", stats.peak_dirty_cone_nets)
-        .u64("dff_divergence_reseeds", stats.dff_divergence_reseeds)
-        .f64("evaluated_fraction", stats.evaluated_fraction())
 }
 
 /// The applied-flip rows (`net`, `cycle`, driven `value`).
@@ -219,30 +203,27 @@ pub fn analyze_aggregate_json(
     out.render()
 }
 
-/// The `analyze --flip` report line: applied flips, incremental
-/// accounting, and before/after activity+power.
+/// The `analyze --flip` report line: applied flips, and the configured
+/// (`baseline`) and flipped (`delta`) runs' activity+power.
 pub fn analyze_flip_json(
     file: &str,
     netlist: &Netlist,
-    cycles: u64,
     applied: &[AppliedFlip],
-    stats: &IncrementalStats,
-    before: &Analysis,
-    after: &Analysis,
+    before: &AggregateAnalysis,
+    after: &AggregateAnalysis,
 ) -> String {
     JsonObject::new()
         .str("file", file)
         .str("netlist", netlist.name())
-        .u64("cycles", cycles)
+        .u64("cycles", before.total_cycles())
         .raw("flips", &flips_json(applied))
-        .raw("incremental", &incremental_json(stats).render())
         .raw("baseline", &analysis_json(before))
         .raw("delta", &analysis_json(after))
         .render()
 }
 
-/// An analysis as its `activity` totals and `power` report.
-fn analysis_json(analysis: &Analysis) -> String {
+/// A single run's analysis as its `activity` totals and `power` report.
+fn analysis_json(analysis: &AggregateAnalysis) -> String {
     JsonObject::new()
         .raw(
             "activity",
@@ -290,58 +271,26 @@ pub fn sweep_json(
         .render()
 }
 
-/// The per-flip mean of a flip sweep's incremental accounting. Every flip
-/// replays the same baseline, so the baseline's cost stays one baseline's,
-/// not one per flip; the dirty-cone peak is a high-water mark, so it takes
-/// the maximum.
-///
-/// # Panics
-///
-/// Panics if `points` is empty.
-#[must_use]
-pub fn per_flip_mean(points: &[DeltaAnalysis]) -> IncrementalStats {
-    let flips = points.len() as u64;
-    let mean = |field: fn(&IncrementalStats) -> u64| {
-        points.iter().map(|p| field(&p.incremental)).sum::<u64>() / flips
-    };
-    IncrementalStats {
-        replayed_cycles: mean(|s| s.replayed_cycles),
-        simulated_cycles: mean(|s| s.simulated_cycles),
-        cells_evaluated: mean(|s| s.cells_evaluated),
-        baseline_cell_evals: points[0].incremental.baseline_cell_evals,
-        peak_dirty_cone_nets: points
-            .iter()
-            .map(|p| p.incremental.peak_dirty_cone_nets)
-            .max()
-            .unwrap_or(0),
-        dff_divergence_reseeds: mean(|s| s.dff_divergence_reseeds),
-    }
-}
-
-/// The `sweep --flip-inputs` report line: the shared baseline, the
-/// per-flip mean accounting and one row per flipped input.
+/// The `sweep --flip-inputs` report line: the configured run and one row
+/// per flipped input.
 pub fn sweep_flips_json(
     file: &str,
     netlist: &Netlist,
     cycle: u64,
     jobs: usize,
     applied: &[AppliedFlip],
-    baseline: &BaselineEntry,
-    points: &[DeltaAnalysis],
+    before: &AggregateAnalysis,
+    points: &[AggregateAnalysis],
 ) -> String {
     let rows = json_array(applied.iter().zip(points).map(|((name, _, value), point)| {
-        let totals = point.analysis.activity.totals();
+        let totals = point.activity.totals();
         JsonObject::new()
             .str("input", name)
             .u64("flipped_to", u64::from(*value))
             .u64("useful", totals.useful)
             .u64("useless", totals.useless)
             .u64("glitches", totals.glitches())
-            .f64("power_total_w", point.analysis.power.breakdown.total())
-            .raw(
-                "incremental",
-                &incremental_json(&point.incremental).render(),
-            )
+            .f64("power_total_w", point.power.breakdown.total())
             .render()
     }));
     JsonObject::new()
@@ -349,12 +298,8 @@ pub fn sweep_flips_json(
         .str("netlist", netlist.name())
         .u64("flip_cycle", cycle)
         .usize("jobs", jobs)
-        .u64("cycles", baseline.baseline.cycle_count())
-        .raw("baseline", &analysis_json(&baseline.before))
-        .raw(
-            "incremental_per_flip_mean",
-            &incremental_json(&per_flip_mean(points)).render(),
-        )
+        .u64("cycles", before.total_cycles())
+        .raw("baseline", &analysis_json(before))
         .raw("points", &rows)
         .render()
 }
@@ -392,8 +337,8 @@ pub fn check_json(
         .render()
 }
 
-/// The `check --flip` report line: flips, incremental accounting and the
-/// baseline/flipped verdict pair.
+/// The `check --flip` report line: flips and the configured/flipped
+/// verdict pair.
 pub fn check_flip_json(
     file: &str,
     netlist: &Netlist,
@@ -401,7 +346,7 @@ pub fn check_flip_json(
     x_init: bool,
     applied: &[AppliedFlip],
     base_report: &VerifyReport,
-    flipped: &DeltaCheck,
+    flipped: &CheckAnalysis,
 ) -> String {
     JsonObject::new()
         .str("file", file)
@@ -409,10 +354,6 @@ pub fn check_flip_json(
         .u64("cycles", cycles)
         .bool("x_init", x_init)
         .raw("flips", &flips_json(applied))
-        .raw(
-            "incremental",
-            &incremental_json(&flipped.incremental).render(),
-        )
         .raw(
             "baseline",
             &verify_report_json(base_report, netlist).render(),

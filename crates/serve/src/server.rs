@@ -11,8 +11,9 @@
 //! the trace spans and the `--access-log` line. A `reduce` job with
 //! `"progress": true` streams interim progress lines back on the same
 //! connection before its final response. Shutdown (protocol request or
-//! Ctrl-C on Unix) stops admission, drains the queue, flushes the Chrome
-//! trace and removes the baseline spill directory.
+//! Ctrl-C on Unix) stops admission, drains the queue and flushes the
+//! Chrome trace. A job that panics is answered with an error line and its
+//! worker keeps serving (see [`Engine::run_job`]).
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -244,9 +245,7 @@ pub fn run_server(config: &ServeConfig) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("cannot resolve listen address: {e}"))?
         .port();
-    let spill_dir =
-        std::env::temp_dir().join(format!("glitch-serve-{}-{port}", std::process::id()));
-    let mut engine = Engine::new(config.cache_bytes, Some(spill_dir.clone()));
+    let mut engine = Engine::new(config.cache_bytes);
     if let Some(path) = &config.access_log {
         engine.set_access_log(path, config.access_log_max_bytes)?;
     }
@@ -343,7 +342,6 @@ pub fn run_server(config: &ServeConfig) -> Result<(), String> {
         std::fs::write(path, engine.chrome_trace(&tracks))
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
     }
-    std::fs::remove_dir_all(&spill_dir).ok();
     Ok(())
 }
 

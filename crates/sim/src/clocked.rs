@@ -139,8 +139,7 @@ pub struct CycleStats {
     pub settle_time: u64,
     /// Number of events processed during the cycle.
     pub events: u64,
-    /// Number of combinational cell evaluations the cycle performed — the
-    /// work metric incremental re-simulation reports its savings against.
+    /// Number of combinational cell evaluations the cycle performed.
     pub cell_evals: u64,
 }
 
@@ -424,8 +423,9 @@ impl<'a> ClockedSimulator<'a> {
         let stats = match self.settle() {
             Ok(stats) => stats,
             Err(error) => {
-                // Every cycle starts with `pending == values` (see
-                // `replay_cycle`), so the snapshot restores both.
+                // Every cycle starts with `pending == values` (a net's
+                // events pop in schedule order, as it has a single
+                // driver), so the snapshot restores both.
                 self.queue.clear();
                 self.values.copy_from_slice(&self.cycle_start);
                 self.pending.copy_from_slice(&self.cycle_start);
@@ -548,58 +548,6 @@ impl<'a> ClockedSimulator<'a> {
         for (state, ff) in self.dff_state.iter_mut().zip(&self.dffs) {
             *state = self.values[ff.d.index()];
         }
-    }
-
-    /// Replays one recorded clock cycle without touching the event queue:
-    /// the attached probes see exactly the hook sequence a live [`step`]
-    /// over the same cycle would have produced (`on_cycle_start`, one
-    /// `on_transition` per recorded transition in recorded order,
-    /// `on_cycle_end` with the recorded statistics), net values and the
-    /// pending table are advanced to the recorded post-cycle state, and the
-    /// flipflops resample their D inputs.
-    ///
-    /// This is the fast path of incremental re-simulation
-    /// ([`crate::IncrementalSession`]): a cycle proven identical to a
-    /// baseline run is replayed in `O(transitions)` instead of re-settling
-    /// the event queue. Correctness rests on the caller's guarantee that
-    /// the simulator state at entry equals the baseline state at the same
-    /// cycle boundary.
-    ///
-    /// [`step`]: ClockedSimulator::step
-    pub(crate) fn replay_cycle(&mut self, transitions: &[Transition], stats: &CycleStats) {
-        for probe in &mut self.probes {
-            probe.on_cycle_start(self.cycles);
-        }
-        for recorded in transitions {
-            let idx = recorded.net.index();
-            self.values[idx] = recorded.value;
-            // A settled cycle leaves `pending == values` on every net (a
-            // net's events pop in schedule order because it has a single
-            // driver), so replay maintains the invariant the next live
-            // `step` relies on for its schedule filtering.
-            self.pending[idx] = recorded.value;
-            let event = Transition {
-                net: recorded.net,
-                cycle: self.cycles,
-                time: recorded.time,
-                value: recorded.value,
-                kind: recorded.kind,
-            };
-            for probe in &mut self.probes {
-                probe.on_transition(&event);
-            }
-        }
-        self.sample_dffs();
-        for probe in &mut self.probes {
-            probe.on_cycle_end(self.cycles, stats);
-        }
-        self.cycles += 1;
-    }
-
-    /// The sampled flipflop states that will drive the Q outputs at the
-    /// start of the next cycle, in [`Netlist::dff_cells`] order.
-    pub(crate) fn dff_state(&self) -> &[Value] {
-        &self.dff_state
     }
 
     fn evaluate_and_schedule(&mut self, cell_id: CellId, time: u64) -> Result<(), SimError> {

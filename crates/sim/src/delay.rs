@@ -49,10 +49,6 @@ impl DelayModel for ZeroDelay {
     }
 }
 
-/// The canonical decomposition of a [`CellDelay`] table: `(default,
-/// by-kind entries, by-kind-output entries)`, sorted.
-pub(crate) type CellDelayParts = (u64, Vec<(CellKind, u64)>, Vec<(CellKind, usize, u64)>);
-
 /// A configurable per-kind, per-output delay table.
 ///
 /// Unspecified kinds fall back to the default delay (one unit). The full
@@ -130,23 +126,6 @@ impl CellDelay {
     #[must_use]
     pub fn realistic_adder_cells() -> Self {
         CellDelay::new().with_full_adder(2, 1)
-    }
-
-    /// Decomposes the table into `(default, by-kind entries, by-kind-output
-    /// entries)` with the entries sorted — the canonical form baseline
-    /// persistence serialises (sorting makes the bytes deterministic
-    /// despite the hash maps).
-    pub(crate) fn parts(&self) -> CellDelayParts {
-        let mut by_kind: Vec<(CellKind, u64)> =
-            self.by_kind.iter().map(|(&k, &d)| (k, d)).collect();
-        by_kind.sort_by_key(|&(k, _)| format!("{k}"));
-        let mut by_kind_output: Vec<(CellKind, usize, u64)> = self
-            .by_kind_output
-            .iter()
-            .map(|(&(k, pin), &d)| (k, pin, d))
-            .collect();
-        by_kind_output.sort_by_key(|&(k, pin, _)| (format!("{k}"), pin));
-        (self.default, by_kind, by_kind_output)
     }
 }
 

@@ -35,13 +35,12 @@ pub enum SimError {
         /// Why the evaluation was rejected.
         error: EvalError,
     },
-    /// A delta stimulus referenced a cycle beyond the recorded baseline —
-    /// incremental re-simulation can only perturb cycles the baseline
-    /// actually ran.
+    /// A delta stimulus referenced a cycle beyond the run it flips — it
+    /// would silently change nothing.
     DeltaOutOfRange {
         /// The out-of-range cycle the delta referenced.
         cycle: u64,
-        /// Number of cycles the baseline recorded.
+        /// Number of cycles of the run.
         baseline_cycles: u64,
     },
     /// A delta stimulus set the same `(cycle, net)` override twice.
@@ -83,8 +82,8 @@ impl fmt::Display for SimError {
             } => {
                 write!(
                     f,
-                    "delta stimulus targets cycle {cycle} but the baseline \
-                     recorded only {baseline_cycles} cycles"
+                    "delta stimulus targets cycle {cycle} but the run has \
+                     only {baseline_cycles} cycles"
                 )
             }
             SimError::DuplicateDelta { cycle, net } => {

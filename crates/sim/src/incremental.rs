@@ -1,328 +1,111 @@
-//! Incremental dirty-region re-simulation.
+//! Input flips: the configured run's stimulus with a few bits changed.
 //!
-//! The paper's analysis workloads (seed sweeps, held-input mode sweeps,
-//! input-sensitivity studies) re-run near-identical stimuli: only a few
-//! primary input bits differ between runs. A full [`crate::SimSession`]
-//! pays the whole event-driven settle for every cycle anyway. This module
-//! adds the fast path:
+//! An input-flip study asks how the paper's per-net transition counts
+//! change when the stimulus differs in a handful of bits. The answer is
+//! one more ordinary run:
 //!
-//! * [`SimBaseline`] — the replay log of one full run, recorded by
-//!   [`crate::SimSession::record_baseline`]: per cycle the stimulus, the
-//!   reported transition stream and the cycle statistics;
-//! * [`DeltaStimulus`] — the *difference* to re-simulate: changed input
-//!   bits per cycle, plus inputs held to new values on every cycle;
-//! * [`IncrementalSession`] — re-runs the baseline under the delta. Cycles
-//!   whose inputs, flipflop state and net values provably match the
-//!   baseline are **replayed** to the probes in `O(transitions)`; all other
-//!   cycles are event-simulated normally, with the netlist's static
-//!   [`ConeIndex`] (computed once, shareable across jobs) bounding which
-//!   nets must be diffed against the baseline to detect reconvergence.
+//! * [`SimBaseline`] — the configured run's stimulus (random buses, held
+//!   inputs, seed and cycle count), which flips are resolved against;
+//! * [`DeltaStimulus`] — the changed input bits, per cycle;
+//!   [`DeltaStimulus::apply_to`] defines the flipped stimulus cycle by
+//!   cycle, and [`crate::SimJob::with_flips`] applies it to a job's
+//!   stimulus, so the flipped run settles on the event queue or the timed
+//!   kernel like any other job.
 //!
-//! **The headline guarantee is bit-identity.** For every probe — activity,
-//! power, stats, windowed heatmaps, VCD and CSV event streams — an
-//! incremental run produces exactly the hook sequence a full simulation of
-//! the merged stimulus would have produced, so every derived artefact is
-//! identical bit for bit. *Unfaithful Glitch Propagation in Existing
-//! Binary Circuit Models* (Függer, Nowak, Schmid) documents how easily
-//! event-pruning shortcuts silently change glitch behaviour; the
-//! differential proptest oracle in `tests/incremental.rs` pins this
-//! guarantee against the full simulator on random netlists and random
-//! deltas.
-//!
-//! Why replay is sound: a cycle is replayed only when (a) its merged
-//! stimulus is entry-for-entry identical to the baseline stimulus apart
-//! from no-op appends, (b) no net value diverges from the rolling baseline
-//! state, and (c) the sampled flipflop state matches. Identical inputs to
-//! the deterministic event engine produce identical outputs, so the
-//! recorded stream *is* what a live cycle would emit. Divergence can only
-//! spread through the combinational fanout of a changed net (and across
-//! cycle boundaries through flipflops, which are re-seeded from their Q
-//! nets when the sampled state differs), so diffing the cone union is
-//! exhaustive — this is the fallback to full evaluation when flipflop
-//! state diverges.
+//! Nothing is replayed or pruned: the flipped run simulates every cycle,
+//! so it cannot drift from a full simulation of the flipped stimulus.
+//! *Unfaithful Glitch Propagation in Existing Binary Circuit Models*
+//! (Függer, Nowak, Schmid) documents how easily event-pruning shortcuts
+//! silently change glitch behaviour.
 
-use std::any::Any;
+use glitch_netlist::{Bus, NetId};
 
-use glitch_netlist::{ConeIndex, NetId, Netlist};
-
-use crate::clocked::{ClockedSimulator, CycleStats, InputAssignment, SimOptions};
-use crate::delay::DelayKind;
+use crate::clocked::InputAssignment;
 use crate::error::SimError;
-use crate::probe::{Probe, Transition};
-use crate::session::{SessionError, SessionReport};
+use crate::parallel::{random_stimulus, SimJob};
 use crate::value::Value;
 
 // ---------------------------------------------------------------- baseline
 
-/// One recorded cycle of a baseline run.
-#[derive(Debug, Clone)]
-pub(crate) struct BaselineCycle {
-    /// The stimulus applied at the start of the cycle, as given.
-    pub(crate) assignment: InputAssignment,
-    /// Every transition the cycle reported to its probes, in report order.
-    pub(crate) transitions: Vec<Transition>,
-    /// The cycle's statistics (settle time, events, cell evaluations).
-    pub(crate) stats: CycleStats,
-}
-
-/// The replay log of one full simulation run; see the module docs.
-///
-/// Recorded by [`crate::SimSession::record_baseline`] and consumed by any
-/// number of [`IncrementalSession`]s (it is immutable and `Sync`, so
-/// parallel delta jobs share one baseline by reference).
-#[derive(Debug, Clone)]
+/// The stimulus of a configured run, the anchor input flips are resolved
+/// against (an unforced flip inverts the baseline's value).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimBaseline {
-    pub(crate) netlist_name: String,
-    pub(crate) netlist_fingerprint: u64,
-    pub(crate) net_count: usize,
-    pub(crate) dff_count: usize,
-    pub(crate) delay: DelayKind,
-    pub(crate) options: SimOptions,
-    pub(crate) cycles: Vec<BaselineCycle>,
-    pub(crate) total_cell_evals: u64,
+    random_buses: Vec<Bus>,
+    held: Vec<(NetId, bool)>,
+    cycles: u64,
+    seed: u64,
 }
 
 impl SimBaseline {
-    /// Number of recorded cycles.
+    /// The stimulus `job` runs, without its flips.
+    #[must_use]
+    pub fn of(job: &SimJob<'_>) -> Self {
+        SimBaseline {
+            random_buses: job.random_buses.clone(),
+            held: job.held.clone(),
+            cycles: job.cycles,
+            seed: job.seed,
+        }
+    }
+
+    /// Number of cycles of the run.
     #[must_use]
     pub fn cycle_count(&self) -> u64 {
-        self.cycles.len() as u64
+        self.cycles
     }
 
-    /// The name of the netlist the baseline was recorded on.
+    /// The input buses driven with random values.
     #[must_use]
-    pub fn netlist_name(&self) -> &str {
-        &self.netlist_name
+    pub fn random_buses(&self) -> &[Bus] {
+        &self.random_buses
     }
 
-    /// Whether this baseline was recorded on a structurally matching
-    /// netlist — same name, same counts, and the same structural
-    /// [`Netlist::fingerprint`] (kinds, connectivity, flipflop inits), so
-    /// an edited circuit that happens to preserve its name and element
-    /// counts is still rejected. Offered as a predicate so callers
-    /// loading baselines from disk ([`crate::load_baseline`]) can fail
-    /// gracefully where [`IncrementalSession::new`] panics.
+    /// The single-bit inputs held constant every cycle.
     #[must_use]
-    pub fn matches_netlist(&self, netlist: &Netlist) -> bool {
-        self.netlist_name == netlist.name()
-            && self.net_count == netlist.net_count()
-            && self.dff_count == netlist.dff_count()
-            && self.netlist_fingerprint == netlist.fingerprint()
+    pub fn held(&self) -> &[(NetId, bool)] {
+        &self.held
     }
 
-    /// Total combinational cell evaluations the baseline run performed —
-    /// the denominator of the "re-evaluated N% of cells" figure.
+    /// The stimulus seed.
     #[must_use]
-    pub fn total_cell_evals(&self) -> u64 {
-        self.total_cell_evals
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
-    /// The delay model the baseline ran under (re-runs must match).
-    #[must_use]
-    pub fn delay(&self) -> &DelayKind {
-        &self.delay
-    }
-
-    /// The simulator options the baseline ran under.
-    #[must_use]
-    pub fn options(&self) -> SimOptions {
-        self.options
-    }
-
-    /// The effective value of a primary input during `cycle`: the last
-    /// value the stimulus assigned at or before that cycle, or
-    /// [`Value::X`] if it was never assigned.
+    /// The value a primary input takes during `cycle` (the last cycle for
+    /// any later one), or [`Value::X`] if the stimulus never drives it.
     #[must_use]
     pub fn input_value(&self, cycle: u64, net: NetId) -> Value {
-        let upto = (cycle as usize).min(self.cycles.len().saturating_sub(1));
-        for recorded in self.cycles[..=upto].iter().rev() {
-            for &(assigned, value) in recorded.assignment.assignments().iter().rev() {
-                if assigned == net {
-                    return Value::from(value);
-                }
-            }
-        }
-        Value::X
-    }
-
-    /// The stimulus assignment recorded for `cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle` is out of range.
-    #[must_use]
-    pub fn assignment(&self, cycle: u64) -> &InputAssignment {
-        &self.cycles[cycle as usize].assignment
-    }
-
-    /// Approximate in-memory footprint in bytes — the per-cycle stimulus
-    /// entries and transition stream dominate. Used by cache byte budgets;
-    /// an estimate, not an allocator-exact figure.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let per_cycle: usize = self
-            .cycles
-            .iter()
-            .map(|cycle| {
-                std::mem::size_of_val(cycle.assignment.assignments())
-                    + cycle.transitions.len() * std::mem::size_of::<Transition>()
+        let upto = cycle.min(self.cycles.saturating_sub(1));
+        random_stimulus(&self.random_buses, &self.held, self.cycles, self.seed)
+            .nth(upto as usize)
+            .and_then(|assignment| {
+                assignment
+                    .assignments()
+                    .iter()
+                    .rev()
+                    .find(|&&(assigned, _)| assigned == net)
+                    .map(|&(_, value)| Value::from(value))
             })
-            .sum();
-        std::mem::size_of::<Self>()
-            + self.netlist_name.len()
-            + self.cycles.len() * std::mem::size_of::<BaselineCycle>()
-            + per_cycle
+            .unwrap_or(Value::X)
     }
-}
-
-/// Internal probe that captures the per-cycle transition stream during
-/// baseline recording. Attached last, so user probes observe the run
-/// exactly as they would without it.
-#[derive(Debug, Default)]
-struct CycleRecorder {
-    finished: Vec<Vec<Transition>>,
-    current: Vec<Transition>,
-}
-
-impl Probe for CycleRecorder {
-    fn on_cycle_start(&mut self, _cycle: u64) {
-        self.current.clear();
-    }
-
-    fn on_transition(&mut self, transition: &Transition) {
-        self.current.push(*transition);
-    }
-
-    fn on_cycle_end(&mut self, _cycle: u64, _stats: &CycleStats) {
-        self.finished.push(std::mem::take(&mut self.current));
-    }
-}
-
-/// A [`SessionError`] for failures before the probes ever started.
-fn untouched_probes_error(
-    netlist: &Netlist,
-    probes: Vec<Box<dyn Probe>>,
-    error: SimError,
-) -> SessionError {
-    SessionError {
-        error,
-        report: Box::new(SessionReport::from_parts(
-            0,
-            Vec::new(),
-            vec![Value::X; netlist.net_count()],
-            probes,
-        )),
-    }
-}
-
-/// The implementation behind [`crate::SimSession::record_baseline`].
-pub(crate) fn record_baseline<'a>(
-    netlist: &'a Netlist,
-    delay: DelayKind,
-    options: SimOptions,
-    probes: Vec<Box<dyn Probe>>,
-    stimulus: Option<Box<dyn Iterator<Item = InputAssignment> + 'a>>,
-) -> Result<(SessionReport, SimBaseline), SessionError> {
-    let mut sim = match ClockedSimulator::with_options(netlist, delay.clone().into_model(), options)
-    {
-        Ok(sim) => sim,
-        Err(error) => return Err(untouched_probes_error(netlist, probes, error)),
-    };
-    for probe in probes {
-        sim.attach_probe(probe);
-    }
-    sim.attach_probe(Box::new(CycleRecorder::default()));
-
-    let mut assignments: Vec<InputAssignment> = Vec::new();
-    let mut cycle_stats: Vec<CycleStats> = Vec::new();
-    let mut failure = None;
-    if let Some(stimulus) = stimulus {
-        for assignment in stimulus {
-            let recorded = assignment.clone();
-            match sim.step(assignment) {
-                Ok(stats) => {
-                    assignments.push(recorded);
-                    cycle_stats.push(stats);
-                }
-                Err(error) => {
-                    failure = Some(error);
-                    break;
-                }
-            }
-        }
-    }
-
-    let mut probes = sim.detach_probes();
-    let recorder_index = probes
-        .iter()
-        .position(|p| {
-            let any: &dyn Any = p.as_ref();
-            any.is::<CycleRecorder>()
-        })
-        .expect("the recorder was attached above");
-    let recorder: Box<dyn Any> = probes.remove(recorder_index);
-    let recorder = recorder
-        .downcast::<CycleRecorder>()
-        .expect("type checked above");
-
-    let final_values = (0..netlist.net_count())
-        .map(|i| sim.net_value(NetId::from_index(i)))
-        .collect();
-    let mut report =
-        SessionReport::from_parts(sim.cycle_count(), cycle_stats.clone(), final_values, probes);
-    report.set_queue_stats(sim.queue_stats());
-    if let Some(error) = failure {
-        return Err(SessionError {
-            error,
-            report: Box::new(report),
-        });
-    }
-
-    let total_cell_evals = cycle_stats.iter().map(|s| s.cell_evals).sum();
-    let cycles = assignments
-        .into_iter()
-        .zip(recorder.finished)
-        .zip(cycle_stats)
-        .map(|((assignment, transitions), stats)| BaselineCycle {
-            assignment,
-            transitions,
-            stats,
-        })
-        .collect();
-    Ok((
-        report,
-        SimBaseline {
-            netlist_name: netlist.name().to_string(),
-            netlist_fingerprint: netlist.fingerprint(),
-            net_count: netlist.net_count(),
-            dff_count: netlist.dff_count(),
-            delay,
-            options,
-            cycles,
-            total_cell_evals,
-        },
-    ))
 }
 
 // ------------------------------------------------------------------- delta
 
-/// The difference between a baseline stimulus and the stimulus to
-/// re-simulate: changed input bits per cycle plus inputs held to a new
-/// value on every cycle.
+/// The input bits a flipped run overrides, per cycle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaStimulus {
-    held: Vec<(NetId, bool)>,
     sets: Vec<(u64, NetId, bool)>,
 }
 
 impl DeltaStimulus {
-    /// An empty delta (re-simulates the baseline unchanged — every cycle
-    /// replays).
+    /// An empty delta (the flipped run is the configured run).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
-
     /// Overrides one input bit in one cycle (builder style).
     ///
     /// # Panics
@@ -353,59 +136,34 @@ impl DeltaStimulus {
         Ok(self)
     }
 
-    /// Whether a per-cycle override for `(cycle, net)` already exists
-    /// (held overrides do not count; they apply to every cycle and are
-    /// replaced by per-cycle sets where both exist).
+    /// Whether an override for `(cycle, net)` already exists.
     #[must_use]
     pub fn overrides(&self, cycle: u64, net: NetId) -> bool {
         self.sets.iter().any(|&(c, n, _)| c == cycle && n == net)
     }
 
-    /// Overrides one input bit on *every* cycle (builder style) — the
-    /// held-input mode sweep shape.
-    #[must_use]
-    pub fn hold(mut self, net: NetId, value: bool) -> Self {
-        self.held.push((net, value));
-        self
-    }
-
     /// `true` when the delta changes nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.held.is_empty() && self.sets.is_empty()
+        self.sets.is_empty()
     }
 
-    /// The largest cycle any per-cycle override targets.
+    /// The largest cycle any override targets.
     #[must_use]
     pub fn max_cycle(&self) -> Option<u64> {
         self.sets.iter().map(|&(c, _, _)| c).max()
     }
 
-    /// The nets this delta touches (with repeats, in application order).
-    pub fn nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.held
-            .iter()
-            .map(|&(n, _)| n)
-            .chain(self.sets.iter().map(|&(_, n, _)| n))
-    }
-
-    /// The overrides that apply to `cycle`: held bits first, then the
-    /// per-cycle sets in insertion order (later overrides win).
-    fn overrides_for(&self, cycle: u64) -> impl Iterator<Item = (NetId, bool)> + '_ {
-        self.held.iter().copied().chain(
-            self.sets
-                .iter()
-                .filter(move |&&(c, _, _)| c == cycle)
-                .map(|&(_, n, v)| (n, v)),
-        )
-    }
-
-    /// The merged per-cycle entry list: the baseline entries with
-    /// overridden nets replaced in place (every occurrence), and overrides
-    /// of nets the baseline does not assign appended at the end.
-    fn merged_entries(&self, cycle: u64, base: &InputAssignment) -> Vec<(NetId, bool)> {
+    /// Applies the delta to one cycle's assignment, producing the
+    /// assignment the flipped stimulus uses for that cycle: overridden
+    /// nets are replaced in place (every occurrence), in insertion order,
+    /// and overrides of nets the cycle does not assign are appended.
+    ///
+    /// This is the *definition* of the flipped stimulus.
+    #[must_use]
+    pub fn apply_to(&self, cycle: u64, base: &InputAssignment) -> InputAssignment {
         let mut entries: Vec<(NetId, bool)> = base.assignments().to_vec();
-        for (net, value) in self.overrides_for(cycle) {
+        for &(_, net, value) in self.sets.iter().filter(|&&(c, _, _)| c == cycle) {
             let mut found = false;
             for entry in &mut entries {
                 if entry.0 == net {
@@ -417,431 +175,30 @@ impl DeltaStimulus {
                 entries.push((net, value));
             }
         }
-        entries
-    }
-
-    /// Applies the delta to one baseline cycle's assignment, producing the
-    /// assignment the merged (full) stimulus would use for that cycle.
-    ///
-    /// This is the *definition* of the merged stimulus: simulating every
-    /// cycle's `apply_to` output from scratch is the reference an
-    /// incremental run is bit-identical to.
-    #[must_use]
-    pub fn apply_to(&self, cycle: u64, base: &InputAssignment) -> InputAssignment {
         let mut merged = InputAssignment::new();
-        for (net, value) in self.merged_entries(cycle, base) {
+        for (net, value) in entries {
             merged.set(net, value);
         }
         merged
     }
 }
 
-// ----------------------------------------------------------- incremental
+// ----------------------------------------------------------------- stats
 
-/// Work accounting of one incremental run.
+/// The work split of a flipped run. Every cycle of it is simulated, so
+/// `replayed_cycles` is always 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrementalStats {
-    /// Cycles served by replaying the baseline transition stream.
+    /// Cycles served without simulating them (none).
     pub replayed_cycles: u64,
-    /// Cycles that went through full event-driven evaluation.
+    /// Cycles simulated.
     pub simulated_cycles: u64,
-    /// Combinational cell evaluations the incremental run performed.
-    pub cells_evaluated: u64,
-    /// Cell evaluations of the baseline run (the full-run reference cost).
-    pub baseline_cell_evals: u64,
-    /// Largest suspicion-set (dirty-cone union) size reached, in nets —
-    /// how far divergence spread before reconverging.
-    pub peak_dirty_cone_nets: u64,
-    /// Dirty cycles whose dirtiness was (re-)seeded by a diverged
-    /// flipflop state — the cross-cycle fallback path where divergence
-    /// escaped the combinational cone through a register.
-    pub dff_divergence_reseeds: u64,
-}
-
-impl IncrementalStats {
-    /// Cell evaluations as a fraction of the baseline's (0.0 when the
-    /// baseline performed none) — the "re-evaluated N% of cells" figure.
-    #[must_use]
-    pub fn evaluated_fraction(&self) -> f64 {
-        if self.baseline_cell_evals == 0 {
-            0.0
-        } else {
-            self.cells_evaluated as f64 / self.baseline_cell_evals as f64
-        }
-    }
-
-    /// Total cycles of the run.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.replayed_cycles + self.simulated_cycles
-    }
-}
-
-/// The result of one [`IncrementalSession::run`]: a normal
-/// [`SessionReport`] (bit-identical to a full run of the merged stimulus)
-/// plus the incremental work accounting.
-#[derive(Debug)]
-pub struct IncrementalReport {
-    session: SessionReport,
-    stats: IncrementalStats,
-}
-
-impl IncrementalReport {
-    /// The session report — probes, per-cycle statistics, final values.
-    #[must_use]
-    pub fn session(&self) -> &SessionReport {
-        &self.session
-    }
-
-    /// Mutable access to the session report (e.g. to take probes out).
-    pub fn session_mut(&mut self) -> &mut SessionReport {
-        &mut self.session
-    }
-
-    /// Consumes the report, returning the session report.
-    #[must_use]
-    pub fn into_session(self) -> SessionReport {
-        self.session
-    }
-
-    /// The incremental work accounting.
-    #[must_use]
-    pub fn stats(&self) -> IncrementalStats {
-        self.stats
-    }
-}
-
-/// Re-simulates a recorded baseline under a [`DeltaStimulus`], replaying
-/// clean cycles and event-simulating dirty ones; see the module docs.
-///
-/// ```
-/// use glitch_netlist::Netlist;
-/// use glitch_sim::{
-///     ActivityProbe, DeltaStimulus, IncrementalSession, InputAssignment, SimSession,
-/// };
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut nl = Netlist::new("demo");
-/// let a = nl.add_input("a");
-/// let b = nl.add_input("b");
-/// let y = nl.xor2(a, b, "y");
-/// nl.mark_output(y);
-///
-/// let stimulus: Vec<InputAssignment> = (0..32)
-///     .map(|i| InputAssignment::new().with(a, i % 2 == 0).with(b, i % 3 == 0))
-///     .collect();
-/// let (_, baseline) = SimSession::new(&nl)
-///     .stimulus(stimulus)
-///     .probe(ActivityProbe::new())
-///     .record_baseline()?;
-///
-/// // Flip one bit of one cycle; only the dirty region re-simulates.
-/// let report = IncrementalSession::new(&nl, &baseline)
-///     .probe(ActivityProbe::new())
-///     .delta(DeltaStimulus::new().set(7, a, false))
-///     .run()?;
-/// assert_eq!(report.stats().total_cycles(), 32);
-/// assert!(report.stats().replayed_cycles >= 30);
-/// assert!(report.stats().evaluated_fraction() < 0.5);
-/// # Ok(())
-/// # }
-/// ```
-pub struct IncrementalSession<'a> {
-    netlist: &'a Netlist,
-    baseline: &'a SimBaseline,
-    cone_index: Option<&'a ConeIndex>,
-    probes: Vec<Box<dyn Probe>>,
-    delta: DeltaStimulus,
-}
-
-impl<'a> IncrementalSession<'a> {
-    /// Starts an incremental session over a recorded baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` was recorded on a structurally different
-    /// netlist (name, net count or flipflop count mismatch).
-    #[must_use]
-    pub fn new(netlist: &'a Netlist, baseline: &'a SimBaseline) -> Self {
-        assert!(
-            baseline.netlist_name == netlist.name()
-                && baseline.net_count == netlist.net_count()
-                && baseline.dff_count == netlist.dff_count(),
-            "baseline was recorded on `{}` ({} nets, {} flipflops), \
-             not on `{}` ({} nets, {} flipflops)",
-            baseline.netlist_name,
-            baseline.net_count,
-            baseline.dff_count,
-            netlist.name(),
-            netlist.net_count(),
-            netlist.dff_count(),
-        );
-        IncrementalSession {
-            netlist,
-            baseline,
-            cone_index: None,
-            probes: Vec::new(),
-            delta: DeltaStimulus::new(),
-        }
-    }
-
-    /// Attaches an observer; probes see events in attachment order.
-    #[must_use]
-    pub fn probe(mut self, probe: impl Probe) -> Self {
-        self.probes.push(Box::new(probe));
-        self
-    }
-
-    /// Attaches an already-boxed observer.
-    #[must_use]
-    pub fn boxed_probe(mut self, probe: Box<dyn Probe>) -> Self {
-        self.probes.push(probe);
-        self
-    }
-
-    /// Sets the delta to re-simulate.
-    #[must_use]
-    pub fn delta(mut self, delta: DeltaStimulus) -> Self {
-        self.delta = delta;
-        self
-    }
-
-    /// Uses a pre-built [`ConeIndex`] instead of building one per run —
-    /// share it when fanning many deltas of the same netlist across
-    /// workers.
-    #[must_use]
-    pub fn cone_index(mut self, index: &'a ConeIndex) -> Self {
-        self.cone_index = Some(index);
-        self
-    }
-
-    /// Runs the incremental re-simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SessionError`] wrapping [`SimError::DeltaOutOfRange`]
-    /// for overrides beyond the baseline, [`SimError::NotAnInput`] for
-    /// overrides of non-input nets, or any simulator error a dirty cycle
-    /// raises (the carried report holds everything observed before the
-    /// failure, exactly like [`crate::SimSession::run`]).
-    pub fn run(self) -> Result<IncrementalReport, SessionError> {
-        let IncrementalSession {
-            netlist,
-            baseline,
-            cone_index,
-            probes,
-            delta,
-        } = self;
-
-        // Validate the delta before starting any probe.
-        if let Some(max) = delta.max_cycle() {
-            if max >= baseline.cycle_count() {
-                return Err(untouched_probes_error(
-                    netlist,
-                    probes,
-                    SimError::DeltaOutOfRange {
-                        cycle: max,
-                        baseline_cycles: baseline.cycle_count(),
-                    },
-                ));
-            }
-        }
-        if let Some(bad) = delta
-            .nets()
-            .find(|&net| !netlist.net(net).is_primary_input())
-        {
-            return Err(untouched_probes_error(
-                netlist,
-                probes,
-                SimError::NotAnInput(bad),
-            ));
-        }
-
-        let built_index;
-        let cone_index = match cone_index {
-            Some(index) => index,
-            None => {
-                built_index = match ConeIndex::build(netlist) {
-                    Ok(index) => index,
-                    Err(error) => {
-                        return Err(untouched_probes_error(netlist, probes, error.into()));
-                    }
-                };
-                &built_index
-            }
-        };
-
-        let mut sim = match ClockedSimulator::with_options(
-            netlist,
-            baseline.delay.clone().into_model(),
-            baseline.options,
-        ) {
-            Ok(sim) => sim,
-            Err(error) => return Err(untouched_probes_error(netlist, probes, error)),
-        };
-        for probe in probes {
-            sim.attach_probe(probe);
-        }
-
-        // Rolling baseline state: net values and sampled flipflop state at
-        // the *current* cycle boundary, advanced by replaying the recorded
-        // transitions. This is what the incremental run diffs itself
-        // against, O(transitions) per cycle instead of per-cycle snapshots.
-        let (dff_inputs, dff_outputs): (Vec<NetId>, Vec<NetId>) = netlist
-            .dff_cells()
-            .map(|id| {
-                let cell = netlist.cell(id);
-                (cell.inputs()[0], cell.outputs()[0])
-            })
-            .unzip();
-        let mut base_values: Vec<Value> = vec![Value::X; netlist.net_count()];
-        let mut base_dff_state: Vec<Value> = sim.dff_state().to_vec();
-
-        // The suspicion set: the union of fanout cones of every net whose
-        // behaviour has differed from the baseline since the last full
-        // reconvergence. Divergence cannot escape it (cones are
-        // transitively closed; flipflop crossings re-seed from Q below).
-        let mut suspect_mark = vec![false; netlist.net_count()];
-        let mut suspects: Vec<NetId> = Vec::new();
-        let mut diverged = 0usize;
-
-        let mut stats = IncrementalStats {
-            baseline_cell_evals: baseline.total_cell_evals,
-            ..IncrementalStats::default()
-        };
-        let mut cycle_stats: Vec<CycleStats> = Vec::new();
-        let mut failure = None;
-
-        for (cycle, recorded) in baseline.cycles.iter().enumerate() {
-            // Seed nets whose cycle-start behaviour differs from the
-            // baseline: stimulus entries with changed values, appended
-            // overrides that actually change a net, and flipflops whose
-            // sampled state diverged.
-            let entries = delta.merged_entries(cycle as u64, &recorded.assignment);
-            let base_entries = recorded.assignment.assignments();
-            let mut seeds: Vec<NetId> = Vec::new();
-            for (i, &(net, value)) in entries.iter().enumerate() {
-                let differs = match base_entries.get(i) {
-                    Some(&(base_net, base_value)) => {
-                        debug_assert_eq!(net, base_net, "merge replaces in place");
-                        value != base_value
-                    }
-                    // Appended override: a no-op unless it changes the
-                    // net's current (held-over) value.
-                    None => Value::from(value) != sim.net_value(net),
-                };
-                if differs {
-                    seeds.push(net);
-                }
-            }
-            let mut dff_reseeded = false;
-            for (i, &q) in dff_outputs.iter().enumerate() {
-                if sim.dff_state()[i] != base_dff_state[i] {
-                    seeds.push(q);
-                    dff_reseeded = true;
-                }
-            }
-            if dff_reseeded {
-                stats.dff_divergence_reseeds += 1;
-            }
-
-            let clean = seeds.is_empty() && diverged == 0;
-            if clean {
-                sim.replay_cycle(&recorded.transitions, &recorded.stats);
-                cycle_stats.push(recorded.stats);
-                stats.replayed_cycles += 1;
-            } else {
-                // Extend the suspicion set by the cones of the new seeds.
-                let fresh: Vec<NetId> = seeds
-                    .iter()
-                    .copied()
-                    .filter(|n| !suspect_mark[n.index()])
-                    .collect();
-                if !fresh.is_empty() {
-                    for net in cone_index.cone(fresh).nets() {
-                        if !suspect_mark[net.index()] {
-                            suspect_mark[net.index()] = true;
-                            suspects.push(*net);
-                        }
-                    }
-                }
-                stats.peak_dirty_cone_nets = stats.peak_dirty_cone_nets.max(suspects.len() as u64);
-                let mut assignment = InputAssignment::new();
-                for (net, value) in entries {
-                    assignment.set(net, value);
-                }
-                match sim.step(assignment) {
-                    Ok(step_stats) => {
-                        stats.cells_evaluated += step_stats.cell_evals;
-                        cycle_stats.push(step_stats);
-                        stats.simulated_cycles += 1;
-                    }
-                    Err(error) => {
-                        failure = Some(error);
-                        break;
-                    }
-                }
-            }
-
-            // Advance the rolling baseline state past this cycle.
-            for t in &recorded.transitions {
-                base_values[t.net.index()] = t.value;
-            }
-            for (state, &d) in base_dff_state.iter_mut().zip(&dff_inputs) {
-                *state = base_values[d.index()];
-            }
-
-            if !clean {
-                // Reconvergence check, bounded by the suspicion set: only
-                // nets inside it can differ from the baseline.
-                diverged = suspects
-                    .iter()
-                    .filter(|n| sim.net_value(**n) != base_values[n.index()])
-                    .count();
-                if diverged == 0 && sim.dff_state() == base_dff_state.as_slice() {
-                    for n in suspects.drain(..) {
-                        suspect_mark[n.index()] = false;
-                    }
-                }
-            }
-        }
-
-        let queue = sim.queue_stats();
-        let probes = sim.detach_probes();
-        let final_values = (0..netlist.net_count())
-            .map(|i| sim.net_value(NetId::from_index(i)))
-            .collect();
-        let mut report =
-            SessionReport::from_parts(sim.cycle_count(), cycle_stats, final_values, probes);
-        report.set_queue_stats(queue);
-        match failure {
-            None => Ok(IncrementalReport {
-                session: report,
-                stats,
-            }),
-            Some(error) => Err(SessionError {
-                error,
-                report: Box::new(report),
-            }),
-        }
-    }
-}
-
-impl std::fmt::Debug for IncrementalSession<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncrementalSession")
-            .field("netlist", &self.netlist.name())
-            .field("baseline_cycles", &self.baseline.cycle_count())
-            .field("probes", &self.probes.len())
-            .finish_non_exhaustive()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::ActivityProbe;
-    use crate::session::SimSession;
+    use glitch_netlist::Netlist;
 
     fn xor_pair() -> (Netlist, NetId, NetId, NetId) {
         let mut nl = Netlist::new("inc unit");
@@ -852,163 +209,72 @@ mod tests {
         (nl, a, b, y)
     }
 
-    fn toggling(a: NetId, b: NetId, cycles: u64) -> Vec<InputAssignment> {
-        (0..cycles)
-            .map(|i| {
-                InputAssignment::new()
-                    .with(a, i % 2 == 0)
-                    .with(b, i % 4 < 2)
-            })
-            .collect()
-    }
-
     #[test]
-    fn empty_delta_replays_every_cycle_without_evaluating_cells() {
-        let (nl, a, b, y) = xor_pair();
-        let (baseline_report, baseline) = SimSession::new(&nl)
-            .stimulus(toggling(a, b, 16))
-            .probe(ActivityProbe::new())
-            .record_baseline()
-            .unwrap();
-        assert!(baseline.total_cell_evals() > 0);
-        assert_eq!(baseline.cycle_count(), 16);
-
-        let report = IncrementalSession::new(&nl, &baseline)
-            .probe(ActivityProbe::new())
-            .run()
-            .unwrap();
-        let stats = report.stats();
-        assert_eq!(stats.replayed_cycles, 16);
-        assert_eq!(stats.simulated_cycles, 0);
-        assert_eq!(stats.cells_evaluated, 0);
-        assert_eq!(stats.evaluated_fraction(), 0.0);
-        // The replayed probes match the baseline's bit for bit.
-        assert_eq!(
-            report.session().probe::<ActivityProbe>().unwrap().trace(),
-            baseline_report.probe::<ActivityProbe>().unwrap().trace()
-        );
-        assert_eq!(report.session().net_value(y), baseline_report.net_value(y));
-        assert_eq!(report.session().cycles(), 16);
-    }
-
-    #[test]
-    fn single_flip_simulates_the_dirty_cycles_only() {
+    fn baseline_input_value_resolves_held_over_assignments() {
         let (nl, a, b, _) = xor_pair();
-        let (_, baseline) = SimSession::new(&nl)
-            .stimulus(toggling(a, b, 20))
-            .record_baseline()
-            .unwrap();
-        let report = IncrementalSession::new(&nl, &baseline)
-            .delta(DeltaStimulus::new().set(9, a, true))
-            .run()
-            .unwrap();
-        let stats = report.stats();
-        assert_eq!(stats.total_cycles(), 20);
-        // Cycle 9 differs (a flipped); cycle 10 starts from diverged net
-        // values but the stimulus assigns every input, so the run
-        // reconverges and the rest replays. A flip equal to the baseline
-        // value would replay everything.
-        assert!(stats.simulated_cycles >= 1 && stats.simulated_cycles <= 3);
-        assert!(stats.cells_evaluated > 0);
-        assert!(stats.evaluated_fraction() < 1.0);
+        let job = SimJob::new(&nl, vec![Bus::new(vec![a])], 6, 7).with_held(vec![(b, true)]);
+        let baseline = SimBaseline::of(&job);
+        assert_eq!(baseline.cycle_count(), 6);
+        let stimulus: Vec<InputAssignment> = job.stimulus().collect();
+        for (cycle, assignment) in stimulus.iter().enumerate() {
+            let drawn = Value::from(assignment.assignments()[0].1);
+            assert_eq!(baseline.input_value(cycle as u64, a), drawn);
+            assert_eq!(baseline.input_value(cycle as u64, b), Value::One, "held");
+        }
+        // Cycles past the run read its last cycle.
+        assert_eq!(
+            baseline.input_value(99, a),
+            Value::from(stimulus[5].assignments()[0].1)
+        );
+        let (_, _, _, y) = xor_pair();
+        assert_eq!(baseline.input_value(0, y), Value::X, "never driven");
+    }
+
+    /// The activity trace of each job of `jobs`, run on the event path.
+    fn traces(jobs: &[SimJob<'_>]) -> Result<Vec<glitch_activity::ActivityTrace>, SimError> {
+        let reports = crate::ParallelRunner::new(1).run_sessions(jobs)?;
+        Ok(reports
+            .iter()
+            .map(|r| r.probe::<crate::ActivityProbe>().unwrap().trace().clone())
+            .collect())
     }
 
     #[test]
     fn flip_equal_to_the_baseline_value_is_a_full_replay() {
         let (nl, a, b, _) = xor_pair();
-        let (_, baseline) = SimSession::new(&nl)
-            .stimulus(toggling(a, b, 12))
-            .record_baseline()
-            .unwrap();
-        // Cycle 4: `a` is already true (4 % 2 == 0).
-        assert_eq!(baseline.input_value(4, a), Value::One);
-        let report = IncrementalSession::new(&nl, &baseline)
-            .delta(DeltaStimulus::new().set(4, a, true))
-            .run()
-            .unwrap();
-        assert_eq!(report.stats().replayed_cycles, 12);
-        assert_eq!(report.stats().cells_evaluated, 0);
+        let job = SimJob::new(&nl, vec![Bus::new(vec![a, b])], 12, 3);
+        let held = SimBaseline::of(&job).input_value(4, a) == Value::One;
+        let same = job.clone().with_flips(DeltaStimulus::new().set(4, a, held));
+        let flipped = job
+            .clone()
+            .with_flips(DeltaStimulus::new().set(4, a, !held));
+        let traces = traces(&[job, same, flipped]).unwrap();
+        assert_eq!(traces[1], traces[0], "a no-op flip reproduces the run");
+        assert_ne!(traces[2], traces[0], "a real flip changes it");
     }
 
     #[test]
     fn delta_beyond_the_baseline_is_an_error() {
         let (nl, a, b, _) = xor_pair();
-        let (_, baseline) = SimSession::new(&nl)
-            .stimulus(toggling(a, b, 5))
-            .record_baseline()
-            .unwrap();
-        let err = IncrementalSession::new(&nl, &baseline)
-            .delta(DeltaStimulus::new().set(5, a, true))
-            .run()
-            .unwrap_err();
-        assert!(matches!(
-            err.error,
+        let job = SimJob::new(&nl, vec![Bus::new(vec![a, b])], 5, 1)
+            .with_flips(DeltaStimulus::new().set(5, a, true));
+        let err = traces(&[job]).unwrap_err();
+        assert_eq!(
+            err,
             SimError::DeltaOutOfRange {
                 cycle: 5,
                 baseline_cycles: 5
             }
-        ));
-        assert!(err.to_string().contains("0 complete cycles"));
+        );
+        assert!(err.to_string().contains("the run has only 5 cycles"));
     }
 
     #[test]
     fn delta_on_a_non_input_is_an_error() {
         let (nl, a, b, y) = xor_pair();
-        let (_, baseline) = SimSession::new(&nl)
-            .stimulus(toggling(a, b, 5))
-            .record_baseline()
-            .unwrap();
-        let err = IncrementalSession::new(&nl, &baseline)
-            .delta(DeltaStimulus::new().set(1, y, true))
-            .run()
-            .unwrap_err();
-        assert!(matches!(err.error, SimError::NotAnInput(net) if net == y));
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline was recorded on")]
-    fn mismatched_netlist_is_rejected() {
-        let (nl, a, b, _) = xor_pair();
-        let (_, baseline) = SimSession::new(&nl)
-            .stimulus(toggling(a, b, 3))
-            .record_baseline()
-            .unwrap();
-        let (other, ..) = {
-            let mut nl = Netlist::new("different");
-            let a = nl.add_input("a");
-            let y = nl.inv(a, "y");
-            nl.mark_output(y);
-            (nl, a, y)
-        };
-        let _ = IncrementalSession::new(&other, &baseline);
-    }
-
-    #[test]
-    #[should_panic(expected = "record_baseline requires")]
-    fn custom_model_objects_cannot_record_baselines() {
-        let (nl, ..) = xor_pair();
-        let _ = SimSession::new(&nl)
-            .delay_model(crate::UnitDelay)
-            .record_baseline();
-    }
-
-    #[test]
-    fn baseline_input_value_resolves_held_over_assignments() {
-        let (nl, a, b, _) = xor_pair();
-        let stimulus = vec![
-            InputAssignment::new().with(a, true).with(b, false),
-            InputAssignment::new().with(b, true),
-            InputAssignment::new(),
-        ];
-        let (_, baseline) = SimSession::new(&nl)
-            .stimulus(stimulus)
-            .record_baseline()
-            .unwrap();
-        assert_eq!(baseline.input_value(0, a), Value::One);
-        assert_eq!(baseline.input_value(1, a), Value::One, "held over");
-        assert_eq!(baseline.input_value(2, b), Value::One);
-        assert_eq!(baseline.input_value(0, b), Value::Zero);
-        assert_eq!(baseline.assignment(1).len(), 1);
+        let job = SimJob::new(&nl, vec![Bus::new(vec![a, b])], 5, 1)
+            .with_flips(DeltaStimulus::new().set(1, y, true));
+        assert_eq!(traces(&[job]).unwrap_err(), SimError::NotAnInput(y));
     }
 
     #[test]
@@ -1025,7 +291,7 @@ mod tests {
         // A different cycle or net is fine.
         let delta = delta.try_set(4, a, false).unwrap();
         let delta = delta.try_set(3, b, false).unwrap();
-        assert_eq!(delta.nets().count(), 3);
+        assert_eq!(delta.max_cycle(), Some(4));
     }
 
     #[test]
@@ -1038,17 +304,16 @@ mod tests {
     #[test]
     fn delta_builders_and_apply_to() {
         let (_, a, b, _) = xor_pair();
-        let delta = DeltaStimulus::new().hold(b, true).set(2, a, false);
+        let delta = DeltaStimulus::new().set(2, b, true).set(2, a, false);
         assert!(!delta.is_empty());
         assert_eq!(delta.max_cycle(), Some(2));
-        assert_eq!(delta.nets().count(), 2);
         let base = InputAssignment::new().with(a, true).with(b, false);
         // Cycle 2: both overrides apply, replacing in place.
         let merged = delta.apply_to(2, &base);
         assert_eq!(merged.assignments(), [(a, false), (b, true)]);
-        // Other cycles: only the held override applies.
+        // Other cycles: nothing applies.
         let merged = delta.apply_to(0, &base);
-        assert_eq!(merged.assignments(), [(a, true), (b, true)]);
+        assert_eq!(merged.assignments(), base.assignments());
         // Overrides of unassigned nets append.
         let merged = delta.apply_to(2, &InputAssignment::new().with(b, false));
         assert_eq!(merged.assignments(), [(b, true), (a, false)]);

@@ -25,7 +25,6 @@ use crate::error::SimError;
 use crate::parallel::SimJob;
 use crate::probe::{ActivityProbe, PowerProbe, Probe, StatsProbe, Transition, TransitionKind};
 use crate::session::SessionReport;
-use crate::stimulus::{RandomStimulus, StimulusProgram};
 use crate::value::Value;
 
 /// Maps the event-driven simulator's X-evaluation policy onto the
@@ -72,21 +71,26 @@ impl KernelPrepass {
     }
 }
 
-/// Per-lane random stimuli mirroring [`SimJob`]'s own construction, so a
-/// lane draws exactly the vectors the job's queue session would draw.
-fn build_stimuli(jobs: &[SimJob<'_>]) -> Vec<RandomStimulus> {
-    jobs.iter().map(SimJob::stimulus).collect()
+/// Each lane's stimulus, [`SimJob::stimulus`], so a lane draws exactly the
+/// vectors the job's queue session would draw; flips beyond a job's run
+/// are refused.
+fn build_stimuli(
+    jobs: &[SimJob<'_>],
+) -> Result<Vec<impl Iterator<Item = InputAssignment>>, SimError> {
+    jobs.iter()
+        .map(|job| job.check_flips().map(|()| job.stimulus()))
+        .collect()
 }
 
 /// Draws every lane's next input vector and applies it to the state.
 /// Returns the assignments for callers that need them afterwards.
 fn apply_stimuli(
     netlist: &Netlist,
-    stimuli: &mut [RandomStimulus],
+    stimuli: &mut [impl Iterator<Item = InputAssignment>],
     state: &mut KernelState,
 ) -> Result<(), SimError> {
     for (lane, stimulus) in stimuli.iter_mut().enumerate() {
-        let Some(assignment) = stimulus.next_vector() else {
+        let Some(assignment) = stimulus.next() else {
             continue;
         };
         apply_assignment(netlist, &assignment, state, lane)?;
@@ -147,7 +151,7 @@ pub fn kernel_prepass(
     let mut state = program.new_state(lanes, Tri::from(options.dff_init));
     let mut prev = state.clone();
     let words = state.words();
-    let mut stimuli = build_stimuli(jobs);
+    let mut stimuli = build_stimuli(jobs)?;
     let source: Vec<NetId> = program.source_nets().collect();
     let mut quiet_count = 0u64;
     let mut transitions = 0u64;
@@ -217,7 +221,7 @@ pub fn run_kernel_jobs(
     let mode = kernel_eval_mode(options.x_eval);
     let mut state = program.new_state(lanes, Tri::from(options.dff_init));
     let mut prev = state.clone();
-    let mut stimuli = build_stimuli(jobs);
+    let mut stimuli = build_stimuli(jobs)?;
     let n = netlist.net_count();
     let op_count = program.op_count() as u64;
 

@@ -45,12 +45,10 @@
 //! queue, with the same report; see [`SimJob::timed_schedule`] for the
 //! routing rule.
 //!
-//! For re-running *near-identical* stimuli (a few input bits changed) there
-//! is an incremental layer: [`SimSession::record_baseline`] captures a
-//! replayable [`SimBaseline`], and [`IncrementalSession`] re-simulates a
-//! [`DeltaStimulus`] against it by replaying unchanged cycles and
-//! event-evaluating only dirty fanout cones — bit-identical to a full run
-//! of the merged stimulus for every probe.
+//! An input flip (a few bits of the stimulus changed) is one more job:
+//! [`SimJob::with_flips`] applies a [`DeltaStimulus`] to the job's
+//! stimulus, resolved against the configured run's [`SimBaseline`], and the
+//! flipped job settles on either path like any other.
 //!
 //! ## Example
 //!
@@ -83,7 +81,6 @@
 //! For cycle-by-cycle control (interactive debugging, mid-run inspection)
 //! drop down to [`ClockedSimulator`] and attach probes directly.
 
-pub mod baseline_io;
 mod clocked;
 mod delay;
 mod engine;
@@ -100,14 +97,11 @@ mod value;
 mod vcd;
 mod window;
 
-pub use baseline_io::{load_baseline, save_baseline, BaselineFileError};
 pub use clocked::{ClockedSimulator, CycleStats, InputAssignment, SimOptions, XEval};
 pub use delay::{CellDelay, DelayKind, DelayModel, UnitDelay, ZeroDelay};
 pub use engine::QueueStats;
 pub use error::SimError;
-pub use incremental::{
-    DeltaStimulus, IncrementalReport, IncrementalSession, IncrementalStats, SimBaseline,
-};
+pub use incremental::{DeltaStimulus, IncrementalStats, SimBaseline};
 pub use kernel::{kernel_eval_mode, kernel_prepass, run_kernel_jobs, KernelPrepass};
 pub use parallel::{AggregateReport, ParallelRunner, ShardSummary, SimJob, Spread};
 pub use probe::{

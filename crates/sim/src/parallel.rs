@@ -42,10 +42,11 @@ use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_power::{PowerReport, Technology};
 
-use crate::clocked::SimOptions;
+use crate::clocked::{InputAssignment, SimOptions};
 use crate::delay::DelayKind;
 use crate::engine::QueueStats;
 use crate::error::SimError;
+use crate::incremental::DeltaStimulus;
 use crate::probe::{ActivityProbe, MergeableProbe, PowerProbe, Probe, StatsProbe};
 use crate::session::{SessionReport, SimSession};
 use crate::stimulus::RandomStimulus;
@@ -229,7 +230,7 @@ impl ParallelRunner {
             // deterministic aggregates.
             let queue_wait = as_micros(batch_start.elapsed());
             let job_start = std::time::Instant::now();
-            let mut result = run(index, job);
+            let mut result = job.check_flips().and_then(|()| run(index, job));
             if let Ok(report) = result.as_mut() {
                 report.set_timing(as_micros(job_start.elapsed()), queue_wait);
             } else {
@@ -284,6 +285,10 @@ pub struct SimJob<'a> {
     pub frequency: f64,
     /// Simulator options (settle budget, flipflop reset default).
     pub options: SimOptions,
+    /// Input bits overridden on top of the random stimulus
+    /// ([`DeltaStimulus::apply_to`], cycle by cycle); empty for the
+    /// configured run.
+    pub flips: DeltaStimulus,
 }
 
 impl<'a> SimJob<'a> {
@@ -302,6 +307,7 @@ impl<'a> SimJob<'a> {
             technology: Technology::cmos_0p8um_5v(),
             frequency: 5e6,
             options: SimOptions::default(),
+            flips: DeltaStimulus::new(),
         }
     }
 
@@ -341,13 +347,38 @@ impl<'a> SimJob<'a> {
         self
     }
 
-    /// The job's stimulus: its random buses plus the held inputs.
-    pub(crate) fn stimulus(&self) -> RandomStimulus {
-        let mut stimulus = RandomStimulus::new(self.random_buses.clone(), self.cycles, self.seed);
-        for &(net, value) in &self.held {
-            stimulus = stimulus.hold(net, value);
+    /// Overrides input bits of the stimulus (builder style): the flipped
+    /// run of an input-flip study.
+    #[must_use]
+    pub fn with_flips(mut self, flips: DeltaStimulus) -> Self {
+        self.flips = flips;
+        self
+    }
+
+    /// Refuses flips beyond the run, which would silently change nothing.
+    pub(crate) fn check_flips(&self) -> Result<(), SimError> {
+        match self.flips.max_cycle() {
+            Some(cycle) if cycle >= self.cycles => Err(SimError::DeltaOutOfRange {
+                cycle,
+                baseline_cycles: self.cycles,
+            }),
+            _ => Ok(()),
         }
-        stimulus
+    }
+
+    /// The job's stimulus, one assignment per cycle: its random buses plus
+    /// the held inputs, with the flips applied. Both settle paths draw it.
+    pub fn stimulus(&self) -> impl Iterator<Item = InputAssignment> {
+        let flips = self.flips.clone();
+        random_stimulus(&self.random_buses, &self.held, self.cycles, self.seed)
+            .zip(0..)
+            .map(move |(assignment, cycle)| {
+                if flips.is_empty() {
+                    assignment
+                } else {
+                    flips.apply_to(cycle, &assignment)
+                }
+            })
     }
 
     /// Runs this job as a one-pass session with the standard probe set plus
@@ -365,6 +396,20 @@ impl<'a> SimJob<'a> {
         }
         session.run().map_err(SimError::from)
     }
+}
+
+/// Random values on `buses` plus the `held` inputs, every cycle.
+pub(crate) fn random_stimulus(
+    buses: &[Bus],
+    held: &[(NetId, bool)],
+    cycles: u64,
+    seed: u64,
+) -> RandomStimulus {
+    let mut stimulus = RandomStimulus::new(buses.to_vec(), cycles, seed);
+    for &(net, value) in held {
+        stimulus = stimulus.hold(net, value);
+    }
+    stimulus
 }
 
 /// Per-shard scalars extracted from one job's finished session.

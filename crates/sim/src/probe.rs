@@ -613,8 +613,7 @@ impl StatsProbe {
         self.events
     }
 
-    /// Total combinational cell evaluations over all observed cycles — the
-    /// work metric the incremental layer reports its savings against.
+    /// Total combinational cell evaluations over all observed cycles.
     #[must_use]
     pub fn cell_evals(&self) -> u64 {
         self.cell_evals

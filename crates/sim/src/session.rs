@@ -52,10 +52,6 @@ use crate::value::Value;
 pub struct SimSession<'a> {
     netlist: &'a Netlist,
     delay: Box<dyn DelayModel + 'a>,
-    /// The data-only description of `delay`, kept while the model came from
-    /// a [`DelayKind`]; [`SimSession::record_baseline`] needs it so the
-    /// recorded baseline can reconstruct the same model for re-runs.
-    delay_kind: Option<DelayKind>,
     options: SimOptions,
     probes: Vec<Box<dyn Probe>>,
     stimulus: Option<Box<dyn Iterator<Item = InputAssignment> + 'a>>,
@@ -69,7 +65,6 @@ impl<'a> SimSession<'a> {
         SimSession {
             netlist,
             delay: DelayKind::Unit.into_model(),
-            delay_kind: Some(DelayKind::Unit),
             options: SimOptions::default(),
             probes: Vec::new(),
             stimulus: None,
@@ -79,19 +74,15 @@ impl<'a> SimSession<'a> {
     /// Selects one of the standard delay models.
     #[must_use]
     pub fn delay(mut self, kind: DelayKind) -> Self {
-        self.delay = kind.clone().into_model();
-        self.delay_kind = Some(kind);
+        self.delay = kind.into_model();
         self
     }
 
     /// Uses an arbitrary delay model (the trait is dyn-compatible, so the
-    /// session owns it type-erased). Sessions configured this way cannot
-    /// [`SimSession::record_baseline`] — express custom tables as
-    /// [`DelayKind::Custom`] instead when a replayable baseline is needed.
+    /// session owns it type-erased).
     #[must_use]
     pub fn delay_model(mut self, model: impl DelayModel + 'a) -> Self {
         self.delay = Box::new(model);
-        self.delay_kind = None;
         self
     }
 
@@ -201,36 +192,6 @@ impl<'a> SimSession<'a> {
             }),
         }
     }
-
-    /// Runs the session exactly like [`SimSession::run`] while additionally
-    /// recording a [`crate::SimBaseline`]: the per-cycle stimulus,
-    /// transition stream and statistics an [`crate::IncrementalSession`]
-    /// needs to later re-simulate *nearby* stimuli by replaying unchanged
-    /// cycles and re-evaluating only dirty fanout cones.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SimSession::run`]; a failed run yields no baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session's delay model was installed with
-    /// [`SimSession::delay_model`] — the baseline must be able to
-    /// reconstruct the model, so use [`SimSession::delay`] with a
-    /// [`DelayKind`] (including [`DelayKind::Custom`]) instead.
-    pub fn record_baseline(self) -> Result<(SessionReport, crate::SimBaseline), SessionError> {
-        let delay_kind = self.delay_kind.expect(
-            "record_baseline requires a DelayKind-configured session; \
-             use SimSession::delay (DelayKind::Custom covers custom tables)",
-        );
-        crate::incremental::record_baseline(
-            self.netlist,
-            delay_kind,
-            self.options,
-            self.probes,
-            self.stimulus,
-        )
-    }
 }
 
 /// A failed [`SimSession::run`], carrying everything observed before the
@@ -298,9 +259,9 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
-    /// Assembles a report from its parts — for in-crate drivers (baseline
-    /// recording, incremental re-simulation) that step the simulator
-    /// themselves instead of going through [`SimSession::run`].
+    /// Assembles a report from its parts — for in-crate drivers (the timed
+    /// and functional kernels) that settle cycles themselves instead of
+    /// going through [`SimSession::run`].
     pub(crate) fn from_parts(
         cycles: u64,
         cycle_stats: Vec<CycleStats>,

@@ -33,7 +33,6 @@ use crate::kernel::kernel_eval_mode;
 use crate::parallel::SimJob;
 use crate::probe::{ActivityProbe, PowerProbe, Probe, StatsProbe};
 use crate::session::SessionReport;
-use crate::stimulus::StimulusProgram;
 use crate::value::Value;
 
 /// Deterministic work accounting of one job settled on the timed kernel.
@@ -140,7 +139,7 @@ pub(crate) fn run_timed(
     let mut stimulus = job.stimulus();
     let block = schedule.block_lanes(bulk);
     loop {
-        let assignments: Vec<_> = (0..block).map_while(|_| stimulus.next_vector()).collect();
+        let assignments: Vec<_> = (0..block).map_while(|_| stimulus.next()).collect();
         if assignments.is_empty() {
             break;
         }

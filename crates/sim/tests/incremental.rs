@@ -1,24 +1,25 @@
-//! The differential testing oracle for incremental re-simulation.
+//! The differential testing oracle for input flips on random netlists.
 //!
-//! Every property pits [`IncrementalSession`] against a *full* simulation
-//! of the merged stimulus on random netlists (combinational and
-//! sequential) under random deltas, and demands **bit-identity** of the
-//! probe artefacts: activity traces and rising counts, power reports
-//! (every `f64`), whole-run statistics, windowed heatmaps, and the VCD /
-//! wave-CSV event streams. Event-pruning shortcuts that silently change
-//! glitch behaviour (the failure mode Függer, Nowak and Schmid document
-//! for binary circuit models) cannot survive this oracle.
+//! A flipped job ([`SimJob::with_flips`], the `incremental` module's
+//! [`DeltaStimulus`]) must equal a plain [`SimSession`] over the
+//! `DeltaStimulus::apply_to`-merged assignments of the configured job —
+//! on the event path and on the timed kernel — on random netlists
+//! (combinational and sequential) under random flips and all three delay
+//! models, for every probe artefact: activity traces and rising counts,
+//! power reports (every `f64`), whole-run statistics, windowed heatmaps,
+//! and the VCD / wave-CSV event streams.
 
+#[allow(dead_code)]
 mod support;
 
-use glitch_power::Technology;
+use glitch_netlist::Bus;
 use glitch_sim::{
-    ActivityProbe, DelayKind, DeltaStimulus, IncrementalSession, PowerProbe, SimSession,
-    StatsProbe, VcdProbe, WaveCsvProbe, WindowedActivityProbe,
+    ActivityProbe, DelayKind, KernelProgram, ParallelRunner, PowerProbe, Probe, SessionReport,
+    SimJob, SimSession, StatsProbe, VcdProbe, WaveCsvProbe, WindowedActivityProbe,
 };
 use proptest::prelude::*;
 
-use support::{build_assignments, build_delta, build_netlist, merged_stimulus};
+use support::{build_delta, build_netlist, merged_stimulus, RandomNetlist};
 
 /// The delay models the oracle sweeps: unit delay (the paper's default)
 /// and the unbalanced adder-cell model keep the event queue non-trivial;
@@ -31,106 +32,121 @@ fn delay_for(word: u64) -> DelayKind {
     }
 }
 
+/// The configured job over all of `circuit`'s inputs and its flipped twin.
+fn jobs<'a>(
+    circuit: &'a RandomNetlist,
+    cycles: u64,
+    seed: u64,
+    delta_words: &[u64],
+    delay: DelayKind,
+) -> (SimJob<'a>, SimJob<'a>) {
+    let job = SimJob::new(
+        &circuit.netlist,
+        vec![Bus::new(circuit.inputs.clone())],
+        cycles,
+        seed,
+    )
+    .with_delay(delay);
+    let flipped = job
+        .clone()
+        .with_flips(build_delta(&circuit.inputs, cycles, delta_words));
+    (job, flipped)
+}
+
+/// A plain session over `job`'s stimulus merged with `flipped`'s flips,
+/// with the runners' standard probes plus `extra`.
+fn full_run(job: &SimJob<'_>, flipped: &SimJob<'_>, extra: Vec<Box<dyn Probe>>) -> SessionReport {
+    let configured: Vec<_> = job.stimulus().collect();
+    let mut session = SimSession::new(job.netlist)
+        .delay(job.delay.clone())
+        .options(job.options)
+        .stimulus(merged_stimulus(&configured, &flipped.flips))
+        .probe(ActivityProbe::new())
+        .probe(PowerProbe::new(job.technology, job.frequency))
+        .probe(StatsProbe::new());
+    for probe in extra {
+        session = session.boxed_probe(probe);
+    }
+    session.run().expect("full run settles")
+}
+
+/// `flipped` on the event path and routed to the timed kernel, each with
+/// the probes `extra` builds.
+fn flipped_runs(
+    flipped: &SimJob<'_>,
+    extra: &(dyn Fn(usize) -> Vec<Box<dyn Probe>> + Sync),
+) -> [SessionReport; 2] {
+    let program = KernelProgram::compile(flipped.netlist).expect("acyclic");
+    let runner = ParallelRunner::new(1);
+    let jobs = std::slice::from_ref(flipped);
+    let event = runner.run_sessions_with(jobs, extra).expect("settles");
+    let routed = runner.run_jobs(jobs, &program, extra).expect("settles");
+    [event, routed].map(|mut reports| reports.remove(0))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Activity traces and per-net rising-transition counts are
-    /// bit-identical to the full simulation of the merged stimulus.
+    /// Activity traces, per-net rising-transition counts and final values
+    /// are bit-identical to the full simulation of the merged stimulus.
     #[test]
     fn incremental_activity_is_bit_identical_to_full(
         input_count in 2usize..6,
         gate_words in proptest::collection::vec(0u64..u64::MAX, 4..40),
-        cycle_words in proptest::collection::vec(0u64..u64::MAX, 2..30),
+        cycles in 2u64..30,
+        seed in 0u64..1000,
         delta_words in proptest::collection::vec(0u64..u64::MAX, 0..5),
         delay_word in 0u64..3,
     ) {
         let circuit = build_netlist(input_count, &gate_words);
         let nl = &circuit.netlist;
-        let baseline_stim = build_assignments(&circuit.inputs, &cycle_words);
-        let delta = build_delta(&circuit.inputs, baseline_stim.len() as u64, &delta_words);
-        let delay = delay_for(delay_word);
-
-        let (_, baseline) = SimSession::new(nl)
-            .delay(delay.clone())
-            .stimulus(baseline_stim.clone())
-            .record_baseline()
-            .expect("baseline settles");
-
-        let full = SimSession::new(nl)
-            .delay(delay)
-            .stimulus(merged_stimulus(&baseline_stim, &delta))
-            .probe(ActivityProbe::new())
-            .run()
-            .expect("full run settles");
-
-        let incremental = IncrementalSession::new(nl, &baseline)
-            .probe(ActivityProbe::new())
-            .delta(delta)
-            .run()
-            .expect("incremental run settles");
-
+        let (job, flipped) = jobs(&circuit, cycles, seed, &delta_words, delay_for(delay_word));
+        let full = full_run(&job, &flipped, Vec::new());
         let full_probe = full.probe::<ActivityProbe>().unwrap();
-        let inc_probe = incremental.session().probe::<ActivityProbe>().unwrap();
-        prop_assert_eq!(inc_probe.trace(), full_probe.trace());
-        for (id, _) in nl.nets() {
-            prop_assert_eq!(
-                inc_probe.rising_transitions(id),
-                full_probe.rising_transitions(id)
-            );
-            prop_assert_eq!(incremental.session().net_value(id), full.net_value(id));
+        for run in flipped_runs(&flipped, &|_| Vec::new()) {
+            let probe = run.probe::<ActivityProbe>().unwrap();
+            prop_assert_eq!(probe.trace(), full_probe.trace());
+            for (id, _) in nl.nets() {
+                prop_assert_eq!(
+                    probe.rising_transitions(id),
+                    full_probe.rising_transitions(id)
+                );
+                prop_assert_eq!(run.net_value(id), full.net_value(id));
+            }
+            prop_assert_eq!(run.cycles(), cycles);
         }
-        let stats = incremental.stats();
-        prop_assert_eq!(stats.total_cycles(), full.cycles());
-        prop_assert!(stats.cells_evaluated <= baseline.total_cell_evals() + stats.cells_evaluated);
     }
 
     /// Power reports (every f64 of the three-component breakdown) and the
-    /// whole-run statistics probe are bit-identical to the full run.
+    /// whole-run statistics are bit-identical to the full run.
     #[test]
     fn incremental_power_and_stats_are_bit_identical_to_full(
         input_count in 2usize..6,
         gate_words in proptest::collection::vec(0u64..u64::MAX, 4..40),
-        cycle_words in proptest::collection::vec(0u64..u64::MAX, 2..30),
+        cycles in 2u64..30,
+        seed in 0u64..1000,
         delta_words in proptest::collection::vec(0u64..u64::MAX, 0..5),
         delay_word in 0u64..3,
     ) {
         let circuit = build_netlist(input_count, &gate_words);
-        let nl = &circuit.netlist;
-        let baseline_stim = build_assignments(&circuit.inputs, &cycle_words);
-        let delta = build_delta(&circuit.inputs, baseline_stim.len() as u64, &delta_words);
-        let delay = delay_for(delay_word);
-        let tech = Technology::cmos_0p8um_5v();
-
-        let (_, baseline) = SimSession::new(nl)
-            .delay(delay.clone())
-            .stimulus(baseline_stim.clone())
-            .record_baseline()
-            .expect("baseline settles");
-
-        let full = SimSession::new(nl)
-            .delay(delay)
-            .stimulus(merged_stimulus(&baseline_stim, &delta))
-            .probe(PowerProbe::new(tech, 5e6))
-            .probe(StatsProbe::new())
-            .run()
-            .expect("full run settles");
-
-        let incremental = IncrementalSession::new(nl, &baseline)
-            .probe(PowerProbe::new(tech, 5e6))
-            .probe(StatsProbe::new())
-            .delta(delta)
-            .run()
-            .expect("incremental run settles");
-
+        let (job, flipped) = jobs(&circuit, cycles, seed, &delta_words, delay_for(delay_word));
+        let full = full_run(&job, &flipped, Vec::new());
         let full_power = full.probe::<PowerProbe>().unwrap();
-        let inc_power = incremental.session().probe::<PowerProbe>().unwrap();
-        prop_assert_eq!(inc_power.report(), full_power.report());
-        prop_assert_eq!(inc_power.energy_joules(), full_power.energy_joules());
+        let [event, routed] = flipped_runs(&flipped, &|_| Vec::new());
+        // The running energy sum is the event path's own accumulator.
         prop_assert_eq!(
-            incremental.session().probe::<StatsProbe>().unwrap(),
-            full.probe::<StatsProbe>().unwrap()
+            event.probe::<PowerProbe>().unwrap().energy_joules(),
+            full_power.energy_joules()
         );
-        prop_assert_eq!(incremental.session().cycle_stats(), full.cycle_stats());
+        for run in [event, routed] {
+            let power = run.probe::<PowerProbe>().unwrap();
+            prop_assert_eq!(power.report(), full_power.report());
+            prop_assert_eq!(
+                run.probe::<StatsProbe>().unwrap(),
+                full.probe::<StatsProbe>().unwrap()
+            );
+            prop_assert_eq!(run.cycle_stats(), full.cycle_stats());
+        }
     }
 
     /// The raw event streams — the VCD text and the per-transition CSV —
@@ -139,293 +155,52 @@ proptest! {
     fn incremental_event_streams_are_byte_identical_to_full(
         input_count in 2usize..6,
         gate_words in proptest::collection::vec(0u64..u64::MAX, 4..30),
-        cycle_words in proptest::collection::vec(0u64..u64::MAX, 2..20),
+        cycles in 2u64..20,
+        seed in 0u64..1000,
         delta_words in proptest::collection::vec(0u64..u64::MAX, 0..4),
         delay_word in 0u64..3,
     ) {
         let circuit = build_netlist(input_count, &gate_words);
-        let nl = &circuit.netlist;
-        let baseline_stim = build_assignments(&circuit.inputs, &cycle_words);
-        let delta = build_delta(&circuit.inputs, baseline_stim.len() as u64, &delta_words);
-        let delay = delay_for(delay_word);
-
-        let (_, baseline) = SimSession::new(nl)
-            .delay(delay.clone())
-            .stimulus(baseline_stim.clone())
-            .record_baseline()
-            .expect("baseline settles");
-
-        let mut full = SimSession::new(nl)
-            .delay(delay)
-            .stimulus(merged_stimulus(&baseline_stim, &delta))
-            .probe(VcdProbe::default())
-            .probe(WaveCsvProbe::new())
-            .run()
-            .expect("full run settles");
-
-        let mut incremental = IncrementalSession::new(nl, &baseline)
-            .probe(VcdProbe::default())
-            .probe(WaveCsvProbe::new())
-            .delta(delta)
-            .run()
-            .expect("incremental run settles");
-
-        prop_assert_eq!(
-            incremental.session_mut().take_probe::<VcdProbe>().unwrap().into_vcd(),
-            full.take_probe::<VcdProbe>().unwrap().into_vcd()
-        );
-        prop_assert_eq!(
-            incremental.session_mut().take_probe::<WaveCsvProbe>().unwrap().into_csv(),
-            full.take_probe::<WaveCsvProbe>().unwrap().into_csv()
-        );
+        let (job, flipped) = jobs(&circuit, cycles, seed, &delta_words, delay_for(delay_word));
+        let streams = |_: usize| -> Vec<Box<dyn Probe>> {
+            vec![Box::new(VcdProbe::default()), Box::new(WaveCsvProbe::new())]
+        };
+        let mut full = full_run(&job, &flipped, streams(0));
+        let full_vcd = full.take_probe::<VcdProbe>().unwrap().into_vcd();
+        let full_csv = full.take_probe::<WaveCsvProbe>().unwrap().into_csv();
+        for mut run in flipped_runs(&flipped, &streams) {
+            prop_assert_eq!(
+                run.take_probe::<VcdProbe>().unwrap().into_vcd(),
+                full_vcd.clone()
+            );
+            prop_assert_eq!(
+                run.take_probe::<WaveCsvProbe>().unwrap().into_csv(),
+                full_csv.clone()
+            );
+        }
     }
 
     /// The windowed "heatmap over cycles" probe is bit-identical too —
-    /// replayed and simulated cycles land in the right buckets.
+    /// flipped cycles land in the right buckets.
     #[test]
     fn incremental_windowed_heatmap_is_bit_identical_to_full(
         input_count in 2usize..6,
         gate_words in proptest::collection::vec(0u64..u64::MAX, 4..30),
-        cycle_words in proptest::collection::vec(0u64..u64::MAX, 4..24),
+        cycles in 4u64..24,
+        seed in 0u64..1000,
         delta_words in proptest::collection::vec(0u64..u64::MAX, 0..4),
         window in 1u64..6,
     ) {
         let circuit = build_netlist(input_count, &gate_words);
-        let nl = &circuit.netlist;
-        let baseline_stim = build_assignments(&circuit.inputs, &cycle_words);
-        let delta = build_delta(&circuit.inputs, baseline_stim.len() as u64, &delta_words);
-
-        let (_, baseline) = SimSession::new(nl)
-            .stimulus(baseline_stim.clone())
-            .record_baseline()
-            .expect("baseline settles");
-
-        let full = SimSession::new(nl)
-            .stimulus(merged_stimulus(&baseline_stim, &delta))
-            .probe(WindowedActivityProbe::new(window))
-            .run()
-            .expect("full run settles");
-
-        let incremental = IncrementalSession::new(nl, &baseline)
-            .probe(WindowedActivityProbe::new(window))
-            .delta(delta)
-            .run()
-            .expect("incremental run settles");
-
-        prop_assert_eq!(
-            incremental
-                .session()
-                .probe::<WindowedActivityProbe>()
-                .unwrap()
-                .windows(),
-            full.probe::<WindowedActivityProbe>().unwrap().windows()
-        );
+        let (job, flipped) = jobs(&circuit, cycles, seed, &delta_words, DelayKind::Unit);
+        let windowed =
+            |_: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(WindowedActivityProbe::new(window))] };
+        let full = full_run(&job, &flipped, windowed(0));
+        for run in flipped_runs(&flipped, &windowed) {
+            prop_assert_eq!(
+                run.probe::<WindowedActivityProbe>().unwrap().windows(),
+                full.probe::<WindowedActivityProbe>().unwrap().windows()
+            );
+        }
     }
-
-    /// An empty delta replays the whole run: zero cell evaluations, and
-    /// probes identical to the baseline's own.
-    #[test]
-    fn empty_delta_is_a_pure_replay(
-        input_count in 2usize..6,
-        gate_words in proptest::collection::vec(0u64..u64::MAX, 4..30),
-        cycle_words in proptest::collection::vec(0u64..u64::MAX, 1..20),
-    ) {
-        let circuit = build_netlist(input_count, &gate_words);
-        let nl = &circuit.netlist;
-        let baseline_stim = build_assignments(&circuit.inputs, &cycle_words);
-
-        let (baseline_report, baseline) = SimSession::new(nl)
-            .stimulus(baseline_stim.clone())
-            .probe(ActivityProbe::new())
-            .record_baseline()
-            .expect("baseline settles");
-
-        let incremental = IncrementalSession::new(nl, &baseline)
-            .probe(ActivityProbe::new())
-            .run()
-            .expect("incremental run settles");
-
-        let stats = incremental.stats();
-        prop_assert_eq!(stats.simulated_cycles, 0);
-        prop_assert_eq!(stats.cells_evaluated, 0);
-        prop_assert_eq!(stats.replayed_cycles, baseline.cycle_count());
-        prop_assert_eq!(stats.evaluated_fraction(), 0.0);
-        prop_assert_eq!(
-            incremental.session().probe::<ActivityProbe>().unwrap().trace(),
-            baseline_report.probe::<ActivityProbe>().unwrap().trace()
-        );
-    }
-}
-
-/// A pipelined circuit whose flipflop state diverges after a flip: the
-/// session must fall back to full evaluation until the state reconverges,
-/// and still match the full run bit for bit.
-#[test]
-fn flipflop_divergence_falls_back_to_full_evaluation_until_reconvergence() {
-    use glitch_netlist::Netlist;
-    use glitch_sim::InputAssignment;
-
-    let mut nl = Netlist::new("pipe");
-    let a = nl.add_input("a");
-    let b = nl.add_input("b");
-    let x = nl.xor2(a, b, "x");
-    // Three pipeline stages: a flipped input keeps the state diverged for
-    // three cycles after the dirty cycle.
-    let q = nl.dff_chain(x, 3, "q");
-    let y = nl.inv(q, "y");
-    nl.mark_output(y);
-
-    let stimulus: Vec<InputAssignment> = (0..24)
-        .map(|i| {
-            InputAssignment::new()
-                .with(a, i % 2 == 0)
-                .with(b, i % 3 == 0)
-        })
-        .collect();
-    let (_, baseline) = SimSession::new(&nl)
-        .stimulus(stimulus.clone())
-        .record_baseline()
-        .unwrap();
-
-    let delta = DeltaStimulus::new().set(8, a, false); // baseline has a=1 at cycle 8
-    let full = SimSession::new(&nl)
-        .stimulus(merged_stimulus(&stimulus, &delta))
-        .probe(ActivityProbe::new())
-        .run()
-        .unwrap();
-    let incremental = IncrementalSession::new(&nl, &baseline)
-        .probe(ActivityProbe::new())
-        .delta(delta)
-        .run()
-        .unwrap();
-
-    assert_eq!(
-        incremental
-            .session()
-            .probe::<ActivityProbe>()
-            .unwrap()
-            .trace(),
-        full.probe::<ActivityProbe>().unwrap().trace()
-    );
-    let stats = incremental.stats();
-    // The dirty cycle, the reconvergence cycle and the three cycles the
-    // pipeline keeps the flipped value alive must all simulate...
-    assert!(
-        stats.simulated_cycles >= 4,
-        "state divergence must force simulation: {stats:?}"
-    );
-    // ...but the run reconverges and the tail replays.
-    assert!(
-        stats.replayed_cycles >= 12,
-        "the tail must replay after reconvergence: {stats:?}"
-    );
-    assert!(stats.evaluated_fraction() < 1.0);
-}
-
-/// Held overrides (mode sweeps) keep every cycle dirty — a permanently
-/// diverged input means no cycle can replay — so they cost about one full
-/// run, but stay bit-identical. The speedup story belongs to *sparse*
-/// deltas (single flips); this test documents the trade-off honestly.
-#[test]
-fn held_override_dirties_every_cycle_but_stays_bit_identical() {
-    use glitch_netlist::Netlist;
-    use glitch_sim::InputAssignment;
-
-    // Two independent halves: flipping `mode` must never re-evaluate the
-    // (much larger) right half.
-    let mut nl = Netlist::new("halves");
-    let mode = nl.add_input("mode");
-    let a = nl.add_input("a");
-    let left = nl.xor2(mode, a, "left");
-    nl.mark_output(left);
-    let b = nl.add_input("b");
-    let mut cur = b;
-    for i in 0..32 {
-        cur = nl.inv(cur, &format!("r{i}"));
-    }
-    let right = nl.xor2(cur, a, "right");
-    nl.mark_output(right);
-
-    let stimulus: Vec<InputAssignment> = (0..30)
-        .map(|i| {
-            InputAssignment::new()
-                .with(mode, false)
-                .with(a, i % 2 == 0)
-                .with(b, i % 5 == 0)
-        })
-        .collect();
-    let (_, baseline) = SimSession::new(&nl)
-        .stimulus(stimulus.clone())
-        .record_baseline()
-        .unwrap();
-
-    let delta = DeltaStimulus::new().hold(mode, true);
-    let full = SimSession::new(&nl)
-        .stimulus(merged_stimulus(&stimulus, &delta))
-        .probe(ActivityProbe::new())
-        .run()
-        .unwrap();
-    let incremental = IncrementalSession::new(&nl, &baseline)
-        .probe(ActivityProbe::new())
-        .delta(delta)
-        .run()
-        .unwrap();
-
-    assert_eq!(
-        incremental
-            .session()
-            .probe::<ActivityProbe>()
-            .unwrap()
-            .trace(),
-        full.probe::<ActivityProbe>().unwrap().trace()
-    );
-    let stats = incremental.stats();
-    assert_eq!(
-        stats.simulated_cycles, 30,
-        "a held flip dirties every cycle"
-    );
-    assert_eq!(stats.replayed_cycles, 0);
-    // Every dirty cycle pays the full event-driven settle (bit-identical
-    // streams require re-processing the baseline churn too), so the work
-    // is about one full run — give or take the mode cone itself.
-    let fraction = stats.evaluated_fraction();
-    assert!(
-        (0.8..=1.5).contains(&fraction),
-        "held-delta work should be about one full run, got {fraction:.3}"
-    );
-}
-
-/// A shared cone index across sessions gives the same results as letting
-/// each session build its own.
-#[test]
-fn shared_cone_index_matches_per_run_index() {
-    use glitch_sim::InputAssignment;
-
-    let circuit = build_netlist(4, &[3, 1 << 9, 5 | (2 << 8), 6 | (3 << 8), 2 | (7 << 20)]);
-    let nl = &circuit.netlist;
-    let stimulus: Vec<InputAssignment> =
-        build_assignments(&circuit.inputs, &[7, 2, 13, 4, 9, 1, 14, 11]);
-    let (_, baseline) = SimSession::new(nl)
-        .stimulus(stimulus)
-        .record_baseline()
-        .unwrap();
-    let index = nl.cone_index().unwrap();
-    let delta = DeltaStimulus::new().set(3, circuit.inputs[0], true);
-
-    let shared = IncrementalSession::new(nl, &baseline)
-        .cone_index(&index)
-        .probe(ActivityProbe::new())
-        .delta(delta.clone())
-        .run()
-        .unwrap();
-    let owned = IncrementalSession::new(nl, &baseline)
-        .probe(ActivityProbe::new())
-        .delta(delta)
-        .run()
-        .unwrap();
-    assert_eq!(shared.stats(), owned.stats());
-    assert_eq!(
-        shared.session().probe::<ActivityProbe>().unwrap().trace(),
-        owned.session().probe::<ActivityProbe>().unwrap().trace()
-    );
 }

@@ -1,10 +1,12 @@
 //! Shared test support: deterministic random netlists, random stimuli and
-//! random stimulus deltas, driven from plain integer words so the vendored
+//! random input flips, driven from plain integer words so the vendored
 //! proptest's range/vec strategies can generate them.
 //!
-//! Used by the incremental-vs-full differential oracle
-//! (`tests/incremental.rs`) and reusable by any suite that needs "some
-//! random synchronous circuit". Construction is feed-forward (every gate
+//! Used by the flip oracle (`tests/incremental.rs`) and the timed-kernel
+//! oracle (`crates/kernel/tests/timed_oracle.rs`), both of which compare
+//! flipped jobs against [`merged_stimulus`], and reusable by any suite
+//! that needs "some random synchronous circuit". Construction is
+//! feed-forward (every gate
 //! input is an already-existing net), so the netlists are structurally
 //! valid by construction: no floating nets, no combinational loops.
 
@@ -80,29 +82,23 @@ pub fn build_assignments(inputs: &[NetId], cycle_words: &[u64]) -> Vec<InputAssi
         .collect()
 }
 
-/// A random delta: each word overrides one input bit in one cycle, and a
-/// word with bit 62 set becomes a held (every-cycle) override instead.
-/// Words that would duplicate an existing `(cycle, net)` override are
-/// skipped — duplicates are rejected at construction since PR 5.
+/// A random delta: each word overrides one input bit in one cycle. Words
+/// that would duplicate an existing `(cycle, net)` override are skipped —
+/// duplicates are rejected at construction.
 pub fn build_delta(inputs: &[NetId], cycles: u64, delta_words: &[u64]) -> DeltaStimulus {
     let mut delta = DeltaStimulus::new();
     for &word in delta_words {
         let net = inputs[(word >> 8) as usize % inputs.len()];
-        let value = word & 1 == 1;
-        if word & (1 << 62) != 0 {
-            delta = delta.hold(net, value);
-        } else {
-            let cycle = (word >> 24) % cycles.max(1);
-            if !delta.overrides(cycle, net) {
-                delta = delta.set(cycle, net, value);
-            }
+        let cycle = (word >> 24) % cycles.max(1);
+        if !delta.overrides(cycle, net) {
+            delta = delta.set(cycle, net, word & 1 == 1);
         }
     }
     delta
 }
 
-/// The merged stimulus an incremental run must be bit-identical to: the
-/// baseline assignments with the delta applied cycle by cycle via the
+/// The flipped stimulus a flipped job must be bit-identical to: the
+/// configured assignments with the delta applied cycle by cycle via the
 /// public [`DeltaStimulus::apply_to`] contract.
 pub fn merged_stimulus(
     baseline: &[InputAssignment],

@@ -111,7 +111,8 @@ pub(crate) fn merge_capped(violations: &mut Vec<Violation>, other: Vec<Violation
 /// Outcomes are plain data with a stable field order, so two runs that
 /// observed the same evidence produce equal (`==`) outcomes — this is the
 /// object the determinism guarantees ("bit-identical at any `--jobs`,
-/// bit-identical between full and incremental runs") are stated over.
+/// bit-identical between the timed and event settle paths") are stated
+/// over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckOutcome {
     /// The checker's name (e.g. `x-propagation`).
@@ -180,12 +181,9 @@ pub(crate) fn downcast_checker<T: Checker>(other: Box<dyn Checker>) -> T {
 }
 
 /// The [`Probe`] adapter that runs a set of checkers inside any simulation
-/// session — [`glitch_sim::SimSession`], [`glitch_sim::ParallelRunner`]
-/// shards and [`glitch_sim::IncrementalSession`] alike. Because checkers
-/// ride the probe hook stream, an incremental run re-checks only the dirty
-/// cycles and replays the recorded stream verbatim through the checkers on
-/// clean ones — bit-identity with a full run is inherited from the
-/// incremental layer's headline guarantee.
+/// session — [`glitch_sim::SimSession`] and [`glitch_sim::ParallelRunner`]
+/// shards alike. An input-flip re-check (`--flip`) is one more such run,
+/// of the flipped stimulus, so its report is a full run's by construction.
 #[derive(Default)]
 pub struct CheckerProbe {
     checkers: Vec<Box<dyn Checker>>,

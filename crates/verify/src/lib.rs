@@ -30,12 +30,10 @@
 //!   dynamic hazards per net per cycle) and [`StabilityChecker`] (a net
 //!   must be quiet in cycles matching a predicate);
 //! * **aggregation** — [`CheckerProbe`] attaches a [`CheckSuite`]'s
-//!   checkers to any session (one-pass, sharded parallel, incremental),
-//!   and [`VerifyReport`] / [`Verdict`] reduce them deterministically:
-//!   bit-identical at any worker count, and bit-identical between a full
-//!   run and an incremental (`--flip`) run — on clean cycles the
-//!   checkers replay the recorded stream verbatim, on dirty ones they
-//!   re-run.
+//!   checkers to any session (one-pass or sharded parallel), and
+//!   [`VerifyReport`] / [`Verdict`] reduce them deterministically:
+//!   bit-identical at any worker count. An input-flip (`--flip`)
+//!   re-check is one more full run, of the flipped stimulus.
 //!
 //! ## Example
 //!

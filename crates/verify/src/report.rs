@@ -8,7 +8,7 @@ use crate::checker::{CheckOutcome, Verdict};
 ///
 /// Reports are plain data and compare with `==`; the determinism
 /// guarantees of the verification subsystem (same report at any `--jobs`
-/// count, same report from full and incremental runs) are stated — and
+/// count, same report from the timed and event settle paths) are stated — and
 /// tested — as report equality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyReport {

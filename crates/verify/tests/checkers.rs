@@ -1,13 +1,13 @@
 //! Integration tests of the verification subsystem: each checker against
 //! hand-built circuits with known behaviour, plus the two determinism
 //! guarantees — shard merges are bit-identical at any worker count, and
-//! incremental (`--flip`-style) runs produce the same report as full
-//! re-simulation of the merged stimulus.
+//! a flipped job (`--flip`) produces the same report as a plain session
+//! over the merged stimulus.
 
-use glitch_netlist::{DffInit, NetId, Netlist};
+use glitch_netlist::{Bus, DffInit, NetId, Netlist};
 use glitch_sim::{
-    DeltaStimulus, IncrementalSession, InputAssignment, MergeableProbe, ParallelRunner, Probe,
-    SimJob, SimOptions, SimSession, XEval,
+    DeltaStimulus, InputAssignment, MergeableProbe, ParallelRunner, Probe, SimJob, SimOptions,
+    SimSession, XEval,
 };
 use glitch_verify::{
     BudgetSpec, BudgetTarget, BudgetValue, CheckSuite, CheckerProbe, CycleFilter, Verdict,
@@ -371,11 +371,11 @@ fn sharded_verdicts_are_bit_identical_at_any_worker_count() {
     assert_eq!(xprop.metric("outputs_ever_x"), Some(1));
 }
 
+/// A flipped job (the `incremental` module's `DeltaStimulus`) checks
+/// exactly like a plain session over the merged stimulus.
 #[test]
 fn incremental_check_is_bit_identical_to_full_resimulation() {
     let (nl, d) = xinit_circuit();
-    let inputs = nl.inputs().to_vec();
-    let stimulus = toggling(&inputs, 30);
     let budgets = BudgetSpec::parse_list("*=cycle")
         .unwrap()
         .resolve(&nl)
@@ -388,36 +388,27 @@ fn incremental_check_is_bit_identical_to_full_resimulation() {
         x_eval: XEval::TriTable,
         ..SimOptions::default()
     };
-
-    let (_, baseline) = SimSession::new(&nl)
-        .options(options)
-        .stimulus(stimulus.clone())
-        .probe(suite.build())
-        .record_baseline()
-        .unwrap();
-
+    let job = SimJob::new(&nl, vec![Bus::new(nl.inputs().to_vec())], 30, 5).with_options(options);
     let delta = DeltaStimulus::new().set(12, d, false).set(13, d, true);
-    let incremental = IncrementalSession::new(&nl, &baseline)
-        .probe(suite.build())
-        .delta(delta.clone())
-        .run()
-        .unwrap();
-    assert!(
-        incremental.stats().replayed_cycles >= 20,
-        "most cycles replay: {:?}",
-        incremental.stats()
-    );
-    let incremental_report = incremental
-        .session()
-        .probe::<CheckerProbe>()
-        .unwrap()
-        .report(&nl);
+    let flipped = job.clone().with_flips(delta.clone());
 
-    let merged: Vec<InputAssignment> = stimulus
-        .iter()
-        .enumerate()
-        .map(|(c, base)| delta.apply_to(c as u64, base))
+    let mut reports = ParallelRunner::new(1)
+        .run_sessions_with(std::slice::from_ref(&flipped), &|_| {
+            vec![Box::new(suite.build()) as Box<dyn Probe>]
+        })
+        .unwrap();
+    let flipped_report = reports[0].take_probe::<CheckerProbe>().unwrap().report(&nl);
+
+    let merged: Vec<InputAssignment> = job
+        .stimulus()
+        .zip(0..)
+        .map(|(base, cycle)| delta.apply_to(cycle, &base))
         .collect();
+    assert_ne!(
+        merged,
+        job.stimulus().collect::<Vec<_>>(),
+        "the flip changes bits"
+    );
     let full = SimSession::new(&nl)
         .options(options)
         .stimulus(merged)
@@ -426,7 +417,7 @@ fn incremental_check_is_bit_identical_to_full_resimulation() {
         .unwrap();
     let full_report = full.probe::<CheckerProbe>().unwrap().report(&nl);
 
-    assert_eq!(incremental_report, full_report);
+    assert_eq!(flipped_report, full_report);
 }
 
 #[test]
