@@ -8,12 +8,16 @@
 //! filled in bulk; the same job through `ParallelRunner::run_sessions_with`
 //! settles event by event. Both produce the same report (pinned by
 //! `crates/kernel/tests/timed_oracle.rs`), so the ratio is pure execution
-//! cost. Three jobs are gated: the standard probe set alone, the same
-//! with the X-propagation + hazard checker suite of `check --hazards`
-//! attached, and the standard probe set on the multiplier pipelined to 4
-//! register ranks, whose flipflop state each block settles by fixpoint
-//! (`KernelProgram::settle_cycles`). The unit and realistic-adder models
-//! are the two timed schedules of the default sweep.
+//! cost. Four jobs are gated: the standard probe set alone without
+//! per-cycle statistics (`SimJob::with_statistics(false)`, the path of a
+//! sweep without `--metrics`), the same counting them (the path of
+//! `analyze` and of every daemon job), the standard probe set with the
+//! X-propagation + hazard checker suite of `check --hazards` attached,
+//! and the standard probe set on the multiplier pipelined to 4 register
+//! ranks, whose flipflop state each block settles by fixpoint
+//! (`KernelProgram::settle_cycles`); the last two count statistics, as
+//! `check` does. The unit and realistic-adder models are the two timed
+//! schedules of the default sweep.
 //!
 //! Ignored by default so plain `cargo test` stays timing-free; run with
 //!
@@ -57,8 +61,9 @@ fn multiplier() -> (Netlist, Vec<Bus>) {
 }
 
 /// Gates the jobs on `netlist` with `extra` probes under both timed delay
-/// models.
-fn gate(case: &str, netlist: &Netlist, buses: &[Bus], extra: Probes<'_>) {
+/// models; `statistics` says whether the timed jobs count their per-cycle
+/// statistics (the event-driven sessions always do).
+fn gate(case: &str, netlist: &Netlist, buses: &[Bus], extra: Probes<'_>, statistics: bool) {
     let program = KernelProgram::compile(netlist).expect("the netlist compiles");
     let runner = ParallelRunner::new(1);
     for delay in [DelayKind::Unit, DelayKind::RealisticAdderCells] {
@@ -67,13 +72,20 @@ fn gate(case: &str, netlist: &Netlist, buses: &[Bus], extra: Probes<'_>) {
             jobs[0].timed_schedule(&program).is_some(),
             "{delay:?} qualifies"
         );
+        let timed_jobs = [jobs[0].clone().with_statistics(statistics)];
         let timed = median_time(3, || {
-            let reports = runner.run_jobs(&jobs, &program, extra).expect("settles");
+            let reports = runner
+                .run_jobs(&timed_jobs, &program, extra)
+                .expect("settles");
             assert!(
                 reports[0].timed_work().is_some(),
                 "settled on the timed kernel"
             );
-            reports[0].total_events()
+            if statistics {
+                reports[0].total_events()
+            } else {
+                reports[0].cycles()
+            }
         });
         let event = median_time(3, || {
             runner.run_sessions_with(&jobs, extra).expect("settles")[0].total_events()
@@ -95,7 +107,20 @@ fn gate(case: &str, netlist: &Netlist, buses: &[Bus], extra: Probes<'_>) {
 #[ignore = "timing gate; run explicitly in CI with --release"]
 fn timed_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
     let (netlist, buses) = multiplier();
-    gate("standard probes", &netlist, &buses, &|_| Vec::new());
+    gate("standard probes", &netlist, &buses, &|_| Vec::new(), false);
+}
+
+#[test]
+#[ignore = "timing gate; run explicitly in CI with --release"]
+fn timed_jobs_with_statistics_take_at_most_a_quarter_of_the_event_driven_settle() {
+    let (netlist, buses) = multiplier();
+    gate(
+        "standard probes with statistics",
+        &netlist,
+        &buses,
+        &|_| Vec::new(),
+        true,
+    );
 }
 
 #[test]
@@ -103,11 +128,13 @@ fn timed_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
 fn timed_checker_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
     let (netlist, buses) = multiplier();
     let suite = CheckSuite::new().with_x_propagation().with_hazards();
-    gate("x-propagation + hazards", &netlist, &buses, &|_| -> Vec<
-        Box<dyn Probe>,
-    > {
-        vec![Box::new(suite.build())]
-    });
+    gate(
+        "x-propagation + hazards",
+        &netlist,
+        &buses,
+        &|_| -> Vec<Box<dyn Probe>> { vec![Box::new(suite.build())] },
+        true,
+    );
 }
 
 #[test]
@@ -120,7 +147,11 @@ fn timed_pipelined_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
         .iter()
         .map(|bus| Bus::new(bus.iter().map(|&net| piped.mapping.new_net(net)).collect()))
         .collect();
-    gate("pipelined to 4 ranks", &piped.netlist, &buses, &|_| {
-        Vec::new()
-    });
+    gate(
+        "pipelined to 4 ranks",
+        &piped.netlist,
+        &buses,
+        &|_| Vec::new(),
+        true,
+    );
 }

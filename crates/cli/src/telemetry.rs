@@ -2,7 +2,7 @@
 //! and `--trace-out FILE` wiring of `analyze`, `power`, `sweep`, `check`
 //! and `reduce`. The job's own counters and phase spans are recorded by
 //! the shared executor through [`Telemetry::sink`]; this module adds the
-//! CLI-only `parse` and `cone-index` phases and writes the outputs.
+//! CLI-only `parse` phase and writes the outputs.
 //!
 //! The split mirrors `glitch-obs`'s contract. Deterministic quantities
 //! (cycle, event, evaluation and queue counts) go into one

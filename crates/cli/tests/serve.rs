@@ -336,6 +336,27 @@ fn repeated_flips_equal_the_one_shot_json() {
 }
 
 #[test]
+fn flips_take_an_engine_like_the_one_shot_flag() {
+    let daemon = Daemon::spawn(&[]);
+    let counter = data("counter4.blif");
+    for engine in ["queue", "hybrid"] {
+        let flip = format!(
+            r#"{{"op":"flip","file":"{counter}","cycles":80,"flips":"2:en","engine":"{engine}"}}"#
+        );
+        let responses = daemon.client(&[&flip]);
+        assert_eq!(
+            responses[0],
+            one_shot_json(&[
+                "analyze", &counter, "--cycles", "80", "--flip", "2:en", "--engine", engine,
+                "--json"
+            ]),
+            "engine {engine}"
+        );
+    }
+    daemon.shutdown();
+}
+
+#[test]
 fn daemon_analyze_settles_on_the_timed_kernel() {
     // The daemon always records metrics; they are read off the finished
     // reports, so an `analyze` request settles where an untraced run does.

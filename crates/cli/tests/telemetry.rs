@@ -276,6 +276,47 @@ fn sweep_metrics_count_the_timed_shards_and_keep_the_engine_counters() {
 }
 
 #[test]
+fn sweep_and_reduce_metrics_equal_the_queue_reference() {
+    // Without a registry a sweep's timed shards count no per-cycle
+    // statistics; with one they count them, so the engine counters of a
+    // metered run are the queue reference's whatever the bare run skips.
+    for file in ["mult4.blif", "counter4.blif"] {
+        let path = data(file);
+        for command in ["sweep", "reduce"] {
+            let args = [command, path.as_str(), "--cycles", "100", "--metrics-json"];
+            let timed = stdout_of(&args);
+            let event = stdout_of(&[&args[..], &["--engine", "queue"]].concat());
+            let (timed, event) = (
+                timed.lines().last().expect("metrics line"),
+                event.lines().last().expect("metrics line"),
+            );
+            let case = format!("{command} {file}");
+            // `reduce` records no engine counters: its scores read none.
+            assert_eq!(
+                timed.contains("\"sim.events\""),
+                command == "sweep",
+                "{case}: {timed}"
+            );
+            assert_eq!(without_timed(timed), event, "{case}");
+        }
+        // A traced sweep records spans but no counters.
+        let trace_path = tmp(&format!("{file}.sweep.trace.json"));
+        let traced = stdout_of(&[
+            "sweep",
+            &path,
+            "--cycles",
+            "100",
+            "--json",
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+        ]);
+        std::fs::remove_file(&trace_path).ok();
+        let bare = stdout_of(&["sweep", &path, "--cycles", "100", "--json"]);
+        assert_eq!(traced.lines().next(), bare.lines().next(), "{file}");
+    }
+}
+
+#[test]
 fn hybrid_batches_count_the_shards_that_fall_back_to_the_event_path() {
     // The windowed activity probe needs every transition, so both seeds
     // of a `--window` run settle event by event.

@@ -297,16 +297,41 @@ pub struct DelaySweepPoint {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GlitchAnalyzer {
     config: AnalysisConfig,
+    statistics: bool,
+}
+
+impl Default for GlitchAnalyzer {
+    fn default() -> Self {
+        GlitchAnalyzer::new(AnalysisConfig::default())
+    }
 }
 
 impl GlitchAnalyzer {
     /// Creates an analyzer with the given configuration.
     #[must_use]
     pub fn new(config: AnalysisConfig) -> Self {
-        GlitchAnalyzer { config }
+        GlitchAnalyzer {
+            config,
+            statistics: true,
+        }
+    }
+
+    /// Says whether the runs of [`GlitchAnalyzer::analyze_seeds`],
+    /// [`GlitchAnalyzer::check_seeds`] and
+    /// [`GlitchAnalyzer::sweep_delays_compiled`] count their per-cycle
+    /// statistics and queue traffic ([`SimJob::statistics`]; builder
+    /// style). On by default. A caller that never reads them turns them
+    /// off to spare the timed kernel the accounting; the shard summaries
+    /// of such runs then panic when asked for events, cell evaluations,
+    /// settle times or queue traffic. [`GlitchAnalyzer::analyze`], whose
+    /// [`Analysis`] holds none of them, never counts them.
+    #[must_use]
+    pub fn with_statistics(mut self, statistics: bool) -> Self {
+        self.statistics = statistics;
+        self
     }
 
     /// The analyzer's configuration.
@@ -381,7 +406,7 @@ impl GlitchAnalyzer {
         random_buses: &[Bus],
         held: &[(NetId, bool)],
     ) -> Result<Analysis, SimError> {
-        let (seed, _) = self.analyze_seeds(
+        let (seed, _) = self.clone().with_statistics(false).analyze_seeds(
             netlist,
             random_buses,
             held,
@@ -497,6 +522,8 @@ impl GlitchAnalyzer {
     /// the other seeds settle event by event. Under [`EngineKind::Kernel`]
     /// the program runs every seed. It is compiled on demand when absent.
     /// Under [`EngineKind::Queue`] every seed settles event by event.
+    /// Every seed counts its per-cycle statistics unless the analyzer was
+    /// made [`GlitchAnalyzer::with_statistics`]`(false)`.
     ///
     /// # Errors
     ///
@@ -523,7 +550,10 @@ impl GlitchAnalyzer {
         assert!(!seeds.is_empty(), "at least one seed is required");
         let job_list: Vec<SimJob<'_>> = seeds
             .iter()
-            .map(|&seed| self.job(netlist, random_buses, held, seed))
+            .map(|&seed| {
+                self.job(netlist, random_buses, held, seed)
+                    .with_statistics(self.statistics)
+            })
             .collect();
         let reports = match self.config.engine {
             EngineKind::Kernel => {
@@ -601,6 +631,7 @@ impl GlitchAnalyzer {
                     self.job(netlist, random_buses, held, seed)
                         .with_delay(delay.clone())
                         .with_label(label.clone())
+                        .with_statistics(self.statistics)
                 })
             })
             .collect();
@@ -1125,6 +1156,52 @@ mod tests {
                 assert_eq!(h.analysis.aggregate, q.analysis.aggregate);
             }
         }
+    }
+
+    #[test]
+    fn a_sweep_without_statistics_keeps_every_figure_and_refuses_the_counts() {
+        let adder = RippleCarryAdder::new(6, AdderStyle::CompoundCell);
+        let buses = [adder.a.clone(), adder.b.clone()];
+        let held = [(adder.cin, false)];
+        let models = vec![
+            ("unit".to_string(), DelayKind::Unit),
+            ("zero".to_string(), DelayKind::Zero),
+            ("adder".to_string(), DelayKind::RealisticAdderCells),
+        ];
+        let seeds = [5u64, 6];
+        let config = AnalysisConfig {
+            cycles: 70,
+            ..Default::default()
+        };
+        let sweep = |statistics: bool| {
+            GlitchAnalyzer::new(config.clone())
+                .with_statistics(statistics)
+                .sweep_delays_compiled(&adder.netlist, &buses, &held, &models, &seeds, 2, None)
+                .unwrap()
+        };
+        let (counted, quiet) = (sweep(true), sweep(false));
+        for (c, q) in counted.iter().zip(&quiet) {
+            assert_eq!(c.analysis.trace(), q.analysis.trace(), "{}", c.label);
+            assert_eq!(c.analysis.power, q.analysis.power, "{}", c.label);
+            assert_eq!(c.analysis.total_cycles(), q.analysis.total_cycles());
+            assert_eq!(c.analysis.glitch_spread(), q.analysis.glitch_spread());
+            assert_eq!(c.analysis.power_spread(), q.analysis.power_spread());
+            assert!(q
+                .analysis
+                .aggregate
+                .shards()
+                .iter()
+                .all(|s| s.timed.is_some()));
+        }
+        let read = std::panic::catch_unwind(|| quiet[0].analysis.aggregate.total_events());
+        let message = read.expect_err("a quiet shard refuses its events");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.contains("without per-cycle statistics"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub struct ReduceScore {
     /// The full multi-seed aggregate (activity, power, spreads). Kernel
     /// telemetry appears only under [`crate::EngineKind::Kernel`], which
     /// has no glitch model to score with and which `reduce` refuses.
+    /// Seeds settled on the timed kernel count no per-cycle statistics
+    /// ([`GlitchAnalyzer::with_statistics`]), so its shards refuse to be
+    /// read for them.
     pub analysis: AggregateAnalysis,
     /// Hazards per net across all seeds, index-aligned with the netlist's
     /// nets — the candidate-ranking signal.
@@ -112,7 +115,8 @@ impl ReduceSession {
     pub fn new(config: AnalysisConfig, seeds: Vec<u64>, jobs: usize) -> Self {
         assert!(!seeds.is_empty(), "at least one seed is required");
         ReduceSession {
-            analyzer: GlitchAnalyzer::new(config),
+            // A score reads no per-cycle statistics.
+            analyzer: GlitchAnalyzer::new(config).with_statistics(false),
             seeds,
             jobs: jobs.max(1),
         }

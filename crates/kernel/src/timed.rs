@@ -19,14 +19,20 @@
 //! it the value it reached at `hi`. Both stay valid for as long as any
 //! reader can look back (at most `max_delay` time points).
 //!
-//! Besides the values, the step counts exactly what the event queue
-//! counts: the events and cell evaluations of every time point, the last
-//! time point with a change (the settle time), and the queue's peak depth
-//! — the source events of time 0, or the events pending after a time
-//! point's pushes, whichever is larger. Zero-delay schedules run on the
-//! unit schedule, because the queue's zero-delay delta batches are exactly
-//! the unit-delay time points; their transitions are the start-versus-
-//! settled changes of each net, and their settle time is 0.
+//! Besides the values, the step always counts each net's transitions
+//! with their parity and rises. When the caller asks for per-lane
+//! statistics ([`TimedSchedule::run_block`] with somewhere to put them),
+//! it also counts exactly what the event queue counts: the events and
+//! cell evaluations of every time point, the last time point with a
+//! change (the settle time), and the queue's peak depth — the source
+//! events of time 0, or the events pending after a time point's pushes,
+//! whichever is larger. A block run without them compiles none of that
+//! accounting in. Zero-delay schedules run on the unit schedule, because
+//! the queue's zero-delay delta batches are exactly the unit-delay time
+//! points; their transitions are the start-versus-settled changes of each
+//! net, and their settle time is 0. Without statistics a zero-delay block
+//! counts those changes and skips the time steps, which would only count
+//! queue traffic.
 //!
 //! When the tally asks for them ([`TimedTally::with_hazards`]), the step
 //! also classifies every lane's hazards as the hazard checker reads them
@@ -253,21 +259,24 @@ impl<'p> TimedSchedule<'p> {
 
     /// Lanes per block that keep one block's working set near 1 MiB: a
     /// multiple of 64, from 64 to 256. `hazards` says whether the blocks
-    /// classify hazards ([`TimedTally::with_hazards`]).
+    /// classify hazards ([`TimedTally::with_hazards`]), `stats` whether
+    /// they count [`LaneStats`].
     #[must_use]
-    pub fn block_lanes(&self, hazards: bool) -> usize {
+    pub fn block_lanes(&self, hazards: bool, stats: bool) -> usize {
         let time_points = self.last as usize + 1;
         // Per net: the value and mask ring slots, the settled planes, the
-        // change and parity scratch and the hazard planes; per lane: the
-        // push and pop counts of every time point.
+        // change and parity scratch and the hazard planes; per lane, when
+        // counting statistics: the push and pop counts of every time point.
         let per_net = self.slots * 16 + 32 + if hazards { 32 } else { 0 };
-        let per_word = self.program.net_count() * per_net + 64 * time_points * 8;
+        let per_lane = if stats { time_points * 8 } else { 0 };
+        let per_word = self.program.net_count() * per_net + 64 * per_lane;
         64 * (BLOCK_BYTES / per_word.max(1)).clamp(1, MAX_BLOCK_WORDS)
     }
 
-    /// Steps one block of lanes through the schedule: appends one
-    /// [`LaneStats`] per lane to `out` and folds the per-net transition
-    /// counts, and the hazards when `tally` asks for them, into `tally`.
+    /// Steps one block of lanes through the schedule: folds the per-net
+    /// transition counts, and the hazards when `tally` asks for them, into
+    /// `tally`, and appends one [`LaneStats`] per lane to `stats` when
+    /// given. Without `stats` the block counts no queue traffic at all.
     ///
     /// # Panics
     ///
@@ -279,19 +288,22 @@ impl<'p> TimedSchedule<'p> {
         lanes: &CycleLanes<'_>,
         mode: EvalMode,
         tally: &mut TimedTally,
-        out: &mut Vec<LaneStats>,
+        stats: Option<&mut Vec<LaneStats>>,
     ) {
         // Zero-delay lanes switch at most once per net: no hazards. A
-        // block that keeps no hazard planes compiles without their upkeep.
-        if tally.hazards.is_empty() || self.zero_delay {
-            self.settle_block::<false>(lanes, mode, tally, out);
-        } else {
-            self.settle_block::<true>(lanes, mode, tally, out);
+        // block compiles without the upkeep of what it does not keep.
+        let hazards = !tally.hazards.is_empty() && !self.zero_delay;
+        match (hazards, stats) {
+            (false, None) => self.settle_block::<false, false>(lanes, mode, tally, &mut Vec::new()),
+            (true, None) => self.settle_block::<true, false>(lanes, mode, tally, &mut Vec::new()),
+            (false, Some(out)) => self.settle_block::<false, true>(lanes, mode, tally, out),
+            (true, Some(out)) => self.settle_block::<true, true>(lanes, mode, tally, out),
         }
     }
 
-    /// [`TimedSchedule::run_block`], with or without the hazard planes.
-    fn settle_block<const HAZARDS: bool>(
+    /// [`TimedSchedule::run_block`], with or without the hazard planes
+    /// and the per-lane statistics.
+    fn settle_block<const HAZARDS: bool, const STATS: bool>(
         &self,
         lanes: &CycleLanes<'_>,
         mode: EvalMode,
@@ -324,19 +336,20 @@ impl<'p> TimedSchedule<'p> {
 
         let mut ring_v = vec![0u64; n * slots * words];
         let mut ring_m = vec![0u64; n * slots * words];
-        let mut step = Step::<HAZARDS> {
+        let counted = if STATS { lane_count } else { 0 };
+        let mut step = Step::<HAZARDS, STATS> {
             lanes: lane_count,
             words,
             functional: self.zero_delay,
             parity: vec![0; n * words],
             reached: vec![[0; 4]; if HAZARDS { n * words } else { 0 }],
             switched_now: LaneCounter::default(),
-            transitions: vec![0; lane_count],
+            transitions: vec![0; counted],
             evaluated_now: LaneCounter::default(),
-            cell_evals: vec![0; lane_count],
+            cell_evals: vec![0; counted],
             pushed_now: Vec::new(),
-            pushes: vec![0; time_points * lane_count],
-            pops: vec![0; time_points * lane_count],
+            pushes: vec![0; time_points * counted],
+            pops: vec![0; time_points * counted],
             tally,
         };
         // Start values: lane l begins where lane l − 1 settled.
@@ -355,9 +368,16 @@ impl<'p> TimedSchedule<'p> {
                 }
             }
         }
-        for (lane, &extra) in lanes.extra_events.iter().enumerate() {
-            step.pushes[lane] += extra;
-            step.pops[lane] += extra;
+        if !STATS && self.zero_delay {
+            // The transitions are counted; the time steps would only
+            // count queue traffic.
+            return;
+        }
+        if STATS {
+            for (lane, &extra) in lanes.extra_events.iter().enumerate() {
+                step.pushes[lane] += extra;
+                step.pops[lane] += extra;
+            }
         }
 
         // Time 0: the sources take their settled values.
@@ -406,7 +426,7 @@ impl<'p> TimedSchedule<'p> {
                 };
                 // The cell evaluates at `t` in every lane where one of its
                 // inputs changed at `t`.
-                if t32 <= in_hi && moved_at(&stamp, t) {
+                if STATS && t32 <= in_hi && moved_at(&stamp, t) {
                     let mut hit = [0u64; MAX_BLOCK_WORDS];
                     for &input in ins {
                         let (lo, hi) = window[input as usize];
@@ -479,7 +499,9 @@ impl<'p> TimedSchedule<'p> {
                     pin = next;
                 }
             }
-            step.flush(t);
+            if STATS {
+                step.flush(t);
+            }
         }
 
         if cfg!(debug_assertions) {
@@ -505,6 +527,9 @@ impl<'p> TimedSchedule<'p> {
         }
         if HAZARDS {
             step.classify_hazards(settled);
+        }
+        if !STATS {
+            return;
         }
         for lane in 0..lane_count {
             let mut stats = LaneStats {
@@ -532,8 +557,8 @@ impl<'p> TimedSchedule<'p> {
 }
 
 /// The mutable accounting of one block; `HAZARDS` says whether it keeps
-/// the hazard planes.
-struct Step<'a, const HAZARDS: bool> {
+/// the hazard planes, `STATS` whether it counts the per-lane statistics.
+struct Step<'a, const HAZARDS: bool, const STATS: bool> {
     lanes: usize,
     words: usize,
     /// Transitions are start-versus-settled (zero delay) rather than per
@@ -546,7 +571,8 @@ struct Step<'a, const HAZARDS: bool> {
     /// and each lane's value before its first one.
     reached: Vec<[u64; 4]>,
     /// Switching transitions per lane: this time point's, and the
-    /// block's totals.
+    /// block's totals. The per-lane fields are unused (and their tables
+    /// empty) unless `STATS`.
     switched_now: LaneCounter,
     transitions: Vec<u32>,
     /// Cell evaluations per lane: this time point's, and the block's
@@ -562,7 +588,7 @@ struct Step<'a, const HAZARDS: bool> {
     tally: &'a mut TimedTally,
 }
 
-impl<const HAZARDS: bool> Step<'_, HAZARDS> {
+impl<const HAZARDS: bool, const STATS: bool> Step<'_, HAZARDS, STATS> {
     /// Records `net` going from `old` to `new` at the current time point
     /// in word `w` (an event pushed `d` time points earlier) and returns
     /// the lanes that changed.
@@ -575,12 +601,14 @@ impl<const HAZARDS: bool> Step<'_, HAZARDS> {
         if !self.functional {
             self.switch(net, w, old, new, false);
         }
-        match self.pushed_now.iter_mut().find(|(delay, _)| *delay == d) {
-            Some((_, counter)) => counter.add(w, changed),
-            None => {
-                let mut counter = LaneCounter::default();
-                counter.add(w, changed);
-                self.pushed_now.push((d, counter));
+        if STATS {
+            match self.pushed_now.iter_mut().find(|(delay, _)| *delay == d) {
+                Some((_, counter)) => counter.add(w, changed),
+                None => {
+                    let mut counter = LaneCounter::default();
+                    counter.add(w, changed);
+                    self.pushed_now.push((d, counter));
+                }
             }
         }
         changed
@@ -609,7 +637,9 @@ impl<const HAZARDS: bool> Step<'_, HAZARDS> {
             return;
         }
         let count = u64::from(switched.count_ones());
-        self.switched_now.add(w, switched);
+        if STATS {
+            self.switched_now.add(w, switched);
+        }
         self.tally.transitions[net] += count;
         self.tally.rises[net] += u64::from((switched & new.0).count_ones());
         if once {

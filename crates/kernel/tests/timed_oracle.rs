@@ -32,8 +32,9 @@ use glitch_io::{parse_netlist, Format, GateLibrary};
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, CellKind, NetId, Netlist};
 use glitch_sim::{
-    ActivityProbe, CellDelay, DelayKind, DeltaStimulus, ParallelRunner, PowerProbe, Probe,
-    SessionReport, SimBaseline, SimError, SimJob, SimOptions, SimSession, StatsProbe, Value,
+    ActivityProbe, AggregateReport, CellDelay, DelayKind, DeltaStimulus, ParallelRunner,
+    PowerProbe, Probe, SessionReport, SimBaseline, SimError, SimJob, SimOptions, SimSession,
+    StatsProbe, Value,
 };
 use glitch_verify::{
     BudgetSpec, CheckSuite, CheckerProbe, HazardChecker, VerifyReport, XPropagationChecker,
@@ -56,7 +57,7 @@ fn delay_models() -> Vec<DelayKind> {
 
 /// Asserts two reports agree on every field of the timed contract.
 fn assert_same_report(netlist: &Netlist, event: &SessionReport, timed: &SessionReport, case: &str) {
-    assert_eq!(event.cycles(), timed.cycles(), "cycles: {case}");
+    assert_same_results(netlist, event, timed, case);
     assert_eq!(
         event.cycle_stats(),
         timed.cycle_stats(),
@@ -67,6 +68,22 @@ fn assert_same_report(netlist: &Netlist, event: &SessionReport, timed: &SessionR
         timed.queue_stats(),
         "queue stats: {case}"
     );
+    assert_eq!(
+        event.probe::<StatsProbe>(),
+        timed.probe::<StatsProbe>(),
+        "stats probe: {case}"
+    );
+}
+
+/// Asserts two reports agree on every field but the per-cycle statistics
+/// and queue traffic: what a run settled without them still reports.
+fn assert_same_results(
+    netlist: &Netlist,
+    event: &SessionReport,
+    timed: &SessionReport,
+    case: &str,
+) {
+    assert_eq!(event.cycles(), timed.cycles(), "cycles: {case}");
     for index in 0..netlist.net_count() {
         let net = NetId::from_index(index);
         assert_eq!(
@@ -92,11 +109,6 @@ fn assert_same_report(netlist: &Netlist, event: &SessionReport, timed: &SessionR
         event.probe::<PowerProbe>().and_then(PowerProbe::report),
         timed.probe::<PowerProbe>().and_then(PowerProbe::report),
         "power report: {case}"
-    );
-    assert_eq!(
-        event.probe::<StatsProbe>(),
-        timed.probe::<StatsProbe>(),
-        "stats probe: {case}"
     );
 }
 
@@ -157,7 +169,8 @@ fn assert_same_checks(netlist: &Netlist, event: &SessionReport, timed: &SessionR
 
 /// Runs `job` both ways and compares; `timed` says whether the routed run
 /// must have settled on the timed kernel. The routed run goes once with
-/// the [`checker_probes`] and once without, the event run with them.
+/// the [`checker_probes`], once without and once with them but without
+/// statistics, the event run with them.
 fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str) {
     let runner = ParallelRunner::new(1);
     let jobs = std::slice::from_ref(job);
@@ -168,30 +181,58 @@ fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str)
     );
     let routed = runner.run_jobs(jobs, program, &checker_probes);
     let bare = runner.run_jobs(jobs, program, &|_| Vec::new());
+    let quiet = runner.run_jobs(
+        &[job.clone().with_statistics(false)],
+        program,
+        &checker_probes,
+    );
     let event = runner.run_sessions_with(jobs, &checker_probes);
-    match (event, routed, bare) {
-        (Ok(mut event), Ok(mut routed), Ok(mut bare)) => {
-            let (event, routed, bare) = (event.remove(0), routed.remove(0), bare.remove(0));
+    match (event, routed, bare, quiet) {
+        (Ok(mut event), Ok(mut routed), Ok(mut bare), Ok(mut quiet)) => {
+            let (event, routed, bare, quiet) = (
+                event.remove(0),
+                routed.remove(0),
+                bare.remove(0),
+                quiet.remove(0),
+            );
             assert_eq!(routed.timed_work().is_some(), timed, "settle path: {case}");
             assert_eq!(
                 bare.timed_work().is_some(),
                 timed,
                 "bare settle path: {case}"
             );
+            assert_eq!(
+                quiet.timed_work().is_some(),
+                timed,
+                "quiet settle path: {case}"
+            );
             assert!(event.timed_work().is_none());
             assert_same_report(job.netlist, &event, &routed, case);
             assert_same_report(job.netlist, &event, &bare, case);
             assert_same_checks(job.netlist, &event, &routed, case);
+            // Without statistics: every other field as with them, and as
+            // on the event path; no stats probe to read zeros from.
+            assert_same_results(job.netlist, &routed, &quiet, case);
+            assert_same_results(job.netlist, &event, &quiet, case);
+            assert_same_checks(job.netlist, &event, &quiet, case);
+            if timed {
+                assert!(quiet.probe::<StatsProbe>().is_none(), "{case}");
+            } else {
+                // The event path always counts.
+                assert_same_report(job.netlist, &event, &quiet, case);
+            }
         }
-        (Err(event), Err(routed), Err(bare)) => {
+        (Err(event), Err(routed), Err(bare), Err(quiet)) => {
             assert_eq!(event, routed, "error: {case}");
             assert_eq!(event, bare, "bare error: {case}");
+            assert_eq!(event, quiet, "quiet error: {case}");
         }
-        (event, routed, bare) => panic!(
-            "outcomes differ ({case}): event {:?}, routed {:?}, bare {:?}",
+        (event, routed, bare, quiet) => panic!(
+            "outcomes differ ({case}): event {:?}, routed {:?}, bare {:?}, quiet {:?}",
             event.map(|_| ()),
             routed.map(|_| ()),
-            bare.map(|_| ())
+            bare.map(|_| ()),
+            quiet.map(|_| ())
         ),
     }
 }
@@ -594,4 +635,53 @@ fn a_counter_enable_flip_diverges_to_the_end_of_the_run() {
             assert_ne!(flipped, configured, "{case}");
         }
     }
+}
+
+/// The 4-bit multiplier's unit-delay jobs settled on the timed kernel
+/// without statistics, with their reports.
+fn settled_without_statistics(mult: &ArrayMultiplier) -> (Vec<SimJob<'_>>, Vec<SessionReport>) {
+    let program = KernelProgram::compile(&mult.netlist).expect("acyclic");
+    let jobs: Vec<SimJob<'_>> = [3, 4]
+        .into_iter()
+        .map(|seed| {
+            SimJob::new(
+                &mult.netlist,
+                vec![mult.x.clone(), mult.y.clone()],
+                65,
+                seed,
+            )
+            .with_statistics(false)
+        })
+        .collect();
+    let reports = ParallelRunner::new(1)
+        .run_jobs(&jobs, &program, &|_| Vec::new())
+        .expect("settles");
+    assert!(reports.iter().all(|report| report.timed_work().is_some()));
+    (jobs, reports)
+}
+
+#[test]
+#[should_panic(expected = "without per-cycle statistics")]
+fn a_report_settled_without_statistics_refuses_its_cycle_stats() {
+    let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell);
+    let (_, reports) = settled_without_statistics(&mult);
+    let _ = reports[0].cycle_stats();
+}
+
+#[test]
+#[should_panic(expected = "without per-cycle statistics")]
+fn a_report_settled_without_statistics_refuses_its_queue_traffic() {
+    let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell);
+    let (_, reports) = settled_without_statistics(&mult);
+    let _ = reports[0].queue_stats();
+}
+
+#[test]
+#[should_panic(expected = "without per-cycle statistics")]
+fn an_aggregate_of_runs_without_statistics_refuses_its_event_total() {
+    let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell);
+    let (jobs, mut reports) = settled_without_statistics(&mult);
+    let aggregate = AggregateReport::reduce(&mult.netlist, &jobs, &mut reports);
+    assert_eq!(aggregate.total_cycles(), 130, "cycles are always counted");
+    let _ = aggregate.total_events();
 }

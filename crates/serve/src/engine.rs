@@ -493,9 +493,6 @@ impl Engine {
             }
             JobKind::Flip => {
                 bad.extend(sweep_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
-                if job.engine.is_some() {
-                    bad.push("engine (flip runs the default engine)");
-                }
                 bad.extend(check_only.iter().filter(|(set, _)| *set).map(|&(_, n)| n));
             }
             JobKind::Check => {

@@ -60,7 +60,9 @@ pub trait Resources {
 /// any worker count) and wall-clock phase spans into a [`SpanLog`], each
 /// optional. Counters are read off finished reports, so a job settles on
 /// the same path with or without a sink; [`Sink::off`] records nothing and
-/// makes the executor skip every piece of telemetry-only work.
+/// makes the executor skip every piece of telemetry-only work. A registry
+/// reads the runs' per-cycle statistics, so with one every run counts
+/// them; without one only the runs whose report prints them do.
 pub struct Sink<'a> {
     registry: Option<&'a mut MetricsRegistry>,
     spans: Option<&'a SpanLog>,
@@ -81,6 +83,11 @@ impl<'a> Sink<'a> {
     #[must_use]
     pub fn new(registry: Option<&'a mut MetricsRegistry>, spans: Option<&'a SpanLog>) -> Sink<'a> {
         Sink { registry, spans }
+    }
+
+    /// Whether counters are recorded, which read every run's statistics.
+    fn counts(&self) -> bool {
+        self.registry.is_some()
     }
 
     fn now(&self) -> u64 {
@@ -146,6 +153,9 @@ impl<'a> Sink<'a> {
     /// `sim.*` and `queue.*` of a reduced batch, for the paths that get no
     /// per-session reports back (`check`, `sweep`).
     fn aggregate(&mut self, aggregate: &AggregateReport) {
+        if !self.counts() {
+            return;
+        }
         self.add("sim.cycles", aggregate.total_cycles());
         self.add("sim.events", aggregate.total_events());
         self.add("sim.cell_evals", aggregate.total_cell_evals());
@@ -546,15 +556,19 @@ pub fn exec(
                 suite = suite.with_timing();
             }
             let checkers = suite.checker_count();
+            // The check report prints the runs' settle time and cell
+            // evaluations: the analyzer counts statistics by default.
             let analyzer = GlitchAnalyzer::new(config.clone());
             if job.flips.is_some() {
                 let flips = flip_specs(job, netlist, &config)?;
                 let (delta, applied) =
                     params::flips_to_delta(&flips, &baseline(netlist, &buses, &config))?;
+                // The flip report prints verdicts only.
                 let check = |config: &AnalysisConfig, sink: &mut Sink<'_>| {
                     let checked = {
                         let _span = sink.span("simulate");
                         GlitchAnalyzer::new(config.clone())
+                            .with_statistics(sink.counts())
                             .check_seeds(netlist, &buses, &[], &suite, &[config.seed], 1)
                             .map_err(|e| run(format!("simulation failed: {e}")))?
                     };
@@ -607,7 +621,9 @@ pub fn exec(
             let batch_start = sink.now();
             let points = {
                 let _span = sink.span("simulate");
+                // The sweep report prints no per-cycle statistics.
                 GlitchAnalyzer::new(config.clone())
+                    .with_statistics(sink.counts())
                     .sweep_delays_compiled(
                         netlist,
                         &buses,
@@ -714,7 +730,8 @@ fn flipped(config: &AnalysisConfig, delta: DeltaStimulus) -> AnalysisConfig {
 }
 
 /// One single-seed run of `config` (configured or flipped) under the
-/// `simulate` span, with its counters in `sink`.
+/// `simulate` span, with its counters in `sink`. The flip reports print
+/// no per-cycle statistics, so the run counts them for the registry only.
 fn run_once(
     netlist: &Netlist,
     buses: &[Bus],
@@ -724,7 +741,7 @@ fn run_once(
 ) -> Result<AggregateAnalysis, ParamError> {
     let (analysis, reports) = {
         let _span = sink.span("simulate");
-        single_run(netlist, buses, config, program)
+        single_run(netlist, buses, config, program, sink.counts())
             .map_err(|e| run(format!("simulation failed: {e}")))?
     };
     sink.runs(config.engine, &analysis, &reports);
@@ -732,22 +749,26 @@ fn run_once(
 }
 
 /// [`GlitchAnalyzer::analyze_seeds`] over `config`'s own seed on one
-/// worker, with no extra probe.
+/// worker, with no extra probe, counting the per-cycle statistics when
+/// `statistics` is set.
 fn single_run(
     netlist: &Netlist,
     buses: &[Bus],
     config: &AnalysisConfig,
     program: Option<&KernelProgram>,
+    statistics: bool,
 ) -> Result<(AggregateAnalysis, Vec<SessionReport>), glitch_core::sim::SimError> {
-    GlitchAnalyzer::new(config.clone()).analyze_seeds(
-        netlist,
-        buses,
-        &[],
-        &[config.seed],
-        1,
-        &|_| Vec::new(),
-        program,
-    )
+    GlitchAnalyzer::new(config.clone())
+        .with_statistics(statistics)
+        .analyze_seeds(
+            netlist,
+            buses,
+            &[],
+            &[config.seed],
+            1,
+            &|_| Vec::new(),
+            program,
+        )
 }
 
 /// `sweep` with `flip_inputs`: the configured run, then one inverting
@@ -783,11 +804,12 @@ fn sweep_flips(
     }
     let program = compiled(config.engine, resources, sink)?;
     let before = run_once(netlist, &buses, &config, program.as_deref(), sink)?;
+    let statistics = sink.counts();
     let runs = {
         let _span = sink.span("simulate");
         ParallelRunner::new(jobs)
             .map(configs, |_, config| {
-                single_run(netlist, &buses, &config, program.as_deref())
+                single_run(netlist, &buses, &config, program.as_deref(), statistics)
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
@@ -840,6 +862,8 @@ fn analyze(
     let batch_start = sink.now();
     let (aggregate, mut reports) = {
         let _span = sink.span("simulate");
+        // The analyze report prints the runs' events and settle time: the
+        // analyzer counts statistics by default.
         GlitchAnalyzer::new(config.clone())
             .analyze_seeds(
                 netlist,

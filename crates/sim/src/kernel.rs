@@ -21,6 +21,7 @@ use glitch_kernel::{EvalMode, KernelProgram, KernelState};
 use glitch_netlist::{NetId, Netlist, Tri};
 
 use crate::clocked::{CycleStats, InputAssignment, XEval};
+use crate::engine::QueueStats;
 use crate::error::SimError;
 use crate::parallel::SimJob;
 use crate::probe::{ActivityProbe, PowerProbe, Probe, StatsProbe, Transition, TransitionKind};
@@ -308,7 +309,7 @@ pub fn run_kernel_jobs(
             .collect();
         reports.push(SessionReport::from_parts(
             cycles,
-            stats,
+            Some((stats, QueueStats::default())),
             final_values,
             lane_probes,
         ));

@@ -43,7 +43,9 @@
 //! ([`Probe::settles_timed`]), on the compiled timed kernel
 //! ([`TimedSchedule`], one clock cycle per lane) instead of the event
 //! queue, with the same report; see [`SimJob::timed_schedule`] for the
-//! routing rule.
+//! routing rule. A job that nobody reads the per-cycle statistics of
+//! ([`SimJob::with_statistics`]`(false)`) spares the timed kernel their
+//! accounting; its report then refuses to be read for them.
 //!
 //! An input flip (a few bits of the stimulus changed) is one more job:
 //! [`SimJob::with_flips`] applies a [`DeltaStimulus`] to the job's

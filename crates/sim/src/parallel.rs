@@ -24,8 +24,8 @@
 //! fold happens in job order, and merging integer counters is exact — so a
 //! parallel run's aggregate is **bit-identical** to the serial fold of the
 //! same jobs run one by one. Worker count only affects wall-clock time,
-//! never results. This holds for every [`MergeableProbe`] the reduction
-//! folds — activity, power, stats and windowed heatmaps alike — and each
+//! never results. This holds for every [`MergeableProbe`] — activity,
+//! power, stats and windowed heatmaps alike — and each
 //! of the four standard probes is individually pinned against its serial
 //! fold by `tests/parallel.rs` (it is a property of the job-order fold,
 //! not something a probe gets for free: a probe whose `merge` depended on
@@ -289,6 +289,12 @@ pub struct SimJob<'a> {
     /// ([`DeltaStimulus::apply_to`], cycle by cycle); empty for the
     /// configured run.
     pub flips: DeltaStimulus,
+    /// Whether the run counts its per-cycle statistics and queue traffic
+    /// ([`SessionReport::cycle_stats`], [`SessionReport::queue_stats`]).
+    /// Only the timed kernel ([`ParallelRunner::run_jobs`]) honours `false`,
+    /// which spares it the accounting; the event queue and the functional
+    /// kernel always count. On by default.
+    pub statistics: bool,
 }
 
 impl<'a> SimJob<'a> {
@@ -308,6 +314,7 @@ impl<'a> SimJob<'a> {
             frequency: 5e6,
             options: SimOptions::default(),
             flips: DeltaStimulus::new(),
+            statistics: true,
         }
     }
 
@@ -352,6 +359,14 @@ impl<'a> SimJob<'a> {
     #[must_use]
     pub fn with_flips(mut self, flips: DeltaStimulus) -> Self {
         self.flips = flips;
+        self
+    }
+
+    /// Says whether the run counts its per-cycle statistics (builder
+    /// style); see [`SimJob::statistics`].
+    #[must_use]
+    pub fn with_statistics(mut self, statistics: bool) -> Self {
+        self.statistics = statistics;
         self
     }
 
@@ -434,15 +449,11 @@ pub struct ShardSummary {
     pub activity: ActivityTotals,
     /// The shard's power report.
     pub power: PowerReport,
-    /// Simulator events processed.
-    pub events: u64,
-    /// Worst intra-cycle settle time.
-    pub max_settle_time: u64,
-    /// Combinational cell evaluations performed.
-    pub cell_evals: u64,
-    /// Cumulative event-queue traffic (deterministic: pushes, pops, peak
-    /// depth are functions of the stimulus, not of scheduling).
-    pub queue: QueueStats,
+    /// The shard's run statistics and event-queue traffic (deterministic:
+    /// pushes, pops, peak depth are functions of the stimulus, not of
+    /// scheduling); `None` when it settled without them. Read through
+    /// [`ShardSummary::events`] and its siblings.
+    statistics: Option<(StatsProbe, QueueStats)>,
     /// The timed kernel's work when the shard settled there rather than
     /// on the event queue. Describes how the shard ran, not what it found,
     /// so equality ignores it.
@@ -463,10 +474,65 @@ impl PartialEq for ShardSummary {
             && self.cycles == other.cycles
             && self.activity == other.activity
             && self.power == other.power
-            && self.events == other.events
-            && self.max_settle_time == other.max_settle_time
-            && self.cell_evals == other.cell_evals
-            && self.queue == other.queue
+            && self.statistics == other.statistics
+    }
+}
+
+impl ShardSummary {
+    /// The shard's statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shard settled without them ([`SimJob::statistics`]).
+    fn statistics(&self) -> &(StatsProbe, QueueStats) {
+        self.statistics.as_ref().unwrap_or_else(|| {
+            panic!(
+                "shard `{}` (seed {}) was settled without per-cycle statistics; \
+                 build its job with `SimJob::with_statistics(true)` to read them",
+                self.label, self.seed
+            )
+        })
+    }
+
+    /// Simulator events processed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shard settled without statistics
+    /// ([`SimJob::statistics`]).
+    #[must_use]
+    pub fn events(&self) -> u64 {
+        self.statistics().0.events()
+    }
+
+    /// Worst intra-cycle settle time.
+    ///
+    /// # Panics
+    ///
+    /// As for [`ShardSummary::events`].
+    #[must_use]
+    pub fn max_settle_time(&self) -> u64 {
+        self.statistics().0.max_settle_time()
+    }
+
+    /// Combinational cell evaluations performed.
+    ///
+    /// # Panics
+    ///
+    /// As for [`ShardSummary::events`].
+    #[must_use]
+    pub fn cell_evals(&self) -> u64 {
+        self.statistics().0.cell_evals()
+    }
+
+    /// Cumulative event-queue traffic.
+    ///
+    /// # Panics
+    ///
+    /// As for [`ShardSummary::events`].
+    #[must_use]
+    pub fn queue(&self) -> QueueStats {
+        self.statistics().1
     }
 }
 
@@ -521,13 +587,13 @@ pub struct AggregateReport {
     merged_trace: ActivityTrace,
     merged_totals: ActivityTotals,
     merged_power: PowerReport,
-    merged_stats: StatsProbe,
 }
 
 impl AggregateReport {
     /// Reduces per-job session reports (as returned by
     /// [`ParallelRunner::run_sessions`]) into one aggregate, folding the
-    /// activity, power and stats probes in job order. The standard probes
+    /// activity and power probes in job order and keeping each shard's
+    /// stats probe in its summary. The standard probes
     /// are *taken out* of the reports; caller-attached extra probes remain
     /// in place for retrieval afterwards.
     ///
@@ -537,8 +603,10 @@ impl AggregateReport {
     /// # Panics
     ///
     /// Panics if `jobs` and `reports` have different lengths, if the batch
-    /// is empty, or if a report is missing the standard probes (i.e. it did
-    /// not come from a runner session).
+    /// is empty, or if a report is missing the activity or power probe
+    /// (i.e. it did not come from a runner session). A report without a
+    /// [`StatsProbe`] (settled without statistics) reduces to a shard
+    /// whose statistics refuse to be read.
     #[must_use]
     pub fn reduce(
         netlist: &Netlist,
@@ -550,7 +618,6 @@ impl AggregateReport {
         let mut shards = Vec::with_capacity(reports.len());
         let mut merged_activity: Option<ActivityProbe> = None;
         let mut merged_power: Option<PowerProbe> = None;
-        let mut merged_stats = StatsProbe::new();
         for (job, report) in jobs.iter().zip(reports) {
             let activity = report
                 .take_probe::<ActivityProbe>()
@@ -558,20 +625,17 @@ impl AggregateReport {
             let power = report
                 .take_probe::<PowerProbe>()
                 .expect("runner sessions carry a PowerProbe");
-            let stats = report
+            let statistics = report
                 .take_probe::<StatsProbe>()
-                .expect("runner sessions carry a StatsProbe");
+                .map(|stats| (stats, report.queue_stats()));
             shards.push(ShardSummary {
                 label: job.label.clone(),
                 seed: job.seed,
                 delay: job.delay.clone(),
-                cycles: stats.cycles(),
+                cycles: report.cycles(),
                 activity: ActivityReport::from_trace(netlist, activity.trace()).totals(),
                 power: power.report().expect("session ended").clone(),
-                events: stats.events(),
-                max_settle_time: stats.max_settle_time(),
-                cell_evals: stats.cell_evals(),
-                queue: report.queue_stats(),
+                statistics,
                 timed: report.timed_work(),
                 wall_micros: report.wall_micros(),
                 queue_wait_micros: report.queue_wait_micros(),
@@ -584,7 +648,6 @@ impl AggregateReport {
                 None => merged_power = Some(power),
                 Some(merged) => merged.merge(power),
             }
-            merged_stats.merge(stats);
         }
         let merged_activity = merged_activity.expect("non-empty batch");
         // A single shard keeps its run-end report; a multi-shard fold
@@ -600,7 +663,6 @@ impl AggregateReport {
             merged_trace: merged_activity.into_trace(),
             merged_totals,
             merged_power,
-            merged_stats,
         }
     }
 
@@ -631,25 +693,34 @@ impl AggregateReport {
     /// Total cycles simulated across all shards.
     #[must_use]
     pub fn total_cycles(&self) -> u64 {
-        self.merged_stats.cycles()
+        self.shards.iter().map(|shard| shard.cycles).sum()
     }
 
     /// Total simulator events across all shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a shard settled without statistics
+    /// ([`SimJob::statistics`]), as do the three readers below.
     #[must_use]
     pub fn total_events(&self) -> u64 {
-        self.merged_stats.events()
+        self.shards.iter().map(ShardSummary::events).sum()
     }
 
     /// Worst settle time across all shards.
     #[must_use]
     pub fn max_settle_time(&self) -> u64 {
-        self.merged_stats.max_settle_time()
+        self.shards
+            .iter()
+            .map(ShardSummary::max_settle_time)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total combinational cell evaluations across all shards.
     #[must_use]
     pub fn total_cell_evals(&self) -> u64 {
-        self.merged_stats.cell_evals()
+        self.shards.iter().map(ShardSummary::cell_evals).sum()
     }
 
     /// Event-queue traffic summed (pushes, pops) and maxed (peak depth)
@@ -658,7 +729,7 @@ impl AggregateReport {
     pub fn queue_stats(&self) -> QueueStats {
         let mut total = QueueStats::default();
         for shard in &self.shards {
-            total.merge(shard.queue);
+            total.merge(shard.queue());
         }
         total
     }
@@ -768,10 +839,10 @@ mod tests {
         assert_eq!(agg_a, agg_b);
         assert_eq!(agg_a.shards(), agg_b.shards());
         let shard = &agg_a.shards()[0];
-        assert!(shard.cell_evals > 0);
-        assert!(shard.queue.pops > 0);
-        assert!(agg_a.total_cell_evals() >= shard.cell_evals);
-        assert!(agg_a.queue_stats().pushes >= shard.queue.pushes);
+        assert!(shard.cell_evals() > 0);
+        assert!(shard.queue().pops > 0);
+        assert!(agg_a.total_cell_evals() >= shard.cell_evals());
+        assert!(agg_a.queue_stats().pushes >= shard.queue().pushes);
         assert!(agg_a.imbalance_ratio() >= 1.0);
     }
 

@@ -141,10 +141,9 @@ impl<'a> SimSession<'a> {
                     error,
                     report: Box::new(SessionReport {
                         cycles: 0,
-                        cycle_stats: Vec::new(),
+                        statistics: Some(Statistics::default()),
                         final_values: vec![Value::X; self.netlist.net_count()],
                         probes: self.probes,
-                        queue: QueueStats::default(),
                         timed: None,
                         wall_micros: 0,
                         queue_wait_micros: 0,
@@ -176,10 +175,12 @@ impl<'a> SimSession<'a> {
             .collect();
         let report = SessionReport {
             cycles: sim.cycle_count(),
-            cycle_stats,
+            statistics: Some(Statistics {
+                cycles: cycle_stats,
+                queue,
+            }),
             final_values,
             probes,
-            queue,
             timed: None,
             wall_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             queue_wait_micros: 0,
@@ -247,44 +248,62 @@ impl std::fmt::Debug for SimSession<'_> {
 
 /// The aggregated result of one [`SimSession::run`]: per-cycle statistics,
 /// final net values and every attached probe, retrievable by type.
+///
+/// A job settled on the timed kernel without statistics
+/// ([`crate::SimJob::statistics`]) has none, and its statistics readers
+/// ([`SessionReport::cycle_stats`] and the totals and queue traffic derived
+/// from it) panic rather than report zeros.
 pub struct SessionReport {
     cycles: u64,
-    cycle_stats: Vec<CycleStats>,
+    statistics: Option<Statistics>,
     final_values: Vec<Value>,
     probes: Vec<Box<dyn Probe>>,
-    queue: QueueStats,
     timed: Option<TimedWork>,
     wall_micros: u64,
     queue_wait_micros: u64,
 }
 
+/// What a run counted beside its results: each cycle's statistics and
+/// the event-queue traffic.
+#[derive(Debug, Default)]
+struct Statistics {
+    cycles: Vec<CycleStats>,
+    queue: QueueStats,
+}
+
 impl SessionReport {
     /// Assembles a report from its parts — for in-crate drivers (the timed
     /// and functional kernels) that settle cycles themselves instead of
-    /// going through [`SimSession::run`].
+    /// going through [`SimSession::run`]. `statistics` holds the per-cycle
+    /// statistics and the queue traffic, when the run counted them.
     pub(crate) fn from_parts(
         cycles: u64,
-        cycle_stats: Vec<CycleStats>,
+        statistics: Option<(Vec<CycleStats>, QueueStats)>,
         final_values: Vec<Value>,
         probes: Vec<Box<dyn Probe>>,
     ) -> Self {
         SessionReport {
             cycles,
-            cycle_stats,
+            statistics: statistics.map(|(cycles, queue)| Statistics { cycles, queue }),
             final_values,
             probes,
-            queue: QueueStats::default(),
             timed: None,
             wall_micros: 0,
             queue_wait_micros: 0,
         }
     }
 
-    /// Attaches the simulator's cumulative event-queue statistics — for
-    /// in-crate drivers assembling reports via
-    /// [`SessionReport::from_parts`].
-    pub(crate) fn set_queue_stats(&mut self, queue: QueueStats) {
-        self.queue = queue;
+    /// The run's statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run was settled without them.
+    fn statistics(&self) -> &Statistics {
+        self.statistics.as_ref().expect(
+            "this run was settled on the timed kernel without per-cycle statistics \
+             (events, cell evaluations, settle times, queue traffic); build its job \
+             with `SimJob::with_statistics(true)` to read them",
+        )
     }
 
     /// Marks the report as settled on the timed kernel, with its work.
@@ -315,27 +334,32 @@ impl SessionReport {
     }
 
     /// Per-cycle statistics, in cycle order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run was settled without statistics
+    /// ([`crate::SimJob::statistics`]), as do the five readers below.
     #[must_use]
     pub fn cycle_stats(&self) -> &[CycleStats] {
-        &self.cycle_stats
+        &self.statistics().cycles
     }
 
     /// Total signal transitions over all cycles.
     #[must_use]
     pub fn total_transitions(&self) -> u64 {
-        self.cycle_stats.iter().map(|s| s.transitions).sum()
+        self.cycle_stats().iter().map(|s| s.transitions).sum()
     }
 
     /// Total simulator events processed over all cycles.
     #[must_use]
     pub fn total_events(&self) -> u64 {
-        self.cycle_stats.iter().map(|s| s.events).sum()
+        self.cycle_stats().iter().map(|s| s.events).sum()
     }
 
     /// The worst intra-cycle settle time observed.
     #[must_use]
     pub fn max_settle_time(&self) -> u64 {
-        self.cycle_stats
+        self.cycle_stats()
             .iter()
             .map(|s| s.settle_time)
             .max()
@@ -345,13 +369,13 @@ impl SessionReport {
     /// Total combinational cell evaluations over all cycles.
     #[must_use]
     pub fn total_cell_evals(&self) -> u64 {
-        self.cycle_stats.iter().map(|s| s.cell_evals).sum()
+        self.cycle_stats().iter().map(|s| s.cell_evals).sum()
     }
 
     /// Cumulative event-queue traffic of the run (deterministic).
     #[must_use]
     pub fn queue_stats(&self) -> QueueStats {
-        self.queue
+        self.statistics().queue
     }
 
     /// The timed kernel's work when the run settled there instead of on

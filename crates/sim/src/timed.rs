@@ -2,14 +2,17 @@
 //! [`TimedSchedule`]) instead of the event queue.
 //!
 //! The timed kernel reproduces per-net transition counts with their
-//! parity split and hazard classification, per-cycle statistics, queue
-//! traffic, the nets left `X` at every cycle end and the final values. A
-//! [`SimJob`] whose extra probes can all be filled from those
+//! parity split and hazard classification, the nets left `X` at every
+//! cycle end and the final values, and — only when the job asks for them
+//! ([`SimJob::statistics`]) — the per-cycle statistics and queue traffic.
+//! A [`SimJob`] whose extra probes can all be filled from those
 //! ([`Probe::settles_timed`]; the standard probe set always can), whose
 //! delays resolve to a timed schedule (every non-constant output delay
 //! ≥ 1, or all of them 0) and whose static horizon fits the settle budget
 //! gets from [`run_timed`] the same [`SessionReport`] the event-driven
-//! session would, field for field:
+//! session would, field for field; without statistics the report has no
+//! [`crate::StatsProbe`] and refuses to be read for them
+//! ([`SessionReport::cycle_stats`]):
 //!
 //! - every cycle is one lane, 64 to a word, in blocks of up to 256;
 //! - a lane starts from the previous cycle's functional settled state,
@@ -93,10 +96,11 @@ impl SimJob<'_> {
 }
 
 /// Runs `job` on the timed kernel with the standard probe set
-/// ([`ActivityProbe`], [`PowerProbe`], [`StatsProbe`]) plus
-/// `extra_probes`, each of which must settle timed ([`Probe::settles_timed`]).
-/// The hazard planes and `X` cycle ends are kept only when there are extra
-/// probes to fill.
+/// ([`ActivityProbe`], [`PowerProbe`], and [`StatsProbe`] when the job
+/// asks for statistics) plus `extra_probes`, each of which must settle
+/// timed ([`Probe::settles_timed`]). The hazard planes and `X` cycle ends
+/// are kept only when there are extra probes to fill, the per-cycle
+/// statistics and queue traffic only when [`SimJob::statistics`] is set.
 ///
 /// # Errors
 ///
@@ -135,9 +139,10 @@ pub(crate) fn run_timed(
         x_ends = vec![XEnds::default(); n];
     }
     let mut clear_cycle = None;
+    let mut cycles = 0u64;
     let mut lanes = Vec::new();
     let mut stimulus = job.stimulus();
-    let block = schedule.block_lanes(bulk);
+    let block = schedule.block_lanes(bulk, job.statistics);
     loop {
         let assignments: Vec<_> = (0..block).map_while(|_| stimulus.next()).collect();
         if assignments.is_empty() {
@@ -185,41 +190,46 @@ pub(crate) fn run_timed(
             driven: &driven,
             extra_events: &extra,
         };
-        let first_cycle = lanes.len() as u64;
-        schedule.run_block(&cycle_lanes, mode, &mut tally, &mut lanes);
+        let stats = job.statistics.then_some(&mut lanes);
+        schedule.run_block(&cycle_lanes, mode, &mut tally, stats);
         if bulk {
-            fold_x_ends(&settled, first_cycle, &mut x_ends, &mut clear_cycle);
+            fold_x_ends(&settled, cycles, &mut x_ends, &mut clear_cycle);
         }
+        cycles += assignments.len() as u64;
         before.copy_lane(0, &settled, assignments.len() - 1);
     }
 
-    let cycles = lanes.len() as u64;
-    let mut queue = QueueStats::default();
-    let cycle_stats: Vec<CycleStats> = lanes
-        .iter()
-        .map(|lane| {
-            queue.pushes += lane.events;
-            queue.pops += lane.events;
-            queue.peak_depth = queue.peak_depth.max(lane.peak_depth);
-            CycleStats {
-                transitions: lane.transitions,
-                settle_time: lane.settle_time,
-                events: lane.events,
-                cell_evals: lane.cell_evals,
-            }
-        })
-        .collect();
     let mut activity = ActivityProbe::new();
     let mut power = PowerProbe::new(job.technology, job.frequency);
-    let mut stats = StatsProbe::new();
     activity.on_run_start(netlist);
     power.on_run_start(netlist);
-    stats.on_run_start(netlist);
     activity.record_totals(cycles, &tally.transitions, &tally.useful, &tally.rises);
     power.record_totals(cycles, &tally.transitions);
-    for (cycle, cycle_stat) in cycle_stats.iter().enumerate() {
-        stats.on_cycle_end(cycle as u64, cycle_stat);
-    }
+    let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(activity), Box::new(power)];
+    let statistics = job.statistics.then(|| {
+        let mut queue = QueueStats::default();
+        let cycle_stats: Vec<CycleStats> = lanes
+            .iter()
+            .map(|lane| {
+                queue.pushes += lane.events;
+                queue.pops += lane.events;
+                queue.peak_depth = queue.peak_depth.max(lane.peak_depth);
+                CycleStats {
+                    transitions: lane.transitions,
+                    settle_time: lane.settle_time,
+                    events: lane.events,
+                    cell_evals: lane.cell_evals,
+                }
+            })
+            .collect();
+        let mut stats = StatsProbe::new();
+        stats.on_run_start(netlist);
+        for (cycle, cycle_stat) in cycle_stats.iter().enumerate() {
+            stats.on_cycle_end(cycle as u64, cycle_stat);
+        }
+        probes.push(Box::new(stats));
+        (cycle_stats, queue)
+    });
     let final_values: Vec<Value> = (0..n)
         .map(|index| Value::from(before.get(NetId::from_index(index), 0)))
         .collect();
@@ -230,8 +240,6 @@ pub(crate) fn run_timed(
         clear_cycle,
         final_values: &final_values,
     };
-    let mut probes: Vec<Box<dyn Probe>> =
-        vec![Box::new(activity), Box::new(power), Box::new(stats)];
     for mut probe in extra_probes {
         probe.on_run_start(netlist);
         probe.record_timed(&run);
@@ -240,8 +248,7 @@ pub(crate) fn run_timed(
     for probe in &mut probes {
         probe.on_run_end(netlist);
     }
-    let mut report = SessionReport::from_parts(cycles, cycle_stats, final_values, probes);
-    report.set_queue_stats(queue);
+    let mut report = SessionReport::from_parts(cycles, statistics, final_values, probes);
     report.set_timed_work(TimedWork {
         lanes: cycles,
         horizon: schedule.horizon(),
