@@ -1,13 +1,15 @@
 //! Criterion benchmarks of the netlist interchange layer: BLIF emission
-//! and parsing throughput (both readers run on interned identifiers —
-//! these groups pin that win), and event-driven simulation of a circuit
+//! and parsing throughput (the BLIF reader streams borrowed tokens and
+//! resolves names through the netlist's own map; the Verilog reader runs
+//! on interned identifiers), and event-driven simulation of a circuit
 //! that went through the parse round trip (the end-to-end
-//! `glitch-cli analyze` hot path).
+//! `glitch-cli analyze` hot path). `parse_mult32` parses the fixture
+//! glitchbench times as every one-shot command's set-up.
 
 use std::fmt::Write;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use glitch_core::arith::{AdderStyle, RippleCarryAdder, WallaceTreeMultiplier};
+use glitch_core::arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder, WallaceTreeMultiplier};
 use glitch_core::sim::{ActivityProbe, RandomStimulus, SimSession};
 use glitch_io::{emit_blif, parse_blif, parse_verilog, GateLibrary};
 
@@ -55,6 +57,17 @@ fn bench_io(c: &mut Criterion) {
         b.iter(|| {
             let parsed = parse_blif(&blif, &library).expect("benchmark input parses");
             emit_blif(&parsed).len()
+        })
+    });
+
+    // The 32×32 array multiplier: 2049 cells, 3137 nets, about 120 KB.
+    let mult32 = emit_blif(&ArrayMultiplier::new(32, AdderStyle::CompoundCell).netlist);
+    group.throughput(Throughput::Bytes(mult32.len() as u64));
+    group.bench_function("parse_mult32", |b| {
+        b.iter(|| {
+            parse_blif(&mult32, &library)
+                .expect("benchmark input parses")
+                .cell_count()
         })
     });
     group.finish();

@@ -6,12 +6,15 @@
 //! network otherwise), `.latch` (mapped onto the single-clock D-flipflop),
 //! `.subckt` / `.gate` resolved through a [`GateLibrary`], `.end`, `#`
 //! comments and `\` line continuations.
+//!
+//! The text is read in one pass: logical lines stream through one reused
+//! token buffer, tokens borrow the source, library cells are borrowed, and
+//! net names resolve through the netlist's own name map.
 
-use glitch_netlist::{CellKind, DffInit, NetId, Netlist, NetlistError};
+use glitch_netlist::{CellKind, DffInit, FxHashMap, NetId, Netlist, NetlistError};
 
 use crate::cover::{Lit, SopCover};
 use crate::error::{IoError, Loc};
-use crate::intern::FxHashMap;
 use crate::library::GateLibrary;
 
 /// One whitespace-separated token with its source location. Borrows the
@@ -22,83 +25,102 @@ struct Token<'t> {
     loc: Loc,
 }
 
-/// One logical line (continuations joined, comments stripped).
-#[derive(Debug, Clone)]
-struct Line<'t> {
-    tokens: Vec<Token<'t>>,
+/// Streams the text's non-empty logical lines (continuations joined,
+/// comments stripped).
+struct Lines<'t> {
+    physical: std::iter::Enumerate<std::str::Lines<'t>>,
 }
 
-impl<'t> Line<'t> {
-    fn loc(&self) -> Loc {
-        self.tokens[0].loc
+impl<'t> Lines<'t> {
+    fn new(text: &'t str) -> Self {
+        Lines {
+            physical: text.lines().enumerate(),
+        }
     }
-    fn keyword(&self) -> &'t str {
-        self.tokens[0].text
+
+    /// Replaces `line` with the next logical line's tokens; returns `false`
+    /// (and leaves `line` empty) at the end of the text.
+    fn next_into(&mut self, line: &mut Vec<Token<'t>>) -> bool {
+        line.clear();
+        for (index, raw) in self.physical.by_ref() {
+            let body = match raw.find('#') {
+                Some(pos) => &raw[..pos],
+                None => raw,
+            };
+            let (body, continues) = match body.trim_end().strip_suffix('\\') {
+                Some(stripped) => (stripped, true),
+                None => (body, false),
+            };
+            let mut rest = body.trim_start();
+            while !rest.is_empty() {
+                let len = rest.find(char::is_whitespace).unwrap_or(rest.len());
+                // The column is the token's byte offset in the line.
+                let col = body.len() - rest.len() + 1;
+                line.push(Token {
+                    text: &rest[..len],
+                    loc: Loc::new(index + 1, col),
+                });
+                rest = rest[len..].trim_start();
+            }
+            if !continues && !line.is_empty() {
+                return true;
+            }
+        }
+        !line.is_empty()
     }
 }
 
-/// Splits the text into non-empty logical lines of borrowed tokens.
-fn tokenize(text: &str) -> Vec<Line<'_>> {
-    let mut lines: Vec<Line> = Vec::new();
-    let mut current: Vec<Token> = Vec::new();
-    let mut continued = false;
-    for (line_index, raw) in text.lines().enumerate() {
-        let body = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        let (body, continues) = match body.trim_end().strip_suffix('\\') {
-            Some(stripped) => (stripped, true),
-            None => (body, false),
-        };
-        if !continued {
-            current = Vec::new();
-        }
-        let mut col = 0usize;
-        for chunk in body.split_whitespace() {
-            // Column of this occurrence (search from the previous match so
-            // repeated tokens get increasing columns).
-            let at = body[col..].find(chunk).map_or(col, |p| col + p);
-            col = at + chunk.len();
-            current.push(Token {
-                text: chunk,
-                loc: Loc::new(line_index + 1, at + 1),
-            });
-        }
-        continued = continues;
-        if !continued && !current.is_empty() {
-            lines.push(Line {
-                tokens: std::mem::take(&mut current),
-            });
-        }
-    }
-    if !current.is_empty() {
-        lines.push(Line { tokens: current });
-    }
-    lines
-}
-
-/// Incremental builder shared by the parsing passes. Net lookup borrows
-/// token text straight from the source (`'t`): resolving a reference to
-/// an already-seen net costs one Fx hash and zero allocations.
+/// Incremental builder shared by the parsing passes. Source names resolve
+/// through the netlist's own name map: a reference to an already-seen net
+/// costs one hash and zero allocations.
 struct Builder<'t, 'l> {
     netlist: Netlist,
-    nets: FxHashMap<&'t str, NetId>,
+    /// Per net id: whether the net was created for a source name and
+    /// carries it. Nets the cover decomposition made are not, so a source
+    /// name that `find_net` maps onto one of them is a different net.
+    from_source: Vec<bool>,
+    /// Source names whose net got a uniquified name because a
+    /// decomposition net already had theirs (empty for ordinary input).
+    renamed: FxHashMap<&'t str, NetId>,
     outputs: Vec<(&'t str, Loc)>,
     library: &'l GateLibrary,
     model_seen: bool,
     inputs_may_still_be_declared: bool,
+    /// Scratch reused from line to line: net ids of `.names` inputs and of
+    /// `.subckt` pins, and cover rows.
+    nets: Vec<NetId>,
+    pins: Vec<Option<NetId>>,
+    cover: SopCover,
+    spare_rows: Vec<Vec<Lit>>,
 }
 
 impl<'t> Builder<'t, '_> {
-    /// The net named `name`, created as an internal net on first use.
+    /// The net named `name` in the source, created as an internal net on
+    /// first use.
     fn net(&mut self, name: &'t str) -> NetId {
-        if let Some(&id) = self.nets.get(name) {
+        if let Some(id) = self.netlist.find_net(name) {
+            if self.from_source.get(id.index()).copied().unwrap_or(false) {
+                return id;
+            }
+        }
+        if let Some(&id) = self.renamed.get(name) {
             return id;
         }
         let id = self.netlist.add_net(name);
-        self.nets.insert(name, id);
+        self.note_source_net(name, id);
         id
+    }
+
+    /// Records that `id` was created for the source name `name`.
+    fn note_source_net(&mut self, name: &'t str, id: NetId) {
+        if self.netlist.net(id).name() == name {
+            if self.from_source.len() <= id.index() {
+                self.from_source.resize(id.index() + 1, false);
+            }
+            self.from_source[id.index()] = true;
+        } else {
+            self.renamed.insert(name, id);
+        }
     }
 
     fn net_name(&self, index: usize) -> String {
@@ -133,30 +155,35 @@ impl<'t> Builder<'t, '_> {
 /// problems, and a name-resolved [`IoError`] for structural problems found
 /// by post-parse validation (dangling nets, combinational loops, …).
 pub fn parse_blif(text: &str, library: &GateLibrary) -> Result<Netlist, IoError> {
-    let lines = tokenize(text);
     let mut builder = Builder {
         netlist: Netlist::new("top"),
-        nets: FxHashMap::default(),
+        from_source: Vec::new(),
+        renamed: FxHashMap::default(),
         outputs: Vec::new(),
         library,
         model_seen: false,
         inputs_may_still_be_declared: true,
+        nets: Vec::new(),
+        pins: Vec::new(),
+        cover: SopCover::constant_zero(0),
+        spare_rows: Vec::new(),
     };
 
-    let mut i = 0usize;
+    let mut lines = Lines::new(text);
+    let mut line: Vec<Token> = Vec::new();
+    let mut more = lines.next_into(&mut line);
     let mut ended = false;
-    while i < lines.len() {
-        let line = &lines[i];
-        let keyword = line.keyword();
+    while more {
+        let (keyword, loc) = (line[0].text, line[0].loc);
         if !keyword.starts_with('.') {
             return Err(IoError::syntax(
-                line.loc(),
+                loc,
                 format!("expected a directive, found `{keyword}` (cover rows must follow a .names line)"),
             ));
         }
         if ended {
             return Err(IoError::syntax(
-                line.loc(),
+                loc,
                 format!("`{keyword}` after .end (only one model per file is supported)"),
             ));
         }
@@ -164,7 +191,7 @@ pub fn parse_blif(text: &str, library: &GateLibrary) -> Result<Netlist, IoError>
             ".model" => {
                 if builder.model_seen {
                     return Err(IoError::Unsupported {
-                        loc: line.loc(),
+                        loc,
                         construct: "multiple .model blocks in one file".into(),
                     });
                 }
@@ -172,116 +199,107 @@ pub fn parse_blif(text: &str, library: &GateLibrary) -> Result<Netlist, IoError>
                 // so far, silently rewiring signals — refuse instead.
                 if builder.netlist.net_count() > 0 {
                     return Err(IoError::syntax(
-                        line.loc(),
+                        loc,
                         ".model must come before any .inputs/.names/.latch/.subckt",
                     ));
                 }
                 builder.model_seen = true;
-                if let Some(name) = line.tokens.get(1) {
+                if let Some(name) = line.get(1) {
                     builder.netlist = Netlist::new(name.text);
                 }
-                i += 1;
             }
             ".inputs" => {
                 if !builder.inputs_may_still_be_declared {
                     return Err(IoError::syntax(
-                        line.loc(),
+                        loc,
                         ".inputs must precede .names/.latch/.subckt/.gate",
                     ));
                 }
-                for token in &line.tokens[1..] {
-                    if builder.nets.contains_key(token.text) {
+                // Only primary inputs exist yet, so every net carries its
+                // source name.
+                for token in &line[1..] {
+                    if builder.netlist.find_net(token.text).is_some() {
                         return Err(IoError::Undeclared {
                             loc: token.loc,
                             name: format!("duplicate primary input `{}`", token.text),
                         });
                     }
                     let id = builder.netlist.add_input(token.text);
-                    builder.nets.insert(token.text, id);
+                    builder.note_source_net(token.text, id);
                 }
-                i += 1;
             }
             ".outputs" => {
-                for token in &line.tokens[1..] {
-                    builder.outputs.push((token.text, token.loc));
-                }
-                i += 1;
+                builder
+                    .outputs
+                    .extend(line[1..].iter().map(|token| (token.text, token.loc)));
             }
             ".names" => {
                 builder.inputs_may_still_be_declared = false;
-                i = parse_names(&mut builder, &lines, i)?;
+                // Reads the cover rows and leaves the next line in `line`.
+                more = parse_names(&mut builder, &mut lines, &mut line)?;
+                continue;
             }
             ".latch" => {
                 builder.inputs_may_still_be_declared = false;
-                parse_latch(&mut builder, line)?;
-                i += 1;
+                parse_latch(&mut builder, &line)?;
             }
             ".subckt" | ".gate" => {
                 builder.inputs_may_still_be_declared = false;
-                parse_subckt(&mut builder, line)?;
-                i += 1;
+                parse_subckt(&mut builder, &line)?;
             }
-            ".end" => {
-                ended = true;
-                i += 1;
-            }
+            ".end" => ended = true,
             ".exdc" | ".clock" | ".clock_event" | ".wire_load_slope" | ".delay" => {
                 return Err(IoError::Unsupported {
-                    loc: line.loc(),
+                    loc,
                     construct: format!("the `{keyword}` directive"),
                 });
             }
             other => {
-                return Err(IoError::syntax(
-                    line.loc(),
-                    format!("unknown directive `{other}`"),
-                ));
+                return Err(IoError::syntax(loc, format!("unknown directive `{other}`")));
             }
         }
+        more = lines.next_into(&mut line);
     }
 
     finish(builder)
 }
 
-/// Parses one `.names` block starting at `lines[start]`; returns the index
-/// of the first line after its cover rows.
+/// Parses the `.names` block whose header is in `line`, reading its cover
+/// rows from `lines`. Leaves the first line after the rows in `line` and
+/// returns whether there is one.
 fn parse_names<'t>(
     builder: &mut Builder<'t, '_>,
-    lines: &[Line<'t>],
-    start: usize,
-) -> Result<usize, IoError> {
-    let header = &lines[start];
-    if header.tokens.len() < 2 {
+    lines: &mut Lines<'t>,
+    line: &mut Vec<Token<'t>>,
+) -> Result<bool, IoError> {
+    let header_loc = line[0].loc;
+    if line.len() < 2 {
         return Err(IoError::syntax(
-            header.loc(),
+            header_loc,
             ".names needs at least an output net",
         ));
     }
-    let signal_tokens = &header.tokens[1..];
-    let input_count = signal_tokens.len() - 1;
-    let input_ids: Vec<NetId> = signal_tokens[..input_count]
-        .iter()
-        .map(|t| builder.net(t.text))
-        .collect();
-    let out_token = &signal_tokens[input_count];
+    let input_count = line.len() - 2;
+    let out_token = line[input_count + 1];
+    let mut input_ids = std::mem::take(&mut builder.nets);
+    input_ids.clear();
+    for token in &line[1..=input_count] {
+        input_ids.push(builder.net(token.text));
+    }
     let out_id = builder.net(out_token.text);
 
     // Collect the cover rows that follow.
-    let mut rows: Vec<Vec<Lit>> = Vec::new();
+    let mut cover = std::mem::replace(&mut builder.cover, SopCover::constant_zero(0));
     let mut phase: Option<bool> = None;
-    let mut next = start + 1;
-    while next < lines.len() && !lines[next].keyword().starts_with('.') {
-        let row_line = &lines[next];
-        let (plane_text, out_text, out_loc) = match (input_count, row_line.tokens.len()) {
-            (0, 1) => ("", row_line.tokens[0].text, row_line.tokens[0].loc),
-            (_, 2) => (
-                row_line.tokens[0].text,
-                row_line.tokens[1].text,
-                row_line.tokens[1].loc,
-            ),
+    let mut more = lines.next_into(line);
+    while more && !line[0].text.starts_with('.') {
+        let row_loc = line[0].loc;
+        let (plane_text, out_text, out_loc) = match (input_count, line.len()) {
+            (0, 1) => ("", line[0].text, line[0].loc),
+            (_, 2) => (line[0].text, line[1].text, line[1].loc),
             (_, got) => {
                 return Err(IoError::syntax(
-                    row_line.loc(),
+                    row_loc,
                     format!(
                         "cover row must have {} fields, found {got}",
                         if input_count == 0 { 1 } else { 2 }
@@ -291,13 +309,14 @@ fn parse_names<'t>(
         };
         if plane_text.len() != input_count {
             return Err(IoError::WidthMismatch {
-                loc: row_line.loc(),
+                loc: row_loc,
                 subject: format!("cover row of `{}`", out_token.text),
                 expected: input_count,
                 got: plane_text.len(),
             });
         }
-        let mut row = Vec::with_capacity(input_count);
+        let mut row = builder.spare_rows.pop().unwrap_or_default();
+        row.clear();
         for (k, c) in plane_text.chars().enumerate() {
             row.push(match c {
                 '0' => Lit::Zero,
@@ -305,7 +324,7 @@ fn parse_names<'t>(
                 '-' => Lit::DontCare,
                 other => {
                     return Err(IoError::syntax(
-                        Loc::new(row_line.loc().line, row_line.tokens[0].loc.col + k),
+                        Loc::new(row_loc.line, row_loc.col + k),
                         format!("invalid cover literal `{other}` (expected 0, 1 or -)"),
                     ));
                 }
@@ -331,28 +350,26 @@ fn parse_names<'t>(
             }
             Some(_) => {}
         }
-        rows.push(row);
-        next += 1;
+        cover.rows.push(row);
+        more = lines.next_into(line);
     }
 
-    let cover = match phase {
-        None => SopCover::constant_zero(input_count),
-        Some(phase) => SopCover {
-            inputs: input_count,
-            rows,
-            phase,
-        },
-    };
+    // No rows is BLIF's constant 0: an empty on-set cover.
+    cover.inputs = input_count;
+    cover.phase = phase.unwrap_or(true);
     cover
         .instantiate(&mut builder.netlist, &input_ids, out_id)
-        .map_err(|e| builder.build_err(e, header.loc()))?;
-    Ok(next)
+        .map_err(|e| builder.build_err(e, header_loc))?;
+    builder.spare_rows.append(&mut cover.rows);
+    builder.cover = cover;
+    builder.nets = input_ids;
+    Ok(more)
 }
 
 /// Parses one `.latch` line.
-fn parse_latch<'t>(builder: &mut Builder<'t, '_>, line: &Line<'t>) -> Result<(), IoError> {
+fn parse_latch<'t>(builder: &mut Builder<'t, '_>, line: &[Token<'t>]) -> Result<(), IoError> {
     // .latch <input> <output> [<type> <control>] [<init-val>]
-    let args = &line.tokens[1..];
+    let args = &line[1..];
     let (d_tok, q_tok, init_tok) = match args.len() {
         2 => (&args[0], &args[1], None),
         3 => (&args[0], &args[1], Some(&args[2])),
@@ -360,7 +377,7 @@ fn parse_latch<'t>(builder: &mut Builder<'t, '_>, line: &Line<'t>) -> Result<(),
         5 => (&args[0], &args[1], Some(&args[4])),
         got => {
             return Err(IoError::syntax(
-                line.loc(),
+                line[0].loc,
                 format!(".latch takes 2 to 5 arguments, found {got}"),
             ));
         }
@@ -385,30 +402,30 @@ fn parse_latch<'t>(builder: &mut Builder<'t, '_>, line: &Line<'t>) -> Result<(),
     let cell = builder
         .netlist
         .add_cell(CellKind::Dff, name, vec![d], vec![q])
-        .map_err(|e| builder.build_err(e, line.loc()))?;
+        .map_err(|e| builder.build_err(e, line[0].loc))?;
     builder.netlist.set_dff_init(cell, init);
     Ok(())
 }
 
 /// Parses one `.subckt` / `.gate` line through the gate library.
-fn parse_subckt<'t>(builder: &mut Builder<'t, '_>, line: &Line<'t>) -> Result<(), IoError> {
-    let directive = line.keyword();
+fn parse_subckt<'t>(builder: &mut Builder<'t, '_>, line: &[Token<'t>]) -> Result<(), IoError> {
+    let (directive, loc) = (line[0].text, line[0].loc);
     let model_tok = line
-        .tokens
         .get(1)
-        .ok_or_else(|| IoError::syntax(line.loc(), format!("{directive} needs a model name")))?;
-    let cell = builder
-        .library
+        .ok_or_else(|| IoError::syntax(loc, format!("{directive} needs a model name")))?;
+    let library = builder.library;
+    let cell = library
         .lookup(model_tok.text)
         .ok_or_else(|| IoError::UnknownCell {
             loc: model_tok.loc,
             name: model_tok.text.to_string(),
-        })?
-        .clone();
+        })?;
 
-    let mut input_nets: Vec<Option<(NetId, Loc)>> = vec![None; cell.inputs.len()];
-    let mut output_nets: Vec<Option<(NetId, Loc)>> = vec![None; cell.outputs.len()];
-    for conn in &line.tokens[2..] {
+    // One slot per pin: the inputs, then the outputs.
+    let mut pins = std::mem::take(&mut builder.pins);
+    pins.clear();
+    pins.resize(cell.inputs.len() + cell.outputs.len(), None);
+    for conn in &line[2..] {
         let Some((formal, actual)) = conn.text.split_once('=') else {
             return Err(IoError::syntax(
                 conn.loc,
@@ -417,11 +434,9 @@ fn parse_subckt<'t>(builder: &mut Builder<'t, '_>, line: &Line<'t>) -> Result<()
         };
         match cell.resolve_pin(formal) {
             Ok(Some((true, index))) => {
-                output_nets[index] = Some((builder.net(actual), conn.loc));
+                pins[cell.inputs.len() + index] = Some(builder.net(actual));
             }
-            Ok(Some((false, index))) => {
-                input_nets[index] = Some((builder.net(actual), conn.loc));
-            }
+            Ok(Some((false, index))) => pins[index] = Some(builder.net(actual)),
             Ok(None) => {} // ignored pin (clock and friends)
             Err(()) => {
                 return Err(IoError::syntax(
@@ -431,18 +446,15 @@ fn parse_subckt<'t>(builder: &mut Builder<'t, '_>, line: &Line<'t>) -> Result<()
             }
         }
     }
+    let (input_pins, output_pins) = pins.split_at(cell.inputs.len());
 
     // Variable-arity kinds accept a contiguous prefix of their pin list;
     // fixed-arity kinds need every pin.
-    let connected_inputs = input_nets.iter().filter(|n| n.is_some()).count();
-    let inputs: Vec<NetId> = input_nets
-        .iter()
-        .take_while(|n| n.is_some())
-        .map(|n| n.unwrap().0)
-        .collect();
+    let connected_inputs = input_pins.iter().filter(|n| n.is_some()).count();
+    let inputs: Vec<NetId> = input_pins.iter().map_while(|&n| n).collect();
     if inputs.len() != connected_inputs {
         return Err(IoError::syntax(
-            line.loc(),
+            loc,
             format!(
                 "cell `{}` has a gap in its connected input pins",
                 model_tok.text
@@ -451,35 +463,29 @@ fn parse_subckt<'t>(builder: &mut Builder<'t, '_>, line: &Line<'t>) -> Result<()
     }
     if !cell.kind.accepts_arity(inputs.len()) {
         return Err(IoError::WidthMismatch {
-            loc: line.loc(),
+            loc,
             subject: format!("inputs of `{}`", model_tok.text),
             expected: cell.kind.fixed_input_arity().unwrap_or(2),
             got: inputs.len(),
         });
     }
-    let outputs: Vec<NetId> = match output_nets
-        .iter()
-        .enumerate()
-        .map(|(k, n)| n.map(|(id, _)| id).ok_or(k))
-        .collect::<Result<Vec<_>, usize>>()
-    {
-        Ok(outs) => outs,
-        Err(missing) => {
-            return Err(IoError::syntax(
-                line.loc(),
-                format!(
-                    "cell `{}` output pin `{}` is not connected",
-                    model_tok.text,
-                    cell.outputs[missing].canonical()
-                ),
-            ));
-        }
-    };
+    if let Some(missing) = output_pins.iter().position(Option::is_none) {
+        return Err(IoError::syntax(
+            loc,
+            format!(
+                "cell `{}` output pin `{}` is not connected",
+                model_tok.text,
+                cell.outputs[missing].canonical()
+            ),
+        ));
+    }
+    let outputs: Vec<NetId> = output_pins.iter().flatten().copied().collect();
+    builder.pins = pins;
     let name = format!("u_{}_{}", model_tok.text, builder.netlist.cell_count());
     builder
         .netlist
         .add_cell(cell.kind, name, inputs, outputs)
-        .map_err(|e| builder.build_err(e, line.loc()))?;
+        .map_err(|e| builder.build_err(e, loc))?;
     Ok(())
 }
 
@@ -666,6 +672,27 @@ mod tests {
         let err = parse_blif(text, &lib()).unwrap_err();
         assert!(matches!(err, IoError::Syntax { .. }), "{err}");
         assert_eq!(err.loc().unwrap().line, 2);
+    }
+
+    #[test]
+    fn source_name_taken_by_a_decomposition_net_stays_a_separate_net() {
+        // `y`'s irregular cover makes an internal `y$p0`; the source's own
+        // `y$p0`, first used later, is another net under a fresh name, and
+        // every later reference resolves to it.
+        let text = ".model t\n.inputs a b\n.outputs y z\n.names a b y\n11 1\n-0 1\n\
+                    .names a y$p0\n1 1\n.names y$p0 z\n0 1\n.end\n";
+        let nl = parse_blif(text, &lib()).unwrap();
+        let z = nl.find_net("z").unwrap();
+        let source = nl.cell(nl.net(z).driver().unwrap().cell).inputs()[0];
+        assert_eq!(nl.net(source).name(), "y$p0_0");
+        let driver = nl.cell(nl.net(source).driver().unwrap().cell);
+        assert_eq!(driver.kind(), CellKind::Buf);
+        let internal = nl.find_net("y$p0").unwrap();
+        assert_ne!(internal, source);
+        assert_eq!(
+            nl.cell(nl.net(internal).driver().unwrap().cell).kind(),
+            CellKind::And
+        );
     }
 
     #[test]

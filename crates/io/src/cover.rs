@@ -2,6 +2,8 @@
 //! block, classification of covers onto [`CellKind`]s and generic
 //! AND–OR–INV decomposition for covers that match no library cell.
 
+use std::sync::OnceLock;
+
 use glitch_netlist::{CellKind, NetId, Netlist};
 
 /// One literal position of a product term.
@@ -46,6 +48,15 @@ pub struct SopCover {
 /// go straight to generic decomposition).
 const MAX_CLASSIFY_INPUTS: usize = 12;
 
+/// 64-bit words in the packed truth table of the widest classified cover.
+const MAX_TABLE_WORDS: usize = 1 << (MAX_CLASSIFY_INPUTS - 6);
+
+/// Words in the packed truth table of an `inputs`-input function: bit
+/// `x % 64` of word `x / 64` is the value at input assignment `x`.
+fn table_words(inputs: usize) -> usize {
+    (1usize << inputs).div_ceil(64)
+}
+
 impl SopCover {
     /// The empty cover: constant 0 regardless of input count.
     #[must_use]
@@ -73,24 +84,49 @@ impl SopCover {
         }
     }
 
-    /// The full truth table (index = input assignment), or `None` when the
-    /// cover is too wide to enumerate.
+    /// Finds the [`CellKind`] with this cover's exact truth table under the
+    /// cover's input order, if one exists. Allocates nothing: the tables
+    /// are packed into words, and each candidate kind's table is computed
+    /// once per process.
     #[must_use]
-    pub fn truth_table(&self) -> Option<Vec<bool>> {
+    pub fn classify(&self) -> Option<CellKind> {
         if self.inputs > MAX_CLASSIFY_INPUTS {
             return None;
         }
-        Some((0..1u64 << self.inputs).map(|x| self.evaluate(x)).collect())
+        let mut table = [0u64; MAX_TABLE_WORDS];
+        let table = &mut table[..table_words(self.inputs)];
+        self.pack_truth_table(table);
+        candidate_kinds(self.inputs)
+            .iter()
+            .zip(kind_tables(self.inputs))
+            .find(|(_, kind_table)| kind_table.as_slice() == &table[..])
+            .map(|(&kind, _)| kind)
     }
 
-    /// Finds the [`CellKind`] with this cover's exact truth table under the
-    /// cover's input order, if one exists.
-    #[must_use]
-    pub fn classify(&self) -> Option<CellKind> {
-        let table = self.truth_table()?;
-        candidate_kinds(self.inputs)
-            .into_iter()
-            .find(|&kind| kind_truth_table(kind, self.inputs) == table)
+    /// Writes the truth table into `table`, packed as by [`table_words`].
+    fn pack_truth_table(&self, table: &mut [u64]) {
+        let assignments = 1u64 << self.inputs;
+        for row in &self.rows {
+            // `x` matches the row iff it agrees with the row on every
+            // literal that is not a don't-care.
+            let (care, value) =
+                row.iter()
+                    .enumerate()
+                    .fold((0u64, 0u64), |(care, value), (i, lit)| match lit {
+                        Lit::Zero => (care | 1 << i, value),
+                        Lit::One => (care | 1 << i, value | 1 << i),
+                        Lit::DontCare => (care, value),
+                    });
+            for x in (0..assignments).filter(|x| x & care == value) {
+                table[(x / 64) as usize] |= 1 << (x % 64);
+            }
+        }
+        if !self.phase {
+            let valid = u64::MAX >> (64 - assignments.min(64));
+            for word in table {
+                *word = !*word & valid;
+            }
+        }
     }
 
     /// Instantiates the cover's function in `netlist`, driving the existing
@@ -113,14 +149,14 @@ impl SopCover {
             self.inputs,
             "cover arity must match the input list"
         );
-        let out_name = netlist.net(out).name().to_string();
         if let Some(kind) = self.classify() {
             // Gates with fixed arities (Buf/Inv/Const) drop unused inputs
             // is not a concern: classification only matches exact arities.
-            let cell_name = format!("g_{out_name}_{}", netlist.cell_count());
+            let cell_name = format!("g_{}_{}", netlist.net(out).name(), netlist.cell_count());
             netlist.add_cell(kind, cell_name, inputs.to_vec(), vec![out])?;
             return Ok(());
         }
+        let out_name = netlist.net(out).name().to_string();
         self.decompose(netlist, inputs, out, &out_name)
     }
 
@@ -188,11 +224,11 @@ impl SopCover {
 }
 
 /// The kinds a cover of the given arity could classify to, in match order.
-fn candidate_kinds(inputs: usize) -> Vec<CellKind> {
+fn candidate_kinds(inputs: usize) -> &'static [CellKind] {
     match inputs {
-        0 => vec![CellKind::Const(false), CellKind::Const(true)],
-        1 => vec![CellKind::Buf, CellKind::Inv],
-        3 => vec![
+        0 => &[CellKind::Const(false), CellKind::Const(true)],
+        1 => &[CellKind::Buf, CellKind::Inv],
+        3 => &[
             CellKind::And,
             CellKind::Or,
             CellKind::Nand,
@@ -202,7 +238,7 @@ fn candidate_kinds(inputs: usize) -> Vec<CellKind> {
             CellKind::Mux2,
             CellKind::Maj3,
         ],
-        _ => vec![
+        _ => &[
             CellKind::And,
             CellKind::Or,
             CellKind::Nand,
@@ -213,23 +249,38 @@ fn candidate_kinds(inputs: usize) -> Vec<CellKind> {
     }
 }
 
-/// Truth table of a single-output kind at the given arity.
+/// The packed truth tables of [`candidate_kinds`]`(inputs)`, in the same
+/// order, computed on first use of each arity.
+fn kind_tables(inputs: usize) -> &'static [Vec<u64>] {
+    static TABLES: [OnceLock<Vec<Vec<u64>>>; MAX_CLASSIFY_INPUTS + 1] =
+        [const { OnceLock::new() }; MAX_CLASSIFY_INPUTS + 1];
+    TABLES[inputs].get_or_init(|| {
+        candidate_kinds(inputs)
+            .iter()
+            .map(|&kind| kind_truth_table(kind, inputs))
+            .collect()
+    })
+}
+
+/// Packed truth table of a single-output kind at the given arity.
 ///
 /// Only called with kinds from [`candidate_kinds`], all of which accept the
 /// arity they are listed under.
-fn kind_truth_table(kind: CellKind, inputs: usize) -> Vec<bool> {
+fn kind_truth_table(kind: CellKind, inputs: usize) -> Vec<u64> {
+    let mut table = vec![0u64; table_words(inputs)];
     let mut scratch = vec![false; inputs];
-    (0..1u64 << inputs)
-        .map(|x| {
-            for (i, slot) in scratch.iter_mut().enumerate() {
-                *slot = (x >> i) & 1 == 1;
-            }
-            let mut out = [false];
-            kind.try_evaluate_into(&scratch, &mut out)
-                .expect("candidate kinds accept the arity they are listed under");
-            out[0]
-        })
-        .collect()
+    for x in 0..1u64 << inputs {
+        for (i, slot) in scratch.iter_mut().enumerate() {
+            *slot = (x >> i) & 1 == 1;
+        }
+        let mut out = [false];
+        kind.try_evaluate_into(&scratch, &mut out)
+            .expect("candidate kinds accept the arity they are listed under");
+        if out[0] {
+            table[(x / 64) as usize] |= 1 << (x % 64);
+        }
+    }
+    table
 }
 
 /// The canonical cover emitted for a single-output kind — the exact inverse

@@ -1,83 +1,15 @@
-//! Dependency-free string interning for the parsers.
+//! String interning for the Verilog reader.
 //!
 //! Netlist sources mention every net name many times (a fanout-`k` net
-//! appears `k + 1` times), so the readers would otherwise allocate a
+//! appears `k + 1` times), so the reader would otherwise allocate a
 //! `String` per *reference*. [`StringInterner`] deduplicates names into
-//! [`Atom`] handles — one allocation per *distinct* name — and
-//! [`FxHashMap`] replaces SipHash with the Firefox multiply-rotate hash,
-//! which is markedly faster on the short ASCII identifier keys the
-//! parsers throw at it (and not exposed to untrusted-key flooding: the
-//! keys come from a netlist the user chose to analyze).
+//! [`Atom`] handles — one allocation per *distinct* name — in a map keyed
+//! through `glitch-netlist`'s [`FxHashMap`], the hasher the netlist's own
+//! name map uses.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
-/// The `FxHasher` multiplier (the golden-ratio-derived constant used by
-/// the Firefox and rustc hashers).
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// The Firefox multiply-rotate hasher: word-at-a-time, no finalizer.
-/// Not DoS-resistant — use only on keys the process itself produced or
-/// the user handed over knowingly (parser identifiers, net names).
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in chunks.by_ref() {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`]; plugs into `HashMap::with_hasher`.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// A `HashMap` keyed through [`FxHasher`] instead of SipHash.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+use glitch_netlist::FxHashMap;
 
 /// A handle to an interned string: `Copy`, 4 bytes, O(1) equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,7 +73,6 @@ impl StringInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::BuildHasher;
 
     #[test]
     fn interning_deduplicates() {
@@ -164,17 +95,6 @@ mod tests {
             let atom = interner.intern(&format!("net{i}"));
             assert_eq!(atom.index(), i);
         }
-    }
-
-    #[test]
-    fn fx_hash_is_stable_and_spreads() {
-        let build = FxBuildHasher::default();
-        let hash = |s: &str| build.hash_one(s);
-        assert_eq!(hash("a"), hash("a"));
-        assert_ne!(hash("a"), hash("b"));
-        assert_ne!(hash("ab"), hash("ba"));
-        // Longer-than-a-word keys exercise the chunked path.
-        assert_ne!(hash("carry_chain_17"), hash("carry_chain_18"));
     }
 
     #[test]

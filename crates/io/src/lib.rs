@@ -9,10 +9,14 @@
 //!   `.names` covers / `.latch` / `.subckt` / `.gate`). Sum-of-products
 //!   covers whose truth table matches a [`glitch_netlist::CellKind`] become
 //!   a single cell; anything else is decomposed into an AND–OR–INV network.
+//!   The text is read in one pass with no allocation per token, per name
+//!   lookup or per library cell: tokens borrow the source, names resolve
+//!   through the netlist's own map, library cells are borrowed.
 //! * [`emit_blif`] — the inverse writer; write → read reproduces net, cell
 //!   and flipflop counts and the per-kind cell histogram exactly.
 //! * [`parse_verilog`] — a structural-Verilog subset reader (module, wire /
-//!   input / output declarations, primitive gates, library cell instances).
+//!   input / output declarations, primitive gates, library cell instances)
+//!   on interned identifiers.
 //! * [`GateLibrary`] — the mapping layer resolving external cell names and
 //!   pins onto [`glitch_netlist::CellKind`], with per-kind delay and
 //!   capacitance defaults drawn from `glitch-power`'s [`glitch_power::Technology`].

@@ -4,23 +4,24 @@
 //! capacitance defaults the downstream analyses use, drawn from
 //! `glitch-power`'s [`Technology`] model.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
-use glitch_netlist::CellKind;
+use glitch_netlist::{CellKind, FxHashMap};
 use glitch_power::Technology;
 use glitch_sim::CellDelay;
 
 /// How one library pin maps onto a cell's pin list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LibraryPin {
-    /// Accepted names for this pin; the first is canonical.
-    pub names: Vec<String>,
+    /// Accepted names for this pin, lower case; the first is canonical.
+    pub names: Vec<Cow<'static, str>>,
 }
 
 impl LibraryPin {
-    fn new(names: &[&str]) -> Self {
+    fn new(names: &[&'static str]) -> Self {
         LibraryPin {
-            names: names.iter().map(|s| (*s).to_string()).collect(),
+            names: names.iter().map(|&name| Cow::Borrowed(name)).collect(),
         }
     }
 
@@ -30,10 +31,10 @@ impl LibraryPin {
         &self.names[0]
     }
 
-    /// Whether `name` (already lower-cased) refers to this pin.
+    /// Whether `name` refers to this pin, ignoring ASCII case.
     #[must_use]
     pub fn accepts(&self, name: &str) -> bool {
-        self.names.iter().any(|n| n == name)
+        self.names.iter().any(|n| n.eq_ignore_ascii_case(name))
     }
 }
 
@@ -47,24 +48,25 @@ pub struct LibraryCell {
     pub inputs: Vec<LibraryPin>,
     /// Output pins in the kind's pin order.
     pub outputs: Vec<LibraryPin>,
-    /// Pin names that are accepted and ignored (clock and control pins of
-    /// cells whose behaviour the single-clock netlist models implicitly).
-    pub ignored: Vec<String>,
+    /// Pin names (lower case) that are accepted and ignored (clock and
+    /// control pins of cells whose behaviour the single-clock netlist
+    /// models implicitly).
+    pub ignored: Vec<Cow<'static, str>>,
 }
 
 impl LibraryCell {
-    /// Resolves a pin name: `Ok(Some((is_output, index)))` for a real pin,
-    /// `Ok(None)` for an ignored pin, `Err(())` for an unknown one.
+    /// Resolves a pin name, ignoring ASCII case: `Ok(Some((is_output,
+    /// index)))` for a real pin, `Ok(None)` for an ignored pin, `Err(())`
+    /// for an unknown one.
     #[allow(clippy::result_unit_err)]
     pub fn resolve_pin(&self, name: &str) -> Result<Option<(bool, usize)>, ()> {
-        let name = name.to_ascii_lowercase();
-        if let Some(i) = self.inputs.iter().position(|p| p.accepts(&name)) {
+        if let Some(i) = self.inputs.iter().position(|p| p.accepts(name)) {
             return Ok(Some((false, i)));
         }
-        if let Some(i) = self.outputs.iter().position(|p| p.accepts(&name)) {
+        if let Some(i) = self.outputs.iter().position(|p| p.accepts(name)) {
             return Ok(Some((true, i)));
         }
-        if self.ignored.contains(&name) {
+        if self.ignored.iter().any(|n| n.eq_ignore_ascii_case(name)) {
             return Ok(None);
         }
         Err(())
@@ -75,7 +77,8 @@ impl LibraryCell {
 /// defaults (delays, pin capacitances) for imported circuits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateLibrary {
-    cells: HashMap<String, LibraryCell>,
+    /// Keyed by lower-case name; aliases share one cell.
+    cells: FxHashMap<String, Arc<LibraryCell>>,
     tech: Technology,
 }
 
@@ -85,15 +88,25 @@ impl Default for GateLibrary {
     }
 }
 
-/// The maximum arity registered for variable-arity gates.
-const MAX_GATE_ARITY: usize = 8;
+/// Positional pin names of the variable-arity gates, up to their maximum
+/// registered arity.
+const VAR_INPUTS: [&[&str]; 8] = [
+    &["a", "i0", "in0", "x0"],
+    &["b", "i1", "in1", "x1"],
+    &["c", "i2", "in2", "x2"],
+    &["d", "i3", "in3", "x3"],
+    &["e", "i4", "in4", "x4"],
+    &["f", "i5", "in5", "x5"],
+    &["g", "i6", "in6", "x6"],
+    &["h", "i7", "in7", "x7"],
+];
 
 impl GateLibrary {
     /// An empty library with the paper's 0.8 µm / 5 V technology.
     #[must_use]
     pub fn empty() -> Self {
         GateLibrary {
-            cells: HashMap::new(),
+            cells: FxHashMap::default(),
             tech: Technology::cmos_0p8um_5v(),
         }
     }
@@ -103,24 +116,21 @@ impl GateLibrary {
     #[must_use]
     pub fn standard() -> Self {
         let mut lib = Self::empty();
-        let var_inputs: Vec<LibraryPin> = (0..MAX_GATE_ARITY)
-            .map(|i| {
-                let letter = (b'a' + i as u8) as char;
-                LibraryPin {
-                    names: vec![
-                        letter.to_string(),
-                        format!("i{i}"),
-                        format!("in{i}"),
-                        format!("x{i}"),
-                    ],
-                }
-            })
-            .collect();
-        let out = |extra: &[&str]| {
+        let pins = |names: &[&[&'static str]]| -> Vec<LibraryPin> {
+            names.iter().map(|n| LibraryPin::new(n)).collect()
+        };
+        let out = |extra: &[&'static str]| {
             let mut names = vec!["y", "o", "out", "z", "f"];
             names.extend_from_slice(extra);
             vec![LibraryPin::new(&names)]
         };
+        let cell =
+            |kind: CellKind, inputs: Vec<LibraryPin>, outputs: Vec<LibraryPin>| LibraryCell {
+                kind,
+                inputs,
+                outputs,
+                ignored: Vec::new(),
+            };
 
         for (kind, names) in [
             (CellKind::And, &["and", "and2", "and3", "and4", "and8"][..]),
@@ -133,113 +143,72 @@ impl GateLibrary {
             (CellKind::Xor, &["xor", "xor2", "xor3", "eo"][..]),
             (CellKind::Xnor, &["xnor", "xnor2", "xnor3", "en"][..]),
         ] {
-            let cell = LibraryCell {
-                kind,
-                inputs: var_inputs.clone(),
-                outputs: out(&[]),
-                ignored: Vec::new(),
-            };
-            for name in names {
-                lib.register(name, cell.clone());
-            }
+            lib.register_aliases(names, cell(kind, pins(&VAR_INPUTS), out(&[])));
         }
 
-        let unary = |kind: CellKind| LibraryCell {
-            kind,
-            inputs: vec![LibraryPin::new(&["a", "i", "in", "d", "x0"])],
-            outputs: out(&[]),
-            ignored: Vec::new(),
-        };
-        for name in ["inv", "not", "inverter", "iv"] {
-            lib.register(name, unary(CellKind::Inv));
-        }
-        for name in ["buf", "buffer", "bf"] {
-            lib.register(name, unary(CellKind::Buf));
-        }
-
-        let mux = LibraryCell {
-            kind: CellKind::Mux2,
-            inputs: vec![
-                LibraryPin::new(&["s", "sel", "i0"]),
-                LibraryPin::new(&["a", "d0", "i1"]),
-                LibraryPin::new(&["b", "d1", "i2"]),
-            ],
-            outputs: out(&[]),
-            ignored: Vec::new(),
-        };
-        for name in ["mux", "mux2", "mux21"] {
-            lib.register(name, mux.clone());
-        }
-
-        let maj = LibraryCell {
-            kind: CellKind::Maj3,
-            inputs: vec![
-                LibraryPin::new(&["a", "i0"]),
-                LibraryPin::new(&["b", "i1"]),
-                LibraryPin::new(&["c", "i2"]),
-            ],
-            outputs: out(&[]),
-            ignored: Vec::new(),
-        };
-        for name in ["maj", "maj3", "majority"] {
-            lib.register(name, maj.clone());
-        }
-
-        let ha = LibraryCell {
-            kind: CellKind::HalfAdder,
-            inputs: vec![LibraryPin::new(&["a", "i0"]), LibraryPin::new(&["b", "i1"])],
-            outputs: vec![
-                LibraryPin::new(&["sum", "s", "o0"]),
-                LibraryPin::new(&["carry", "c", "co", "cout", "o1"]),
-            ],
-            ignored: Vec::new(),
-        };
-        for name in ["$ha", "ha", "half_adder", "halfadder"] {
-            lib.register(name, ha.clone());
-        }
-
-        let fa = LibraryCell {
-            kind: CellKind::FullAdder,
-            inputs: vec![
-                LibraryPin::new(&["a", "i0"]),
-                LibraryPin::new(&["b", "i1"]),
-                LibraryPin::new(&["cin", "ci", "c", "i2"]),
-            ],
-            outputs: vec![
-                LibraryPin::new(&["sum", "s", "o0"]),
-                LibraryPin::new(&["carry", "co", "cout", "o1"]),
-            ],
-            ignored: Vec::new(),
-        };
-        for name in ["$fa", "fa", "full_adder", "fulladder"] {
-            lib.register(name, fa.clone());
-        }
-
-        let dff = LibraryCell {
-            kind: CellKind::Dff,
-            inputs: vec![LibraryPin::new(&["d", "din", "i"])],
-            outputs: vec![LibraryPin::new(&["q", "qout", "o"])],
-            ignored: ["clk", "ck", "cp", "clock", "phi", "c"]
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-        };
-        for name in ["$dff", "dff", "ff", "fd", "dff_p", "dffpos"] {
-            lib.register(name, dff.clone());
-        }
-
-        let constant = |value: bool| LibraryCell {
-            kind: CellKind::Const(value),
-            inputs: Vec::new(),
-            outputs: out(&["q"]),
-            ignored: Vec::new(),
-        };
-        for name in ["$const1", "vcc", "vdd", "one", "tie1"] {
-            lib.register(name, constant(true));
-        }
-        for name in ["$const0", "gnd", "vss", "zero", "tie0"] {
-            lib.register(name, constant(false));
-        }
+        let unary = [&["a", "i", "in", "d", "x0"][..]];
+        lib.register_aliases(
+            &["inv", "not", "inverter", "iv"],
+            cell(CellKind::Inv, pins(&unary), out(&[])),
+        );
+        lib.register_aliases(
+            &["buf", "buffer", "bf"],
+            cell(CellKind::Buf, pins(&unary), out(&[])),
+        );
+        lib.register_aliases(
+            &["mux", "mux2", "mux21"],
+            cell(
+                CellKind::Mux2,
+                pins(&[&["s", "sel", "i0"], &["a", "d0", "i1"], &["b", "d1", "i2"]]),
+                out(&[]),
+            ),
+        );
+        lib.register_aliases(
+            &["maj", "maj3", "majority"],
+            cell(
+                CellKind::Maj3,
+                pins(&[&["a", "i0"], &["b", "i1"], &["c", "i2"]]),
+                out(&[]),
+            ),
+        );
+        lib.register_aliases(
+            &["$ha", "ha", "half_adder", "halfadder"],
+            cell(
+                CellKind::HalfAdder,
+                pins(&[&["a", "i0"], &["b", "i1"]]),
+                pins(&[&["sum", "s", "o0"], &["carry", "c", "co", "cout", "o1"]]),
+            ),
+        );
+        lib.register_aliases(
+            &["$fa", "fa", "full_adder", "fulladder"],
+            cell(
+                CellKind::FullAdder,
+                pins(&[&["a", "i0"], &["b", "i1"], &["cin", "ci", "c", "i2"]]),
+                pins(&[&["sum", "s", "o0"], &["carry", "co", "cout", "o1"]]),
+            ),
+        );
+        lib.register_aliases(
+            &["$dff", "dff", "ff", "fd", "dff_p", "dffpos"],
+            LibraryCell {
+                ignored: ["clk", "ck", "cp", "clock", "phi", "c"]
+                    .into_iter()
+                    .map(Cow::Borrowed)
+                    .collect(),
+                ..cell(
+                    CellKind::Dff,
+                    pins(&[&["d", "din", "i"]]),
+                    pins(&[&["q", "qout", "o"]]),
+                )
+            },
+        );
+        lib.register_aliases(
+            &["$const1", "vcc", "vdd", "one", "tie1"],
+            cell(CellKind::Const(true), Vec::new(), out(&["q"])),
+        );
+        lib.register_aliases(
+            &["$const0", "gnd", "vss", "zero", "tie0"],
+            cell(CellKind::Const(false), Vec::new(), out(&["q"])),
+        );
 
         lib
     }
@@ -254,13 +223,29 @@ impl GateLibrary {
 
     /// Registers (or overrides) a cell under `name` (case-insensitive).
     pub fn register(&mut self, name: &str, cell: LibraryCell) {
-        self.cells.insert(name.to_ascii_lowercase(), cell);
+        self.register_aliases(&[name], cell);
     }
 
-    /// Looks a cell up by external name (case-insensitive).
+    /// Registers one cell under every name in `names`, sharing its pin
+    /// tables.
+    fn register_aliases(&mut self, names: &[&str], cell: LibraryCell) {
+        let cell = Arc::new(cell);
+        for name in names {
+            self.cells
+                .insert(name.to_ascii_lowercase(), Arc::clone(&cell));
+        }
+    }
+
+    /// Looks a cell up by external name (case-insensitive). Allocates
+    /// nothing unless the name has an upper-case letter.
     #[must_use]
     pub fn lookup(&self, name: &str) -> Option<&LibraryCell> {
-        self.cells.get(&name.to_ascii_lowercase())
+        let cell = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.cells.get(&name.to_ascii_lowercase())
+        } else {
+            self.cells.get(name)
+        };
+        cell.map(|cell| &**cell)
     }
 
     /// Number of registered names.

@@ -14,10 +14,10 @@
 //! blocks (`always`, `initial`), parameters, part-selects and multi-module
 //! files.
 
-use glitch_netlist::{CellKind, NetId, Netlist, NetlistError};
+use glitch_netlist::{CellKind, FxHashMap, NetId, Netlist, NetlistError};
 
 use crate::error::{IoError, Loc};
-use crate::intern::{Atom, FxHashMap, StringInterner};
+use crate::intern::{Atom, StringInterner};
 use crate::library::GateLibrary;
 
 /// Identifiers are interned: a net referenced by fifty instances costs
@@ -585,7 +585,8 @@ impl Parser<'_, '_> {
 
     /// `DFF ff0 (.d(x), .q(y));` or `DFF ff0 (y, x);` (outputs first).
     fn library_instance(&mut self, cell_atom: Atom, loc: Loc) -> Result<(), IoError> {
-        let Some(cell) = self.library.lookup(self.text(cell_atom)).cloned() else {
+        let library = self.library;
+        let Some(cell) = library.lookup(self.text(cell_atom)) else {
             return Err(IoError::UnknownCell {
                 loc,
                 name: self.text(cell_atom).to_string(),

@@ -1,0 +1,76 @@
+//! Allocation gate of the BLIF reader: counts the heap allocations one
+//! `parse_blif` of the 32×32 array multiplier makes, on this thread only,
+//! and bounds the count. Allocation counts repeat exactly from run to run,
+//! so this pins the reader's allocation-light design without a timing
+//! bound.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use glitch_arith::{AdderStyle, ArrayMultiplier};
+use glitch_io::{emit_blif, parse_blif, GateLibrary};
+
+/// The system allocator, counting the allocations and reallocations made
+/// on a thread while that thread's counter is switched on.
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+fn tally() {
+    if COUNTING.with(Cell::get) {
+        COUNT.with(|count| count.set(count.get() + 1));
+    }
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the thread-local counters are const-initialised `Cell`s, so
+// touching them never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged; `ptr` came from `System` via this type.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        // SAFETY: forwarded unchanged; `ptr` came from `System` via this type.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations of `f` made on the calling thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNT.with(|count| count.set(0));
+    COUNTING.with(|on| on.set(true));
+    let value = f();
+    COUNTING.with(|on| on.set(false));
+    (value, COUNT.with(Cell::get))
+}
+
+/// The reader's own count on mult32, plus about 10%.
+const MULT32_PARSE_ALLOCATIONS: u64 = 20_600;
+
+#[test]
+fn mult32_parse_stays_allocation_light() {
+    let library = GateLibrary::standard();
+    let text = emit_blif(&ArrayMultiplier::new(32, AdderStyle::CompoundCell).netlist);
+    let (netlist, count) = allocations_of(|| parse_blif(&text, &library).expect("mult32 parses"));
+    assert_eq!(netlist.cell_count(), 2049);
+    println!("parse_blif(mult32): {count} allocations");
+    assert!(
+        count <= MULT32_PARSE_ALLOCATIONS,
+        "parse_blif(mult32) made {count} allocations, over the bound of {MULT32_PARSE_ALLOCATIONS}"
+    );
+}

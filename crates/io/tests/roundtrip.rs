@@ -3,7 +3,9 @@
 //! per-kind cell histogram, for both randomly grown netlists and the
 //! workspace's arithmetic generators.
 
-use glitch_arith::{AdderStyle, DirectionDetector, RippleCarryAdder, WallaceTreeMultiplier};
+use glitch_arith::{
+    AdderStyle, ArrayMultiplier, DirectionDetector, RippleCarryAdder, WallaceTreeMultiplier,
+};
 use glitch_io::{emit_blif, parse_blif, GateLibrary};
 use glitch_netlist::{CellKind, NetId, Netlist};
 use proptest::prelude::*;
@@ -194,4 +196,74 @@ fn bundled_corpus_parses_and_round_trips() {
         seen >= 3,
         "the bundled corpus must keep at least 3 BLIF circuits, found {seen}"
     );
+}
+
+/// The `{"fingerprint": "…", "cells": …, "nets": …}` entry for `file` in
+/// glitchbench's fixture table.
+fn pinned_fixture(table: &str, file: &str) -> (String, usize, usize) {
+    let line = table
+        .lines()
+        .find(|line| line.contains(&format!("\"{file}\"")))
+        .unwrap_or_else(|| panic!("fixtures.json has no entry for {file}"));
+    let field = |key: &str| -> &str {
+        let start = line.find(&format!("\"{key}\": ")).expect("field present") + key.len() + 4;
+        line[start..]
+            .split([',', '}'])
+            .next()
+            .expect("field value")
+            .trim()
+            .trim_matches('"')
+    };
+    (
+        field("fingerprint").to_string(),
+        field("cells").parse().expect("cell count"),
+        field("nets").parse().expect("net count"),
+    )
+}
+
+/// Every fixture glitchbench checks parses to the fingerprint, cell and
+/// net counts it pins, and re-emits byte for byte: the fingerprint hashes
+/// net order, net names and cell names, so any drift in the reader shows.
+#[test]
+fn benchmark_fixtures_parse_to_their_pinned_fingerprints() {
+    let library = GateLibrary::standard();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let table = std::fs::read_to_string(format!("{root}/glitchbench/fixtures.json"))
+        .expect("glitchbench/fixtures.json must exist");
+    let mut texts: Vec<(String, String)> = [4usize, 16, 32]
+        .iter()
+        .map(|&n| {
+            let mult = ArrayMultiplier::new(n, AdderStyle::CompoundCell);
+            (format!("mult{n}.blif"), emit_blif(&mult.netlist))
+        })
+        .collect();
+    for file in ["c17.blif", "rca4.blif", "counter4.blif"] {
+        let text = std::fs::read_to_string(format!("{root}/tests/data/{file}"))
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        texts.push((file.to_string(), text));
+    }
+    for (file, text) in texts {
+        let parsed = parse_blif(&text, &library).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let (fingerprint, cells, nets) = pinned_fixture(&table, &file);
+        assert_eq!(
+            format!("{:016x}", parsed.fingerprint()),
+            fingerprint,
+            "{file}"
+        );
+        assert_eq!(parsed.cell_count(), cells, "{file}");
+        assert_eq!(parsed.net_count(), nets, "{file}");
+        let emitted = emit_blif(&parsed);
+        let reparsed = parse_blif(&emitted, &library).expect("re-emitted text parses");
+        assert_eq!(
+            emit_blif(&reparsed),
+            emitted,
+            "{file}: emit∘parse must be the identity"
+        );
+        if file.starts_with("mult") {
+            assert_eq!(
+                emitted, text,
+                "{file}: re-emission must reproduce the input bytes"
+            );
+        }
+    }
 }

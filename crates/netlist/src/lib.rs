@@ -39,6 +39,7 @@ mod cell;
 mod cone;
 mod dot;
 mod error;
+mod hash;
 mod level;
 mod net;
 mod netlist;
@@ -50,6 +51,7 @@ pub use cell::{Cell, CellId, CellKind, DffInit, EvalError};
 pub use cone::{ConeIndex, FanoutCone};
 pub use dot::DotOptions;
 pub use error::NetlistError;
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use level::{CellLevels, Levelization};
 pub use net::{Net, NetId, Pin};
 pub use netlist::{Bus, Netlist};

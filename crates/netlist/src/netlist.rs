@@ -1,9 +1,8 @@
 //! The [`Netlist`] container and its construction API.
 
-use std::collections::HashMap;
-
 use crate::cell::{Cell, CellId, CellKind, DffInit};
 use crate::error::NetlistError;
+use crate::hash::FxHashMap;
 use crate::net::{Net, NetId, Pin};
 
 /// A multi-bit signal: an ordered list of nets, least-significant bit first.
@@ -74,7 +73,7 @@ pub struct Netlist {
     nets: Vec<Net>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
-    net_names: HashMap<String, NetId>,
+    net_names: FxHashMap<String, NetId>,
     fresh_counter: usize,
 }
 
@@ -88,7 +87,7 @@ impl Netlist {
             nets: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            net_names: HashMap::new(),
+            net_names: FxHashMap::default(),
             fresh_counter: 0,
         }
     }

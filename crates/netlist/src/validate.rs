@@ -46,32 +46,39 @@ impl Netlist {
             Black,
         }
         let mut colour = vec![Colour::White; self.cell_count()];
+        // Explicit stack of (cell, start of its successors in `succ`, next
+        // successor to visit) to avoid recursion depth issues on deep
+        // circuits like wide multipliers. The top frame's successors are
+        // the tail of `succ`; a frame's are dropped when it is popped.
+        let mut stack: Vec<(CellId, usize, usize)> = Vec::new();
+        let mut succ: Vec<CellId> = Vec::new();
 
         for start in self.combinational_cells() {
             if colour[start.index()] != Colour::White {
                 continue;
             }
-            // Explicit stack of (cell, next-successor-index) to avoid
-            // recursion depth issues on deep circuits like wide multipliers.
-            let mut stack: Vec<(CellId, usize)> = vec![(start, 0)];
             colour[start.index()] = Colour::Grey;
-            while let Some(&mut (cell, ref mut next)) = stack.last_mut() {
-                let successors = self.combinational_successors(cell);
-                if *next < successors.len() {
-                    let succ = successors[*next];
+            self.push_combinational_successors(start, &mut succ);
+            stack.push((start, 0, 0));
+            while let Some(&mut (cell, begin, ref mut next)) = stack.last_mut() {
+                if *next < succ.len() {
+                    let s = succ[*next];
                     *next += 1;
-                    match colour[succ.index()] {
+                    match colour[s.index()] {
                         Colour::White => {
-                            colour[succ.index()] = Colour::Grey;
-                            stack.push((succ, 0));
+                            colour[s.index()] = Colour::Grey;
+                            let begin = succ.len();
+                            self.push_combinational_successors(s, &mut succ);
+                            stack.push((s, begin, begin));
                         }
                         Colour::Grey => {
-                            return Err(NetlistError::CombinationalLoop { cell: succ });
+                            return Err(NetlistError::CombinationalLoop { cell: s });
                         }
                         Colour::Black => {}
                     }
                 } else {
                     colour[cell.index()] = Colour::Black;
+                    succ.truncate(begin);
                     stack.pop();
                 }
             }
@@ -79,19 +86,26 @@ impl Netlist {
         Ok(())
     }
 
-    /// Combinational cells driven directly by outputs of `cell`.
+    /// Combinational cells driven directly by outputs of `cell`, sorted.
     pub(crate) fn combinational_successors(&self, cell: CellId) -> Vec<CellId> {
         let mut succ = Vec::new();
-        for &out in self.cell(cell).outputs() {
-            for load in self.net(out).loads() {
+        self.push_combinational_successors(cell, &mut succ);
+        succ.dedup();
+        succ
+    }
+
+    /// Appends the combinational cells driven directly by outputs of
+    /// `cell` to `out`, sorted; a cell driven through several pins repeats.
+    fn push_combinational_successors(&self, cell: CellId, out: &mut Vec<CellId>) {
+        let begin = out.len();
+        for &net in self.cell(cell).outputs() {
+            for load in self.net(net).loads() {
                 if !self.cell(load.cell).is_sequential() {
-                    succ.push(load.cell);
+                    out.push(load.cell);
                 }
             }
         }
-        succ.sort_unstable();
-        succ.dedup();
-        succ
+        out[begin..].sort_unstable();
     }
 }
 

@@ -462,8 +462,8 @@ const KERNEL_TIMING_CHECK: &str = "--budget and --hazards check settle timing, w
 const SINGLE_SEED_FLIP: &str = "--flip applies to single-seed runs; drop --seeds or --flip";
 /// The refusal of an input flip (`--flip`, `--flip-inputs`) under
 /// `--engine kernel`, whose zero-delay figures have no glitches to compare.
-const KERNEL_FLIP: &str = "input flips ride the incremental event-driven replay, which \
-     the kernel engine cannot run; drop --engine kernel";
+const KERNEL_FLIP: &str = "an input flip compares glitch figures, and the zero-delay \
+     kernel engine has no glitches to compare; drop --engine kernel";
 
 /// Runs one job against `netlist`. Parameters resolve exactly as the
 /// CLI's flags do (same defaults, same messages); the engine defaults to
