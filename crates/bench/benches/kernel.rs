@@ -1,6 +1,9 @@
 //! The compiled bit-parallel kernel against the event-driven queue on
 //! the workload the `kernel` engine targets: functional (end-of-cycle)
 //! evaluation of a 64-seed batch on the paper's 8-bit array multiplier.
+//! The `timed_block` group times one shard of the delay-model sweep on
+//! the timed kernel: the 32-bit array multiplier, 200 cycles, no
+//! per-cycle statistics, one job per delay model.
 //!
 //! The kernel packs all 64 seeds into the lanes of one `u64` word per
 //! net, so one straight-line pass over the levelized program evaluates
@@ -12,7 +15,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
-use glitch_core::sim::{kernel_prepass, RandomStimulus, SimJob, SimSession, StatsProbe};
+use glitch_core::sim::{
+    kernel_prepass, DelayKind, ParallelRunner, RandomStimulus, SimJob, SimSession, StatsProbe,
+};
 use glitch_core::KernelProgram;
 
 const CYCLES: u64 = 200;
@@ -60,5 +65,35 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernel);
+fn bench_timed_block(c: &mut Criterion) {
+    let mult = ArrayMultiplier::new(32, AdderStyle::CompoundCell);
+    let buses = vec![mult.x.clone(), mult.y.clone()];
+    let program = KernelProgram::compile(&mult.netlist).expect("acyclic");
+    let runner = ParallelRunner::new(1);
+    let mut group = c.benchmark_group("timed_block");
+    group.throughput(Throughput::Elements(CYCLES));
+    for (name, delay) in [
+        ("unit", DelayKind::Unit),
+        ("zero", DelayKind::Zero),
+        ("adder", DelayKind::RealisticAdderCells),
+    ] {
+        let job = SimJob::new(&mult.netlist, buses.clone(), CYCLES, SEED0)
+            .with_delay(delay)
+            .with_statistics(false);
+        let jobs = std::slice::from_ref(&job);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                runner
+                    .run_jobs(jobs, &program, &|_| Vec::new())
+                    .expect("inputs only")[0]
+                    .timed_work()
+                    .expect("settled timed")
+                    .op_evals
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_kernel, bench_timed_block);
 criterion_main!(benches);

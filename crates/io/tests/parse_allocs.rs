@@ -1,14 +1,16 @@
-//! Allocation gate of the BLIF reader: counts the heap allocations one
-//! `parse_blif` of the 32×32 array multiplier makes, on this thread only,
-//! and bounds the count. Allocation counts repeat exactly from run to run,
-//! so this pins the reader's allocation-light design without a timing
-//! bound.
+//! Allocation gates of the front end: counts the heap allocations one
+//! `parse_blif` of the 32×32 array multiplier makes, and one
+//! `KernelProgram::compile` of it (validation and levelization included),
+//! on this thread only, and bounds each count. Allocation counts repeat
+//! exactly from run to run, so this pins the allocation-light design
+//! without a timing bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use glitch_arith::{AdderStyle, ArrayMultiplier};
 use glitch_io::{emit_blif, parse_blif, GateLibrary};
+use glitch_sim::KernelProgram;
 
 /// The system allocator, counting the allocations and reallocations made
 /// on a thread while that thread's counter is switched on.
@@ -72,5 +74,21 @@ fn mult32_parse_stays_allocation_light() {
     assert!(
         count <= MULT32_PARSE_ALLOCATIONS,
         "parse_blif(mult32) made {count} allocations, over the bound of {MULT32_PARSE_ALLOCATIONS}"
+    );
+}
+
+/// `KernelProgram::compile`'s own count on mult32, plus about 10%.
+const MULT32_COMPILE_ALLOCATIONS: u64 = 50;
+
+#[test]
+fn mult32_compile_stays_allocation_light() {
+    let netlist = ArrayMultiplier::new(32, AdderStyle::CompoundCell).netlist;
+    let (program, count) =
+        allocations_of(|| KernelProgram::compile(&netlist).expect("mult32 compiles"));
+    assert_eq!(program.op_count(), 2049);
+    println!("KernelProgram::compile(mult32): {count} allocations");
+    assert!(
+        count <= MULT32_COMPILE_ALLOCATIONS,
+        "KernelProgram::compile(mult32) made {count} allocations, over the bound of {MULT32_COMPILE_ALLOCATIONS}"
     );
 }

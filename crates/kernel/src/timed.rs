@@ -13,17 +13,29 @@
 //! block of lanes, one clock cycle per lane.
 //!
 //! Each net keeps a ring of `max_delay + 1` (at least two, rounded up to
-//! a power of two) plane slots, slot `t & mask` holding its value at time
-//! `t`. A read at time `s` clamps `s` into `[lo − 1, hi]`: before the
-//! window the net holds its start value (stored in slot `lo − 1`), after
-//! it the value it reached at `hi`. Both stay valid for as long as any
-//! reader can look back (at most `max_delay` time points).
+//! a power of two) slots, slot `t & mask` holding its value at time `t`
+//! in every lane of the block: the value and mask planes of its four
+//! words, one cache line. A read at time `s` clamps `s` into `[lo − 1,
+//! hi]`: before the window a net has its start value (written to slot
+//! `lo − 1`), after it the value it reached at `hi`. Both stay valid for
+//! as long as any reader can look back (at most `max_delay` time points).
+//!
+//! The step evaluates every output pin at every time point of its window,
+//! visiting at each time point only the ops active then (bucketed once
+//! per schedule), whether or not the pin's inputs moved. That is exact
+//! because every lane starts from a functionally settled state — lane 0
+//! from the previous block's last lane or all `X`, which every
+//! non-constant cell maps to `X` — so an evaluation whose inputs equal
+//! those of the time point before reproduces the value the pin already
+//! has: at the first time point of its window, its settled start value.
 //!
 //! Besides the values, the step always counts each net's transitions
 //! with their parity and rises. When the caller asks for per-lane
 //! statistics ([`TimedSchedule::run_block`] with somewhere to put them),
 //! it also counts exactly what the event queue counts: the events and
-//! cell evaluations of every time point, the last time point with a
+//! cell evaluations of every time point (a cell evaluates in the lanes
+//! where an input's ring slots `t` and `t − 1` differ, and in those
+//! driving a primary input at time 0), the last time point with a
 //! change (the settle time), and the queue's peak depth — the source
 //! events of time 0, or the events pending after a time point's pushes,
 //! whichever is larger. A block run without them compiles none of that
@@ -47,6 +59,8 @@
 //! beyond it: Függer et al. show the model is not faithful to real glitch
 //! propagation.
 
+use std::sync::OnceLock;
+
 use glitch_netlist::CellKind;
 
 use crate::program::{eval_word, EvalMode, KernelProgram};
@@ -59,8 +73,6 @@ const MAX_DELAY: u64 = 255;
 const MAX_TIME_POINTS: u32 = 4096;
 /// Most `u64` words (of 64 lanes each) one block covers.
 const MAX_BLOCK_WORDS: usize = 4;
-/// Target size of one block's working set, in bytes.
-const BLOCK_BYTES: usize = 1 << 20;
 
 /// A [`KernelProgram`] with its per-op output delays resolved and every
 /// net's arrival window computed: the static half of the timed step.
@@ -68,12 +80,16 @@ const BLOCK_BYTES: usize = 1 << 20;
 pub struct TimedSchedule<'p> {
     program: &'p KernelProgram,
     /// Per op, the delay of output pins 0 and 1 on the schedule (1 for a
-    /// zero-delay run, which settles on the unit schedule).
+    /// zero-delay run, which settles on the unit schedule; 0 for a
+    /// constant cell).
     delays: Vec<[u32; 2]>,
     /// Per op, the times at which one of its inputs can change.
     in_window: Vec<(u32, u32)>,
     /// Per net, the times at which it can change.
     window: Vec<(u32, u32)>,
+    /// The ops active at each time point, built by the first block that
+    /// steps time (a zero-delay block without statistics does not).
+    visits: OnceLock<Visits>,
     /// Nets that change only at time 0: primary inputs (first, in program
     /// order), flipflop outputs and constants.
     sources: Vec<u32>,
@@ -112,7 +128,8 @@ pub struct TimedTally {
     pub useful: Vec<u64>,
     /// Rising (0→1) transitions per net.
     pub rises: Vec<u64>,
-    /// Word-wide op evaluations performed (op × time point × word).
+    /// Word-wide output-pin evaluations: one per pin (two pins with one
+    /// delay share one), time point of its window and 64-lane word.
     pub op_evals: u64,
     /// Hazards per net: static and dynamic, one per net and cycle. Empty,
     /// and the four totals below zero, unless the tally was made
@@ -200,7 +217,11 @@ impl<'p> TimedSchedule<'p> {
             return None;
         }
         if any_zero {
-            delays.iter_mut().for_each(|pins| *pins = [1, 1]);
+            for (op, pins) in program.ops.iter().zip(&mut delays) {
+                if !matches!(op.kind, CellKind::Const(_)) {
+                    *pins = [1, 1];
+                }
+            }
         }
 
         let mut window = vec![(0u32, 0u32); program.net_count()];
@@ -232,6 +253,7 @@ impl<'p> TimedSchedule<'p> {
             delays,
             in_window,
             window,
+            visits: OnceLock::new(),
             sources,
             last,
             slots: (max_delay as usize + 1).next_power_of_two(),
@@ -257,21 +279,14 @@ impl<'p> TimedSchedule<'p> {
         }
     }
 
-    /// Lanes per block that keep one block's working set near 1 MiB: a
-    /// multiple of 64, from 64 to 256. `hazards` says whether the blocks
-    /// classify hazards ([`TimedTally::with_hazards`]), `stats` whether
-    /// they count [`LaneStats`].
-    #[must_use]
-    pub fn block_lanes(&self, hazards: bool, stats: bool) -> usize {
-        let time_points = self.last as usize + 1;
-        // Per net: the value and mask ring slots, the settled planes, the
-        // change and parity scratch and the hazard planes; per lane, when
-        // counting statistics: the push and pop counts of every time point.
-        let per_net = self.slots * 16 + 32 + if hazards { 32 } else { 0 };
-        let per_lane = if stats { time_points * 8 } else { 0 };
-        let per_word = self.program.net_count() * per_net + 64 * per_lane;
-        64 * (BLOCK_BYTES / per_word.max(1)).clamp(1, MAX_BLOCK_WORDS)
-    }
+    /// Lanes per block: 256 (four 64-lane words), whatever the delays.
+    /// One ring slot is then one cache line, and the default sweep's 200
+    /// cycles are one block under every delay model. A block's op visits
+    /// cost the same however few of its lanes are used, so narrower blocks
+    /// repeat them: of 64, 128, 256 and 512 lanes per block, 256 ran the
+    /// `timed_block` bench (200 cycles of the 32-bit array multiplier)
+    /// fastest under adder delays and within noise of 128 under unit delay.
+    pub const BLOCK_LANES: usize = 64 * MAX_BLOCK_WORDS;
 
     /// Steps one block of lanes through the schedule: folds the per-net
     /// transition counts, and the hazards when `tally` asks for them, into
@@ -332,17 +347,27 @@ impl<'p> TimedSchedule<'p> {
         let (slots, mask) = (self.slots, self.slots - 1);
         let time_points = self.last as usize + 1;
         let window = &self.window;
-        let at = |net: usize, slot: usize| (net * slots + slot) * words;
+        // Valid lanes per word; the words past the block's stay zero in
+        // every slot, so they never change.
+        let mut wms = [0u64; MAX_BLOCK_WORDS];
+        for (w, wm) in wms[..words].iter_mut().enumerate() {
+            *wm = settled.word_mask(w);
+        }
+        let settled_planes = |net: usize| {
+            let mut planes = Planes::default();
+            planes.v[..words].copy_from_slice(&settled.val[net * words..(net + 1) * words]);
+            planes.m[..words].copy_from_slice(&settled.msk[net * words..(net + 1) * words]);
+            planes
+        };
 
-        let mut ring_v = vec![0u64; n * slots * words];
-        let mut ring_m = vec![0u64; n * slots * words];
+        // Slot `net * slots + (t & mask)` holds the net's value at time `t`.
+        let mut ring = vec![Planes::default(); n * slots];
         let counted = if STATS { lane_count } else { 0 };
         let mut step = Step::<HAZARDS, STATS> {
             lanes: lane_count,
-            words,
             functional: self.zero_delay,
-            parity: vec![0; n * words],
-            reached: vec![[0; 4]; if HAZARDS { n * words } else { 0 }],
+            parity: vec![[0; MAX_BLOCK_WORDS]; n],
+            reached: vec![[[0; 4]; MAX_BLOCK_WORDS]; if HAZARDS { n } else { 0 }],
             switched_now: LaneCounter::default(),
             transitions: vec![0; counted],
             evaluated_now: LaneCounter::default(),
@@ -354,18 +379,17 @@ impl<'p> TimedSchedule<'p> {
         };
         // Start values: lane l begins where lane l − 1 settled.
         for (net, &(lo, _)) in window.iter().enumerate() {
-            let start = at(net, (lo as usize).wrapping_sub(1) & mask);
+            let now = settled_planes(net);
+            let start = &mut ring[net * slots + ((lo as usize).wrapping_sub(1) & mask)];
             let (mut carry_v, mut carry_m) = (lanes.before.val[net] & 1, lanes.before.msk[net] & 1);
-            for w in 0..words {
-                let (sv, sm) = (settled.val[net * words + w], settled.msk[net * words + w]);
-                let wm = settled.word_mask(w);
-                let (v, m) = (((sv << 1) | carry_v) & wm, ((sm << 1) | carry_m) & wm);
-                ring_v[start + w] = v;
-                ring_m[start + w] = m;
-                (carry_v, carry_m) = (sv >> 63, sm >> 63);
-                if step.functional {
-                    step.switch(net, w, (v, m), (sv, sm), true);
-                }
+            for (w, &wm) in wms.iter().enumerate() {
+                start.v[w] = ((now.v[w] << 1) | carry_v) & wm;
+                start.m[w] = ((now.m[w] << 1) | carry_m) & wm;
+                (carry_v, carry_m) = (now.v[w] >> 63, now.m[w] >> 63);
+            }
+            if step.functional {
+                let start = *start;
+                step.switches(net, &start, &now, true);
             }
         }
         if !STATS && self.zero_delay {
@@ -381,59 +405,53 @@ impl<'p> TimedSchedule<'p> {
         }
 
         // Time 0: the sources take their settled values.
-        let mut changed = vec![0u64; n * words];
-        // `stamp[net * slots + (s & mask)] == s` when `net` changed in some
-        // lane at time `s`; a cell none of whose inputs did cannot change.
-        let mut stamp = vec![u32::MAX; n * slots];
-        let inputs = program.inputs().len();
-        for (i, &net) in self.sources.iter().enumerate() {
+        for &net in &self.sources {
             let net = net as usize;
-            stamp[net * slots] = 0;
-            for w in 0..words {
-                let (old, new) = (at(net, mask) + w, at(net, 0) + w);
-                let settled_at = net * words + w;
-                ring_v[new] = settled.val[settled_at];
-                ring_m[new] = settled.msk[settled_at];
-                let c = step.change(
-                    net,
-                    0,
-                    w,
-                    (ring_v[old], ring_m[old]),
-                    (ring_v[new], ring_m[new]),
-                );
-                let driven = if i < inputs {
-                    lanes.driven[i * words + w]
-                } else {
-                    0
-                };
-                changed[net * words + w] = c | driven;
+            let now = settled_planes(net);
+            let before = ring[net * slots + mask];
+            step.changes(net, 0, &before, &now);
+            ring[net * slots] = now;
+        }
+        // Per net, its primary input's index: a driven input is scheduled
+        // at time 0 even where it ends up unchanged.
+        let mut input_of = Vec::new();
+        if STATS {
+            input_of = vec![u32::MAX; n];
+            for (i, net) in program.inputs().iter().enumerate() {
+                input_of[net.index()] = i as u32;
             }
         }
 
-        let mut bases: Vec<usize> = Vec::new();
+        // Every pin is evaluated at every time point of its window, moved
+        // inputs or not (exact: see the module documentation).
+        let visits = self.visits.get_or_init(|| Visits::new(self));
+        let mut operands: Vec<usize> = Vec::new();
         for t in 0..time_points {
             let t32 = t as u32;
-            for (i, op) in program.ops.iter().enumerate() {
-                let (in_lo, in_hi) = self.in_window[i];
-                let pins = self.delays[i];
-                if t32 < in_lo || t32 > in_hi + pins[0].max(pins[1]) {
-                    continue;
-                }
+            let (from, to) = (t.wrapping_sub(1) & mask, t & mask);
+            for &i in visits.at(t) {
+                let i = i as usize;
+                let op = &program.ops[i];
                 let ins = program.op_inputs(op);
-                let moved_at = |stamp: &[u32], s: usize| {
-                    ins.iter()
-                        .any(|&input| stamp[input as usize * slots + (s & mask)] == s as u32)
-                };
                 // The cell evaluates at `t` in every lane where one of its
                 // inputs changed at `t`.
-                if STATS && t32 <= in_hi && moved_at(&stamp, t) {
+                if STATS && t32 <= self.in_window[i].1 {
                     let mut hit = [0u64; MAX_BLOCK_WORDS];
                     for &input in ins {
-                        let (lo, hi) = window[input as usize];
-                        if lo <= t32 && t32 <= hi {
-                            let base = input as usize * words;
-                            for (w, h) in hit[..words].iter_mut().enumerate() {
-                                *h |= changed[base + w];
+                        let input = input as usize;
+                        let (lo, hi) = window[input];
+                        if t32 < lo || t32 > hi {
+                            continue;
+                        }
+                        let (now, before) =
+                            (&ring[input * slots + to], &ring[input * slots + from]);
+                        for (w, h) in hit.iter_mut().enumerate() {
+                            *h |= (now.v[w] ^ before.v[w]) | (now.m[w] ^ before.m[w]);
+                        }
+                        if t == 0 && input_of[input] != u32::MAX {
+                            let driven = &lanes.driven[input_of[input] as usize * words..];
+                            for (h, &d) in hit.iter_mut().zip(&driven[..words]) {
+                                *h |= d;
                             }
                         }
                     }
@@ -441,58 +459,37 @@ impl<'p> TimedSchedule<'p> {
                         step.evaluated_now.add(w, h);
                     }
                 }
+                let pins = self.delays[i];
                 let outs = [op.out0, op.out1];
                 let out_count = if op.out1 == u32::MAX { 1 } else { 2 };
                 let mut pin = 0;
                 while pin < out_count {
-                    let (lo, hi) = window[outs[pin] as usize];
                     // Two pins with one delay share one evaluation.
                     let shared = pin == 0 && out_count == 2 && pins[0] == pins[1];
                     let next = if shared { 2 } else { pin + 1 };
+                    let (lo, hi) = window[outs[pin] as usize];
                     if t32 < lo || t32 > hi {
                         pin = next;
                         continue;
                     }
                     let d = pins[pin] as usize;
-                    let (from, to) = ((t - 1) & mask, t & mask);
-                    if !moved_at(&stamp, t - d) {
-                        // Inputs as at `t − d − 1`: the outputs hold.
-                        for (p, &o) in outs[..out_count].iter().enumerate() {
-                            if p == pin || shared {
-                                let o = o as usize;
-                                ring_v.copy_within(at(o, from)..at(o, from) + words, at(o, to));
-                                ring_m.copy_within(at(o, from)..at(o, from) + words, at(o, to));
-                                changed[o * words..(o + 1) * words].fill(0);
-                            }
-                        }
-                        pin = next;
-                        continue;
-                    }
-                    let s = (t - d) as i64;
-                    bases.clear();
-                    bases.extend(ins.iter().map(|&input| {
+                    // The inputs as at `t − d`, each read at its clamp into
+                    // `[lo − 1, hi]`.
+                    let s = t - d + 1;
+                    operands.clear();
+                    operands.extend(ins.iter().map(|&input| {
                         let (lo, hi) = window[input as usize];
-                        let slot = s.clamp(i64::from(lo) - 1, i64::from(hi)) as usize & mask;
-                        at(input as usize, slot)
+                        let slot = s.clamp(lo as usize, hi as usize + 1).wrapping_sub(1);
+                        input as usize * slots + (slot & mask)
                     }));
-                    for w in 0..words {
-                        let wm = settled.word_mask(w);
-                        let result = eval_word(op.kind, mode, wm, ins.len(), |k| {
-                            (ring_v[bases[k] + w], ring_m[bases[k] + w])
-                        });
-                        for (p, &o) in outs[..out_count].iter().enumerate() {
-                            if p != pin && !shared {
-                                continue;
-                            }
+                    let result =
+                        eval_planes(op.kind, mode, &wms, ins.len(), |k| &ring[operands[k]]);
+                    for (p, &o) in outs[..out_count].iter().enumerate() {
+                        if p == pin || shared {
                             let o = o as usize;
-                            let (old, new) = (at(o, from) + w, at(o, to) + w);
-                            ring_v[new] = result[p].0;
-                            ring_m[new] = result[p].1;
-                            let c = step.change(o, d, w, (ring_v[old], ring_m[old]), result[p]);
-                            changed[o * words + w] = c;
-                            if c != 0 {
-                                stamp[o * slots + to] = t32;
-                            }
+                            let before = ring[o * slots + from];
+                            step.changes(o, d, &before, &result[p]);
+                            ring[o * slots + to] = result[p];
                         }
                     }
                     step.tally.op_evals += words as u64;
@@ -506,19 +503,17 @@ impl<'p> TimedSchedule<'p> {
 
         if cfg!(debug_assertions) {
             for (net, &(_, hi)) in window.iter().enumerate() {
-                let last = at(net, hi as usize & mask);
+                let last = &ring[net * slots + (hi as usize & mask)];
+                let want = settled_planes(net);
                 assert_eq!(
-                    (&ring_v[last..last + words], &ring_m[last..last + words]),
-                    (
-                        &settled.val[net * words..(net + 1) * words],
-                        &settled.msk[net * words..(net + 1) * words]
-                    ),
+                    (last.v, last.m),
+                    (want.v, want.m),
                     "net {net} did not settle to its functional value"
                 );
             }
         }
         if !step.functional {
-            for (net, parity) in step.parity.chunks(words).enumerate() {
+            for (net, parity) in step.parity.iter().enumerate() {
                 step.tally.useful[net] += parity
                     .iter()
                     .map(|p| u64::from(p.count_ones()))
@@ -556,20 +551,120 @@ impl<'p> TimedSchedule<'p> {
     }
 }
 
+/// One net's value at one time point across a block: the value and mask
+/// planes of its words, in one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct Planes {
+    v: [u64; MAX_BLOCK_WORDS],
+    m: [u64; MAX_BLOCK_WORDS],
+}
+
+/// [`eval_word`] over every word of a block, `wms` holding each word's
+/// valid lanes: the outputs of pins 0 and 1. The match on `kind` is taken
+/// once rather than per word.
+#[inline(always)]
+fn eval_planes<'r>(
+    kind: CellKind,
+    mode: EvalMode,
+    wms: &[u64; MAX_BLOCK_WORDS],
+    arity: usize,
+    input: impl Fn(usize) -> &'r Planes,
+) -> [Planes; 2] {
+    #[inline(always)]
+    fn each<'r>(
+        kind: CellKind,
+        mode: EvalMode,
+        wms: &[u64; MAX_BLOCK_WORDS],
+        arity: usize,
+        input: impl Fn(usize) -> &'r Planes,
+    ) -> [Planes; 2] {
+        let mut out = [Planes::default(); 2];
+        for (w, &wm) in wms.iter().enumerate() {
+            let [(v0, m0), (v1, m1)] = eval_word(kind, mode, wm, arity, |k| {
+                let planes = input(k);
+                (planes.v[w], planes.m[w])
+            });
+            (out[0].v[w], out[0].m[w], out[1].v[w], out[1].m[w]) = (v0, m0, v1, m1);
+        }
+        out
+    }
+    let go = |kind| each(kind, mode, wms, arity, input);
+    match kind {
+        CellKind::FullAdder => go(CellKind::FullAdder),
+        CellKind::HalfAdder => go(CellKind::HalfAdder),
+        CellKind::And => go(CellKind::And),
+        CellKind::Nand => go(CellKind::Nand),
+        CellKind::Or => go(CellKind::Or),
+        CellKind::Nor => go(CellKind::Nor),
+        CellKind::Xor => go(CellKind::Xor),
+        CellKind::Xnor => go(CellKind::Xnor),
+        CellKind::Inv => go(CellKind::Inv),
+        CellKind::Buf => go(CellKind::Buf),
+        CellKind::Mux2 => go(CellKind::Mux2),
+        CellKind::Maj3 => go(CellKind::Maj3),
+        other => go(other),
+    }
+}
+
+/// The ops active at each time point — from the first time one of their
+/// inputs can change to the last time one of their outputs can — in
+/// program order.
+#[derive(Debug, Clone)]
+struct Visits {
+    ops: Vec<u32>,
+    /// Time point `t`'s ops are `ops[starts[t]..starts[t + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl Visits {
+    fn new(schedule: &TimedSchedule<'_>) -> Self {
+        // A constant cell's span is empty: its input window is.
+        let spans: Vec<(u32, u32)> = schedule
+            .in_window
+            .iter()
+            .zip(&schedule.delays)
+            .map(|(&(lo, hi), pins)| (lo, hi + pins[0].max(pins[1])))
+            .collect();
+        let mut starts = vec![0u32; schedule.last as usize + 2];
+        for &(lo, hi) in &spans {
+            for t in lo..=hi {
+                starts[t as usize + 1] += 1;
+            }
+        }
+        for t in 1..starts.len() {
+            starts[t] += starts[t - 1];
+        }
+        let mut fill = starts.clone();
+        let mut ops = vec![0u32; starts[starts.len() - 1] as usize];
+        for (i, &(lo, hi)) in spans.iter().enumerate() {
+            for t in lo..=hi {
+                ops[fill[t as usize] as usize] = i as u32;
+                fill[t as usize] += 1;
+            }
+        }
+        Visits { ops, starts }
+    }
+
+    /// The ops active at time point `t`.
+    fn at(&self, t: usize) -> &[u32] {
+        &self.ops[self.starts[t] as usize..self.starts[t + 1] as usize]
+    }
+}
+
 /// The mutable accounting of one block; `HAZARDS` says whether it keeps
 /// the hazard planes, `STATS` whether it counts the per-lane statistics.
 struct Step<'a, const HAZARDS: bool, const STATS: bool> {
     lanes: usize,
-    words: usize,
     /// Transitions are start-versus-settled (zero delay) rather than per
     /// time point.
     functional: bool,
     /// Per net and word: the parity of each lane's switching count.
-    parity: Vec<u64>,
+    parity: Vec<[u64; MAX_BLOCK_WORDS]>,
     /// Per net and word, when `HAZARDS` (empty otherwise):
     /// the lanes with at least one, two and three switching transitions,
     /// and each lane's value before its first one.
-    reached: Vec<[u64; 4]>,
+    reached: Vec<[[u64; 4]; MAX_BLOCK_WORDS]>,
     /// Switching transitions per lane: this time point's, and the
     /// block's totals. The per-lane fields are unused (and their tables
     /// empty) unless `STATS`.
@@ -590,28 +685,68 @@ struct Step<'a, const HAZARDS: bool, const STATS: bool> {
 
 impl<const HAZARDS: bool, const STATS: bool> Step<'_, HAZARDS, STATS> {
     /// Records `net` going from `old` to `new` at the current time point
-    /// in word `w` (an event pushed `d` time points earlier) and returns
-    /// the lanes that changed.
+    /// (an event pushed `d` time points earlier).
     #[inline]
-    fn change(&mut self, net: usize, d: usize, w: usize, old: (u64, u64), new: (u64, u64)) -> u64 {
-        let changed = (old.0 ^ new.0) | (old.1 ^ new.1);
-        if changed == 0 {
-            return 0;
-        }
-        if !self.functional {
-            self.switch(net, w, old, new, false);
-        }
+    fn changes(&mut self, net: usize, d: usize, old: &Planes, new: &Planes) {
         if STATS {
-            match self.pushed_now.iter_mut().find(|(delay, _)| *delay == d) {
-                Some((_, counter)) => counter.add(w, changed),
-                None => {
-                    let mut counter = LaneCounter::default();
-                    counter.add(w, changed);
-                    self.pushed_now.push((d, counter));
+            for w in 0..MAX_BLOCK_WORDS {
+                let changed = (old.v[w] ^ new.v[w]) | (old.m[w] ^ new.m[w]);
+                if changed != 0 {
+                    self.pushed(d, w, changed);
                 }
             }
         }
-        changed
+        if !self.functional {
+            self.switches(net, old, new, false);
+        }
+    }
+
+    /// Counts the lanes of word `w` in `changed` as events pushed `d`
+    /// time points ago.
+    fn pushed(&mut self, d: usize, w: usize, changed: u64) {
+        match self.pushed_now.iter_mut().find(|(delay, _)| *delay == d) {
+            Some((_, counter)) => counter.add(w, changed),
+            None => {
+                let mut counter = LaneCounter::default();
+                counter.add(w, changed);
+                self.pushed_now.push((d, counter));
+            }
+        }
+    }
+
+    /// Counts the switching (known-to-known) part of a change; `once`
+    /// when it is the lane's only transition of the cycle.
+    #[inline]
+    fn switches(&mut self, net: usize, old: &Planes, new: &Planes, once: bool) {
+        let (mut count, mut rises) = (0, 0);
+        for w in 0..MAX_BLOCK_WORDS {
+            // Branch-free: which words switch is not predictable, and a
+            // mispredicted branch costs more than two popcounts of zero.
+            let switched = (old.v[w] ^ new.v[w]) & !old.m[w] & !new.m[w];
+            count += u64::from(switched.count_ones());
+            rises += u64::from((switched & new.v[w]).count_ones());
+            if STATS && switched != 0 {
+                self.switched_now.add(w, switched);
+            }
+            if !once {
+                self.parity[net][w] ^= switched;
+            }
+            if HAZARDS {
+                let [once, twice, thrice, start] = &mut self.reached[net][w];
+                *start |= old.v[w] & switched & !*once;
+                *thrice |= *twice & switched;
+                *twice |= *once & switched;
+                *once |= switched;
+            }
+        }
+        if count != 0 {
+            self.tally.transitions[net] += count;
+            self.tally.rises[net] += rises;
+            if once {
+                // One transition per lane: each is useful.
+                self.tally.useful[net] += count;
+            }
+        }
     }
 
     /// Moves time point `t`'s per-lane event counts into the pop and push
@@ -629,41 +764,13 @@ impl<const HAZARDS: bool, const STATS: bool> Step<'_, HAZARDS, STATS> {
         }
     }
 
-    /// Counts the switching (known-to-known) part of a change.
-    #[inline]
-    fn switch(&mut self, net: usize, w: usize, old: (u64, u64), new: (u64, u64), once: bool) {
-        let switched = (old.0 ^ new.0) & !old.1 & !new.1;
-        if switched == 0 {
-            return;
-        }
-        let count = u64::from(switched.count_ones());
-        if STATS {
-            self.switched_now.add(w, switched);
-        }
-        self.tally.transitions[net] += count;
-        self.tally.rises[net] += u64::from((switched & new.0).count_ones());
-        if once {
-            // One transition per lane: each is useful.
-            self.tally.useful[net] += count;
-        } else {
-            self.parity[net * self.words + w] ^= switched;
-        }
-        if HAZARDS {
-            let [once, twice, thrice, start] = &mut self.reached[net * self.words + w];
-            *start |= old.0 & switched & !*once;
-            *thrice |= *twice & switched;
-            *twice |= *once & switched;
-            *once |= switched;
-        }
-    }
-
     /// Classifies every lane's hazards against the block's settled values
     /// and folds them into the tally.
     fn classify_hazards(&mut self, settled: &KernelState) {
-        let words = self.words;
+        let words = settled.words;
         let mut any = [0u64; MAX_BLOCK_WORDS];
-        for (net, planes) in self.reached.chunks(words).enumerate() {
-            for (w, &[_, twice, thrice, start]) in planes.iter().enumerate() {
+        for (net, planes) in self.reached.iter().enumerate() {
+            for (w, &[_, twice, thrice, start]) in planes[..words].iter().enumerate() {
                 let at = net * words + w;
                 // An `X` end differs from every (known) start.
                 let differs = (settled.val[at] ^ start) | settled.msk[at];

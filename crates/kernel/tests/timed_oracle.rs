@@ -9,7 +9,10 @@
 //! and the queue statistics. Cases cover random sequential circuits and
 //! the 8-bit compound-cell multiplier under unit, zero, realistic-adder,
 //! library and two custom delay models, binary and X-init options, cycle
-//! counts around the 64-lane word boundary, and held inputs; the corpus
+//! counts around the 64-lane word boundary, and held inputs; the
+//! multiplier and the corpus counter also run cycle counts around the
+//! 256-lane block boundary (a one-lane tail block included), each with and
+//! without statistics and with and without the hazard planes; the corpus
 //! counter and the multiplier pipelined to 4 ranks run 300 and 600
 //! cycles, so their flipflop state carries across blocks of lanes. Every case
 //! also attaches a `HazardChecker`, an `XPropagationChecker` and an
@@ -168,9 +171,9 @@ fn assert_same_checks(netlist: &Netlist, event: &SessionReport, timed: &SessionR
 }
 
 /// Runs `job` both ways and compares; `timed` says whether the routed run
-/// must have settled on the timed kernel. The routed run goes once with
-/// the [`checker_probes`], once without and once with them but without
-/// statistics, the event run with them.
+/// must have settled on the timed kernel. The routed run goes with and
+/// without the [`checker_probes`] (the hazard planes), each with and
+/// without statistics; the event run goes with them.
 fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str) {
     let runner = ParallelRunner::new(1);
     let jobs = std::slice::from_ref(job);
@@ -181,19 +184,18 @@ fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str)
     );
     let routed = runner.run_jobs(jobs, program, &checker_probes);
     let bare = runner.run_jobs(jobs, program, &|_| Vec::new());
-    let quiet = runner.run_jobs(
-        &[job.clone().with_statistics(false)],
-        program,
-        &checker_probes,
-    );
+    let unmetered = [job.clone().with_statistics(false)];
+    let quiet = runner.run_jobs(&unmetered, program, &checker_probes);
+    let plain = runner.run_jobs(&unmetered, program, &|_| Vec::new());
     let event = runner.run_sessions_with(jobs, &checker_probes);
-    match (event, routed, bare, quiet) {
-        (Ok(mut event), Ok(mut routed), Ok(mut bare), Ok(mut quiet)) => {
-            let (event, routed, bare, quiet) = (
+    match (event, routed, bare, quiet, plain) {
+        (Ok(mut event), Ok(mut routed), Ok(mut bare), Ok(mut quiet), Ok(mut plain)) => {
+            let (event, routed, bare, quiet, plain) = (
                 event.remove(0),
                 routed.remove(0),
                 bare.remove(0),
                 quiet.remove(0),
+                plain.remove(0),
             );
             assert_eq!(routed.timed_work().is_some(), timed, "settle path: {case}");
             assert_eq!(
@@ -206,6 +208,11 @@ fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str)
                 timed,
                 "quiet settle path: {case}"
             );
+            assert_eq!(
+                plain.timed_work().is_some(),
+                timed,
+                "plain settle path: {case}"
+            );
             assert!(event.timed_work().is_none());
             assert_same_report(job.netlist, &event, &routed, case);
             assert_same_report(job.netlist, &event, &bare, case);
@@ -215,24 +222,29 @@ fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str)
             assert_same_results(job.netlist, &routed, &quiet, case);
             assert_same_results(job.netlist, &event, &quiet, case);
             assert_same_checks(job.netlist, &event, &quiet, case);
+            assert_same_results(job.netlist, &event, &plain, case);
             if timed {
                 assert!(quiet.probe::<StatsProbe>().is_none(), "{case}");
+                assert!(plain.probe::<StatsProbe>().is_none(), "{case}");
             } else {
                 // The event path always counts.
                 assert_same_report(job.netlist, &event, &quiet, case);
+                assert_same_report(job.netlist, &event, &plain, case);
             }
         }
-        (Err(event), Err(routed), Err(bare), Err(quiet)) => {
+        (Err(event), Err(routed), Err(bare), Err(quiet), Err(plain)) => {
             assert_eq!(event, routed, "error: {case}");
             assert_eq!(event, bare, "bare error: {case}");
             assert_eq!(event, quiet, "quiet error: {case}");
+            assert_eq!(event, plain, "plain error: {case}");
         }
-        (event, routed, bare, quiet) => panic!(
-            "outcomes differ ({case}): event {:?}, routed {:?}, bare {:?}, quiet {:?}",
+        (event, routed, bare, quiet, plain) => panic!(
+            "outcomes differ ({case}): event {:?}, routed {:?}, bare {:?}, quiet {:?}, plain {:?}",
             event.map(|_| ()),
             routed.map(|_| ()),
             bare.map(|_| ()),
-            quiet.map(|_| ())
+            quiet.map(|_| ()),
+            plain.map(|_| ())
         ),
     }
 }
@@ -329,6 +341,36 @@ fn timed_jobs_match_the_event_path_on_the_pipelined_multiplier_across_blocks() {
         0xDA7E_1995,
         &CROSS_BLOCK_CYCLES,
     );
+}
+
+/// Cycle counts around the 256-lane block: within one word, at and
+/// around the word and block boundaries, a partial tail block one lane
+/// long, and several blocks.
+const BLOCK_BOUNDARY_CYCLES: [u64; 8] = [1, 63, 64, 65, 255, 256, 257, 1000];
+
+#[test]
+fn timed_jobs_match_the_event_path_at_block_boundaries() {
+    let mult = ArrayMultiplier::new(8, AdderStyle::CompoundCell);
+    let counter = corpus("counter4.blif");
+    let circuits = [
+        (&mult.netlist, vec![mult.x.clone(), mult.y.clone()]),
+        (&counter, vec![Bus::new(counter.inputs().to_vec())]),
+    ];
+    for (netlist, buses) in circuits {
+        let program = KernelProgram::compile(netlist).expect("acyclic");
+        for delay in [
+            DelayKind::Unit,
+            DelayKind::Zero,
+            DelayKind::RealisticAdderCells,
+        ] {
+            for cycles in BLOCK_BOUNDARY_CYCLES {
+                let job =
+                    SimJob::new(netlist, buses.clone(), cycles, 0xB10C).with_delay(delay.clone());
+                let case = format!("{} {delay:?} {cycles} cycles", netlist.name());
+                check_job(&job, &program, true, &case);
+            }
+        }
+    }
 }
 
 #[test]

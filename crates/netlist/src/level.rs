@@ -92,10 +92,22 @@ impl Netlist {
         for id in self.combinational_cells() {
             is_comb[id.index()] = true;
         }
-        // In-degree counts only combinational predecessors.
+        // In-degree counts only distinct combinational predecessors. One
+        // buffer serves every cell's predecessor and successor lists.
+        let mut cells: Vec<CellId> = Vec::new();
         for id in self.combinational_cells() {
-            let preds = self.cell_fanin(id);
-            indegree[id.index()] = preds.iter().filter(|p| is_comb[p.index()]).count();
+            cells.clear();
+            cells.extend(
+                self.cell(id)
+                    .inputs()
+                    .iter()
+                    .filter_map(|&net| self.net(net).driver())
+                    .map(|driver| driver.cell)
+                    .filter(|pred| is_comb[pred.index()]),
+            );
+            cells.sort_unstable();
+            cells.dedup();
+            indegree[id.index()] = cells.len();
         }
 
         let mut queue: VecDeque<CellId> = self
@@ -110,7 +122,10 @@ impl Netlist {
         while let Some(cell) = queue.pop_front() {
             order.push(cell);
             let my_level = levels[cell.index()].unwrap_or(1);
-            for succ in self.combinational_successors(cell) {
+            cells.clear();
+            self.push_combinational_successors(cell, &mut cells);
+            cells.dedup();
+            for &succ in &cells {
                 let idx = succ.index();
                 let succ_level = levels[idx].unwrap_or(0).max(my_level + 1);
                 levels[idx] = Some(succ_level);

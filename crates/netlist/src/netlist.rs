@@ -1,5 +1,7 @@
 //! The [`Netlist`] container and its construction API.
 
+use std::collections::hash_map::Entry;
+
 use crate::cell::{Cell, CellId, CellKind, DffInit};
 use crate::error::NetlistError;
 use crate::hash::FxHashMap;
@@ -224,14 +226,35 @@ impl Netlist {
         self.net_names.get(name).copied()
     }
 
-    fn fresh_name(&mut self, prefix: &str) -> String {
-        loop {
-            let name = format!("{prefix}_{}", self.fresh_counter);
-            self.fresh_counter += 1;
-            if !self.net_names.contains_key(&name) {
-                return name;
+    /// Enters `name` for net `id` when it is free, hashing it once, and
+    /// returns the copy the net keeps; returns `name` back when it is
+    /// taken.
+    fn claim_name(&mut self, name: String, id: NetId) -> Result<String, String> {
+        match self.net_names.entry(name) {
+            Entry::Vacant(slot) => {
+                let name = slot.key().clone();
+                slot.insert(id);
+                Ok(name)
             }
+            Entry::Occupied(taken) => Err(taken.key().clone()),
         }
+    }
+
+    /// Adds a net named `name`, or `name_<k>` for the first free `k` of the
+    /// netlist's counter when `name` is taken.
+    fn add_named_net(&mut self, name: String, is_input: bool) -> NetId {
+        let id = NetId(self.nets.len());
+        let name = match self.claim_name(name, id) {
+            Ok(name) => name,
+            Err(prefix) => loop {
+                let candidate = format!("{prefix}_{}", self.fresh_counter);
+                self.fresh_counter += 1;
+                if let Ok(name) = self.claim_name(candidate, id) {
+                    break name;
+                }
+            },
+        };
+        self.push_net(id, name, is_input)
     }
 
     /// Creates a new internal net with the given name.
@@ -239,11 +262,7 @@ impl Netlist {
     /// If the name is already taken a unique suffix is appended; use
     /// [`Netlist::try_add_net`] to treat a clash as an error instead.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let mut name = name.into();
-        if self.net_names.contains_key(&name) {
-            name = self.fresh_name(&name);
-        }
-        self.push_net(name, false)
+        self.add_named_net(name.into(), false)
     }
 
     /// Creates a new internal net, failing when the name is already in use.
@@ -253,16 +272,16 @@ impl Netlist {
     /// Returns [`NetlistError::DuplicateNetName`] if a net with this name
     /// already exists.
     pub fn try_add_net(&mut self, name: impl Into<String>) -> Result<NetId, NetlistError> {
-        let name = name.into();
-        if self.net_names.contains_key(&name) {
-            return Err(NetlistError::DuplicateNetName(name));
-        }
-        Ok(self.push_net(name, false))
+        let id = NetId(self.nets.len());
+        let name = self
+            .claim_name(name.into(), id)
+            .map_err(NetlistError::DuplicateNetName)?;
+        Ok(self.push_net(id, name, false))
     }
 
-    fn push_net(&mut self, name: String, is_input: bool) -> NetId {
-        let id = NetId(self.nets.len());
-        self.net_names.insert(name.clone(), id);
+    /// Appends net `id`, whose name is already in the name map.
+    fn push_net(&mut self, id: NetId, name: String, is_input: bool) -> NetId {
+        debug_assert_eq!(id.0, self.nets.len());
         self.nets.push(Net {
             name,
             driver: None,
@@ -278,11 +297,7 @@ impl Netlist {
 
     /// Declares a primary input net.
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
-        let mut name = name.into();
-        if self.net_names.contains_key(&name) {
-            name = self.fresh_name(&name);
-        }
-        self.push_net(name, true)
+        self.add_named_net(name.into(), true)
     }
 
     /// Declares a primary input bus of `width` bits named `name[0]`,

@@ -86,17 +86,9 @@ impl Netlist {
         Ok(())
     }
 
-    /// Combinational cells driven directly by outputs of `cell`, sorted.
-    pub(crate) fn combinational_successors(&self, cell: CellId) -> Vec<CellId> {
-        let mut succ = Vec::new();
-        self.push_combinational_successors(cell, &mut succ);
-        succ.dedup();
-        succ
-    }
-
     /// Appends the combinational cells driven directly by outputs of
     /// `cell` to `out`, sorted; a cell driven through several pins repeats.
-    fn push_combinational_successors(&self, cell: CellId, out: &mut Vec<CellId>) {
+    pub(crate) fn push_combinational_successors(&self, cell: CellId, out: &mut Vec<CellId>) {
         let begin = out.len();
         for &net in self.cell(cell).outputs() {
             for load in self.net(net).loads() {

@@ -45,7 +45,9 @@ pub struct TimedWork {
     pub lanes: u64,
     /// The static settle horizon of the job's delay model.
     pub horizon: u64,
-    /// Word-wide op evaluations (op × time point × 64-lane word).
+    /// Word-wide output-pin evaluations: every pin at every time point
+    /// of its arrival window, per 64-lane word (two pins with one delay
+    /// count once).
     pub op_evals: u64,
 }
 
@@ -142,9 +144,10 @@ pub(crate) fn run_timed(
     let mut cycles = 0u64;
     let mut lanes = Vec::new();
     let mut stimulus = job.stimulus();
-    let block = schedule.block_lanes(bulk, job.statistics);
     loop {
-        let assignments: Vec<_> = (0..block).map_while(|_| stimulus.next()).collect();
+        let assignments: Vec<_> = (0..TimedSchedule::BLOCK_LANES)
+            .map_while(|_| stimulus.next())
+            .collect();
         if assignments.is_empty() {
             break;
         }
