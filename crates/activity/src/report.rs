@@ -91,16 +91,16 @@ struct ReportRow {
 }
 
 impl ActivityReport {
-    /// Builds a report from a trace whose node indices are the netlist's net
-    /// indices (which is how `glitch-sim` records traces). The report covers
-    /// the *combinational logic* nodes, which is what the paper's
-    /// transition-activity figures describe: primary-input nets are excluded
-    /// because their transitions are imposed by the stimulus, and
-    /// flipflop-output nets are excluded because they switch at most once
-    /// per cycle and their dissipation is accounted by the per-flipflop
-    /// power figure.
+    /// The nodes an [`ActivityReport`] covers, in net order: the
+    /// *combinational logic* nets, which is what the paper's
+    /// transition-activity figures describe. Primary-input nets are
+    /// excluded because their transitions are imposed by the stimulus, and
+    /// flipflop-output nets because they switch at most once per cycle and
+    /// their dissipation is accounted by the per-flipflop power figure.
+    /// [`ActivityTrace::totals_for`] over these equals
+    /// [`ActivityReport::totals`] without building the rows.
     #[must_use]
-    pub fn from_trace(netlist: &Netlist, trace: &ActivityTrace) -> Self {
+    pub fn logic_nodes(netlist: &Netlist) -> Vec<usize> {
         let mut ff_output = vec![false; netlist.net_count()];
         for (_, cell) in netlist.cells() {
             if cell.is_sequential() {
@@ -109,24 +109,32 @@ impl ActivityReport {
                 }
             }
         }
-        let mut rows = Vec::new();
-        let mut included = Vec::new();
-        for (net_id, net) in netlist.nets() {
-            if net.is_primary_input()
-                || net_id.index() >= trace.node_count()
-                || ff_output[net_id.index()]
-            {
-                continue;
-            }
-            let node = trace.node(net_id.index());
-            included.push(net_id.index());
-            rows.push(ReportRow {
-                name: net.name().to_string(),
-                transitions: node.transitions(),
-                useful: node.useful(),
-                useless: node.useless(),
-            });
-        }
+        netlist
+            .nets()
+            .filter(|(id, net)| !net.is_primary_input() && !ff_output[id.index()])
+            .map(|(id, _)| id.index())
+            .collect()
+    }
+
+    /// Builds a report from a trace whose node indices are the netlist's net
+    /// indices (which is how `glitch-sim` records traces), over its
+    /// [`ActivityReport::logic_nodes`].
+    #[must_use]
+    pub fn from_trace(netlist: &Netlist, trace: &ActivityTrace) -> Self {
+        let mut included = Self::logic_nodes(netlist);
+        included.retain(|&index| index < trace.node_count());
+        let rows = included
+            .iter()
+            .map(|&index| {
+                let node = trace.node(index);
+                ReportRow {
+                    name: netlist.net(NetId::from_index(index)).name().to_string(),
+                    transitions: node.transitions(),
+                    useful: node.useful(),
+                    useless: node.useless(),
+                }
+            })
+            .collect();
         let totals = trace.totals_for(included);
         ActivityReport {
             rows,

@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the reduction loop: the full greedy descent
 //! (measure → propose → screen → confirm → verify), the candidate screen
-//! on its own through both backends, and the final equivalence check
-//! against the event-driven co-simulation it replaced.
+//! on its own through both backends, the final equivalence check
+//! against the event-driven co-simulation it replaced, and one scoring
+//! pass on the event queue and on the timed kernel.
 
 #[path = "../../verify/tests/support/mod.rs"]
 mod event_equivalence;
@@ -132,6 +133,28 @@ fn bench_reduce(c: &mut Criterion) {
         b.iter(|| {
             session
                 .score(&rca.netlist, &buses, &held)
+                .expect("scoring runs")
+                .glitch_power
+        })
+    });
+
+    // The same pass as the reduce-mult16 workload scores it: mult16, 200
+    // cycles, settled on the timed kernel.
+    let mult16 = ArrayMultiplier::new(16, AdderStyle::CompoundCell);
+    group.bench_function("score_mult16", |b| {
+        let session = ReduceSession::new(
+            AnalysisConfig {
+                cycles: 200,
+                engine: EngineKind::Hybrid,
+                ..AnalysisConfig::default()
+            },
+            vec![1],
+            1,
+        );
+        let buses = vec![mult16.x.clone(), mult16.y.clone()];
+        b.iter(|| {
+            session
+                .score(&mult16.netlist, &buses, &[])
                 .expect("scoring runs")
                 .glitch_power
         })

@@ -6,6 +6,7 @@ use crate::delay::DelayModel;
 use crate::engine::EventQueue;
 use crate::error::SimError;
 use crate::probe::{Probe, Transition, TransitionKind};
+use crate::stimulus::bit_of;
 use crate::value::Value;
 
 /// How combinational cells evaluate when one of their inputs is `X`.
@@ -92,7 +93,8 @@ impl InputAssignment {
     }
 
     /// Adds an unsigned value across a bus, least-significant bit first
-    /// (builder style). Bits beyond the bus width are ignored.
+    /// (builder style). Bits beyond the bus width are ignored; bus bits
+    /// from index 64 on are driven to 0.
     #[must_use]
     pub fn with_bus(mut self, bus: &Bus, value: u64) -> Self {
         self.set_bus(bus, value);
@@ -104,10 +106,11 @@ impl InputAssignment {
         self.sets.push((net, value));
     }
 
-    /// Adds an unsigned value across a bus (LSB first).
+    /// Adds an unsigned value across a bus (LSB first); bits from index
+    /// 64 on are driven to 0.
     pub fn set_bus(&mut self, bus: &Bus, value: u64) {
         for (i, &bit) in bus.bits().iter().enumerate() {
-            self.set(bit, (value >> i) & 1 == 1);
+            self.set(bit, bit_of(value, i));
         }
     }
 

@@ -148,6 +148,11 @@ impl DeltaStimulus {
         self.sets.is_empty()
     }
 
+    /// The overrides as `(cycle, net, value)`, in insertion order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, NetId, bool)> + '_ {
+        self.sets.iter().copied()
+    }
+
     /// The largest cycle any override targets.
     #[must_use]
     pub fn max_cycle(&self) -> Option<u64> {

@@ -382,7 +382,10 @@ impl<'a> SimJob<'a> {
     }
 
     /// The job's stimulus, one assignment per cycle: its random buses plus
-    /// the held inputs, with the flips applied. Both settle paths draw it.
+    /// the held inputs, with the flips applied. The event queue and the
+    /// functional kernel engine read it; the timed kernel draws the same
+    /// values a block of cycles at a time, straight into lane words
+    /// ([`RandomStimulus`]'s `next_lanes`).
     pub fn stimulus(&self) -> impl Iterator<Item = InputAssignment> {
         let flips = self.flips.clone();
         random_stimulus(&self.random_buses, &self.held, self.cycles, self.seed)
@@ -615,6 +618,7 @@ impl AggregateReport {
     ) -> AggregateReport {
         assert_eq!(jobs.len(), reports.len(), "one report per job is required");
         assert!(!reports.is_empty(), "cannot reduce an empty batch");
+        let logic = ActivityReport::logic_nodes(netlist);
         let mut shards = Vec::with_capacity(reports.len());
         let mut merged_activity: Option<ActivityProbe> = None;
         let mut merged_power: Option<PowerProbe> = None;
@@ -633,7 +637,7 @@ impl AggregateReport {
                 seed: job.seed,
                 delay: job.delay.clone(),
                 cycles: report.cycles(),
-                activity: ActivityReport::from_trace(netlist, activity.trace()).totals(),
+                activity: activity.trace().totals_for(logic.iter().copied()),
                 power: power.report().expect("session ended").clone(),
                 statistics,
                 timed: report.timed_work(),
@@ -657,7 +661,7 @@ impl AggregateReport {
             .report()
             .expect("session ended")
             .clone();
-        let merged_totals = ActivityReport::from_trace(netlist, merged_activity.trace()).totals();
+        let merged_totals = merged_activity.trace().totals_for(logic.iter().copied());
         AggregateReport {
             shards,
             merged_trace: merged_activity.into_trace(),
@@ -844,6 +848,39 @@ mod tests {
         assert!(agg_a.total_cell_evals() >= shard.cell_evals());
         assert!(agg_a.queue_stats().pushes >= shard.queue().pushes);
         assert!(agg_a.imbalance_ratio() >= 1.0);
+    }
+
+    #[test]
+    fn reduce_totals_follow_the_report_node_rule() {
+        // A pipelined circuit: the flipflop outputs toggle, and must stay
+        // out of the totals like the primary inputs.
+        let mut nl = glitch_netlist::Netlist::new("piped");
+        let a = nl.add_input_bus("a", 3);
+        let x = nl.xor2(a.bit(0), a.bit(1), "x");
+        let q = nl.dff(x, "q");
+        let r = nl.dff(a.bit(2), "r");
+        let y = nl.and2(q, r, "y");
+        let z = nl.dff(y, "z");
+        nl.mark_output(z);
+        let jobs: Vec<SimJob<'_>> = (0..3)
+            .map(|seed| SimJob::new(&nl, vec![a.clone()], 40, seed))
+            .collect();
+        let runner = ParallelRunner::new(1);
+        let mut reports = runner.run_sessions(&jobs).unwrap();
+        let aggregate = AggregateReport::reduce(&nl, &jobs, &mut reports);
+        for (shard, mut report) in aggregate
+            .shards()
+            .iter()
+            .zip(runner.run_sessions(&jobs).unwrap())
+        {
+            let activity = report.take_probe::<ActivityProbe>().unwrap();
+            let expected = ActivityReport::from_trace(&nl, activity.trace()).totals();
+            assert_eq!(shard.activity, expected);
+            assert_ne!(expected, activity.trace().totals());
+        }
+        let merged = ActivityReport::from_trace(&nl, aggregate.merged_trace()).totals();
+        assert_eq!(aggregate.merged_totals(), merged);
+        assert!(merged.transitions > 0);
     }
 
     #[test]

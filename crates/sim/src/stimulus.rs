@@ -76,11 +76,12 @@ impl RandomStimulus {
         self
     }
 
-    /// Additionally drives a whole bus to a constant value on every cycle.
+    /// Additionally drives a whole bus to a constant value on every cycle,
+    /// least-significant bit first; bits from index 64 on are held at 0.
     #[must_use]
     pub fn hold_bus(mut self, bus: &Bus, value: u64) -> Self {
         for (i, &bit) in bus.bits().iter().enumerate() {
-            self.held.push((bit, (value >> i) & 1 == 1));
+            self.held.push((bit, bit_of(value, i)));
         }
         self
     }
@@ -140,6 +141,71 @@ impl RandomStimulus {
             })
             .collect()
     }
+
+    /// The nets one cycle's assignment drives, in order: every bus bit,
+    /// buses in order, then every held net. A net may appear more than
+    /// once (a held net that is also a bus bit).
+    pub(crate) fn drives(&self) -> impl Iterator<Item = NetId> + '_ {
+        self.buses
+            .iter()
+            .flat_map(|bus| bus.bits().iter().copied())
+            .chain(self.held.iter().map(|&(net, _)| net))
+    }
+
+    /// Draws the next `lanes` cycles (fewer when the program ends first)
+    /// as lane words, cycle `l` in bit `l % 64` of word `l / 64`: the form
+    /// the timed kernel takes its inputs in. `planes` receives, per drive
+    /// of [`RandomStimulus::drives`], `lanes.div_ceil(64)` words of the
+    /// value each cycle gives it, bits beyond the last lane clear. The
+    /// same stream in the same order as [`StimulusProgram::next_vector`].
+    /// Returns the number of lanes drawn.
+    pub(crate) fn next_lanes(&mut self, lanes: usize, planes: &mut Vec<u64>) -> usize {
+        let lanes = lanes.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+        self.remaining -= lanes as u64;
+        let words = lanes.div_ceil(64);
+        let bus_bits: usize = self.buses.iter().map(Bus::width).sum();
+        planes.clear();
+        planes.resize((bus_bits + self.held.len()) * words, 0);
+        for lane in 0..lanes {
+            let (w, lane_bit) = (lane / 64, 1u64 << (lane % 64));
+            let mut at = 0;
+            for bus in &self.buses {
+                draw_bus(&mut self.rng, bus.width(), |first, mut bits| {
+                    while bits != 0 {
+                        let i = bits.trailing_zeros() as usize;
+                        planes[(at + first + i) * words + w] |= lane_bit;
+                        bits &= bits - 1;
+                    }
+                });
+                at += bus.width();
+            }
+        }
+        for (drive, &(_, value)) in self.held.iter().enumerate() {
+            if value {
+                let plane = &mut planes[(bus_bits + drive) * words..][..words];
+                for (w, word) in plane.iter_mut().enumerate() {
+                    *word = mask(lanes - 64 * w);
+                }
+            }
+        }
+        lanes
+    }
+}
+
+/// Draws one cycle's value of a `width`-bit bus: one `u64` per 64-bit
+/// chunk, least significant chunk first (a bus of no bits still draws
+/// one), each handed to `chunk` with the index of its first bit and
+/// masked to the bus width. This is the definition of the random stream.
+fn draw_bus(rng: &mut StdRng, width: usize, mut chunk: impl FnMut(usize, u64)) {
+    for first in (0..width.max(1)).step_by(64) {
+        let value: u64 = rng.gen();
+        chunk(first, value & mask(width - first));
+    }
+}
+
+/// Bit `i` of `value`, least significant first; 0 from index 64 on.
+pub(crate) fn bit_of(value: u64, i: usize) -> bool {
+    i < 64 && (value >> i) & 1 == 1
 }
 
 impl StimulusProgram for RandomStimulus {
@@ -150,8 +216,11 @@ impl StimulusProgram for RandomStimulus {
         self.remaining -= 1;
         let mut assignment = InputAssignment::new();
         for bus in &self.buses {
-            let value: u64 = self.rng.gen();
-            assignment.set_bus(bus, value & mask(bus.width()));
+            draw_bus(&mut self.rng, bus.width(), |first, bits| {
+                for (i, &net) in bus.bits()[first..].iter().take(64).enumerate() {
+                    assignment.set(net, (bits >> i) & 1 == 1);
+                }
+            });
         }
         for &(net, value) in &self.held {
             assignment.set(net, value);
@@ -309,6 +378,33 @@ mod tests {
             assert!(v.assignments().contains(&(thr.bit(1), false)));
             assert!(v.assignments().contains(&(thr.bit(3), true)));
         }
+    }
+
+    #[test]
+    fn wide_buses_draw_one_word_per_64_bits() {
+        let mut nl = Netlist::new("t");
+        let wide = nl.add_input_bus("w", 65);
+        let full = nl.add_input_bus("f", 64);
+        let vector = RandomStimulus::new(vec![wide.clone(), full.clone()], 1, 5)
+            .next()
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let draws: [u64; 3] = [rng.gen(), rng.gen(), rng.gen()];
+        let expected: Vec<(NetId, bool)> = (0..64)
+            .map(|i| (wide.bit(i), (draws[0] >> i) & 1 == 1))
+            .chain([(wide.bit(64), draws[1] & 1 == 1)])
+            .chain((0..64).map(|i| (full.bit(i), (draws[2] >> i) & 1 == 1)))
+            .collect();
+        assert_eq!(vector.assignments(), expected.as_slice());
+        // A single word drives bits 64 and above of a bus to 0.
+        let set = InputAssignment::new().with_bus(&wide, u64::MAX);
+        assert_eq!(set.assignments()[63], (wide.bit(63), true));
+        assert_eq!(set.assignments()[64], (wide.bit(64), false));
+        let held = RandomStimulus::new(Vec::new(), 1, 5)
+            .hold_bus(&wide, u64::MAX)
+            .next()
+            .unwrap();
+        assert_eq!(held.assignments(), set.assignments());
     }
 
     #[test]
