@@ -1,7 +1,8 @@
-//! Golden-file tests for the machine-readable CLI outputs: the exact
-//! `--json` bytes of `sweep` and `analyze --window` are pinned under
-//! `tests/golden/`, so neither the JSON schema nor the deterministic
-//! seeded numbers can drift silently.
+//! Golden-file tests for the CLI outputs: the exact `--json` bytes of
+//! `sweep`, `analyze`, `check` and `reduce`, the text reports of
+//! `analyze` and `power`, and the `analyze --csv` file are pinned under
+//! `tests/golden/`, so neither the formats nor the deterministic seeded
+//! numbers can drift silently.
 //!
 //! The simulations are fully deterministic (fixed seeds, IEEE-754
 //! arithmetic, round-tripping float formatting), so byte-for-byte
@@ -209,4 +210,32 @@ fn reduce_json_matches_golden() {
     let second = run_stdout(&args);
     assert_eq!(first, second, "reduce --json must be deterministic");
     assert_matches_golden("reduce_rca4.json", &first);
+}
+
+#[test]
+fn analyze_text_matches_golden() {
+    let out = run_stdout(&["analyze", "rca4.blif"]);
+    assert_matches_golden("analyze_rca4.txt", &out);
+}
+
+#[test]
+fn analyze_multi_seed_text_matches_golden() {
+    let out = run_stdout(&["analyze", "counter4.blif", "--seeds", "3", "--jobs", "2"]);
+    assert_matches_golden("analyze_seeds_counter4.txt", &out);
+}
+
+#[test]
+fn power_text_matches_golden() {
+    let out = run_stdout(&["power", "rca4.blif"]);
+    assert_matches_golden("power_rca4.txt", &out);
+}
+
+#[test]
+fn analyze_csv_matches_golden() {
+    let csv = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden_analyze_rca4.csv");
+    let csv_arg = csv.to_str().expect("the target directory path is UTF-8");
+    let out = run_stdout(&["analyze", "rca4.blif", "--csv", csv_arg]);
+    assert!(out.ends_with(&format!("wrote {csv_arg}\n")), "{out}");
+    let written = std::fs::read_to_string(&csv).expect("--csv writes its file");
+    assert_matches_golden("analyze_rca4.csv", &written);
 }
