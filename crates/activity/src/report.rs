@@ -1,9 +1,10 @@
 //! Aggregate activity figures and human-readable reports.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use glitch_netlist::{NetId, Netlist};
 
+use crate::node::NodeActivity;
 use crate::trace::ActivityTrace;
 
 /// Aggregated transition totals over a set of nodes and cycles.
@@ -74,23 +75,17 @@ impl fmt::Display for ActivityTotals {
     }
 }
 
-/// A per-node activity report tied to a netlist, with named rows.
-#[derive(Debug, Clone)]
-pub struct ActivityReport {
-    rows: Vec<ReportRow>,
-    totals: ActivityTotals,
-    design: String,
+/// A per-node activity report: a view of a trace whose node indices are a
+/// netlist's net indices (which is how `glitch-sim` records traces), over
+/// its [`ActivityReport::logic_nodes`]. It owns no rows; names are read
+/// from the netlist when the report is rendered.
+#[derive(Debug, Clone, Copy)]
+pub struct ActivityReport<'a> {
+    netlist: &'a Netlist,
+    trace: &'a ActivityTrace,
 }
 
-#[derive(Debug, Clone)]
-struct ReportRow {
-    name: String,
-    transitions: u64,
-    useful: u64,
-    useless: u64,
-}
-
-impl ActivityReport {
+impl<'a> ActivityReport<'a> {
     /// The nodes an [`ActivityReport`] covers, in net order: the
     /// *combinational logic* nets, which is what the paper's
     /// transition-activity figures describe. Primary-input nets are
@@ -98,7 +93,7 @@ impl ActivityReport {
     /// flipflop-output nets because they switch at most once per cycle and
     /// their dissipation is accounted by the per-flipflop power figure.
     /// [`ActivityTrace::totals_for`] over these equals
-    /// [`ActivityReport::totals`] without building the rows.
+    /// [`ActivityReport::totals`].
     #[must_use]
     pub fn logic_nodes(netlist: &Netlist) -> Vec<usize> {
         let mut ff_output = vec![false; netlist.net_count()];
@@ -116,107 +111,88 @@ impl ActivityReport {
             .collect()
     }
 
-    /// Builds a report from a trace whose node indices are the netlist's net
-    /// indices (which is how `glitch-sim` records traces), over its
-    /// [`ActivityReport::logic_nodes`].
+    /// The report of `trace` over `netlist`'s logic nodes.
     #[must_use]
-    pub fn from_trace(netlist: &Netlist, trace: &ActivityTrace) -> Self {
-        let mut included = Self::logic_nodes(netlist);
-        included.retain(|&index| index < trace.node_count());
-        let rows = included
-            .iter()
-            .map(|&index| {
-                let node = trace.node(index);
-                ReportRow {
-                    name: netlist.net(NetId::from_index(index)).name().to_string(),
-                    transitions: node.transitions(),
-                    useful: node.useful(),
-                    useless: node.useless(),
-                }
-            })
-            .collect();
-        let totals = trace.totals_for(included);
-        ActivityReport {
-            rows,
-            totals,
-            design: netlist.name().to_string(),
-        }
+    pub fn new(netlist: &'a Netlist, trace: &'a ActivityTrace) -> Self {
+        ActivityReport { netlist, trace }
+    }
+
+    /// The reported nodes: the logic nodes the trace covers.
+    fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        Self::logic_nodes(self.netlist)
+            .into_iter()
+            .filter(|&index| index < self.trace.node_count())
+    }
+
+    /// The reported nodes' names and activity, in net order.
+    fn rows(&self) -> impl Iterator<Item = (&'a str, &'a NodeActivity)> + '_ {
+        let (netlist, trace) = (self.netlist, self.trace);
+        self.nodes().map(move |index| {
+            (
+                netlist.net(NetId::from_index(index)).name(),
+                trace.node(index),
+            )
+        })
     }
 
     /// Aggregated totals over every reported node.
     #[must_use]
     pub fn totals(&self) -> ActivityTotals {
-        self.totals
-    }
-
-    /// Name of the analysed design.
-    #[must_use]
-    pub fn design(&self) -> &str {
-        &self.design
-    }
-
-    /// Number of reported (non-input) nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.rows.len()
+        self.trace.totals_for(self.nodes())
     }
 
     /// The `n` nodes with the most useless transitions — the glitch hot
     /// spots a designer would attack first.
     #[must_use]
-    pub fn worst_nodes(&self, n: usize) -> Vec<(&str, u64)> {
+    pub fn worst_nodes(&self, n: usize) -> Vec<(&'a str, u64)> {
         let mut indexed: Vec<(&str, u64)> = self
-            .rows
-            .iter()
-            .map(|r| (r.name.as_str(), r.useless))
+            .rows()
+            .map(|(name, node)| (name, node.useless()))
             .collect();
         indexed.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         indexed.truncate(n);
         indexed
     }
 
-    /// Totals restricted to nets whose index is listed in `nets`, looked up
-    /// by name in the report.
+    /// Totals restricted to the reported nodes among `nets`.
     #[must_use]
-    pub fn totals_for_nets(&self, netlist: &Netlist, nets: &[NetId]) -> ActivityTotals {
-        let mut totals = ActivityTotals {
-            cycles: self.totals.cycles,
-            ..Default::default()
-        };
-        for &net in nets {
-            let name = netlist.net(net).name();
-            if let Some(row) = self.rows.iter().find(|r| r.name == name) {
-                totals.transitions += row.transitions;
-                totals.useful += row.useful;
-                totals.useless += row.useless;
-            }
-        }
-        totals
+    pub fn totals_for_nets(&self, nets: &[NetId]) -> ActivityTotals {
+        let nodes: Vec<usize> = self.nodes().collect();
+        self.trace.totals_for(
+            nets.iter()
+                .map(|net| net.index())
+                .filter(|index| nodes.binary_search(index).is_ok()),
+        )
     }
 
     /// Renders the report as comma-separated values (`node,transitions,useful,useless`).
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut out = String::from("node,transitions,useful,useless\n");
-        for row in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                row.name, row.transitions, row.useful, row.useless
-            ));
+        for (name, node) in self.rows() {
+            let _ = writeln!(
+                out,
+                "{name},{},{},{}",
+                node.transitions(),
+                node.useful(),
+                node.useless()
+            );
         }
         out
     }
 }
 
-impl fmt::Display for ActivityReport {
+impl fmt::Display for ActivityReport<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let totals = self.totals();
         writeln!(
             f,
             "transition activity for `{}` over {} cycles",
-            self.design, self.totals.cycles
+            self.netlist.name(),
+            totals.cycles
         )?;
-        writeln!(f, "  {}", self.totals)?;
-        writeln!(f, "  nodes monitored: {}", self.rows.len())?;
+        writeln!(f, "  {totals}")?;
+        writeln!(f, "  nodes monitored: {}", self.nodes().count())?;
         writeln!(f, "  worst glitching nodes:")?;
         for (name, useless) in self.worst_nodes(5) {
             writeln!(f, "    {name:<24} useless {useless}")?;
@@ -246,15 +222,15 @@ mod tests {
     #[test]
     fn report_excludes_primary_inputs() {
         let (nl, trace) = tiny_netlist_and_trace();
-        let report = ActivityReport::from_trace(&nl, &trace);
-        assert_eq!(report.node_count(), 2);
+        let report = ActivityReport::new(&nl, &trace);
+        assert_eq!(ActivityReport::logic_nodes(&nl), vec![2, 3]);
         let totals = report.totals();
         // Only x and y are counted: x = 2 (all useless), y = 3 + 1 (two
         // useful, two useless).
         assert_eq!(totals.transitions, 6);
         assert_eq!(totals.useful, 2);
         assert_eq!(totals.useless, 4);
-        assert_eq!(report.design(), "tiny");
+        assert!(report.to_string().contains("nodes monitored: 2\n"));
     }
 
     #[test]
@@ -287,7 +263,7 @@ mod tests {
     #[test]
     fn worst_nodes_sorted_by_useless() {
         let (nl, trace) = tiny_netlist_and_trace();
-        let report = ActivityReport::from_trace(&nl, &trace);
+        let report = ActivityReport::new(&nl, &trace);
         let worst = report.worst_nodes(2);
         assert_eq!(worst.len(), 2);
         // x and y both have two useless transitions; ties break by name.
@@ -298,7 +274,7 @@ mod tests {
     #[test]
     fn csv_and_display_render() {
         let (nl, trace) = tiny_netlist_and_trace();
-        let report = ActivityReport::from_trace(&nl, &trace);
+        let report = ActivityReport::new(&nl, &trace);
         let csv = report.to_csv();
         assert!(csv.starts_with("node,transitions"));
         assert!(csv.contains("y,4,"));
@@ -310,9 +286,10 @@ mod tests {
     #[test]
     fn totals_for_named_nets() {
         let (nl, trace) = tiny_netlist_and_trace();
-        let report = ActivityReport::from_trace(&nl, &trace);
+        let report = ActivityReport::new(&nl, &trace);
         let y = nl.find_net("y").unwrap();
-        let totals = report.totals_for_nets(&nl, &[y]);
-        assert_eq!(totals.transitions, 4);
+        let a = nl.find_net("a").unwrap();
+        let totals = report.totals_for_nets(&[y, a]);
+        assert_eq!(totals.transitions, 4, "the input `a` is not reported");
     }
 }

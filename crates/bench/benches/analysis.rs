@@ -35,7 +35,7 @@ fn bench_analysis(c: &mut Criterion) {
     });
 
     c.bench_function("activity_report_wallace16", |b| {
-        b.iter(|| ActivityReport::from_trace(&mult.netlist, &trace).totals())
+        b.iter(|| ActivityReport::new(&mult.netlist, &trace).totals())
     });
 
     c.bench_function("power_estimate_wallace16", |b| {

@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::sim::{
-    kernel_prepass, DelayKind, ParallelRunner, RandomStimulus, SimJob, SimSession, StatsProbe,
+    kernel_prepass, DelayKind, ParallelRunner, RandomStimulus, SimJob, SimSession,
 };
 use glitch_core::KernelProgram;
 
@@ -47,7 +47,6 @@ fn bench_kernel(c: &mut Criterion) {
                 .map(|s| {
                     SimSession::new(&mult.netlist)
                         .stimulus(RandomStimulus::new(buses.clone(), CYCLES, SEED0 + s))
-                        .probe(StatsProbe::new())
                         .run()
                         .expect("settles")
                         .total_transitions()

@@ -15,8 +15,7 @@ use glitch_core::arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::netlist::{Bus, Netlist};
 use glitch_core::power::Technology;
 use glitch_core::sim::{
-    ActivityProbe, AggregateReport, ParallelRunner, PowerProbe, RandomStimulus, SimJob, SimSession,
-    VcdProbe,
+    ActivityProbe, AggregateReport, ParallelRunner, RandomStimulus, SimJob, SimSession, VcdProbe,
 };
 
 const CYCLES: u64 = 50;
@@ -40,8 +39,7 @@ fn bare(netlist: &Netlist, buses: &[Bus]) -> u64 {
 fn one_pass_session(netlist: &Netlist, buses: &[Bus]) -> u64 {
     let report = SimSession::new(netlist)
         .stimulus(stimulus(buses))
-        .probe(ActivityProbe::new())
-        .probe(PowerProbe::new(Technology::cmos_0p8um_5v(), 5e6))
+        .probe(ActivityProbe::priced(Technology::cmos_0p8um_5v(), 5e6))
         .probe(VcdProbe::default())
         .run()
         .expect("settles");
@@ -53,8 +51,7 @@ fn one_pass_session(netlist: &Netlist, buses: &[Bus]) -> u64 {
 fn two_pass_seed_style(netlist: &Netlist, buses: &[Bus]) -> u64 {
     let analysis_pass = SimSession::new(netlist)
         .stimulus(stimulus(buses))
-        .probe(ActivityProbe::new())
-        .probe(PowerProbe::new(Technology::cmos_0p8um_5v(), 5e6))
+        .probe(ActivityProbe::priced(Technology::cmos_0p8um_5v(), 5e6))
         .run()
         .expect("settles");
     let vcd_pass = SimSession::new(netlist)

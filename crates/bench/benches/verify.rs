@@ -17,9 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::netlist::Netlist;
 use glitch_core::power::Technology;
-use glitch_core::sim::{
-    ActivityProbe, InputAssignment, PowerProbe, RandomStimulus, SimSession, StatsProbe,
-};
+use glitch_core::sim::{ActivityProbe, InputAssignment, RandomStimulus, SimSession};
 use glitch_core::verify::{BudgetSpec, CheckSuite};
 
 const CYCLES: u64 = 300;
@@ -53,9 +51,7 @@ fn workload() -> Workload {
 fn bare_session(w: &Workload) -> u64 {
     let report = SimSession::new(&w.netlist)
         .stimulus(w.stimulus.clone())
-        .probe(ActivityProbe::new())
-        .probe(PowerProbe::new(Technology::cmos_0p8um_5v(), 5e6))
-        .probe(StatsProbe::new())
+        .probe(ActivityProbe::priced(Technology::cmos_0p8um_5v(), 5e6))
         .run()
         .expect("settles");
     report.total_transitions()
@@ -64,9 +60,7 @@ fn bare_session(w: &Workload) -> u64 {
 fn checked_session(w: &Workload) -> u64 {
     let report = SimSession::new(&w.netlist)
         .stimulus(w.stimulus.clone())
-        .probe(ActivityProbe::new())
-        .probe(PowerProbe::new(Technology::cmos_0p8um_5v(), 5e6))
-        .probe(StatsProbe::new())
+        .probe(ActivityProbe::priced(Technology::cmos_0p8um_5v(), 5e6))
         .probe(w.suite.build())
         .run()
         .expect("settles");

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for c in &candidates {
         let analysis =
             analyzer.analyze(&c.netlist, &[c.a.clone(), c.b.clone()], &[(c.cin, false)])?;
-        let totals = analysis.activity.totals();
+        let totals = analysis.activity;
         table.add_row(vec![
             c.name.clone(),
             c.netlist.cell_count().to_string(),

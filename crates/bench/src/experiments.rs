@@ -45,7 +45,7 @@ fn analyze_multiplier(
         .expect("multiplier netlists are valid and settle");
     MultiplierRow {
         name: name.to_string(),
-        totals: analysis.activity.totals(),
+        totals: analysis.activity,
     }
 }
 
@@ -195,7 +195,7 @@ pub fn figure5(bits: usize, vectors: u64) -> Figure5 {
         sums,
         carries,
         expectation: AdderExpectation::ripple_carry(bits as u32, vectors),
-        totals: analysis.activity.totals(),
+        totals: analysis.activity,
     }
 }
 
@@ -356,7 +356,7 @@ pub fn direction_detector_activity(cycles: u64) -> DirectionDetectorActivity {
         .analyze(&det.netlist, &buses, &[])
         .expect("settles");
     DirectionDetectorActivity {
-        totals: analysis.activity.totals(),
+        totals: analysis.activity,
         balance_reduction_factor: analysis.balance_reduction_factor(),
         cells: det.netlist.cell_count(),
     }

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
-use glitch_core::sim::{kernel_prepass, RandomStimulus, SimJob, SimSession, StatsProbe};
+use glitch_core::sim::{kernel_prepass, RandomStimulus, SimJob, SimSession};
 use glitch_core::KernelProgram;
 
 const CYCLES: u64 = 200;
@@ -55,7 +55,6 @@ fn kernel_functional_eval_is_at_least_ten_times_faster_than_queue() {
             .map(|s| {
                 SimSession::new(&mult.netlist)
                     .stimulus(RandomStimulus::new(buses.clone(), CYCLES, SEED0 + s))
-                    .probe(StatsProbe::new())
                     .run()
                     .expect("settles")
                     .total_transitions()

@@ -18,7 +18,7 @@
 use std::time::{Duration, Instant};
 
 use glitch_core::arith::{AdderStyle, ArrayMultiplier};
-use glitch_core::sim::{DelayKind, RandomStimulus, SimSession, StatsProbe};
+use glitch_core::sim::{DelayKind, RandomStimulus, SimSession};
 
 const CYCLES: u64 = 100;
 const SEED: u64 = 0x5E77;
@@ -47,7 +47,6 @@ fn zero_delay_settle_is_at_most_twice_unit_delay_settle() {
             SimSession::new(&mult.netlist)
                 .delay(delay.clone())
                 .stimulus(RandomStimulus::new(buses.clone(), CYCLES, SEED))
-                .probe(StatsProbe::new())
                 .run()
                 .expect("settles")
                 .total_transitions()

@@ -6,6 +6,7 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
+use glitch_core::activity::ActivityReport;
 use glitch_core::netlist::{DotOptions, Netlist};
 use glitch_core::retime::{pipeline_netlist, PipelineOptions};
 use glitch_core::sim::{
@@ -597,19 +598,22 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
         println!("== {path}: `{}` ==", netlist.name());
         print!("{}", netlist.stats());
         println!();
-        print_analyze_text(&output);
+        print_analyze_text(&netlist, &output);
     }
-    let (activity, windowed) = match &output {
+    let (analysis, windowed) = match &output {
         JobOutput::Analyze {
             aggregate,
             windowed,
             ..
-        } => (&aggregate.activity, windowed.as_ref()),
-        JobOutput::Flip { after, .. } => (&after.activity, None),
+        } => (aggregate, windowed.as_ref()),
+        JobOutput::Flip { after, .. } => (&**after, None),
         _ => unreachable!("analyze jobs produce analyze output"),
     };
     if let Some(csv_path) = args.option("csv") {
-        write_file(csv_path, &activity.to_csv())?;
+        write_file(
+            csv_path,
+            &ActivityReport::new(&netlist, analysis.trace()).to_csv(),
+        )?;
     }
     if let Some(vcd_path) = args.option("vcd") {
         write_file(vcd_path, &vcd_text.expect("VcdProbe attached above"))?;
@@ -623,7 +627,7 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
 }
 
 /// The text report of an `analyze` job, after the netlist header.
-fn print_analyze_text(output: &JobOutput) {
+fn print_analyze_text(netlist: &Netlist, output: &JobOutput) {
     match output {
         JobOutput::Analyze {
             seeds,
@@ -632,7 +636,7 @@ fn print_analyze_text(output: &JobOutput) {
             aggregate,
             ..
         } => {
-            let totals = aggregate.activity.totals();
+            let totals = aggregate.activity();
             let total_cycles = aggregate.total_cycles();
             let events = aggregate.aggregate.total_events();
             let max_settle = aggregate.aggregate.max_settle_time();
@@ -663,7 +667,7 @@ fn print_analyze_text(output: &JobOutput) {
                 println!();
                 println!("aggregate over the combined activity of all seeds:");
             }
-            print!("{}", aggregate.activity);
+            print!("{}", ActivityReport::new(netlist, aggregate.trace()));
             println!(
                 "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
                  combinational activity by a factor of {:.2}",
@@ -671,7 +675,7 @@ fn print_analyze_text(output: &JobOutput) {
                 totals.balance_reduction_factor()
             );
             println!();
-            print!("{}", aggregate.power);
+            print!("{}", aggregate.power());
         }
         JobOutput::Flip {
             applied,
@@ -691,8 +695,8 @@ fn print_analyze_text(output: &JobOutput) {
                 "total (mW)",
             ]);
             for (label, totals, power) in [
-                ("baseline", before.activity.totals(), &before.power),
-                ("flipped", after.activity.totals(), &after.power),
+                ("baseline", before.activity(), before.power()),
+                ("flipped", after.activity(), after.power()),
             ] {
                 table.add_row(vec![
                     label.to_string(),
@@ -838,10 +842,10 @@ fn cmd_power(raw: &[String]) -> Result<(), CliError> {
         unreachable!("analyze jobs produce analyze output")
     };
     if seeds == 1 {
-        print!("{}", aggregate.power);
+        print!("{}", aggregate.power());
     } else {
         println!("aggregate of {seeds} seeds x {cycles} cycles on {jobs} jobs:");
-        print!("{}", aggregate.power);
+        print!("{}", aggregate.power());
         let spread = aggregate.power_spread();
         println!(
             "  per-seed total power {:.3} ± {:.3} mW (min {:.3}, max {:.3})",
@@ -928,15 +932,15 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
         "power sd (mW)",
     ]);
     for point in points {
-        let totals = point.analysis.activity.totals();
+        let totals = point.analysis.activity();
         let glitches = point.analysis.glitch_spread();
         let power = point.analysis.power_spread();
         table.add_row(vec![
             point.label.clone(),
             format!("{:.1} +/- {:.1}", glitches.mean, glitches.stddev),
             format!("{:.3}", totals.useless_to_useful()),
-            format!("{:.3}", point.analysis.power.breakdown.logic * 1e3),
-            format!("{:.3}", point.analysis.power.breakdown.total() * 1e3),
+            format!("{:.3}", point.analysis.power().breakdown.logic * 1e3),
+            format!("{:.3}", point.analysis.power().breakdown.total() * 1e3),
             format!("{:.3}", power.stddev * 1e3),
         ]);
     }
@@ -958,7 +962,7 @@ fn print_flip_sweep(
     before: &AggregateAnalysis,
     points: &[AggregateAnalysis],
 ) {
-    let base_useless = before.activity.totals().useless;
+    let base_useless = before.activity().useless;
     println!(
         "input-flip sensitivity sweep of `{}`: {} inputs flipped in cycle \
          {cycle} on {jobs} jobs, against a baseline of {} cycles",
@@ -969,13 +973,13 @@ fn print_flip_sweep(
     println!();
     let mut table = TextTable::new(vec!["input", "flip", "useless", "d useless", "total (mW)"]);
     for ((name, _, value), point) in applied.iter().zip(points) {
-        let useless = point.activity.totals().useless;
+        let useless = point.activity().useless;
         table.add_row(vec![
             name.clone(),
             format!("->{}", u8::from(*value)),
             useless.to_string(),
             format!("{:+}", useless as i64 - base_useless as i64),
-            format!("{:.3}", point.power.breakdown.total() * 1e3),
+            format!("{:.3}", point.power().breakdown.total() * 1e3),
         ]);
     }
     print!("{table}");
@@ -1202,7 +1206,7 @@ fn cmd_retime(raw: &[String]) -> Result<(), CliError> {
         ("original", &netlist, &before),
         ("retimed", &piped.netlist, &after),
     ] {
-        let totals = analysis.activity.totals();
+        let totals = analysis.activity;
         let power = &analysis.power.breakdown;
         table.add_row(vec![
             label.to_string(),

@@ -1,6 +1,6 @@
 //! Probe-equivalence suite: a single multi-probe session must reproduce
 //! the seed's two-pass results **bit-for-bit** on the bundled corpus —
-//! activity totals, the per-node glitch histogram, power joules and the
+//! activity totals, the per-node glitch histogram, the power report and the
 //! VCD transition count — while simulating exactly once (asserted via a
 //! cycle-counting probe).
 
@@ -11,8 +11,7 @@ use glitch_core::activity::ActivityReport;
 use glitch_core::netlist::{Bus, Netlist};
 use glitch_core::power::Technology;
 use glitch_core::sim::{
-    ActivityProbe, CycleStats, PowerProbe, Probe, RandomStimulus, SimSession, VcdProbe,
-    WaveCsvProbe,
+    ActivityProbe, CycleStats, Probe, RandomStimulus, SimSession, VcdProbe, WaveCsvProbe,
 };
 use glitch_core::{AnalysisConfig, GlitchAnalyzer};
 use glitch_io::{parse_netlist, Format, GateLibrary};
@@ -85,8 +84,7 @@ fn multi_probe_session_matches_single_probe_sessions_bit_for_bit() {
         // The new way: every observable from ONE pass.
         let multi = SimSession::new(&netlist)
             .stimulus(stimulus(&netlist))
-            .probe(ActivityProbe::new())
-            .probe(PowerProbe::new(tech, 5e6))
+            .probe(ActivityProbe::priced(tech, 5e6))
             .probe(VcdProbe::default())
             .probe(WaveCsvProbe::new())
             .probe(PassCounter::default())
@@ -101,7 +99,7 @@ fn multi_probe_session_matches_single_probe_sessions_bit_for_bit() {
             .unwrap();
         let power_pass = SimSession::new(&netlist)
             .stimulus(stimulus(&netlist))
-            .probe(PowerProbe::new(tech, 5e6))
+            .probe(ActivityProbe::priced(tech, 5e6))
             .run()
             .unwrap();
         let vcd_pass = SimSession::new(&netlist)
@@ -124,8 +122,8 @@ fn multi_probe_session_matches_single_probe_sessions_bit_for_bit() {
         let multi_trace = multi.probe::<ActivityProbe>().unwrap().trace();
         let solo_trace = activity_pass.probe::<ActivityProbe>().unwrap().trace();
         assert_eq!(multi_trace, solo_trace, "{name}: traces differ");
-        let multi_report = ActivityReport::from_trace(&netlist, multi_trace);
-        let solo_report = ActivityReport::from_trace(&netlist, solo_trace);
+        let multi_report = ActivityReport::new(&netlist, multi_trace);
+        let solo_report = ActivityReport::new(&netlist, solo_trace);
         assert_eq!(multi_report.totals(), solo_report.totals(), "{name}");
         // Glitch histogram per node.
         for i in 0..netlist.net_count() {
@@ -138,9 +136,18 @@ fn multi_probe_session_matches_single_probe_sessions_bit_for_bit() {
 
         // Power: the report (logic/flipflop/clock watts, switched
         // capacitance) is bit-for-bit equal, f64 equality included.
-        let multi_power = multi.probe::<PowerProbe>().unwrap().report().unwrap();
-        let solo_power = power_pass.probe::<PowerProbe>().unwrap().report().unwrap();
-        assert_eq!(multi_power, solo_power, "{name}: power reports differ");
+        let power = |report: &glitch_core::sim::SessionReport| {
+            report
+                .probe::<ActivityProbe>()
+                .unwrap()
+                .power(&netlist)
+                .expect("priced")
+        };
+        assert_eq!(
+            power(&multi),
+            power(&power_pass),
+            "{name}: power reports differ"
+        );
 
         // VCD: identical transition count and identical rendered text.
         let multi_vcd = multi.probe::<VcdProbe>().unwrap();
@@ -193,11 +200,7 @@ fn analyzer_session_with_extra_probes_matches_plain_analyze() {
     let with_probes = GlitchAnalyzer::analysis(&netlist, report);
 
     assert_eq!(with_probes.trace, plain.trace, "{name}: traces differ");
-    assert_eq!(
-        with_probes.activity.totals(),
-        plain.activity.totals(),
-        "{name}"
-    );
+    assert_eq!(with_probes.activity, plain.activity, "{name}");
     assert_eq!(with_probes.power, plain.power, "{name}: power differs");
     assert!(vcd.contains("$enddefinitions"));
     assert!(wave.starts_with("cycle,time,net,value,kind\n"));

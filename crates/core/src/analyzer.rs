@@ -5,13 +5,13 @@ use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
-use glitch_activity::{ActivityReport, ActivityTrace};
+use glitch_activity::{ActivityReport, ActivityTotals, ActivityTrace};
 use glitch_netlist::{Bus, ConeIndex, NetId, Netlist};
 use glitch_power::{PowerReport, Technology};
 use glitch_sim::{
     run_kernel_jobs, ActivityProbe, AggregateReport, DelayKind, DeltaStimulus, IncrementalStats,
-    KernelProgram, ParallelRunner, PowerProbe, Probe, SessionReport, SimBaseline, SimError, SimJob,
-    SimSession, Spread,
+    KernelProgram, ParallelRunner, Probe, SessionReport, SimBaseline, SimError, SimJob, SimSession,
+    Spread,
 };
 
 /// Which execution backend the analysis entry points drive.
@@ -148,8 +148,14 @@ impl Default for AnalysisConfig {
 /// Result of one [`GlitchAnalyzer::analyze`] run.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// Per-node transition activity with useful/useless classification.
-    pub activity: ActivityReport,
+    /// Combinational-logic transition totals with the useful/useless
+    /// classification (over [`ActivityReport::logic_nodes`]; render the
+    /// per-node report with [`ActivityReport::new`] over
+    /// [`Analysis::trace`]).
+    ///
+    /// [`ActivityReport::logic_nodes`]: glitch_activity::ActivityReport::logic_nodes
+    /// [`ActivityReport::new`]: glitch_activity::ActivityReport::new
+    pub activity: ActivityTotals,
     /// Three-component dynamic power estimate.
     pub power: PowerReport,
     /// The raw per-net trace (node indices are net indices), for custom
@@ -164,7 +170,7 @@ impl Analysis {
     /// factor `1 + L/F` if all delay paths were balanced.
     #[must_use]
     pub fn balance_reduction_factor(&self) -> f64 {
-        self.activity.totals().balance_reduction_factor()
+        self.activity.balance_reduction_factor()
     }
 }
 
@@ -179,14 +185,10 @@ impl Analysis {
 /// runs regardless of the worker count.
 #[derive(Debug, Clone)]
 pub struct AggregateAnalysis {
-    /// Per-node activity report over the **combined** activity of every
-    /// seed, with useful/useless classification.
-    pub activity: ActivityReport,
-    /// Power estimate over the combined activity of every seed.
-    pub power: PowerReport,
     /// The seeds that were simulated, in shard order.
     pub seeds: Vec<u64>,
-    /// The underlying shard aggregate (per-seed summaries + spreads).
+    /// The underlying shard aggregate (per-seed summaries + spreads, the
+    /// merged trace, its totals and its power report).
     pub aggregate: AggregateReport,
     /// Kernel-side work accounting of an [`EngineKind::Kernel`] run;
     /// `None` for every other engine. Telemetry only — the analysis
@@ -196,14 +198,25 @@ pub struct AggregateAnalysis {
 
 impl AggregateAnalysis {
     /// Distils a reduced shard aggregate into the analysis form.
-    fn from_aggregate(netlist: &Netlist, seeds: &[u64], aggregate: AggregateReport) -> Self {
+    fn from_aggregate(seeds: &[u64], aggregate: AggregateReport) -> Self {
         AggregateAnalysis {
-            activity: ActivityReport::from_trace(netlist, aggregate.merged_trace()),
-            power: aggregate.merged_power().clone(),
             seeds: seeds.to_vec(),
             aggregate,
             kernel: None,
         }
+    }
+
+    /// Combinational-logic transition totals over the **combined**
+    /// activity of every seed, with the useful/useless classification.
+    #[must_use]
+    pub fn activity(&self) -> ActivityTotals {
+        self.aggregate.merged_totals()
+    }
+
+    /// Power estimate over the combined activity of every seed.
+    #[must_use]
+    pub fn power(&self) -> &PowerReport {
+        self.aggregate.merged_power()
     }
 
     /// The merged raw per-net trace (node indices are net indices), for
@@ -293,7 +306,7 @@ pub struct DelaySweepPoint {
 /// let vcd = report.take_probe::<VcdProbe>().unwrap().into_vcd();
 /// let analysis = GlitchAnalyzer::analysis(&adder.netlist, report);
 /// assert!(vcd.contains("$enddefinitions"));
-/// assert!(analysis.activity.totals().transitions > 0);
+/// assert!(analysis.activity.transitions > 0);
 /// # Ok(())
 /// # }
 /// ```
@@ -341,7 +354,8 @@ impl GlitchAnalyzer {
     }
 
     /// Builds the configured one-pass session: the seeded random stimulus,
-    /// the configured delay model, and the activity + power probes. Attach
+    /// the configured delay model, and an activity probe priced at the
+    /// configured operating point ([`ActivityProbe::priced`]). Attach
     /// further probes before calling [`SimSession::run`].
     #[must_use]
     pub fn session<'a>(
@@ -355,8 +369,7 @@ impl GlitchAnalyzer {
             .delay(self.config.delay.clone())
             .options(self.config.options)
             .stimulus(job.stimulus())
-            .probe(ActivityProbe::new())
-            .probe(PowerProbe::new(
+            .probe(ActivityProbe::priced(
                 self.config.technology,
                 self.config.frequency,
             ))
@@ -367,21 +380,19 @@ impl GlitchAnalyzer {
     ///
     /// # Panics
     ///
-    /// Panics if the report is missing the analyzer's activity or power
+    /// Panics if the report is missing the analyzer's priced activity
     /// probe (i.e. it did not come from [`GlitchAnalyzer::session`]).
     #[must_use]
     pub fn analysis(netlist: &Netlist, mut report: SessionReport) -> Analysis {
-        let trace = report
+        let probe = report
             .take_probe::<ActivityProbe>()
-            .expect("analysis sessions carry an ActivityProbe")
-            .into_trace();
-        let power = report
-            .take_probe::<PowerProbe>()
-            .expect("analysis sessions carry a PowerProbe")
-            .into_report();
-        let activity = ActivityReport::from_trace(netlist, &trace);
+            .expect("analysis sessions carry an ActivityProbe");
+        let power = probe
+            .power(netlist)
+            .expect("analysis sessions price their activity");
+        let trace = probe.into_trace();
         Analysis {
-            activity,
+            activity: trace.totals_for(ActivityReport::logic_nodes(netlist)),
             power,
             trace,
             cycles: report.cycles(),
@@ -416,10 +427,10 @@ impl GlitchAnalyzer {
             None,
         )?;
         Ok(Analysis {
-            trace: seed.trace().clone(),
+            activity: seed.activity(),
+            power: seed.power().clone(),
             cycles: seed.total_cycles(),
-            activity: seed.activity,
-            power: seed.power,
+            trace: seed.aggregate.into_merged_trace(),
         })
     }
 
@@ -508,7 +519,7 @@ impl GlitchAnalyzer {
     ///
     /// `extra_probes(seed_index)` builds further probes for each seed's
     /// session. The returned [`SessionReport`]s (one per seed, in seed
-    /// order) have had the standard activity/power/stats probes consumed
+    /// order) have had the standard activity probe consumed
     /// but still carry the extra probes, ready for the caller to take and
     /// fold (e.g. with [`glitch_sim::MergeableProbe`]).
     ///
@@ -560,12 +571,12 @@ impl GlitchAnalyzer {
                 let program = program_or_compile(netlist, program)?;
                 let mut reports = run_kernel_jobs(netlist, &program, &job_list, extra_probes)?;
                 let aggregate = AggregateReport::reduce(netlist, &job_list, &mut reports);
-                let mut analysis = AggregateAnalysis::from_aggregate(netlist, seeds, aggregate);
+                let mut analysis = AggregateAnalysis::from_aggregate(seeds, aggregate);
                 let total_cycles = job_list.len() as u64 * self.config.cycles;
                 analysis.kernel = Some(KernelTelemetry {
                     lanes: job_list.len(),
                     total_cycles,
-                    functional_transitions: analysis.activity.totals().transitions,
+                    functional_transitions: analysis.activity().transitions,
                     functional_cell_evals: program.op_count() as u64 * total_cycles,
                     program_ops: program.op_count(),
                     program_bytes: program.byte_size(),
@@ -649,7 +660,7 @@ impl GlitchAnalyzer {
             points.push(DelaySweepPoint {
                 label: label.clone(),
                 delay: delay.clone(),
-                analysis: AggregateAnalysis::from_aggregate(netlist, seeds, aggregate),
+                analysis: AggregateAnalysis::from_aggregate(seeds, aggregate),
             });
         }
         Ok(points)
@@ -691,10 +702,7 @@ fn reduce_seeds(
     mut reports: Vec<SessionReport>,
 ) -> (AggregateAnalysis, Vec<SessionReport>) {
     let aggregate = AggregateReport::reduce(netlist, jobs, &mut reports);
-    (
-        AggregateAnalysis::from_aggregate(netlist, seeds, aggregate),
-        reports,
-    )
+    (AggregateAnalysis::from_aggregate(seeds, aggregate), reports)
 }
 
 #[cfg(test)]
@@ -717,7 +725,7 @@ mod tests {
                 &[(adder.cin, false)],
             )
             .unwrap();
-        let totals = analysis.activity.totals();
+        let totals = analysis.activity;
         assert_eq!(totals.cycles, 300);
         assert!(totals.useful > 0);
         assert!(totals.useless > 0);
@@ -742,8 +750,8 @@ mod tests {
                 &[(adder.cin, false)],
             )
             .unwrap();
-        assert_eq!(analysis.activity.totals().useless, 0);
-        assert!(analysis.activity.totals().useful > 0);
+        assert_eq!(analysis.activity.useless, 0);
+        assert!(analysis.activity.useful > 0);
     }
 
     #[test]
@@ -765,11 +773,11 @@ mod tests {
         .unwrap();
         // Table 2: making the sum output slower than the carry output adds
         // delay imbalance and therefore useless transitions.
-        assert!(realistic.activity.totals().useless > unit.activity.totals().useless);
+        assert!(realistic.activity.useless > unit.activity.useless);
         // The useful work is unchanged by the delay model.
         assert_eq!(
-            realistic.activity.totals().useful,
-            unit.activity.totals().useful
+            realistic.activity.useful,
+            unit.activity.useful
         );
     }
 
@@ -788,7 +796,7 @@ mod tests {
                 &[(adder.cin, false)],
             )
             .unwrap();
-        assert!(analysis.activity.totals().transitions > 0);
+        assert!(analysis.activity.transitions > 0);
     }
 
     #[test]
@@ -827,7 +835,7 @@ mod tests {
             .0;
         assert_eq!(parallel.aggregate, serial.aggregate);
         assert_eq!(parallel.trace(), serial.trace());
-        assert_eq!(parallel.power, serial.power);
+        assert_eq!(parallel.power(), serial.power());
         assert_eq!(parallel.total_cycles(), 4 * 80);
         assert_eq!(parallel.seeds, seeds);
         // The merged activity equals the sum of per-seed single analyses.
@@ -840,9 +848,9 @@ mod tests {
             })
             .analyze(&adder.netlist, &buses, &held)
             .unwrap();
-            expected_useless += single.activity.totals().useless;
+            expected_useless += single.activity.useless;
         }
-        assert_eq!(parallel.activity.totals().useless, expected_useless);
+        assert_eq!(parallel.activity().useless, expected_useless);
         let spread = parallel.glitch_spread();
         assert!(spread.min <= spread.mean && spread.mean <= spread.max);
         assert!(parallel.power_spread().mean > 0.0);
@@ -871,11 +879,11 @@ mod tests {
         assert_eq!(points[1].delay, DelayKind::Zero);
         // Zero delay is glitch-free; unit delay glitches; the useful work
         // is the same because both saw identical stimuli.
-        assert_eq!(points[1].analysis.activity.totals().useless, 0);
-        assert!(points[0].analysis.activity.totals().useless > 0);
+        assert_eq!(points[1].analysis.activity().useless, 0);
+        assert!(points[0].analysis.activity().useless > 0);
         assert_eq!(
-            points[0].analysis.activity.totals().useful,
-            points[1].analysis.activity.totals().useful
+            points[0].analysis.activity().useful,
+            points[1].analysis.activity().useful
         );
         assert_eq!(points[0].analysis.total_cycles(), 3 * 60);
     }
@@ -931,8 +939,7 @@ mod tests {
         let full_report = SimSession::new(&adder.netlist)
             .delay(analyzer.config().delay.clone())
             .stimulus(merged)
-            .probe(ActivityProbe::new())
-            .probe(PowerProbe::new(
+            .probe(ActivityProbe::priced(
                 analyzer.config().technology,
                 analyzer.config().frequency,
             ))
@@ -1018,7 +1025,7 @@ mod tests {
         .0;
         assert_eq!(hybrid.aggregate, queue.aggregate);
         assert_eq!(hybrid.trace(), queue.trace());
-        assert_eq!(hybrid.power, queue.power);
+        assert_eq!(hybrid.power(), queue.power());
         assert!(queue.kernel.is_none());
         assert!(hybrid.kernel.is_none());
         // The single-seed entry point rides the same dispatch.
@@ -1033,7 +1040,7 @@ mod tests {
             .unwrap()
         };
         let (queue, hybrid) = (analyze(EngineKind::Queue), analyze(EngineKind::Hybrid));
-        assert_eq!(hybrid.activity.to_csv(), queue.activity.to_csv());
+        assert_eq!(hybrid.activity, queue.activity);
         assert_eq!(hybrid.power, queue.power);
         assert_eq!(hybrid.trace, queue.trace);
         assert_eq!(hybrid.cycles, queue.cycles);
@@ -1110,10 +1117,10 @@ mod tests {
         .unwrap()
         .0;
         assert_eq!(kernel.trace(), zero_queue.trace());
-        assert_eq!(kernel.power, zero_queue.power);
+        assert_eq!(kernel.power(), zero_queue.power());
         assert_eq!(
-            kernel.activity.totals().transitions,
-            zero_queue.activity.totals().transitions
+            kernel.activity().transitions,
+            zero_queue.activity().transitions
         );
         let telemetry = kernel.kernel.unwrap();
         assert_eq!(telemetry.lanes, seeds.len());
@@ -1182,7 +1189,7 @@ mod tests {
         let (counted, quiet) = (sweep(true), sweep(false));
         for (c, q) in counted.iter().zip(&quiet) {
             assert_eq!(c.analysis.trace(), q.analysis.trace(), "{}", c.label);
-            assert_eq!(c.analysis.power, q.analysis.power, "{}", c.label);
+            assert_eq!(c.analysis.power(), q.analysis.power(), "{}", c.label);
             assert_eq!(c.analysis.total_cycles(), q.analysis.total_cycles());
             assert_eq!(c.analysis.glitch_spread(), q.analysis.glitch_spread());
             assert_eq!(c.analysis.power_spread(), q.analysis.power_spread());
@@ -1220,6 +1227,6 @@ mod tests {
             .run()
             .unwrap();
         let zero = GlitchAnalyzer::analysis(&adder.netlist, report);
-        assert_eq!(zero.activity.totals().useless, 0);
+        assert_eq!(zero.activity.useless, 0);
     }
 }

@@ -238,7 +238,7 @@ impl PowerExplorer {
             flipflops: variant.piped.flipflop_count,
             power: analysis.power.breakdown,
             clock_capacitance: analysis.power.clock_capacitance,
-            activity: analysis.activity.totals(),
+            activity: analysis.activity,
             gate_equivalents: variant.piped.netlist.gate_equivalents(),
         })
     }

@@ -31,7 +31,7 @@
 //! let analyzer = GlitchAnalyzer::new(AnalysisConfig { cycles: 200, ..AnalysisConfig::default() });
 //! let analysis = analyzer
 //!     .analyze(&adder.netlist, &[adder.a.clone(), adder.b.clone()], &[(adder.cin, false)])?;
-//! let totals = analysis.activity.totals();
+//! let totals = analysis.activity;
 //! assert!(totals.useless > 0, "a ripple-carry adder glitches under random inputs");
 //! assert!(analysis.power.breakdown.logic > 0.0);
 //! # Ok(())

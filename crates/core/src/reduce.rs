@@ -52,7 +52,7 @@ impl ReduceScore {
     /// Useless transitions summed over every net.
     #[must_use]
     pub fn useless_transitions(&self) -> u64 {
-        self.analysis.activity.totals().useless
+        self.analysis.activity().useless
     }
 
     /// Hazards summed over every net.
@@ -185,7 +185,7 @@ impl ReduceSession {
         )
         .breakdown
         .logic;
-        let total_power = analysis.power.breakdown.total();
+        let total_power = analysis.power().breakdown.total();
         Ok(ReduceScore {
             analysis,
             hazards,

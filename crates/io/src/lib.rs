@@ -16,7 +16,7 @@
 //!   and flipflop counts and the per-kind cell histogram exactly.
 //! * [`parse_verilog`] — a structural-Verilog subset reader (module, wire /
 //!   input / output declarations, primitive gates, library cell instances)
-//!   on interned identifiers.
+//!   whose tokens borrow the source, as the BLIF reader's do.
 //! * [`GateLibrary`] — the mapping layer resolving external cell names and
 //!   pins onto [`glitch_netlist::CellKind`], with per-kind delay and
 //!   capacitance defaults drawn from `glitch-power`'s [`glitch_power::Technology`].
@@ -52,7 +52,6 @@ mod blif;
 mod cover;
 mod emit;
 mod error;
-mod intern;
 mod library;
 mod verilog;
 

@@ -17,14 +17,13 @@
 use glitch_netlist::{CellKind, FxHashMap, NetId, Netlist, NetlistError};
 
 use crate::error::{IoError, Loc};
-use crate::intern::{Atom, StringInterner};
 use crate::library::GateLibrary;
 
-/// Identifiers are interned: a net referenced by fifty instances costs
-/// one allocation, and every later mention is a 4-byte [`Atom`] copy.
+/// Identifiers borrow their text from the source, so a net referenced by
+/// fifty instances costs no allocation until the netlist names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tok {
-    Ident(Atom),
+enum Tok<'s> {
+    Ident(&'s str),
     Number(u64),
     /// `1'b0` / `1'b1` style constant.
     Constant(bool),
@@ -32,12 +31,12 @@ enum Tok {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Token {
-    tok: Tok,
+struct Token<'s> {
+    tok: Tok<'s>,
     loc: Loc,
 }
 
-fn tokenize(text: &str, interner: &mut StringInterner) -> Result<Vec<Token>, IoError> {
+fn tokenize(text: &str) -> Result<Vec<Token<'_>>, IoError> {
     let mut tokens = Vec::new();
     let mut chars = text.char_indices().peekable();
     let mut line = 1usize;
@@ -156,7 +155,7 @@ fn tokenize(text: &str, interner: &mut StringInterner) -> Result<Vec<Token>, IoE
                     }
                 }
                 tokens.push(Token {
-                    tok: Tok::Ident(interner.intern(&text[at..end])),
+                    tok: Tok::Ident(&text[at..end]),
                     loc,
                 });
             }
@@ -196,33 +195,27 @@ enum Direction {
     Wire,
 }
 
-struct Parser<'t, 'l> {
-    tokens: &'t [Token],
+struct Parser<'s, 't, 'l> {
+    tokens: &'t [Token<'s>],
     pos: usize,
     library: &'l GateLibrary,
-    interner: StringInterner,
     netlist: Netlist,
-    signals: FxHashMap<Atom, Signal>,
-    output_names: Vec<Atom>,
+    signals: FxHashMap<&'s str, Signal>,
+    output_names: Vec<&'s str>,
     const_nets: [Option<NetId>; 2],
 }
 
-impl Parser<'_, '_> {
-    fn peek(&self) -> Option<Token> {
+impl<'s> Parser<'s, '_, '_> {
+    fn peek(&self) -> Option<Token<'s>> {
         self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Token> {
+    fn next(&mut self) -> Option<Token<'s>> {
         let t = self.tokens.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
         t
-    }
-
-    /// The source text behind an interned identifier.
-    fn text(&self, atom: Atom) -> &str {
-        self.interner.resolve(atom)
     }
 
     fn eof_loc(&self) -> Loc {
@@ -243,7 +236,7 @@ impl Parser<'_, '_> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(Atom, Loc), IoError> {
+    fn expect_ident(&mut self, what: &str) -> Result<(&'s str, Loc), IoError> {
         match self.next() {
             Some(Token {
                 tok: Tok::Ident(name),
@@ -300,14 +293,14 @@ impl Parser<'_, '_> {
     /// `module name (ports?) ; item* endmodule`
     fn module(&mut self) -> Result<(), IoError> {
         let (kw, loc) = self.expect_ident("`module`")?;
-        if self.text(kw) != "module" {
+        if kw != "module" {
             return Err(IoError::syntax(
                 loc,
-                format!("expected `module`, found `{}`", self.text(kw)),
+                format!("expected `module`, found `{}`", kw),
             ));
         }
         let (name, _) = self.expect_ident("a module name")?;
-        self.netlist = Netlist::new(self.interner.resolve(name));
+        self.netlist = Netlist::new(name);
         if self.eat_punct('(') {
             // The port list is redundant with the input/output declarations;
             // skip identifiers and commas until `)`.
@@ -337,18 +330,18 @@ impl Parser<'_, '_> {
                 return Err(IoError::syntax(self.eof_loc(), "missing `endmodule`"));
             };
             let loc = token.loc;
-            let Tok::Ident(atom) = token.tok else {
+            let Tok::Ident(word) = token.tok else {
                 return Err(IoError::syntax(
                     loc,
                     "expected a declaration or an instantiation",
                 ));
             };
-            if let Some(kind) = primitive_kind(self.text(atom)) {
+            if let Some(kind) = primitive_kind(word) {
                 self.pos += 1;
                 self.primitive_instance(kind, loc)?;
                 continue;
             }
-            match self.text(atom) {
+            match word {
                 "endmodule" => {
                     self.pos += 1;
                     break;
@@ -361,19 +354,19 @@ impl Parser<'_, '_> {
                         loc,
                         construct: format!(
                             "`{}` (only structural netlists are supported)",
-                            self.text(atom)
+                            word
                         ),
                     });
                 }
                 _ => {
                     self.pos += 1;
-                    self.library_instance(atom, loc)?;
+                    self.library_instance(word, loc)?;
                 }
             }
         }
 
         if let Some(extra) = self.peek() {
-            if matches!(extra.tok, Tok::Ident(kw) if self.text(kw) == "module") {
+            if matches!(extra.tok, Tok::Ident(kw) if kw == "module") {
                 return Err(IoError::Unsupported {
                     loc: extra.loc,
                     construct: "multiple modules in one file".into(),
@@ -391,7 +384,7 @@ impl Parser<'_, '_> {
     /// `input wire` are accepted.
     fn declaration(&mut self, direction: Direction) -> Result<(), IoError> {
         self.pos += 1; // the direction keyword
-        if matches!(self.peek(), Some(Token { tok: Tok::Ident(kw), .. }) if self.text(kw) == "wire")
+        if matches!(self.peek(), Some(Token { tok: Tok::Ident(kw), .. }) if kw == "wire")
         {
             self.pos += 1;
         }
@@ -424,21 +417,21 @@ impl Parser<'_, '_> {
             if self.signals.contains_key(&name) {
                 return Err(IoError::syntax(
                     loc,
-                    format!("`{}` is declared twice", self.text(name)),
+                    format!("`{}` is declared twice", name),
                 ));
             }
             let signal = match range {
                 None => {
                     let id = match direction {
-                        Direction::Input => self.netlist.add_input(self.interner.resolve(name)),
-                        _ => self.netlist.add_net(self.interner.resolve(name)),
+                        Direction::Input => self.netlist.add_input(name),
+                        _ => self.netlist.add_net(name),
                     };
                     Signal::Scalar(id)
                 }
                 Some((msb, lsb)) => {
                     let nets = (lsb..=msb)
                         .map(|i| {
-                            let bit = format!("{}[{i}]", self.interner.resolve(name));
+                            let bit = format!("{}[{i}]", name);
                             match direction {
                                 Direction::Input => self.netlist.add_input(&bit),
                                 _ => self.netlist.add_net(&bit),
@@ -477,7 +470,7 @@ impl Parser<'_, '_> {
                 let Some(signal) = self.signals.get(&name).cloned() else {
                     return Err(IoError::Undeclared {
                         loc,
-                        name: self.text(name).to_string(),
+                        name: name.to_string(),
                     });
                 };
                 if self.eat_punct('[') {
@@ -486,7 +479,7 @@ impl Parser<'_, '_> {
                     match signal {
                         Signal::Scalar(_) => Err(IoError::WidthMismatch {
                             loc: index_loc,
-                            subject: format!("`{}` (a scalar net, indexed)", self.text(name)),
+                            subject: format!("`{}` (a scalar net, indexed)", name),
                             expected: 1,
                             got: 2,
                         }),
@@ -496,7 +489,7 @@ impl Parser<'_, '_> {
                                 Some(&id) => Ok((id, loc)),
                                 None => Err(IoError::WidthMismatch {
                                     loc: index_loc,
-                                    subject: format!("index {index} of `{}`", self.text(name)),
+                                    subject: format!("index {index} of `{}`", name),
                                     expected: nets.len(),
                                     got: index as usize,
                                 }),
@@ -510,7 +503,7 @@ impl Parser<'_, '_> {
                             loc,
                             subject: format!(
                                 "`{}` (a vector net used as a scalar)",
-                                self.text(name)
+                                name
                             ),
                             expected: 1,
                             got: nets.len(),
@@ -545,7 +538,7 @@ impl Parser<'_, '_> {
                 tok: Tok::Ident(n), ..
             }) => {
                 self.pos += 1;
-                self.text(n).to_string()
+                n.to_string()
             }
             _ => format!("g{}", self.netlist.cell_count()),
         };
@@ -584,16 +577,16 @@ impl Parser<'_, '_> {
     }
 
     /// `DFF ff0 (.d(x), .q(y));` or `DFF ff0 (y, x);` (outputs first).
-    fn library_instance(&mut self, cell_atom: Atom, loc: Loc) -> Result<(), IoError> {
+    fn library_instance(&mut self, cell_name: &str, loc: Loc) -> Result<(), IoError> {
         let library = self.library;
-        let Some(cell) = library.lookup(self.text(cell_atom)) else {
+        let Some(cell) = library.lookup(cell_name) else {
             return Err(IoError::UnknownCell {
                 loc,
-                name: self.text(cell_atom).to_string(),
+                name: cell_name.to_string(),
             });
         };
         let (instance, _) = self.expect_ident("an instance name")?;
-        let instance = self.text(instance).to_string();
+        let instance = instance.to_string();
         self.expect_punct('(')?;
 
         let mut input_nets: Vec<Option<NetId>> = vec![None; cell.inputs.len()];
@@ -622,7 +615,7 @@ impl Parser<'_, '_> {
                     Some(self.operand()?.0)
                 };
                 self.expect_punct(')')?;
-                match cell.resolve_pin(self.text(pin)) {
+                match cell.resolve_pin(pin) {
                     Ok(Some((true, index))) => output_nets[index] = connection,
                     Ok(Some((false, index))) => input_nets[index] = connection,
                     Ok(None) => {}
@@ -631,8 +624,8 @@ impl Parser<'_, '_> {
                             pin_loc,
                             format!(
                                 "cell `{}` has no pin `{}`",
-                                self.text(cell_atom),
-                                self.text(pin)
+                                cell_name,
+                                pin
                             ),
                         ));
                     }
@@ -706,7 +699,7 @@ impl Parser<'_, '_> {
                     loc,
                     format!(
                         "cell `{}` output pin `{}` is not connected",
-                        self.text(cell_atom),
+                        cell_name,
                         cell.outputs[missing].canonical()
                     ),
                 ));
@@ -742,8 +735,7 @@ fn primitive_kind(keyword: &str) -> Option<CellKind> {
 /// and mapping problems, and a name-resolved [`IoError`] for structural
 /// problems found by post-parse validation.
 pub fn parse_verilog(text: &str, library: &GateLibrary) -> Result<Netlist, IoError> {
-    let mut interner = StringInterner::new();
-    let tokens = tokenize(text, &mut interner)?;
+    let tokens = tokenize(text)?;
     if tokens.is_empty() {
         return Err(IoError::syntax(Loc::new(1, 1), "empty file"));
     }
@@ -751,7 +743,6 @@ pub fn parse_verilog(text: &str, library: &GateLibrary) -> Result<Netlist, IoErr
         tokens: &tokens,
         pos: 0,
         library,
-        interner,
         netlist: Netlist::new("top"),
         signals: FxHashMap::default(),
         output_names: Vec::new(),

@@ -172,15 +172,10 @@ fn hybrid_analyze_is_bit_identical_to_queue() {
             .expect("hybrid analysis runs")
             .0;
         assert_eq!(hybrid.aggregate, queue.aggregate, "jobs={jobs}");
-        assert_eq!(hybrid.power, queue.power, "jobs={jobs}");
+        assert_eq!(hybrid.power(), queue.power(), "jobs={jobs}");
         assert_eq!(hybrid.seeds, queue.seeds, "jobs={jobs}");
-        // ActivityReport carries no `==`; its rendering is a faithful
-        // function of the data, so string identity is data identity.
-        assert_eq!(
-            format!("{:?}", hybrid.activity),
-            format!("{:?}", queue.activity),
-            "jobs={jobs}"
-        );
+        assert_eq!(hybrid.trace(), queue.trace(), "jobs={jobs}");
+        assert_eq!(hybrid.activity(), queue.activity(), "jobs={jobs}");
         assert!(hybrid.kernel.is_none(), "hybrid has no kernel telemetry");
         assert!(queue.kernel.is_none(), "queue has no kernel telemetry");
     }
@@ -207,12 +202,9 @@ fn hybrid_analyze_matches_queue_on_random_sequential_circuits() {
             .expect("hybrid analysis runs")
             .0;
         assert_eq!(hybrid.aggregate, queue.aggregate, "{options:?}");
-        assert_eq!(hybrid.power, queue.power, "{options:?}");
-        assert_eq!(
-            format!("{:?}", hybrid.activity),
-            format!("{:?}", queue.activity),
-            "{options:?}"
-        );
+        assert_eq!(hybrid.power(), queue.power(), "{options:?}");
+        assert_eq!(hybrid.trace(), queue.trace(), "{options:?}");
+        assert_eq!(hybrid.activity(), queue.activity(), "{options:?}");
     }
 }
 

@@ -5,8 +5,8 @@
 //! timed kernel. Its report must equal `ParallelRunner::run_sessions` (a
 //! `SimSession::run` per job) on every deterministic field: the cycle
 //! count, every cycle's `CycleStats`, the final net values, the activity
-//! trace with its per-net rising counts, the power report, the stats probe
-//! and the queue statistics. Cases cover random sequential circuits and
+//! trace with its per-net rising counts, the power report priced from it,
+//! the run totals and the queue statistics. Cases cover random sequential circuits and
 //! the 8-bit compound-cell multiplier under unit, zero, realistic-adder,
 //! library and two custom delay models, binary and X-init options, cycle
 //! counts around the 64-lane word boundary, and held inputs; the
@@ -35,9 +35,8 @@ use glitch_io::{parse_netlist, Format, GateLibrary};
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, CellKind, NetId, Netlist};
 use glitch_sim::{
-    ActivityProbe, AggregateReport, CellDelay, DelayKind, DeltaStimulus, ParallelRunner,
-    PowerProbe, Probe, SessionReport, SimBaseline, SimError, SimJob, SimOptions, SimSession,
-    StatsProbe, Value,
+    ActivityProbe, AggregateReport, CellDelay, DelayKind, DeltaStimulus, ParallelRunner, Probe,
+    SessionReport, SimBaseline, SimError, SimJob, SimOptions, SimSession, Value,
 };
 use glitch_verify::{
     BudgetSpec, CheckSuite, CheckerProbe, HazardChecker, VerifyReport, XPropagationChecker,
@@ -71,11 +70,15 @@ fn assert_same_report(netlist: &Netlist, event: &SessionReport, timed: &SessionR
         timed.queue_stats(),
         "queue stats: {case}"
     );
-    assert_eq!(
-        event.probe::<StatsProbe>(),
-        timed.probe::<StatsProbe>(),
-        "stats probe: {case}"
-    );
+    let totals = |report: &SessionReport| {
+        (
+            report.total_transitions(),
+            report.total_events(),
+            report.total_cell_evals(),
+            report.max_settle_time(),
+        )
+    };
+    assert_eq!(totals(event), totals(timed), "run totals: {case}");
 }
 
 /// Asserts two reports agree on every field but the per-cycle statistics
@@ -108,11 +111,9 @@ fn assert_same_results(
             "rises on net {index}: {case}"
         );
     }
-    assert_eq!(
-        event.probe::<PowerProbe>().and_then(PowerProbe::report),
-        timed.probe::<PowerProbe>().and_then(PowerProbe::report),
-        "power report: {case}"
-    );
+    let power = ea.power(netlist);
+    assert!(power.is_some(), "priced activity: {case}");
+    assert_eq!(power, ta.power(netlist), "power report: {case}");
 }
 
 /// The hazard and X-propagation checkers every oracle case attaches: two
@@ -218,14 +219,14 @@ fn check_job(job: &SimJob<'_>, program: &KernelProgram, timed: bool, case: &str)
             assert_same_report(job.netlist, &event, &bare, case);
             assert_same_checks(job.netlist, &event, &routed, case);
             // Without statistics: every other field as with them, and as
-            // on the event path; no stats probe to read zeros from.
+            // on the event path; no statistics to read zeros from.
             assert_same_results(job.netlist, &routed, &quiet, case);
             assert_same_results(job.netlist, &event, &quiet, case);
             assert_same_checks(job.netlist, &event, &quiet, case);
             assert_same_results(job.netlist, &event, &plain, case);
             if timed {
-                assert!(quiet.probe::<StatsProbe>().is_none(), "{case}");
-                assert!(plain.probe::<StatsProbe>().is_none(), "{case}");
+                assert!(!quiet.has_statistics(), "{case}");
+                assert!(!plain.has_statistics(), "{case}");
             } else {
                 // The event path always counts.
                 assert_same_report(job.netlist, &event, &quiet, case);
@@ -595,9 +596,7 @@ fn check_flips(job: &SimJob<'_>, delta: &DeltaStimulus) -> Vec<FlipCase> {
                 .delay(delay.clone())
                 .options(options)
                 .stimulus(merged)
-                .probe(ActivityProbe::new())
-                .probe(PowerProbe::new(base.technology, base.frequency))
-                .probe(StatsProbe::new())
+                .probe(ActivityProbe::priced(base.technology, base.frequency))
                 .run()
                 .expect("settles");
             let run = |job: &SimJob<'_>| {

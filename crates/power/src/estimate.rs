@@ -111,9 +111,12 @@ pub fn estimate_power(
 /// Estimates the dynamic power of a netlist from raw per-net transition
 /// counts (indexed by net index) accumulated over `cycles` clock cycles.
 ///
-/// This is the streaming-friendly core behind [`estimate_power`]: a probe
-/// counting transitions on the fly produces numerically identical results
-/// to the trace-based path because both funnel through this function.
+/// This is the one implementation of the paper's power formula:
+/// [`estimate_power`] reads the counts off an activity trace and calls
+/// it, so every report (a single run, a merged batch, a priced
+/// `glitch_sim::ActivityProbe`) is computed by the same arithmetic.
+/// Logic power counts every net except primary inputs and flipflop
+/// outputs, each transition costing `½·C·V²` of the net's load.
 ///
 /// # Panics
 ///
@@ -145,62 +148,17 @@ pub fn estimate_power_from_counts(
             eligible[out.index()] = false;
         }
     }
-    let caps: Vec<f64> = netlist
-        .nets()
-        .map(|(id, _)| model.net_capacitance(id))
-        .collect();
-
-    estimate_power_from_parts(
-        &counts[..netlist.net_count()],
-        &caps,
-        &eligible,
-        netlist.dff_count(),
-        cycles,
-        tech,
-        frequency,
-    )
-}
-
-/// The netlist-free core of the power estimate: per-net transition counts,
-/// per-net load capacitances, a per-net eligibility mask (`false` for
-/// primary inputs and flipflop outputs), and the flipflop count.
-///
-/// This is the single implementation of the paper's power formula; the
-/// netlist-based [`estimate_power_from_counts`] and the streaming
-/// `glitch_sim::PowerProbe` (which captures `caps`/`eligible` at run start
-/// and re-estimates after merging shards) both delegate here, so every
-/// path is numerically identical by construction.
-///
-/// # Panics
-///
-/// Panics if `counts`, `caps` and `eligible` have different lengths.
-#[must_use]
-pub fn estimate_power_from_parts(
-    counts: &[u64],
-    caps: &[f64],
-    eligible: &[bool],
-    flipflops: usize,
-    cycles: u64,
-    tech: &Technology,
-    frequency: f64,
-) -> PowerReport {
-    assert!(
-        counts.len() == caps.len() && counts.len() == eligible.len(),
-        "counts ({}), capacitances ({}) and eligibility ({}) must cover the same nets",
-        counts.len(),
-        caps.len(),
-        eligible.len()
-    );
     let divisor = cycles.max(1);
     let mut switched_cap_per_cycle = 0.0f64;
-    for ((&transitions, &cap), &eligible) in counts.iter().zip(caps).zip(eligible) {
+    for ((id, _), (&transitions, &eligible)) in netlist.nets().zip(counts.iter().zip(&eligible)) {
         if !eligible {
             continue;
         }
         let per_cycle = transitions as f64 / divisor as f64;
-        switched_cap_per_cycle += 0.5 * per_cycle * cap;
+        switched_cap_per_cycle += 0.5 * per_cycle * model.net_capacitance(id);
     }
 
+    let flipflops = netlist.dff_count();
     let breakdown = PowerBreakdown {
         logic: switched_cap_per_cycle * tech.vdd * tech.vdd * frequency,
         flipflop: tech.flipflop_power(frequency) * flipflops as f64,

@@ -39,8 +39,5 @@ mod estimate;
 mod tech;
 
 pub use capacitance::CapacitanceModel;
-pub use estimate::{
-    estimate_power, estimate_power_from_counts, estimate_power_from_parts, PowerBreakdown,
-    PowerReport,
-};
+pub use estimate::{estimate_power, estimate_power_from_counts, PowerBreakdown, PowerReport};
 pub use tech::Technology;

@@ -142,7 +142,7 @@ pub fn analyze_json(
     analysis: &AggregateAnalysis,
     windowed: Option<&WindowedActivityProbe>,
 ) -> String {
-    let totals = analysis.activity.totals();
+    let totals = analysis.activity();
     let out = JsonObject::new()
         .str("file", file)
         .str("netlist", netlist.name())
@@ -152,7 +152,7 @@ pub fn analyze_json(
         .u64("max_settle_time", analysis.aggregate.max_settle_time())
         .u64("cell_evals", analysis.aggregate.total_cell_evals())
         .raw("activity", &activity_totals_json(&totals).render())
-        .raw("power", &power_report_json(&analysis.power).render());
+        .raw("power", &power_report_json(analysis.power()).render());
     let out = match windowed {
         Some(probe) => out.raw("windows", &windows_json(probe)),
         None => out,
@@ -170,7 +170,7 @@ pub fn analyze_aggregate_json(
     aggregate: &AggregateAnalysis,
     windowed: Option<&WindowedActivityProbe>,
 ) -> String {
-    let totals = aggregate.activity.totals();
+    let totals = aggregate.activity();
     let spreads = JsonObject::new()
         .raw("glitches", &spread_json(aggregate.glitch_spread()).render())
         .raw("useless", &spread_json(aggregate.useless_spread()).render())
@@ -193,7 +193,7 @@ pub fn analyze_aggregate_json(
         .u64("max_settle_time", aggregate.aggregate.max_settle_time())
         .u64("cell_evals", aggregate.aggregate.total_cell_evals())
         .raw("activity", &activity_totals_json(&totals).render())
-        .raw("power", &power_report_json(&aggregate.power).render())
+        .raw("power", &power_report_json(aggregate.power()).render())
         .raw("spread", &spreads.render())
         .raw("per_seed", &per_seed_json(aggregate));
     let out = match windowed {
@@ -227,9 +227,9 @@ fn analysis_json(analysis: &AggregateAnalysis) -> String {
     JsonObject::new()
         .raw(
             "activity",
-            &activity_totals_json(&analysis.activity.totals()).render(),
+            &activity_totals_json(&analysis.activity()).render(),
         )
-        .raw("power", &power_report_json(&analysis.power).render())
+        .raw("power", &power_report_json(analysis.power()).render())
         .render()
 }
 
@@ -245,11 +245,11 @@ pub fn sweep_json(
     let rendered = points
         .iter()
         .map(|point| {
-            let totals = point.analysis.activity.totals();
+            let totals = point.analysis.activity();
             JsonObject::new()
                 .str("delay", &point.label)
                 .raw("activity", &activity_totals_json(&totals).render())
-                .raw("power", &power_report_json(&point.analysis.power).render())
+                .raw("power", &power_report_json(point.analysis.power()).render())
                 .raw(
                     "glitch_spread",
                     &spread_json(point.analysis.glitch_spread()).render(),
@@ -283,14 +283,14 @@ pub fn sweep_flips_json(
     points: &[AggregateAnalysis],
 ) -> String {
     let rows = json_array(applied.iter().zip(points).map(|((name, _, value), point)| {
-        let totals = point.activity.totals();
+        let totals = point.activity();
         JsonObject::new()
             .str("input", name)
             .u64("flipped_to", u64::from(*value))
             .u64("useful", totals.useful)
             .u64("useless", totals.useless)
             .u64("glitches", totals.glitches())
-            .f64("power_total_w", point.power.breakdown.total())
+            .f64("power_total_w", point.power().breakdown.total())
             .render()
     }));
     JsonObject::new()

@@ -24,7 +24,7 @@ use crate::clocked::{CycleStats, InputAssignment, XEval};
 use crate::engine::QueueStats;
 use crate::error::SimError;
 use crate::parallel::SimJob;
-use crate::probe::{ActivityProbe, PowerProbe, Probe, StatsProbe, Transition, TransitionKind};
+use crate::probe::{ActivityProbe, Probe, Transition, TransitionKind};
 use crate::session::SessionReport;
 use crate::value::Value;
 
@@ -191,9 +191,9 @@ pub fn kernel_prepass(
 }
 
 /// Runs a uniform job batch entirely on the compiled kernel and returns
-/// per-job [`SessionReport`]s carrying the standard probe set
-/// ([`ActivityProbe`], [`PowerProbe`], [`StatsProbe`]) plus any probes the
-/// factory supplies — the same shape
+/// per-job [`SessionReport`]s carrying the standard probe (an
+/// [`ActivityProbe`] priced at the job's operating point) plus any probes
+/// the factory supplies — the same shape
 /// [`crate::ParallelRunner::run_sessions_with`] produces, so
 /// [`crate::AggregateReport::reduce`] works unchanged.
 ///
@@ -230,11 +230,10 @@ pub fn run_kernel_jobs(
         .iter()
         .enumerate()
         .map(|(index, job)| {
-            let mut set: Vec<Box<dyn Probe>> = vec![
-                Box::new(ActivityProbe::new()),
-                Box::new(PowerProbe::new(job.technology, job.frequency)),
-                Box::new(StatsProbe::new()),
-            ];
+            let mut set: Vec<Box<dyn Probe>> = vec![Box::new(ActivityProbe::priced(
+                job.technology,
+                job.frequency,
+            ))];
             set.extend(extra_probes(index));
             for probe in &mut set {
                 probe.on_run_start(netlist);

@@ -26,8 +26,11 @@
 //! * [`ZeroDelay`] — ideal, glitch-free reference (what the activity would
 //!   be if all delay paths were perfectly balanced).
 //!
-//! Built-in probes: [`ActivityProbe`], [`VcdProbe`], [`PowerProbe`],
-//! [`WaveCsvProbe`], [`StatsProbe`], [`WindowedActivityProbe`]. Custom
+//! Built-in probes: [`ActivityProbe`] (the per-net transition trace, and
+//! the power report priced from it), [`VcdProbe`], [`WaveCsvProbe`],
+//! [`WindowedActivityProbe`]. A run's statistics (events, cell
+//! evaluations, settle times, queue traffic) are on its
+//! [`SessionReport`], not in a probe. Custom
 //! observables are one [`Probe`] implementation away — see the trait's
 //! documentation for a complete example.
 //!
@@ -107,10 +110,9 @@ pub use incremental::{DeltaStimulus, IncrementalStats, SimBaseline};
 pub use kernel::{kernel_eval_mode, kernel_prepass, run_kernel_jobs, KernelPrepass};
 pub use parallel::{AggregateReport, ParallelRunner, ShardSummary, SimJob, Spread};
 pub use probe::{
-    ActivityProbe, MergeableProbe, PowerProbe, Probe, StatsProbe, Transition, TransitionKind,
-    VcdProbe, WaveCsvProbe,
+    ActivityProbe, MergeableProbe, Probe, Transition, TransitionKind, VcdProbe, WaveCsvProbe,
 };
-pub use session::{SessionError, SessionReport, SimSession};
+pub use session::{SessionReport, SimSession};
 pub use stimulus::{ExhaustiveStimulus, RandomStimulus, StimulusProgram};
 pub use timed::{TimedRun, TimedWork, XEnds};
 pub use value::Value;

@@ -13,8 +13,8 @@
 //!   stimulus seed, a cycle budget, a delay model and a power operating
 //!   point;
 //! * [`ParallelRunner::run_sessions`] — fans a batch of jobs across the
-//!   workers, each worker running a session with activity, power and stats
-//!   probes (plus any caller-supplied probes);
+//!   workers, each worker running a session with an activity probe priced
+//!   at the job's operating point (plus any caller-supplied probes);
 //! * [`AggregateReport`] — the deterministic reduction of the per-shard
 //!   reports: probes folded with [`MergeableProbe`] in shard order, plus
 //!   per-shard scalars and their [`Spread`] (min / mean / max / standard
@@ -24,10 +24,9 @@
 //! fold happens in job order, and merging integer counters is exact — so a
 //! parallel run's aggregate is **bit-identical** to the serial fold of the
 //! same jobs run one by one. Worker count only affects wall-clock time,
-//! never results. This holds for every [`MergeableProbe`] — activity,
-//! power, stats and windowed heatmaps alike — and each
-//! of the four standard probes is individually pinned against its serial
-//! fold by `tests/parallel.rs` (it is a property of the job-order fold,
+//! never results. This holds for every [`MergeableProbe`] — activity
+//! and windowed heatmaps alike — and each is individually pinned against
+//! its serial fold by `tests/parallel.rs` (it is a property of the job-order fold,
 //! not something a probe gets for free: a probe whose `merge` depended on
 //! arrival order would silently break it).
 //!
@@ -47,7 +46,7 @@ use crate::delay::DelayKind;
 use crate::engine::QueueStats;
 use crate::error::SimError;
 use crate::incremental::DeltaStimulus;
-use crate::probe::{ActivityProbe, MergeableProbe, PowerProbe, Probe, StatsProbe};
+use crate::probe::{ActivityProbe, MergeableProbe, Probe};
 use crate::session::{SessionReport, SimSession};
 use crate::stimulus::RandomStimulus;
 use crate::timed::TimedWork;
@@ -148,8 +147,8 @@ impl ParallelRunner {
 
     /// Runs every job in its own one-pass session and returns the per-job
     /// [`SessionReport`]s in job order. Each session carries an
-    /// [`ActivityProbe`], a [`PowerProbe`] (at the job's operating point)
-    /// and a [`StatsProbe`].
+    /// [`ActivityProbe`] priced at the job's operating point
+    /// ([`ActivityProbe::priced`]).
     ///
     /// # Errors
     ///
@@ -279,9 +278,9 @@ pub struct SimJob<'a> {
     pub random_buses: Vec<Bus>,
     /// Single-bit inputs held constant every cycle.
     pub held: Vec<(NetId, bool)>,
-    /// Technology for the power probe.
+    /// Technology the activity is priced at.
     pub technology: Technology,
-    /// Clock frequency for the power probe, in hertz.
+    /// Clock frequency the activity is priced at, in hertz.
     pub frequency: f64,
     /// Simulator options (settle budget, flipflop reset default).
     pub options: SimOptions,
@@ -406,13 +405,11 @@ impl<'a> SimJob<'a> {
             .delay(self.delay.clone())
             .options(self.options)
             .stimulus(self.stimulus())
-            .probe(ActivityProbe::new())
-            .probe(PowerProbe::new(self.technology, self.frequency))
-            .probe(StatsProbe::new());
+            .probe(ActivityProbe::priced(self.technology, self.frequency));
         for probe in extra {
             session = session.boxed_probe(probe);
         }
-        session.run().map_err(SimError::from)
+        session.run()
     }
 }
 
@@ -456,7 +453,7 @@ pub struct ShardSummary {
     /// pushes, pops, peak depth are functions of the stimulus, not of
     /// scheduling); `None` when it settled without them. Read through
     /// [`ShardSummary::events`] and its siblings.
-    statistics: Option<(StatsProbe, QueueStats)>,
+    statistics: Option<ShardStatistics>,
     /// The timed kernel's work when the shard settled there rather than
     /// on the event queue. Describes how the shard ran, not what it found,
     /// so equality ignores it.
@@ -487,7 +484,7 @@ impl ShardSummary {
     /// # Panics
     ///
     /// Panics when the shard settled without them ([`SimJob::statistics`]).
-    fn statistics(&self) -> &(StatsProbe, QueueStats) {
+    fn statistics(&self) -> &ShardStatistics {
         self.statistics.as_ref().unwrap_or_else(|| {
             panic!(
                 "shard `{}` (seed {}) was settled without per-cycle statistics; \
@@ -505,7 +502,7 @@ impl ShardSummary {
     /// ([`SimJob::statistics`]).
     #[must_use]
     pub fn events(&self) -> u64 {
-        self.statistics().0.events()
+        self.statistics().events
     }
 
     /// Worst intra-cycle settle time.
@@ -515,7 +512,7 @@ impl ShardSummary {
     /// As for [`ShardSummary::events`].
     #[must_use]
     pub fn max_settle_time(&self) -> u64 {
-        self.statistics().0.max_settle_time()
+        self.statistics().max_settle_time
     }
 
     /// Combinational cell evaluations performed.
@@ -525,7 +522,7 @@ impl ShardSummary {
     /// As for [`ShardSummary::events`].
     #[must_use]
     pub fn cell_evals(&self) -> u64 {
-        self.statistics().0.cell_evals()
+        self.statistics().cell_evals
     }
 
     /// Cumulative event-queue traffic.
@@ -535,8 +532,38 @@ impl ShardSummary {
     /// As for [`ShardSummary::events`].
     #[must_use]
     pub fn queue(&self) -> QueueStats {
-        self.statistics().1
+        self.statistics().queue
     }
+}
+
+/// The totals a shard's [`SessionReport`] statistics come to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShardStatistics {
+    transitions: u64,
+    events: u64,
+    cell_evals: u64,
+    max_settle_time: u64,
+    queue: QueueStats,
+}
+
+impl ShardStatistics {
+    /// The report's totals; `None` when it was settled without statistics.
+    fn of(report: &SessionReport) -> Option<Self> {
+        report.has_statistics().then(|| ShardStatistics {
+            transitions: report.total_transitions(),
+            events: report.total_events(),
+            cell_evals: report.total_cell_evals(),
+            max_settle_time: report.max_settle_time(),
+            queue: report.queue_stats(),
+        })
+    }
+}
+
+/// The power report of a runner session's activity probe.
+fn priced(activity: &ActivityProbe, netlist: &Netlist) -> PowerReport {
+    activity
+        .power(netlist)
+        .expect("runner sessions price their activity")
 }
 
 /// Minimum / mean / maximum / standard deviation of a per-shard series —
@@ -595,10 +622,10 @@ pub struct AggregateReport {
 impl AggregateReport {
     /// Reduces per-job session reports (as returned by
     /// [`ParallelRunner::run_sessions`]) into one aggregate, folding the
-    /// activity and power probes in job order and keeping each shard's
-    /// stats probe in its summary. The standard probes
-    /// are *taken out* of the reports; caller-attached extra probes remain
-    /// in place for retrieval afterwards.
+    /// activity probes in job order, pricing each shard's trace and the
+    /// merged one, and keeping each shard's statistics in its summary.
+    /// The activity probes are *taken out* of the reports; caller-attached
+    /// extra probes remain in place for retrieval afterwards.
     ///
     /// All jobs must target the same `netlist`; heterogeneous batches
     /// (multi-circuit serving, retiming sweeps) reduce per circuit instead.
@@ -606,10 +633,10 @@ impl AggregateReport {
     /// # Panics
     ///
     /// Panics if `jobs` and `reports` have different lengths, if the batch
-    /// is empty, or if a report is missing the activity or power probe
-    /// (i.e. it did not come from a runner session). A report without a
-    /// [`StatsProbe`] (settled without statistics) reduces to a shard
-    /// whose statistics refuse to be read.
+    /// is empty, or if a report is missing the priced activity probe
+    /// (i.e. it did not come from a runner session). A report settled
+    /// without statistics reduces to a shard whose statistics refuse to
+    /// be read.
     #[must_use]
     pub fn reduce(
         netlist: &Netlist,
@@ -621,25 +648,18 @@ impl AggregateReport {
         let logic = ActivityReport::logic_nodes(netlist);
         let mut shards = Vec::with_capacity(reports.len());
         let mut merged_activity: Option<ActivityProbe> = None;
-        let mut merged_power: Option<PowerProbe> = None;
         for (job, report) in jobs.iter().zip(reports) {
             let activity = report
                 .take_probe::<ActivityProbe>()
                 .expect("runner sessions carry an ActivityProbe");
-            let power = report
-                .take_probe::<PowerProbe>()
-                .expect("runner sessions carry a PowerProbe");
-            let statistics = report
-                .take_probe::<StatsProbe>()
-                .map(|stats| (stats, report.queue_stats()));
             shards.push(ShardSummary {
                 label: job.label.clone(),
                 seed: job.seed,
                 delay: job.delay.clone(),
                 cycles: report.cycles(),
                 activity: activity.trace().totals_for(logic.iter().copied()),
-                power: power.report().expect("session ended").clone(),
-                statistics,
+                power: priced(&activity, netlist),
+                statistics: ShardStatistics::of(report),
                 timed: report.timed_work(),
                 wall_micros: report.wall_micros(),
                 queue_wait_micros: report.queue_wait_micros(),
@@ -648,19 +668,9 @@ impl AggregateReport {
                 None => merged_activity = Some(activity),
                 Some(merged) => merged.merge(activity),
             }
-            match merged_power.as_mut() {
-                None => merged_power = Some(power),
-                Some(merged) => merged.merge(power),
-            }
         }
         let merged_activity = merged_activity.expect("non-empty batch");
-        // A single shard keeps its run-end report; a multi-shard fold
-        // recomputed it over the summed counts in `PowerProbe::merge`.
-        let merged_power = merged_power
-            .expect("non-empty batch")
-            .report()
-            .expect("session ended")
-            .clone();
+        let merged_power = priced(&merged_activity, netlist);
         let merged_totals = merged_activity.trace().totals_for(logic.iter().copied());
         AggregateReport {
             shards,
@@ -668,6 +678,12 @@ impl AggregateReport {
             merged_totals,
             merged_power,
         }
+    }
+
+    /// Consumes the aggregate, returning the merged trace.
+    #[must_use]
+    pub fn into_merged_trace(self) -> ActivityTrace {
+        self.merged_trace
     }
 
     /// Per-shard summaries, in job order.
@@ -874,11 +890,11 @@ mod tests {
             .zip(runner.run_sessions(&jobs).unwrap())
         {
             let activity = report.take_probe::<ActivityProbe>().unwrap();
-            let expected = ActivityReport::from_trace(&nl, activity.trace()).totals();
+            let expected = ActivityReport::new(&nl, activity.trace()).totals();
             assert_eq!(shard.activity, expected);
             assert_ne!(expected, activity.trace().totals());
         }
-        let merged = ActivityReport::from_trace(&nl, aggregate.merged_trace()).totals();
+        let merged = ActivityReport::new(&nl, aggregate.merged_trace()).totals();
         assert_eq!(aggregate.merged_totals(), merged);
         assert!(merged.transitions > 0);
     }

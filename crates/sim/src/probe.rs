@@ -12,10 +12,9 @@
 //! Built-in probes:
 //!
 //! * [`ActivityProbe`] — the per-net transition trace (useful/useless
-//!   classification input);
+//!   classification input), and the three-component power report priced
+//!   from it at the job's operating point;
 //! * [`VcdProbe`] — a value-change dump for waveform viewers;
-//! * [`PowerProbe`] — streaming switched-energy accumulation and the
-//!   three-component power report;
 //! * [`WaveCsvProbe`] — per-transition CSV rows for spreadsheet analysis.
 
 use std::any::Any;
@@ -23,7 +22,7 @@ use std::fmt::Write as _;
 
 use glitch_activity::ActivityTrace;
 use glitch_netlist::{NetId, Netlist};
-use glitch_power::{estimate_power_from_counts, CapacitanceModel, PowerReport, Technology};
+use glitch_power::{estimate_power, PowerReport, Technology};
 
 use crate::clocked::CycleStats;
 use crate::timed::TimedRun;
@@ -162,10 +161,9 @@ pub trait Probe: Any + Send {
 /// folded pairwise with [`MergeableProbe::merge`] into one probe that is
 /// indistinguishable from a probe that observed every shard serially,
 /// *provided the shards are independent runs* (per-seed shards). The
-/// built-in implementations ([`ActivityProbe`], [`PowerProbe`],
-/// [`StatsProbe`], [`crate::WindowedActivityProbe`]) all guarantee that the
-/// fold is exact: counts add, maxima combine, and derived reports are
-/// recomputed from the merged counts.
+/// built-in implementations ([`ActivityProbe`],
+/// [`crate::WindowedActivityProbe`]) guarantee that the fold is exact:
+/// counts add, and derived reports are computed from the merged counts.
 ///
 /// Merging is defined on *finished* probes (after `on_run_end`); merge
 /// order must not matter for the accumulated counts, which is what makes
@@ -182,16 +180,16 @@ pub trait MergeableProbe: Probe + Sized {
 // ---------------------------------------------------------------- activity
 
 /// Accumulates the per-net transition trace — the observable behind every
-/// useful/useless classification in the paper.
-///
-/// Replaces the `ActivityTrace` that used to be hardwired into the
-/// simulator; attach it only when transition accounting is needed.
+/// useful/useless classification in the paper, and the only record of a
+/// run's switching: a [`priced`](ActivityProbe::priced) probe also yields
+/// the paper's three-component power report, computed from the trace.
 #[derive(Debug, Clone, Default)]
 pub struct ActivityProbe {
     counts: Vec<u32>,
     pending_rising: Vec<u32>,
     rising: Vec<u64>,
     trace: ActivityTrace,
+    operating_point: Option<(Technology, f64)>,
 }
 
 impl ActivityProbe {
@@ -199,6 +197,27 @@ impl ActivityProbe {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an activity probe whose trace is priced at a technology
+    /// and clock frequency (hertz); see [`ActivityProbe::power`].
+    #[must_use]
+    pub fn priced(technology: Technology, frequency: f64) -> Self {
+        ActivityProbe {
+            operating_point: Some((technology, frequency)),
+            ..Self::default()
+        }
+    }
+
+    /// The power report of the trace so far at the probe's operating
+    /// point: `glitch_power::estimate_power` over `netlist`, the netlist
+    /// the probe observed. `None` for a probe made without one
+    /// ([`ActivityProbe::new`]).
+    #[must_use]
+    pub fn power(&self, netlist: &Netlist) -> Option<PowerReport> {
+        self.operating_point.map(|(technology, frequency)| {
+            estimate_power(netlist, &self.trace, &technology, frequency)
+        })
     }
 
     /// The accumulated per-net transition trace.
@@ -277,7 +296,13 @@ impl Probe for ActivityProbe {
 impl MergeableProbe for ActivityProbe {
     /// Folds another shard's trace and rising-transition totals into this
     /// probe. The merged trace equals the trace a single probe would have
-    /// accumulated observing both runs back to back.
+    /// accumulated observing both runs back to back, so its power report
+    /// equals the report of one run over the combined activity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probes observed netlists of different sizes or were
+    /// priced at different operating points.
     fn merge(&mut self, other: ActivityProbe) {
         if self.rising.is_empty() {
             // `self` never ran; adopt the other probe wholesale.
@@ -291,6 +316,10 @@ impl MergeableProbe for ActivityProbe {
             self.rising.len(),
             other.rising.len(),
             "cannot merge activity probes of different netlists"
+        );
+        assert!(
+            self.operating_point == other.operating_point,
+            "cannot merge activity probes priced at different operating points"
         );
         self.trace.merge(&other.trace);
         for (total, theirs) in self.rising.iter_mut().zip(&other.rising) {
@@ -361,288 +390,6 @@ impl Probe for VcdProbe {
 
     fn on_run_end(&mut self, netlist: &Netlist) {
         self.text = Some(self.recorder.to_vcd(netlist));
-    }
-}
-
-// ------------------------------------------------------------------- power
-
-/// Streams per-transition switched energy and produces the paper's
-/// three-component power report at run end.
-///
-/// Energy accounting mirrors `glitch_power::estimate_power`: every switching
-/// transition on a net that is neither a primary input nor a flipflop output
-/// charges or discharges that net's load capacitance at a cost of
-/// `½·C·V²`; the final report is numerically identical to the trace-based
-/// estimate.
-#[derive(Debug, Clone)]
-pub struct PowerProbe {
-    tech: Technology,
-    frequency: f64,
-    counts: Vec<u64>,
-    pending_counts: Vec<u32>,
-    pending_energy: f64,
-    caps: Vec<f64>,
-    eligible: Vec<bool>,
-    flipflops: usize,
-    cycles: u64,
-    energy_joules: f64,
-    report: Option<PowerReport>,
-}
-
-impl PowerProbe {
-    /// Creates a power probe for a technology and clock frequency (hertz).
-    #[must_use]
-    pub fn new(tech: Technology, frequency: f64) -> Self {
-        PowerProbe {
-            tech,
-            frequency,
-            counts: Vec::new(),
-            pending_counts: Vec::new(),
-            pending_energy: 0.0,
-            caps: Vec::new(),
-            eligible: Vec::new(),
-            flipflops: 0,
-            cycles: 0,
-            energy_joules: 0.0,
-            report: None,
-        }
-    }
-
-    /// Recomputes the power report from the accumulated counts using the
-    /// capacitance and eligibility tables captured at run start. Delegates
-    /// to `glitch_power::estimate_power_from_parts` — the same single
-    /// implementation `estimate_power_from_counts` funnels through — so a
-    /// merged probe's report is bit-identical to the report a single run
-    /// over the combined activity would have produced.
-    fn compute_report(&self) -> PowerReport {
-        glitch_power::estimate_power_from_parts(
-            &self.counts,
-            &self.caps,
-            &self.eligible,
-            self.flipflops,
-            self.cycles,
-            &self.tech,
-            self.frequency,
-        )
-    }
-
-    /// Folds `cycles` whole cycles in at once from per-net switching
-    /// totals (the timed kernel's bulk path). The report is the same;
-    /// [`PowerProbe::energy_joules`] sums in another order, so it may
-    /// differ from a per-transition run in its last bits.
-    pub(crate) fn record_totals(&mut self, cycles: u64, transitions: &[u64]) {
-        let half_v2 = 0.5 * self.tech.vdd * self.tech.vdd;
-        for (index, (total, &count)) in self.counts.iter_mut().zip(transitions).enumerate() {
-            *total += count;
-            if self.eligible[index] && count > 0 {
-                self.energy_joules += count as f64 * self.caps[index] * half_v2;
-            }
-        }
-        self.cycles += cycles;
-    }
-
-    /// Switched energy in the combinational logic so far, in joules.
-    ///
-    /// A run settled on the timed kernel sums this per net rather than
-    /// per transition, so it may differ from an event-driven run of the
-    /// same job in its last bits; the power report, computed from the
-    /// integer counts, does not.
-    #[must_use]
-    pub fn energy_joules(&self) -> f64 {
-        self.energy_joules
-    }
-
-    /// The finished power report; `None` until the run has ended.
-    #[must_use]
-    pub fn report(&self) -> Option<&PowerReport> {
-        self.report.as_ref()
-    }
-
-    /// Consumes the probe, returning the power report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has not ended (no `on_run_end` yet).
-    #[must_use]
-    pub fn into_report(self) -> PowerReport {
-        self.report
-            .expect("PowerProbe::into_report called before the run ended")
-    }
-}
-
-impl Probe for PowerProbe {
-    fn on_run_start(&mut self, netlist: &Netlist) {
-        let n = netlist.net_count();
-        self.counts = vec![0; n];
-        self.pending_counts = vec![0; n];
-        self.pending_energy = 0.0;
-        self.cycles = 0;
-        self.energy_joules = 0.0;
-        self.report = None;
-        let caps = CapacitanceModel::new(netlist, self.tech);
-        self.caps = netlist
-            .nets()
-            .map(|(id, _)| caps.net_capacitance(id))
-            .collect();
-        // Primary inputs are driven by the environment; flipflop output nets
-        // are covered by the per-flipflop power figure.
-        self.eligible = netlist
-            .nets()
-            .map(|(_, net)| !net.is_primary_input())
-            .collect();
-        for cell_id in netlist.dff_cells() {
-            for &out in netlist.cell(cell_id).outputs() {
-                self.eligible[out.index()] = false;
-            }
-        }
-        self.flipflops = netlist.dff_count();
-    }
-
-    // Like the activity probe, transitions are staged per cycle and only
-    // committed in `on_cycle_end`, so a cycle that errors mid-settle does
-    // not inflate the energy accounting.
-    fn on_cycle_start(&mut self, _cycle: u64) {
-        self.pending_counts.iter_mut().for_each(|c| *c = 0);
-        self.pending_energy = 0.0;
-    }
-
-    fn on_transition(&mut self, transition: &Transition) {
-        if !transition.kind.is_switching() {
-            return;
-        }
-        let idx = transition.net.index();
-        self.pending_counts[idx] += 1;
-        if self.eligible[idx] {
-            self.pending_energy += 0.5 * self.caps[idx] * self.tech.vdd * self.tech.vdd;
-        }
-    }
-
-    fn on_cycle_end(&mut self, _cycle: u64, _stats: &CycleStats) {
-        for (total, &pending) in self.counts.iter_mut().zip(&self.pending_counts) {
-            *total += u64::from(pending);
-        }
-        self.energy_joules += self.pending_energy;
-        self.cycles += 1;
-    }
-
-    fn on_run_end(&mut self, netlist: &Netlist) {
-        self.report = Some(estimate_power_from_counts(
-            netlist,
-            &self.counts,
-            self.cycles,
-            &self.tech,
-            self.frequency,
-        ));
-    }
-}
-
-impl MergeableProbe for PowerProbe {
-    /// Folds another shard's transition counts, cycle count and streamed
-    /// energy into this probe and recomputes the report over the combined
-    /// activity. The merged report equals
-    /// `glitch_power::estimate_power_from_counts` over the summed counts
-    /// bit for bit (covered by `tests/parallel.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probes observed netlists of different sizes or were
-    /// configured with different technologies or clock frequencies.
-    fn merge(&mut self, other: PowerProbe) {
-        if self.counts.is_empty() {
-            *self = other;
-            return;
-        }
-        if other.counts.is_empty() {
-            return;
-        }
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "cannot merge power probes of different netlists"
-        );
-        assert!(
-            self.tech == other.tech && self.frequency == other.frequency,
-            "cannot merge power probes with different operating points"
-        );
-        for (total, &theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *total += theirs;
-        }
-        self.cycles += other.cycles;
-        self.energy_joules += other.energy_joules;
-        self.report = Some(self.compute_report());
-    }
-}
-
-// ------------------------------------------------------------------- stats
-
-/// Accumulates whole-run cycle statistics: cycle, transition and event
-/// totals plus the worst settle time — the mergeable counterpart of
-/// [`crate::SessionReport::cycle_stats`] for sharded runs, at `O(1)` memory
-/// instead of one [`CycleStats`] per cycle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsProbe {
-    cycles: u64,
-    transitions: u64,
-    events: u64,
-    cell_evals: u64,
-    max_settle_time: u64,
-}
-
-impl StatsProbe {
-    /// Creates an empty statistics probe.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of completed cycles observed.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Total signal transitions over all observed cycles.
-    #[must_use]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Total simulator events over all observed cycles.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Total combinational cell evaluations over all observed cycles.
-    #[must_use]
-    pub fn cell_evals(&self) -> u64 {
-        self.cell_evals
-    }
-
-    /// The worst intra-cycle settle time observed.
-    #[must_use]
-    pub fn max_settle_time(&self) -> u64 {
-        self.max_settle_time
-    }
-}
-
-impl Probe for StatsProbe {
-    fn on_cycle_end(&mut self, _cycle: u64, stats: &CycleStats) {
-        self.cycles += 1;
-        self.transitions += stats.transitions;
-        self.events += stats.events;
-        self.cell_evals += stats.cell_evals;
-        self.max_settle_time = self.max_settle_time.max(stats.settle_time);
-    }
-}
-
-impl MergeableProbe for StatsProbe {
-    fn merge(&mut self, other: StatsProbe) {
-        self.cycles += other.cycles;
-        self.transitions += other.transitions;
-        self.events += other.events;
-        self.cell_evals += other.cell_evals;
-        self.max_settle_time = self.max_settle_time.max(other.max_settle_time);
     }
 }
 
@@ -772,23 +519,20 @@ mod tests {
     }
 
     #[test]
-    fn power_probe_streams_energy_and_reports() {
+    fn priced_activity_probe_prices_its_trace() {
         let (nl, a, _) = inv_netlist();
         let tech = Technology::cmos_0p8um_5v();
         let report = SimSession::new(&nl)
-            .probe(PowerProbe::new(tech, 5e6))
+            .probe(ActivityProbe::priced(tech, 5e6))
             .stimulus(toggling(a, 10))
             .run()
             .unwrap();
-        let probe = report.probe::<PowerProbe>().unwrap();
-        assert!(probe.energy_joules() > 0.0);
-        let power = probe.report().expect("report after run end");
+        let probe = report.probe::<ActivityProbe>().unwrap();
+        let power = probe.power(&nl).expect("a priced probe has a report");
         assert!(power.breakdown.logic > 0.0);
         assert_eq!(power.cycles, 10);
-        // Streaming energy equals the report's per-cycle switched
-        // capacitance scaled back to joules.
-        let expected = power.switched_cap_per_cycle * tech.vdd * tech.vdd * power.cycles as f64;
-        assert!((probe.energy_joules() - expected).abs() <= 1e-12 * expected.abs());
+        assert_eq!(power, estimate_power(&nl, probe.trace(), &tech, 5e6));
+        assert_eq!(ActivityProbe::new().power(&nl), None);
     }
 
     #[test]

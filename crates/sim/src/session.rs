@@ -125,47 +125,19 @@ impl<'a> SimSession<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SessionError`] wrapping [`SimError::InvalidNetlist`] if
-    /// the netlist fails structural validation, or wrapping the first cycle
-    /// error ([`SimError::NotAnInput`], [`SimError::DidNotSettle`])
-    /// otherwise. The error carries a [`SessionReport`] with everything the
-    /// probes observed before the failure — the cycles leading up to a
-    /// non-settling cycle are usually exactly the diagnostics needed.
-    pub fn run(self) -> Result<SessionReport, SessionError> {
-        let mut sim = match ClockedSimulator::with_options(self.netlist, self.delay, self.options) {
-            Ok(sim) => sim,
-            Err(error) => {
-                // Construction failed before the probes were started; hand
-                // them back untouched (no `on_run_start`, no `on_run_end`).
-                return Err(SessionError {
-                    error,
-                    report: Box::new(SessionReport {
-                        cycles: 0,
-                        statistics: Some(Statistics::default()),
-                        final_values: vec![Value::X; self.netlist.net_count()],
-                        probes: self.probes,
-                        timed: None,
-                        wall_micros: 0,
-                        queue_wait_micros: 0,
-                    }),
-                });
-            }
-        };
+    /// Returns [`SimError::InvalidNetlist`] if the netlist fails structural
+    /// validation, or the first cycle error ([`SimError::NotAnInput`],
+    /// [`SimError::DidNotSettle`]) otherwise.
+    pub fn run(self) -> Result<SessionReport, SimError> {
+        let mut sim = ClockedSimulator::with_options(self.netlist, self.delay, self.options)?;
         let started = std::time::Instant::now();
         for probe in self.probes {
             sim.attach_probe(probe);
         }
         let mut cycle_stats = Vec::new();
-        let mut failure = None;
         if let Some(stimulus) = self.stimulus {
             for assignment in stimulus {
-                match sim.step(assignment) {
-                    Ok(stats) => cycle_stats.push(stats),
-                    Err(error) => {
-                        failure = Some(error);
-                        break;
-                    }
-                }
+                cycle_stats.push(sim.step(assignment)?);
             }
         }
         let queue = sim.queue_stats();
@@ -173,7 +145,7 @@ impl<'a> SimSession<'a> {
         let final_values = (0..self.netlist.net_count())
             .map(|i| sim.net_value(NetId::from_index(i)))
             .collect();
-        let report = SessionReport {
+        Ok(SessionReport {
             cycles: sim.cycle_count(),
             statistics: Some(Statistics {
                 cycles: cycle_stats,
@@ -184,55 +156,7 @@ impl<'a> SimSession<'a> {
             timed: None,
             wall_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             queue_wait_micros: 0,
-        };
-        match failure {
-            None => Ok(report),
-            Some(error) => Err(SessionError {
-                error,
-                report: Box::new(report),
-            }),
-        }
-    }
-}
-
-/// A failed [`SimSession::run`], carrying everything observed before the
-/// failure.
-///
-/// The probes in [`SessionError::report`] have had their `on_run_end`
-/// hooks fired (unless the simulator could not even be constructed), so
-/// their artefacts — the waveform of the cycles leading up to a
-/// non-settling cycle, say — are fully rendered and retrievable. The
-/// conversion into [`SimError`] drops the report, which keeps `?` working
-/// in code that only cares about the error.
-#[derive(Debug)]
-pub struct SessionError {
-    /// The simulator error that stopped the run.
-    pub error: SimError,
-    /// Everything the probes observed up to the failing cycle (boxed to
-    /// keep the `Err` variant small on the happy path).
-    pub report: Box<SessionReport>,
-}
-
-impl std::fmt::Display for SessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} ({} complete cycles observed before the failure)",
-            self.error,
-            self.report.cycles()
-        )
-    }
-}
-
-impl std::error::Error for SessionError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
-impl From<SessionError> for SimError {
-    fn from(e: SessionError) -> Self {
-        e.error
+        })
     }
 }
 
@@ -304,6 +228,14 @@ impl SessionReport {
              (events, cell evaluations, settle times, queue traffic); build its job \
              with `SimJob::with_statistics(true)` to read them",
         )
+    }
+
+    /// Whether the run counted its per-cycle statistics and queue traffic
+    /// ([`crate::SimJob::statistics`]), so that their readers below may be
+    /// called.
+    #[must_use]
+    pub fn has_statistics(&self) -> bool {
+        self.statistics.is_some()
     }
 
     /// Marks the report as settled on the timed kernel, with its work.
@@ -622,14 +554,12 @@ mod tests {
             .probe(ActivityProbe::new())
             .run()
             .unwrap_err();
-        assert!(matches!(err.error, SimError::InvalidNetlist(_)));
-        // The probes come back even though the simulator never ran.
-        assert_eq!(err.report.probe_count(), 1);
-        assert!(!SimError::from(err).to_string().is_empty());
+        assert!(matches!(err, SimError::InvalidNetlist(_)));
+        assert!(!err.to_string().is_empty());
     }
 
     #[test]
-    fn failed_run_keeps_the_cycles_observed_so_far() {
+    fn failed_run_returns_the_cycle_error() {
         // An inverter chain that needs 5 time units against a budget of 3:
         // the first (empty) cycle settles instantly, the second errors.
         let mut nl = Netlist::new("slow");
@@ -650,16 +580,10 @@ mod tests {
             .stimulus([InputAssignment::new(), InputAssignment::new().with(a, true)])
             .run()
             .unwrap_err();
-        assert!(matches!(err.error, SimError::DidNotSettle { .. }));
-        assert!(err.to_string().contains("1 complete cycles"));
-        let report = err.report;
-        assert_eq!(report.cycles(), 1, "one cycle completed before failing");
-        assert_eq!(report.cycle_stats().len(), 1);
-        // The probes survived and ran their on_run_end hooks: the activity
-        // trace covers the completed cycle only, and the VCD is rendered.
-        let trace = report.probe::<ActivityProbe>().unwrap().trace();
-        assert_eq!(trace.cycles(), 1);
-        assert!(report.probe::<VcdProbe>().unwrap().vcd().is_some());
+        assert!(
+            matches!(err, SimError::DidNotSettle { cycle: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! delays resolve to a timed schedule (every non-constant output delay
 //! ≥ 1, or all of them 0) and whose static horizon fits the settle budget
 //! gets from [`run_timed`] the same [`SessionReport`] the event-driven
-//! session would, field for field; without statistics the report has no
-//! [`crate::StatsProbe`] and refuses to be read for them
-//! ([`SessionReport::cycle_stats`]):
+//! session would, field for field; without statistics the report refuses
+//! to be read for them ([`SessionReport::cycle_stats`]):
 //!
 //! - every cycle is one lane, 64 to a word, in blocks of up to 256;
 //! - the stimulus enters a block and a word at a time: the job's random
@@ -28,9 +27,6 @@
 //!   to block;
 //! - the probes are filled in bulk, with no per-transition hook dispatch:
 //!   the extra ones through [`Probe::record_timed`] with a [`TimedRun`].
-//!
-//! The only figure that may differ is [`crate::PowerProbe::energy_joules`],
-//! whose float sum runs in another order; no report prints it.
 
 use glitch_kernel::{CycleLanes, KernelProgram, KernelState, TimedSchedule, TimedTally};
 use glitch_netlist::{NetId, Tri};
@@ -40,7 +36,7 @@ use crate::engine::QueueStats;
 use crate::error::SimError;
 use crate::kernel::kernel_eval_mode;
 use crate::parallel::{random_stimulus, SimJob};
-use crate::probe::{ActivityProbe, PowerProbe, Probe, StatsProbe};
+use crate::probe::{ActivityProbe, Probe};
 use crate::session::SessionReport;
 use crate::stimulus::RandomStimulus;
 use crate::value::Value;
@@ -104,9 +100,9 @@ impl SimJob<'_> {
     }
 }
 
-/// Runs `job` on the timed kernel with the standard probe set
-/// ([`ActivityProbe`], [`PowerProbe`], and [`StatsProbe`] when the job
-/// asks for statistics) plus `extra_probes`, each of which must settle
+/// Runs `job` on the timed kernel with the standard probe (an
+/// [`ActivityProbe`] priced at the job's operating point) plus
+/// `extra_probes`, each of which must settle
 /// timed ([`Probe::settles_timed`]). The hazard planes and `X` cycle ends
 /// are kept only when there are extra probes to fill, the per-cycle
 /// statistics and queue traffic only when [`SimJob::statistics`] is set.
@@ -159,13 +155,10 @@ pub(crate) fn run_timed(
         before.copy_lane(0, settled, settled.lanes() - 1);
     }
 
-    let mut activity = ActivityProbe::new();
-    let mut power = PowerProbe::new(job.technology, job.frequency);
+    let mut activity = ActivityProbe::priced(job.technology, job.frequency);
     activity.on_run_start(netlist);
-    power.on_run_start(netlist);
     activity.record_totals(cycles, &tally.transitions, &tally.useful, &tally.rises);
-    power.record_totals(cycles, &tally.transitions);
-    let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(activity), Box::new(power)];
+    let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(activity)];
     let statistics = job.statistics.then(|| {
         let mut queue = QueueStats::default();
         let cycle_stats: Vec<CycleStats> = lanes
@@ -182,12 +175,6 @@ pub(crate) fn run_timed(
                 }
             })
             .collect();
-        let mut stats = StatsProbe::new();
-        stats.on_run_start(netlist);
-        for (cycle, cycle_stat) in cycle_stats.iter().enumerate() {
-            stats.on_cycle_end(cycle as u64, cycle_stat);
-        }
-        probes.push(Box::new(stats));
         (cycle_stats, queue)
     });
     let final_values: Vec<Value> = (0..n)

@@ -14,8 +14,8 @@ mod support;
 
 use glitch_netlist::Bus;
 use glitch_sim::{
-    ActivityProbe, DelayKind, KernelProgram, ParallelRunner, PowerProbe, Probe, SessionReport,
-    SimJob, SimSession, StatsProbe, VcdProbe, WaveCsvProbe, WindowedActivityProbe,
+    ActivityProbe, DelayKind, KernelProgram, ParallelRunner, Probe, SessionReport, SimJob,
+    SimSession, VcdProbe, WaveCsvProbe, WindowedActivityProbe,
 };
 use proptest::prelude::*;
 
@@ -54,16 +54,14 @@ fn jobs<'a>(
 }
 
 /// A plain session over `job`'s stimulus merged with `flipped`'s flips,
-/// with the runners' standard probes plus `extra`.
+/// with the runners' standard probe plus `extra`.
 fn full_run(job: &SimJob<'_>, flipped: &SimJob<'_>, extra: Vec<Box<dyn Probe>>) -> SessionReport {
     let configured: Vec<_> = job.stimulus().collect();
     let mut session = SimSession::new(job.netlist)
         .delay(job.delay.clone())
         .options(job.options)
         .stimulus(merged_stimulus(&configured, &flipped.flips))
-        .probe(ActivityProbe::new())
-        .probe(PowerProbe::new(job.technology, job.frequency))
-        .probe(StatsProbe::new());
+        .probe(ActivityProbe::priced(job.technology, job.frequency));
     for probe in extra {
         session = session.boxed_probe(probe);
     }
@@ -129,21 +127,21 @@ proptest! {
         delay_word in 0u64..3,
     ) {
         let circuit = build_netlist(input_count, &gate_words);
+        let nl = &circuit.netlist;
         let (job, flipped) = jobs(&circuit, cycles, seed, &delta_words, delay_for(delay_word));
         let full = full_run(&job, &flipped, Vec::new());
-        let full_power = full.probe::<PowerProbe>().unwrap();
-        let [event, routed] = flipped_runs(&flipped, &|_| Vec::new());
-        // The running energy sum is the event path's own accumulator.
-        prop_assert_eq!(
-            event.probe::<PowerProbe>().unwrap().energy_joules(),
-            full_power.energy_joules()
-        );
-        for run in [event, routed] {
-            let power = run.probe::<PowerProbe>().unwrap();
-            prop_assert_eq!(power.report(), full_power.report());
+        let full_power = full.probe::<ActivityProbe>().unwrap().power(nl);
+        prop_assert!(full_power.is_some());
+        for run in flipped_runs(&flipped, &|_| Vec::new()) {
+            let power = run.probe::<ActivityProbe>().unwrap().power(nl);
+            prop_assert_eq!(&power, &full_power);
             prop_assert_eq!(
-                run.probe::<StatsProbe>().unwrap(),
-                full.probe::<StatsProbe>().unwrap()
+                (run.cycles(), run.total_transitions(), run.total_events()),
+                (full.cycles(), full.total_transitions(), full.total_events())
+            );
+            prop_assert_eq!(
+                (run.total_cell_evals(), run.max_settle_time()),
+                (full.total_cell_evals(), full.max_settle_time())
             );
             prop_assert_eq!(run.cycle_stats(), full.cycle_stats());
         }

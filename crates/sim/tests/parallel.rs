@@ -1,12 +1,12 @@
 //! Determinism of the sharded parallel layer: a parallel multi-seed run's
 //! aggregate must equal the fold of the corresponding serial per-seed runs
-//! **bit for bit** — activity totals, per-net histograms, power, stats.
+//! **bit for bit** — activity totals, per-net histograms, power, statistics.
 
 use glitch_netlist::{Bus, Netlist};
 use glitch_power::{estimate_power, Technology};
 use glitch_sim::{
-    ActivityProbe, AggregateReport, DelayKind, MergeableProbe, ParallelRunner, PowerProbe,
-    RandomStimulus, SimJob, SimSession, StatsProbe, WindowedActivityProbe,
+    ActivityProbe, AggregateReport, DelayKind, MergeableProbe, ParallelRunner, RandomStimulus,
+    SimJob, SimSession, WindowedActivityProbe,
 };
 
 /// A glitchy sequential circuit: an XOR tree with unbalanced input arrival
@@ -79,30 +79,28 @@ fn parallel_aggregate_is_bit_identical_to_the_serial_fold() {
 
     // And against a completely independent hand fold of single-seed
     // sessions (no runner involved at all).
-    let mut folded_activity = ActivityProbe::new();
-    let mut folded_power = PowerProbe::new(Technology::cmos_0p8um_5v(), 5e6);
-    let mut folded_stats = StatsProbe::new();
+    let mut folded_activity = ActivityProbe::priced(Technology::cmos_0p8um_5v(), 5e6);
+    let (mut cycles, mut events, mut max_settle_time) = (0, 0, 0);
     for &seed in &seeds {
         let mut report = SimSession::new(&nl)
             .delay(DelayKind::Unit)
             .stimulus(RandomStimulus::new(buses.clone(), 120, seed))
-            .probe(ActivityProbe::new())
-            .probe(PowerProbe::new(Technology::cmos_0p8um_5v(), 5e6))
-            .probe(StatsProbe::new())
+            .probe(ActivityProbe::priced(Technology::cmos_0p8um_5v(), 5e6))
             .run()
             .expect("settles");
+        cycles += report.cycles();
+        events += report.total_events();
+        max_settle_time = max_settle_time.max(report.max_settle_time());
         folded_activity.merge(report.take_probe::<ActivityProbe>().unwrap());
-        folded_power.merge(report.take_probe::<PowerProbe>().unwrap());
-        folded_stats.merge(report.take_probe::<StatsProbe>().unwrap());
     }
     assert_eq!(parallel.merged_trace(), folded_activity.trace());
     assert_eq!(
         parallel.merged_power(),
-        folded_power.report().expect("merged report")
+        &folded_activity.power(&nl).expect("priced")
     );
-    assert_eq!(parallel.total_cycles(), folded_stats.cycles());
-    assert_eq!(parallel.total_events(), folded_stats.events());
-    assert_eq!(parallel.max_settle_time(), folded_stats.max_settle_time());
+    assert_eq!(parallel.total_cycles(), cycles);
+    assert_eq!(parallel.total_events(), events);
+    assert_eq!(parallel.max_settle_time(), max_settle_time);
     assert_eq!(parallel.total_cycles(), 6 * 120);
 
     // The spread is over real per-seed variation.
@@ -115,20 +113,32 @@ fn parallel_aggregate_is_bit_identical_to_the_serial_fold() {
 
 #[test]
 fn merged_power_probe_matches_the_trace_based_estimate_bit_for_bit() {
-    // `PowerProbe::merge` recomputes its report with its own arithmetic;
-    // this pins that arithmetic to `glitch_power::estimate_power` over the
-    // merged activity trace (both funnel conceptually through the same
-    // formula — here we prove the f64 results are identical).
+    // The merged priced activity probe prices the fold of the shards'
+    // traces: its report must equal `glitch_power::estimate_power` over
+    // the merged activity trace, f64 for f64, and so must each shard's.
     let (nl, buses) = glitchy_netlist();
     let seeds = RandomStimulus::shard_seeds(7, 4);
     let job_list = jobs(&nl, &buses, &seeds);
     let mut reports = ParallelRunner::new(2)
         .run_sessions(&job_list)
         .expect("settles");
-    let aggregate = AggregateReport::reduce(&nl, &job_list, &mut reports);
     let tech = Technology::cmos_0p8um_5v();
+    let mut merged = ActivityProbe::new();
+    for (shard, mut report) in ParallelRunner::new(2)
+        .run_sessions(&job_list)
+        .expect("settles")
+        .into_iter()
+        .enumerate()
+    {
+        let probe = report.take_probe::<ActivityProbe>().unwrap();
+        let own = estimate_power(&nl, probe.trace(), &tech, 5e6);
+        assert_eq!(probe.power(&nl), Some(own.clone()), "shard {shard}");
+        merged.merge(probe);
+    }
+    let aggregate = AggregateReport::reduce(&nl, &job_list, &mut reports);
     let reference = estimate_power(&nl, aggregate.merged_trace(), &tech, 5e6);
     assert_eq!(aggregate.merged_power(), &reference);
+    assert_eq!(merged.power(&nl), Some(reference));
 }
 
 #[test]
@@ -192,42 +202,50 @@ fn extra_probe_factory_yields_mergeable_window_heatmaps() {
 }
 
 #[test]
-fn stats_probe_shard_merge_is_deterministic_across_worker_counts() {
-    // The runner docs promise job-order determinism for *all* mergeable
-    // probes; activity and power are pinned above, this pins StatsProbe:
-    // the fold of the per-shard statistics must be bit-identical at any
+fn shard_statistics_are_deterministic_across_worker_counts() {
+    // The runner docs promise job-order determinism for every aggregate;
+    // activity and power are pinned above, this pins the statistics each
+    // shard reads off its report: their fold must be bit-identical at any
     // worker count, and equal to an independent serial fold.
     let (nl, buses) = glitchy_netlist();
     let seeds = RandomStimulus::shard_seeds(0x57A7, 5);
     let job_list = jobs(&nl, &buses, &seeds);
 
-    let mut serial_fold = StatsProbe::new();
+    let mut serial = (0, 0, 0, 0, 0);
     for &seed in &seeds {
-        let mut report = SimSession::new(&nl)
+        let report = SimSession::new(&nl)
             .delay(DelayKind::Unit)
             .stimulus(RandomStimulus::new(buses.clone(), 120, seed))
-            .probe(StatsProbe::new())
             .run()
             .expect("settles");
-        serial_fold.merge(report.take_probe::<StatsProbe>().unwrap());
+        serial.0 += report.cycles();
+        serial.1 += report.total_transitions();
+        serial.2 += report.total_events();
+        serial.3 += report.total_cell_evals();
+        serial.4 = serial.4.max(report.max_settle_time());
     }
 
     for workers in [1, 2, 4, 8] {
         let mut reports = ParallelRunner::new(workers)
             .run_sessions(&job_list)
             .expect("settles");
-        let mut folded = StatsProbe::new();
-        for report in &mut reports {
-            folded.merge(report.take_probe::<StatsProbe>().unwrap());
-        }
+        let transitions: u64 = reports.iter().map(|r| r.total_transitions()).sum();
+        let aggregate = AggregateReport::reduce(&nl, &job_list, &mut reports);
+        let folded = (
+            aggregate.total_cycles(),
+            transitions,
+            aggregate.total_events(),
+            aggregate.total_cell_evals(),
+            aggregate.max_settle_time(),
+        );
         assert_eq!(
-            folded, serial_fold,
-            "{workers} workers must fold stats bit-identically"
+            folded, serial,
+            "{workers} workers must fold statistics bit-identically"
         );
     }
-    assert_eq!(serial_fold.cycles(), 5 * 120);
-    assert!(serial_fold.events() > 0);
-    assert!(serial_fold.max_settle_time() > 0);
+    assert_eq!(serial.0, 5 * 120);
+    assert!(serial.2 > 0);
+    assert!(serial.4 > 0);
 }
 
 #[test]

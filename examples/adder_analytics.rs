@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("16-bit ripple-carry adder, {VECTORS} random vectors\n");
     println!("{table}");
 
-    let totals = analysis.activity.totals();
+    let totals = analysis.activity;
     println!(
         "simulated totals: {} transitions, {} useful, {} useless, L/F = {:.2}",
         totals.transitions,

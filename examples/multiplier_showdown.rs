@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for candidate in &candidates {
         let analysis = analyzer.analyze(&candidate.netlist, &candidate.operands, &[])?;
-        let totals = analysis.activity.totals();
+        let totals = analysis.activity;
         table.add_row(vec![
             candidate.name.to_string(),
             totals.transitions.to_string(),

@@ -6,6 +6,7 @@
 //! cargo run --release -p glitch-core --example quickstart
 //! ```
 
+use glitch_core::activity::ActivityReport;
 use glitch_core::arith::{AdderStyle, RippleCarryAdder};
 use glitch_core::{AnalysisConfig, DelayKind, GlitchAnalyzer};
 
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[(adder.cin, false)],
     )?;
 
-    println!("{}", analysis.activity);
+    println!("{}", ActivityReport::new(&adder.netlist, &analysis.trace));
     println!("{}", analysis.power);
     println!(
         "balancing all delay paths would reduce combinational activity by a factor of {:.2}",

@@ -75,7 +75,7 @@ fn rca_totals_match_expectation_and_lf_ratio() {
         &[(adder.cin, false)],
     )
     .unwrap();
-    let totals = analysis.activity.totals();
+    let totals = analysis.activity;
     let expect = AdderExpectation::ripple_carry(16, CYCLES);
     let rel = |sim: u64, exp: f64| (sim as f64 - exp).abs() / exp;
     assert!(rel(totals.transitions, expect.total_transitions()) < 0.05);
@@ -107,13 +107,13 @@ fn array_multiplier_glitches_much_more_than_wallace() {
             &[],
         )
         .unwrap();
-    let a8_lf = a8.activity.totals().useless_to_useful();
-    let w8_lf = w8.activity.totals().useless_to_useful();
+    let a8_lf = a8.activity.useless_to_useful();
+    let w8_lf = w8.activity.useless_to_useful();
     assert!(
         a8_lf > 2.0 * w8_lf,
         "8x8: array L/F {a8_lf:.2} vs wallace {w8_lf:.2}"
     );
-    assert!(a8.activity.totals().useless > 2 * w8.activity.totals().useless);
+    assert!(a8.activity.useless > 2 * w8.activity.useless);
 
     let array16 = ArrayMultiplier::new(16, AdderStyle::CompoundCell);
     let wallace16 = WallaceTreeMultiplier::new(16, AdderStyle::CompoundCell);
@@ -131,8 +131,8 @@ fn array_multiplier_glitches_much_more_than_wallace() {
             &[],
         )
         .unwrap();
-    let a16_lf = a16.activity.totals().useless_to_useful();
-    let w16_lf = w16.activity.totals().useless_to_useful();
+    let a16_lf = a16.activity.useless_to_useful();
+    let w16_lf = w16.activity.useless_to_useful();
     assert!(
         a16_lf > 3.0 * w16_lf,
         "16x16: array L/F {a16_lf:.2} vs wallace {w16_lf:.2}"
@@ -176,12 +176,12 @@ fn slower_sum_outputs_worsen_the_useless_ratio() {
             .analyze(&netlist, &buses, &[])
             .unwrap();
         assert!(
-            slow.activity.totals().useless > unit.activity.totals().useless,
+            slow.activity.useless > unit.activity.useless,
             "{name}: useless must increase with the unbalanced cell delays"
         );
         assert_eq!(
-            slow.activity.totals().useful,
-            unit.activity.totals().useful,
+            slow.activity.useful,
+            unit.activity.useful,
             "{name}"
         );
     }
@@ -199,7 +199,7 @@ fn direction_detector_has_a_large_useless_ratio() {
     })
     .analyze(&det.netlist, &detector_buses(&det), &[])
     .unwrap();
-    let lf = analysis.activity.totals().useless_to_useful();
+    let lf = analysis.activity.useless_to_useful();
     assert!(lf > 1.5, "L/F = {lf:.2}");
     assert!(analysis.balance_reduction_factor() > 2.5);
 }

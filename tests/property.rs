@@ -90,10 +90,10 @@ proptest! {
             .run()
             .unwrap();
         let trace = session_report.take_probe::<ActivityProbe>().unwrap().into_trace();
-        let report = ActivityReport::from_trace(&adder.netlist, &trace);
+        let report = ActivityReport::new(&adder.netlist, &trace);
         let totals = report.totals();
         prop_assert_eq!(totals.transitions, totals.useful + totals.useless);
-        prop_assert!(totals.useful <= cycles * report.node_count() as u64);
+        prop_assert!(totals.useful <= cycles * ActivityReport::logic_nodes(&adder.netlist).len() as u64);
         prop_assert_eq!(totals.cycles, cycles);
     }
 
@@ -123,7 +123,7 @@ proptest! {
                 .run()
                 .unwrap();
             let trace = report.take_probe::<ActivityProbe>().unwrap().into_trace();
-            let totals = ActivityReport::from_trace(&adder.netlist, &trace).totals();
+            let totals = ActivityReport::new(&adder.netlist, &trace).totals();
             if useful_only {
                 totals.useful
             } else {
