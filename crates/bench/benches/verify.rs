@@ -5,7 +5,7 @@
 //! session the analyzer runs, so the cost of checking is the per-event
 //! work of the checker hooks, not an extra simulation. This group
 //! measures that margin on the 8-bit array multiplier: a bare analysis
-//! session (activity + power + stats probes) against the same session
+//! session (a priced activity probe) against the same session
 //! with the full checker suite (X-propagation, settle budgets on every
 //! net, hazard classification) attached, and prints the observed
 //! overhead ratio. The ROADMAP target is to *report* the ratio; there is

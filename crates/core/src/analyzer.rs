@@ -152,9 +152,6 @@ pub struct Analysis {
     /// classification (over [`ActivityReport::logic_nodes`]; render the
     /// per-node report with [`ActivityReport::new`] over
     /// [`Analysis::trace`]).
-    ///
-    /// [`ActivityReport::logic_nodes`]: glitch_activity::ActivityReport::logic_nodes
-    /// [`ActivityReport::new`]: glitch_activity::ActivityReport::new
     pub activity: ActivityTotals,
     /// Three-component dynamic power estimate.
     pub power: PowerReport,
@@ -284,8 +281,8 @@ pub struct DelaySweepPoint {
 ///
 /// The analyzer is a thin configuration layer over the simulator: every
 /// analysis, one seed or many, settles through the configured engine in
-/// [`GlitchAnalyzer::analyze_seeds`], and the activity and power probes'
-/// outputs are distilled into an [`Analysis`]. Callers that need more
+/// [`GlitchAnalyzer::analyze_seeds`], and the priced activity probe's
+/// trace is distilled into an [`Analysis`]. Callers that need more
 /// observables (a waveform, a transition CSV) add probes to the
 /// event-driven session of [`GlitchAnalyzer::session`] and still pay for
 /// one pass.
@@ -775,10 +772,7 @@ mod tests {
         // delay imbalance and therefore useless transitions.
         assert!(realistic.activity.useless > unit.activity.useless);
         // The useful work is unchanged by the delay model.
-        assert_eq!(
-            realistic.activity.useful,
-            unit.activity.useful
-        );
+        assert_eq!(realistic.activity.useful, unit.activity.useful);
     }
 
     #[test]

@@ -352,10 +352,7 @@ impl<'s> Parser<'s, '_, '_> {
                 "assign" | "always" | "initial" | "reg" | "parameter" | "generate" => {
                     return Err(IoError::Unsupported {
                         loc,
-                        construct: format!(
-                            "`{}` (only structural netlists are supported)",
-                            word
-                        ),
+                        construct: format!("`{}` (only structural netlists are supported)", word),
                     });
                 }
                 _ => {
@@ -384,8 +381,7 @@ impl<'s> Parser<'s, '_, '_> {
     /// `input wire` are accepted.
     fn declaration(&mut self, direction: Direction) -> Result<(), IoError> {
         self.pos += 1; // the direction keyword
-        if matches!(self.peek(), Some(Token { tok: Tok::Ident(kw), .. }) if kw == "wire")
-        {
+        if matches!(self.peek(), Some(Token { tok: Tok::Ident(kw), .. }) if kw == "wire") {
             self.pos += 1;
         }
         let range = if self.eat_punct('[') {
@@ -501,10 +497,7 @@ impl<'s> Parser<'s, '_, '_> {
                         Signal::Scalar(id) => Ok((id, loc)),
                         Signal::Vector { nets, .. } => Err(IoError::WidthMismatch {
                             loc,
-                            subject: format!(
-                                "`{}` (a vector net used as a scalar)",
-                                name
-                            ),
+                            subject: format!("`{}` (a vector net used as a scalar)", name),
                             expected: 1,
                             got: nets.len(),
                         }),
@@ -622,11 +615,7 @@ impl<'s> Parser<'s, '_, '_> {
                     Err(()) => {
                         return Err(IoError::syntax(
                             pin_loc,
-                            format!(
-                                "cell `{}` has no pin `{}`",
-                                cell_name,
-                                pin
-                            ),
+                            format!("cell `{}` has no pin `{}`", cell_name, pin),
                         ));
                     }
                 }

@@ -102,8 +102,8 @@ impl SimJob<'_> {
 
 /// Runs `job` on the timed kernel with the standard probe (an
 /// [`ActivityProbe`] priced at the job's operating point) plus
-/// `extra_probes`, each of which must settle
-/// timed ([`Probe::settles_timed`]). The hazard planes and `X` cycle ends
+/// `extra_probes`, each of which must settle timed
+/// ([`Probe::settles_timed`]). The hazard planes and `X` cycle ends
 /// are kept only when there are extra probes to fill, the per-cycle
 /// statistics and queue traffic only when [`SimJob::statistics`] is set.
 ///

@@ -179,11 +179,7 @@ fn slower_sum_outputs_worsen_the_useless_ratio() {
             slow.activity.useless > unit.activity.useless,
             "{name}: useless must increase with the unbalanced cell delays"
         );
-        assert_eq!(
-            slow.activity.useful,
-            unit.activity.useful,
-            "{name}"
-        );
+        assert_eq!(slow.activity.useful, unit.activity.useful, "{name}");
     }
 }
 
