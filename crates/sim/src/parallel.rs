@@ -670,11 +670,7 @@ impl AggregateReport {
             }
         }
         let merged_activity = merged_activity.expect("non-empty batch");
-        // One shard's trace is the merged trace, already priced.
-        let merged_power = match shards.as_slice() {
-            [only] => only.power.clone(),
-            _ => priced(&merged_activity, netlist),
-        };
+        let merged_power = priced(&merged_activity, netlist);
         let merged_totals = merged_activity.trace().totals_for(logic.iter().copied());
         AggregateReport {
             shards,
