@@ -296,7 +296,7 @@ impl<'s> Parser<'s, '_, '_> {
         if kw != "module" {
             return Err(IoError::syntax(
                 loc,
-                format!("expected `module`, found `{}`", kw),
+                format!("expected `module`, found `{kw}`"),
             ));
         }
         let (name, _) = self.expect_ident("a module name")?;
@@ -352,7 +352,7 @@ impl<'s> Parser<'s, '_, '_> {
                 "assign" | "always" | "initial" | "reg" | "parameter" | "generate" => {
                     return Err(IoError::Unsupported {
                         loc,
-                        construct: format!("`{}` (only structural netlists are supported)", word),
+                        construct: format!("`{word}` (only structural netlists are supported)"),
                     });
                 }
                 _ => {
@@ -411,10 +411,7 @@ impl<'s> Parser<'s, '_, '_> {
         loop {
             let (name, loc) = self.expect_ident("a signal name")?;
             if self.signals.contains_key(&name) {
-                return Err(IoError::syntax(
-                    loc,
-                    format!("`{}` is declared twice", name),
-                ));
+                return Err(IoError::syntax(loc, format!("`{name}` is declared twice")));
             }
             let signal = match range {
                 None => {
@@ -427,7 +424,7 @@ impl<'s> Parser<'s, '_, '_> {
                 Some((msb, lsb)) => {
                     let nets = (lsb..=msb)
                         .map(|i| {
-                            let bit = format!("{}[{i}]", name);
+                            let bit = format!("{name}[{i}]");
                             match direction {
                                 Direction::Input => self.netlist.add_input(&bit),
                                 _ => self.netlist.add_net(&bit),
@@ -475,7 +472,7 @@ impl<'s> Parser<'s, '_, '_> {
                     match signal {
                         Signal::Scalar(_) => Err(IoError::WidthMismatch {
                             loc: index_loc,
-                            subject: format!("`{}` (a scalar net, indexed)", name),
+                            subject: format!("`{name}` (a scalar net, indexed)"),
                             expected: 1,
                             got: 2,
                         }),
@@ -485,7 +482,7 @@ impl<'s> Parser<'s, '_, '_> {
                                 Some(&id) => Ok((id, loc)),
                                 None => Err(IoError::WidthMismatch {
                                     loc: index_loc,
-                                    subject: format!("index {index} of `{}`", name),
+                                    subject: format!("index {index} of `{name}`"),
                                     expected: nets.len(),
                                     got: index as usize,
                                 }),
@@ -497,7 +494,7 @@ impl<'s> Parser<'s, '_, '_> {
                         Signal::Scalar(id) => Ok((id, loc)),
                         Signal::Vector { nets, .. } => Err(IoError::WidthMismatch {
                             loc,
-                            subject: format!("`{}` (a vector net used as a scalar)", name),
+                            subject: format!("`{name}` (a vector net used as a scalar)"),
                             expected: 1,
                             got: nets.len(),
                         }),
@@ -615,7 +612,7 @@ impl<'s> Parser<'s, '_, '_> {
                     Err(()) => {
                         return Err(IoError::syntax(
                             pin_loc,
-                            format!("cell `{}` has no pin `{}`", cell_name, pin),
+                            format!("cell `{cell_name}` has no pin `{pin}`"),
                         ));
                     }
                 }
