@@ -1,8 +1,9 @@
 //! Criterion benchmarks of the reduction loop: the full greedy descent
-//! (measure → propose → screen → confirm → verify), the candidate screen
-//! on its own through both backends, the final equivalence check
-//! against the event-driven co-simulation it replaced, and one scoring
-//! pass on the event queue and on the timed kernel.
+//! (measure → propose → confirm and screen → verify) on mult4 and in the
+//! reduce-mult16 workload's shape, the co-simulated candidate screen on
+//! its own through both backends, the final equivalence check against the
+//! event-driven co-simulation it replaced, and one scoring pass on the
+//! event queue and on the timed kernel.
 
 #[path = "../../verify/tests/support/mod.rs"]
 mod event_equivalence;
@@ -43,6 +44,29 @@ fn bench_reduce(c: &mut Criterion) {
             };
             Reducer::new(session, options)
                 .run(&mult.netlist, &buses, &[])
+                .expect("reduction runs")
+                .moves
+                .len()
+        })
+    });
+
+    // The whole descent as the reduce-mult16 workload runs it: mult16,
+    // 200 cycles, the timed kernel, one seed, default options.
+    let mult16 = ArrayMultiplier::new(16, AdderStyle::CompoundCell);
+    group.bench_function("mult16_descent", |b| {
+        let buses = vec![mult16.x.clone(), mult16.y.clone()];
+        b.iter(|| {
+            let session = ReduceSession::new(
+                AnalysisConfig {
+                    cycles: 200,
+                    engine: EngineKind::Hybrid,
+                    ..AnalysisConfig::default()
+                },
+                vec![1],
+                1,
+            );
+            Reducer::new(session, ReduceOptions::default())
+                .run(&mult16.netlist, &buses, &[])
                 .expect("reduction runs")
                 .moves
                 .len()
@@ -140,7 +164,6 @@ fn bench_reduce(c: &mut Criterion) {
 
     // The same pass as the reduce-mult16 workload scores it: mult16, 200
     // cycles, settled on the timed kernel.
-    let mult16 = ArrayMultiplier::new(16, AdderStyle::CompoundCell);
     group.bench_function("score_mult16", |b| {
         let session = ReduceSession::new(
             AnalysisConfig {

@@ -159,11 +159,12 @@ commands:
   reduce    the paper's reduction loop: greedy accept/reject descent on
             glitch power. Hazard-hot nets rank the candidate moves
             (retiming cutsets, delay-buffer insertion, gate duplication),
-            a cheap batch co-simulation screens each candidate, a full
-            analysis pass confirms the survivors, and the best strictly
-            improving move is accepted. The final netlist is verified
-            cycle-accurately against the original before the headline
-            `glitch power -N% at equal function` is claimed
+            a full analysis pass scores each candidate, its outputs are
+            compared with the current circuit's in that same pass, and
+            the best strictly improving match is accepted. The final
+            netlist is verified cycle-accurately against the original
+            before the headline `glitch power -N% at equal function` is
+            claimed
               --moves <list>       comma list of buffer,duplicate,retime,
                                    or `all` [all]
               --target <pct>       stop once glitch power dropped by this
@@ -177,8 +178,8 @@ commands:
                                    engine, as in analyze (hybrid scores
                                    hazards on the timed kernel); kernel
                                    alone cannot score glitches.
-                                   Candidates are always screened
-                                   batch-wide through the compiled kernel
+                                   Candidates are screened from their
+                                   own scores, on the same engine
               --emit-blif <file>   write the reduced circuit as BLIF
               --progress           print one JSON progress line per
                                    descent iteration (accepted or final
@@ -294,7 +295,7 @@ pub fn dispatch(raw: &[String]) -> Result<(), CliError> {
         "status" => cmd_status(rest),
         "top" => cmd_top(rest),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
@@ -331,7 +332,7 @@ fn library_for(args: &Args) -> Result<GateLibrary, CliError> {
 
 fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
     fs::write(Path::new(path), contents).map_err(|e| run_err(format!("{path}: {e}")))?;
-    println!("wrote {path}");
+    outln!("wrote {path}");
     Ok(())
 }
 
@@ -447,7 +448,7 @@ const PARSE_SPEC: Spec = Spec {
 fn cmd_parse(raw: &[String]) -> Result<(), CliError> {
     let args = Args::parse(raw, &PARSE_SPEC).map_err(CliError::Usage)?;
     let (netlist, path) = load(&args)?;
-    println!(
+    outln!(
         "{path}: `{}` ok — {} cells, {} nets, {} flipflops, {} inputs, {} outputs",
         netlist.name(),
         netlist.cell_count(),
@@ -490,9 +491,9 @@ fn cmd_stats(raw: &[String]) -> Result<(), CliError> {
             .opt_usize("combinational_depth", stats.combinational_depth())
             .raw("cells_by_kind", &cells.render())
             .render();
-        println!("{json}");
+        outln!("{json}");
     } else {
-        print!("{stats}");
+        out!("{stats}");
     }
     Ok(())
 }
@@ -593,11 +594,11 @@ fn cmd_analyze(raw: &[String]) -> Result<(), CliError> {
     )?;
 
     if json {
-        println!("{}", output.json(&path, &netlist));
+        outln!("{}", output.json(&path, &netlist));
     } else {
-        println!("== {path}: `{}` ==", netlist.name());
-        print!("{}", netlist.stats());
-        println!();
+        outln!("== {path}: `{}` ==", netlist.name());
+        out!("{}", netlist.stats());
+        outln!();
         print_analyze_text(&netlist, &output);
     }
     let (analysis, windowed) = match &output {
@@ -641,41 +642,41 @@ fn print_analyze_text(netlist: &Netlist, output: &JobOutput) {
             let events = aggregate.aggregate.total_events();
             let max_settle = aggregate.aggregate.max_settle_time();
             if *seeds == 1 {
-                println!(
+                outln!(
                     "one simulation pass: {total_cycles} cycles, {events} events, \
                      worst settle time {max_settle}"
                 );
-                println!();
+                outln!();
             } else {
-                println!(
+                outln!(
                     "parallel sweep: {seeds} seeds x {cycles} cycles on {jobs} jobs \
                      ({total_cycles} cycles total, {events} events, worst settle time {max_settle})"
                 );
-                println!();
-                println!("per-seed spread ({seeds} seeds):");
-                println!("  glitches        {}", aggregate.glitch_spread());
-                println!("  useless         {}", aggregate.useless_spread());
-                println!("  L/F             {}", aggregate.lf_ratio_spread());
+                outln!();
+                outln!("per-seed spread ({seeds} seeds):");
+                outln!("  glitches        {}", aggregate.glitch_spread());
+                outln!("  useless         {}", aggregate.useless_spread());
+                outln!("  L/F             {}", aggregate.lf_ratio_spread());
                 let power_mw = aggregate.power_spread();
-                println!(
+                outln!(
                     "  total power (mW) {:.3} ± {:.3} (min {:.3}, max {:.3})",
                     power_mw.mean * 1e3,
                     power_mw.stddev * 1e3,
                     power_mw.min * 1e3,
                     power_mw.max * 1e3
                 );
-                println!();
-                println!("aggregate over the combined activity of all seeds:");
+                outln!();
+                outln!("aggregate over the combined activity of all seeds:");
             }
-            print!("{}", ActivityReport::new(netlist, aggregate.trace()));
-            println!(
+            out!("{}", ActivityReport::new(netlist, aggregate.trace()));
+            outln!(
                 "useless/useful ratio L/F = {:.3}; balancing all delay paths would cut \
                  combinational activity by a factor of {:.2}",
                 totals.useless_to_useful(),
                 totals.balance_reduction_factor()
             );
-            println!();
-            print!("{}", aggregate.power());
+            outln!();
+            out!("{}", aggregate.power());
         }
         JobOutput::Flip {
             applied,
@@ -683,9 +684,9 @@ fn print_analyze_text(netlist: &Netlist, output: &JobOutput) {
             after,
         } => {
             for (name, cycle, value) in applied {
-                println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
+                outln!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
             }
-            println!();
+            outln!();
             let mut table = TextTable::new(vec![
                 "run",
                 "useful",
@@ -707,7 +708,7 @@ fn print_analyze_text(netlist: &Netlist, output: &JobOutput) {
                     format!("{:.3}", power.breakdown.total() * 1e3),
                 ]);
             }
-            print!("{table}");
+            out!("{table}");
         }
         _ => unreachable!("analyze jobs produce analyze output"),
     }
@@ -730,7 +731,7 @@ fn write_window_csv(
             .enumerate()
             .max_by_key(|(_, w)| w.useless);
         if let Some((index, w)) = worst {
-            println!(
+            outln!(
                 "windowed activity: {} windows of {} cycles; worst window #{index} \
                  (starting at cycle {}) with {} useless transitions",
                 probe.windows().len(),
@@ -772,7 +773,7 @@ fn cmd_simulate(raw: &[String]) -> Result<(), CliError> {
         .run()
         .map_err(|e| run_err(format!("{path}: simulation failed: {e}")))?;
 
-    println!(
+    outln!(
         "simulated {cycles} cycles of `{}` (seed {seed}): {} transitions, \
          {} events, worst settle time {}",
         netlist.name(),
@@ -780,14 +781,14 @@ fn cmd_simulate(raw: &[String]) -> Result<(), CliError> {
         report.total_events(),
         report.max_settle_time()
     );
-    println!("final primary outputs:");
+    outln!("final primary outputs:");
     for &out in netlist.outputs() {
         let value = match report.net_bool(out) {
             Some(true) => "1",
             Some(false) => "0",
             None => "x",
         };
-        println!("  {:<24} {value}", netlist.net(out).name());
+        outln!("  {:<24} {value}", netlist.net(out).name());
     }
     if let Some(vcd_path) = args.option("vcd") {
         let vcd = report
@@ -842,12 +843,12 @@ fn cmd_power(raw: &[String]) -> Result<(), CliError> {
         unreachable!("analyze jobs produce analyze output")
     };
     if seeds == 1 {
-        print!("{}", aggregate.power());
+        out!("{}", aggregate.power());
     } else {
-        println!("aggregate of {seeds} seeds x {cycles} cycles on {jobs} jobs:");
-        print!("{}", aggregate.power());
+        outln!("aggregate of {seeds} seeds x {cycles} cycles on {jobs} jobs:");
+        out!("{}", aggregate.power());
         let spread = aggregate.power_spread();
-        println!(
+        outln!(
             "  per-seed total power {:.3} ± {:.3} mW (min {:.3}, max {:.3})",
             spread.mean * 1e3,
             spread.stddev * 1e3,
@@ -895,7 +896,7 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
         Hooks::default(),
     )?;
     if args.flag("json") {
-        println!("{}", output.json(&path, &netlist));
+        outln!("{}", output.json(&path, &netlist));
         return telemetry.finish();
     }
     if let JobOutput::SweepFlips {
@@ -918,7 +919,7 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
     else {
         unreachable!("sweep jobs produce sweep output")
     };
-    println!(
+    outln!(
         "delay-model sweep of `{}`: {} models x {seeds} seeds x {cycles} cycles on {jobs} jobs",
         netlist.name(),
         points.len(),
@@ -944,8 +945,8 @@ fn cmd_sweep(raw: &[String]) -> Result<(), CliError> {
             format!("{:.3}", power.stddev * 1e3),
         ]);
     }
-    print!("{table}");
-    println!(
+    out!("{table}");
+    outln!(
         "(glitch counts are per-seed complete glitches; every model saw the \
          same {seeds} stimulus seed(s), so differences are purely model-induced)"
     );
@@ -963,14 +964,14 @@ fn print_flip_sweep(
     points: &[AggregateAnalysis],
 ) {
     let base_useless = before.activity().useless;
-    println!(
+    outln!(
         "input-flip sensitivity sweep of `{}`: {} inputs flipped in cycle \
          {cycle} on {jobs} jobs, against a baseline of {} cycles",
         netlist.name(),
         points.len(),
         before.total_cycles()
     );
-    println!();
+    outln!();
     let mut table = TextTable::new(vec!["input", "flip", "useless", "d useless", "total (mW)"]);
     for ((name, _, value), point) in applied.iter().zip(points) {
         let useless = point.activity().useless;
@@ -982,8 +983,8 @@ fn print_flip_sweep(
             format!("{:.3}", point.power().breakdown.total() * 1e3),
         ]);
     }
-    print!("{table}");
-    println!(
+    out!("{table}");
+    outln!(
         "(each row is a full run with that bit flipped; `d useless` is the \
          glitch-transition change vs the baseline's {base_useless})"
     );
@@ -1032,28 +1033,30 @@ fn print_verify_text(report: &VerifyReport, netlist: &Netlist) {
             outcome.summary.clone(),
         ]);
     }
-    print!("{table}");
+    out!("{table}");
     for outcome in report.outcomes() {
         if outcome.verdict.passed() || outcome.violations.is_empty() {
             continue;
         }
         let shown = outcome.violations.len().min(5);
-        println!(
+        outln!(
             "{} violations ({} of {} shown):",
-            outcome.checker, shown, outcome.total_violations
+            outcome.checker,
+            shown,
+            outcome.total_violations
         );
         for v in &outcome.violations[..shown] {
             // The Violation fields are overloaded per checker (see the
             // `glitch_verify::Violation` docs); label them accordingly.
             if outcome.checker == "x-propagation" {
-                println!(
+                outln!(
                     "  `{}`: first X at cycle end {}, unknown for {} cycle ends",
                     netlist.net(v.net).name(),
                     v.cycle,
                     v.time
                 );
             } else {
-                println!(
+                outln!(
                     "  `{}`: cycle {}, t={}, budget {}",
                     netlist.net(v.net).name(),
                     v.cycle,
@@ -1093,9 +1096,9 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
         },
     )?;
     if args.flag("json") {
-        println!("{}", output.json(&path, &netlist));
+        outln!("{}", output.json(&path, &netlist));
     } else {
-        println!("== {path}: `{}` ==", netlist.name());
+        outln!("== {path}: `{}` ==", netlist.name());
     }
     let x_init = if request.x_init { "on" } else { "off" };
     let report = match &output {
@@ -1108,15 +1111,15 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
             ..
         } => {
             if !args.flag("json") {
-                println!(
+                outln!(
                     "verification: {seeds} seeds x {cycles} cycles on {jobs} jobs; x-init \
                      {x_init}; {checkers} checkers ({} cycles total, worst settle time {})",
                     checked.analysis.total_cycles(),
                     checked.analysis.aggregate.max_settle_time()
                 );
-                println!();
+                outln!();
                 print_verify_text(&checked.report, &netlist);
-                println!("verdict: {}", verdict_line(&checked.report));
+                outln!("verdict: {}", verdict_line(&checked.report));
             }
             &checked.report
         }
@@ -1129,17 +1132,17 @@ fn cmd_check(raw: &[String]) -> Result<(), CliError> {
             ..
         } => {
             if !args.flag("json") {
-                println!(
+                outln!(
                     "verification (input flip): {cycles} cycles; x-init {x_init}; \
                      {checkers} checkers"
                 );
                 for (name, cycle, value) in applied {
-                    println!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
+                    outln!("flip: `{name}` -> {} in cycle {cycle}", u8::from(*value));
                 }
-                println!();
-                println!("baseline verdict: {}", verdict_line(base_report));
-                println!("flipped verdict:  {}", verdict_line(&flipped.report));
-                println!();
+                outln!();
+                outln!("baseline verdict: {}", verdict_line(base_report));
+                outln!("flipped verdict:  {}", verdict_line(&flipped.report));
+                outln!();
                 print_verify_text(&flipped.report, &netlist);
             }
             &flipped.report
@@ -1220,12 +1223,12 @@ fn cmd_retime(raw: &[String]) -> Result<(), CliError> {
             format!("{:.3}", power.total() * 1e3),
         ]);
     }
-    println!(
+    outln!(
         "inserted {ranks} register rank(s) into `{}` (latency +{} cycles):",
         netlist.name(),
         piped.latency
     );
-    print!("{table}");
+    out!("{table}");
 
     if let Some(out) = args.option("emit-blif") {
         write_file(out, &emit_blif(&piped.netlist))?;
@@ -1265,9 +1268,8 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
     // The same rows the daemon streams for `"progress": true`, minus the
     // request id — printed as they happen, before the report.
     let print = |line: String| {
-        println!("{line}");
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
+        outln!("{line}");
+        crate::out::flush();
     };
     let output = exec(
         JobKind::Reduce,
@@ -1289,14 +1291,18 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
     };
 
     if args.flag("json") {
-        println!("{}", output.json(&path, &netlist));
+        outln!("{}", output.json(&path, &netlist));
     } else {
-        println!(
+        outln!(
             "== {path}: `{}` — {} iteration(s), {} proposed / {} screened / {} confirmed ==",
-            report.circuit, report.iterations, report.proposed, report.screened, report.confirmed
+            report.circuit,
+            report.iterations,
+            report.proposed,
+            report.screened,
+            report.confirmed
         );
         if report.moves.is_empty() {
-            println!("no improving move found; the netlist is unchanged");
+            outln!("no improving move found; the netlist is unchanged");
         } else {
             let mut table = TextTable::new(vec!["iter", "move", "glitch power (mW)", "latency"]);
             for m in &report.moves {
@@ -1311,9 +1317,9 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
                     format!("+{}", m.latency_added),
                 ]);
             }
-            print!("{table}");
+            out!("{table}");
         }
-        println!(
+        outln!(
             "glitch power {:.6} mW -> {:.6} mW; total {:.6} mW -> {:.6} mW; latency +{} cycle(s)",
             report.initial_glitch_power * 1e3,
             report.final_glitch_power * 1e3,
@@ -1321,7 +1327,7 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
             report.final_total_power * 1e3,
             report.latency
         );
-        println!(
+        outln!(
             "equivalence: {} ({} checks, {} output values compared)",
             if report.equivalence.passed() {
                 "PASS"
@@ -1331,7 +1337,7 @@ fn cmd_reduce(raw: &[String]) -> Result<(), CliError> {
             report.equivalence.checks.len(),
             report.equivalence.compared()
         );
-        println!("{}", report.headline());
+        outln!("{}", report.headline());
     }
 
     if let Some(out) = args.option("emit-blif") {
@@ -1409,12 +1415,12 @@ fn cmd_client(raw: &[String]) -> Result<(), CliError> {
     let mut errors = 0usize;
     let mut relay = |client: &mut glitch_serve::Client, line: &str| -> Result<(), CliError> {
         let response = client
-            .request_streaming(line, |interim| println!("{interim}"))
+            .request_streaming(line, |interim| outln!("{interim}"))
             .map_err(run_err)?;
         if response.starts_with("{\"error\"") {
             errors += 1;
         }
-        println!("{response}");
+        outln!("{response}");
         Ok(())
     };
     if args.positional().is_empty() {
@@ -1451,9 +1457,9 @@ fn cmd_status(raw: &[String]) -> Result<(), CliError> {
     let port = required_port(&args, "status")?;
     let line = fetch_status(port)?;
     if args.flag("json") {
-        println!("{line}");
+        outln!("{line}");
     } else {
-        print!("{}", render_status_dashboard(&line, port)?);
+        out!("{}", render_status_dashboard(&line, port)?);
     }
     Ok(())
 }
@@ -1476,9 +1482,8 @@ fn cmd_top(raw: &[String]) -> Result<(), CliError> {
         let dashboard = render_status_dashboard(&fetch_status(port)?, port)?;
         // Plain ANSI home+clear redraw: no terminal library, and a dumb
         // pipe just sees frames separated by the escape sequence.
-        print!("\x1b[H\x1b[2J{dashboard}");
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
+        out!("\x1b[H\x1b[2J{dashboard}");
+        crate::out::flush();
         frames += 1;
         if count > 0 && frames >= count {
             return Ok(());

@@ -7,6 +7,9 @@
 //! circuits, explore cutset retiming — with DOT and VCD export along the
 //! way.
 
+#[macro_use]
+mod out;
+
 mod args;
 mod commands;
 mod telemetry;
@@ -15,7 +18,10 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&raw) {
+    let result = commands::dispatch(&raw);
+    out::flush();
+    match result {
+        Ok(()) if out::failed() => ExitCode::FAILURE,
         Ok(()) => ExitCode::SUCCESS,
         Err(commands::CliError::Usage(message)) => {
             eprintln!("glitch-cli: {message}");

@@ -113,7 +113,7 @@ impl Telemetry {
     pub fn finish(&self) -> Result<(), CliError> {
         if let Some(path) = &self.trace_path {
             write(path, &chrome_trace(&self.spans))?;
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
         match &self.dest {
             None => {}
@@ -124,13 +124,13 @@ impl Telemetry {
                     self.text_dump()
                 };
                 write(path, &dump)?;
-                println!("wrote {path}");
+                outln!("wrote {path}");
             }
             Some(MetricsDest::Stdout) => {
                 if self.json {
-                    println!("{}", metrics_json(&self.registry));
+                    outln!("{}", metrics_json(&self.registry));
                 } else {
-                    print!("{}", self.text_dump());
+                    out!("{}", self.text_dump());
                 }
             }
         }

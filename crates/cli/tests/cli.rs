@@ -1240,3 +1240,38 @@ fn the_kernel_engine_refuses_timed_delays_and_timing_checks() {
         assert!(output.status.success(), "{args:?}: {}", stderr(&output));
     }
 }
+
+/// A reader that closes standard output at once (`glitch-cli … | head
+/// -1`) ends the output quietly: no panic, no status 101, and the files
+/// the command writes are still written.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let csv = std::env::temp_dir().join(format!("glitch_cli_{}_closed.csv", std::process::id()));
+    let cases: [&[&str]; 3] = [
+        &[
+            "analyze",
+            &data("rca4.blif"),
+            "--csv",
+            csv.to_str().unwrap(),
+        ],
+        &["reduce", &data("mult4.blif"), "--cycles", "100"],
+        &["reduce", &data("mult4.blif"), "--cycles", "100", "--json"],
+    ];
+    for args in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_glitch-cli"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("the binary must spawn");
+        drop(child.stdout.take());
+        let output = child.wait_with_output().expect("the binary ends");
+        let err = stderr(&output);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(output.status.code(), Some(101), "{args:?}: {err}");
+        assert!(output.status.success(), "{args:?}: {err}");
+    }
+    let written = std::fs::read_to_string(&csv).expect("the CSV is written");
+    std::fs::remove_file(&csv).ok();
+    assert!(written.lines().count() > 1, "{written}");
+}

@@ -397,3 +397,61 @@ fn hazard_checks_settle_timed_unless_a_budget_needs_every_transition() {
     assert_eq!(counter(line, "timed.shards"), "0");
     assert_eq!(counter(line, "timed.fallbacks"), "1");
 }
+
+/// Every span of a Chrome trace as `(name, start, duration)`.
+fn spans(trace: &str) -> Vec<(String, u64, u64)> {
+    let field = |event: &str, key: &str| -> u64 {
+        let rest = &event[event.find(key).expect("a timed event") + key.len()..];
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        rest[..end].parse().expect("a number")
+    };
+    trace
+        .split("{\"name\":\"")
+        .skip(1)
+        .filter(|event| event.contains("\"ph\":\"X\""))
+        .map(|event| {
+            let name = event[..event.find('"').expect("a closed name")].to_string();
+            (name, field(event, "\"ts\":"), field(event, "\"dur\":"))
+        })
+        .collect()
+}
+
+#[test]
+fn reduce_traces_its_phases_inside_the_reduce_span() {
+    let path = data("mult4.blif");
+    let trace_path = tmp("reduce.trace.json");
+    let args = ["reduce", path.as_str(), "--cycles", "100", "--json"];
+    let traced = stdout_of(&[&args[..], &["--trace-out", trace_path.to_str().unwrap()]].concat());
+    let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
+    std::fs::remove_file(&trace_path).ok();
+    // The report is the untraced run's; a `wrote` line follows it.
+    assert_eq!(traced.lines().next(), stdout_of(&args).lines().next());
+
+    let spans = spans(&trace);
+    let (_, start, dur) = spans
+        .iter()
+        .find(|(name, _, _)| name == "reduce")
+        .expect("a reduce span")
+        .clone();
+    let count = |phase: &str| spans.iter().filter(|(name, _, _)| name == phase).count();
+    assert_eq!(count("reduce.score"), 1, "{trace}");
+    assert_eq!(count("reduce.equivalence"), 1, "{trace}");
+    assert!(count("reduce.candidates") >= 1, "{trace}");
+    assert_eq!(
+        count("reduce.candidates"),
+        count("reduce.confirm"),
+        "{trace}"
+    );
+    assert_eq!(count("reduce.screen"), 0, "no phase of its own: {trace}");
+    for (name, child_start, child_dur) in spans
+        .iter()
+        .filter(|(name, _, _)| name.starts_with("reduce."))
+    {
+        assert!(
+            *child_start >= start && child_start + child_dur <= start + dur,
+            "`{name}` at {child_start}+{child_dur} outside reduce at {start}+{dur}"
+        );
+    }
+}

@@ -15,6 +15,10 @@
 //!   with the same score;
 //! * a [`HazardChecker`] riding the same pass for the *locations* — per-net
 //!   static/dynamic hazard counts, folded across seeds in seed order;
+//! * an [`OutputProbe`] beside it for the *function* — every primary
+//!   output's value at every cycle end, one record per seed, which the
+//!   reduction loop compares between a candidate and the netlist it
+//!   rewrites;
 //! * a glitch-power distillation: the combinational power attributable to
 //!   **useless** transitions alone, priced through the same capacitance
 //!   model as the total. This is the objective the reduction loop
@@ -22,7 +26,7 @@
 
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_power::estimate_power_from_counts;
-use glitch_sim::{MergeableProbe, Probe, SimError};
+use glitch_sim::{MergeableProbe, OutputProbe, OutputRecord, Probe, SimError};
 use glitch_verify::HazardChecker;
 
 use crate::analyzer::{AggregateAnalysis, AnalysisConfig, GlitchAnalyzer};
@@ -46,6 +50,9 @@ pub struct ReduceScore {
     pub glitch_power: f64,
     /// Total dynamic power (logic + flipflop + clock), in watts.
     pub total_power: f64,
+    /// Every primary output's end-of-cycle values, one record per seed in
+    /// seed order: what a rewrite of this netlist must reproduce.
+    pub outputs: Vec<OutputRecord>,
 }
 
 impl ReduceScore {
@@ -135,7 +142,8 @@ impl ReduceSession {
     }
 
     /// Prices one netlist: a multi-seed analysis pass with a hazard checker
-    /// riding along, distilled into a [`ReduceScore`].
+    /// and an output recorder riding along, distilled into a
+    /// [`ReduceScore`].
     ///
     /// Scores of different netlists are comparable when produced by the
     /// same session — same cycles, seeds, delay model, options and
@@ -150,8 +158,9 @@ impl ReduceSession {
         random_buses: &[Bus],
         held: &[(NetId, bool)],
     ) -> Result<ReduceScore, SimError> {
-        let factory =
-            |_seed_index: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(HazardChecker::new())] };
+        let factory = |_seed_index: usize| -> Vec<Box<dyn Probe>> {
+            vec![Box::new(HazardChecker::new()), Box::new(OutputProbe::new())]
+        };
         let (analysis, mut reports) = self.analyzer.analyze_seeds(
             netlist,
             random_buses,
@@ -164,11 +173,16 @@ impl ReduceSession {
         // Fold the per-seed hazard checkers in seed order — the same
         // deterministic reduction the suite path performs.
         let mut merged = HazardChecker::new();
+        let mut outputs = Vec::with_capacity(reports.len());
         for report in &mut reports {
             let checker = report
                 .take_probe::<HazardChecker>()
                 .expect("the factory attached a hazard checker to every seed");
             merged.merge(checker);
+            let recorder = report
+                .take_probe::<OutputProbe>()
+                .expect("the factory attached an output probe to every seed");
+            outputs.push(recorder.into_record());
         }
         let hazards = merged.per_net().to_vec();
         let trace = analysis.trace();
@@ -191,6 +205,7 @@ impl ReduceSession {
             hazards,
             glitch_power,
             total_power,
+            outputs,
         })
     }
 }
@@ -273,6 +288,7 @@ mod tests {
                 assert_eq!(serial.glitch_power.to_bits(), other.glitch_power.to_bits());
                 assert_eq!(serial.total_power.to_bits(), other.total_power.to_bits());
                 assert_eq!(serial.hot_nets(), other.hot_nets());
+                assert_eq!(serial.outputs, other.outputs);
             }
             let timed = |score: &ReduceScore| {
                 let shards = score.analysis.aggregate.shards();

@@ -48,9 +48,10 @@
 //! semantics, and `hybrid` steps the timed schedule ([`TimedSchedule`],
 //! one clock cycle per lane) to settle batch jobs whose delays it can
 //! step with the event queue's exact figures
-//! (`glitch_sim::ParallelRunner::run_jobs`). `glitch-reduce` screens
-//! candidate moves on it too, and `glitch-verify`'s equivalence checker
-//! settles both netlists on it, cycles as lanes.
+//! (`glitch_sim::ParallelRunner::run_jobs`), `glitch-reduce`'s scores
+//! and the output records its screen compares among them.
+//! `glitch-verify`'s equivalence checker settles both netlists on it,
+//! cycles as lanes.
 
 mod program;
 mod state;

@@ -23,7 +23,10 @@
 //! (`SimJob::with_flips`) on the corpus adder, multiplier and counter and
 //! compare both paths against a plain session over the
 //! `DeltaStimulus::apply_to`-merged assignments, including a counter
-//! `en` flip whose flipflop divergence lasts to the end of the run.
+//! `en` flip whose flipflop divergence lasts to the end of the run. The
+//! output-record case compares every primary output's end-of-cycle
+//! values (`OutputProbe`) on the corpus adder and counter, the multiplier
+//! and its 4-rank pipelined form.
 
 #[path = "../../sim/tests/support/mod.rs"]
 #[allow(dead_code)]
@@ -35,8 +38,9 @@ use glitch_io::{parse_netlist, Format, GateLibrary};
 use glitch_kernel::KernelProgram;
 use glitch_netlist::{Bus, CellKind, NetId, Netlist};
 use glitch_sim::{
-    ActivityProbe, AggregateReport, CellDelay, DelayKind, DeltaStimulus, ParallelRunner, Probe,
-    SessionReport, SimBaseline, SimError, SimJob, SimOptions, SimSession, Value,
+    ActivityProbe, AggregateReport, CellDelay, DelayKind, DeltaStimulus, OutputProbe,
+    ParallelRunner, Probe, SessionReport, SimBaseline, SimError, SimJob, SimOptions, SimSession,
+    Value,
 };
 use glitch_verify::{
     BudgetSpec, CheckSuite, CheckerProbe, HazardChecker, VerifyReport, XPropagationChecker,
@@ -725,4 +729,58 @@ fn an_aggregate_of_runs_without_statistics_refuses_its_event_total() {
     let aggregate = AggregateReport::reduce(&mult.netlist, &jobs, &mut reports);
     assert_eq!(aggregate.total_cycles(), 130, "cycles are always counted");
     let _ = aggregate.total_events();
+}
+
+/// The output record a run settled on the timed kernel copies from its
+/// settled planes equals the one the event path builds from its
+/// transitions: every primary output at every cycle end, `X` included.
+#[test]
+fn the_timed_output_record_equals_the_event_paths() {
+    let rca = corpus("rca4.blif");
+    let counter = corpus("counter4.blif");
+    let mult = ArrayMultiplier::new(8, AdderStyle::CompoundCell);
+    let piped = pipeline_netlist(&mult.netlist, 4, PipelineOptions::default()).expect("pipelines");
+    let piped_buses: Vec<Bus> = [&mult.x, &mult.y]
+        .into_iter()
+        .map(|bus| Bus::new(bus.iter().map(|&net| piped.mapping.new_net(net)).collect()))
+        .collect();
+    let circuits = [
+        (&rca, vec![Bus::new(rca.inputs().to_vec())]),
+        (&mult.netlist, vec![mult.x.clone(), mult.y.clone()]),
+        (&counter, vec![Bus::new(counter.inputs().to_vec())]),
+        (&piped.netlist, piped_buses),
+    ];
+    let recorder = |_job: usize| -> Vec<Box<dyn Probe>> { vec![Box::new(OutputProbe::new())] };
+    let record = |report: &SessionReport| {
+        report
+            .probe::<OutputProbe>()
+            .expect("output probe attached")
+            .record()
+            .clone()
+    };
+    let runner = ParallelRunner::new(1);
+    for (netlist, buses) in circuits {
+        let program = KernelProgram::compile(netlist).expect("acyclic");
+        for delay in [
+            DelayKind::Unit,
+            DelayKind::Zero,
+            DelayKind::RealisticAdderCells,
+        ] {
+            for options in [SimOptions::default(), SimOptions::x_init()] {
+                let job = SimJob::new(netlist, buses.clone(), 300, 0x0E7D)
+                    .with_delay(delay.clone())
+                    .with_options(options)
+                    .with_statistics(false);
+                let case = format!("{} {delay:?} {options:?}", netlist.name());
+                let jobs = std::slice::from_ref(&job);
+                let timed = runner.run_jobs(jobs, &program, &recorder).expect("settles");
+                let event = runner.run_sessions_with(jobs, &recorder).expect("settles");
+                assert!(timed[0].timed_work().is_some(), "settled timed: {case}");
+                let (timed, event) = (record(&timed[0]), record(&event[0]));
+                assert_eq!(timed.cycles(), 300, "{case}");
+                assert_eq!(timed.outputs(), netlist.outputs().len(), "{case}");
+                assert_eq!(timed, event, "output record: {case}");
+            }
+        }
+    }
 }

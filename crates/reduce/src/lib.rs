@@ -17,13 +17,15 @@
 //!    hazard-hot sites: [`MoveKind::Buffer`], [`MoveKind::Duplicate`],
 //!    [`MoveKind::Retime`] (all from [`glitch_retime::rewrite`], each a
 //!    total-mapping `Netlist → Netlist` rebuild).
-//! 3. **Screen** — a [`Screen`] settles the current netlist once per
-//!    iteration and co-simulates each candidate against it functionally,
-//!    batch-wide through the compiled kernel whatever the scoring engine
-//!    (the per-lane event-queue screen decides identically and is kept as
-//!    the pinned reference; [`screen_candidate`] screens one candidate).
-//! 4. **Confirm** — survivors get a full scoring pass; the best strictly
-//!    improving candidate is accepted and its mapping composed.
+//! 3. **Confirm and screen** — every candidate gets a full scoring pass
+//!    on the current stimulus. Each score records every primary output
+//!    at every cycle end, so [`screen_scores`] checks the candidate's
+//!    function against the current netlist's through the rewrite's
+//!    mapping and latency, with no simulation of its own. Among the
+//!    candidates that match, the best strictly improving one is accepted
+//!    and its mapping composed. ([`Screen`] and [`screen_candidate`], a
+//!    separate co-simulation on the compiled kernel or the event queue,
+//!    are kept only for the benchmark's reduce mirror.)
 //! 5. **Verify** — the final netlist is checked against the *original*
 //!    with [`glitch_verify::EquivalenceChecker`]: cycle-accurate output
 //!    equality through the composed mapping, binary and `x_init`, settled
@@ -58,14 +60,16 @@
 //! # }
 //! ```
 
+mod compare;
 mod error;
 mod moves;
 mod progress;
 mod reducer;
 mod screen;
 
+pub use compare::{screen_scores, ScreenOutcome};
 pub use error::ReduceError;
 pub use moves::{generate_candidates, parse_moves, Candidate, MoveKind};
 pub use progress::{NullProgress, ProgressEvent, ProgressSink};
 pub use reducer::{AcceptedMove, ReduceOptions, ReduceReport, Reducer};
-pub use screen::{screen_candidate, Screen, ScreenBackend, ScreenOutcome};
+pub use screen::{screen_candidate, Screen, ScreenBackend};

@@ -1,15 +1,21 @@
-//! The greedy descent: analyze → propose → screen → confirm → accept.
+//! The greedy descent: analyze → propose → confirm (scored and screened
+//! in one pass) → accept.
 //!
-//! Each iteration prices the current netlist with a [`ReduceSession`]
-//! pass (glitch power + per-net hazards), proposes candidates at the
-//! hazard-hot sites, screens them functionally (cheap, batch), confirms
-//! the survivors with full analysis passes, and accepts the single best
-//! strictly-improving move. The loop stops at the `--target` reduction,
+//! Each iteration proposes candidates at the hazard-hot sites of the
+//! current netlist's [`ReduceSession`] score (glitch power + per-net
+//! hazards), scores every candidate with a full analysis pass on the
+//! same stimulus, and accepts the single best strictly-improving move
+//! among those whose outputs matched. The functional screen is read off
+//! the scores: each records every primary output at every cycle end, so
+//! [`screen_scores`] compares the candidate's outputs with the current
+//! netlist's through the rewrite's mapping and latency, with no
+//! simulation of its own. The loop stops at the `--target` reduction,
 //! when no candidate improves, or at `--max-iters`.
 //!
 //! Every figure is deterministic: scoring is worker-count invariant,
-//! screening is seeded, candidate ranking is a pure function of the
-//! score. Two runs with the same inputs produce byte-identical reports.
+//! screening compares seeded scores, candidate ranking is a pure function
+//! of the score. Two runs with the same inputs produce byte-identical
+//! reports.
 //!
 //! The headline — *glitch power −N% at equal function* — is only claimed
 //! after a final differential equivalence verification of the reduced
@@ -21,10 +27,10 @@ use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_retime::{NetMap, PipelineOptions};
 use glitch_verify::{EquivalenceChecker, EquivalenceReport};
 
+use crate::compare::screen_scores;
 use crate::error::ReduceError;
 use crate::moves::{generate_candidates, Candidate, MoveKind};
 use crate::progress::{NullProgress, ProgressEvent, ProgressSink};
-use crate::screen::{Screen, ScreenBackend};
 
 /// Knobs of the reduction loop; see the field docs for defaults.
 #[derive(Debug, Clone)]
@@ -38,9 +44,12 @@ pub struct ReduceOptions {
     pub max_iters: usize,
     /// Candidates proposed per move kind per iteration.
     pub per_kind: usize,
-    /// Cycles of the functional screen.
+    /// Cycles of a co-simulated screen ([`crate::screen_candidate`]). The
+    /// reducer screens from its scores and does not read this; it is kept
+    /// only for the benchmark's reduce mirror, which screens on its own.
     pub screen_cycles: u64,
-    /// Stimulus lanes of the functional screen.
+    /// Stimulus lanes of a co-simulated screen. The reducer does not read
+    /// this either; kept only for the benchmark's reduce mirror.
     pub screen_lanes: usize,
     /// Cycles of the final equivalence verification.
     pub equivalence_cycles: u64,
@@ -89,9 +98,11 @@ pub struct ReduceReport {
     pub iterations: usize,
     /// Candidates proposed across all iterations.
     pub proposed: usize,
-    /// Candidates that survived the functional screen.
+    /// Candidates whose outputs matched the current netlist's in their
+    /// confirm score (the functional screen).
     pub screened: usize,
-    /// Candidates confirmed with a full analysis pass.
+    /// Candidates whose confirm score competed for acceptance: those that
+    /// passed the screen, so always equal to `screened`.
     pub confirmed: usize,
     /// The accepted moves, in acceptance order.
     pub moves: Vec<AcceptedMove>,
@@ -163,7 +174,7 @@ impl Reducer {
     ///
     /// # Errors
     ///
-    /// * [`ReduceError::Sim`] — a scoring or screening simulation failed;
+    /// * [`ReduceError::Sim`] — a scoring simulation failed;
     /// * [`ReduceError::NotEquivalent`] — the final verification found a
     ///   divergence (a rewrite bug; accepted moves are pre-screened).
     pub fn run(
@@ -177,8 +188,11 @@ impl Reducer {
 
     /// [`Reducer::run`] with a [`ProgressSink`] observing one event per
     /// loop iteration (the accepted move, or the rejection that ends the
-    /// descent). The sink is an observer only: the returned report is
-    /// byte-identical to a sink-less run.
+    /// descent) and the start and end of each phase: the baseline
+    /// `reduce.score`, per iteration `reduce.candidates` and
+    /// `reduce.confirm`, then `reduce.equivalence`. The sink is an
+    /// observer only: the returned report is byte-identical to a sink-less
+    /// run.
     ///
     /// # Errors
     ///
@@ -190,8 +204,9 @@ impl Reducer {
         held: &[(NetId, bool)],
         progress: &mut dyn ProgressSink,
     ) -> Result<ReduceReport, ReduceError> {
+        progress.phase_start("reduce.score");
         let baseline = self.session.score(netlist, random_buses, held)?;
-        let screen_seed = self.session.config().seed;
+        progress.phase_end("reduce.score");
 
         let mut current = netlist.clone();
         let mut map = NetMap::identity(netlist);
@@ -200,7 +215,7 @@ impl Reducer {
         let mut score = baseline.clone();
         let mut glitch_history = vec![baseline.glitch_power];
         let mut moves: Vec<AcceptedMove> = Vec::new();
-        let (mut proposed, mut screened, mut confirmed) = (0usize, 0usize, 0usize);
+        let (mut proposed, mut screened) = (0usize, 0usize);
         let mut iterations = 0usize;
 
         while moves.len() < self.options.max_iters {
@@ -213,6 +228,7 @@ impl Reducer {
                 }
             }
             iterations += 1;
+            progress.phase_start("reduce.candidates");
             let candidates = generate_candidates(
                 &current,
                 &score,
@@ -220,6 +236,7 @@ impl Reducer {
                 self.options.per_kind,
                 self.options.pipeline,
             );
+            progress.phase_end("reduce.candidates");
             let iter_proposed = candidates.len();
             proposed += iter_proposed;
             if candidates.is_empty() {
@@ -233,26 +250,13 @@ impl Reducer {
                 });
                 break;
             }
-            // Functional screen: cheap batch rejection of broken rewrites.
-            let screen = Screen::new(
-                &current,
-                ScreenBackend::Kernel,
-                self.options.screen_cycles,
-                self.options.screen_lanes,
-                screen_seed ^ iterations as u64,
-            )?;
-            let mut survivors: Vec<Candidate> = Vec::new();
-            for candidate in candidates {
-                if screen.check(&candidate.rewrite)?.accepted {
-                    survivors.push(candidate);
-                }
-            }
-            let iter_screened = survivors.len();
-            screened += iter_screened;
-            // Confirm: full glitch-power pass per survivor; best wins.
+            // Confirm: a full glitch-power pass per candidate on the
+            // current stimulus, screened by its outputs; best wins.
+            progress.phase_start("reduce.confirm");
             type Confirmed = (Candidate, ReduceScore, Vec<Bus>, Vec<(NetId, bool)>);
             let mut best: Option<Confirmed> = None;
-            for candidate in survivors {
+            let mut iter_screened = 0usize;
+            for candidate in candidates {
                 let next_buses: Vec<Bus> = buses
                     .iter()
                     .map(|bus| {
@@ -270,7 +274,10 @@ impl Reducer {
                 let next_score =
                     self.session
                         .score(&candidate.rewrite.netlist, &next_buses, &next_held)?;
-                confirmed += 1;
+                if !screen_scores(&current, &score, &candidate.rewrite, &next_score).accepted {
+                    continue;
+                }
+                iter_screened += 1;
                 let improves = next_score.glitch_power < score.glitch_power;
                 let beats_best = best
                     .as_ref()
@@ -279,6 +286,8 @@ impl Reducer {
                     best = Some((candidate, next_score, next_buses, next_held));
                 }
             }
+            progress.phase_end("reduce.confirm");
+            screened += iter_screened;
             let Some((winner, winner_score, winner_buses, winner_held)) = best else {
                 progress.iteration(&ProgressEvent {
                     iteration: iterations,
@@ -316,14 +325,16 @@ impl Reducer {
 
         // The headline's "at equal function": verify the reduced netlist
         // against the ORIGINAL through the composed mapping.
+        progress.phase_start("reduce.equivalence");
         let equivalence = self.verify_equivalence(netlist, &current, &map)?;
+        progress.phase_end("reduce.equivalence");
 
         Ok(ReduceReport {
             circuit: netlist.name().to_string(),
             iterations,
             proposed,
             screened,
-            confirmed,
+            confirmed: screened,
             moves,
             initial_glitch_power: baseline.glitch_power,
             final_glitch_power: score.glitch_power,

@@ -1,26 +1,27 @@
-//! Cheap functional screening of candidate moves.
+//! Functional screening of candidate moves by a co-simulation of their
+//! own, kept for the benchmark's traced reduce mirror (`glitchbench`),
+//! which screens each candidate with [`screen_candidate`].
 //!
-//! Before a candidate earns the expensive glitch-power confirm (a full
-//! scoring pass over every seed, with hazard classification), it must
-//! survive a *functional* co-simulation against the current netlist: same
+//! The [`crate::Reducer`] does not use it: it screens each candidate from
+//! the candidate's own confirm score ([`crate::screen_scores`]), which
+//! settles on the same stimulus as the current netlist's score and
+//! records every output at every cycle end. This module goes with the
+//! mirror when the benchmark reads the reducer's own phase spans.
+//!
+//! A screen co-simulates a candidate against the current netlist: same
 //! stimulus in, identical settled output values out, through the
-//! rewrite's mapping and latency. A rewrite with a structural bug dies
-//! here for the price of a few dozen functional cycles instead of a full
-//! analysis.
-//!
-//! Two backends compute the same decision:
+//! rewrite's mapping and latency. Two backends compute the same decision:
 //!
 //! * [`ScreenBackend::Kernel`] — both netlists compiled to bit-parallel
 //!   [`KernelProgram`]s, stimulus driven and outputs compared a 64-lane
-//!   word at a time. This is the batch path the reducer always takes,
-//!   whatever its scoring engine.
+//!   word at a time.
 //! * [`ScreenBackend::Queue`] — one event-driven [`ClockedSimulator`]
 //!   per lane per side. The reference path the pin test compares against.
 //!
 //! The current netlist's side does not depend on the candidate: a
-//! [`Screen`] settles it once per descent iteration (one compile, the
-//! output words of every screen cycle) and checks each candidate against
-//! those words.
+//! [`Screen`] settles it once (one compile, the output words of every
+//! screen cycle) and checks each candidate against those words, with the
+//! word comparison [`crate::screen_scores`] uses.
 //!
 //! Settled end-of-cycle values are delay-independent, and the kernel is
 //! pinned bit-for-bit against the event-driven simulator (the kernel
@@ -32,28 +33,17 @@ use glitch_netlist::{NetId, Netlist, Tri};
 use glitch_retime::Rewrite;
 use glitch_sim::{kernel_eval_mode, ClockedSimulator, InputAssignment, UnitDelay, Value, XEval};
 
+use crate::compare::{first_divergence, ScreenOutcome};
 use crate::error::ReduceError;
 
-/// Which engine computes the screen decision; see the module docs.
+/// Which engine computes the screen decision; see the module docs. Kept
+/// only for the benchmark's reduce mirror, like the rest of the module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScreenBackend {
     /// Compiled bit-parallel kernel, all lanes per word.
     Kernel,
     /// One event-driven simulator per lane per side.
     Queue,
-}
-
-/// The result of screening one candidate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScreenOutcome {
-    /// `true` when every compared output value matched.
-    pub accepted: bool,
-    /// Cycles co-simulated.
-    pub cycles: u64,
-    /// Independent stimulus lanes.
-    pub lanes: usize,
-    /// Location of the first divergence when rejected.
-    pub mismatch: Option<String>,
 }
 
 /// `splitmix64`: the screen's stimulus generator — tiny, seedable, and
@@ -79,7 +69,8 @@ fn stimulus_word(seed: u64, cycle: u64, input_index: usize) -> u64 {
 /// against the current netlist's settled value. Flipflops start at zero
 /// on both sides, matching [`glitch_sim::SimOptions::default`]. This
 /// builds a [`Screen`] for the one candidate; to check several against
-/// the same netlist, build the [`Screen`] once.
+/// the same netlist, build the [`Screen`] once. Kept only for the
+/// benchmark's reduce mirror; the reducer uses [`crate::screen_scores`].
 ///
 /// # Errors
 ///
@@ -103,7 +94,8 @@ type OutputWords = Vec<(u64, u64)>;
 /// words in every screen cycle, against which any number of candidates
 /// are checked. A candidate's cycle `c` compares with reference cycle
 /// `c - latency`; the first mismatch is reported output-major, then
-/// lowest lane.
+/// lowest lane. Kept only for the benchmark's reduce mirror; the reducer
+/// uses [`crate::screen_scores`].
 #[derive(Debug, Clone)]
 pub struct Screen<'a> {
     current: &'a Netlist,
@@ -201,22 +193,16 @@ impl<'a> Screen<'a> {
         expected: &[(u64, u64)],
         transformed: &[(u64, u64)],
     ) -> Option<String> {
-        let words = self.lanes.div_ceil(64);
-        let (flat, diff) = expected
-            .iter()
-            .zip(transformed)
-            .map(|(&(va, ma), &(vb, mb))| (va ^ vb) | (ma ^ mb))
-            .enumerate()
-            .find(|&(_, diff)| diff != 0)?;
-        let bit = diff.trailing_zeros() as usize;
-        let lane = (flat % words) * 64 + bit;
-        let output = self.current.outputs()[flat / words];
+        let divergence = first_divergence(expected, transformed, self.lanes.div_ceil(64))?;
         Some(format!(
-            "output `{}` lane {lane} diverged at cycle {}: {:?} vs {:?}",
-            self.current.net(output).name(),
+            "output `{}` lane {} diverged at cycle {}: {:?} vs {:?}",
+            self.current
+                .net(self.current.outputs()[divergence.output])
+                .name(),
+            divergence.lane,
             cycle - latency,
-            lane_value(expected[flat], bit),
-            lane_value(transformed[flat], bit),
+            divergence.expected,
+            divergence.transformed,
         ))
     }
 
@@ -304,17 +290,6 @@ impl<'a> Screen<'a> {
             }
         }
         Ok(self.cycles)
-    }
-}
-
-/// The three-valued value of bit `bit` of a `(value, mask)` word.
-fn lane_value((val, msk): (u64, u64), bit: usize) -> Tri {
-    if msk >> bit & 1 == 1 {
-        Tri::X
-    } else if val >> bit & 1 == 1 {
-        Tri::One
-    } else {
-        Tri::Zero
     }
 }
 

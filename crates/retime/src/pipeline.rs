@@ -89,47 +89,43 @@ pub fn pipeline_netlist(
 
     let mut out = Netlist::new(format!("{}_p{}", netlist.name(), ranks));
 
-    // Copy primary inputs with identical names.
-    let mut new_net_of: HashMap<NetId, NetId> = HashMap::new();
+    // Per original net, its same-stage copy: the primary inputs with
+    // identical names first, each cell output as its cell is emitted.
+    let mut new_net_of: Vec<Option<NetId>> = vec![None; netlist.net_count()];
     for &input in netlist.inputs() {
-        let id = out.add_input(netlist.net(input).name());
-        new_net_of.insert(input, id);
+        new_net_of[input.index()] = Some(out.add_input(netlist.net(input).name()));
     }
 
     // Source stage of every original net (0 for primary inputs, the driving
     // cell's stage otherwise), filled in as cells are emitted.
-    let mut stage_of_net: HashMap<NetId, usize> =
-        netlist.inputs().iter().map(|&n| (n, 0)).collect();
-    // Cache of registered versions of a net: (net, extra registers) -> new net.
-    let mut delayed: HashMap<(NetId, usize), NetId> = HashMap::new();
-    let mut stage_of_cell: HashMap<CellId, usize> = HashMap::new();
+    let mut stage_of_net = vec![0usize; netlist.net_count()];
+    // Per original net, its registered versions: entry `k - 1` is the net
+    // behind `k` registers. Chains grow one register at a time, so shorter
+    // delays are shared.
+    let mut delayed: Vec<Vec<NetId>> = vec![Vec::new(); netlist.net_count()];
+    let mut stages: Vec<(CellId, usize)> = Vec::with_capacity(levels.order().len());
 
     let registered = |out: &mut Netlist,
-                      new_net_of: &HashMap<NetId, NetId>,
-                      delayed: &mut HashMap<(NetId, usize), NetId>,
+                      new_net_of: &[Option<NetId>],
+                      delayed: &mut [Vec<NetId>],
                       net: NetId,
                       extra: usize|
      -> NetId {
+        let chain = &mut delayed[net.index()];
         if extra == 0 {
-            return new_net_of[&net];
+            return new_net_of[net.index()].expect("a net is copied before it is read");
         }
-        if let Some(&cached) = delayed.get(&(net, extra)) {
+        if let Some(&cached) = chain.get(extra - 1) {
             return cached;
         }
-        // Build the chain incrementally so shorter delays are shared.
-        let mut current = new_net_of[&net];
-        let mut have = 0usize;
-        for k in (1..=extra).rev() {
-            if let Some(&cached) = delayed.get(&(net, k)) {
-                current = cached;
-                have = k;
-                break;
-            }
-        }
-        for k in have + 1..=extra {
+        let mut current = chain
+            .last()
+            .copied()
+            .unwrap_or_else(|| new_net_of[net.index()].expect("a net is copied before it is read"));
+        for k in chain.len() + 1..=extra {
             let name = format!("{}_pipe{}", netlist.net(net).name(), k);
             current = out.dff(current, &name);
-            delayed.insert((net, k), current);
+            chain.push(current);
         }
         current
     };
@@ -138,11 +134,11 @@ pub fn pipeline_netlist(
         let cell = netlist.cell(cell_id);
         let level = levels.level(cell_id).unwrap_or(1);
         let stage = stage_of_level(level);
-        stage_of_cell.insert(cell_id, stage);
+        stages.push((cell_id, stage));
 
         let mut new_inputs = Vec::with_capacity(cell.inputs().len());
         for &input in cell.inputs() {
-            let src_stage = stage_of_net[&input];
+            let src_stage = stage_of_net[input.index()];
             debug_assert!(stage >= src_stage, "stages must not decrease along wires");
             let extra = stage - src_stage;
             new_inputs.push(registered(
@@ -156,8 +152,8 @@ pub fn pipeline_netlist(
         let mut new_outputs = Vec::with_capacity(cell.outputs().len());
         for &output in cell.outputs() {
             let id = out.add_net(netlist.net(output).name());
-            new_net_of.insert(output, id);
-            stage_of_net.insert(output, stage);
+            new_net_of[output.index()] = Some(id);
+            stage_of_net[output.index()] = stage;
             new_outputs.push(id);
         }
         out.add_cell(cell.kind(), cell.name(), new_inputs, new_outputs)
@@ -171,8 +167,7 @@ pub fn pipeline_netlist(
     let final_stage = ranks;
     let mut output_of: HashMap<NetId, NetId> = HashMap::new();
     for &output in netlist.outputs() {
-        let src_stage = stage_of_net.get(&output).copied().unwrap_or(0);
-        let extra = final_stage - src_stage;
+        let extra = final_stage - stage_of_net[output.index()];
         let new_net = registered(&mut out, &new_net_of, &mut delayed, output, extra);
         out.mark_output(new_net);
         output_of.insert(output, new_net);
@@ -181,11 +176,11 @@ pub fn pipeline_netlist(
     // The forward table must stay total: every original net (input or cell
     // output) has a same-stage copy in `new_net_of`; nets that somehow have
     // neither (floating) get a fresh copy so the map never loses them.
-    let forward: Vec<NetId> = (0..netlist.net_count())
-        .map(NetId::from_index)
-        .map(|old| match new_net_of.get(&old) {
-            Some(&new) => new,
-            None => out.add_net(netlist.net(old).name()),
+    let forward: Vec<NetId> = new_net_of
+        .iter()
+        .enumerate()
+        .map(|(old, new)| {
+            new.unwrap_or_else(|| out.add_net(netlist.net(NetId::from_index(old)).name()))
         })
         .collect();
 
@@ -194,7 +189,7 @@ pub fn pipeline_netlist(
         netlist: out,
         latency: ranks,
         flipflop_count,
-        stage_of_cell,
+        stage_of_cell: stages.into_iter().collect(),
         mapping: NetMap::new(forward, output_of, ranks),
     })
 }

@@ -276,6 +276,38 @@ impl ProgressSink for ProgressLines<'_> {
     }
 }
 
+/// What watches a `reduce` run: the progress lines, when asked for, and
+/// one span per loop phase (`reduce.score`, `reduce.candidates`,
+/// `reduce.confirm`, `reduce.equivalence`) when the sink logs spans. The
+/// phases follow one another, so they fall inside the `reduce` span.
+struct ReduceWatch<'s, 'a> {
+    lines: Option<ProgressLines<'a>>,
+    spans: Option<&'s SpanLog>,
+    /// The start of the open phase.
+    started: u64,
+}
+
+impl ProgressSink for ReduceWatch<'_, '_> {
+    fn iteration(&mut self, event: &ProgressEvent<'_>) {
+        if let Some(lines) = &mut self.lines {
+            lines.iteration(event);
+        }
+    }
+
+    fn phase_start(&mut self, _name: &'static str) {
+        if let Some(spans) = self.spans {
+            self.started = spans.clock().now_micros();
+        }
+    }
+
+    fn phase_end(&mut self, name: &'static str) {
+        if let Some(spans) = self.spans {
+            let dur = spans.clock().now_micros().saturating_sub(self.started);
+            spans.record(name, 0, self.started, dur);
+        }
+    }
+}
+
 /// The result of one job, ready for [`JobOutput::json`] or a front end's
 /// own text rendering.
 pub enum JobOutput {
@@ -674,11 +706,14 @@ pub fn exec(
             let session = glitch_core::ReduceSession::new(config, seed_list, jobs);
             let reducer = Reducer::new(session, options);
             let start = sink.now();
-            let report = match hooks.progress {
-                Some(mut lines) => reducer.run_with_progress(netlist, &buses, &[], &mut lines),
-                None => reducer.run(netlist, &buses, &[]),
-            }
-            .map_err(|e| run(format!("reduction failed: {e}")))?;
+            let mut watch = ReduceWatch {
+                lines: hooks.progress,
+                spans: sink.spans,
+                started: start,
+            };
+            let report = reducer
+                .run_with_progress(netlist, &buses, &[], &mut watch)
+                .map_err(|e| run(format!("reduction failed: {e}")))?;
             sink.span_since("reduce", start);
             sink.add("reduce.iterations", report.iterations as u64);
             sink.add("reduce.proposed", report.proposed as u64);

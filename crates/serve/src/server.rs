@@ -300,8 +300,12 @@ pub fn run_server(config: &ServeConfig) -> Result<(), String> {
         });
     }
 
-    println!("glitch-serve listening on 127.0.0.1:{port}");
-    std::io::stdout().flush().ok();
+    // A closed standard output (`serve | head -1`) loses the line, not the
+    // daemon.
+    let mut stdout = std::io::stdout();
+    writeln!(stdout, "glitch-serve listening on 127.0.0.1:{port}")
+        .and_then(|()| stdout.flush())
+        .ok();
 
     let mut connections = Vec::new();
     for stream in listener.incoming() {

@@ -28,7 +28,8 @@
 //!
 //! Built-in probes: [`ActivityProbe`] (the per-net transition trace, and
 //! the power report priced from it), [`VcdProbe`], [`WaveCsvProbe`],
-//! [`WindowedActivityProbe`]. A run's statistics (events, cell
+//! [`WindowedActivityProbe`], [`OutputProbe`] (every primary output's
+//! end-of-cycle value). A run's statistics (events, cell
 //! evaluations, settle times, queue traffic) are on its
 //! [`SessionReport`], not in a probe. Custom
 //! observables are one [`Probe`] implementation away — see the trait's
@@ -93,6 +94,7 @@ mod error;
 mod incremental;
 mod kernel;
 mod metrics;
+mod outputs;
 mod parallel;
 mod probe;
 mod session;
@@ -108,6 +110,7 @@ pub use engine::QueueStats;
 pub use error::SimError;
 pub use incremental::{DeltaStimulus, IncrementalStats, SimBaseline};
 pub use kernel::{kernel_eval_mode, kernel_prepass, run_kernel_jobs, KernelPrepass};
+pub use outputs::{OutputProbe, OutputRecord};
 pub use parallel::{AggregateReport, ParallelRunner, ShardSummary, SimJob, Spread};
 pub use probe::{
     ActivityProbe, MergeableProbe, Probe, Transition, TransitionKind, VcdProbe, WaveCsvProbe,

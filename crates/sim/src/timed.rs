@@ -3,7 +3,9 @@
 //!
 //! The timed kernel reproduces per-net transition counts with their
 //! parity split and hazard classification, the nets left `X` at every
-//! cycle end and the final values, and — only when the job asks for them
+//! cycle end, every primary output's value at every cycle end
+//! ([`crate::OutputRecord`]) and the final values, and — only when the
+//! job asks for them
 //! ([`SimJob::statistics`]) — the per-cycle statistics and queue traffic.
 //! A [`SimJob`] whose extra probes can all be filled from those
 //! ([`Probe::settles_timed`]; the standard probe set always can), whose
@@ -35,6 +37,7 @@ use crate::clocked::CycleStats;
 use crate::engine::QueueStats;
 use crate::error::SimError;
 use crate::kernel::kernel_eval_mode;
+use crate::outputs::OutputRecord;
 use crate::parallel::{random_stimulus, SimJob};
 use crate::probe::{ActivityProbe, Probe};
 use crate::session::SessionReport;
@@ -66,6 +69,8 @@ pub struct TimedRun<'a> {
     pub tally: &'a TimedTally,
     /// Per net, the cycle ends at which it was `X`.
     pub x_ends: &'a [XEnds],
+    /// Every primary output's value at every cycle end.
+    pub outputs: &'a OutputRecord,
     /// The first cycle at whose end no net was `X`, if any.
     pub clear_cycle: Option<u64>,
     /// Every net's value at the end of the run.
@@ -130,9 +135,11 @@ pub(crate) fn run_timed(
     let bulk = !extra_probes.is_empty();
     let mut tally = TimedTally::new(n);
     let mut x_ends = Vec::new();
+    let mut outputs = OutputRecord::default();
     if bulk {
         tally = tally.with_hazards();
         x_ends = vec![XEnds::default(); n];
+        outputs = OutputRecord::new(netlist.outputs().len());
     }
     let mut clear_cycle = None;
     let mut cycles = 0u64;
@@ -150,6 +157,9 @@ pub(crate) fn run_timed(
         schedule.run_block(&cycle_lanes, mode, &mut tally, stats);
         if bulk {
             fold_x_ends(settled, cycles, &mut x_ends, &mut clear_cycle);
+            outputs.push_words(settled.lanes(), |output, w| {
+                settled.word(netlist.outputs()[output], w)
+            });
         }
         cycles += settled.lanes() as u64;
         before.copy_lane(0, settled, settled.lanes() - 1);
@@ -184,6 +194,7 @@ pub(crate) fn run_timed(
         cycles,
         tally: &tally,
         x_ends: &x_ends,
+        outputs: &outputs,
         clear_cycle,
         final_values: &final_values,
     };
