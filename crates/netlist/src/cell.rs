@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use crate::names::{Names, Span};
 use crate::net::NetId;
 use crate::tri::{tri_majority3, Tri};
 
@@ -491,17 +492,44 @@ fn majority3(a: bool, b: bool, c: bool) -> bool {
     u8::from(a) + u8::from(b) + u8::from(c) >= 2
 }
 
-/// One cell instance inside a [`crate::Netlist`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cell {
+/// The stored part of a cell: its pins are a run of the netlist's pin
+/// pool, the inputs first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellRecord {
     pub(crate) kind: CellKind,
-    pub(crate) name: String,
-    pub(crate) inputs: Vec<NetId>,
-    pub(crate) outputs: Vec<NetId>,
+    pub(crate) name: Span,
+    pub(crate) first_pin: u32,
+    pub(crate) input_count: u16,
+    pub(crate) output_count: u16,
     pub(crate) dff_init: DffInit,
 }
 
-impl Cell {
+/// One cell instance inside a [`crate::Netlist`]: a view, as
+/// [`crate::Netlist::cell`] and [`crate::Netlist::cells`] hand it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cell<'a> {
+    kind: CellKind,
+    name: &'a str,
+    inputs: &'a [NetId],
+    outputs: &'a [NetId],
+    dff_init: DffInit,
+}
+
+impl<'a> Cell<'a> {
+    /// The view of `record`, whose name lies in `names` and whose pins in
+    /// `pins`.
+    pub(crate) fn new(record: &CellRecord, names: &'a Names, pins: &'a [NetId]) -> Self {
+        let first = record.first_pin as usize;
+        let split = first + usize::from(record.input_count);
+        Cell {
+            kind: record.kind,
+            name: names.get(record.name),
+            inputs: &pins[first..split],
+            outputs: &pins[split..split + usize::from(record.output_count)],
+            dff_init: record.dff_init,
+        }
+    }
+
     /// The cell's kind.
     #[must_use]
     pub fn kind(&self) -> CellKind {
@@ -510,20 +538,20 @@ impl Cell {
 
     /// The instance name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.name
     }
 
     /// Ordered input nets.
     #[must_use]
-    pub fn inputs(&self) -> &[NetId] {
-        &self.inputs
+    pub fn inputs(&self) -> &'a [NetId] {
+        self.inputs
     }
 
     /// Ordered output nets.
     #[must_use]
-    pub fn outputs(&self) -> &[NetId] {
-        &self.outputs
+    pub fn outputs(&self) -> &'a [NetId] {
+        self.outputs
     }
 
     /// Returns `true` when this instance stores state (a D-flipflop).

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::cell::CellId;
-use crate::net::NetId;
+use crate::net::{NetId, Pin};
 
 /// Errors reported by [`crate::Netlist`] construction helpers and by
 /// [`crate::Netlist::validate`].
@@ -40,6 +40,8 @@ pub enum NetlistError {
     UnknownCell(CellId),
     /// A primary input net is also driven by a cell.
     DrivenInput(NetId),
+    /// A pin index beyond its cell's inputs.
+    UnknownPin(Pin),
 }
 
 impl fmt::Display for NetlistError {
@@ -72,6 +74,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::DrivenInput(net) => {
                 write!(f, "primary input net {net} is also driven by a cell")
+            }
+            NetlistError::UnknownPin(pin) => {
+                write!(f, "pin {pin} is not an input of its cell")
             }
         }
     }

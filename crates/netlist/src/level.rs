@@ -78,79 +78,16 @@ impl Levelization {
 }
 
 impl Netlist {
-    /// Computes a topological order and longest-path levels for the
-    /// combinational cells.
+    /// A topological order and longest-path levels for the combinational
+    /// cells. They are part of the cached topology (see the crate docs):
+    /// the first call after an edit computes them, later ones borrow them.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalLoop`] if the combinational part
     /// of the netlist is cyclic.
-    pub fn levelize(&self) -> Result<Levelization, NetlistError> {
-        let n = self.cell_count();
-        let mut indegree = vec![0usize; n];
-        let mut is_comb = vec![false; n];
-        for id in self.combinational_cells() {
-            is_comb[id.index()] = true;
-        }
-        // In-degree counts only distinct combinational predecessors. One
-        // buffer serves every cell's predecessor and successor lists.
-        let mut cells: Vec<CellId> = Vec::new();
-        for id in self.combinational_cells() {
-            cells.clear();
-            cells.extend(
-                self.cell(id)
-                    .inputs()
-                    .iter()
-                    .filter_map(|&net| self.net(net).driver())
-                    .map(|driver| driver.cell)
-                    .filter(|pred| is_comb[pred.index()]),
-            );
-            cells.sort_unstable();
-            cells.dedup();
-            indegree[id.index()] = cells.len();
-        }
-
-        let mut queue: VecDeque<CellId> = self
-            .combinational_cells()
-            .filter(|c| indegree[c.index()] == 0)
-            .collect();
-        let mut levels: Vec<Option<usize>> = vec![None; n];
-        for c in &queue {
-            levels[c.index()] = Some(1);
-        }
-        let mut order = Vec::with_capacity(n);
-        while let Some(cell) = queue.pop_front() {
-            order.push(cell);
-            let my_level = levels[cell.index()].unwrap_or(1);
-            cells.clear();
-            self.push_combinational_successors(cell, &mut cells);
-            cells.dedup();
-            for &succ in &cells {
-                let idx = succ.index();
-                let succ_level = levels[idx].unwrap_or(0).max(my_level + 1);
-                levels[idx] = Some(succ_level);
-                indegree[idx] -= 1;
-                if indegree[idx] == 0 {
-                    queue.push_back(succ);
-                }
-            }
-        }
-
-        let comb_count = is_comb.iter().filter(|&&c| c).count();
-        if order.len() != comb_count {
-            // Some combinational cell never reached in-degree 0: a loop.
-            let stuck = self
-                .combinational_cells()
-                .find(|c| indegree[c.index()] > 0)
-                .expect("a cell with residual in-degree must exist");
-            return Err(NetlistError::CombinationalLoop { cell: stuck });
-        }
-        let depth = levels.iter().flatten().copied().max().unwrap_or(0);
-        Ok(Levelization {
-            order,
-            levels,
-            depth,
-        })
+    pub fn levelize(&self) -> Result<&Levelization, NetlistError> {
+        self.topology().levels.as_ref().map_err(Clone::clone)
     }
 
     /// Longest combinational path length in cells; convenience wrapper over
@@ -162,6 +99,60 @@ impl Netlist {
     pub fn combinational_depth(&self) -> Result<usize, NetlistError> {
         Ok(self.levelize()?.depth())
     }
+}
+
+/// Kahn's algorithm over the combinational cells; `successors` gives each
+/// cell's distinct combinational successors in id order.
+pub(crate) fn levelize<'a>(
+    netlist: &Netlist,
+    successors: impl Fn(CellId) -> &'a [CellId],
+) -> Result<Levelization, NetlistError> {
+    let n = netlist.cell_count();
+    // In-degree counts distinct combinational predecessors.
+    let mut indegree = vec![0usize; n];
+    for id in netlist.combinational_cells() {
+        for succ in successors(id) {
+            indegree[succ.index()] += 1;
+        }
+    }
+
+    let mut queue: VecDeque<CellId> = netlist
+        .combinational_cells()
+        .filter(|c| indegree[c.index()] == 0)
+        .collect();
+    let mut levels: Vec<Option<usize>> = vec![None; n];
+    for c in &queue {
+        levels[c.index()] = Some(1);
+    }
+    let mut order = Vec::with_capacity(n);
+    while let Some(cell) = queue.pop_front() {
+        order.push(cell);
+        let my_level = levels[cell.index()].unwrap_or(1);
+        for &succ in successors(cell) {
+            let idx = succ.index();
+            let succ_level = levels[idx].unwrap_or(0).max(my_level + 1);
+            levels[idx] = Some(succ_level);
+            indegree[idx] -= 1;
+            if indegree[idx] == 0 {
+                queue.push_back(succ);
+            }
+        }
+    }
+
+    if order.len() != netlist.combinational_cells().count() {
+        // Some combinational cell never reached in-degree 0: a loop.
+        let stuck = netlist
+            .combinational_cells()
+            .find(|c| indegree[c.index()] > 0)
+            .expect("a cell with residual in-degree must exist");
+        return Err(NetlistError::CombinationalLoop { cell: stuck });
+    }
+    let depth = levels.iter().flatten().copied().max().unwrap_or(0);
+    Ok(Levelization {
+        order,
+        levels,
+        depth,
+    })
 }
 
 #[cfg(test)]

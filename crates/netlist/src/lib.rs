@@ -41,9 +41,11 @@ mod dot;
 mod error;
 mod hash;
 mod level;
+mod names;
 mod net;
 mod netlist;
 mod stats;
+mod topology;
 mod tri;
 mod validate;
 

@@ -3,10 +3,15 @@
 //! Every electrical node of the circuit is a [`Net`]; the paper's transition
 //! counting monitors exactly these nodes. A net has at most one driver (a
 //! cell output pin or a primary input) and any number of loads.
+//!
+//! A [`Net`] is a borrowed view: the netlist stores a small record per
+//! net and derives the loads from its cells' input pins.
 
 use std::fmt;
 
 use crate::cell::CellId;
+use crate::names::Span;
+use crate::netlist::Netlist;
 
 /// Identifier of a net inside one [`crate::Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,59 +53,89 @@ impl fmt::Display for Pin {
     }
 }
 
-/// One signal node of the circuit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Net {
-    pub(crate) name: String,
+/// The stored part of a net: everything but its loads, which the
+/// netlist's cached topology derives from the cells' input pins.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NetRecord {
+    pub(crate) name: Span,
     pub(crate) driver: Option<Pin>,
-    pub(crate) loads: Vec<Pin>,
     pub(crate) is_input: bool,
     pub(crate) is_output: bool,
 }
 
-impl Net {
+/// One signal node of the circuit: a view into its [`Netlist`], as
+/// [`Netlist::net`] and [`Netlist::nets`] hand it out.
+#[derive(Clone, Copy)]
+pub struct Net<'a> {
+    netlist: &'a Netlist,
+    id: NetId,
+    record: &'a NetRecord,
+}
+
+impl<'a> Net<'a> {
+    pub(crate) fn new(netlist: &'a Netlist, id: NetId, record: &'a NetRecord) -> Self {
+        Net {
+            netlist,
+            id,
+            record,
+        }
+    }
+
     /// The net's name.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        self.netlist.name_at(self.record.name)
     }
 
     /// The cell output pin driving this net, if any. Primary inputs and
     /// not-yet-connected nets have no driver.
     #[must_use]
     pub fn driver(&self) -> Option<Pin> {
-        self.driver
+        self.record.driver
     }
 
-    /// The cell input pins loading this net.
+    /// The cell input pins loading this net, in (cell, pin) order.
     #[must_use]
-    pub fn loads(&self) -> &[Pin] {
-        &self.loads
+    pub fn loads(&self) -> &'a [Pin] {
+        self.netlist.topology().loads(self.id)
     }
 
     /// Number of cell input pins loading this net.
     #[must_use]
     pub fn fanout(&self) -> usize {
-        self.loads.len()
+        self.loads().len()
     }
 
     /// `true` when this net is a primary input of the netlist.
     #[must_use]
     pub fn is_primary_input(&self) -> bool {
-        self.is_input
+        self.record.is_input
     }
 
     /// `true` when this net is a primary output of the netlist.
     #[must_use]
     pub fn is_primary_output(&self) -> bool {
-        self.is_output
+        self.record.is_output
     }
 
     /// `true` when the net has neither a driver nor the primary-input flag,
     /// i.e. it would float in silicon.
     #[must_use]
     pub fn is_floating(&self) -> bool {
-        self.driver.is_none() && !self.is_input
+        self.record.driver.is_none() && !self.record.is_input
+    }
+}
+
+impl fmt::Debug for Net<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Net")
+            .field("id", &self.id)
+            .field("name", &self.name())
+            .field("driver", &self.driver())
+            .field("loads", &self.loads())
+            .field("is_input", &self.is_primary_input())
+            .field("is_output", &self.is_primary_output())
+            .finish()
     }
 }
 
@@ -123,18 +158,10 @@ mod tests {
 
     #[test]
     fn floating_detection() {
-        let n = Net {
-            name: "x".into(),
-            driver: None,
-            loads: vec![],
-            is_input: false,
-            is_output: false,
-        };
-        assert!(n.is_floating());
-        let i = Net {
-            is_input: true,
-            ..n.clone()
-        };
-        assert!(!i.is_floating());
+        let mut nl = Netlist::new("t");
+        let x = nl.add_net("x");
+        let i = nl.add_input("i");
+        assert!(nl.net(x).is_floating());
+        assert!(!nl.net(i).is_floating());
     }
 }

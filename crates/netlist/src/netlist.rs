@@ -1,11 +1,12 @@
 //! The [`Netlist`] container and its construction API.
 
-use std::collections::hash_map::Entry;
+use std::sync::OnceLock;
 
-use crate::cell::{Cell, CellId, CellKind, DffInit};
+use crate::cell::{Cell, CellId, CellKind, CellRecord, DffInit};
 use crate::error::NetlistError;
-use crate::hash::FxHashMap;
-use crate::net::{Net, NetId, Pin};
+use crate::names::{tag_of, NameIndex, Names, Span};
+use crate::net::{Net, NetId, NetRecord, Pin};
+use crate::topology::Topology;
 
 /// A multi-bit signal: an ordered list of nets, least-significant bit first.
 ///
@@ -67,16 +68,25 @@ impl<'a> IntoIterator for &'a Bus {
 
 /// A flat, single-clock, gate-level netlist.
 ///
-/// See the crate-level documentation for an overview and an example.
+/// See the crate-level documentation for an overview, the storage layout
+/// and an example.
 #[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
-    cells: Vec<Cell>,
-    nets: Vec<Net>,
+    /// Every net and cell name, once.
+    names: Names,
+    nets: Vec<NetRecord>,
+    cells: Vec<CellRecord>,
+    /// Every cell's input then output nets, cell after cell.
+    pins: Vec<NetId>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
-    net_names: FxHashMap<String, NetId>,
+    /// Name → net, keyed through `names`.
+    index: NameIndex,
     fresh_counter: usize,
+    /// Derived from the records above on first use; reset by every edit
+    /// that adds a net or a cell or moves a pin.
+    topology: OnceLock<Topology>,
 }
 
 impl Netlist {
@@ -85,12 +95,15 @@ impl Netlist {
     pub fn new(name: impl Into<String>) -> Self {
         Netlist {
             name: name.into(),
-            cells: Vec::new(),
+            names: Names::default(),
             nets: Vec::new(),
+            cells: Vec::new(),
+            pins: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            net_names: FxHashMap::default(),
+            index: NameIndex::default(),
             fresh_counter: 0,
+            topology: OnceLock::new(),
         }
     }
 
@@ -122,7 +135,7 @@ impl Netlist {
             }
         };
         eat(self.name.as_bytes());
-        for net in &self.nets {
+        for (_, net) in self.nets() {
             eat(net.name().as_bytes());
             eat(&[
                 0xFE,
@@ -130,7 +143,7 @@ impl Netlist {
                 u8::from(net.is_primary_output()),
             ]);
         }
-        for cell in &self.cells {
+        for (_, cell) in self.cells() {
             eat(cell.name().as_bytes());
             eat(&[0xFD]);
             eat(format!("{}", cell.kind()).as_bytes());
@@ -157,7 +170,7 @@ impl Netlist {
     /// Number of D-flipflops.
     #[must_use]
     pub fn dff_count(&self) -> usize {
-        self.cells.iter().filter(|c| c.is_sequential()).count()
+        self.cells.iter().filter(|c| c.kind.is_sequential()).count()
     }
 
     /// Primary input nets, in declaration order.
@@ -172,34 +185,40 @@ impl Netlist {
         &self.outputs
     }
 
-    /// Borrow a net record.
+    /// Borrow a net.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this netlist.
     #[must_use]
-    pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.0]
+    pub fn net(&self, id: NetId) -> Net<'_> {
+        Net::new(self, id, &self.nets[id.0])
     }
 
-    /// Borrow a cell record.
+    /// Borrow a cell.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this netlist.
     #[must_use]
-    pub fn cell(&self, id: CellId) -> &Cell {
-        &self.cells[id.0]
+    pub fn cell(&self, id: CellId) -> Cell<'_> {
+        Cell::new(&self.cells[id.0], &self.names, &self.pins)
     }
 
-    /// Iterate over `(NetId, &Net)` pairs.
-    pub fn nets(&self) -> impl Iterator<Item = (NetId, &Net)> {
-        self.nets.iter().enumerate().map(|(i, n)| (NetId(i), n))
+    /// Iterate over `(NetId, Net)` pairs.
+    pub fn nets(&self) -> impl Iterator<Item = (NetId, Net<'_>)> {
+        self.nets
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (NetId(i), Net::new(self, NetId(i), n)))
     }
 
-    /// Iterate over `(CellId, &Cell)` pairs.
-    pub fn cells(&self) -> impl Iterator<Item = (CellId, &Cell)> {
-        self.cells.iter().enumerate().map(|(i, c)| (CellId(i), c))
+    /// Iterate over `(CellId, Cell)` pairs.
+    pub fn cells(&self) -> impl Iterator<Item = (CellId, Cell<'_>)> {
+        self.cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (CellId(i), Cell::new(c, &self.names, &self.pins)))
     }
 
     /// Iterate over the ids of all combinational (non-flipflop) cells.
@@ -207,7 +226,7 @@ impl Netlist {
         self.cells
             .iter()
             .enumerate()
-            .filter(|(_, c)| !c.is_sequential())
+            .filter(|(_, c)| !c.kind.is_sequential())
             .map(|(i, _)| CellId(i))
     }
 
@@ -216,53 +235,59 @@ impl Netlist {
         self.cells
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.is_sequential())
+            .filter(|(_, c)| c.kind.is_sequential())
             .map(|(i, _)| CellId(i))
+    }
+
+    /// The kind of cell `id`, without building its view.
+    pub(crate) fn cell_kind(&self, id: CellId) -> CellKind {
+        self.cells[id.0].kind
+    }
+
+    /// The name stored at `span`.
+    pub(crate) fn name_at(&self, span: Span) -> &str {
+        self.names.get(span)
+    }
+
+    /// The cached topology, built first if an edit has reset it.
+    pub(crate) fn topology(&self) -> &Topology {
+        self.topology.get_or_init(|| Topology::build(self))
     }
 
     /// Looks a net up by name.
     #[must_use]
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_names.get(name).copied()
+        self.find_tagged(name, tag_of(name))
     }
 
-    /// Enters `name` for net `id` when it is free, hashing it once, and
-    /// returns the copy the net keeps; returns `name` back when it is
-    /// taken.
-    fn claim_name(&mut self, name: String, id: NetId) -> Result<String, String> {
-        match self.net_names.entry(name) {
-            Entry::Vacant(slot) => {
-                let name = slot.key().clone();
-                slot.insert(id);
-                Ok(name)
-            }
-            Entry::Occupied(taken) => Err(taken.key().clone()),
-        }
+    fn find_tagged(&self, name: &str, tag: u32) -> Option<NetId> {
+        self.index
+            .find(name, tag, |id| self.names.get(self.nets[id.0].name))
     }
 
     /// Adds a net named `name`, or `name_<k>` for the first free `k` of the
     /// netlist's counter when `name` is taken.
-    fn add_named_net(&mut self, name: String, is_input: bool) -> NetId {
-        let id = NetId(self.nets.len());
-        let name = match self.claim_name(name, id) {
-            Ok(name) => name,
-            Err(prefix) => loop {
-                let candidate = format!("{prefix}_{}", self.fresh_counter);
-                self.fresh_counter += 1;
-                if let Ok(name) = self.claim_name(candidate, id) {
-                    break name;
-                }
-            },
-        };
-        self.push_net(id, name, is_input)
+    fn add_named_net(&mut self, name: &str, is_input: bool) -> NetId {
+        let tag = tag_of(name);
+        if self.find_tagged(name, tag).is_none() {
+            return self.push_net(name, tag, is_input);
+        }
+        loop {
+            let candidate = format!("{name}_{}", self.fresh_counter);
+            self.fresh_counter += 1;
+            let tag = tag_of(&candidate);
+            if self.find_tagged(&candidate, tag).is_none() {
+                return self.push_net(&candidate, tag, is_input);
+            }
+        }
     }
 
     /// Creates a new internal net with the given name.
     ///
     /// If the name is already taken a unique suffix is appended; use
     /// [`Netlist::try_add_net`] to treat a clash as an error instead.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        self.add_named_net(name.into(), false)
+    pub fn add_net(&mut self, name: impl AsRef<str>) -> NetId {
+        self.add_named_net(name.as_ref(), false)
     }
 
     /// Creates a new internal net, failing when the name is already in use.
@@ -271,33 +296,35 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::DuplicateNetName`] if a net with this name
     /// already exists.
-    pub fn try_add_net(&mut self, name: impl Into<String>) -> Result<NetId, NetlistError> {
-        let id = NetId(self.nets.len());
-        let name = self
-            .claim_name(name.into(), id)
-            .map_err(NetlistError::DuplicateNetName)?;
-        Ok(self.push_net(id, name, false))
+    pub fn try_add_net(&mut self, name: impl AsRef<str>) -> Result<NetId, NetlistError> {
+        let name = name.as_ref();
+        let tag = tag_of(name);
+        if self.find_tagged(name, tag).is_some() {
+            return Err(NetlistError::DuplicateNetName(name.to_string()));
+        }
+        Ok(self.push_net(name, tag, false))
     }
 
-    /// Appends net `id`, whose name is already in the name map.
-    fn push_net(&mut self, id: NetId, name: String, is_input: bool) -> NetId {
-        debug_assert_eq!(id.0, self.nets.len());
-        self.nets.push(Net {
-            name,
+    /// Appends a net named `name`, which is free and hashes to `tag`.
+    fn push_net(&mut self, name: &str, tag: u32, is_input: bool) -> NetId {
+        let id = NetId(self.nets.len());
+        self.nets.push(NetRecord {
+            name: self.names.push(name),
             driver: None,
-            loads: Vec::new(),
             is_input,
             is_output: false,
         });
+        self.index.insert(id, tag);
         if is_input {
             self.inputs.push(id);
         }
+        self.topology.take();
         id
     }
 
     /// Declares a primary input net.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
-        self.add_named_net(name.into(), true)
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> NetId {
+        self.add_named_net(name.as_ref(), true)
     }
 
     /// Declares a primary input bus of `width` bits named `name[0]`,
@@ -331,25 +358,22 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::DuplicateNetName`] if the new name is taken and
     /// [`NetlistError::UnknownNet`] if `net` is out of range.
-    pub fn rename_net(
-        &mut self,
-        net: NetId,
-        new_name: impl Into<String>,
-    ) -> Result<(), NetlistError> {
-        let new_name = new_name.into();
+    pub fn rename_net(&mut self, net: NetId, new_name: impl AsRef<str>) -> Result<(), NetlistError> {
+        let new_name = new_name.as_ref();
         if net.0 >= self.nets.len() {
             return Err(NetlistError::UnknownNet(net));
         }
-        if let Some(&existing) = self.net_names.get(&new_name) {
+        let tag = tag_of(new_name);
+        if let Some(existing) = self.find_tagged(new_name, tag) {
             if existing != net {
-                return Err(NetlistError::DuplicateNetName(new_name));
+                return Err(NetlistError::DuplicateNetName(new_name.to_string()));
             }
             return Ok(());
         }
-        let old = self.nets[net.0].name.clone();
-        self.net_names.remove(&old);
-        self.net_names.insert(new_name.clone(), net);
-        self.nets[net.0].name = new_name;
+        let old_tag = tag_of(self.names.get(self.nets[net.0].name));
+        self.index.remove(net, old_tag);
+        self.nets[net.0].name = self.names.push(new_name);
+        self.index.insert(net, tag);
         Ok(())
     }
 
@@ -367,17 +391,19 @@ impl Netlist {
     pub fn add_cell(
         &mut self,
         kind: CellKind,
-        name: impl Into<String>,
-        inputs: Vec<NetId>,
-        outputs: Vec<NetId>,
+        name: impl AsRef<str>,
+        inputs: impl AsRef<[NetId]>,
+        outputs: impl AsRef<[NetId]>,
     ) -> Result<CellId, NetlistError> {
+        let (inputs, outputs) = (inputs.as_ref(), outputs.as_ref());
         let id = CellId(self.cells.len());
-        if !kind.accepts_arity(inputs.len()) {
-            return Err(NetlistError::BadArity {
+        let input_count = u16::try_from(inputs.len())
+            .ok()
+            .filter(|_| kind.accepts_arity(inputs.len()))
+            .ok_or(NetlistError::BadArity {
                 cell: id,
                 got: inputs.len(),
-            });
-        }
+            })?;
         assert_eq!(
             outputs.len(),
             kind.output_count(),
@@ -385,7 +411,7 @@ impl Netlist {
             kind,
             kind.output_count()
         );
-        for &n in inputs.iter().chain(outputs.iter()) {
+        for &n in inputs.iter().chain(outputs) {
             if n.0 >= self.nets.len() {
                 return Err(NetlistError::UnknownNet(n));
             }
@@ -402,20 +428,55 @@ impl Netlist {
                 index: pin,
             });
         }
-        for (pin, &inp) in inputs.iter().enumerate() {
-            self.nets[inp.0].loads.push(Pin {
-                cell: id,
-                index: pin,
-            });
-        }
-        self.cells.push(Cell {
+        let first_pin = u32::try_from(self.pins.len()).expect("pin pool fits in u32");
+        self.pins.extend_from_slice(inputs);
+        self.pins.extend_from_slice(outputs);
+        self.cells.push(CellRecord {
             kind,
-            name: name.into(),
-            inputs,
-            outputs,
+            name: self.names.push(name.as_ref()),
+            first_pin,
+            input_count,
+            output_count: outputs.len() as u16,
             dff_init: DffInit::DontCare,
         });
+        self.topology.take();
         Ok(id)
+    }
+
+    /// Moves the input pins `pins` onto net `to`: each pin stops loading
+    /// the net it read and loads `to` instead. Every load list stays in
+    /// (cell, pin) order.
+    ///
+    /// This is the in-place edit behind the reduction loop's buffer and
+    /// duplication moves: a clone of the netlist plus a new net, this
+    /// move and a new cell equals the netlist rebuilt with the rewiring.
+    ///
+    /// # Errors
+    ///
+    /// * [`NetlistError::UnknownNet`] if `to` is out of range.
+    /// * [`NetlistError::UnknownCell`] if a pin's cell is out of range.
+    /// * [`NetlistError::UnknownPin`] if a pin's index is not one of its
+    ///   cell's inputs.
+    ///
+    /// Nothing moves unless every pin is valid.
+    pub fn move_loads(&mut self, pins: &[Pin], to: NetId) -> Result<(), NetlistError> {
+        if to.0 >= self.nets.len() {
+            return Err(NetlistError::UnknownNet(to));
+        }
+        for &pin in pins {
+            let cell = self
+                .cells
+                .get(pin.cell.0)
+                .ok_or(NetlistError::UnknownCell(pin.cell))?;
+            if pin.index >= usize::from(cell.input_count) {
+                return Err(NetlistError::UnknownPin(pin));
+            }
+        }
+        for &pin in pins {
+            self.pins[self.cells[pin.cell.0].first_pin as usize + pin.index] = to;
+        }
+        self.topology.take();
+        Ok(())
     }
 
     /// Sets the initial (reset) state of a flipflop cell.
@@ -425,10 +486,10 @@ impl Netlist {
     /// Panics if `cell` is out of range or not a [`CellKind::Dff`].
     pub fn set_dff_init(&mut self, cell: CellId, init: DffInit) {
         assert!(
-            self.cells[cell.0].is_sequential(),
+            self.cells[cell.0].kind.is_sequential(),
             "cell {} ({}) is not a flipflop",
             cell,
-            self.cells[cell.0].name
+            self.cell(cell).name()
         );
         self.cells[cell.0].dff_init = init;
     }
@@ -451,7 +512,7 @@ impl Netlist {
         );
         let out = self.add_net(out_name);
         let cell_name = format!("u_{out_name}_{}", self.cells.len());
-        self.add_cell(kind, cell_name, inputs.to_vec(), vec![out])
+        self.add_cell(kind, cell_name, inputs, [out])
             .expect("structurally valid gate");
         out
     }
@@ -527,7 +588,7 @@ impl Netlist {
         let sum = self.add_net(format!("{prefix}_s"));
         let carry = self.add_net(format!("{prefix}_c"));
         let name = format!("u_{prefix}_{}", self.cells.len());
-        self.add_cell(CellKind::HalfAdder, name, vec![a, b], vec![sum, carry])
+        self.add_cell(CellKind::HalfAdder, name, [a, b], [sum, carry])
             .expect("structurally valid half adder");
         (sum, carry)
     }
@@ -537,7 +598,7 @@ impl Netlist {
         let sum = self.add_net(format!("{prefix}_s"));
         let carry = self.add_net(format!("{prefix}_c"));
         let name = format!("u_{prefix}_{}", self.cells.len());
-        self.add_cell(CellKind::FullAdder, name, vec![a, b, cin], vec![sum, carry])
+        self.add_cell(CellKind::FullAdder, name, [a, b, cin], [sum, carry])
             .expect("structurally valid full adder");
         (sum, carry)
     }
@@ -552,7 +613,7 @@ impl Netlist {
         let q = self.add_net(out_name);
         let name = format!("u_{out_name}_{}", self.cells.len());
         let cell = self
-            .add_cell(CellKind::Dff, name, vec![d], vec![q])
+            .add_cell(CellKind::Dff, name, [d], [q])
             .expect("structurally valid flipflop");
         self.cells[cell.0].dff_init = init;
         q
@@ -583,7 +644,7 @@ impl Netlist {
     /// [`CellKind::gate_equivalents`].
     #[must_use]
     pub fn gate_equivalents(&self) -> f64 {
-        self.cells.iter().map(|c| c.kind().gate_equivalents()).sum()
+        self.cells.iter().map(|c| c.kind.gate_equivalents()).sum()
     }
 
     /// Fans out of a given cell: the cells driven (directly, through one net)

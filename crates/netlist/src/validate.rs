@@ -2,6 +2,7 @@
 
 use crate::cell::CellId;
 use crate::error::NetlistError;
+use crate::net::NetId;
 use crate::netlist::Netlist;
 
 impl Netlist {
@@ -16,89 +17,84 @@ impl Netlist {
     /// * there is no combinational loop, i.e. every cycle in the circuit
     ///   graph passes through at least one D-flipflop.
     ///
+    /// The verdict is part of the cached topology (see the crate docs), so
+    /// validating an unchanged netlist again costs nothing.
+    ///
     /// # Errors
     ///
     /// Returns the first violated invariant as a [`NetlistError`].
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for (id, net) in self.nets() {
-            if net.is_floating() && !net.loads().is_empty() {
-                return Err(NetlistError::FloatingNet(id));
-            }
-        }
-        for (id, cell) in self.cells() {
-            if !cell.kind().accepts_arity(cell.inputs().len()) {
-                return Err(NetlistError::BadArity {
-                    cell: id,
-                    got: cell.inputs().len(),
-                });
-            }
-        }
-        self.check_combinational_loops()
+        self.topology().check.clone()
     }
+}
 
-    /// Detects combinational loops with an iterative three-colour DFS over
-    /// combinational cells only (flipflops break paths).
-    fn check_combinational_loops(&self) -> Result<(), NetlistError> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
+/// The floating-net and arity checks, in that order; `has_loads` tells
+/// whether a net feeds any cell.
+pub(crate) fn check(
+    netlist: &Netlist,
+    has_loads: impl Fn(NetId) -> bool,
+) -> Result<(), NetlistError> {
+    for (id, net) in netlist.nets() {
+        if net.is_floating() && has_loads(id) {
+            return Err(NetlistError::FloatingNet(id));
         }
-        let mut colour = vec![Colour::White; self.cell_count()];
-        // Explicit stack of (cell, start of its successors in `succ`, next
-        // successor to visit) to avoid recursion depth issues on deep
-        // circuits like wide multipliers. The top frame's successors are
-        // the tail of `succ`; a frame's are dropped when it is popped.
-        let mut stack: Vec<(CellId, usize, usize)> = Vec::new();
-        let mut succ: Vec<CellId> = Vec::new();
+    }
+    for (id, cell) in netlist.cells() {
+        if !cell.kind().accepts_arity(cell.inputs().len()) {
+            return Err(NetlistError::BadArity {
+                cell: id,
+                got: cell.inputs().len(),
+            });
+        }
+    }
+    Ok(())
+}
 
-        for start in self.combinational_cells() {
-            if colour[start.index()] != Colour::White {
-                continue;
-            }
-            colour[start.index()] = Colour::Grey;
-            self.push_combinational_successors(start, &mut succ);
-            stack.push((start, 0, 0));
-            while let Some(&mut (cell, begin, ref mut next)) = stack.last_mut() {
-                if *next < succ.len() {
-                    let s = succ[*next];
-                    *next += 1;
-                    match colour[s.index()] {
-                        Colour::White => {
-                            colour[s.index()] = Colour::Grey;
-                            let begin = succ.len();
-                            self.push_combinational_successors(s, &mut succ);
-                            stack.push((s, begin, begin));
-                        }
-                        Colour::Grey => {
-                            return Err(NetlistError::CombinationalLoop { cell: s });
-                        }
-                        Colour::Black => {}
+/// Names a cell on a combinational loop, found by an iterative
+/// three-colour DFS over combinational cells only (flipflops break
+/// paths); `successors` gives each cell's distinct combinational
+/// successors in id order.
+pub(crate) fn find_combinational_loop<'a>(
+    netlist: &Netlist,
+    successors: impl Fn(CellId) -> &'a [CellId],
+) -> Result<(), NetlistError> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Colour {
+        White,
+        Grey,
+        Black,
+    }
+    let mut colour = vec![Colour::White; netlist.cell_count()];
+    // Explicit stack of (cell, next successor to visit) to avoid recursion
+    // depth issues on deep circuits like wide multipliers.
+    let mut stack: Vec<(CellId, usize)> = Vec::new();
+
+    for start in netlist.combinational_cells() {
+        if colour[start.index()] != Colour::White {
+            continue;
+        }
+        colour[start.index()] = Colour::Grey;
+        stack.push((start, 0));
+        while let Some(&mut (cell, ref mut next)) = stack.last_mut() {
+            if let Some(&s) = successors(cell).get(*next) {
+                *next += 1;
+                match colour[s.index()] {
+                    Colour::White => {
+                        colour[s.index()] = Colour::Grey;
+                        stack.push((s, 0));
                     }
-                } else {
-                    colour[cell.index()] = Colour::Black;
-                    succ.truncate(begin);
-                    stack.pop();
+                    Colour::Grey => {
+                        return Err(NetlistError::CombinationalLoop { cell: s });
+                    }
+                    Colour::Black => {}
                 }
+            } else {
+                colour[cell.index()] = Colour::Black;
+                stack.pop();
             }
         }
-        Ok(())
     }
-
-    /// Appends the combinational cells driven directly by outputs of
-    /// `cell` to `out`, sorted; a cell driven through several pins repeats.
-    pub(crate) fn push_combinational_successors(&self, cell: CellId, out: &mut Vec<CellId>) {
-        let begin = out.len();
-        for &net in self.cell(cell).outputs() {
-            for load in self.net(net).loads() {
-                if !self.cell(load.cell).is_sequential() {
-                    out.push(load.cell);
-                }
-            }
-        }
-        out[begin..].sort_unstable();
-    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -13,10 +13,11 @@
 //! 1. **Measure** — a [`glitch_core::ReduceSession`] pass prices the
 //!    netlist in glitch power (combinational power of useless transitions)
 //!    and locates hazards per net.
-//! 2. **Propose** — [`generate_candidates`] ranks rewrites at the
-//!    hazard-hot sites: [`MoveKind::Buffer`], [`MoveKind::Duplicate`],
+//! 2. **Propose** — [`Proposals`] ranks rewrites at the hazard-hot
+//!    sites: [`MoveKind::Buffer`], [`MoveKind::Duplicate`],
 //!    [`MoveKind::Retime`] (all from [`glitch_retime::rewrite`], each a
-//!    total-mapping `Netlist → Netlist` rebuild).
+//!    total-mapping `Netlist → Netlist` function), and builds them one at
+//!    a time; [`generate_candidates`] collects a whole round.
 //! 3. **Confirm and screen** — every candidate gets a full scoring pass
 //!    on the current stimulus. Each score records every primary output
 //!    at every cycle end, so [`screen_scores`] checks the candidate's
@@ -69,7 +70,7 @@ mod screen;
 
 pub use compare::{screen_scores, ScreenOutcome};
 pub use error::ReduceError;
-pub use moves::{generate_candidates, parse_moves, Candidate, MoveKind};
+pub use moves::{generate_candidates, parse_moves, Candidate, MoveKind, Proposals};
 pub use progress::{NullProgress, ProgressEvent, ProgressSink};
 pub use reducer::{AcceptedMove, ReduceOptions, ReduceReport, Reducer};
 pub use screen::{screen_candidate, Screen, ScreenBackend};

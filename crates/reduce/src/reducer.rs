@@ -3,8 +3,9 @@
 //!
 //! Each iteration proposes candidates at the hazard-hot sites of the
 //! current netlist's [`ReduceSession`] score (glitch power + per-net
-//! hazards), scores every candidate with a full analysis pass on the
-//! same stimulus, and accepts the single best strictly-improving move
+//! hazards), builds each candidate just before scoring it with a full
+//! analysis pass on the same stimulus (and drops it unless it is the best
+//! so far), and accepts the single best strictly-improving move
 //! among those whose outputs matched. The functional screen is read off
 //! the scores: each records every primary output at every cycle end, so
 //! [`screen_scores`] compares the candidate's outputs with the current
@@ -29,7 +30,7 @@ use glitch_verify::{EquivalenceChecker, EquivalenceReport};
 
 use crate::compare::screen_scores;
 use crate::error::ReduceError;
-use crate::moves::{generate_candidates, Candidate, MoveKind};
+use crate::moves::{Candidate, MoveKind, Proposals};
 use crate::progress::{NullProgress, ProgressEvent, ProgressSink};
 
 /// Knobs of the reduction loop; see the field docs for defaults.
@@ -190,9 +191,11 @@ impl Reducer {
     /// loop iteration (the accepted move, or the rejection that ends the
     /// descent) and the start and end of each phase: the baseline
     /// `reduce.score`, per iteration `reduce.candidates` and
-    /// `reduce.confirm`, then `reduce.equivalence`. The sink is an
-    /// observer only: the returned report is byte-identical to a sink-less
-    /// run.
+    /// `reduce.confirm`, then `reduce.equivalence`. `reduce.candidates`
+    /// covers only the ranking of the hot nets; `reduce.confirm` covers
+    /// building each candidate ([`Proposals`]), scoring it, screening it
+    /// and dropping it. The sink is an observer only: the returned report
+    /// is byte-identical to a sink-less run.
     ///
     /// # Errors
     ///
@@ -229,7 +232,7 @@ impl Reducer {
             }
             iterations += 1;
             progress.phase_start("reduce.candidates");
-            let candidates = generate_candidates(
+            let proposals = Proposals::new(
                 &current,
                 &score,
                 &self.options.moves,
@@ -237,26 +240,16 @@ impl Reducer {
                 self.options.pipeline,
             );
             progress.phase_end("reduce.candidates");
-            let iter_proposed = candidates.len();
-            proposed += iter_proposed;
-            if candidates.is_empty() {
-                progress.iteration(&ProgressEvent {
-                    iteration: iterations,
-                    proposed: 0,
-                    screened: 0,
-                    accepted: None,
-                    glitch_power: score.glitch_power,
-                    baseline_glitch_power: baseline.glitch_power,
-                });
-                break;
-            }
-            // Confirm: a full glitch-power pass per candidate on the
-            // current stimulus, screened by its outputs; best wins.
+            // Confirm: build each candidate in turn, give it a full
+            // glitch-power pass on the current stimulus, screen it by its
+            // outputs and keep the best; every other candidate is dropped
+            // before the next is built.
             progress.phase_start("reduce.confirm");
             type Confirmed = (Candidate, ReduceScore, Vec<Bus>, Vec<(NetId, bool)>);
             let mut best: Option<Confirmed> = None;
-            let mut iter_screened = 0usize;
-            for candidate in candidates {
+            let (mut iter_proposed, mut iter_screened) = (0usize, 0usize);
+            for candidate in proposals {
+                iter_proposed += 1;
                 let next_buses: Vec<Bus> = buses
                     .iter()
                     .map(|bus| {
@@ -287,6 +280,7 @@ impl Reducer {
                 }
             }
             progress.phase_end("reduce.confirm");
+            proposed += iter_proposed;
             screened += iter_screened;
             let Some((winner, winner_score, winner_buses, winner_held)) = best else {
                 progress.iteration(&ProgressEvent {

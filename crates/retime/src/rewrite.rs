@@ -1,10 +1,12 @@
 //! Function-preserving netlist rewrites — the move vocabulary of the
 //! reduction loop.
 //!
-//! Every move is exposed as a `Netlist → Netlist` rebuild that returns the
+//! Every move is exposed as a `Netlist → Netlist` function that returns the
 //! transformed netlist *together with* a total [`NetMap`], so callers can
 //! co-simulate original against transformed (the equivalence oracle) and
-//! compose accepted moves into one original → final mapping:
+//! compose accepted moves into one original → final mapping. The two
+//! in-place moves edit a clone ([`Netlist::move_loads`] plus one net and
+//! one cell); pipelining rebuilds the netlist stage by stage:
 //!
 //! * [`insert_buffer`] — a delay buffer behind a hazard-hot net: all cell
 //!   loads read the buffered copy, shifting their arrival time by one
@@ -17,7 +19,7 @@
 //!   ([`crate::pipeline_netlist`]) wrapped as a move: `ranks` cycles of
 //!   latency, arrival times realigned at the cut boundaries.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use glitch_netlist::{CellId, CellKind, NetId, Netlist, Pin};
 
@@ -36,73 +38,43 @@ pub struct Rewrite {
     pub description: String,
 }
 
-/// Copies every net of `src` into `out` in id order, preserving names and
-/// primary-input marking. Returns the dense forward table.
-fn copy_nets(src: &Netlist, out: &mut Netlist) -> Vec<NetId> {
-    let mut forward = Vec::with_capacity(src.net_count());
-    for (_, net) in src.nets() {
-        let id = if net.is_primary_input() {
-            out.add_input(net.name())
-        } else {
-            out.add_net(net.name())
-        };
-        forward.push(id);
-    }
-    forward
-}
-
-/// A net name not yet present in `out`: `{base}{suffix}`, numbered on
+/// A net name not yet present in `netlist`: `{base}{suffix}`, numbered on
 /// collision so repeated moves on the same net stay well-formed.
-fn fresh_name(out: &Netlist, base: &str, suffix: &str) -> String {
+fn fresh_name(netlist: &Netlist, base: &str, suffix: &str) -> String {
     let first = format!("{base}{suffix}");
-    if out.find_net(&first).is_none() {
+    if netlist.find_net(&first).is_none() {
         return first;
     }
     (2..)
         .map(|k| format!("{base}{suffix}{k}"))
-        .find(|name| out.find_net(name).is_none())
+        .find(|name| netlist.find_net(name).is_none())
         .expect("some numbered suffix is free")
 }
 
-/// Copies every cell of `src` into `out` through `forward`, redirecting
-/// the input pins in `redirect` to their replacement nets. Flipflop init
-/// values are preserved.
-fn copy_cells(
-    src: &Netlist,
-    out: &mut Netlist,
-    forward: &[NetId],
-    redirect: &HashMap<Pin, NetId>,
-) -> Result<(), RetimeError> {
-    for (cell_id, cell) in src.cells() {
-        let inputs: Vec<NetId> = cell
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(index, &net)| {
-                redirect
-                    .get(&Pin {
-                        cell: cell_id,
-                        index,
-                    })
-                    .copied()
-                    .unwrap_or(forward[net.index()])
-            })
-            .collect();
-        let outputs: Vec<NetId> = cell.outputs().iter().map(|&n| forward[n.index()]).collect();
-        let new_id = out
-            .add_cell(cell.kind(), cell.name(), inputs, outputs)
-            .map_err(RetimeError::InvalidNetlist)?;
-        if cell.is_sequential() {
-            out.set_dff_init(new_id, cell.dff_init());
-        }
-    }
-    Ok(())
+/// `netlist` with one new net named `name`, `moved` rewired onto it, and a
+/// new `kind` cell of the same name driving it from `inputs`. Net and cell
+/// ids of `netlist` are kept, so the map is the identity.
+fn edit(
+    netlist: &Netlist,
+    name: &str,
+    moved: &[Pin],
+    kind: CellKind,
+    inputs: &[NetId],
+) -> Result<Netlist, RetimeError> {
+    let mut out = netlist.clone();
+    let net = out.add_net(name);
+    out.move_loads(moved, net)
+        .and_then(|()| out.add_cell(kind, name, inputs, [net]))
+        .map_err(RetimeError::InvalidNetlist)?;
+    Ok(out)
 }
 
-/// Inserts a unit buffer behind `net`: the buffer reads the copy of `net`
-/// and every cell load is rewired to the buffered output. The primary
-/// output marking (if any) stays on the unbuffered copy, so observation
-/// points do not move.
+/// Inserts a unit buffer behind `net`: the buffer reads `net` and every
+/// cell load is rewired to the buffered output. The primary output
+/// marking (if any) stays on the unbuffered net, so observation points do
+/// not move. The result is a copy of `netlist` plus one net (the buffered
+/// copy, named `{net}_dly`) and one cell (the buffer, named alike), so
+/// every id of `netlist` keeps its meaning.
 ///
 /// # Errors
 ///
@@ -111,43 +83,27 @@ fn copy_cells(
 ///   inapplicable site costs no validation pass.
 /// * [`RetimeError::InvalidNetlist`] if `netlist` fails validation.
 pub fn insert_buffer(netlist: &Netlist, net: NetId) -> Result<Rewrite, RetimeError> {
-    let loads = netlist.net(net).loads();
-    if loads.is_empty() {
+    let source = netlist.net(net);
+    if source.loads().is_empty() {
         return Err(RetimeError::MoveNotApplicable {
-            reason: format!(
-                "net `{}` has no cell loads to buffer",
-                netlist.net(net).name()
-            ),
+            reason: format!("net `{}` has no cell loads to buffer", source.name()),
         });
     }
     netlist.validate()?;
-    let mut out = Netlist::new(netlist.name());
-    let forward = copy_nets(netlist, &mut out);
-    let name = fresh_name(&out, netlist.net(net).name(), "_dly");
-    let buffered = out.add_net(name.clone());
-    let redirect: HashMap<Pin, NetId> = loads.iter().map(|&pin| (pin, buffered)).collect();
-    copy_cells(netlist, &mut out, &forward, &redirect)?;
-    out.add_cell(
-        CellKind::Buf,
-        &name,
-        vec![forward[net.index()]],
-        vec![buffered],
-    )
-    .map_err(RetimeError::InvalidNetlist)?;
-    for &output in netlist.outputs() {
-        out.mark_output(forward[output.index()]);
-    }
+    let name = fresh_name(netlist, source.name(), "_dly");
     Ok(Rewrite {
-        netlist: out,
-        map: NetMap::new(forward, HashMap::new(), 0),
-        description: format!("buffer net `{}`", netlist.net(net).name()),
+        netlist: edit(netlist, &name, source.loads(), CellKind::Buf, &[net])?,
+        map: NetMap::identity(netlist),
+        description: format!("buffer net `{}`", source.name()),
     })
 }
 
 /// Duplicates the combinational cell `cell` to break a reconvergent
 /// fanout: the copy drives every second cell load of the original output
 /// net, so each glitch on that cone charges roughly half the load
-/// capacitance. Output marking stays on the original net.
+/// capacitance. Output marking stays on the original net. Like
+/// [`insert_buffer`], the result is `netlist` plus one net and one cell
+/// (both named `{net}_dup`).
 ///
 /// # Errors
 ///
@@ -166,43 +122,24 @@ pub fn duplicate_driver(netlist: &Netlist, cell: CellId) -> Result<Rewrite, Reti
             ),
         });
     }
-    let target = source.outputs()[0];
-    let loads = netlist.net(target).loads();
+    let target = netlist.net(source.outputs()[0]);
+    let loads = target.loads();
     if loads.len() < 2 {
         return Err(RetimeError::MoveNotApplicable {
             reason: format!(
                 "net `{}` has {} load(s); duplication needs at least two",
-                netlist.net(target).name(),
+                target.name(),
                 loads.len()
             ),
         });
     }
     netlist.validate()?;
-    let mut out = Netlist::new(netlist.name());
-    let forward = copy_nets(netlist, &mut out);
-    let name = fresh_name(&out, netlist.net(target).name(), "_dup");
-    let dup_net = out.add_net(name.clone());
+    let name = fresh_name(netlist, target.name(), "_dup");
     // Every second load (deterministic: load-list order) moves to the copy.
-    let redirect: HashMap<Pin, NetId> = loads
-        .iter()
-        .skip(1)
-        .step_by(2)
-        .map(|&pin| (pin, dup_net))
-        .collect();
-    copy_cells(netlist, &mut out, &forward, &redirect)?;
-    let inputs: Vec<NetId> = source
-        .inputs()
-        .iter()
-        .map(|&n| forward[n.index()])
-        .collect();
-    out.add_cell(source.kind(), &name, inputs, vec![dup_net])
-        .map_err(RetimeError::InvalidNetlist)?;
-    for &output in netlist.outputs() {
-        out.mark_output(forward[output.index()]);
-    }
+    let moved: Vec<Pin> = loads.iter().skip(1).step_by(2).copied().collect();
     Ok(Rewrite {
-        netlist: out,
-        map: NetMap::new(forward, HashMap::new(), 0),
+        netlist: edit(netlist, &name, &moved, source.kind(), source.inputs())?,
+        map: NetMap::identity(netlist),
         description: format!("duplicate gate `{}`", source.name()),
     })
 }
