@@ -2,8 +2,9 @@
 //! (measure → propose → confirm and screen → verify) on mult4 and in the
 //! reduce-mult16 workload's shape, the co-simulated candidate screen on
 //! its own through both backends, the final equivalence check against the
-//! event-driven co-simulation it replaced, and one scoring pass on the
-//! event queue and on the timed kernel.
+//! event-driven co-simulation it replaced, one scoring pass on the event
+//! queue and on the timed kernel, one proposal round on mult16, and one
+//! clone of mult32.
 
 #[path = "../../verify/tests/support/mod.rs"]
 mod event_equivalence;
@@ -12,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder};
 use glitch_core::retime::{insert_buffer, pipeline_netlist, PipelineOptions};
 use glitch_core::{AnalysisConfig, EngineKind, ReduceSession};
-use glitch_reduce::{screen_candidate, ReduceOptions, Reducer, ScreenBackend};
+use glitch_reduce::{screen_candidate, Proposals, ReduceOptions, Reducer, ScreenBackend};
 use glitch_sim::{DelayKind, SimOptions};
 use glitch_verify::EquivalenceChecker;
 
@@ -183,6 +184,45 @@ fn bench_reduce(c: &mut Criterion) {
         })
     });
 
+    // One proposal round as the descent's first iteration runs it on
+    // mult16: rank the hot nets of the baseline score, then build each
+    // candidate (four buffers, three retimes) and drop it before the next.
+    group.bench_function("candidates_mult16", |b| {
+        let session = ReduceSession::new(
+            AnalysisConfig {
+                cycles: 200,
+                engine: EngineKind::Hybrid,
+                ..AnalysisConfig::default()
+            },
+            vec![1],
+            1,
+        );
+        let buses = vec![mult16.x.clone(), mult16.y.clone()];
+        let score = session
+            .score(&mult16.netlist, &buses, &[])
+            .expect("scoring runs");
+        let options = ReduceOptions::default();
+        b.iter(|| {
+            Proposals::new(
+                &mult16.netlist,
+                &score,
+                &options.moves,
+                options.per_kind,
+                options.pipeline,
+            )
+            .map(|candidate| candidate.rewrite.netlist.cell_count())
+            .sum::<usize>()
+        })
+    });
+
+    group.finish();
+
+    // A clone (and drop) of the sweep workload's netlist: a handful of
+    // buffer copies, whatever the netlist's size.
+    let mut group = c.benchmark_group("netlist");
+    let mult32 = ArrayMultiplier::new(32, AdderStyle::CompoundCell).netlist;
+    mult32.validate().expect("mult32 is valid");
+    group.bench_function("clone_mult32", |b| b.iter(|| mult32.clone().net_count()));
     group.finish();
 }
 

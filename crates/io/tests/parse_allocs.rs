@@ -1,15 +1,17 @@
-//! Allocation gates of the front end: counts the heap allocations one
-//! `parse_blif` of the 32×32 array multiplier makes, and one
-//! `KernelProgram::compile` of it (validation and levelization included),
-//! on this thread only, and bounds each count. Allocation counts repeat
-//! exactly from run to run, so this pins the allocation-light design
-//! without a timing bound.
+//! Allocation gates of the front end and of the netlist storage: counts
+//! the heap allocations one `parse_blif` of the 32×32 array multiplier
+//! makes, one `KernelProgram::compile` of it (validation and levelization
+//! included), one clone of it and one buffer insertion into it, on this
+//! thread only, and bounds each count. Allocation counts repeat exactly
+//! from run to run, so this pins the allocation-light design without a
+//! timing bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use glitch_arith::{AdderStyle, ArrayMultiplier};
 use glitch_io::{emit_blif, parse_blif, GateLibrary};
+use glitch_retime::rewrite::insert_buffer;
 use glitch_sim::KernelProgram;
 
 /// The system allocator, counting the allocations and reallocations made
@@ -62,7 +64,7 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// The reader's own count on mult32, plus about 10%.
-const MULT32_PARSE_ALLOCATIONS: u64 = 20_600;
+const MULT32_PARSE_ALLOCATIONS: u64 = 10_100;
 
 #[test]
 fn mult32_parse_stays_allocation_light() {
@@ -91,4 +93,45 @@ fn mult32_compile_stays_allocation_light() {
         count <= MULT32_COMPILE_ALLOCATIONS,
         "KernelProgram::compile(mult32) made {count} allocations, over the bound of {MULT32_COMPILE_ALLOCATIONS}"
     );
+}
+
+/// A clone copies a handful of buffers: the names, the net, cell and pin
+/// records, the input and output lists, the name index and the cached
+/// topology. It does not grow with the netlist.
+const NETLIST_CLONE_ALLOCATIONS: u64 = 16;
+
+#[test]
+fn a_netlist_clone_copies_a_handful_of_buffers() {
+    let netlist = ArrayMultiplier::new(32, AdderStyle::CompoundCell).netlist;
+    netlist.validate().expect("mult32 is valid");
+    let (copy, count) = allocations_of(|| netlist.clone());
+    assert_eq!(copy.fingerprint(), netlist.fingerprint());
+    println!("Netlist::clone(mult32): {count} allocations");
+    assert!(
+        count <= NETLIST_CLONE_ALLOCATIONS,
+        "Netlist::clone(mult32) made {count} allocations, over the bound of {NETLIST_CLONE_ALLOCATIONS}"
+    );
+}
+
+/// A buffer insertion is a clone plus one net, one cell and one pin move,
+/// and validating an unchanged netlist again reads the cached verdict.
+const INSERT_BUFFER_ALLOCATIONS: u64 = 32;
+
+#[test]
+fn a_buffer_insertion_edits_a_clone() {
+    let netlist = ArrayMultiplier::new(32, AdderStyle::CompoundCell).netlist;
+    netlist.validate().expect("mult32 is valid");
+    let net = netlist.inputs()[0];
+    let (rewrite, count) = allocations_of(|| insert_buffer(&netlist, net).expect("buffers"));
+    assert_eq!(rewrite.netlist.cell_count(), netlist.cell_count() + 1);
+    println!("insert_buffer(mult32): {count} allocations");
+    assert!(
+        count <= INSERT_BUFFER_ALLOCATIONS,
+        "insert_buffer(mult32) made {count} allocations, over the bound of {INSERT_BUFFER_ALLOCATIONS}"
+    );
+    let ((), count) = allocations_of(|| {
+        netlist.validate().expect("still valid");
+        netlist.levelize().expect("levelizes");
+    });
+    assert_eq!(count, 0, "a second validate and levelize allocate nothing");
 }

@@ -226,6 +226,20 @@ impl KernelProgram {
     #[must_use]
     pub fn new_state(&self, lanes: usize, dff_dontcare: Tri) -> KernelState {
         let mut state = KernelState::new(self.net_count, self.dffs.len(), lanes);
+        self.power_on(&mut state, dff_dontcare);
+        state
+    }
+
+    /// Makes `state` equal to [`new_state(lanes, dff_dontcare)`](Self::new_state)
+    /// in the buffers it already has, so a caller settling block after
+    /// block allocates its planes once.
+    pub fn reset_state(&self, state: &mut KernelState, lanes: usize, dff_dontcare: Tri) {
+        state.reset(self.net_count, self.dffs.len(), lanes);
+        self.power_on(state, dff_dontcare);
+    }
+
+    /// Sets every flipflop plane of `state` to its power-on value.
+    fn power_on(&self, state: &mut KernelState, dff_dontcare: Tri) {
         let words = state.words;
         for (i, value) in self.power_on_state(dff_dontcare).into_iter().enumerate() {
             let (v, m) = tri_bits(value);
@@ -235,7 +249,6 @@ impl KernelProgram {
                 state.dff_msk[i * words + w] = wm * m;
             }
         }
-        state
     }
 
     /// The flipflop state before cycle 0, one value per flipflop in

@@ -28,6 +28,23 @@ pub struct KernelState {
 
 impl KernelState {
     pub(crate) fn new(net_count: usize, dff_count: usize, lanes: usize) -> Self {
+        let mut state = KernelState {
+            lanes: 0,
+            words: 0,
+            tail_mask: 0,
+            val: Vec::new(),
+            msk: Vec::new(),
+            dff_val: Vec::new(),
+            dff_msk: Vec::new(),
+        };
+        state.reset(net_count, dff_count, lanes);
+        state
+    }
+
+    /// Reshapes the state to `lanes` lanes over `net_count` nets and
+    /// `dff_count` flipflops, every net `X` and every flipflop plane zero,
+    /// in the buffers it already has.
+    pub(crate) fn reset(&mut self, net_count: usize, dff_count: usize, lanes: usize) {
         assert!(lanes > 0, "a kernel state needs at least one lane");
         let words = lanes.div_ceil(64);
         let tail_mask = if lanes.is_multiple_of(64) {
@@ -35,22 +52,19 @@ impl KernelState {
         } else {
             (1u64 << (lanes % 64)) - 1
         };
-        let mut state = KernelState {
-            lanes,
-            words,
-            tail_mask,
-            val: vec![0; net_count * words],
-            msk: vec![0; net_count * words],
-            dff_val: vec![0; dff_count * words],
-            dff_msk: vec![0; dff_count * words],
-        };
+        (self.lanes, self.words, self.tail_mask) = (lanes, words, tail_mask);
+        self.val.clear();
+        self.val.resize(net_count * words, 0);
         // Every net starts unknown: value 0, mask 1 on all valid lanes.
-        for n in 0..net_count {
-            for w in 0..words {
-                state.msk[n * words + w] = state.word_mask(w);
-            }
+        self.msk.clear();
+        for _ in 0..net_count {
+            self.msk.extend(std::iter::repeat_n(!0u64, words - 1));
+            self.msk.push(tail_mask);
         }
-        state
+        for plane in [&mut self.dff_val, &mut self.dff_msk] {
+            plane.clear();
+            plane.resize(dff_count * words, 0);
+        }
     }
 
     /// Number of parallel stimulus lanes.

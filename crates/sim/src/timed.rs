@@ -144,7 +144,8 @@ pub(crate) fn run_timed(
     let mut clear_cycle = None;
     let mut cycles = 0u64;
     let mut lanes = Vec::new();
-    while let Some(mut block) = fill.next_block(program, &before, dff_init) {
+    let mut block = FilledBlock::new(program);
+    while fill.next_block(program, &before, dff_init, &mut block) {
         let settled = &mut block.settled;
         carry = program.settle_cycles(settled, &carry, mode).next_state;
         let cycle_lanes = CycleLanes {
@@ -243,7 +244,8 @@ struct InputFill {
     planes: Vec<u64>,
 }
 
-/// One block of cycles from [`InputFill::next_block`].
+/// One block of cycles from [`InputFill::next_block`]. A job fills one
+/// block after the other into the same buffers.
 struct FilledBlock {
     /// Every primary input's value in every lane; every other net `X`.
     settled: KernelState,
@@ -251,6 +253,17 @@ struct FilledBlock {
     driven: Vec<u64>,
     /// [`CycleLanes::extra_events`].
     extra_events: Vec<u32>,
+}
+
+impl FilledBlock {
+    /// Buffers for the blocks of `program`, before the first fill.
+    fn new(program: &KernelProgram) -> Self {
+        FilledBlock {
+            settled: program.new_state(1, Tri::X),
+            driven: Vec::new(),
+            extra_events: Vec::new(),
+        }
+    }
 }
 
 impl InputFill {
@@ -297,28 +310,37 @@ impl InputFill {
         })
     }
 
-    /// Fills the next block of up to [`TimedSchedule::BLOCK_LANES`]
-    /// cycles, whose lane 0 follows the one-lane state `before`, or
-    /// returns `None` when the stimulus has ended.
+    /// Fills `block` with the next block of up to
+    /// [`TimedSchedule::BLOCK_LANES`] cycles, whose lane 0 follows the
+    /// one-lane state `before`, in the buffers `block` already has; returns
+    /// `false`, leaving `block` alone, when the stimulus has ended.
     fn next_block(
         &mut self,
         program: &KernelProgram,
         before: &KernelState,
         dff_init: Tri,
-    ) -> Option<FilledBlock> {
+        block: &mut FilledBlock,
+    ) -> bool {
         let first_cycle = self.cycle;
         let lanes = self
             .stimulus
             .next_lanes(TimedSchedule::BLOCK_LANES, &mut self.planes);
         if lanes == 0 {
-            return None;
+            return false;
         }
         self.cycle += lanes as u64;
-        let mut settled = program.new_state(lanes, dff_init);
+        let FilledBlock {
+            settled,
+            driven,
+            extra_events,
+        } = block;
+        program.reset_state(settled, lanes, dff_init);
         let words = settled.words();
         let inputs = program.inputs();
-        let mut driven = vec![0u64; inputs.len() * words];
-        let mut extra_events = vec![0u32; lanes];
+        driven.clear();
+        driven.resize(inputs.len() * words, 0);
+        extra_events.clear();
+        extra_events.resize(lanes, 0);
 
         let first_flip = self.next_flip;
         while let Some(&(cycle, input, value)) = self.flips.get(self.next_flip) {
@@ -339,7 +361,7 @@ impl InputFill {
             let drives = &self.drives_of[input];
             let Some(&last) = drives.last() else {
                 fill_flipped_only(
-                    &mut settled,
+                    settled,
                     net,
                     before.get(net, 0),
                     block_flips
@@ -379,11 +401,7 @@ impl InputFill {
                 (carry_v, carry_m) = (now >> 63, 0);
             }
         }
-        Some(FilledBlock {
-            settled,
-            driven,
-            extra_events,
-        })
+        true
     }
 }
 
@@ -500,7 +518,8 @@ mod tests {
         let mut fill = InputFill::new(job, inputs)?;
         let mut before = program.new_state(1, Tri::X);
         let (mut values, mut driven, mut extra) = (Vec::new(), Vec::new(), Vec::new());
-        while let Some(block) = fill.next_block(program, &before, Tri::Zero) {
+        let mut block = FilledBlock::new(program);
+        while fill.next_block(program, &before, Tri::Zero, &mut block) {
             let (settled, words) = (&block.settled, block.settled.words());
             assert_eq!(block.driven.len(), inputs.len() * words);
             assert_eq!(block.extra_events.len(), settled.lanes());
