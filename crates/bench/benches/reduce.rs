@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder};
 use glitch_core::retime::{insert_buffer, pipeline_netlist, PipelineOptions};
 use glitch_core::{AnalysisConfig, EngineKind, ReduceSession};
-use glitch_reduce::{screen_candidate, Proposals, ReduceOptions, Reducer, ScreenBackend};
+use glitch_reduce::{proposals, screen_candidate, ReduceOptions, Reducer, ScreenBackend};
 use glitch_sim::{DelayKind, SimOptions};
 use glitch_verify::EquivalenceChecker;
 
@@ -203,7 +203,7 @@ fn bench_reduce(c: &mut Criterion) {
             .expect("scoring runs");
         let options = ReduceOptions::default();
         b.iter(|| {
-            Proposals::new(
+            proposals(
                 &mult16.netlist,
                 &score,
                 &options.moves,

@@ -401,7 +401,7 @@ fn parse_latch<'t>(builder: &mut Builder<'t, '_>, line: &[Token<'t>]) -> Result<
     let name = format!("ff_{}_{}", q_tok.text, builder.netlist.cell_count());
     let cell = builder
         .netlist
-        .add_cell(CellKind::Dff, name, vec![d], vec![q])
+        .add_cell(CellKind::Dff, name, [d], [q])
         .map_err(|e| builder.build_err(e, line[0].loc))?;
     builder.netlist.set_dff_init(cell, init);
     Ok(())

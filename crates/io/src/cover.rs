@@ -153,7 +153,7 @@ impl SopCover {
             // Gates with fixed arities (Buf/Inv/Const) drop unused inputs
             // is not a concern: classification only matches exact arities.
             let cell_name = format!("g_{}_{}", netlist.net(out).name(), netlist.cell_count());
-            netlist.add_cell(kind, cell_name, inputs.to_vec(), vec![out])?;
+            netlist.add_cell(kind, cell_name, inputs, [out])?;
             return Ok(());
         }
         let out_name = netlist.net(out).name().to_string();
@@ -204,19 +204,19 @@ impl SopCover {
             (0, phase) => {
                 // No matching row anywhere: constant !phase; BLIF's empty
                 // cover is constant 0 (phase == true here).
-                netlist.add_cell(CellKind::Const(!phase), cell_name, vec![], vec![out])?;
+                netlist.add_cell(CellKind::Const(!phase), cell_name, [], [out])?;
             }
             (1, true) => {
-                netlist.add_cell(CellKind::Buf, cell_name, vec![products[0]], vec![out])?;
+                netlist.add_cell(CellKind::Buf, cell_name, [products[0]], [out])?;
             }
             (1, false) => {
-                netlist.add_cell(CellKind::Inv, cell_name, vec![products[0]], vec![out])?;
+                netlist.add_cell(CellKind::Inv, cell_name, [products[0]], [out])?;
             }
             (_, true) => {
-                netlist.add_cell(CellKind::Or, cell_name, products, vec![out])?;
+                netlist.add_cell(CellKind::Or, cell_name, products, [out])?;
             }
             (_, false) => {
-                netlist.add_cell(CellKind::Nor, cell_name, products, vec![out])?;
+                netlist.add_cell(CellKind::Nor, cell_name, products, [out])?;
             }
         }
         Ok(())

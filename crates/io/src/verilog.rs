@@ -561,7 +561,7 @@ impl<'s> Parser<'s, '_, '_> {
             });
         }
         self.netlist
-            .add_cell(kind, name, inputs, vec![output])
+            .add_cell(kind, name, inputs, [output])
             .map_err(|e| self.build_err(e, loc))?;
         Ok(())
     }

@@ -64,7 +64,7 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// The reader's own count on mult32, plus about 10%.
-const MULT32_PARSE_ALLOCATIONS: u64 = 10_100;
+const MULT32_PARSE_ALLOCATIONS: u64 = 7_900;
 
 #[test]
 fn mult32_parse_stays_allocation_light() {

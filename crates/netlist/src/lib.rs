@@ -15,6 +15,40 @@
 //!   (`d_sum = 2 * d_carry` in Table 2 of the paper),
 //! * D-flipflops are explicit cells so retiming and pipelining can move them.
 //!
+//! ## Storage
+//!
+//! A [`Netlist`] is a handful of flat vectors, so a clone or a drop is a
+//! handful of buffer copies or frees, whatever the netlist's size:
+//!
+//! * every net and cell name lies once in one string arena; a net or cell
+//!   record keeps the name's offset and length;
+//! * the name → [`NetId`] index is an open-addressing table of net ids
+//!   that compares names through the arena, so it holds no second copy;
+//! * one record per net (name, driver, input/output marking) and one per
+//!   cell (kind, name, flipflop init, the start of its pins);
+//! * one pin pool holds every cell's input nets then output nets, cell
+//!   after cell; [`Cell::inputs`] and [`Cell::outputs`] are slices of it.
+//!
+//! [`Netlist::net`] and [`Netlist::cell`] return borrowed views
+//! ([`Net`], [`Cell`]) over these records.
+//!
+//! ## Loads and the cached topology
+//!
+//! A net's loads are not stored with it. They are derived from the pin
+//! pool, together with each combinational cell's combinational
+//! successors, the [`Netlist::validate`] verdict and the
+//! [`Netlist::levelize`] result, in one topology built the first time any
+//! of them is asked for. The topology stays cached until the next edit
+//! that adds a net or a cell or moves a pin ([`Netlist::move_loads`]), so
+//! validating or levelizing an unchanged netlist again costs nothing, and
+//! a clone carries the cache along. Renaming a net, marking an output or
+//! setting a flipflop's init keeps it.
+//!
+//! [`Net::loads`] lists a net's load pins in (cell, pin) order: by cell id,
+//! then by input position. Every way of building or editing a netlist
+//! keeps that order, so an edited clone and a netlist rebuilt cell by cell
+//! agree pin for pin.
+//!
 //! ## Example
 //!
 //! ```

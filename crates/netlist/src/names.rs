@@ -56,10 +56,7 @@ struct Slot {
     tag: u32,
 }
 
-const VACANT: Slot = Slot {
-    net: EMPTY,
-    tag: 0,
-};
+const VACANT: Slot = Slot { net: EMPTY, tag: 0 };
 
 /// The name → net index: a linear-probing table of net ids, at most half
 /// full. A slot keeps the id and the name's [`tag_of`], never the name:

@@ -86,7 +86,7 @@ pub struct Netlist {
     fresh_counter: usize,
     /// Derived from the records above on first use; reset by every edit
     /// that adds a net or a cell or moves a pin.
-    topology: OnceLock<Topology>,
+    topology: OnceLock<Box<Topology>>,
 }
 
 impl Netlist {
@@ -251,7 +251,7 @@ impl Netlist {
 
     /// The cached topology, built first if an edit has reset it.
     pub(crate) fn topology(&self) -> &Topology {
-        self.topology.get_or_init(|| Topology::build(self))
+        self.topology.get_or_init(|| Box::new(Topology::build(self)))
     }
 
     /// Looks a net up by name.
@@ -358,7 +358,11 @@ impl Netlist {
     ///
     /// Returns [`NetlistError::DuplicateNetName`] if the new name is taken and
     /// [`NetlistError::UnknownNet`] if `net` is out of range.
-    pub fn rename_net(&mut self, net: NetId, new_name: impl AsRef<str>) -> Result<(), NetlistError> {
+    pub fn rename_net(
+        &mut self,
+        net: NetId,
+        new_name: impl AsRef<str>,
+    ) -> Result<(), NetlistError> {
         let new_name = new_name.as_ref();
         if net.0 >= self.nets.len() {
             return Err(NetlistError::UnknownNet(net));

@@ -13,7 +13,7 @@
 //! 1. **Measure** — a [`glitch_core::ReduceSession`] pass prices the
 //!    netlist in glitch power (combinational power of useless transitions)
 //!    and locates hazards per net.
-//! 2. **Propose** — [`Proposals`] ranks rewrites at the hazard-hot
+//! 2. **Propose** — [`proposals`] ranks rewrites at the hazard-hot
 //!    sites: [`MoveKind::Buffer`], [`MoveKind::Duplicate`],
 //!    [`MoveKind::Retime`] (all from [`glitch_retime::rewrite`], each a
 //!    total-mapping `Netlist → Netlist` function), and builds them one at
@@ -70,7 +70,7 @@ mod screen;
 
 pub use compare::{screen_scores, ScreenOutcome};
 pub use error::ReduceError;
-pub use moves::{generate_candidates, parse_moves, Candidate, MoveKind, Proposals};
+pub use moves::{generate_candidates, parse_moves, proposals, Candidate, MoveKind};
 pub use progress::{NullProgress, ProgressEvent, ProgressSink};
 pub use reducer::{AcceptedMove, ReduceOptions, ReduceReport, Reducer};
 pub use screen::{screen_candidate, Screen, ScreenBackend};

@@ -20,9 +20,9 @@
 use std::str::FromStr;
 
 use glitch_core::ReduceScore;
-use glitch_netlist::{NetId, Netlist};
+use glitch_netlist::Netlist;
 use glitch_retime::rewrite::{duplicate_driver, insert_buffer, pipeline_rewrite};
-use glitch_retime::{PipelineOptions, Rewrite};
+use glitch_retime::{PipelineOptions, RetimeError, Rewrite};
 
 use crate::error::ReduceError;
 
@@ -118,111 +118,62 @@ const RETIME_RANKS: [usize; 3] = [2, 4, 6];
 /// the score's per-net hazard counts. Inapplicable sites are skipped, so a
 /// round can yield fewer (or none when the netlist offers nothing).
 ///
-/// Creating the iterator only ranks the hot nets; each [`Iterator::next`]
-/// builds the next applicable candidate, so a caller that scores and drops
-/// each candidate before asking for the next never holds a round's worth
-/// of netlists. Every rewrite reads the same netlist, whose validation and
+/// Calling this only ranks the hot nets; each step of the iterator builds
+/// the next applicable candidate, so a caller that scores and drops each
+/// candidate before asking for the next never holds a round's worth of
+/// netlists. Every rewrite reads the same netlist, whose validation and
 /// levelization are computed once and cached by the netlist itself.
 ///
 /// Generation is deterministic: the hot-net ranking is a pure function of
 /// the score and ties break on net id.
-#[derive(Debug)]
-pub struct Proposals<'a> {
+pub fn proposals<'a>(
     netlist: &'a Netlist,
-    hot: Vec<NetId>,
-    kinds: std::slice::Iter<'a, MoveKind>,
+    score: &ReduceScore,
+    kinds: &'a [MoveKind],
     per_kind: usize,
     pipeline: PipelineOptions,
-    /// The kind being proposed, its next site (a rank in the hot-net list
-    /// or in [`RETIME_RANKS`]) and how many candidates it has yielded.
-    kind: Option<MoveKind>,
-    site: usize,
-    taken: usize,
-}
-
-impl<'a> Proposals<'a> {
-    /// The proposals for `netlist` at the hot sites of its `score`; see
-    /// the type's documentation.
-    #[must_use]
-    pub fn new(
-        netlist: &'a Netlist,
-        score: &ReduceScore,
-        kinds: &'a [MoveKind],
-        per_kind: usize,
-        pipeline: PipelineOptions,
-    ) -> Self {
-        Proposals {
-            netlist,
-            hot: score.hot_nets(),
-            kinds: kinds.iter(),
-            per_kind,
-            pipeline,
-            kind: None,
-            site: 0,
-            taken: 0,
-        }
-    }
-
-    /// The next applicable rewrite of `kind`, if it has one left.
-    fn next_rewrite(&mut self, kind: MoveKind) -> Option<Rewrite> {
-        if self.taken >= self.per_kind {
-            return None;
-        }
-        let netlist = self.netlist;
-        if kind == MoveKind::Retime {
-            if netlist.dff_count() > 0 {
-                return None;
-            }
-            let ranks = &RETIME_RANKS[..self.per_kind.min(RETIME_RANKS.len())];
-            while let Some(&ranks) = ranks.get(self.site) {
-                self.site += 1;
-                if let Ok(rewrite) = pipeline_rewrite(netlist, ranks, self.pipeline) {
-                    return Some(rewrite);
+) -> impl Iterator<Item = Candidate> + 'a {
+    let hot = score.hot_nets();
+    kinds
+        .iter()
+        .flat_map(move |&kind| -> Box<dyn Iterator<Item = Candidate> + 'a> {
+            let candidate = move |rewrite: Result<Rewrite, RetimeError>| {
+                Some(Candidate {
+                    kind,
+                    rewrite: rewrite.ok()?,
+                })
+            };
+            match kind {
+                MoveKind::Buffer => Box::new(
+                    hot.clone()
+                        .into_iter()
+                        .filter_map(move |net| candidate(insert_buffer(netlist, net)))
+                        .take(per_kind),
+                ),
+                MoveKind::Duplicate => Box::new(
+                    hot.clone()
+                        .into_iter()
+                        .filter_map(move |net| {
+                            let driver = netlist.net(net).driver()?;
+                            candidate(duplicate_driver(netlist, driver.cell))
+                        })
+                        .take(per_kind),
+                ),
+                MoveKind::Retime => {
+                    let ranks = if netlist.dff_count() > 0 {
+                        &[][..]
+                    } else {
+                        &RETIME_RANKS[..per_kind.min(RETIME_RANKS.len())]
+                    };
+                    Box::new(ranks.iter().filter_map(move |&ranks| {
+                        candidate(pipeline_rewrite(netlist, ranks, pipeline))
+                    }))
                 }
             }
-            return None;
-        }
-        while let Some(&net) = self.hot.get(self.site) {
-            self.site += 1;
-            let rewrite = if kind == MoveKind::Buffer {
-                insert_buffer(netlist, net)
-            } else {
-                let Some(pin) = netlist.net(net).driver() else {
-                    continue;
-                };
-                duplicate_driver(netlist, pin.cell)
-            };
-            if let Ok(rewrite) = rewrite {
-                return Some(rewrite);
-            }
-        }
-        None
-    }
+        })
 }
 
-impl Iterator for Proposals<'_> {
-    type Item = Candidate;
-
-    fn next(&mut self) -> Option<Candidate> {
-        loop {
-            let kind = match self.kind {
-                Some(kind) => kind,
-                None => {
-                    let &kind = self.kinds.next()?;
-                    (self.kind, self.site, self.taken) = (Some(kind), 0, 0);
-                    kind
-                }
-            };
-            if let Some(rewrite) = self.next_rewrite(kind) {
-                self.taken += 1;
-                return Some(Candidate { kind, rewrite });
-            }
-            self.kind = None;
-        }
-    }
-}
-
-/// Every candidate of one proposal round at once: [`Proposals`]
+/// Every candidate of one proposal round at once: [`proposals`]
 /// collected.
 #[must_use]
 pub fn generate_candidates(
@@ -232,7 +183,7 @@ pub fn generate_candidates(
     per_kind: usize,
     pipeline: PipelineOptions,
 ) -> Vec<Candidate> {
-    Proposals::new(netlist, score, kinds, per_kind, pipeline).collect()
+    proposals(netlist, score, kinds, per_kind, pipeline).collect()
 }
 
 #[cfg(test)]

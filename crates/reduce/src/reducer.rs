@@ -30,7 +30,7 @@ use glitch_verify::{EquivalenceChecker, EquivalenceReport};
 
 use crate::compare::screen_scores;
 use crate::error::ReduceError;
-use crate::moves::{Candidate, MoveKind, Proposals};
+use crate::moves::{proposals, Candidate, MoveKind};
 use crate::progress::{NullProgress, ProgressEvent, ProgressSink};
 
 /// Knobs of the reduction loop; see the field docs for defaults.
@@ -193,7 +193,7 @@ impl Reducer {
     /// `reduce.score`, per iteration `reduce.candidates` and
     /// `reduce.confirm`, then `reduce.equivalence`. `reduce.candidates`
     /// covers only the ranking of the hot nets; `reduce.confirm` covers
-    /// building each candidate ([`Proposals`]), scoring it, screening it
+    /// building each candidate ([`proposals`]), scoring it, screening it
     /// and dropping it. The sink is an observer only: the returned report
     /// is byte-identical to a sink-less run.
     ///
@@ -232,7 +232,7 @@ impl Reducer {
             }
             iterations += 1;
             progress.phase_start("reduce.candidates");
-            let proposals = Proposals::new(
+            let round = proposals(
                 &current,
                 &score,
                 &self.options.moves,
@@ -248,7 +248,7 @@ impl Reducer {
             type Confirmed = (Candidate, ReduceScore, Vec<Bus>, Vec<(NetId, bool)>);
             let mut best: Option<Confirmed> = None;
             let (mut iter_proposed, mut iter_screened) = (0usize, 0usize);
-            for candidate in proposals {
+            for candidate in round {
                 iter_proposed += 1;
                 let next_buses: Vec<Bus> = buses
                     .iter()

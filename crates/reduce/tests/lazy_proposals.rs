@@ -1,5 +1,5 @@
 //! The reducer builds each candidate just before scoring it, from a lazy
-//! [`Proposals`] iterator, and [`generate_candidates`] collects that same
+//! [`proposals`] iterator, and [`generate_candidates`] collects that same
 //! iterator. On mult16 (`reduce mult16.blif --cycles 200 --seed 5`), both
 //! iterations of the descent must propose the same candidates either way,
 //! in the same order, with the same kind, description and netlist
@@ -11,7 +11,7 @@ use glitch_arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::{AnalysisConfig, EngineKind, ReduceScore, ReduceSession};
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
 use glitch_netlist::{Bus, Netlist};
-use glitch_reduce::{generate_candidates, Candidate, MoveKind, Proposals, ReduceOptions, Reducer};
+use glitch_reduce::{generate_candidates, proposals, Candidate, MoveKind, ReduceOptions, Reducer};
 
 fn mult16() -> Netlist {
     let text = emit_blif(&ArrayMultiplier::new(16, AdderStyle::CompoundCell).netlist);
@@ -39,7 +39,7 @@ fn summary(candidate: &Candidate) -> (MoveKind, String, u64) {
 /// The round proposed both ways, checked equal, as summaries.
 fn round(netlist: &Netlist, score: &ReduceScore) -> Vec<(MoveKind, String, u64)> {
     let options = ReduceOptions::default();
-    let lazy: Vec<_> = Proposals::new(
+    let lazy: Vec<_> = proposals(
         netlist,
         score,
         &options.moves,

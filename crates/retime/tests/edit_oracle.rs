@@ -187,8 +187,12 @@ fn assert_same(
     assert_eq!(a.outputs(), b.outputs(), "{case}: outputs");
     assert_eq!(emit_blif(a), emit_blif(b), "{case}: BLIF");
     assert_eq!(edited.map, rebuilt.map, "{case}: map");
-    assert_eq!(edited.description, rebuilt.description, "{case}: description");
-    a.validate().unwrap_or_else(|e| panic!("{case}: edited netlist invalid: {e}"));
+    assert_eq!(
+        edited.description, rebuilt.description,
+        "{case}: description"
+    );
+    a.validate()
+        .unwrap_or_else(|e| panic!("{case}: edited netlist invalid: {e}"));
     Some(edited)
 }
 
