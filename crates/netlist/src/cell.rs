@@ -506,65 +506,80 @@ pub(crate) struct CellRecord {
 
 /// One cell instance inside a [`crate::Netlist`]: a view, as
 /// [`crate::Netlist::cell`] and [`crate::Netlist::cells`] hand it out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub struct Cell<'a> {
-    kind: CellKind,
-    name: &'a str,
-    inputs: &'a [NetId],
-    outputs: &'a [NetId],
-    dff_init: DffInit,
+    record: &'a CellRecord,
+    names: &'a Names,
+    pins: &'a [NetId],
 }
 
 impl<'a> Cell<'a> {
     /// The view of `record`, whose name lies in `names` and whose pins in
     /// `pins`.
-    pub(crate) fn new(record: &CellRecord, names: &'a Names, pins: &'a [NetId]) -> Self {
-        let first = record.first_pin as usize;
-        let split = first + usize::from(record.input_count);
+    #[inline]
+    pub(crate) fn new(record: &'a CellRecord, names: &'a Names, pins: &'a [NetId]) -> Self {
         Cell {
-            kind: record.kind,
-            name: names.get(record.name),
-            inputs: &pins[first..split],
-            outputs: &pins[split..split + usize::from(record.output_count)],
-            dff_init: record.dff_init,
+            record,
+            names,
+            pins,
         }
     }
 
     /// The cell's kind.
     #[must_use]
+    #[inline]
     pub fn kind(&self) -> CellKind {
-        self.kind
+        self.record.kind
     }
 
     /// The instance name.
     #[must_use]
+    #[inline]
     pub fn name(&self) -> &'a str {
-        self.name
+        self.names.get(self.record.name)
     }
 
     /// Ordered input nets.
     #[must_use]
+    #[inline]
     pub fn inputs(&self) -> &'a [NetId] {
-        self.inputs
+        let first = self.record.first_pin as usize;
+        &self.pins[first..first + usize::from(self.record.input_count)]
     }
 
     /// Ordered output nets.
     #[must_use]
+    #[inline]
     pub fn outputs(&self) -> &'a [NetId] {
-        self.outputs
+        let first = self.record.first_pin as usize + usize::from(self.record.input_count);
+        &self.pins[first..first + usize::from(self.record.output_count)]
     }
 
     /// Returns `true` when this instance stores state (a D-flipflop).
     #[must_use]
+    #[inline]
     pub fn is_sequential(&self) -> bool {
-        self.kind.is_sequential()
+        self.record.kind.is_sequential()
     }
 
     /// The flipflop's initial state. Always [`DffInit::DontCare`] for
     /// combinational cells.
     #[must_use]
+    #[inline]
     pub fn dff_init(&self) -> DffInit {
-        self.dff_init
+        self.record.dff_init
+    }
+}
+
+impl fmt::Debug for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cell")
+            .field("kind", &self.kind())
+            .field("name", &self.name())
+            .field("inputs", &self.inputs())
+            .field("outputs", &self.outputs())
+            .field("dff_init", &self.dff_init())
+            .finish()
     }
 }
 

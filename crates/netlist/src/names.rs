@@ -33,6 +33,7 @@ impl Names {
     }
 
     /// The name at `span`.
+    #[inline]
     pub(crate) fn get(&self, span: Span) -> &str {
         &self.text[span.start as usize..(span.start + span.len) as usize]
     }

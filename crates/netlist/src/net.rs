@@ -20,12 +20,14 @@ pub struct NetId(pub(crate) usize);
 impl NetId {
     /// Returns the dense index backing this id.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0
     }
 
     /// Builds a `NetId` from a raw index.
     #[must_use]
+    #[inline]
     pub fn from_index(index: usize) -> Self {
         NetId(index)
     }
@@ -73,6 +75,7 @@ pub struct Net<'a> {
 }
 
 impl<'a> Net<'a> {
+    #[inline]
     pub(crate) fn new(netlist: &'a Netlist, id: NetId, record: &'a NetRecord) -> Self {
         Net {
             netlist,
@@ -83,6 +86,7 @@ impl<'a> Net<'a> {
 
     /// The net's name.
     #[must_use]
+    #[inline]
     pub fn name(&self) -> &'a str {
         self.netlist.name_at(self.record.name)
     }
@@ -90,30 +94,35 @@ impl<'a> Net<'a> {
     /// The cell output pin driving this net, if any. Primary inputs and
     /// not-yet-connected nets have no driver.
     #[must_use]
+    #[inline]
     pub fn driver(&self) -> Option<Pin> {
         self.record.driver
     }
 
     /// The cell input pins loading this net, in (cell, pin) order.
     #[must_use]
+    #[inline]
     pub fn loads(&self) -> &'a [Pin] {
         self.netlist.topology().loads(self.id)
     }
 
     /// Number of cell input pins loading this net.
     #[must_use]
+    #[inline]
     pub fn fanout(&self) -> usize {
         self.loads().len()
     }
 
     /// `true` when this net is a primary input of the netlist.
     #[must_use]
+    #[inline]
     pub fn is_primary_input(&self) -> bool {
         self.record.is_input
     }
 
     /// `true` when this net is a primary output of the netlist.
     #[must_use]
+    #[inline]
     pub fn is_primary_output(&self) -> bool {
         self.record.is_output
     }
@@ -121,6 +130,7 @@ impl<'a> Net<'a> {
     /// `true` when the net has neither a driver nor the primary-input flag,
     /// i.e. it would float in silicon.
     #[must_use]
+    #[inline]
     pub fn is_floating(&self) -> bool {
         self.record.driver.is_none() && !self.record.is_input
     }

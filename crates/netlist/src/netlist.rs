@@ -191,6 +191,7 @@ impl Netlist {
     ///
     /// Panics if `id` does not belong to this netlist.
     #[must_use]
+    #[inline]
     pub fn net(&self, id: NetId) -> Net<'_> {
         Net::new(self, id, &self.nets[id.0])
     }
@@ -201,6 +202,7 @@ impl Netlist {
     ///
     /// Panics if `id` does not belong to this netlist.
     #[must_use]
+    #[inline]
     pub fn cell(&self, id: CellId) -> Cell<'_> {
         Cell::new(&self.cells[id.0], &self.names, &self.pins)
     }
@@ -240,18 +242,30 @@ impl Netlist {
     }
 
     /// The kind of cell `id`, without building its view.
+    #[inline]
     pub(crate) fn cell_kind(&self, id: CellId) -> CellKind {
         self.cells[id.0].kind
     }
 
     /// The name stored at `span`.
+    #[inline]
     pub(crate) fn name_at(&self, span: Span) -> &str {
         self.names.get(span)
     }
 
     /// The cached topology, built first if an edit has reset it.
+    #[inline]
     pub(crate) fn topology(&self) -> &Topology {
-        self.topology.get_or_init(|| Box::new(Topology::build(self)))
+        match self.topology.get() {
+            Some(topology) => topology,
+            None => self.build_topology(),
+        }
+    }
+
+    #[cold]
+    fn build_topology(&self) -> &Topology {
+        self.topology
+            .get_or_init(|| Box::new(Topology::build(self)))
     }
 
     /// Looks a net up by name.

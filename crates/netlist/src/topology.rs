@@ -19,6 +19,7 @@ struct Rows<T> {
 }
 
 impl<T> Rows<T> {
+    #[inline]
     fn row(&self, i: usize) -> &[T] {
         &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
@@ -105,6 +106,7 @@ impl Topology {
     }
 
     /// The load pins of `net`, in (cell, pin) order.
+    #[inline]
     pub(crate) fn loads(&self, net: NetId) -> &[Pin] {
         self.loads.row(net.index())
     }
