@@ -218,7 +218,7 @@ fn bench_reduce(c: &mut Criterion) {
     group.finish();
 
     // A clone (and drop) of the sweep workload's netlist: a handful of
-    // buffer copies, whatever the netlist's size.
+    // buffers copied and freed, whatever the netlist's size.
     let mut group = c.benchmark_group("netlist");
     let mult32 = ArrayMultiplier::new(32, AdderStyle::CompoundCell).netlist;
     mult32.validate().expect("mult32 is valid");

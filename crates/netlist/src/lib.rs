@@ -17,8 +17,8 @@
 //!
 //! ## Storage
 //!
-//! A [`Netlist`] is a handful of flat vectors, so a clone or a drop is a
-//! handful of buffer copies or frees, whatever the netlist's size:
+//! A [`Netlist`] is a handful of flat vectors, so a clone or a drop
+//! allocates or frees a handful of buffers, whatever the netlist's size:
 //!
 //! * every net and cell name lies once in one string arena; a net or cell
 //!   record keeps the name's offset and length;

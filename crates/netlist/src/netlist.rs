@@ -845,6 +845,48 @@ mod tests {
     }
 
     #[test]
+    fn move_loads_rewires_pins_and_keeps_load_order() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let x = nl.and2(a, b, "x");
+        let y = nl.or2(b, a, "y");
+        let z = nl.xor2(a, a, "z");
+        for out in [x, y, z] {
+            nl.mark_output(out);
+        }
+        let (and, or, xor) = (CellId(0), CellId(1), CellId(2));
+        let pin = |cell, index| Pin { cell, index };
+        nl.validate().unwrap();
+        assert_eq!(
+            nl.net(a).loads(),
+            [pin(and, 0), pin(or, 1), pin(xor, 0), pin(xor, 1)]
+        );
+        // Moving pins out of order still lists them in (cell, pin) order,
+        // and the cached loads follow the edit.
+        nl.move_loads(&[pin(xor, 1), pin(and, 0)], b).unwrap();
+        assert_eq!(nl.net(a).loads(), [pin(or, 1), pin(xor, 0)]);
+        assert_eq!(
+            nl.net(b).loads(),
+            [pin(and, 0), pin(and, 1), pin(or, 0), pin(xor, 1)]
+        );
+        assert_eq!(nl.cell(and).inputs(), [b, b]);
+        assert!(matches!(
+            nl.move_loads(&[pin(or, 2)], a),
+            Err(NetlistError::UnknownPin(_))
+        ));
+        assert!(matches!(
+            nl.move_loads(&[pin(CellId(9), 0)], a),
+            Err(NetlistError::UnknownCell(_))
+        ));
+        assert!(matches!(
+            nl.move_loads(&[pin(or, 0)], NetId(99)),
+            Err(NetlistError::UnknownNet(_))
+        ));
+        assert_eq!(nl.cell(or).inputs(), [b, a], "a refused move moves nothing");
+    }
+
+    #[test]
     fn mark_output_is_idempotent() {
         let mut nl = Netlist::new("t");
         let a = nl.add_input("a");
