@@ -6,15 +6,18 @@
 //!
 //! [`KernelProgram::compile`] turns a validated, acyclic netlist into a
 //! levelized straight-line program — one [`CellKind`](glitch_netlist::CellKind) op per combinational
-//! cell, in topological order — that is then evaluated with word-wide
+//! cell, in topological order, grouped by register stage when no
+//! flipflop feeds back — that is then evaluated with word-wide
 //! bitwise operations over a [`KernelState`]: 64 independent stimulus
 //! *lanes* per `u64` word, any number of words. There is no event queue
 //! and no per-event allocation. [`KernelProgram::eval`] computes the
 //! zero-delay (functional) fixed point of every cycle;
 //! [`KernelProgram::settle_cycles`] does so for a block of consecutive
-//! cycles of one stimulus stream, one per lane, solving each lane's
-//! flipflop outputs (the previous lane's D) by fixpoint iteration — one
-//! evaluation per register rank through a pipeline, not one per cycle;
+//! cycles of one stimulus stream, one per lane, each lane's flipflop
+//! outputs being the previous lane's D — one evaluation per 64-lane word
+//! through a register pipeline (stage by stage, each stage's D planes
+//! shifted one lane up into its Q), a per-word fixpoint only around
+//! feedback;
 //! [`TimedSchedule`] adds time: with one clock cycle per lane it steps
 //! each net across its static arrival window under integer transport
 //! delays, from the block's functional settle, reproducing the

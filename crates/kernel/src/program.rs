@@ -39,6 +39,136 @@ impl Op {
     }
 }
 
+/// The register-stage order of a program whose flipflops feed no cycle.
+///
+/// A net's stage is 0 for a primary input or a constant, the highest
+/// operand stage for an op's output, and one above its D net for a
+/// flipflop's Q. The program's ops are sorted by stage (level order
+/// within one), and a stage's flipflops are those whose Q it reads
+/// first: every D they shift from lies in a lower stage.
+#[derive(Debug, Clone)]
+struct StagePlan {
+    /// Per stage, the end of its ops in [`KernelProgram::ops`].
+    op_ends: Vec<u32>,
+    /// Flipflop indices, by the stage of their Q net.
+    dffs: Vec<u32>,
+    /// Per stage, the end of its flipflops in `dffs`.
+    dff_ends: Vec<u32>,
+}
+
+impl StagePlan {
+    /// Orders `ops` by register stage and returns the plan, or `None`
+    /// (leaving `ops` alone) when a flipflop's Q reaches its own D. One
+    /// depth-first pass over ops, operands and flipflops.
+    fn order(
+        net_count: usize,
+        ops: &mut Vec<Op>,
+        operands: &[u32],
+        dffs: &[DffSlot],
+    ) -> Option<StagePlan> {
+        const NONE: u32 = u32::MAX;
+        const OPEN: u32 = u32::MAX - 1;
+        let op_count = ops.len();
+        // Nodes are the ops, then the flipflops; a net's driver is one.
+        let mut driver = vec![NONE; net_count];
+        for (node, op) in ops.iter().enumerate() {
+            for out in op.outputs() {
+                driver[out as usize] = node as u32;
+            }
+        }
+        for (k, dff) in dffs.iter().enumerate() {
+            driver[dff.q.index()] = (op_count + k) as u32;
+        }
+        let input = |node: usize, pin: usize| -> Option<usize> {
+            match ops.get(node) {
+                Some(op) => (pin < usize::from(op.count))
+                    .then(|| operands[op.first as usize + pin] as usize),
+                None => (pin == 0).then(|| dffs[node - op_count].d.index()),
+            }
+        };
+        // Per node, the stage of its outputs, `NONE` before it is reached
+        // and `OPEN` while its inputs are.
+        let mut stage = vec![NONE; op_count + dffs.len()];
+        // `(node, next input pin, highest input stage so far)`.
+        let mut stack: Vec<(usize, usize, u32)> = Vec::new();
+        for root in 0..stage.len() {
+            if stage[root] != NONE {
+                continue;
+            }
+            stage[root] = OPEN;
+            stack.push((root, 0, 0));
+            while let Some(&mut (node, ref mut pin, ref mut high)) = stack.last_mut() {
+                if let Some(net) = input(node, *pin) {
+                    *pin += 1;
+                    let from = driver[net];
+                    if from == NONE {
+                        continue;
+                    }
+                    match stage[from as usize] {
+                        OPEN => return None,
+                        NONE => {
+                            stage[from as usize] = OPEN;
+                            stack.push((from as usize, 0, 0));
+                        }
+                        done => *high = (*high).max(done),
+                    }
+                } else {
+                    let done = *high + u32::from(node >= op_count);
+                    stage[node] = done;
+                    stack.pop();
+                    if let Some((_, _, high)) = stack.last_mut() {
+                        *high = (*high).max(done);
+                    }
+                }
+            }
+        }
+        let stages = stage.iter().max().map_or(1, |&top| top as usize + 1);
+        let (op_stage, dff_stage) = stage.split_at(op_count);
+        let (op_order, op_ends) = by_stage(op_stage, stages);
+        *ops = op_order.iter().map(|&i| ops[i as usize]).collect();
+        let (dffs, dff_ends) = by_stage(dff_stage, stages);
+        Some(StagePlan {
+            op_ends,
+            dffs,
+            dff_ends,
+        })
+    }
+
+    /// Stage `s`'s flipflops and the range of its ops.
+    fn stage(&self, s: usize) -> (&[u32], Range<usize>) {
+        let start = |ends: &[u32]| if s == 0 { 0 } else { ends[s - 1] as usize };
+        (
+            &self.dffs[start(&self.dff_ends)..self.dff_ends[s] as usize],
+            start(&self.op_ends)..self.op_ends[s] as usize,
+        )
+    }
+
+    fn byte_size(&self) -> usize {
+        (self.op_ends.len() + self.dffs.len() + self.dff_ends.len()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// A stable counting sort of the items `0..stage_of.len()` by stage:
+/// the items in stage order, and per stage `0..stages` the end of its
+/// items in that order.
+fn by_stage(stage_of: &[u32], stages: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut ends = vec![0u32; stages];
+    for &s in stage_of {
+        ends[s as usize] += 1;
+    }
+    for s in 1..stages {
+        ends[s] += ends[s - 1];
+    }
+    // Each stage fills from its end, the last item first.
+    let mut next = ends.clone();
+    let mut order = vec![0u32; stage_of.len()];
+    for (item, &s) in stage_of.iter().enumerate().rev() {
+        next[s as usize] -= 1;
+        order[next[s as usize] as usize] = item as u32;
+    }
+    (order, ends)
+}
+
 /// One compiled D-flipflop: where to read D, where to assert Q, and the
 /// declared init value.
 #[derive(Debug, Clone, Copy)]
@@ -69,8 +199,8 @@ pub struct SettledCycles {
     /// The flipflop state after the block's last lane, in
     /// [`KernelProgram::dffs`] order: the `start` of the next block.
     pub next_state: Vec<Tri>,
-    /// One-word evaluations the fixpoint took (a plain
-    /// [`KernelProgram::eval`] counts one per plane word).
+    /// One-word evaluations the settle took: one per plane word, as for a
+    /// plain [`KernelProgram::eval`], unless the flipflops feed back.
     pub word_evals: usize,
 }
 
@@ -123,11 +253,18 @@ pub struct KernelProgram {
     pub(crate) operands: Vec<u32>,
     dffs: Vec<DffSlot>,
     inputs: Vec<NetId>,
+    /// The register-stage order [`settle_cycles`](Self::settle_cycles)
+    /// settles by; `None` without flipflops or when they feed back.
+    stages: Option<StagePlan>,
 }
 
 impl KernelProgram {
     /// Compiles `netlist` into a straight-line program, validating it and
-    /// levelizing its combinational cells.
+    /// levelizing its combinational cells. When the netlist has flipflops
+    /// and none of them feeds back into its own D, the ops are ordered by
+    /// register stage (a flipflop's Q one stage above its D, level order
+    /// within a stage) for [`settle_cycles`](Self::settle_cycles); either
+    /// order is a topological one for a single cycle.
     ///
     /// # Errors
     ///
@@ -151,7 +288,7 @@ impl KernelProgram {
                 out1: outs.get(1).map_or(u32::MAX, |n| n.index() as u32),
             });
         }
-        let dffs = netlist
+        let dffs: Vec<DffSlot> = netlist
             .dff_cells()
             .map(|id| {
                 let cell = netlist.cell(id);
@@ -162,12 +299,18 @@ impl KernelProgram {
                 }
             })
             .collect();
+        let stages = if dffs.is_empty() {
+            None
+        } else {
+            StagePlan::order(netlist.net_count(), &mut ops, &operands, &dffs)
+        };
         Ok(KernelProgram {
             net_count: netlist.net_count(),
             ops,
             operands,
             dffs,
             inputs: netlist.inputs().to_vec(),
+            stages,
         })
     }
 
@@ -212,6 +355,7 @@ impl KernelProgram {
             + self.operands.len() * std::mem::size_of::<u32>()
             + self.dffs.len() * std::mem::size_of::<DffSlot>()
             + self.inputs.len() * std::mem::size_of::<NetId>()
+            + self.stages.as_ref().map_or(0, StagePlan::byte_size)
     }
 
     /// The operand nets of `op`, in pin order.
@@ -307,29 +451,30 @@ impl KernelProgram {
     /// Panics when `state` was built for a different netlist size.
     pub fn eval(&self, state: &mut KernelState, mode: EvalMode) {
         self.check_state(state);
-        self.eval_words(state, mode, 0..state.words);
+        self.eval_ops(&self.ops, state, mode, 0..state.words);
     }
 
     /// Settles a block of consecutive clock cycles at once: lane `l` of
     /// `state` is cycle `l`, its inputs already driven, and `start` is the
     /// flipflop state entering lane 0 (one value per flipflop, in
     /// [`dffs`](Self::dffs) order). Every other lane's Q is the previous
-    /// lane's D, found by fixpoint iteration of `Q(l) = D(l − 1)`, one
-    /// 64-lane word at a time: each round evaluates the word and shifts
-    /// every D plane one lane up into its Q plane, the word's lane 0
-    /// taking the previous word's last D; the word is settled once a
-    /// round changes no Q word. Given lane 0 the recurrence has exactly
+    /// lane's D. Given lane 0 the recurrence `Q(l) = D(l − 1)` has exactly
     /// one solution, so the planes equal a cycle-by-cycle
     /// [`begin_cycle`](Self::begin_cycle) / [`eval`](Self::eval) /
     /// [`latch`](Self::latch) stepping bit for bit.
     ///
-    /// Each round fixes at least one more lane, and a flipflop `k`
-    /// registers deep behind the inputs is exact after `k` rounds: a
-    /// pipeline of `k` ranks settles in `k + 1` evaluations per word, a
-    /// feedback circuit (a counter) in at most 65 per 64-lane word. A word
-    /// starts from its lane 0 state in every lane, so a register that
-    /// holds its value settles in one. A netlist without flipflops is one
-    /// [`eval`](Self::eval). The flipflop planes of `state` are not used.
+    /// Without feedback — no flipflop's Q reaches its own D, as in a
+    /// register pipeline — the program settles by register stage: each
+    /// stage's ops over all words, after shifting the D planes its
+    /// flipflops read one lane up into their Q (lane 0 taking `start`, a
+    /// word's lane 0 the previous word's last D). That is one evaluation
+    /// per word, as for a netlist without flipflops. Around feedback (a
+    /// counter) the lanes are found by fixpoint iteration one 64-lane
+    /// word at a time: each round evaluates the word and shifts every D
+    /// plane up into its Q, until a round changes no Q word. Each round
+    /// fixes at least one more lane, so a word takes at most 65, and one
+    /// whose registers hold their value takes one. The flipflop planes of
+    /// `state` are not used.
     ///
     /// # Panics
     ///
@@ -345,12 +490,47 @@ impl KernelProgram {
         assert_eq!(start.len(), self.dffs.len(), "one start value per flipflop");
         let words = state.words;
         if self.dffs.is_empty() {
-            self.eval_words(state, mode, 0..words);
+            self.eval_ops(&self.ops, state, mode, 0..words);
             return SettledCycles {
                 next_state: Vec::new(),
                 word_evals: words,
             };
         }
+        let Some(plan) = &self.stages else {
+            return self.settle_feedback(state, start, mode);
+        };
+        for s in 0..plan.op_ends.len() {
+            let (dffs, ops) = plan.stage(s);
+            for &k in dffs {
+                let dff = &self.dffs[k as usize];
+                let (d, q) = (dff.d.index() * words, dff.q.index() * words);
+                let (mut carry_v, mut carry_m) = tri_bits(start[k as usize]);
+                for w in 0..words {
+                    let wm = state.word_mask(w);
+                    let (v, m) = (state.val[d + w], state.msk[d + w]);
+                    state.val[q + w] = (v << 1 | carry_v) & wm;
+                    state.msk[q + w] = (m << 1 | carry_m) & wm;
+                    (carry_v, carry_m) = (v >> 63, m >> 63);
+                }
+            }
+            self.eval_ops(&self.ops[ops], state, mode, 0..words);
+        }
+        let last = state.lanes - 1;
+        SettledCycles {
+            next_state: self.dffs.iter().map(|dff| state.get(dff.d, last)).collect(),
+            word_evals: words,
+        }
+    }
+
+    /// [`settle_cycles`](Self::settle_cycles) of a program whose
+    /// flipflops feed back: the per-word fixpoint.
+    fn settle_feedback(
+        &self,
+        state: &mut KernelState,
+        start: &[Tri],
+        mode: EvalMode,
+    ) -> SettledCycles {
+        let words = state.words;
         // The state entering the current word's lane 0, as `(value, mask)`
         // bits.
         let mut carry: Vec<(u64, u64)> = start.iter().map(|&t| tri_bits(t)).collect();
@@ -364,7 +544,7 @@ impl KernelProgram {
                 state.msk[q] = wm * m;
             }
             loop {
-                self.eval_words(state, mode, w..w + 1);
+                self.eval_ops(&self.ops, state, mode, w..w + 1);
                 word_evals += 1;
                 for (next, (dff, &(v, m))) in shifted.iter_mut().zip(self.dffs.iter().zip(&carry)) {
                     let d = dff.d.index() * words + w;
@@ -402,13 +582,14 @@ impl KernelProgram {
         );
     }
 
-    /// [`eval`](Self::eval) restricted to plane words `range`.
-    fn eval_words(&self, state: &mut KernelState, mode: EvalMode, range: Range<usize>) {
+    /// Evaluates `ops`, a run of the program's ops, over plane words
+    /// `range`.
+    fn eval_ops(&self, ops: &[Op], state: &mut KernelState, mode: EvalMode, range: Range<usize>) {
         let words = state.words;
         let tail_mask = state.tail_mask;
         let val = &mut state.val;
         let msk = &mut state.msk;
-        for op in &self.ops {
+        for op in ops {
             let ins = self.op_inputs(op);
             let out0 = op.out0 as usize * words;
             for w in range.clone() {

@@ -7,12 +7,14 @@
 //! each block starting from the flipflop state the previous one returned.
 //! Every net of every cycle must agree, and so must the state after the
 //! last cycle. Cases: random sequential circuits, the 4-bit counter of
-//! the corpus (feedback) and the 8-bit multiplier pipelined to 2, 4 and 6
-//! register ranks; one block of 1, 63, 64, 65 and 256 lanes and 300 lanes
+//! the corpus (feedback), the 8-bit multiplier pipelined to 2, 4 and 6
+//! register ranks with and without an input rank, a flipflop fed straight
+//! by a primary input, a shift register and the counter with a pipeline
+//! beside it; one block of 1, 63, 64, 65 and 256 lanes and 300 lanes
 //! chained across two blocks; both eval modes; flipflops initialised 0, 1
-//! and `X`. The fixpoint's evaluation count is bounded too: one more than
-//! the register ranks per word through a pipeline, at most 65 per 64-lane
-//! word around the counter's feedback.
+//! and `X`. The evaluation count is pinned too: exactly one per 64-lane
+//! word wherever no flipflop feeds back, at most 65 per word around
+//! feedback.
 
 #[path = "../../sim/tests/support/mod.rs"]
 #[allow(dead_code)]
@@ -185,9 +187,10 @@ proptest! {
         gate_words in proptest::collection::vec(0u64..u64::MAX, 1..40),
         seed in 0u64..1000,
     ) {
+        // Feed-forward by construction: every flipflop is acyclic.
         let built = support::build_netlist(input_count, &gate_words);
         for (evals, lanes) in check_all(&built.netlist, seed) {
-            prop_assert!(evals <= word_bound(lanes, |l| l + 1), "{evals} evals for {lanes} lanes");
+            prop_assert_eq!(evals, lanes.div_ceil(64), "{} lanes", lanes);
         }
     }
 }
@@ -205,20 +208,68 @@ fn settle_cycles_matches_stepping_on_the_counter() {
     }
 }
 
+/// Asserts every block of `netlist` settles in one evaluation per word.
+fn check_one_eval_per_word(netlist: &Netlist, seed: u64) {
+    for (evals, lanes) in check_all(netlist, seed) {
+        assert_eq!(
+            evals,
+            lanes.div_ceil(64),
+            "{}: an acyclic register graph settles in one eval per word ({lanes} lanes)",
+            netlist.name()
+        );
+    }
+}
+
 #[test]
 fn settle_cycles_matches_stepping_on_the_pipelined_multiplier() {
     let mult = ArrayMultiplier::new(8, AdderStyle::CompoundCell).netlist;
-    for ranks in [2, 4, 6] {
-        let piped = pipeline_netlist(&mult, ranks, PipelineOptions::default())
-            .expect("the multiplier pipelines");
-        assert_eq!(piped.latency, ranks);
-        for (evals, lanes) in check_all(&piped.netlist, 0xDA7E + ranks as u64) {
-            assert!(
-                evals <= word_bound(lanes, |_| ranks + 1),
-                "{ranks} ranks settle in {} evals per word: {evals} for {lanes} lanes",
-                ranks + 1
-            );
+    for register_inputs in [true, false] {
+        for ranks in [2, 4, 6] {
+            let piped = pipeline_netlist(&mult, ranks, PipelineOptions { register_inputs })
+                .expect("the multiplier pipelines");
+            assert_eq!(piped.latency, ranks);
+            check_one_eval_per_word(&piped.netlist, 0xDA7E + ranks as u64);
         }
+    }
+}
+
+#[test]
+fn a_flipflop_fed_by_a_primary_input_settles_in_one_eval() {
+    let mut nl = Netlist::new("input_register");
+    let a = nl.add_input("a");
+    let b = nl.add_input("b");
+    let qa = nl.dff(a, "qa");
+    let y = nl.and2(qa, b, "y");
+    let qy = nl.dff(y, "qy");
+    nl.mark_output(qa);
+    nl.mark_output(qy);
+    check_one_eval_per_word(&nl, 0x1A);
+}
+
+#[test]
+fn a_shift_register_settles_in_one_eval() {
+    let mut nl = Netlist::new("shift_register");
+    let a = nl.add_input("a");
+    let q = nl.dff_chain(a, 5, "sr");
+    nl.mark_output(q);
+    check_one_eval_per_word(&nl, 0x5F);
+}
+
+#[test]
+fn a_pipeline_beside_a_counter_still_matches_stepping() {
+    // The counter's feedback puts the whole program on the fixpoint.
+    let mut nl = corpus("counter4.blif");
+    let p = nl.add_input("p");
+    let q3 = nl.find_net("q3").expect("the counter's top bit");
+    let x = nl.xor2(p, q3, "x");
+    let piped = nl.dff_chain(x, 3, "pipe");
+    let y = nl.and2(piped, p, "y");
+    nl.mark_output(y);
+    for (evals, lanes) in check_all(&nl, 0xC0DE) {
+        assert!(
+            evals <= word_bound(lanes, |l| l + 1),
+            "{evals} evals for {lanes} lanes"
+        );
     }
 }
 

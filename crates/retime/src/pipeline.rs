@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use glitch_netlist::{CellId, NetId, Netlist};
+use glitch_netlist::{NetId, Netlist};
 
 use crate::error::RetimeError;
 use crate::mapping::NetMap;
@@ -42,8 +42,6 @@ pub struct PipelinedNetlist {
     pub latency: usize,
     /// Number of flipflops in the pipelined netlist.
     pub flipflop_count: usize,
-    /// The stage index assigned to every original combinational cell.
-    pub stage_of_cell: HashMap<CellId, usize>,
     /// Total old-net → new-net mapping: every original net's same-stage
     /// copy, plus the final registered net each primary output was brought
     /// to (which is where the output is observed, `latency` cycles late).
@@ -103,7 +101,6 @@ pub fn pipeline_netlist(
     // behind `k` registers. Chains grow one register at a time, so shorter
     // delays are shared.
     let mut delayed: Vec<Vec<NetId>> = vec![Vec::new(); netlist.net_count()];
-    let mut stages: Vec<(CellId, usize)> = Vec::with_capacity(levels.order().len());
 
     let registered = |out: &mut Netlist,
                       new_net_of: &[Option<NetId>],
@@ -134,7 +131,6 @@ pub fn pipeline_netlist(
         let cell = netlist.cell(cell_id);
         let level = levels.level(cell_id).unwrap_or(1);
         let stage = stage_of_level(level);
-        stages.push((cell_id, stage));
 
         let mut new_inputs = Vec::with_capacity(cell.inputs().len());
         for &input in cell.inputs() {
@@ -189,7 +185,6 @@ pub fn pipeline_netlist(
         netlist: out,
         latency: ranks,
         flipflop_count,
-        stage_of_cell: stages.into_iter().collect(),
         mapping: NetMap::new(forward, output_of, ranks),
     })
 }

@@ -145,7 +145,7 @@ impl RandomStimulus {
     /// The nets one cycle's assignment drives, in order: every bus bit,
     /// buses in order, then every held net. A net may appear more than
     /// once (a held net that is also a bus bit).
-    pub(crate) fn drives(&self) -> impl Iterator<Item = NetId> + '_ {
+    pub fn drives(&self) -> impl Iterator<Item = NetId> + '_ {
         self.buses
             .iter()
             .flat_map(|bus| bus.bits().iter().copied())
@@ -159,7 +159,7 @@ impl RandomStimulus {
     /// value each cycle gives it, bits beyond the last lane clear. The
     /// same stream in the same order as [`StimulusProgram::next_vector`].
     /// Returns the number of lanes drawn.
-    pub(crate) fn next_lanes(&mut self, lanes: usize, planes: &mut Vec<u64>) -> usize {
+    pub fn next_lanes(&mut self, lanes: usize, planes: &mut Vec<u64>) -> usize {
         let lanes = lanes.min(usize::try_from(self.remaining).unwrap_or(usize::MAX));
         self.remaining -= lanes as u64;
         let words = lanes.div_ceil(64);

@@ -24,9 +24,9 @@
 //!   input come from comparing each lane with the one before;
 //! - a lane starts from the previous cycle's functional settled state,
 //!   which [`KernelProgram::settle_cycles`] provides for the whole block
-//!   at once: one evaluation without flipflops, one per register rank
-//!   (plus one) through a pipeline, the flipflop state carried from block
-//!   to block;
+//!   at once: one evaluation per word without flipflops or through a
+//!   register pipeline, a per-word fixpoint only around feedback, the
+//!   flipflop state carried from block to block;
 //! - the probes are filled in bulk, with no per-transition hook dispatch:
 //!   the extra ones through [`Probe::record_timed`] with a [`TimedRun`].
 

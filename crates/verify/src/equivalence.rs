@@ -15,9 +15,12 @@
 //! repo's other oracles), and any mismatch comes back located — output,
 //! cycle, both values — ready for shrinking. Consecutive cycles are the
 //! lanes of [`KernelProgram::settle_cycles`] blocks of up to 256, the
-//! flipflop state carried from block to block; the transformed side runs
-//! `latency` cycles ahead, so the outputs compare a 64-cycle word at a
-//! time.
+//! flipflop state carried from block to block: one evaluation per 64-lane
+//! word for a pipelined netlist, a fixpoint only around feedback. Each
+//! side draws a block's stimulus straight into lane words
+//! ([`RandomStimulus::next_lanes`], the same stream in the same order as
+//! its per-cycle assignments); the transformed side runs `latency` cycles
+//! ahead, so the outputs compare a 64-cycle word at a time.
 //!
 //! Settled end-of-cycle values do not depend on the delays under the
 //! simulator's pure-delay models (glitches are transient), so the
@@ -330,19 +333,21 @@ impl<'a> EquivalenceChecker<'a> {
             }
         }
         let stimulus = || RandomStimulus::new(self.stimulus_buses(), cycles, seed);
-        let mut original = Side::new(program_a, stimulus(), dff_init);
-        let mut transformed = Side::new(program_b, stimulus(), dff_init);
+        let mut original = Side::new(program_a, stimulus(), dff_init, Some);
+        let mut transformed = Side::new(program_b, stimulus(), dff_init, |net| {
+            counterpart[net.index()]
+        });
         let mut ahead = 0;
         while ahead < latency {
             let lanes = (latency - ahead).min(BLOCK_CYCLES);
-            transformed.settle(lanes, mode, |net| counterpart[net.index()]);
+            transformed.settle(lanes, mode);
             ahead += lanes;
         }
         let mut done = 0u64;
         while done < window {
             let lanes = (window - done).min(BLOCK_CYCLES);
-            let a = original.settle(lanes, mode, Some);
-            let b = transformed.settle(lanes, mode, |net| counterpart[net.index()]);
+            let a = original.settle(lanes, mode);
+            let b = transformed.settle(lanes, mode);
             for w in 0..a.words() {
                 // The lowest diverging lane of the word, then the first
                 // output diverging there.
@@ -422,46 +427,62 @@ impl<'a> EquivalenceChecker<'a> {
 }
 
 /// One side of the co-simulation: its program, its copy of the stimulus
-/// stream and the flipflop state entering its next cycle.
+/// stream, the flipflop state entering its next cycle and the planes of
+/// its last block.
 struct Side<'p> {
     program: &'p KernelProgram,
     stimulus: RandomStimulus,
+    /// Per drive of the stimulus, the net it sets on this side.
+    drives: Vec<NetId>,
     dff_init: Tri,
     carry: Vec<Tri>,
+    /// Per drive, its lane words in the current block.
+    planes: Vec<u64>,
+    state: KernelState,
 }
 
 impl<'p> Side<'p> {
-    fn new(program: &'p KernelProgram, stimulus: RandomStimulus, dff_init: Tri) -> Self {
+    /// The side settling `program`, whose stimulus drives every net
+    /// through `map`.
+    fn new(
+        program: &'p KernelProgram,
+        stimulus: RandomStimulus,
+        dff_init: Tri,
+        map: impl Fn(NetId) -> Option<NetId>,
+    ) -> Self {
+        let drives = stimulus
+            .drives()
+            .map(|net| map(net).expect("constructor checked every input is mapped"))
+            .collect();
         Side {
             program,
             stimulus,
+            drives,
             dff_init,
             carry: program.power_on_state(dff_init),
+            planes: Vec::new(),
+            state: program.new_state(1, dff_init),
         }
     }
 
-    /// Settles the next `lanes` cycles, one lane each, driving every
-    /// assigned input through `map`, and returns their planes.
-    fn settle(
-        &mut self,
-        lanes: u64,
-        mode: EvalMode,
-        map: impl Fn(NetId) -> Option<NetId>,
-    ) -> KernelState {
-        let mut state = self.program.new_state(lanes as usize, self.dff_init);
-        for lane in 0..lanes as usize {
-            let assignment = self
-                .stimulus
-                .next()
-                .expect("the stimulus covers the requested cycles");
-            for &(net, value) in assignment.assignments() {
-                let net = map(net).expect("constructor checked every input is mapped");
-                state.set_bool(net, lane, value);
+    /// Settles the next `lanes` cycles, one lane each, drawing the
+    /// stimulus a block of lane words at a time, and returns their planes.
+    fn settle(&mut self, lanes: u64, mode: EvalMode) -> &KernelState {
+        let lanes = lanes as usize;
+        let drawn = self.stimulus.next_lanes(lanes, &mut self.planes);
+        assert_eq!(drawn, lanes, "the stimulus covers the requested cycles");
+        let state = &mut self.state;
+        self.program.reset_state(state, lanes, self.dff_init);
+        let words = state.words();
+        // In drive order, so a net driven twice takes its last drive.
+        for (&net, plane) in self.drives.iter().zip(self.planes.chunks(words)) {
+            for (w, &bits) in plane.iter().enumerate() {
+                state.set_word(net, w, bits);
             }
         }
         self.carry = self
             .program
-            .settle_cycles(&mut state, &self.carry, mode)
+            .settle_cycles(state, &self.carry, mode)
             .next_state;
         state
     }

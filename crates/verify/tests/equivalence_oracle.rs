@@ -286,3 +286,69 @@ fn a_latency_beyond_the_run_compares_nothing_like_the_event_co_simulation() {
         }
     }
 }
+
+/// Primary inputs of the wide cases: more than one 32-input stimulus bus.
+const WIDE_INPUTS: usize = 40;
+
+/// `y`, the XOR of all 40 inputs, and `z`, the AND of the last two (their
+/// OR with `or_z`), with the inputs declared in reverse order when
+/// `reversed`.
+fn wide_xor(reversed: bool, or_z: bool) -> Netlist {
+    let mut nl = Netlist::new("wide xor");
+    let mut inputs: Vec<_> = (0..WIDE_INPUTS).collect();
+    if reversed {
+        inputs.reverse();
+    }
+    let mut nets = vec![None; WIDE_INPUTS];
+    for i in inputs {
+        nets[i] = Some(nl.add_input(format!("in{i}")));
+    }
+    let mut level: Vec<_> = nets.into_iter().map(Option::unwrap).collect();
+    let last = (level[WIDE_INPUTS - 2], level[WIDE_INPUTS - 1]);
+    let mut gate = 0;
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| match *pair {
+                [a, b] => {
+                    gate += 1;
+                    nl.xor2(a, b, &format!("x{gate}"))
+                }
+                [a] => a,
+                _ => unreachable!("chunks of two"),
+            })
+            .collect();
+    }
+    let y = nl.buf(level[0], "y");
+    let z = if or_z {
+        nl.or2(last.0, last.1, "z")
+    } else {
+        nl.and2(last.0, last.1, "z")
+    };
+    nl.mark_output(y);
+    nl.mark_output(z);
+    nl
+}
+
+/// Forty inputs are two stimulus buses, drawn a block of lane words at a
+/// time: the transformed side, its inputs declared in reverse, must see
+/// every drive on the net of the same name, and a difference on the
+/// second bus is located where the event co-simulation locates it.
+#[test]
+fn inputs_beyond_one_stimulus_bus_match_the_event_co_simulation() {
+    let original = wide_xor(false, false);
+    let outcomes = self_check(&original);
+    assert!(outcomes.iter().all(EquivalenceOutcome::passed));
+
+    let reversed = wide_xor(true, false);
+    let checker = EquivalenceChecker::by_name(&original, &reversed, 0).unwrap();
+    let outcomes = assert_matches_oracle_at(&original, &reversed, &checker, LONG_CYCLES);
+    assert!(outcomes.iter().all(EquivalenceOutcome::passed));
+
+    let or_z = wide_xor(true, true);
+    let checker = EquivalenceChecker::by_name(&original, &or_z, 0).unwrap();
+    for outcome in assert_matches_oracle_at(&original, &or_z, &checker, LONG_CYCLES) {
+        let mismatch = outcome.mismatch.expect("an OR is not an AND");
+        assert_eq!(mismatch.output, "z");
+    }
+}
