@@ -44,8 +44,8 @@ impl Op {
 /// A net's stage is 0 for a primary input or a constant, the highest
 /// operand stage for an op's output, and one above its D net for a
 /// flipflop's Q. The program's ops are sorted by stage (level order
-/// within one), and a stage's flipflops are those whose Q it reads
-/// first: every D they shift from lies in a lower stage.
+/// within one), and a stage's flipflops are those whose Q lies in it:
+/// they shift in before its ops run, each from a D of a lower stage.
 #[derive(Debug, Clone)]
 struct StagePlan {
     /// Per stage, the end of its ops in [`KernelProgram::ops`].
