@@ -101,7 +101,7 @@ fn bench_reduce(c: &mut Criterion) {
     // form, settled on the kernel, must beat the event co-simulation.
     let mult8 = ArrayMultiplier::new(8, AdderStyle::CompoundCell).netlist;
     let piped = pipeline_netlist(&mult8, 4, PipelineOptions::default()).expect("pipelines");
-    let map = &piped.mapping;
+    let map = &piped.map;
     let checker = EquivalenceChecker::new(
         &mult8,
         &piped.netlist,

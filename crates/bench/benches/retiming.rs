@@ -1,8 +1,8 @@
-//! Criterion benchmarks of the retiming and pipelining engines.
+//! Criterion benchmarks of cutset pipelining and the delay-imbalance metric.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glitch_core::arith::{AdderStyle, ArrayMultiplier, DirectionDetector};
-use glitch_core::retime::{delay_imbalance, pipeline_netlist, PipelineOptions, RetimingGraph};
+use glitch_core::retime::{delay_imbalance, pipeline_netlist, PipelineOptions};
 
 fn bench_retiming(c: &mut Criterion) {
     let det = DirectionDetector::with_options(8, false, AdderStyle::CompoundCell);
@@ -17,7 +17,8 @@ fn bench_retiming(c: &mut Criterion) {
                 b.iter(|| {
                     pipeline_netlist(&det.netlist, r, PipelineOptions::default())
                         .expect("pipelines")
-                        .flipflop_count
+                        .netlist
+                        .dff_count()
                 })
             },
         );
@@ -26,20 +27,6 @@ fn bench_retiming(c: &mut Criterion) {
 
     c.bench_function("delay_imbalance_array8", |b| {
         b.iter(|| delay_imbalance(&mult.netlist).expect("valid"))
-    });
-
-    c.bench_function("retiming_graph_extraction_detector", |b| {
-        b.iter(|| {
-            RetimingGraph::from_netlist(&det.netlist, |_| 1)
-                .expect("valid")
-                .0
-                .clock_period()
-        })
-    });
-
-    c.bench_function("minimum_period_retiming_detector", |b| {
-        let (graph, _) = RetimingGraph::from_netlist(&det.netlist, |_| 1).expect("valid");
-        b.iter(|| graph.retime_minimum_period().expect("feasible").period)
     });
 }
 

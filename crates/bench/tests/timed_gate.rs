@@ -145,7 +145,7 @@ fn timed_pipelined_jobs_take_at_most_a_quarter_of_the_event_driven_settle() {
         .expect("the multiplier pipelines");
     let buses: Vec<Bus> = buses
         .iter()
-        .map(|bus| Bus::new(bus.iter().map(|&net| piped.mapping.new_net(net)).collect()))
+        .map(|bus| Bus::new(bus.iter().map(|&net| piped.map.new_net(net)).collect()))
         .collect();
     gate(
         "pipelined to 4 ranks",

@@ -158,15 +158,15 @@ commands:
               --emit-blif <file>   write the retimed circuit as BLIF
   reduce    the paper's reduction loop: greedy accept/reject descent on
             glitch power. Hazard-hot nets rank the candidate moves
-            (retiming cutsets, delay-buffer insertion, gate duplication),
-            a full analysis pass scores each candidate, its outputs are
+            (retiming cutsets, delay-buffer insertion), a full analysis
+            pass scores each candidate, its outputs are
             compared with the current circuit's in that same pass, and
             the best strictly improving match is accepted. The final
             netlist is verified cycle-accurately against the original
             before the headline `glitch power -N% at equal function` is
             claimed
-              --moves <list>       comma list of buffer,duplicate,retime,
-                                   or `all` [all]
+              --moves <list>       comma list of buffer,retime, or `all`
+                                   [all]
               --target <pct>       stop once glitch power dropped by this
                                    percent of the baseline [descend until
                                    no move improves]
@@ -1226,7 +1226,7 @@ fn cmd_retime(raw: &[String]) -> Result<(), CliError> {
     outln!(
         "inserted {ranks} register rank(s) into `{}` (latency +{} cycles):",
         netlist.name(),
-        piped.latency
+        piped.map.latency()
     );
     out!("{table}");
 

@@ -1275,3 +1275,49 @@ fn a_closed_stdout_ends_the_output_quietly() {
     std::fs::remove_file(&csv).ok();
     assert!(written.lines().count() > 1, "{written}");
 }
+
+/// `reduce --target` is a percent of the baseline glitch power: NaN,
+/// negative and above-100 targets are usage errors before any output,
+/// and 100 itself runs.
+#[test]
+fn reduce_refuses_a_target_outside_0_to_100() {
+    let rca = data("rca4.blif");
+    for target in ["nan", "-5", "101"] {
+        let output = run(&["reduce", &rca, "--cycles", "50", "--target", target]);
+        assert_eq!(output.status.code(), Some(2), "--target {target}");
+        assert!(
+            stderr(&output).contains("--target must be a percent from 0 to 100"),
+            "--target {target}: {}",
+            stderr(&output)
+        );
+        assert!(stdout(&output).is_empty(), "--target {target}");
+    }
+    let full = run(&["reduce", &rca, "--cycles", "50", "--target", "100"]);
+    assert!(full.status.success(), "{}", stderr(&full));
+    assert!(
+        stdout(&full).contains("equivalence: PASS"),
+        "{}",
+        stdout(&full)
+    );
+}
+
+/// The move vocabulary is `buffer` and `retime`; any other name,
+/// `duplicate` included, is a usage error that names both.
+#[test]
+fn reduce_refuses_an_unknown_move() {
+    let output = run(&[
+        "reduce",
+        &data("rca4.blif"),
+        "--cycles",
+        "50",
+        "--moves",
+        "duplicate",
+    ]);
+    assert_eq!(output.status.code(), Some(2));
+    let err = stderr(&output);
+    assert!(
+        err.contains("unknown move `duplicate` (expected `buffer` or `retime`)"),
+        "{err}"
+    );
+    assert!(stdout(&output).is_empty());
+}

@@ -744,3 +744,27 @@ fn streamed_reduce_sends_progress_lines_before_an_identical_final_line() {
     assert_eq!(responses.last().unwrap(), &baseline);
     daemon.shutdown();
 }
+
+/// A daemon `reduce` refuses what the CLI refuses, with the CLI's
+/// message: a `target` outside 0..=100 and an unknown move.
+#[test]
+fn reduce_refuses_a_bad_target_or_move_like_the_cli() {
+    let daemon = Daemon::spawn(&[]);
+    let rca = data("rca4.blif");
+    let requests = [
+        format!(r#"{{"op":"reduce","file":"{rca}","cycles":50,"target":-5}}"#),
+        format!(r#"{{"op":"reduce","file":"{rca}","cycles":50,"target":101}}"#),
+        format!(r#"{{"op":"reduce","file":"{rca}","cycles":50,"moves":"duplicate"}}"#),
+    ];
+    let lines: Vec<&str> = requests.iter().map(String::as_str).collect();
+    let responses = daemon.client(&lines);
+    assert_eq!(
+        responses[..2],
+        [r#"{"error":"--target must be a percent from 0 to 100"}"#; 2]
+    );
+    assert_eq!(
+        responses[2],
+        r#"{"error":"unknown move `duplicate` (expected `buffer` or `retime`)"}"#
+    );
+    daemon.shutdown();
+}

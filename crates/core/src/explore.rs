@@ -5,7 +5,7 @@ use std::fmt;
 use glitch_activity::ActivityTotals;
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_power::PowerBreakdown;
-use glitch_retime::{pipeline_netlist, PipelineOptions, RetimeError};
+use glitch_retime::{pipeline_netlist, PipelineOptions, RetimeError, Rewrite};
 use glitch_sim::SimError;
 
 use crate::analyzer::{Analysis, GlitchAnalyzer};
@@ -124,16 +124,6 @@ pub enum ExploreError {
     Retime(RetimeError),
     /// Simulating one of the variants failed.
     Sim(SimError),
-    /// A stimulus net of the original netlist has no same-named counterpart
-    /// in a pipelined variant — the sweep cannot drive that variant.
-    /// Surfaced as an error (not a panic) so a sweep over odd netlists
-    /// fails recoverably.
-    NetNotFound {
-        /// Name of the missing net.
-        net: String,
-        /// Name of the pipelined variant that lacks it.
-        variant: String,
-    },
 }
 
 impl fmt::Display for ExploreError {
@@ -141,12 +131,6 @@ impl fmt::Display for ExploreError {
         match self {
             ExploreError::Retime(e) => write!(f, "pipelining failed: {e}"),
             ExploreError::Sim(e) => write!(f, "simulation failed: {e}"),
-            ExploreError::NetNotFound { net, variant } => {
-                write!(
-                    f,
-                    "net `{net}` not found in the pipelined netlist `{variant}`"
-                )
-            }
         }
     }
 }
@@ -171,7 +155,6 @@ impl From<SimError> for ExploreError {
 #[derive(Debug, Clone, Default)]
 pub struct PowerExplorer {
     analyzer: GlitchAnalyzer,
-    pipeline_options: PipelineOptions,
 }
 
 impl PowerExplorer {
@@ -179,26 +162,16 @@ impl PowerExplorer {
     /// analyzer configuration.
     #[must_use]
     pub fn new(analyzer: GlitchAnalyzer) -> Self {
-        PowerExplorer {
-            analyzer,
-            pipeline_options: PipelineOptions::default(),
-        }
-    }
-
-    /// Overrides the pipelining options (e.g. to not register the inputs).
-    #[must_use]
-    pub fn with_pipeline_options(mut self, options: PipelineOptions) -> Self {
-        self.pipeline_options = options;
-        self
+        PowerExplorer { analyzer }
     }
 
     /// Pipelines `combinational` with each of the requested `ranks` and
-    /// remaps the stimulus nets (by name) into every variant.
+    /// carries the stimulus nets into every variant through the
+    /// rewrite's map.
     ///
     /// # Errors
     ///
-    /// Returns an [`ExploreError`] if pipelining fails or a stimulus net
-    /// has no counterpart in a variant.
+    /// Returns an [`ExploreError`] if pipelining fails.
     fn prepare_variants(
         &self,
         combinational: &Netlist,
@@ -209,15 +182,15 @@ impl PowerExplorer {
         ranks
             .iter()
             .map(|&rank| {
-                let piped = pipeline_netlist(combinational, rank, self.pipeline_options)?;
-                let buses: Vec<Bus> = random_buses
+                let piped = pipeline_netlist(combinational, rank, PipelineOptions::default())?;
+                let buses = random_buses
                     .iter()
-                    .map(|b| remap_bus(combinational, b, &piped.netlist))
-                    .collect::<Result<_, _>>()?;
-                let held: Vec<(NetId, bool)> = held
+                    .map(|b| Bus::new(b.bits().iter().map(|&n| piped.map.new_net(n)).collect()))
+                    .collect();
+                let held = held
                     .iter()
-                    .map(|&(net, v)| Ok((remap_net(combinational, net, &piped.netlist)?, v)))
-                    .collect::<Result<_, ExploreError>>()?;
+                    .map(|&(net, v)| (piped.map.new_net(net), v))
+                    .collect();
                 Ok(Variant {
                     rank,
                     piped,
@@ -235,7 +208,7 @@ impl PowerExplorer {
                 .analyze(&variant.piped.netlist, &variant.buses, &variant.held)?;
         Ok(ExplorationPoint {
             ranks: variant.rank,
-            flipflops: variant.piped.flipflop_count,
+            flipflops: variant.piped.netlist.dff_count(),
             power: analysis.power.breakdown,
             clock_capacitance: analysis.power.clock_capacitance,
             activity: analysis.activity,
@@ -248,13 +221,12 @@ impl PowerExplorer {
     /// power curve.
     ///
     /// `random_buses` and `held` refer to nets of the *original* netlist;
-    /// they are re-found by name in each pipelined variant.
+    /// each pipelined variant reads them at their same-stage copies.
     ///
     /// # Errors
     ///
     /// Returns an [`ExploreError`] if pipelining or simulation of any
-    /// variant fails, or if a stimulus net has no same-named counterpart in
-    /// a variant ([`ExploreError::NetNotFound`]).
+    /// variant fails.
     pub fn explore(
         &self,
         combinational: &Netlist,
@@ -274,25 +246,9 @@ impl PowerExplorer {
 /// A prepared pipelined variant: the netlist plus its remapped stimulus.
 struct Variant {
     rank: usize,
-    piped: glitch_retime::PipelinedNetlist,
+    piped: Rewrite,
     buses: Vec<Bus>,
     held: Vec<(NetId, bool)>,
-}
-
-fn remap_net(from: &Netlist, net: NetId, to: &Netlist) -> Result<NetId, ExploreError> {
-    let name = from.net(net).name();
-    to.find_net(name).ok_or_else(|| ExploreError::NetNotFound {
-        net: name.to_string(),
-        variant: to.name().to_string(),
-    })
-}
-
-fn remap_bus(from: &Netlist, bus: &Bus, to: &Netlist) -> Result<Bus, ExploreError> {
-    bus.bits()
-        .iter()
-        .map(|&b| remap_net(from, b, to))
-        .collect::<Result<Vec<_>, _>>()
-        .map(Bus::new)
 }
 
 #[cfg(test)]
@@ -331,35 +287,6 @@ mod tests {
         let table = result.to_table().to_string();
         assert!(table.contains("flipflops"));
         let _ = result.optimum_point();
-    }
-
-    #[test]
-    fn missing_stimulus_net_is_a_recoverable_error() {
-        // A stimulus net whose name has no counterpart in the target
-        // netlist used to panic inside the sweep; now it surfaces as
-        // `ExploreError::NetNotFound`.
-        let mut from = Netlist::new("from");
-        let bus = from.add_input_bus("only_in_from", 2);
-        let target = Netlist::new("pipelined variant");
-        let err = remap_net(&from, bus.bit(0), &target).unwrap_err();
-        match &err {
-            ExploreError::NetNotFound { net, variant } => {
-                assert!(net.starts_with("only_in_from"));
-                assert_eq!(variant, "pipelined variant");
-            }
-            other => panic!("expected NetNotFound, got {other:?}"),
-        }
-        assert!(err
-            .to_string()
-            .contains("not found in the pipelined netlist"));
-        assert!(remap_bus(&from, &bus, &target).is_err());
-        // Present nets still remap fine.
-        let mut target = Netlist::new("ok");
-        let there = target.add_input_bus("only_in_from", 2);
-        assert_eq!(
-            remap_bus(&from, &bus, &target).unwrap().bits(),
-            there.bits()
-        );
     }
 
     #[test]

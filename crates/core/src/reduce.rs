@@ -4,7 +4,7 @@
 //!
 //! The paper's reduction flow (section 5) alternates two activities:
 //! measure a network's useless switching activity, then apply a structural
-//! move (retiming, delay insertion, duplication) where the measurement
+//! move (register ranks, delay insertion) where the measurement
 //! says it pays. [`ReduceSession`] is the measurement half, shared by the
 //! `glitch-reduce` optimizer and the CLI/daemon front-ends:
 //!

@@ -227,7 +227,7 @@ fn settle_cycles_matches_stepping_on_the_pipelined_multiplier() {
         for ranks in [2, 4, 6] {
             let piped = pipeline_netlist(&mult, ranks, PipelineOptions { register_inputs })
                 .expect("the multiplier pipelines");
-            assert_eq!(piped.latency, ranks);
+            assert_eq!(piped.map.latency(), ranks);
             check_one_eval_per_word(&piped.netlist, 0xDA7E + ranks as u64);
         }
     }

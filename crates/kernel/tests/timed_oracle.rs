@@ -337,7 +337,7 @@ fn timed_jobs_match_the_event_path_on_the_pipelined_multiplier_across_blocks() {
     let piped = pipeline_netlist(&mult.netlist, 4, PipelineOptions::default()).expect("pipelines");
     let buses: Vec<Bus> = [&mult.x, &mult.y]
         .into_iter()
-        .map(|bus| Bus::new(bus.iter().map(|&net| piped.mapping.new_net(net)).collect()))
+        .map(|bus| Bus::new(bus.iter().map(|&net| piped.map.new_net(net)).collect()))
         .collect();
     check_cycles(
         &piped.netlist,
@@ -742,7 +742,7 @@ fn the_timed_output_record_equals_the_event_paths() {
     let piped = pipeline_netlist(&mult.netlist, 4, PipelineOptions::default()).expect("pipelines");
     let piped_buses: Vec<Bus> = [&mult.x, &mult.y]
         .into_iter()
-        .map(|bus| Bus::new(bus.iter().map(|&net| piped.mapping.new_net(net)).collect()))
+        .map(|bus| Bus::new(bus.iter().map(|&net| piped.map.new_net(net)).collect()))
         .collect();
     let circuits = [
         (&rca, vec![Bus::new(rca.inputs().to_vec())]),

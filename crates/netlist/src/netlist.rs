@@ -465,9 +465,9 @@ impl Netlist {
     /// the net it read and loads `to` instead. Every load list stays in
     /// (cell, pin) order.
     ///
-    /// This is the in-place edit behind the reduction loop's buffer and
-    /// duplication moves: a clone of the netlist plus a new net, this
-    /// move and a new cell equals the netlist rebuilt with the rewiring.
+    /// This is the in-place edit behind the reduction loop's buffer move:
+    /// a clone of the netlist plus a new net, this move and a new cell
+    /// equals the netlist rebuilt with the rewiring.
     ///
     /// # Errors
     ///

@@ -44,10 +44,9 @@ impl std::fmt::Display for ReduceError {
             ReduceError::NotEquivalent { detail } => {
                 write!(f, "reduced netlist is not equivalent: {detail}")
             }
-            ReduceError::UnknownMove { name } => write!(
-                f,
-                "unknown move `{name}` (expected `buffer`, `duplicate` or `retime`)"
-            ),
+            ReduceError::UnknownMove { name } => {
+                write!(f, "unknown move `{name}` (expected `buffer` or `retime`)")
+            }
             ReduceError::InvalidNetlist(e) => write!(f, "invalid netlist: {e}"),
         }
     }

@@ -6,18 +6,19 @@
 //!
 //! Section 5 of the DATE'95 paper (*Analysis and Reduction of Glitches in
 //! Synchronous Networks*) reduces glitching with structural levers —
-//! retiming, delay insertion, gate duplication — chosen where the
-//! analysis says the glitches are. This crate closes that loop as a
+//! register ranks and delay insertion — chosen where the analysis says
+//! the glitches are. This crate closes that loop as a
 //! greedy accept/reject optimizer:
 //!
 //! 1. **Measure** — a [`glitch_core::ReduceSession`] pass prices the
 //!    netlist in glitch power (combinational power of useless transitions)
 //!    and locates hazards per net.
 //! 2. **Propose** — [`proposals`] ranks rewrites at the hazard-hot
-//!    sites: [`MoveKind::Buffer`], [`MoveKind::Duplicate`],
-//!    [`MoveKind::Retime`] (all from [`glitch_retime::rewrite`], each a
-//!    total-mapping `Netlist → Netlist` function), and builds them one at
-//!    a time; [`generate_candidates`] collects a whole round.
+//!    sites: [`MoveKind::Buffer`] ([`glitch_retime::insert_buffer`]) and
+//!    [`MoveKind::Retime`] ([`glitch_retime::pipeline_netlist`]), each a
+//!    `Netlist → Netlist` function returning a
+//!    [`glitch_retime::Rewrite`] with a total mapping, and builds them
+//!    one at a time; [`generate_candidates`] collects a whole round.
 //! 3. **Confirm and screen** — every candidate gets a full scoring pass
 //!    on the current stimulus. Each score records every primary output
 //!    at every cycle end, so [`screen_scores`] checks the candidate's

@@ -8,11 +8,8 @@
 //! * [`MoveKind::Buffer`] — delay insertion behind a hazard-hot net; the
 //!   buffered loads see a later, cleaner arrival (paper section 5's
 //!   "delay insertion" lever).
-//! * [`MoveKind::Duplicate`] — gate duplication splitting a hot
-//!   reconvergent driver, halving the capacitance each residual glitch
-//!   charges.
 //! * [`MoveKind::Retime`] — register-rank insertion
-//!   ([`glitch_retime::pipeline_rewrite`]): arrival times realign at the
+//!   ([`glitch_retime::pipeline_netlist`]): arrival times realign at the
 //!   register boundary, the paper's strongest reduction (Table 3). Only
 //!   proposed for flipflop-free netlists — cutset pipelining starts from
 //!   a combinational network.
@@ -21,8 +18,7 @@ use std::str::FromStr;
 
 use glitch_core::ReduceScore;
 use glitch_netlist::Netlist;
-use glitch_retime::rewrite::{duplicate_driver, insert_buffer, pipeline_rewrite};
-use glitch_retime::{PipelineOptions, RetimeError, Rewrite};
+use glitch_retime::{insert_buffer, pipeline_netlist, PipelineOptions, RetimeError, Rewrite};
 
 use crate::error::ReduceError;
 
@@ -31,19 +27,16 @@ use crate::error::ReduceError;
 pub enum MoveKind {
     /// Delay-buffer insertion behind a hazard-hot net.
     Buffer,
-    /// Duplication of a hot multi-load combinational driver.
-    Duplicate,
     /// Register-rank insertion (cutset pipelining).
     Retime,
 }
 
 impl MoveKind {
-    /// The command-line spelling (`buffer`, `duplicate`, `retime`).
+    /// The command-line spelling (`buffer`, `retime`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             MoveKind::Buffer => "buffer",
-            MoveKind::Duplicate => "duplicate",
             MoveKind::Retime => "retime",
         }
     }
@@ -51,7 +44,7 @@ impl MoveKind {
     /// Every move kind, in the default generation order.
     #[must_use]
     pub fn all() -> &'static [MoveKind] {
-        &[MoveKind::Buffer, MoveKind::Duplicate, MoveKind::Retime]
+        &[MoveKind::Buffer, MoveKind::Retime]
     }
 }
 
@@ -67,7 +60,6 @@ impl FromStr for MoveKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "buffer" => Ok(MoveKind::Buffer),
-            "duplicate" => Ok(MoveKind::Duplicate),
             "retime" => Ok(MoveKind::Retime),
             other => Err(ReduceError::UnknownMove {
                 name: other.to_string(),
@@ -150,15 +142,6 @@ pub fn proposals<'a>(
                         .filter_map(move |net| candidate(insert_buffer(netlist, net)))
                         .take(per_kind),
                 ),
-                MoveKind::Duplicate => Box::new(
-                    hot.clone()
-                        .into_iter()
-                        .filter_map(move |net| {
-                            let driver = netlist.net(net).driver()?;
-                            candidate(duplicate_driver(netlist, driver.cell))
-                        })
-                        .take(per_kind),
-                ),
                 MoveKind::Retime => {
                     let ranks = if netlist.dff_count() > 0 {
                         &[][..]
@@ -166,7 +149,7 @@ pub fn proposals<'a>(
                         &RETIME_RANKS[..per_kind.min(RETIME_RANKS.len())]
                     };
                     Box::new(ranks.iter().filter_map(move |&ranks| {
-                        candidate(pipeline_rewrite(netlist, ranks, pipeline))
+                        candidate(pipeline_netlist(netlist, ranks, pipeline))
                     }))
                 }
             }

@@ -80,7 +80,6 @@ fn lazy_proposals_equal_the_collected_round_in_both_iterations() {
     let first = round(&netlist, &score);
     assert_eq!(count(&first, MoveKind::Buffer), 4, "{first:?}");
     assert_eq!(count(&first, MoveKind::Retime), 3, "{first:?}");
-    assert_eq!(count(&first, MoveKind::Duplicate), 0, "{first:?}");
 
     let one_move = ReduceOptions {
         max_iters: 1,

@@ -12,7 +12,7 @@ use glitch_arith::{AdderStyle, ArrayMultiplier};
 use glitch_core::{AnalysisConfig, EngineKind, ReduceScore, ReduceSession};
 use glitch_netlist::{Bus, NetId, Netlist};
 use glitch_reduce::{screen_candidate, screen_scores, ScreenBackend, ScreenOutcome};
-use glitch_retime::{insert_buffer, pipeline_rewrite, NetMap, PipelineOptions, Rewrite};
+use glitch_retime::{insert_buffer, pipeline_netlist, NetMap, PipelineOptions, Rewrite};
 
 fn session(engine: EngineKind) -> ReduceSession {
     ReduceSession::new(
@@ -58,7 +58,7 @@ fn good_moves(netlist: &Netlist) -> Vec<Rewrite> {
     let mut moves = vec![insert_buffer(netlist, loaded).expect("buffer applies")];
     for ranks in [2, 4, 6] {
         moves
-            .push(pipeline_rewrite(netlist, ranks, PipelineOptions::default()).expect("pipelines"));
+            .push(pipeline_netlist(netlist, ranks, PipelineOptions::default()).expect("pipelines"));
     }
     moves
 }
@@ -130,7 +130,7 @@ fn a_broken_rewrite_fails_with_its_output_named() {
 fn a_retime_with_its_latency_off_by_one_fails() {
     let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell);
     let buses = [mult.x.clone(), mult.y.clone()];
-    let retime = pipeline_rewrite(&mult.netlist, 2, PipelineOptions::default()).expect("pipelines");
+    let retime = pipeline_netlist(&mult.netlist, 2, PipelineOptions::default()).expect("pipelines");
     let forward: Vec<NetId> = (0..mult.netlist.net_count())
         .map(|index| retime.map.new_net(NetId::from_index(index)))
         .collect();

@@ -15,19 +15,17 @@ mod support;
 use std::collections::HashMap;
 
 use glitch_arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder};
-use glitch_netlist::{CellId, NetId, Netlist};
+use glitch_netlist::{NetId, Netlist};
 use glitch_reduce::{screen_candidate, Screen, ScreenBackend, ScreenOutcome};
-use glitch_retime::{
-    duplicate_driver, insert_buffer, pipeline_rewrite, NetMap, PipelineOptions, Rewrite,
-};
+use glitch_retime::{insert_buffer, pipeline_netlist, NetMap, PipelineOptions, Rewrite};
 
 const CYCLES: u64 = 32;
 const LANES: usize = 64;
 const SEED: u64 = 0x5C12_EE4D;
 
 /// Every applicable rewrite on `netlist`, capped per kind: buffers on the
-/// first nets with loads, duplicates on the first eligible drivers, and
-/// (for combinational netlists) shallow pipeline ranks.
+/// first nets with loads and (for combinational netlists) shallow
+/// pipeline ranks.
 fn candidates(netlist: &Netlist) -> Vec<Rewrite> {
     let mut rewrites = Vec::new();
     let loaded: Vec<NetId> = netlist
@@ -41,22 +39,9 @@ fn candidates(netlist: &Netlist) -> Vec<Rewrite> {
             .filter_map(|&net| insert_buffer(netlist, net).ok())
             .take(4),
     );
-    let drivers: Vec<CellId> = netlist
-        .combinational_cells()
-        .filter(|&cell| {
-            let outs = netlist.cell(cell).outputs();
-            outs.len() == 1 && netlist.net(outs[0]).loads().len() >= 2
-        })
-        .collect();
-    rewrites.extend(
-        drivers
-            .iter()
-            .filter_map(|&cell| duplicate_driver(netlist, cell).ok())
-            .take(4),
-    );
     if netlist.dff_count() == 0 {
         rewrites.extend([1usize, 2, 3].iter().filter_map(|&ranks| {
-            pipeline_rewrite(netlist, ranks, PipelineOptions::default()).ok()
+            pipeline_netlist(netlist, ranks, PipelineOptions::default()).ok()
         }));
     }
     rewrites

@@ -5,16 +5,10 @@ use std::fmt;
 
 use glitch_netlist::NetlistError;
 
-/// Errors reported by the retiming engine and the netlist pipeliner.
+/// Errors reported by the netlist pipeliner and the rewrite moves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RetimeError {
-    /// The requested clock period cannot be achieved by any retiming of the
-    /// graph.
-    Infeasible {
-        /// The period that was requested.
-        period: u64,
-    },
     /// The netlist handed to the pipeliner is not purely combinational
     /// (cutset pipelining re-times from a flipflop-free starting point).
     NotCombinational {
@@ -23,8 +17,6 @@ pub enum RetimeError {
     },
     /// The underlying netlist is structurally invalid.
     InvalidNetlist(NetlistError),
-    /// A graph query referenced a vertex that does not exist.
-    UnknownVertex(usize),
     /// A rewrite move does not apply to its target (nothing to rewire,
     /// wrong cell shape, ...).
     MoveNotApplicable {
@@ -36,15 +28,11 @@ pub enum RetimeError {
 impl fmt::Display for RetimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RetimeError::Infeasible { period } => {
-                write!(f, "no legal retiming achieves a clock period of {period}")
-            }
             RetimeError::NotCombinational { dff_count } => write!(
                 f,
                 "cutset pipelining needs a purely combinational netlist, found {dff_count} flipflops"
             ),
             RetimeError::InvalidNetlist(e) => write!(f, "invalid netlist: {e}"),
-            RetimeError::UnknownVertex(v) => write!(f, "vertex {v} does not exist"),
             RetimeError::MoveNotApplicable { reason } => {
                 write!(f, "move not applicable: {reason}")
             }
@@ -73,12 +61,13 @@ mod tests {
 
     #[test]
     fn messages_render() {
-        assert!(RetimeError::Infeasible { period: 5 }
-            .to_string()
-            .contains('5'));
         assert!(RetimeError::NotCombinational { dff_count: 3 }
             .to_string()
             .contains('3'));
-        assert!(RetimeError::UnknownVertex(7).to_string().contains('7'));
+        assert!(RetimeError::MoveNotApplicable {
+            reason: "no loads".into()
+        }
+        .to_string()
+        .contains("no loads"));
     }
 }

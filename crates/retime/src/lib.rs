@@ -1,27 +1,18 @@
 //! # glitch-retime
 //!
-//! Retiming and pipelining — the glitch-reduction levers of section 5 of the
+//! Register-rank insertion — the glitch-reduction lever of section 5 of the
 //! DATE'95 paper *Analysis and Reduction of Glitches in Synchronous
 //! Networks*.
 //!
-//! Two complementary facilities are provided:
+//! [`pipeline_netlist`] pipelines a gate-level netlist: it inserts complete
+//! register ranks at levelisation boundaries, the mechanism used to create
+//! the paper's four direction-detector variants with increasing flipflop
+//! counts (Table 3 / Figure 10).
 //!
-//! * [`RetimingGraph`] + [`Retiming`] — the classical Leiserson–Saxe
-//!   formulation: vertices with propagation delays, edges with register
-//!   weights, feasibility of a target clock period, minimum achievable
-//!   period and a legal retiming that achieves it. This is the engine the
-//!   paper's OPTIMA tool implements; it is exercised on operation-level
-//!   graphs.
-//! * [`pipeline_netlist`] — cutset pipelining of a gate-level netlist:
-//!   inserts complete register ranks at levelisation boundaries, the
-//!   mechanism used to create the paper's four direction-detector variants
-//!   with increasing flipflop counts (Table 3 / Figure 10).
-//!
-//! The [`rewrite`] module exposes the move vocabulary of the reduction
-//! loop — buffer insertion, driver duplication and pipelining as
-//! `Netlist → Netlist` rewrites, each returning a total [`NetMap`] from
-//! old nets to new so equivalence checking and move composition work
-//! across the rewrite.
+//! The [`rewrite`] module holds the move vocabulary of the reduction loop
+//! — buffer insertion and pipelining as `Netlist → Netlist` rewrites, each
+//! returning a [`Rewrite`] with a total [`NetMap`] from old nets to new, so
+//! equivalence checking and move composition work across the rewrite.
 //!
 //! The [`delay_imbalance`] metric quantifies how badly input arrival times
 //! diverge at each cell — the structural property that creates glitches.
@@ -29,31 +20,29 @@
 //! ## Example
 //!
 //! ```
-//! use glitch_retime::RetimingGraph;
+//! use glitch_netlist::Netlist;
+//! use glitch_retime::{pipeline_netlist, PipelineOptions};
 //!
-//! // The correlator example from Leiserson & Saxe: a 3-vertex toy here.
-//! let mut g = RetimingGraph::new();
-//! let host = g.add_vertex(0);
-//! let a = g.add_vertex(3);
-//! let b = g.add_vertex(7);
-//! g.add_edge(host, a, 1);
-//! g.add_edge(a, b, 0);
-//! g.add_edge(b, host, 0);
-//! assert_eq!(g.clock_period(), 10);
-//! let best = g.retime_minimum_period().unwrap();
-//! assert!(best.period <= 10);
+//! let mut nl = Netlist::new("xor");
+//! let a = nl.add_input("a");
+//! let b = nl.add_input("b");
+//! let y = nl.xor2(a, b, "y");
+//! nl.mark_output(y);
+//!
+//! // One rank behind the inputs: both inputs are registered.
+//! let piped = pipeline_netlist(&nl, 1, PipelineOptions::default()).unwrap();
+//! assert_eq!(piped.map.latency(), 1);
+//! assert_eq!(piped.netlist.dff_count(), 2);
+//! // The output is observed on the same-named net, one cycle late.
+//! assert_eq!(piped.netlist.net(piped.map.output_net(y)).name(), "y");
 //! ```
 
 mod error;
-mod graph;
 mod mapping;
 mod pipeline;
-mod retiming;
 pub mod rewrite;
 
 pub use error::RetimeError;
-pub use graph::{EdgeId, RetimingGraph, VertexId};
 pub use mapping::NetMap;
-pub use pipeline::{delay_imbalance, pipeline_netlist, PipelineOptions, PipelinedNetlist};
-pub use retiming::Retiming;
-pub use rewrite::{duplicate_driver, insert_buffer, pipeline_rewrite, Rewrite};
+pub use pipeline::{delay_imbalance, pipeline_netlist, PipelineOptions};
+pub use rewrite::{insert_buffer, Rewrite};

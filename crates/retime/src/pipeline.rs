@@ -15,6 +15,7 @@ use glitch_netlist::{NetId, Netlist};
 
 use crate::error::RetimeError;
 use crate::mapping::NetMap;
+use crate::rewrite::Rewrite;
 
 /// Options for [`pipeline_netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,28 +33,18 @@ impl Default for PipelineOptions {
     }
 }
 
-/// Result of [`pipeline_netlist`]: the transformed netlist plus bookkeeping.
-#[derive(Debug, Clone)]
-pub struct PipelinedNetlist {
-    /// The pipelined netlist. Primary input and output nets keep the names
-    /// they had in the original design.
-    pub netlist: Netlist,
-    /// Latency in clock cycles added by the inserted register ranks.
-    pub latency: usize,
-    /// Number of flipflops in the pipelined netlist.
-    pub flipflop_count: usize,
-    /// Total old-net → new-net mapping: every original net's same-stage
-    /// copy, plus the final registered net each primary output was brought
-    /// to (which is where the output is observed, `latency` cycles late).
-    pub mapping: NetMap,
-}
-
 /// Splits a purely combinational netlist into `ranks + 1` pipeline stages by
 /// inserting `ranks` register ranks at levelisation cuts (one of them
 /// directly behind the inputs when
 /// [`PipelineOptions::register_inputs`] is set and `ranks > 0`).
 ///
 /// With `ranks == 0` the netlist is rebuilt unchanged (zero flipflops).
+///
+/// Primary input and output nets keep the names they had in the original
+/// design. The returned map is total: every original net's same-stage
+/// copy, plus the final registered net each primary output was brought to
+/// (where the output is observed, `ranks` cycles late); its latency is
+/// `ranks`.
 ///
 /// # Errors
 ///
@@ -64,7 +55,7 @@ pub fn pipeline_netlist(
     netlist: &Netlist,
     ranks: usize,
     options: PipelineOptions,
-) -> Result<PipelinedNetlist, RetimeError> {
+) -> Result<Rewrite, RetimeError> {
     netlist.validate()?;
     if netlist.dff_count() > 0 {
         return Err(RetimeError::NotCombinational {
@@ -180,12 +171,10 @@ pub fn pipeline_netlist(
         })
         .collect();
 
-    let flipflop_count = out.dff_count();
-    Ok(PipelinedNetlist {
+    Ok(Rewrite {
         netlist: out,
-        latency: ranks,
-        flipflop_count,
-        mapping: NetMap::new(forward, output_of, ranks),
+        map: NetMap::new(forward, output_of, ranks),
+        description: format!("retime with {ranks} register rank(s)"),
     })
 }
 
@@ -236,8 +225,8 @@ mod tests {
     fn zero_ranks_is_an_identity_rebuild() {
         let adder = RippleCarryAdder::new(4, AdderStyle::CompoundCell);
         let piped = pipeline_netlist(&adder.netlist, 0, PipelineOptions::default()).unwrap();
-        assert_eq!(piped.flipflop_count, 0);
-        assert_eq!(piped.latency, 0);
+        assert_eq!(piped.netlist.dff_count(), 0);
+        assert_eq!(piped.map.latency(), 0);
         assert_eq!(piped.netlist.cell_count(), adder.netlist.cell_count());
         piped.netlist.validate().unwrap();
     }
@@ -247,8 +236,8 @@ mod tests {
         let adder = RippleCarryAdder::new(8, AdderStyle::CompoundCell);
         let piped = pipeline_netlist(&adder.netlist, 1, PipelineOptions::default()).unwrap();
         // 8 + 8 + 1 input bits.
-        assert_eq!(piped.flipflop_count, 17);
-        assert_eq!(piped.latency, 1);
+        assert_eq!(piped.netlist.dff_count(), 17);
+        assert_eq!(piped.map.latency(), 1);
     }
 
     #[test]
@@ -257,11 +246,8 @@ mod tests {
         for ranks in [0usize, 1, 2, 4] {
             let piped = pipeline_netlist(&mult.netlist, ranks, PipelineOptions::default()).unwrap();
             piped.netlist.validate().unwrap();
-            piped
-                .mapping
-                .validate(&mult.netlist, &piped.netlist)
-                .unwrap();
-            assert_eq!(piped.mapping.latency(), ranks);
+            piped.map.validate(&mult.netlist, &piped.netlist).unwrap();
+            assert_eq!(piped.map.latency(), ranks);
             // The mapping answers both directions: inputs by their
             // same-stage copy, outputs by their final registered net.
             let map_bus = |bus: &glitch_netlist::Bus, outputs: bool| {
@@ -270,9 +256,9 @@ mod tests {
                         .iter()
                         .map(|&b| {
                             if outputs {
-                                piped.mapping.output_net(b)
+                                piped.map.output_net(b)
                             } else {
-                                piped.mapping.new_net(b)
+                                piped.map.new_net(b)
                             }
                         })
                         .collect(),
@@ -307,12 +293,12 @@ mod tests {
         let mut last_ffs = 0usize;
         for ranks in [1usize, 2, 4, 8] {
             let piped = pipeline_netlist(&mult.netlist, ranks, PipelineOptions::default()).unwrap();
+            let ffs = piped.netlist.dff_count();
             assert!(
-                piped.flipflop_count > last_ffs,
-                "ranks {ranks}: {} flipflops not above {last_ffs}",
-                piped.flipflop_count
+                ffs > last_ffs,
+                "ranks {ranks}: {ffs} flipflops not above {last_ffs}"
             );
-            last_ffs = piped.flipflop_count;
+            last_ffs = ffs;
         }
     }
 

@@ -1,11 +1,10 @@
-//! The in-place moves against a name-by-name rebuild.
+//! The in-place buffer move against a name-by-name rebuild.
 //!
-//! [`insert_buffer`] and [`duplicate_driver`] clone the netlist and edit
-//! the clone. The reference below rebuilds the whole netlist net by net
-//! and cell by cell instead, rewiring the moved pins on the way, which is
-//! how the moves used to work. On every applicable net (buffer) and cell
-//! (duplication) of rca4, mult4, counter4 and a 4-rank pipelined mult8,
-//! the edited netlist must equal the rebuilt one in fingerprint, in every
+//! [`insert_buffer`] clones the netlist and edits the clone. The reference
+//! below rebuilds the whole netlist net by net and cell by cell instead,
+//! rewiring the moved pins on the way, which is how the move used to work.
+//! On every net of rca4, mult4, counter4 and a 4-rank pipelined mult8, the
+//! edited netlist must equal the rebuilt one in fingerprint, in every
 //! net's load order, in its BLIF text and in its map; an inapplicable site
 //! must be refused by both.
 
@@ -13,9 +12,10 @@ use std::collections::HashMap;
 
 use glitch_arith::{AdderStyle, ArrayMultiplier};
 use glitch_io::{emit_blif, parse_netlist, Format, GateLibrary};
-use glitch_netlist::{CellId, CellKind, NetId, Netlist, Pin};
-use glitch_retime::rewrite::{duplicate_driver, insert_buffer};
-use glitch_retime::{pipeline_netlist, NetMap, PipelineOptions, RetimeError, Rewrite};
+use glitch_netlist::{CellKind, NetId, Netlist, Pin};
+use glitch_retime::{
+    insert_buffer, pipeline_netlist, NetMap, PipelineOptions, RetimeError, Rewrite,
+};
 
 /// Copies every net of `src` into `out` in id order, preserving names and
 /// primary-input marking. Returns the dense forward table.
@@ -113,56 +113,6 @@ fn rebuilt_buffer(netlist: &Netlist, net: NetId) -> Result<Rewrite, RetimeError>
     })
 }
 
-fn rebuilt_duplicate(netlist: &Netlist, cell: CellId) -> Result<Rewrite, RetimeError> {
-    let source = netlist.cell(cell);
-    if source.is_sequential() || source.outputs().len() != 1 {
-        return Err(RetimeError::MoveNotApplicable {
-            reason: format!(
-                "cell `{}` is not a single-output combinational gate",
-                source.name()
-            ),
-        });
-    }
-    let target = source.outputs()[0];
-    let loads = netlist.net(target).loads();
-    if loads.len() < 2 {
-        return Err(RetimeError::MoveNotApplicable {
-            reason: format!(
-                "net `{}` has {} load(s); duplication needs at least two",
-                netlist.net(target).name(),
-                loads.len()
-            ),
-        });
-    }
-    netlist.validate()?;
-    let mut out = Netlist::new(netlist.name());
-    let forward = copy_nets(netlist, &mut out);
-    let name = fresh_name(&out, netlist.net(target).name(), "_dup");
-    let dup_net = out.add_net(name.clone());
-    let redirect: HashMap<Pin, NetId> = loads
-        .iter()
-        .skip(1)
-        .step_by(2)
-        .map(|&pin| (pin, dup_net))
-        .collect();
-    copy_cells(netlist, &mut out, &forward, &redirect)?;
-    let inputs: Vec<NetId> = source
-        .inputs()
-        .iter()
-        .map(|&n| forward[n.index()])
-        .collect();
-    out.add_cell(source.kind(), &name, inputs, vec![dup_net])
-        .map_err(RetimeError::InvalidNetlist)?;
-    for &output in netlist.outputs() {
-        out.mark_output(forward[output.index()]);
-    }
-    Ok(Rewrite {
-        netlist: out,
-        map: NetMap::new(forward, HashMap::new(), 0),
-        description: format!("duplicate gate `{}`", source.name()),
-    })
-}
-
 fn assert_same(
     edited: Result<Rewrite, RetimeError>,
     rebuilt: Result<Rewrite, RetimeError>,
@@ -196,8 +146,8 @@ fn assert_same(
     Some(edited)
 }
 
-/// Every buffer and duplication site of `netlist`, plus one move on the
-/// result of each kind's first move (the clone of an edited clone).
+/// Every buffer site of `netlist`, plus one more buffer on the result of
+/// the first (the clone of an edited clone).
 fn check_every_site(netlist: &Netlist, label: &str) {
     let mut first_buffer = None;
     for (net, _) in netlist.nets() {
@@ -209,16 +159,6 @@ fn check_every_site(netlist: &Netlist, label: &str) {
         );
         first_buffer = first_buffer.or(edited.map(|rewrite| (net, rewrite)));
     }
-    let mut first_duplicate = None;
-    for (cell, _) in netlist.cells() {
-        let case = format!("{label}: duplicate {cell}");
-        let edited = assert_same(
-            duplicate_driver(netlist, cell),
-            rebuilt_duplicate(netlist, cell),
-            &case,
-        );
-        first_duplicate = first_duplicate.or(edited.map(|rewrite| (cell, rewrite)));
-    }
     let (net, once) = first_buffer.expect("some net can be buffered");
     assert_same(
         insert_buffer(&once.netlist, net),
@@ -226,13 +166,6 @@ fn check_every_site(netlist: &Netlist, label: &str) {
         &format!("{label}: buffer {net} twice"),
     )
     .expect("a buffered net can be buffered again");
-    if let Some((cell, once)) = first_duplicate {
-        assert_same(
-            duplicate_driver(&once.netlist, cell),
-            rebuilt_duplicate(&once.netlist, cell),
-            &format!("{label}: duplicate {cell} twice"),
-        );
-    }
 }
 
 fn corpus(file: &str) -> Netlist {

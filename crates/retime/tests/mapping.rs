@@ -1,15 +1,13 @@
 //! Pins the cross-netlist mapping contract: every rewrite reports a
 //! *total* old-net → new-net mapping, including the nets that pipelining
-//! duplicates into `_pipeK` register chains or that moves insert fresh.
+//! copies into `_pipeK` register chains or that moves insert fresh.
 //!
-//! This closes the ROADMAP's "cross-netlist cone mapping" gap — before the
-//! mapping existed, callers reverse-engineered output locations from
-//! `_pipe` name prefixes, which is lossy for duplicated/inserted nets.
+//! Callers read output locations from the mapping, never from `_pipe`
+//! name prefixes, which would be lossy for inserted nets.
 
 use glitch_arith::{AdderStyle, ArrayMultiplier, RippleCarryAdder, WallaceTreeMultiplier};
 use glitch_netlist::{NetId, Netlist};
-use glitch_retime::rewrite::{duplicate_driver, insert_buffer, pipeline_rewrite};
-use glitch_retime::{pipeline_netlist, NetMap, PipelineOptions};
+use glitch_retime::{insert_buffer, pipeline_netlist, NetMap, PipelineOptions};
 
 /// Every original net must have an image, every original output an
 /// observation point that is actually marked as an output, and distinct
@@ -35,8 +33,8 @@ fn pipeline_mapping_is_total_at_every_rank() {
     let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell);
     for ranks in [0usize, 1, 2, 4, 6] {
         let piped = pipeline_netlist(&mult.netlist, ranks, PipelineOptions::default()).unwrap();
-        assert_total(&mult.netlist, &piped.netlist, &piped.mapping);
-        assert_eq!(piped.mapping.latency(), ranks);
+        assert_total(&mult.netlist, &piped.netlist, &piped.map);
+        assert_eq!(piped.map.latency(), ranks);
     }
 }
 
@@ -50,9 +48,9 @@ fn pipeline_mapping_tracks_reregistered_outputs() {
     let piped = pipeline_netlist(&mult.netlist, 4, PipelineOptions::default()).unwrap();
     let mut reregistered = 0;
     for &output in mult.netlist.outputs() {
-        let observed = piped.mapping.output_net(output);
+        let observed = piped.map.output_net(output);
         assert!(piped.netlist.net(observed).is_primary_output());
-        if observed != piped.mapping.new_net(output) {
+        if observed != piped.map.new_net(output) {
             reregistered += 1;
             assert!(
                 piped.netlist.net(observed).name().contains("_pipe"),
@@ -73,7 +71,7 @@ fn pipeline_mapping_covers_wallace_and_ripple_shapes() {
     for netlist in [&wallace.netlist, &adder.netlist] {
         for ranks in [1usize, 3] {
             let piped = pipeline_netlist(netlist, ranks, PipelineOptions::default()).unwrap();
-            assert_total(netlist, &piped.netlist, &piped.mapping);
+            assert_total(netlist, &piped.netlist, &piped.map);
         }
     }
 }
@@ -81,20 +79,12 @@ fn pipeline_mapping_covers_wallace_and_ripple_shapes() {
 #[test]
 fn move_rewrites_report_total_mappings() {
     let adder = RippleCarryAdder::new(4, AdderStyle::CompoundCell);
-    // Buffer every bufferable net; duplicate every duplicable driver.
+    // Buffer every bufferable net.
     for (net, _) in adder.netlist.nets() {
         if adder.netlist.net(net).loads().is_empty() {
             continue;
         }
         let rewrite = insert_buffer(&adder.netlist, net).unwrap();
-        assert_total(&adder.netlist, &rewrite.netlist, &rewrite.map);
-    }
-    for cell in adder.netlist.combinational_cells().collect::<Vec<_>>() {
-        let outs = adder.netlist.cell(cell).outputs();
-        if outs.len() != 1 || adder.netlist.net(outs[0]).loads().len() < 2 {
-            continue;
-        }
-        let rewrite = duplicate_driver(&adder.netlist, cell).unwrap();
         assert_total(&adder.netlist, &rewrite.netlist, &rewrite.map);
     }
 }
@@ -104,7 +94,7 @@ fn composed_move_chains_stay_total() {
     let mult = ArrayMultiplier::new(3, AdderStyle::CompoundCell);
     // retime, then buffer a net in the pipelined netlist, composing maps
     // back to the original.
-    let retimed = pipeline_rewrite(&mult.netlist, 2, PipelineOptions::default()).unwrap();
+    let retimed = pipeline_netlist(&mult.netlist, 2, PipelineOptions::default()).unwrap();
     let hot = retimed
         .netlist
         .nets()

@@ -496,6 +496,9 @@ const SINGLE_SEED_FLIP: &str = "--flip applies to single-seed runs; drop --seeds
 /// `--engine kernel`, whose zero-delay figures have no glitches to compare.
 const KERNEL_FLIP: &str = "an input flip compares glitch figures, and the zero-delay \
      kernel engine has no glitches to compare; drop --engine kernel";
+/// The refusal of a reduce `--target` that is not a percent of the
+/// baseline glitch power (NaN, infinite, negative or above 100).
+const TARGET_RANGE: &str = "--target must be a percent from 0 to 100";
 
 /// Runs one job against `netlist`. Parameters resolve exactly as the
 /// CLI's flags do (same defaults, same messages); the engine defaults to
@@ -695,6 +698,9 @@ pub fn exec(
             let seed_list = params::stimulus_seeds(config.seed, seeds);
             let moves = glitch_reduce::parse_moves(job.moves.as_deref().unwrap_or_default())
                 .map_err(|e| ParamError::Usage(e.to_string()))?;
+            if job.target.is_some_and(|t| !(0.0..=100.0).contains(&t)) {
+                return Err(usage(TARGET_RANGE));
+            }
             let defaults = ReduceOptions::default();
             let options = ReduceOptions {
                 moves,

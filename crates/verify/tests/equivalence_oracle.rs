@@ -107,7 +107,7 @@ fn retimed_multiplier_matches_the_event_co_simulation() {
     let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell).netlist;
     for ranks in [2, 4] {
         let piped = pipeline_netlist(&mult, ranks, PipelineOptions::default()).unwrap();
-        let map = &piped.mapping;
+        let map = &piped.map;
         let inputs = mult
             .inputs()
             .iter()
@@ -250,7 +250,7 @@ fn a_latency_window_across_lane_256_matches_the_event_co_simulation() {
 
     let mult = ArrayMultiplier::new(4, AdderStyle::CompoundCell).netlist;
     let piped = pipeline_netlist(&mult, 4, PipelineOptions::default()).unwrap();
-    let map = &piped.mapping;
+    let map = &piped.map;
     let checker = EquivalenceChecker::new(
         &mult,
         &piped.netlist,
